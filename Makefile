@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt bovet schema-lock
+.PHONY: all build test race lint fmt bovet schema-lock bench-smoke
 
 all: build lint test
 
@@ -35,6 +35,12 @@ bovet:
 # version) being bumped first — bump, regenerate, commit both.
 schema-lock:
 	$(GO) run ./cmd/bovet -write-schema-lock ./...
+
+# bench-smoke runs every bopbench workload at 1/100 size, both passes (a few
+# seconds). The full instrument is `go run ./benchmarks/bopbench`; CI's bench
+# job runs it on base and head and compares (benchmarks/README.md).
+bench-smoke:
+	$(GO) run ./benchmarks/bopbench -smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

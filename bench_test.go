@@ -7,17 +7,18 @@
 package bopsim_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"bopsim/internal/core"
 	"bopsim/internal/dram"
+	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/sbp"
-	"bopsim/internal/sim"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -26,22 +27,31 @@ import (
 // runs while leaving several BO learning phases per run.
 const benchInstructions = 150_000
 
-func baseOpts(workload string, cores int, page mem.PageSize) sim.Options {
-	o := sim.DefaultOptions(workload)
+func baseOpts(workload string, cores int, page mem.PageSize) engine.Options {
+	o := engine.DefaultOptions(workload)
 	o.Cores = cores
 	o.Page = page
 	o.Instructions = benchInstructions
 	return o
 }
 
+// mustRun executes one simulation to completion, panicking on error.
+func mustRun(o engine.Options) engine.Result {
+	r, err := engine.Run(context.Background(), o)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // runPair runs baseline and variant once per iteration and reports the
 // variant/baseline IPC ratio (the figure's metric).
-func runPair(b *testing.B, base sim.Options, variant func(sim.Options) sim.Options) {
+func runPair(b *testing.B, base engine.Options, variant func(engine.Options) engine.Options) {
 	b.Helper()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		rBase := sim.MustRun(base)
-		rVar := sim.MustRun(variant(base))
+		rBase := mustRun(base)
+		rVar := mustRun(variant(base))
 		speedup = rVar.IPC / rBase.IPC
 	}
 	b.ReportMetric(speedup, "speedup")
@@ -54,7 +64,7 @@ func BenchmarkTable1BaselineRun(b *testing.B) {
 	// end); the metric is simulated instructions per wall-clock second.
 	o := baseOpts("403.gcc", 1, mem.Page4K)
 	for i := 0; i < b.N; i++ {
-		sim.MustRun(o)
+		mustRun(o)
 	}
 	b.ReportMetric(float64(benchInstructions)*float64(b.N)/b.Elapsed().Seconds(), "sim-instr/s")
 }
@@ -72,78 +82,78 @@ func BenchmarkTable2BOConstruction(b *testing.B) {
 func BenchmarkFig2BaselineIPC(b *testing.B) {
 	var ipc float64
 	for i := 0; i < b.N; i++ {
-		ipc = sim.MustRun(baseOpts("462.libquantum", 1, mem.Page4K)).IPC
+		ipc = mustRun(baseOpts("462.libquantum", 1, mem.Page4K)).IPC
 	}
 	b.ReportMetric(ipc, "IPC")
 }
 
 func BenchmarkFig3LRUvs5P(b *testing.B) {
-	runPair(b, baseOpts("473.astar", 1, mem.Page4K), func(o sim.Options) sim.Options {
+	runPair(b, baseOpts("473.astar", 1, mem.Page4K), func(o engine.Options) engine.Options {
 		o.L3Policy = "LRU"
 		return o
 	})
 }
 
 func BenchmarkFig3DRRIPvs5P(b *testing.B) {
-	runPair(b, baseOpts("473.astar", 1, mem.Page4K), func(o sim.Options) sim.Options {
+	runPair(b, baseOpts("473.astar", 1, mem.Page4K), func(o engine.Options) engine.Options {
 		o.L3Policy = "DRRIP"
 		return o
 	})
 }
 
 func BenchmarkFig4NoStridePF(b *testing.B) {
-	runPair(b, baseOpts("465.tonto", 1, mem.Page4M), func(o sim.Options) sim.Options {
+	runPair(b, baseOpts("465.tonto", 1, mem.Page4M), func(o engine.Options) engine.Options {
 		o.L1PF = prefetch.Spec{Name: "none"}
 		return o
 	})
 }
 
 func BenchmarkFig5NoL2PF(b *testing.B) {
-	runPair(b, baseOpts("462.libquantum", 1, mem.Page4K), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFNone
+	runPair(b, baseOpts("462.libquantum", 1, mem.Page4K), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("none")
 		return o
 	})
 }
 
 func BenchmarkFig6BOvsNextLine(b *testing.B) {
-	runPair(b, baseOpts("433.milc", 1, mem.Page4M), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFBO
+	runPair(b, baseOpts("433.milc", 1, mem.Page4M), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("bo")
 		return o
 	})
 }
 
 func BenchmarkFig7FixedOffset5(b *testing.B) {
-	runPair(b, baseOpts("437.leslie3d", 1, mem.Page4K), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFOffsetD(5)
+	runPair(b, baseOpts("437.leslie3d", 1, mem.Page4K), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("offset:d=5")
 		return o
 	})
 }
 
 func BenchmarkFig8OffsetSweepPoint(b *testing.B) {
 	// One sweep point of Figure 8: offset 32 on the milc stand-in (a peak).
-	runPair(b, baseOpts("433.milc", 1, mem.Page4M), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFOffsetD(32)
+	runPair(b, baseOpts("433.milc", 1, mem.Page4M), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("offset:d=32")
 		return o
 	})
 }
 
 func BenchmarkFig9BadScore10(b *testing.B) {
-	runPair(b, baseOpts("429.mcf", 1, mem.Page4K), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFBO.With("badscore", "10")
+	runPair(b, baseOpts("429.mcf", 1, mem.Page4K), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("bo").With("badscore", "10")
 		return o
 	})
 }
 
 func BenchmarkFig10RR32(b *testing.B) {
-	runPair(b, baseOpts("429.mcf", 1, mem.Page4K), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFBO.With("rr", "32")
+	runPair(b, baseOpts("429.mcf", 1, mem.Page4K), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("bo").With("rr", "32")
 		return o
 	})
 }
 
 func BenchmarkFig11SBPvsBaseline(b *testing.B) {
-	runPair(b, baseOpts("462.libquantum", 1, mem.Page4M), func(o sim.Options) sim.Options {
-		o.L2PF = sim.PFSBP
+	runPair(b, baseOpts("462.libquantum", 1, mem.Page4M), func(o engine.Options) engine.Options {
+		o.L2PF = prefetch.MustSpec("sbp")
 		return o
 	})
 }
@@ -153,10 +163,10 @@ func BenchmarkFig12BOvsSBP(b *testing.B) {
 	base := baseOpts("433.milc", 1, mem.Page4M)
 	for i := 0; i < b.N; i++ {
 		oSBP := base
-		oSBP.L2PF = sim.PFSBP
+		oSBP.L2PF = prefetch.MustSpec("sbp")
 		oBO := base
-		oBO.L2PF = sim.PFBO
-		speedup = sim.MustRun(oBO).IPC / sim.MustRun(oSBP).IPC
+		oBO.L2PF = prefetch.MustSpec("bo")
+		speedup = mustRun(oBO).IPC / mustRun(oSBP).IPC
 	}
 	b.ReportMetric(speedup, "BO/SBP")
 }
@@ -164,9 +174,9 @@ func BenchmarkFig12BOvsSBP(b *testing.B) {
 func BenchmarkFig13DRAMTraffic(b *testing.B) {
 	var perKI float64
 	o := baseOpts("470.lbm", 1, mem.Page4K)
-	o.L2PF = sim.PFBO
+	o.L2PF = prefetch.MustSpec("bo")
 	for i := 0; i < b.N; i++ {
-		perKI = sim.MustRun(o).DRAMAccessesPerKI
+		perKI = mustRun(o).DRAMAccessesPerKI
 	}
 	b.ReportMetric(perKI, "DRAM-acc/KI")
 }
@@ -181,10 +191,10 @@ func BenchmarkAblationRRAtIssue(b *testing.B) {
 	base := baseOpts("462.libquantum", 1, mem.Page4M)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		abl := base
-		abl.L2PF = sim.PFBO.With("rratissue", "true")
-		ratio = sim.MustRun(abl).IPC / sim.MustRun(stock).IPC
+		abl.L2PF = prefetch.MustSpec("bo").With("rratissue", "true")
+		ratio = mustRun(abl).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "ablated/stock")
 }
@@ -194,10 +204,10 @@ func BenchmarkAblationNoPrefetchBit(b *testing.B) {
 	base := baseOpts("433.milc", 1, mem.Page4M)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		abl := base
-		abl.L2PF = sim.PFBO.With("allaccess", "true")
-		ratio = sim.MustRun(abl).IPC / sim.MustRun(stock).IPC
+		abl.L2PF = prefetch.MustSpec("bo").With("allaccess", "true")
+		ratio = mustRun(abl).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "ablated/stock")
 }
@@ -207,10 +217,10 @@ func BenchmarkAblationDenseList(b *testing.B) {
 	base := baseOpts("433.milc", 1, mem.Page4M)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		abl := base
-		abl.L2PF = sim.PFBO.With("offsets", prefetch.FormatInts(prefetch.DenseOffsetList(64)))
-		ratio = sim.MustRun(abl).IPC / sim.MustRun(stock).IPC
+		abl.L2PF = prefetch.MustSpec("bo").With("offsets", prefetch.FormatInts(prefetch.DenseOffsetList(64)))
+		ratio = mustRun(abl).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "ablated/stock")
 }
@@ -220,10 +230,10 @@ func BenchmarkAblationNoPromotion(b *testing.B) {
 	base := baseOpts("462.libquantum", 1, mem.Page4K)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		abl := stock
 		abl.LatePromote = false
-		ratio = sim.MustRun(abl).IPC / sim.MustRun(stock).IPC
+		ratio = mustRun(abl).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "ablated/stock")
 }
@@ -237,10 +247,10 @@ func BenchmarkExtensionDegreeTwo(b *testing.B) {
 	base := baseOpts("471.omnetpp", 1, mem.Page4K)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		ext := base
-		ext.L2PF = sim.PFBO.With("degree", "2")
-		ratio = sim.MustRun(ext).IPC / sim.MustRun(stock).IPC
+		ext.L2PF = prefetch.MustSpec("bo").With("degree", "2")
+		ratio = mustRun(ext).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "degree2/stock")
 }
@@ -252,11 +262,11 @@ func BenchmarkExtensionNegativeOffsets(b *testing.B) {
 	base := baseOpts("433.milc", 1, mem.Page4M)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		ext := base
-		ext.L2PF = sim.PFBO.With("offsets",
+		ext.L2PF = prefetch.MustSpec("bo").With("offsets",
 			prefetch.FormatInts(core.WithNegativeOffsets(prefetch.DefaultOffsetList())))
-		ratio = sim.MustRun(ext).IPC / sim.MustRun(stock).IPC
+		ratio = mustRun(ext).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "negatives/stock")
 }
@@ -269,10 +279,10 @@ func BenchmarkExtensionAdaptiveThrottle(b *testing.B) {
 	base := baseOpts("429.mcf", 1, mem.Page4K)
 	for i := 0; i < b.N; i++ {
 		stock := base
-		stock.L2PF = sim.PFBO
+		stock.L2PF = prefetch.MustSpec("bo")
 		ext := base
-		ext.L2PF = sim.PFBO.With("adaptive", "true")
-		ratio = sim.MustRun(ext).IPC / sim.MustRun(stock).IPC
+		ext.L2PF = prefetch.MustSpec("bo").With("adaptive", "true")
+		ratio = mustRun(ext).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "adaptive/stock")
 }
@@ -284,10 +294,10 @@ func BenchmarkExtensionAdaptiveThrottle(b *testing.B) {
 // On multi-core hosts the j>1 variants should show near-linear speedup; the
 // tables produced are byte-identical either way (see TestParallelMatchesSerial).
 func BenchmarkRunnerParallel(b *testing.B) {
-	var jobs []sim.Options
+	var jobs []engine.Options
 	for _, wl := range []string{"433.milc", "462.libquantum", "429.mcf", "456.hmmer"} {
 		for _, page := range []mem.PageSize{mem.Page4K, mem.Page4M} {
-			for _, pf := range []prefetch.Spec{sim.PFNextLine, sim.PFBO} {
+			for _, pf := range []prefetch.Spec{prefetch.MustSpec("nextline"), prefetch.MustSpec("bo")} {
 				o := baseOpts(wl, 1, page)
 				o.Instructions = 60_000
 				o.L2PF = pf
@@ -318,9 +328,9 @@ func BenchmarkRunnerParallel(b *testing.B) {
 
 // warmupBenchJobs is one warmup group's variant sweep: N prefetcher
 // variants of one workload, all needing the same warmup leg.
-func warmupBenchJobs() []sim.Options {
-	var jobs []sim.Options
-	for _, spec := range []prefetch.Spec{sim.PFNextLine, sim.PFBO, sim.PFSBP, sim.PFOffsetD(4)} {
+func warmupBenchJobs() []engine.Options {
+	var jobs []engine.Options
+	for _, spec := range []prefetch.Spec{prefetch.MustSpec("nextline"), prefetch.MustSpec("bo"), prefetch.MustSpec("sbp"), prefetch.MustSpec("offset:d=4")} {
 		o := baseOpts("433.milc", 1, mem.Page4M)
 		o.Instructions = 30_000
 		o.Warmup = 120_000

@@ -118,7 +118,7 @@ func runStandalone() int {
 		fmt.Fprintln(os.Stderr, "bovet:", err)
 		return 1
 	}
-	runner := &analysis.Runner{Suite: active, Known: suite, FactDir: factCacheDir()}
+	runner := &analysis.Runner{Suite: active, Known: suite}
 	findings, err := runner.Run(pkgs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bovet:", err)
@@ -175,21 +175,6 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("-analyzers selected nothing (available: %s)", strings.Join(available, ", "))
 	}
 	return active, nil
-}
-
-// factCacheDir returns the content-addressed fact cache location:
-// $BOVET_FACTDIR, or a bovet subdirectory of the user cache. Empty string
-// (no caching) when neither resolves — the cache is an optimization, never
-// a requirement.
-func factCacheDir() string {
-	if dir := os.Getenv("BOVET_FACTDIR"); dir != "" {
-		return dir
-	}
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "bovet", "facts")
 }
 
 // writeSchemaLock regenerates the committed schema lock from the current

@@ -22,10 +22,9 @@ import (
 // PackageVetx — the fact files earlier invocations wrote for those
 // dependencies. The tool must write this package's facts to VetxOutput
 // (the file must exist even when empty, or the build system errors), and
-// exit status 2 means "diagnostics found". Facts ride the same gob
-// encoding as the standalone runner's cache, so cross-package taint works
-// identically under `go vet -vettool=` and `bovet ./...`; the go command's
-// own build cache takes the place of bovet's content-addressed fact cache.
+// exit status 2 means "diagnostics found". The fact files carry the gob
+// encoding of the standalone runner's in-memory store, so cross-package
+// taint works identically under `go vet -vettool=` and `bovet ./...`.
 
 // vetConfig mirrors the subset of the config the go command writes that
 // bovet consumes.

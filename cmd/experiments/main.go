@@ -10,7 +10,7 @@
 //	experiments -all -quick                    # representative configs, fast
 //	experiments -all -j 8 -cache .simcache     # parallel + persistent cache
 //	experiments -fig6 -n 500000 -json out/     # full six configs for Figure 6
-//	experiments -fig8 -benchmarks 433.milc,470.lbm
+//	experiments -fig8 -workloads "433.milc;470.lbm"
 //	experiments -zoo -quick                    # every registered prefetcher
 //	experiments -all -cache .simcache -cache-max-mb 256
 //	experiments -all -workers 10.0.0.7:9123,10.0.0.8:9123 -cache .simcache
@@ -43,8 +43,7 @@ func main() {
 		all      = flag.Bool("all", false, "run every table and figure")
 		quick    = flag.Bool("quick", false, "use the representative config subset instead of all six")
 		n        = flag.Uint64("n", 300_000, "instructions per simulation (core 0)")
-		benchCS  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 29)")
-		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (satellite cores run microthrash; overrides -benchmarks). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
+		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (default: all 29 benchmarks; satellite cores run microthrash). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
 		verbose  = flag.Bool("v", false, "log every simulation run")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run concurrently")
 		cacheDir = flag.String("cache", "", "persistent result-cache directory (empty: in-memory only)")
@@ -82,6 +81,14 @@ func main() {
 		os.Exit(2)
 	}
 	defer stopProfiles()
+
+	var rows []trace.Spec
+	if *wlCS != "" {
+		if rows, err = trace.ParseSpecList(*wlCS); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	// selected reports whether a renderable target was asked for; the
 	// dispatch below walks experiments.TargetNames() (canonical output
@@ -124,23 +131,19 @@ func main() {
 			Submitter:    submitter(*submitAs),
 			Priority:     *priority,
 		}
-		if *wlCS != "" {
-			req.Workloads = splitList(*wlCS, ";")
-		} else if *benchCS != "" {
-			req.Workloads = splitList(*benchCS, ",")
+		for _, sp := range rows {
+			req.Workloads = append(req.Workloads, sp.String())
 		}
 		os.Exit(submitAndTail(*submitURL, targets, req))
 	}
 
-	if *cacheDir != "" {
-		// Rewrite any enum-era (v1) entries to the spec-based schema before
-		// the Runner consults the cache, so a version bump costs a rekey,
-		// not a re-simulation.
-		if migrated, dropped, err := experiments.MigrateCache(*cacheDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: cache migration: %v\n", err)
-			os.Exit(1)
-		} else if migrated > 0 || dropped > 0 {
-			fmt.Fprintf(os.Stderr, "cache: migrated %d entries to schema v%d (%d dropped)\n", migrated, experiments.SchemaVersion(), dropped)
+	// Refuse a row no generator can build before anything is scheduled (the
+	// rule fleet.Submit applies on the coordinator): otherwise every job of
+	// the sweep runs to the same failure first.
+	for _, sp := range rows {
+		if _, err := trace.Normalize(sp); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(2)
 		}
 	}
 
@@ -177,24 +180,8 @@ func main() {
 			}
 		}()
 	}
-	if *wlCS != "" {
-		specs, err := trace.ParseSpecList(*wlCS)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		r.Benchmarks = specs
-	} else if *benchCS != "" {
-		// Legacy spelling: comma-separated bare benchmark names.
-		r.Benchmarks = nil
-		for _, b := range strings.Split(*benchCS, ",") {
-			sp, err := trace.ParseSpec(b)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(2)
-			}
-			r.Benchmarks = append(r.Benchmarks, sp)
-		}
+	if rows != nil {
+		r.Benchmarks = rows
 	} else if *quick {
 		// Quick mode also trims the workload list to the memory-active
 		// benchmarks plus a few compute-bound representatives.
@@ -297,7 +284,7 @@ func main() {
 		default:
 			tables, err := experiments.TargetTables(r, name, *quick)
 			if err != nil {
-				fatalf("experiments: %v\n", err)
+				fatalf("%v\n", err) // already prefixed "experiments: "
 			}
 			show(name, tables...)
 		}

@@ -29,17 +29,6 @@ func submitter(as string) string {
 	return os.Getenv("USER")
 }
 
-// splitList splits a flag value on sep, trimming blanks.
-func splitList(csv, sep string) []string {
-	var out []string
-	for _, s := range strings.Split(csv, sep) {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // submitAndTail enqueues one sweep per target, waits for each in order,
 // and prints the outputs. Returns the process exit code.
 func submitAndTail(url string, targets []string, req fleet.SweepRequest) int {

@@ -5,32 +5,39 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 )
 
-func run(pf prefetch.Spec) sim.Result {
-	o := sim.DefaultOptions("433.milc")
+// run simulates the workload under one L2 prefetcher spec, exiting on error.
+func run(spec string) engine.Result {
+	o := engine.DefaultOptions("433.milc")
 	o.Page = mem.Page4M
 	o.Instructions = 250_000
-	o.L2PF = pf
-	return sim.MustRun(o)
+	o.L2PF = prefetch.MustSpec(spec)
+	r, err := engine.Run(context.Background(), o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }
 
 func main() {
-	baseline := run(sim.PFNextLine)
-	bo := run(sim.PFBO)
+	baseline := run("nextline")
+	bo := run("bo")
 	boSpeedup := bo.IPC / baseline.IPC
 
 	fmt.Printf("433.milc stand-in, 4MB pages, 1 core (speedup vs next-line)\n")
 	fmt.Printf("BO prefetcher: %.3f (learned offset %d)\n\n", boSpeedup, bo.FinalBOOffset)
 
 	for d := 2; d <= 128; d += 2 {
-		r := run(sim.PFOffsetD(d))
+		r := run(fmt.Sprintf("offset:d=%d", d))
 		speedup := r.IPC / baseline.IPC
 		bar := int((speedup - 0.90) * 100)
 		if bar < 0 {

@@ -5,24 +5,36 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
-	"bopsim/internal/sim"
+	"bopsim/internal/prefetch"
 )
 
+// run executes one simulation to completion, exiting on error.
+func run(o engine.Options) engine.Result {
+	r, err := engine.Run(context.Background(), o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
+}
+
 func main() {
-	base := sim.DefaultOptions("462.libquantum")
+	base := engine.DefaultOptions("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 400_000
 
-	nextLine := sim.MustRun(base)
+	nextLine := run(base)
 
 	boOpts := base
-	boOpts.L2PF = sim.PFBO
-	bo := sim.MustRun(boOpts)
+	boOpts.L2PF = prefetch.MustSpec("bo")
+	bo := run(boOpts)
 
-	fmt.Printf("workload: %s (%s)\n", base.WorkloadLabel(), sim.ConfigLabel(base.Cores, base.Page))
+	fmt.Printf("workload: %s (%s)\n", base.WorkloadLabel(), base.ConfigLabel())
 	fmt.Printf("next-line prefetcher: IPC %.3f\n", nextLine.IPC)
 	fmt.Printf("Best-Offset:          IPC %.3f (learned offset %d)\n", bo.IPC, bo.FinalBOOffset)
 	fmt.Printf("speedup:              %.3f\n", bo.IPC/nextLine.IPC)

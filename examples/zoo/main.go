@@ -7,12 +7,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 )
+
+// run executes one simulation to completion, exiting on error.
+func run(o engine.Options) engine.Result {
+	r, err := engine.Run(context.Background(), o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
+}
 
 func main() {
 	fmt.Println("registered L2 prefetchers:")
@@ -24,16 +35,16 @@ func main() {
 		fmt.Printf("  %-10s %s\n", name, prefetch.L1Help(name))
 	}
 
-	base := sim.DefaultOptions("462.libquantum")
+	base := engine.DefaultOptions("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 250_000
-	baseline := sim.MustRun(base)
+	baseline := run(base)
 
-	fmt.Printf("\n%s, %s, speedup vs next-line:\n", base.WorkloadLabel(), sim.ConfigLabel(base.Cores, base.Page))
+	fmt.Printf("\n%s, %s, speedup vs next-line:\n", base.WorkloadLabel(), base.ConfigLabel())
 	for _, name := range prefetch.L2Names() {
 		o := base
 		o.L2PF = prefetch.Spec{Name: name}
-		r := sim.MustRun(o)
+		r := run(o)
 		fmt.Printf("  %-10s IPC %6.3f  speedup %5.3f\n", name, r.IPC, r.IPC/baseline.IPC)
 	}
 
@@ -41,7 +52,7 @@ func main() {
 	for _, spec := range []string{"offset:d=4", "bo:badscore=5", "multi:offsets=1+2+4+8"} {
 		o := base
 		o.L2PF = prefetch.MustSpec(spec)
-		r := sim.MustRun(o)
+		r := run(o)
 		fmt.Printf("  %-22s IPC %6.3f  speedup %5.3f\n", spec, r.IPC, r.IPC/baseline.IPC)
 	}
 }

@@ -32,14 +32,10 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 )
 
 // Analyzer describes one static check. Run is invoked once per loaded
@@ -172,14 +168,6 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// SrcFiles are the absolute paths of the parsed source files; their
-	// content participates in the fact-cache address.
-	SrcFiles []string
-	// Export is the compiler export data file, when the loader compiled
-	// one; its content participates in the fact-cache address.
-	Export string
-	// Imports lists the package's direct imports (import paths).
-	Imports []string
 	// DepOnly marks a module dependency loaded solely so its facts are
 	// available to the target packages: analyzers run on it to compute
 	// facts, but its diagnostics are not reported (it is not part of what
@@ -197,15 +185,8 @@ type Runner struct {
 	// narrows the active set, so a directive naming an unselected analyzer
 	// is not misreported as unknown.
 	Known []*Analyzer
-	// FactDir, when non-empty, is the content-addressed fact cache: one
-	// gob blob per dependency package, named by the SHA-256 of its export
-	// data, sources, dependency facts and the suite's fact version. A
-	// cache hit skips re-running analyzers on that dependency entirely.
-	FactDir string
 
-	store     *factStore
-	factHash  map[string]string // pkg path -> hex address of its fact blob
-	suiteSalt string
+	store *factStore
 }
 
 func (r *Runner) init() {
@@ -213,17 +194,10 @@ func (r *Runner) init() {
 		return
 	}
 	r.store = newFactStore()
-	r.factHash = make(map[string]string)
 	if r.Known == nil {
 		r.Known = r.Suite
 	}
 	RegisterFactTypes(r.Suite)
-	h := sha256.New()
-	fmt.Fprintf(h, "bovet facts v%d", factsVersion)
-	for _, a := range r.Suite {
-		fmt.Fprintf(h, " %s", a.Name)
-	}
-	r.suiteSalt = hex.EncodeToString(h.Sum(nil))
 }
 
 // ImportFacts seeds the store with a package's previously exported fact
@@ -264,13 +238,6 @@ func (r *Runner) Run(pkgs []*Package) ([]Finding, error) {
 }
 
 func (r *Runner) runPackage(pkg *Package) ([]Finding, error) {
-	if pkg.DepOnly {
-		if hit, err := r.loadCachedFacts(pkg); err != nil {
-			return nil, err
-		} else if hit {
-			return nil, nil
-		}
-	}
 	allows, bad := parseAllows(pkg.Fset, pkg.Files, r.Known)
 	var findings []Finding
 	if !pkg.DepOnly {
@@ -301,9 +268,6 @@ func (r *Runner) runPackage(pkg *Package) ([]Finding, error) {
 	}
 	if !pkg.DepOnly {
 		findings = append(findings, deadAllows(pkg, allows, r.Suite)...)
-	}
-	if err := r.storeFacts(pkg); err != nil {
-		return nil, err
 	}
 	return findings, nil
 }
@@ -356,96 +320,9 @@ func deadAllows(pkg *Package, allows *allowSet, suite []*Analyzer) []Finding {
 // pass).
 const DeadallowName = "deadallow"
 
-// loadCachedFacts serves a dependency's facts from the content-addressed
-// cache. A hit requires the address — export data, sources, dependency
-// facts, suite version — to match exactly, so facts are recomputed
-// whenever anything that could change them does.
-func (r *Runner) loadCachedFacts(pkg *Package) (bool, error) {
-	if r.FactDir == "" {
-		return false, nil
-	}
-	addr, err := r.factAddress(pkg)
-	if err != nil || addr == "" {
-		return false, err
-	}
-	blob, err := os.ReadFile(filepath.Join(r.FactDir, addr+".facts"))
-	if err != nil {
-		return false, nil // miss
-	}
-	if err := r.store.decodePackage(pkg.PkgPath, blob); err != nil {
-		return false, nil // corrupt entry: recompute
-	}
-	sum := sha256.Sum256(blob)
-	r.factHash[pkg.PkgPath] = hex.EncodeToString(sum[:])
-	return true, nil
-}
-
-// storeFacts records the package's fact-blob hash for downstream
-// addresses and, for module packages with a cache configured, persists
-// the blob under its content address.
-func (r *Runner) storeFacts(pkg *Package) error {
-	blob, err := r.store.encodePackage(pkg.PkgPath)
-	if err != nil {
-		return err
-	}
-	sum := sha256.Sum256(blob)
-	r.factHash[pkg.PkgPath] = hex.EncodeToString(sum[:])
-	if r.FactDir == "" || !ModulePackage(pkg.PkgPath) {
-		return nil
-	}
-	addr, err := r.factAddress(pkg)
-	if err != nil || addr == "" {
-		return err
-	}
-	if err := os.MkdirAll(r.FactDir, 0o755); err != nil {
-		return nil // cache is best-effort
-	}
-	tmp := filepath.Join(r.FactDir, addr+".facts.tmp")
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return nil
-	}
-	_ = os.Rename(tmp, filepath.Join(r.FactDir, addr+".facts"))
-	return nil
-}
-
-// factAddress computes the content address of a package's facts: the
-// suite salt, the compiler export data, every source file, and the fact
-// hashes of its direct module imports. Returns "" when an input cannot be
-// read (the cache is then skipped for this package).
-func (r *Runner) factAddress(pkg *Package) (string, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n", r.suiteSalt, pkg.PkgPath)
-	if pkg.Export != "" {
-		b, err := os.ReadFile(pkg.Export)
-		if err != nil {
-			return "", nil
-		}
-		h.Write(b)
-	}
-	for _, src := range pkg.SrcFiles {
-		b, err := os.ReadFile(src)
-		if err != nil {
-			return "", nil
-		}
-		fmt.Fprintf(h, "src %s %d\n", filepath.Base(src), len(b))
-		h.Write(b)
-	}
-	for _, imp := range pkg.Imports {
-		if !ModulePackage(imp) {
-			continue
-		}
-		dep, ok := r.factHash[imp]
-		if !ok {
-			return "", nil // dep facts unknown: cannot address soundly
-		}
-		fmt.Fprintf(h, "dep %s %s\n", imp, dep)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Run applies every analyzer to every package with a fresh Runner and no
-// fact cache. Packages must be in dependency order when analyzers use
-// facts; the loader returns them that way.
+// Run applies every analyzer to every package with a fresh Runner.
+// Packages must be in dependency order when analyzers use facts; the loader
+// returns them that way.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	return (&Runner{Suite: analyzers}).Run(pkgs)
 }

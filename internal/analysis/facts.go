@@ -27,16 +27,11 @@ package analysis
 // across a package boundary; an unexported helper's facts are consumed
 // inside its own package and summarized onto its exported callers).
 //
-// Persistence. In standalone mode the Runner keeps a content-addressed
-// fact cache under its work directory: one gob file per package, named by
-// the SHA-256 of the package's compiler export data, its source bytes, the
-// fact blobs of its direct module dependencies, and the suite's fact
-// version. Any change to code or upstream facts changes the address, so
-// stale facts can never be served; untouched packages load their facts
-// without re-running a single analyzer. Under `go vet -vettool=` the go
-// command owns the cache instead: dependency facts arrive through the
-// .cfg's PackageVetx table and this package's facts leave through
-// VetxOutput (see cmd/bovet/vettool.go).
+// Persistence. A standalone run keeps facts in memory only: every package
+// it needs is analyzed in the one process. Under `go vet -vettool=` the go
+// command owns a cache: dependency facts arrive through the .cfg's
+// PackageVetx table and this package's facts leave through VetxOutput (see
+// cmd/bovet/vettool.go).
 
 import (
 	"bytes"
@@ -55,11 +50,6 @@ type Fact interface {
 	// AFact is a marker; it has no behavior.
 	AFact()
 }
-
-// factsVersion participates in every fact-cache address. Bump it whenever
-// a fact type's meaning or encoding changes, so caches written by older
-// analyzer logic are never consulted.
-const factsVersion = 1
 
 // ObjectKey returns the stable cross-package identity of a package-scope
 // object: "Name" for functions, types, vars and consts, "Recv.Name" for
@@ -99,7 +89,7 @@ type factKey struct {
 }
 
 // factStore holds every fact of the current run: imported ones (from the
-// cache or the vet driver) and ones exported by passes as they execute.
+// vet driver) and ones exported by passes as they execute.
 type factStore struct {
 	m map[factKey]Fact
 	// order remembers per-package insertion order so encoded blobs are

@@ -29,8 +29,7 @@ import (
 // exist before an importer is analyzed, and compiler export data carries
 // types but not the syntax facts are computed from. `go list -deps` emits
 // dependencies before importers, so the returned slice is already in the
-// dependency order Runner.Run requires. The Runner's content-addressed
-// fact cache makes repeat visits to unchanged dependencies free.
+// dependency order Runner.Run requires.
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
@@ -39,7 +38,6 @@ type listedPackage struct {
 	Export     string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	Standard   bool
 	DepOnly    bool
 	Error      *struct{ Err string }
@@ -118,7 +116,6 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 		return nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
 	}
 	var files []*ast.File
-	var srcs []string
 	for _, name := range lp.GoFiles {
 		path := filepath.Join(lp.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -126,7 +123,6 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 			return nil, fmt.Errorf("%s: %v", lp.ImportPath, err)
 		}
 		files = append(files, f)
-		srcs = append(srcs, path)
 	}
 	info := NewInfo()
 	conf := types.Config{Importer: imp}
@@ -135,16 +131,13 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
 	}
 	return &Package{
-		PkgPath:  lp.ImportPath,
-		Dir:      lp.Dir,
-		Fset:     fset,
-		Files:    files,
-		Types:    tpkg,
-		Info:     info,
-		SrcFiles: srcs,
-		Export:   lp.Export,
-		Imports:  lp.Imports,
-		DepOnly:  lp.DepOnly,
+		PkgPath: lp.ImportPath,
+		Dir:     lp.Dir,
+		Fset:    fset,
+		Files:   files,
+		Types:   tpkg,
+		Info:    info,
+		DepOnly: lp.DepOnly,
 	}, nil
 }
 

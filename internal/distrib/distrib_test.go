@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,9 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 	"bopsim/internal/mem"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -177,9 +178,9 @@ func TestAllWorkersLost(t *testing.T) {
 
 	r := tinyRunner()
 	r.Backend = pool
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 40_000
-	runErr := r.RunJobs([]sim.Options{o})
+	runErr := r.RunJobs([]engine.Options{o})
 	if runErr == nil {
 		t.Fatal("RunJobs succeeded with every worker dead")
 	}
@@ -215,7 +216,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 		t.Errorf("oversized body: %d/%s, want 413/%s", code, eb.Code, CodeMalformed)
 	}
 
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 1000
 	good, err := NewPool(RetryPolicy{}).makeJob(o)
 	if err != nil {
@@ -258,7 +259,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 	}
 
 	// A bad simulation (unknown benchmark) is a deterministic job error.
-	bad, err := NewPool(RetryPolicy{}).makeJob(sim.Options{Workloads: []trace.Spec{{Name: "no-such-benchmark"}}, Cores: 1, Page: mem.Page4K, Instructions: 1000})
+	bad, err := NewPool(RetryPolicy{}).makeJob(engine.Options{Workloads: []trace.Spec{{Name: "no-such-benchmark"}}, Cores: 1, Page: mem.Page4K, Instructions: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 // on each core returns byte-identical results remotely and locally, and
 // the worker's key recomputation accepts the spec-based payload.
 func TestHeterogeneousWorkloadsRemoteMatchesLocal(t *testing.T) {
-	o := sim.DefaultOptions("")
+	o := engine.DefaultOptions("")
 	o.Workloads = []trace.Spec{
 		trace.MustSpec("gups:footprint=4mb"),
 		trace.MustSpec("stream:stride=128"),
@@ -281,7 +282,7 @@ func TestHeterogeneousWorkloadsRemoteMatchesLocal(t *testing.T) {
 	o.Cores = 2
 	o.Instructions = 20_000
 
-	local, err := sim.Run(o)
+	local, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestHeterogeneousWorkloadsRemoteMatchesLocal(t *testing.T) {
 // the sha-only wire form) is refused as malformed, never opened.
 func TestWorkerRejectsPathFileSpec(t *testing.T) {
 	w, _ := startWorker(t, 1)
-	o := sim.DefaultOptions("").Normalized()
+	o := engine.DefaultOptions("").Normalized()
 	o.Workloads = []trace.Spec{trace.FileSpec("/etc/hostname")}
 	o.Cores = 1
 	job := Job{Protocol: ProtocolVersion, Schema: experiments.SchemaVersion(), Options: o}
@@ -358,7 +359,7 @@ func TestTraceJobsResolveByContentHash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := sim.DefaultOptions("456.hmmer")
+	o := engine.DefaultOptions("456.hmmer")
 	o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
 	o.Instructions = 2000
 
@@ -384,7 +385,7 @@ func TestTraceJobsResolveByContentHash(t *testing.T) {
 	if _, err := wide.Run(0, o); err != nil {
 		t.Errorf("trace job failed on a wide fleet where one worker holds the trace: %v", err)
 	}
-	want, err := sim.Run(o)
+	want, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +423,7 @@ func TestLookupTraceDropsStaleMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &Server{TraceDirs: []string{dir}}
-	sha := experiments.TraceContentSHA(f)
+	sha := trace.ContentSHA(f)
 	if p, ok := s.lookupTrace(sha); !ok || p != f {
 		t.Fatalf("lookupTrace(%0.12s) = %q, %v; want hit on %s", sha, p, ok, f)
 	}

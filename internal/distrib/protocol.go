@@ -5,7 +5,7 @@
 //
 // The wire protocol leans on two properties the scheduler already
 // guarantees. First, jobs are self-contained value objects: a normalized
-// sim.Options names a synthetic workload and registry prefetcher specs by
+// engine.Options names a synthetic workload and registry prefetcher specs by
 // canonical strings, so serializing one is just JSON — no code or state
 // moves. Second, results are content-addressed: the coordinator's
 // OptionsHash keys a job, the worker recomputes the same hash from the
@@ -24,7 +24,7 @@
 package distrib
 
 import (
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 )
 
 // ProtocolVersion is bumped on incompatible changes to the endpoints or
@@ -79,7 +79,7 @@ type Job struct {
 	// never by coordinator-local path. The worker resolves each sha in its
 	// own trace directories and refuses the job — with the retryable
 	// trace_unavailable status — when it has no copy.
-	Options sim.Options `json:"options"`
+	Options engine.Options `json:"options"`
 	// CheckpointSHA, when non-empty, identifies a warmup snapshot
 	// (engine.Checkpoint bytes) by content hash. The worker resolves it in
 	// its trace/checkpoint directories and forks the measured region from

@@ -6,6 +6,7 @@ package distrib
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 	"bopsim/internal/trace"
 )
 
@@ -74,9 +75,9 @@ func TestDeadWorkerRevival(t *testing.T) {
 	}
 	defer pool.Close()
 
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 20_000
-	want, err := sim.Run(o)
+	want, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDeadWorkerRevival(t *testing.T) {
 	before := flaky.runs.Load()
 	o2 := o
 	o2.Seed = 7 // distinct job, so the warm cache can't satisfy it
-	want2, err := sim.Run(o2)
+	want2, err := engine.Run(context.Background(), o2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestNoRevivalWithoutProbeInterval(t *testing.T) {
 	}
 	defer pool.Close()
 
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 20_000
 	flaky.down.Store(true)
 	if _, err := pool.Run(0, o); err != nil {
@@ -166,9 +167,9 @@ func TestAddWorkerDynamic(t *testing.T) {
 		t.Error("AddWorker of an unreachable address succeeded")
 	}
 
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 20_000
-	want, err := sim.Run(o)
+	want, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestArtifactSeeding(t *testing.T) {
 	}
 	defer pool.Close()
 
-	o := sim.DefaultOptions("456.hmmer")
+	o := engine.DefaultOptions("456.hmmer")
 	o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
 	o.Instructions = 2000
 
@@ -222,7 +223,7 @@ func TestArtifactSeeding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("trace job with seedable worker failed: %v", err)
 	}
-	want, err := sim.Run(o)
+	want, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestSeedingRefusedFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	o := sim.DefaultOptions("456.hmmer")
+	o := engine.DefaultOptions("456.hmmer")
 	o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
 	o.Instructions = 2000
 	if _, err := pool.Run(0, o); err == nil || !strings.Contains(err.Error(), "trace") {
@@ -321,9 +322,9 @@ func TestDrainingWorker(t *testing.T) {
 		t.Errorf("draining /healthz answered %d, want 503", resp.StatusCode)
 	}
 
-	o := sim.DefaultOptions("416.gamess")
+	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 20_000
-	want, err := sim.Run(o)
+	want, err := engine.Run(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestDrainingWorker(t *testing.T) {
 	}
 }
 
-func assertSameResult(t *testing.T, want, got sim.Result, context string) {
+func assertSameResult(t *testing.T, want, got engine.Result, context string) {
 	t.Helper()
 	wb, _ := json.Marshal(want)
 	gb, _ := json.Marshal(got)

@@ -20,14 +20,13 @@ import (
 
 	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
 // Server is the worker side of the protocol: cmd/boworkerd mounts its
 // Handler and the coordinator's Pool talks to it. It executes jobs with
-// the same engine the coordinator would use locally (internal/sim links
-// prefetch/all), bounded to Capacity concurrent simulations; excess
+// the same engine the coordinator would use locally (internal/engine
+// links prefetch/all), bounded to Capacity concurrent simulations; excess
 // requests queue rather than fail, so a coordinator rebalancing a dead
 // worker's jobs onto this one degrades throughput, not correctness.
 type Server struct {
@@ -261,7 +260,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // measured region from the snapshot; any failure on that path falls back
 // to the full run, which the engine's determinism guarantee makes
 // byte-identical.
-func runJob(ctx context.Context, o sim.Options, ckptPath string) (sim.Result, error) {
+func runJob(ctx context.Context, o engine.Options, ckptPath string) (engine.Result, error) {
 	if ckptPath != "" {
 		if data, err := os.ReadFile(ckptPath); err == nil {
 			if eng, err := engine.Restore(data, o); err == nil {
@@ -271,7 +270,7 @@ func runJob(ctx context.Context, o sim.Options, ckptPath string) (sim.Result, er
 	}
 	eng, err := engine.New(o)
 	if err != nil {
-		return sim.Result{}, err
+		return engine.Result{}, err
 	}
 	return eng.Run(ctx)
 }
@@ -287,7 +286,7 @@ const traceRescanInterval = 5 * time.Second
 // matching and falls through to a rescan); misses rebuild the index from
 // TraceDirs — at most once per traceRescanInterval — so traces dropped
 // in after startup are found and stale mappings vanish. Hashing goes
-// through experiments.TraceContentSHA — the exact function the cache
+// through trace.ContentSHA — the exact function the cache
 // keys by, memoized by size+mtime — so rescans re-read only changed
 // files and the worker can never disagree with the coordinator about a
 // trace's identity.
@@ -295,7 +294,7 @@ func (s *Server) lookupTrace(sha string) (string, bool) {
 	s.traceMu.Lock()
 	defer s.traceMu.Unlock()
 	if p, ok := s.traceIndex[sha]; ok {
-		if experiments.TraceContentSHA(p) == sha {
+		if trace.ContentSHA(p) == sha {
 			return p, true
 		}
 		// Edited in place: drop the stale mapping so the throttled branch
@@ -338,7 +337,7 @@ func (s *Server) rescanTracesLocked() {
 			if err != nil || st.IsDir() {
 				continue
 			}
-			if h := experiments.TraceContentSHA(f); h != "" {
+			if h := trace.ContentSHA(f); h != "" {
 				s.traceIndex[h] = f
 			}
 		}

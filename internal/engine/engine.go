@@ -2,10 +2,10 @@
 // the assembled machine (cores executing workload generators against the
 // shared uncore) and the cycle loop, exposed as a constructed, steppable
 // Simulation object rather than a single monolithic run function. Callers
-// that just want the final measurements use internal/sim's thin wrappers;
-// callers that need incremental control — schedulers running thousands of
-// simulations on a worker pool, tools sampling mid-run state, anything that
-// must honour cancellation — construct a Simulation and drive it.
+// that just want the final measurements call Run; callers that need
+// incremental control — schedulers running thousands of simulations on a
+// worker pool, tools sampling mid-run state — construct a Simulation and
+// drive it.
 //
 // Prefetchers are configured through prefetch.Spec and the prefetcher
 // registry: the engine never names a concrete prefetcher, so the prefetcher
@@ -15,7 +15,6 @@
 // The layering (see DESIGN.md) is:
 //
 //	engine.Simulation   one run: New -> Step/Run(ctx) -> Snapshot
-//	sim.Run             compatibility wrapper, context.Background()
 //	experiments.Runner  scheduler: dedup, worker pool, disk cache
 package engine
 
@@ -368,6 +367,12 @@ func (o Options) WorkloadLabel() string {
 	return trace.HashSpec(sp).String()
 }
 
+// ConfigLabel names the (cores, page) baseline configuration as the paper
+// does ("1-core/4KB", ...).
+func (o Options) ConfigLabel() string {
+	return fmt.Sprintf("%d-core/%s", o.Cores, o.Page)
+}
+
 // WorkloadsLabel renders the whole per-core assignment for logs and status
 // lines (trace.SpecsLabel over the normalized specs: canonical strings
 // joined by ';', trailing default-thrasher entries trimmed). Callers that
@@ -577,6 +582,17 @@ func (s *Simulation) Run(ctx context.Context) (Result, error) {
 			return s.Snapshot(), nil
 		}
 	}
+}
+
+// Run builds the simulation o describes and drives it to completion: New
+// followed by Simulation.Run, for callers that only want the final
+// measurements.
+func Run(ctx context.Context, o Options) (Result, error) {
+	s, err := New(o)
+	if err != nil {
+		return Result{}, err
+	}
+	return s.Run(ctx)
 }
 
 // Snapshot computes the measurements at the current cycle. It is valid at

@@ -1,23 +1,24 @@
-package sim
+package engine_test
 
 import (
+	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
 
-// quick returns fast options for integration tests.
-func quick(workload string) Options {
-	o := DefaultOptions(workload)
-	o.Instructions = 60_000
-	return o
+// run is engine.Run for tests that never cancel.
+func run(o engine.Options) (engine.Result, error) {
+	return engine.Run(context.Background(), o)
 }
 
 func TestRunBasic(t *testing.T) {
-	r, err := Run(quick("416.gamess"))
+	r, err := run(quick("416.gamess"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +31,11 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(quick("403.gcc"))
+	a, err := run(quick("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quick("403.gcc"))
+	b, err := run(quick("403.gcc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,24 +54,24 @@ func TestAllPrefetchersRun(t *testing.T) {
 	for _, name := range names {
 		o := quick("437.leslie3d")
 		o.L2PF = prefetch.Spec{Name: name}
-		if _, err := Run(o); err != nil {
+		if _, err := run(o); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
 	// A parameterized spec spelled as a string works the same way.
 	o := quick("437.leslie3d")
 	o.L2PF = prefetch.MustSpec("offset:d=4")
-	if _, err := Run(o); err != nil {
+	if _, err := run(o); err != nil {
 		t.Errorf("offset:d=4: %v", err)
 	}
 }
 
 func TestBOResultFieldsPopulated(t *testing.T) {
 	o := quick("462.libquantum")
-	o.L2PF = PFBO
+	o.L2PF = prefetch.MustSpec("bo")
 	o.Page = mem.Page4M
 	o.Instructions = 150_000
-	r, err := Run(o)
+	r, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,13 +88,13 @@ func TestMultiCoreInterferenceSlowsCore0(t *testing.T) {
 	// 0's IPC (Figure 2's effect).
 	solo := quick("450.soplex")
 	solo.Page = mem.Page4M
-	r1, err := Run(solo)
+	r1, err := run(solo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := solo
 	shared.Cores = 4
-	r4, err := Run(shared)
+	r4, err := run(shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,13 @@ func TestMultiCoreInterferenceSlowsCore0(t *testing.T) {
 
 func TestLargePagesHelpTLBHeavyWorkload(t *testing.T) {
 	small := quick("429.mcf")
-	r4k, err := Run(small)
+	r4k, err := run(small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := small
 	big.Page = mem.Page4M
-	r4m, err := Run(big)
+	r4m, err := run(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +128,13 @@ func TestBOBeatsNextLineOnStream(t *testing.T) {
 	base := quick("462.libquantum")
 	base.Page = mem.Page4M
 	base.Instructions = 200_000
-	rNL, err := Run(base)
+	rNL, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bo := base
-	bo.L2PF = PFBO
-	rBO, err := Run(bo)
+	bo.L2PF = prefetch.MustSpec("bo")
+	rBO, err := run(bo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,24 +146,26 @@ func TestBOBeatsNextLineOnStream(t *testing.T) {
 func TestInvalidOptions(t *testing.T) {
 	o := quick("416.gamess")
 	o.Cores = 5
-	if _, err := Run(o); err == nil {
+	if _, err := run(o); err == nil {
 		t.Error("5 cores accepted")
 	}
 	o = quick("does-not-exist")
-	if _, err := Run(o); err == nil {
+	if _, err := run(o); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestConfigLabel(t *testing.T) {
-	if got := ConfigLabel(2, mem.Page4M); got != "2-core/4MB" {
+	o := quick("416.gamess")
+	o.Cores, o.Page = 2, mem.Page4M
+	if got := o.ConfigLabel(); got != "2-core/4MB" {
 		t.Errorf("ConfigLabel = %q", got)
 	}
 }
 
 func TestDRAMTrafficReported(t *testing.T) {
 	o := quick("470.lbm")
-	r, err := Run(o)
+	r, err := run(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +191,13 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	}
 	direct := quick("456.hmmer")
 	direct.Instructions = n
-	rDirect, err := Run(direct)
+	rDirect, err := run(direct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	replay := direct
 	replay.Workloads = []trace.Spec{trace.FileSpec(path)}
-	rReplay, err := Run(replay)
+	rReplay, err := run(replay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,19 +209,19 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 func TestFig8ShapeOffsetPeaks(t *testing.T) {
 	// The milc stand-in's Figure 8 signature: an offset that is a multiple
 	// of 32 must beat its non-multiple neighbour.
-	run := func(d int) float64 {
+	ipcAt := func(d int) float64 {
 		o := quick("433.milc")
 		o.Page = mem.Page4M
 		o.Instructions = 150_000
-		o.L2PF = PFOffsetD(d)
-		r, err := Run(o)
+		o.L2PF = prefetch.MustSpec("offset").With("d", fmt.Sprint(d))
+		r, err := run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r.IPC
 	}
-	peak := run(64)
-	off := run(61)
+	peak := ipcAt(64)
+	off := ipcAt(61)
 	if peak <= off {
 		t.Errorf("offset 64 (%.3f IPC) did not beat offset 61 (%.3f IPC)", peak, off)
 	}

@@ -9,7 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 	"bopsim/internal/trace"
 )
 
@@ -22,8 +22,11 @@ import (
 //
 // v3: Options moved from the Workload/TracePath pair to per-core workload
 // specs (Options.Workloads); file replays are keyed inside the spec by
-// content hash (trace.HashSpec). MigrateCache rewrites v1 and v2 entries
-// in place.
+// content hash (trace.HashSpec).
+//
+// A bump simply invalidates: an older entry is never loaded (load rejects
+// the version), VerifyCache counts it skipped, and EvictCache removes it
+// first because it is the oldest thing in the directory.
 const resultCacheVersion = 3
 
 // OptionsHash returns the canonical cache key of one simulation run: a
@@ -39,10 +42,10 @@ const resultCacheVersion = 3
 // (trace.HashSpec), so editing a trace invalidates its cached results, and
 // moving or copying one preserves them. An unreadable trace falls back to
 // path keying (the simulation will fail with the real error anyway).
-func OptionsHash(o sim.Options) string {
+func OptionsHash(o engine.Options) string {
 	keyed := struct {
 		Version int
-		Options sim.Options
+		Options engine.Options
 	}{Version: resultCacheVersion, Options: o.Normalized()}
 	// Normalized always reallocates the spec slice, so rewriting entries
 	// here never aliases the caller's options.
@@ -57,10 +60,6 @@ func OptionsHash(o sim.Options) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// optionsKey is the Runner's cache key. It is the full-options hash, so
-// runs differing in any outcome-affecting field never alias.
-func optionsKey(o sim.Options) string { return OptionsHash(o) }
-
 // CacheEntry is the on-disk record format: one JSON file per completed
 // simulation, named <OptionsHash>.json, self-describing via the stored
 // options so a human (or a migration tool) can see what produced it. It
@@ -69,9 +68,9 @@ func optionsKey(o sim.Options) string { return OptionsHash(o) }
 //
 //bovet:schemalock
 type CacheEntry struct {
-	Version int         `json:"version"`
-	Options sim.Options `json:"options"`
-	Result  sim.Result  `json:"result"`
+	Version int            `json:"version"`
+	Options engine.Options `json:"options"`
+	Result  engine.Result  `json:"result"`
 }
 
 // SchemaVersion reports the current result-cache schema version. Remote
@@ -79,13 +78,6 @@ type CacheEntry struct {
 // version mismatch means the simulator's behaviour (or the options
 // encoding) differs.
 func SchemaVersion() int { return resultCacheVersion }
-
-// TraceContentSHA returns the hex SHA-256 of the trace file's content
-// (memoized by size+mtime), or "" when the file cannot be read. It is the
-// identity trace replays are cache-keyed by, and what a distrib
-// coordinator sends instead of a path so workers can resolve their own
-// local copy.
-func TraceContentSHA(path string) string { return trace.ContentSHA(path) }
 
 // diskCache persists simulation results under one directory.
 type diskCache struct{ dir string }
@@ -95,14 +87,14 @@ func (c diskCache) path(key string) string {
 }
 
 // load returns the stored result for key, if present and schema-compatible.
-func (c diskCache) load(key string) (sim.Result, bool) {
+func (c diskCache) load(key string) (engine.Result, bool) {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
-		return sim.Result{}, false
+		return engine.Result{}, false
 	}
 	var e CacheEntry
 	if err := json.Unmarshal(b, &e); err != nil || e.Version != resultCacheVersion {
-		return sim.Result{}, false
+		return engine.Result{}, false
 	}
 	return e.Result, true
 }
@@ -110,7 +102,7 @@ func (c diskCache) load(key string) (sim.Result, bool) {
 // store writes the result for key atomically (temp file + rename), so a
 // concurrent reader never observes a partial entry and an interrupted run
 // never corrupts the cache.
-func (c diskCache) store(key string, o sim.Options, res sim.Result) error {
+func (c diskCache) store(key string, o engine.Options, res engine.Result) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 	"sync"
 
 	"bopsim/internal/engine"
-	"bopsim/internal/sim"
+	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
 
@@ -35,7 +35,7 @@ import (
 // of the warmup leg the run needs. Jobs with equal keys can fork from one
 // checkpoint. It returns an error for jobs without a warmup region (there
 // is nothing to share) or whose trace file is unreadable.
-func WarmupKey(o sim.Options) (string, error) {
+func WarmupKey(o engine.Options) (string, error) {
 	o = o.Normalized()
 	if o.Warmup == 0 {
 		return "", fmt.Errorf("experiments: run has no warmup region")
@@ -66,7 +66,7 @@ func (c checkpointStore) pathFor(key string) string {
 
 // ensure returns the checkpoint for o's warmup group, running the warmup
 // leg and writing the snapshot if no cached one exists.
-func (c checkpointStore) ensure(ctx context.Context, o sim.Options) (checkpointRef, error) {
+func (c checkpointStore) ensure(ctx context.Context, o engine.Options) (checkpointRef, error) {
 	key, err := WarmupKey(o)
 	if err != nil {
 		return checkpointRef{}, err
@@ -94,10 +94,10 @@ func (c checkpointStore) ensure(ctx context.Context, o sim.Options) (checkpointR
 // neutralized — the warmup runs with prefetching disabled anyway, so one
 // leg serves every spec variant; under WarmupPF the specs are part of the
 // group identity and stay.
-func runWarmupLeg(ctx context.Context, o sim.Options) ([]byte, error) {
+func runWarmupLeg(ctx context.Context, o engine.Options) ([]byte, error) {
 	if !o.WarmupPF {
-		o.L2PF = sim.PFNone
-		o.L1PF = sim.PFNone
+		o.L2PF = prefetch.Spec{Name: "none"}
+		o.L1PF = prefetch.Spec{Name: "none"}
 	}
 	s, err := engine.New(o)
 	if err != nil {
@@ -180,7 +180,7 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 // resolve returns o's group checkpoint, running the warmup leg on first
 // demand. A group whose leg fails resolves to false: its jobs run
 // straight, and the real error surfaces there.
-func (c *ckptResolver) resolve(o sim.Options) (checkpointRef, bool) {
+func (c *ckptResolver) resolve(o engine.Options) (checkpointRef, bool) {
 	key, err := WarmupKey(o)
 	if err != nil {
 		return checkpointRef{}, false // no warmup region or unreadable trace

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -93,18 +93,18 @@ func TestCheckpointReuseAcrossRunners(t *testing.T) {
 // variants share one warmup leg; anything shaping the warmed machine does
 // not.
 func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
-	base := sim.DefaultOptions("433.milc")
+	base := engine.DefaultOptions("433.milc")
 	base.Warmup = 10_000
 	baseKey, err := WarmupKey(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	shared := map[string]func(*sim.Options){
-		"L2PF":         func(o *sim.Options) { o.L2PF = sim.PFBO },
-		"L1PF":         func(o *sim.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
-		"Instructions": func(o *sim.Options) { o.Instructions = 77 },
-		"MaxCycles":    func(o *sim.Options) { o.MaxCycles = 123_456_789 },
+	shared := map[string]func(*engine.Options){
+		"L2PF":         func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "bo"} },
+		"L1PF":         func(o *engine.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
+		"Instructions": func(o *engine.Options) { o.Instructions = 77 },
+		"MaxCycles":    func(o *engine.Options) { o.MaxCycles = 123_456_789 },
 	}
 	for field, mutate := range shared {
 		o := base
@@ -113,13 +113,13 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 			t.Errorf("changing %s splits the warmup group (key %.12s vs %.12s, err %v)", field, k, baseKey, err)
 		}
 	}
-	splitting := map[string]func(*sim.Options){
-		"Workload": func(o *sim.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
-		"Seed":     func(o *sim.Options) { o.Seed = 9 },
-		"Cores":    func(o *sim.Options) { o.Cores = 2 },
-		"Warmup":   func(o *sim.Options) { o.Warmup = 5_000 },
-		"WarmupPF": func(o *sim.Options) { o.WarmupPF = true },
-		"L3Policy": func(o *sim.Options) { o.L3Policy = "LRU" },
+	splitting := map[string]func(*engine.Options){
+		"Workload": func(o *engine.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
+		"Seed":     func(o *engine.Options) { o.Seed = 9 },
+		"Cores":    func(o *engine.Options) { o.Cores = 2 },
+		"Warmup":   func(o *engine.Options) { o.Warmup = 5_000 },
+		"WarmupPF": func(o *engine.Options) { o.WarmupPF = true },
+		"L3Policy": func(o *engine.Options) { o.L3Policy = "LRU" },
 	}
 	for field, mutate := range splitting {
 		o := base
@@ -132,14 +132,14 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 	// specs become part of the group identity.
 	a, b := base, base
 	a.WarmupPF, b.WarmupPF = true, true
-	b.L2PF = sim.PFBO
+	b.L2PF = prefetch.Spec{Name: "bo"}
 	ka, errA := WarmupKey(a)
 	kb, errB := WarmupKey(b)
 	if errA != nil || errB != nil || ka == kb {
 		t.Errorf("WarmupPF variants with different specs share a key (%v %v)", errA, errB)
 	}
 	// No warmup region: nothing to share.
-	cold := sim.DefaultOptions("433.milc")
+	cold := engine.DefaultOptions("433.milc")
 	if _, err := WarmupKey(cold); err == nil {
 		t.Error("WarmupKey accepted a run without a warmup region")
 	}
@@ -151,15 +151,15 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 // aggregation.
 func TestWedgeSurfacesThroughRunJobs(t *testing.T) {
 	r := tinyRunner()
-	wedgeOpts := func(wl string) sim.Options {
-		o := sim.DefaultOptions(wl)
+	wedgeOpts := func(wl string) engine.Options {
+		o := engine.DefaultOptions(wl)
 		o.Instructions = 1_000_000
 		// Far too few cycles to retire a million instructions: the engine
 		// declares a wedge when MaxCycles pass without completion.
 		o.MaxCycles = 500
 		return o
 	}
-	err := r.RunJobs([]sim.Options{wedgeOpts("416.gamess"), wedgeOpts("456.hmmer")})
+	err := r.RunJobs([]engine.Options{wedgeOpts("416.gamess"), wedgeOpts("456.hmmer")})
 	if err == nil {
 		t.Fatal("RunJobs with wedged simulations returned no error")
 	}
@@ -176,7 +176,7 @@ func TestWedgeSurfacesThroughRunJobs(t *testing.T) {
 	warm := wedgeOpts("416.gamess")
 	warm.Warmup = 1_000_000
 	warm.Seed = 2 // distinct cache key from the run above
-	if err := r.RunJobs([]sim.Options{warm}); err == nil || !strings.Contains(err.Error(), "wedged") {
+	if err := r.RunJobs([]engine.Options{warm}); err == nil || !strings.Contains(err.Error(), "wedged") {
 		t.Errorf("warmup wedge did not surface through RunJobs: %v", err)
 	}
 }

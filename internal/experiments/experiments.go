@@ -22,9 +22,9 @@ import (
 	"time"
 
 	"bopsim/internal/core"
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -36,7 +36,9 @@ type CoreConfig struct {
 }
 
 // Label returns the paper-style configuration name.
-func (c CoreConfig) Label() string { return sim.ConfigLabel(c.Cores, c.Page) }
+func (c CoreConfig) Label() string {
+	return engine.Options{Cores: c.Cores, Page: c.Page}.ConfigLabel()
+}
 
 // AllConfigs returns the paper's six baseline configurations.
 func AllConfigs() []CoreConfig {
@@ -116,7 +118,7 @@ type Runner struct {
 	Progress func(done, total int)
 
 	mu       sync.Mutex
-	cache    map[string]sim.Result
+	cache    map[string]engine.Result
 	logMu    sync.Mutex
 	executed atomic.Int64
 
@@ -138,13 +140,13 @@ func NewRunner(instructions uint64, configs []CoreConfig) *Runner {
 		Seed:         1,
 		Benchmarks:   trace.BenchmarkSpecs(),
 		Configs:      configs,
-		cache:        make(map[string]sim.Result),
+		cache:        make(map[string]engine.Result),
 	}
 }
 
 // options builds the default run options for a workload and configuration.
-func (r *Runner) options(wl trace.Spec, cc CoreConfig) sim.Options {
-	o := sim.DefaultOptions("")
+func (r *Runner) options(wl trace.Spec, cc CoreConfig) engine.Options {
+	o := engine.DefaultOptions("")
 	o.Workloads = []trace.Spec{wl}
 	o.Cores = cc.Cores
 	o.Page = cc.Page
@@ -156,7 +158,7 @@ func (r *Runner) options(wl trace.Spec, cc CoreConfig) sim.Options {
 
 // speedupTable builds a per-benchmark table of IPC(variant)/IPC(baseline)
 // across all configured CoreConfigs, with a GM row.
-func (r *Runner) speedupTable(title string, variant func(o sim.Options) sim.Options) *stats.Table {
+func (r *Runner) speedupTable(title string, variant func(o engine.Options) engine.Options) *stats.Table {
 	return r.materialize(func(run runFunc) *stats.Table {
 		cols := make([]string, len(r.Configs))
 		for i, cc := range r.Configs {
@@ -245,7 +247,7 @@ func (r *Runner) Fig3() []*stats.Table {
 		pol := pol
 		out = append(out, r.speedupTable(
 			fmt.Sprintf("Figure 3: L3 replacement %s vs 5P baseline", pol),
-			func(o sim.Options) sim.Options { o.L3Policy = pol; return o }))
+			func(o engine.Options) engine.Options { o.L3Policy = pol; return o }))
 	}
 	return out
 }
@@ -253,19 +255,19 @@ func (r *Runner) Fig3() []*stats.Table {
 // Fig4 reports the impact of disabling the DL1 stride prefetcher.
 func (r *Runner) Fig4() *stats.Table {
 	return r.speedupTable("Figure 4: DL1 stride prefetcher disabled (vs baseline)",
-		func(o sim.Options) sim.Options { o.L1PF = prefetch.Spec{Name: "none"}; return o })
+		func(o engine.Options) engine.Options { o.L1PF = prefetch.Spec{Name: "none"}; return o })
 }
 
 // Fig5 reports the impact of disabling the L2 next-line prefetcher.
 func (r *Runner) Fig5() *stats.Table {
 	return r.speedupTable("Figure 5: L2 next-line prefetcher disabled (vs baseline)",
-		func(o sim.Options) sim.Options { o.L2PF = sim.PFNone; return o })
+		func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "none"}; return o })
 }
 
 // Fig6 reports BO prefetcher speedup relative to next-line.
 func (r *Runner) Fig6() *stats.Table {
 	return r.speedupTable("Figure 6: BO prefetcher speedup (vs next-line baseline)",
-		func(o sim.Options) sim.Options { o.L2PF = sim.PFBO; return o })
+		func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "bo"}; return o })
 }
 
 // Fig7 compares BO against fixed offsets 2..7 (geometric means only, as in
@@ -277,7 +279,7 @@ func (r *Runner) Fig7() *stats.Table {
 			cols[i] = cc.Label()
 		}
 		tb := stats.NewTable("Figure 7: BO vs fixed-offset prefetching (GM speedup)", cols...)
-		addRow := func(label string, variant func(o sim.Options) sim.Options) {
+		addRow := func(label string, variant func(o engine.Options) engine.Options) {
 			row := make([]float64, len(r.Configs))
 			for i, cc := range r.Configs {
 				ratios := make([]float64, 0, len(r.Benchmarks))
@@ -290,11 +292,11 @@ func (r *Runner) Fig7() *stats.Table {
 			}
 			tb.AddRow(label, row...)
 		}
-		addRow("BO", func(o sim.Options) sim.Options { o.L2PF = sim.PFBO; return o })
+		addRow("BO", func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "bo"}; return o })
 		for d := 2; d <= 7; d++ {
 			d := d
-			addRow(fmt.Sprintf("D=%d", d), func(o sim.Options) sim.Options {
-				o.L2PF = sim.PFOffsetD(d)
+			addRow(fmt.Sprintf("D=%d", d), func(o engine.Options) engine.Options {
+				o.L2PF = prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))
 				return o
 			})
 		}
@@ -335,7 +337,7 @@ func (r *Runner) Fig8(offsets []int) *stats.Table {
 		for i, wl := range benchmarks {
 			base := run(r.options(wl, cc))
 			o := r.options(wl, cc)
-			o.L2PF = sim.PFBO
+			o.L2PF = prefetch.Spec{Name: "bo"}
 			boRow[i] = stats.Speedup(base.IPC, run(o).IPC)
 		}
 		tb.AddRow("BO", boRow...)
@@ -344,7 +346,7 @@ func (r *Runner) Fig8(offsets []int) *stats.Table {
 			for i, wl := range benchmarks {
 				base := run(r.options(wl, cc))
 				o := r.options(wl, cc)
-				o.L2PF = sim.PFOffsetD(d)
+				o.L2PF = prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))
 				row[i] = stats.Speedup(base.IPC, run(o).IPC)
 			}
 			tb.AddRow(fmt.Sprintf("D=%d", d), row...)
@@ -381,7 +383,7 @@ func (r *Runner) boParamSweep(title string, values []int, param string, labelFmt
 				for _, wl := range r.Benchmarks {
 					base := run(r.options(wl, cc))
 					o := r.options(wl, cc)
-					o.L2PF = sim.PFBO.With(param, fmt.Sprint(v))
+					o.L2PF = prefetch.Spec{Name: "bo"}.With(param, fmt.Sprint(v))
 					ratios = append(ratios, stats.Speedup(base.IPC, run(o).IPC))
 				}
 				row[i] = stats.GeoMean(ratios)
@@ -400,7 +402,7 @@ func (r *Runner) Fig11() *stats.Table {
 			cols[i] = cc.Label()
 		}
 		tb := stats.NewTable("Figure 11: BO vs SBP (GM speedup vs next-line baseline)", cols...)
-		for _, spec := range []prefetch.Spec{sim.PFBO, sim.PFSBP} {
+		for _, spec := range []prefetch.Spec{{Name: "bo"}, {Name: "sbp"}} {
 			spec := spec
 			row := make([]float64, len(r.Configs))
 			for i, cc := range r.Configs {
@@ -431,9 +433,9 @@ func (r *Runner) Fig12() *stats.Table {
 			row := make([]float64, len(r.Configs))
 			for i, cc := range r.Configs {
 				oBO := r.options(wl, cc)
-				oBO.L2PF = sim.PFBO
+				oBO.L2PF = prefetch.Spec{Name: "bo"}
 				oSBP := r.options(wl, cc)
-				oSBP.L2PF = sim.PFSBP
+				oSBP.L2PF = prefetch.Spec{Name: "sbp"}
 				row[i] = stats.Speedup(run(oSBP).IPC, run(oBO).IPC)
 			}
 			tb.AddRow(wl.String(), row...)
@@ -448,7 +450,7 @@ func (r *Runner) Fig12() *stats.Table {
 func (r *Runner) Fig13() *stats.Table {
 	return r.materialize(func(run runFunc) *stats.Table {
 		cc := CoreConfig{Cores: 1, Page: mem.Page4K}
-		specs := []prefetch.Spec{sim.PFNone, sim.PFNextLine, sim.PFBO, sim.PFSBP}
+		specs := []prefetch.Spec{{Name: "none"}, {Name: "nextline"}, {Name: "bo"}, {Name: "sbp"}}
 		cols := make([]string, len(specs))
 		for i, s := range specs {
 			cols[i] = s.String()
@@ -539,7 +541,7 @@ func (r *Runner) WorkloadZoo() *stats.Table {
 			for i, cc := range r.Configs {
 				base := run(r.options(wl, cc))
 				o := r.options(wl, cc)
-				o.L2PF = sim.PFBO
+				o.L2PF = prefetch.Spec{Name: "bo"}
 				row[i] = stats.Speedup(base.IPC, run(o).IPC)
 			}
 			tb.AddRow(wl.String(), row...)

@@ -159,3 +159,18 @@ func TestFig13FiltersQuietBenchmarks(t *testing.T) {
 		}
 	}
 }
+
+// TestTargetTablesReturnsJobFailures checks a figure whose simulations fail
+// comes back from TargetTables as an error naming the failing run, not as
+// the builders' panic.
+func TestTargetTablesReturnsJobFailures(t *testing.T) {
+	r := tinyRunner()
+	r.Benchmarks = []trace.Spec{{Name: "no-such-workload"}}
+	tables, err := TargetTables(r, "fig6", true)
+	if err == nil || !strings.Contains(err.Error(), "no-such-workload") {
+		t.Fatalf("TargetTables error = %v, want one naming no-such-workload", err)
+	}
+	if tables != nil {
+		t.Errorf("TargetTables returned %d tables alongside the error", len(tables))
+	}
+}

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/sim"
 	"bopsim/internal/trace"
 )
 
@@ -68,7 +68,7 @@ func TestRunJobsDedup(t *testing.T) {
 	// values instead of explicit defaults.
 	zeroSpelling := o
 	zeroSpelling.L3Policy = ""
-	if err := r.RunJobs([]sim.Options{o, o, zeroSpelling}); err != nil {
+	if err := r.RunJobs([]engine.Options{o, o, zeroSpelling}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Executed(); got != 1 {
@@ -84,7 +84,7 @@ func TestRunJobsAbortsAfterFailure(t *testing.T) {
 	r.Workers = 1
 	r.MaxErrors = 1
 	bad := r.options(trace.MustSpec("no-such-benchmark"), CoreConfig{Cores: 1, Page: mem.Page4K})
-	jobs := []sim.Options{bad}
+	jobs := []engine.Options{bad}
 	for seed := uint64(1); seed <= 20; seed++ {
 		o := r.options(trace.MustSpec("416.gamess"), CoreConfig{Cores: 1, Page: mem.Page4K})
 		o.Seed = seed
@@ -107,7 +107,7 @@ func TestRunJobsAbortsAfterFailure(t *testing.T) {
 func TestRunJobsAggregatesFailures(t *testing.T) {
 	r := tinyRunner()
 	r.Workers = 2
-	jobs := []sim.Options{
+	jobs := []engine.Options{
 		r.options(trace.MustSpec("no-such-benchmark-a"), CoreConfig{Cores: 1, Page: mem.Page4K}),
 		r.options(trace.MustSpec("416.gamess"), CoreConfig{Cores: 1, Page: mem.Page4K}),
 		r.options(trace.MustSpec("no-such-benchmark-b"), CoreConfig{Cores: 1, Page: mem.Page4K}),
@@ -181,29 +181,29 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 // in the cache key — the historical key omitted Seed, TracePath, SBP
 // parameters and MaxCycles, aliasing distinct runs to one cached result.
 func TestOptionsKeyComplete(t *testing.T) {
-	base := sim.DefaultOptions("433.milc")
-	mutations := map[string]func(*sim.Options){
-		"Seed":         func(o *sim.Options) { o.Seed = 99 },
-		"MaxCycles":    func(o *sim.Options) { o.MaxCycles = 123_456 },
-		"L2PF name":    func(o *sim.Options) { o.L2PF = sim.PFSBP },
-		"L2PF params":  func(o *sim.Options) { o.L2PF = sim.PFSBP.With("period", "128") },
-		"L1PF":         func(o *sim.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
-		"L1PF params":  func(o *sim.Options) { o.L1PF = prefetch.MustSpec("stride:dist=8") },
-		"Instructions": func(o *sim.Options) { o.Instructions = 1 },
-		"Workload":     func(o *sim.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
-		"Workload params": func(o *sim.Options) {
+	base := engine.DefaultOptions("433.milc")
+	mutations := map[string]func(*engine.Options){
+		"Seed":         func(o *engine.Options) { o.Seed = 99 },
+		"MaxCycles":    func(o *engine.Options) { o.MaxCycles = 123_456 },
+		"L2PF name":    func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "sbp"} },
+		"L2PF params":  func(o *engine.Options) { o.L2PF = prefetch.Spec{Name: "sbp"}.With("period", "128") },
+		"L1PF":         func(o *engine.Options) { o.L1PF = prefetch.Spec{Name: "none"} },
+		"L1PF params":  func(o *engine.Options) { o.L1PF = prefetch.MustSpec("stride:dist=8") },
+		"Instructions": func(o *engine.Options) { o.Instructions = 1 },
+		"Workload":     func(o *engine.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
+		"Workload params": func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("433.milc:footprint=16mb")}
 		},
-		"CPU":      func(o *sim.Options) { o.CPU.ROBSize = 128 },
-		"Offset d": func(o *sim.Options) { o.L2PF = sim.PFOffsetD(3) },
-		"Warmup":   func(o *sim.Options) { o.Warmup = 10_000 },
-		"WarmupPF": func(o *sim.Options) { o.Warmup = 10_000; o.WarmupPF = true },
+		"CPU":      func(o *engine.Options) { o.CPU.ROBSize = 128 },
+		"Offset d": func(o *engine.Options) { o.L2PF = prefetch.MustSpec("offset:d=3") },
+		"Warmup":   func(o *engine.Options) { o.Warmup = 10_000 },
+		"WarmupPF": func(o *engine.Options) { o.Warmup = 10_000; o.WarmupPF = true },
 	}
-	baseKey := optionsKey(base)
+	baseKey := OptionsHash(base)
 	for field, mutate := range mutations {
 		o := base
 		mutate(&o)
-		if optionsKey(o) == baseKey {
+		if OptionsHash(o) == baseKey {
 			t.Errorf("changing %s does not change the cache key", field)
 		}
 	}
@@ -214,20 +214,20 @@ func TestOptionsKeyComplete(t *testing.T) {
 	implicit.L3Policy = ""
 	implicit.MaxCycles = 0
 	implicit.L2PF = prefetch.Spec{}
-	if optionsKey(implicit) != baseKey {
+	if OptionsHash(implicit) != baseKey {
 		t.Error("normalized-equal options hash differently")
 	}
 	spelled := base
 	spelled.L2PF = prefetch.MustSpec("nextline")
 	spelled.L1PF = prefetch.MustSpec("stride:dist=16")
-	if optionsKey(spelled) != baseKey {
+	if OptionsHash(spelled) != baseKey {
 		t.Error("spec with spelled-out default parameter hashes differently")
 	}
 	bo1 := base
 	bo1.L2PF = prefetch.MustSpec("bo:scoremax=31,badscore=5")
 	bo2 := base
-	bo2.L2PF = sim.PFBO.With("badscore", "5")
-	if optionsKey(bo1) != optionsKey(bo2) {
+	bo2.L2PF = prefetch.Spec{Name: "bo"}.With("badscore", "5")
+	if OptionsHash(bo1) != OptionsHash(bo2) {
 		t.Error("equivalent bo specs hash differently")
 	}
 	// Per-core workload specs participate: changing a satellite core's
@@ -235,23 +235,23 @@ func TestOptionsKeyComplete(t *testing.T) {
 	// aliases with leaving it implicit.
 	multi := base
 	multi.Cores = 2
-	multiKey := optionsKey(multi)
+	multiKey := OptionsHash(multi)
 	if multiKey == baseKey {
 		t.Error("core count does not change the cache key")
 	}
 	het := multi
 	het.Workloads = []trace.Spec{{Name: "433.milc"}, {Name: "gups"}}
-	if optionsKey(het) == multiKey {
+	if OptionsHash(het) == multiKey {
 		t.Error("satellite-core workload does not change the cache key")
 	}
 	spelledSat := multi
 	spelledSat.Workloads = []trace.Spec{{Name: "433.milc"}, {Name: "microthrash"}}
-	if optionsKey(spelledSat) != multiKey {
+	if OptionsHash(spelledSat) != multiKey {
 		t.Error("explicit microthrash satellite hashes differently from the implicit default")
 	}
 	spelledWL := base
 	spelledWL.Workloads = []trace.Spec{trace.MustSpec("433.milc:memper1000=260")}
-	if optionsKey(spelledWL) != baseKey {
+	if OptionsHash(spelledWL) != baseKey {
 		t.Error("workload spec with spelled-out default parameter hashes differently")
 	}
 	// Workload-less options must NOT alias an explicit microthrash run:
@@ -261,7 +261,7 @@ func TestOptionsKeyComplete(t *testing.T) {
 	empty.Workloads = nil
 	thrash := base
 	thrash.Workloads = []trace.Spec{{Name: "microthrash"}}
-	if optionsKey(empty) == optionsKey(thrash) {
+	if OptionsHash(empty) == OptionsHash(thrash) {
 		t.Error("empty workload list hashes like an explicit microthrash run")
 	}
 }
@@ -275,7 +275,7 @@ func TestRunJobsSurfacesBadWorkloadSpecs(t *testing.T) {
 	r.Workers = 2
 	r.MaxErrors = 8
 	cc := CoreConfig{Cores: 1, Page: mem.Page4K}
-	jobs := []sim.Options{
+	jobs := []engine.Options{
 		r.options(trace.Spec{Name: "no-such-workload"}, cc),
 		r.options(trace.MustSpec("stream:stride=bogus"), cc),
 		r.options(trace.Spec{Name: "416.gamess"}, cc),
@@ -307,9 +307,9 @@ func TestTraceContentKeysCache(t *testing.T) {
 	if err := trace.WriteTraceFile(pathA, gen, 2000); err != nil {
 		t.Fatal(err)
 	}
-	o := sim.DefaultOptions("456.hmmer")
+	o := engine.DefaultOptions("456.hmmer")
 	o.Workloads = []trace.Spec{trace.FileSpec(pathA)}
-	keyA := optionsKey(o)
+	keyA := OptionsHash(o)
 
 	// A byte-identical copy under another name is the same run.
 	pathB := filepath.Join(dir, "b.trace")
@@ -322,7 +322,7 @@ func TestTraceContentKeysCache(t *testing.T) {
 	}
 	oB := o
 	oB.Workloads = []trace.Spec{trace.FileSpec(pathB)}
-	if optionsKey(oB) != keyA {
+	if OptionsHash(oB) != keyA {
 		t.Error("identical trace content at a different path changed the key")
 	}
 
@@ -336,7 +336,7 @@ func TestTraceContentKeysCache(t *testing.T) {
 	if err := trace.WriteTraceFile(pathA, gen2, 2500); err != nil {
 		t.Fatal(err)
 	}
-	if optionsKey(o) == keyA {
+	if OptionsHash(o) == keyA {
 		t.Error("editing the trace file did not change the cache key")
 	}
 }

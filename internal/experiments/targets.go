@@ -39,7 +39,20 @@ func ValidTarget(name string) bool {
 // targets ("table1", "table2") have no tables — render those through
 // RenderTarget. quick only affects targets whose job set depends on it
 // beyond the Runner's own configuration (fig8 samples fewer offsets).
-func TargetTables(r *Runner, name string, quick bool) ([]*stats.Table, error) {
+//
+// This is the one place a figure builder's failure (a buildError panic
+// out of materialize) becomes an error: every caller that must survive a
+// failed simulation — the CLI, the fleet service — renders through here.
+func TargetTables(r *Runner, name string, quick bool) (tables []*stats.Table, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			be, ok := p.(buildError)
+			if !ok {
+				panic(p)
+			}
+			tables, err = nil, be.error
+		}
+	}()
 	one := func(tb *stats.Table) ([]*stats.Table, error) { return []*stats.Table{tb}, nil }
 	switch name {
 	case "fig2":

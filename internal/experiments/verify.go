@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,7 +11,7 @@ import (
 	"sort"
 	"strings"
 
-	"bopsim/internal/sim"
+	"bopsim/internal/engine"
 )
 
 // This file is the cache's trust anchor: VerifyCache re-executes a sample
@@ -99,7 +100,7 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 	for _, l := range entries {
 		rep.Checked++
 		name := filepath.Base(l.path)
-		fresh, err := sim.Run(l.entry.Options)
+		fresh, err := engine.Run(context.Background(), l.entry.Options)
 		if err != nil {
 			rep.Mismatched++
 			fmt.Fprintf(log, "MISMATCH %s: stored result exists but re-execution failed: %v\n", name, err)
@@ -119,7 +120,7 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 // (covering every nested counter, not just headline metrics) and renders
 // a short human-readable summary of the first divergence, or "" when
 // identical.
-func resultDiff(stored, fresh sim.Result) string {
+func resultDiff(stored, fresh engine.Result) string {
 	sb, err1 := json.Marshal(stored)
 	fb, err2 := json.Marshal(fresh)
 	if err1 != nil || err2 != nil {

@@ -396,9 +396,9 @@ func (s *Service) claimNext() *sweep {
 	return sw
 }
 
-// runSweep executes one sweep and journals its completion. A panic from
-// the figure builders (RunJobs failures surface that way) fails the
-// sweep instead of the daemon.
+// runSweep executes one sweep and journals its completion; failed jobs
+// come back from RenderTarget as an error and fail the sweep, not the
+// daemon.
 func (s *Service) runSweep(sw *sweep) {
 	r := s.runnerFor(sw.req)
 	s.mu.Lock()
@@ -406,14 +406,7 @@ func (s *Service) runSweep(sw *sweep) {
 	s.mu.Unlock()
 	s.logf("sweep %d running: %s (%d slots)\n", sw.id, sw.req.Target, s.pool.Slots())
 	var buf bytes.Buffer
-	err := func() (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("%v", p)
-			}
-		}()
-		return experiments.RenderTarget(r, sw.req.Target, sw.req.Quick, &buf)
-	}()
+	err := experiments.RenderTarget(r, sw.req.Target, sw.req.Quick, &buf)
 	s.mu.Lock()
 	s.runner = nil
 	s.running = 0
@@ -460,7 +453,7 @@ func (s *Service) runnerFor(req SweepRequest) *experiments.Runner {
 
 // artifactSource resolves a content hash against the coordinator's
 // artifact directories: the pool consults it when a worker 412s and the
-// pool's own ship-time records don't cover the hash. TraceContentSHA is
+// pool's own ship-time records don't cover the hash. trace.ContentSHA is
 // memoized by size+mtime, so repeated scans re-hash only changed files.
 func artifactSource(dirs []string) func(string) (string, bool) {
 	return func(sha string) (string, bool) {
@@ -473,7 +466,7 @@ func artifactSource(dirs []string) func(string) (string, bool) {
 				if st, err := os.Stat(f); err != nil || st.IsDir() {
 					continue
 				}
-				if experiments.TraceContentSHA(f) == sha {
+				if trace.ContentSHA(f) == sha {
 					return f, true
 				}
 			}

@@ -176,6 +176,50 @@ func TestJournalReplay(t *testing.T) {
 	}
 }
 
+// TestFailedSweepDoesNotStopTheQueue: a sweep Submit accepted whose jobs
+// then fail (its trace file vanished before it ran) ends failed with the
+// jobs' joined error journaled, and the executor goes on to the next
+// sweep.
+func TestFailedSweepDoesNotStopTheQueue(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "row.trace")
+	gen, err := trace.NewWorkload("429.mcf", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteTraceFile(tracePath, gen, 30_000); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	svc := openService(t, dir)
+	doomed := tinyReq("alice")
+	doomed.Workloads = []string{"file:path=" + tracePath}
+	idBad, err := svc.Submit(doomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idGood, err := svc.Submit(tinyReq("alice"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(tracePath); err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+
+	waitDone(t, svc, idGood) // queued behind the failing sweep
+	state, _, errMsg := sweepState(svc, idBad)
+	if state != StateFailed || !strings.Contains(errMsg, "row.trace") {
+		t.Errorf("sweep %d: state=%s error=%q, want failed naming row.trace", idBad, state, errMsg)
+	}
+	svc.Close()
+
+	svc = openService(t, dir)
+	defer svc.Close()
+	if state, _, replayed := sweepState(svc, idBad); state != StateFailed || replayed != errMsg {
+		t.Errorf("sweep %d after replay: state=%s error=%q, want failed with %q", idBad, state, replayed, errMsg)
+	}
+}
+
 // TestFairShare drives claimNext by hand: two submitters flooding the
 // queue get alternating grants (no starvation), and a higher-priority
 // sweep preempts the whole tier.
