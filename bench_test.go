@@ -324,55 +324,6 @@ func BenchmarkRunnerParallel(b *testing.B) {
 	}
 }
 
-// --- Warmup sharing (checkpoint/restore) ------------------------------------
-
-// warmupBenchJobs is one warmup group's variant sweep: N prefetcher
-// variants of one workload, all needing the same warmup leg.
-func warmupBenchJobs() []engine.Options {
-	var jobs []engine.Options
-	for _, spec := range []prefetch.Spec{prefetch.MustSpec("nextline"), prefetch.MustSpec("bo"), prefetch.MustSpec("sbp"), prefetch.MustSpec("offset:d=4")} {
-		o := baseOpts("433.milc", 1, mem.Page4M)
-		o.Instructions = 30_000
-		o.Warmup = 120_000
-		o.L2PF = spec
-		jobs = append(jobs, o)
-	}
-	return jobs
-}
-
-// BenchmarkWarmupRepeated is the baseline cost model: every variant
-// replays the full warmup before its measured region.
-func BenchmarkWarmupRepeated(b *testing.B) {
-	jobs := warmupBenchJobs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(30_000, experiments.QuickConfigs())
-		r.Workers = 1
-		if err := r.RunJobs(jobs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
-// BenchmarkWarmupShared runs the same sweep with warmup sharing: one
-// checkpointed warmup leg, every variant forked from the snapshot. The
-// sims/s gap versus BenchmarkWarmupRepeated is the headline win — roughly
-// the warmup fraction times (variants-1)/variants.
-func BenchmarkWarmupShared(b *testing.B) {
-	jobs := warmupBenchJobs()
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(30_000, experiments.QuickConfigs())
-		r.Workers = 1
-		r.Checkpoint = true
-		r.CheckpointDir = dir
-		if err := r.RunJobs(jobs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "sims/s")
-}
-
 // --- Micro-benchmarks -------------------------------------------------------
 
 func BenchmarkRRTableInsertHit(b *testing.B) {

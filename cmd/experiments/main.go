@@ -52,7 +52,7 @@ func main() {
 		warmup     = flag.Uint64("warmup", 0, "warmup instructions per simulation before the measured region (stats reset at the barrier)")
 		checkpoint = flag.Bool("checkpoint", false, "share warmup across sweep variants: one checkpointed warmup leg per trace+config group (needs -warmup)")
 		ckptDir    = flag.String("checkpoint-dir", "", "warmup snapshot directory (default: <-cache>/checkpoints, or a temp directory)")
-		cacheMaxMB = flag.Int64("cache-max-mb", 0, "evict oldest cache entries past this size budget after the run (0: unbounded)")
+		cacheMaxMB = flag.Int64("cache-max-mb", 0, "evict oldest cache entries and warmup snapshots past this size budget after the run (0: unbounded)")
 		workersCS  = flag.String("workers", "", "comma-separated boworkerd addresses (host:port,...) to execute simulations on instead of this process")
 		statusAddr = flag.String("status", "", "serve scheduler progress as JSON on this address (e.g. :8090) for long sweeps")
 		submitURL  = flag.String("submit", "", "submit the selected targets to a bofleetd coordinator at this URL and tail them (execution-side flags -j/-cache/-workers are the coordinator's business then)")
@@ -295,7 +295,7 @@ func main() {
 			fatalf("experiments: cache eviction: %v\n", err)
 		}
 		if removed > 0 {
-			fmt.Fprintf(os.Stderr, "cache: evicted %d oldest entries (%d KB) to stay under %d MB\n",
+			fmt.Fprintf(os.Stderr, "cache: evicted %d oldest files (%d KB) to stay under %d MB\n",
 				removed, freed>>10, *cacheMaxMB)
 		}
 	}

@@ -1,6 +1,11 @@
 package cache
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"bopsim/internal/mem"
+)
 
 // Checkpoint state for caches and replacement policies. Every struct here
 // holds only exported, fixed-order fields (no maps), so a deterministic
@@ -10,8 +15,24 @@ import "fmt"
 
 // State is the full serialized state of one Cache: the line metadata, the
 // hit/miss counters and the replacement policy's state.
+//
+// Lines packs the valid lines only, in increasing index order (index =
+// set*ways + way), one record per line:
+//
+//	uvarint  index delta: index minus the previous record's index, the
+//	         first record counting from -1 (so a delta is never 0)
+//	uvarint  line address
+//	byte     flags: bit 0 dirty, bit 1 prefetch; other bits must be 0
+//	uvarint  owner core
+//
+// A warmed hierarchy is mostly invalid lines (the 8MB L3 alone holds
+// 131072), and a generic encoder walks a []Line one reflected struct at a
+// time; the packed bytes cost one copy and nothing for an invalid line.
+// schemalock sees only a []byte here, so a change to the record layout
+// must bump engine.SnapshotVersion by hand.
 type State struct {
-	Lines    []Line
+	NumLines int // sets*ways of the cache that wrote the state
+	Lines    []byte
 	Hits     uint64
 	Misses   uint64
 	Evicts   uint64
@@ -34,10 +55,37 @@ type PolicyState struct {
 	CoreMiss  []uint32
 }
 
+const (
+	lineFlagDirty    = 1 << 0
+	lineFlagPrefetch = 1 << 1
+	lineFlagMask     = lineFlagDirty | lineFlagPrefetch
+)
+
 // SaveState serializes the cache's lines, counters and policy state.
 func (c *Cache) SaveState() State {
+	var packed []byte
+	prev := -1
+	for i := range c.lines {
+		ln := &c.lines[i]
+		if !ln.Valid {
+			continue
+		}
+		var flags byte
+		if ln.Dirty {
+			flags |= lineFlagDirty
+		}
+		if ln.Prefetch {
+			flags |= lineFlagPrefetch
+		}
+		packed = binary.AppendUvarint(packed, uint64(i-prev))
+		packed = binary.AppendUvarint(packed, uint64(ln.Addr))
+		packed = append(packed, flags)
+		packed = binary.AppendUvarint(packed, uint64(ln.Core))
+		prev = i
+	}
 	return State{
-		Lines:    append([]Line(nil), c.lines...),
+		NumLines: len(c.lines),
+		Lines:    packed,
 		Hits:     c.Hits,
 		Misses:   c.Misses,
 		Evicts:   c.Evicts,
@@ -47,16 +95,76 @@ func (c *Cache) SaveState() State {
 }
 
 // RestoreState replaces the cache's contents with a previously saved state.
-// The state must come from a cache of identical geometry and policy.
-func (c *Cache) RestoreState(s State) error {
-	if len(s.Lines) != len(c.lines) {
-		return fmt.Errorf("cache %s: state has %d lines, cache holds %d", c.name, len(s.Lines), len(c.lines))
+// The state must come from a cache of identical geometry and policy, and
+// every line's owner core must be below numCores: the owner is used as an
+// index downstream (write-back routing, the DRAM per-core queues, 5P's
+// per-core counters), so a decodable but corrupt state is refused here
+// rather than left to panic mid-run. After an error the cache holds a
+// partial restore and must be discarded.
+func (c *Cache) RestoreState(s State, numCores int) error {
+	if s.NumLines != len(c.lines) {
+		return fmt.Errorf("cache %s: state has %d lines, cache holds %d", c.name, s.NumLines, len(c.lines))
 	}
 	if err := c.policy.RestoreState(s.Policy); err != nil {
 		return fmt.Errorf("cache %s: %w", c.name, err)
 	}
-	copy(c.lines, s.Lines)
+	c.Reset()
+	if err := c.unpackLines(s.Lines, numCores); err != nil {
+		return fmt.Errorf("cache %s: packed lines: %w", c.name, err)
+	}
 	c.Hits, c.Misses, c.Evicts, c.PrefHits = s.Hits, s.Misses, s.Evicts, s.PrefHits
+	return nil
+}
+
+// unpackLines decodes State.Lines records into the (cleared) cache.
+func (c *Cache) unpackLines(packed []byte, numCores int) error {
+	// uvarint reads one field of the record at the head of packed.
+	uvarint := func(field string) (uint64, error) {
+		v, n := binary.Uvarint(packed)
+		if n <= 0 {
+			return 0, fmt.Errorf("truncated or overlong %s", field)
+		}
+		packed = packed[n:]
+		return v, nil
+	}
+	idx := -1
+	for len(packed) > 0 {
+		delta, err := uvarint("index delta")
+		if err != nil {
+			return err
+		}
+		// Compared as a distance so a huge delta cannot wrap the index.
+		if delta == 0 || delta > uint64(len(c.lines)-1-idx) {
+			return fmt.Errorf("index delta %d after line %d of %d", delta, idx, len(c.lines))
+		}
+		idx += int(delta)
+		addr, err := uvarint("address")
+		if err != nil {
+			return err
+		}
+		if len(packed) == 0 {
+			return fmt.Errorf("truncated flags")
+		}
+		flags := packed[0]
+		packed = packed[1:]
+		if flags&^lineFlagMask != 0 {
+			return fmt.Errorf("flag byte %#x", flags)
+		}
+		core, err := uvarint("owner core")
+		if err != nil {
+			return err
+		}
+		if core >= uint64(numCores) {
+			return fmt.Errorf("line owned by core %d, hierarchy has %d cores", core, numCores)
+		}
+		c.lines[idx] = Line{
+			Addr:     mem.LineAddr(addr),
+			Valid:    true,
+			Dirty:    flags&lineFlagDirty != 0,
+			Prefetch: flags&lineFlagPrefetch != 0,
+			Core:     int(core),
+		}
+	}
 	return nil
 }
 

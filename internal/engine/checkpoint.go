@@ -51,14 +51,17 @@ import (
 // (offsets/degree/badscore, offsets/minscore) so prefetch.Retunable
 // round-trips, and meta-prefetcher states (duel, adapt) frame nested child
 // state.
-const SnapshotVersion = 3
+//
+// v4: cache.State carries its valid lines as packed bytes (NumLines plus
+// one varint record per valid line) instead of a []Line of every line.
+const SnapshotVersion = 4
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
 
 // maxSnapshotBytes bounds what Restore will even look at. A real snapshot
-// is a few MB (the L3's line metadata dominates); anything beyond this is
-// malformed or hostile.
+// is a few hundred KB (the L3's replacement stamps dominate); anything
+// beyond this is malformed or hostile.
 const maxSnapshotBytes = 1 << 28
 
 // snapshot is the gob payload.

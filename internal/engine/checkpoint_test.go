@@ -306,6 +306,25 @@ func FuzzRestore(f *testing.F) {
 	skew := append([]byte(nil), snap...)
 	skew[8]++
 	f.Add(skew)
+	// Damage inside the L3's packed line records, which gob carries as
+	// opaque bytes and only cache.RestoreState parses: a zero index delta,
+	// a stray continuation bit mid-stream, an owner core no machine has.
+	off, n, err := engine.PackedLinesSpan(snap)
+	if err != nil || off < 0 || n == 0 {
+		f.Fatalf("no packed L3 lines in the snapshot (offset %d, %d bytes, err %v)", off, n, err)
+	}
+	for _, m := range []struct {
+		at       int
+		b        byte
+		rejected bool
+	}{{off, 0, true}, {off + n/2, 0xff, false}, {off + n - 1, 0x7f, true}} {
+		mut := append([]byte(nil), snap...)
+		mut[m.at] = m.b
+		if _, err := engine.Restore(mut, o); err == nil && m.rejected {
+			f.Fatalf("snapshot with packed line byte %d set to %#x restored", m.at-off, m.b)
+		}
+		f.Add(mut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := engine.Restore(data, o)
 		if err != nil && restored != nil {

@@ -118,10 +118,13 @@ func (c diskCache) store(key string, o engine.Options, res engine.Result) error 
 }
 
 // EvictCache is the size-bounded eviction pass: when the cache directory's
-// .json entries exceed maxBytes, the oldest entries (by modification time,
-// i.e. least recently written) are deleted until the total fits. It returns
-// how many entries were removed and how many bytes were freed. A maxBytes
-// <= 0 budget disables eviction.
+// .json entries and the warmup snapshots under its checkpoints
+// subdirectory together exceed maxBytes, the oldest files (by modification
+// time, i.e. least recently written) are deleted until the total fits. One
+// budget covers both because a snapshot is larger than any result entry,
+// and a SnapshotVersion bump orphans every older one under a WarmupKey no
+// run will look up again. It returns how many files were removed and how
+// many bytes were freed. A maxBytes <= 0 budget disables eviction.
 func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error) {
 	if maxBytes <= 0 {
 		return 0, 0, nil
@@ -130,6 +133,11 @@ func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error
 	if err != nil {
 		return 0, 0, err
 	}
+	snapshots, err := filepath.Glob(filepath.Join(dir, checkpointSubdir, "*.ckpt"))
+	if err != nil {
+		return 0, 0, err
+	}
+	files = append(files, snapshots...)
 	type entry struct {
 		path  string
 		size  int64

@@ -121,4 +121,41 @@ func TestEvictCacheRemovesOldestPastBudget(t *testing.T) {
 	if removed, _, err := EvictCache(dir, 0); err != nil || removed != 0 {
 		t.Errorf("disabled eviction removed %d (err %v)", removed, err)
 	}
+
+	// Warmup snapshots count against the same budget and age out the same
+	// way: an old 4KB snapshot is evicted before the newer result entries,
+	// a fresh one outlives them.
+	ckptDir := filepath.Join(dir, checkpointSubdir)
+	if err := os.Mkdir(ckptDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, age := range map[string]time.Duration{"stale": 4 * time.Hour, "fresh": 0} {
+		path := filepath.Join(ckptDir, name+".ckpt")
+		if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mtime := time.Now().Add(-age)
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 2KB of entries + 8KB of snapshots against a 5KB budget: the stale
+	// snapshot and the older entry go, in that order.
+	removed, freed, err = EvictCache(dir, 5*1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 2 || freed != 4096+1024 {
+		t.Errorf("removed %d files / %d bytes, want 2 / %d", removed, freed, 4096+1024)
+	}
+	for path, wantKept := range map[string]bool{
+		filepath.Join(ckptDir, "stale.ckpt"): false,
+		filepath.Join(dir, "mid.json"):       false,
+		filepath.Join(dir, "new.json"):       true,
+		filepath.Join(ckptDir, "fresh.ckpt"): true,
+	} {
+		if _, err := os.Stat(path); (err == nil) != wantKept {
+			t.Errorf("%s kept=%v, want %v", path, err == nil, wantKept)
+		}
+	}
 }

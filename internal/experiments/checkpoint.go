@@ -109,6 +109,10 @@ func runWarmupLeg(ctx context.Context, o engine.Options) ([]byte, error) {
 	return s.Checkpoint()
 }
 
+// checkpointSubdir is where snapshots live inside a result cache directory;
+// EvictCache bounds it together with the result entries.
+const checkpointSubdir = "checkpoints"
+
 // checkpointDir resolves where warmup snapshots live: the configured
 // directory, a "checkpoints" subdirectory of the result cache, or — as a
 // last resort — a private temporary directory for this Runner. The
@@ -124,7 +128,7 @@ func (r *Runner) checkpointDir() string {
 		return r.CheckpointDir
 	}
 	if r.CacheDir != "" {
-		return filepath.Join(r.CacheDir, "checkpoints")
+		return filepath.Join(r.CacheDir, checkpointSubdir)
 	}
 	r.ckptTmpOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "bopsim-checkpoints-")
@@ -142,9 +146,11 @@ func (r *Runner) checkpointDir() string {
 // job of a group pays its group's warmup leg (or finds it cached), jobs of
 // the same group wait on that leg only, and jobs of other groups keep the
 // remaining slots busy — there is no global barrier stalling the whole
-// sweep behind the slowest leg. Warmup legs always execute locally (they
-// are the artifacts remote workers fork from), bounded to the local CPU
-// count so a wide remote fleet cannot oversubscribe the coordinator.
+// sweep behind the slowest leg. RunJobs dispatches every group's first job
+// before any other (leadersFirst), so the slots run different legs at
+// once. Warmup legs always execute locally (they are the artifacts remote
+// workers fork from), bounded to the local CPU count so a wide remote
+// fleet cannot oversubscribe the coordinator.
 type ckptResolver struct {
 	store  checkpointStore
 	sem    chan struct{}
@@ -175,6 +181,28 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 		logf:   r.logf,
 		groups: make(map[string]*ckptEntry),
 	}
+}
+
+// leadersFirst stable-partitions jobs so the first job of every warmup
+// group comes before every other job. Figure builders enumerate a group's
+// variants back to back; dispatched in that order, every slot beyond the
+// first takes a follower of the group whose leg is still running and blocks
+// on it, and the legs run one after another. Leaders first, each slot runs
+// a different group's leg at once and a follower finds its snapshot ready.
+// Jobs without a warmup region keep their place among the followers.
+func leadersFirst(jobs []engine.Options) []engine.Options {
+	seen := make(map[string]bool)
+	leaders := make([]engine.Options, 0, len(jobs))
+	var rest []engine.Options
+	for _, o := range jobs {
+		if key, err := WarmupKey(o); err == nil && !seen[key] {
+			seen[key] = true
+			leaders = append(leaders, o)
+		} else {
+			rest = append(rest, o)
+		}
+	}
+	return append(leaders, rest...)
 }
 
 // resolve returns o's group checkpoint, running the warmup leg on first

@@ -78,6 +78,9 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 	// usable checkpoint simply run straight — identical bytes, just
 	// slower.
 	ckpts := r.checkpointResolver()
+	if ckpts != nil {
+		jobs = leadersFirst(jobs)
+	}
 	backend := r.backend()
 	slots := backend.Slots()
 	if slots < 1 {

@@ -57,24 +57,14 @@ func (h *Hierarchy) RestoreState(st State) error {
 		len(st.TLBs) != len(h.tlbs) || len(st.PQCancelled) != len(h.pq) {
 		return fmt.Errorf("uncore: state covers %d cores, hierarchy has %d", len(st.DL1), len(h.dl1))
 	}
-	// Line.Core is used as an index downstream (write-back routing, the
-	// DRAM per-core queues, 5P's per-core counters), so a decodable but
-	// corrupt snapshot must be rejected here rather than panic mid-run.
-	for _, cs := range append(append([]cache.State{st.L3}, st.DL1...), st.L2...) {
-		for _, ln := range cs.Lines {
-			if ln.Valid && (ln.Core < 0 || ln.Core >= h.cfg.NumCores) {
-				return fmt.Errorf("uncore: cached line owned by core %d, hierarchy has %d cores", ln.Core, h.cfg.NumCores)
-			}
-		}
-	}
-	if err := h.l3.RestoreState(st.L3); err != nil {
+	if err := h.l3.RestoreState(st.L3, h.cfg.NumCores); err != nil {
 		return err
 	}
 	for c := range h.dl1 {
-		if err := h.dl1[c].RestoreState(st.DL1[c]); err != nil {
+		if err := h.dl1[c].RestoreState(st.DL1[c], h.cfg.NumCores); err != nil {
 			return fmt.Errorf("core %d: %w", c, err)
 		}
-		if err := h.l2[c].RestoreState(st.L2[c]); err != nil {
+		if err := h.l2[c].RestoreState(st.L2[c], h.cfg.NumCores); err != nil {
 			return fmt.Errorf("core %d: %w", c, err)
 		}
 		if err := h.tlbs[c].RestoreState(st.TLBs[c]); err != nil {
