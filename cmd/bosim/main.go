@@ -28,8 +28,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
 	"sort"
@@ -49,14 +51,13 @@ func main() {
 	var (
 		workload  = flag.String("workload", "462.libquantum", "core-0 workload spec: any registered generator, e.g. 429.mcf, gups:footprint=64mb (see -list-workloads)")
 		workloads = flag.String("workloads", "", "per-core workload specs, ';'-separated (\"gups:footprint=64mb;stream:stride=128\"); -cores defaults to the list length")
-		tracePath = flag.String("trace", "", "replay a recorded trace file instead of a synthetic workload (shorthand for -workload file:path=FILE)")
 		cores     = flag.Int("cores", 1, "active cores (1..4; the paper's baselines use 1, 2 and 4)")
 		pageStr   = flag.String("page", "4KB", "page size: 4KB or 4MB")
 		l2pf      = flag.String("l2pf", "nextline", "L2 prefetcher spec, e.g. bo, offset:d=4, bo:badscore=5 (see -list-pf)")
 		l1pf      = flag.String("l1pf", "stride", "DL1 prefetcher spec: stride, stride:dist=8, none")
 		n         = flag.Uint64("n", 500_000, "instructions to retire on core 0")
 		warmup    = flag.Uint64("warmup", 0, "warmup instructions before the measured region (stats reset at the barrier)")
-		warmupPF  = flag.Bool("warmup-pf", false, "keep the configured prefetchers active through the warmup (their state crosses the barrier)")
+		warmupPF  = flag.Bool("warmup-pf", false, "keep the configured prefetchers active through the warmup (their state crosses the barrier; such a run is never checkpointed)")
 		ckptFile  = flag.String("checkpoint", "", "warmup snapshot file: restore from it when present, else run the warmup once and save it there")
 		l3        = flag.String("l3", "5P", "L3 replacement policy: 5P|LRU|DRRIP")
 		seed      = flag.Uint64("seed", 1, "simulation seed (also seeds -verify sampling)")
@@ -75,7 +76,6 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
-	flag.StringVar(workload, "wl", "462.libquantum", "alias of -workload")
 	flag.Parse()
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
@@ -122,7 +122,7 @@ func main() {
 	}
 
 	o := engine.DefaultOptions("")
-	o.Workloads, o.Cores = resolveWorkloads(*workload, *workloads, *tracePath, *cores)
+	o.Workloads, o.Cores = resolveWorkloads(*workload, *workloads, *cores)
 	o.Page = page
 	o.L2PF = parseSpec(*l2pf)
 	o.L1PF = parseSpec(*l1pf)
@@ -133,6 +133,10 @@ func main() {
 	o.WarmupPF = *warmupPF
 	if *ckptFile != "" && *warmup == 0 {
 		fmt.Fprintln(os.Stderr, "bosim: -checkpoint needs -warmup N (the snapshot is the warmup barrier)")
+		os.Exit(2)
+	}
+	if *ckptFile != "" && *warmupPF {
+		fmt.Fprintln(os.Stderr, "bosim: -checkpoint and -warmup-pf are mutually exclusive (a warmup that ran the prefetchers is never saved or restored)")
 		os.Exit(2)
 	}
 
@@ -192,21 +196,27 @@ func main() {
 }
 
 // buildSimulation constructs the run. With -checkpoint it restores the
-// warmup barrier from the named snapshot when the file exists; otherwise it
-// runs the warmup once, saves the snapshot there, and returns the machine
-// standing at the barrier — either way the subsequent measured region is
-// byte-identical to a straight run.
+// warmup barrier from the named snapshot when the file exists; when it does
+// not exist it runs the warmup once, saves the snapshot there, and returns
+// the machine standing at the barrier — either way the subsequent measured
+// region is byte-identical to a straight run. A snapshot that exists but
+// cannot be read (permissions, a directory) is an error, never a reason to
+// re-run the warmup and overwrite the path.
 func buildSimulation(ctx context.Context, o engine.Options, ckptFile string) (*engine.Simulation, error) {
 	if ckptFile == "" {
 		return engine.New(o)
 	}
-	if data, err := os.ReadFile(ckptFile); err == nil {
+	data, err := os.ReadFile(ckptFile)
+	if err == nil {
 		s, err := engine.Restore(data, o)
 		if err != nil {
 			return nil, fmt.Errorf("restoring %s: %w", ckptFile, err)
 		}
 		fmt.Fprintf(os.Stderr, "bosim: restored warmup barrier from %s (%d instructions skipped)\n", ckptFile, o.Warmup)
 		return s, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("-checkpoint: %w", err)
 	}
 	s, err := engine.New(o)
 	if err != nil {
@@ -219,7 +229,7 @@ func buildSimulation(ctx context.Context, o engine.Options, ckptFile string) (*e
 	if err != nil {
 		return nil, err
 	}
-	if err := engine.WriteSnapshot(ckptFile, snap); err != nil {
+	if err := engine.WriteFileAtomic(ckptFile, snap); err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(os.Stderr, "bosim: wrote warmup snapshot %s (%d KB)\n", ckptFile, len(snap)>>10)
@@ -290,53 +300,11 @@ func exitInterrupted(interrupted bool) {
 }
 
 // resolveWorkloads turns the workload flags into the per-core spec list:
-// -workloads (';'-separated, one spec per core) wins, then -trace (the
-// "file" generator), then -workload/-wl (core 0 only; satellite cores get
-// the registry's microthrash default). With -workloads and no explicit
-// -cores, the core count follows the list length.
-func resolveWorkloads(workload, workloads, tracePath string, coresFlag int) ([]trace.Spec, int) {
-	coresSet, workloadSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "cores":
-			coresSet = true
-		case "workload", "wl":
-			workloadSet = true
-		}
-	})
-	switch {
-	case workloads != "":
-		if tracePath != "" {
-			fmt.Fprintln(os.Stderr, "bosim: -workloads and -trace are mutually exclusive (use a file: spec in the list)")
-			os.Exit(2)
-		}
-		if workloadSet {
-			// Same rule as -trace: silently dropping an explicit -workload
-			// would measure the wrong run without a diagnostic.
-			fmt.Fprintln(os.Stderr, "bosim: -workloads and -workload/-wl are mutually exclusive (put the core-0 spec first in -workloads)")
-			os.Exit(2)
-		}
-		specs, err := trace.ParseSpecList(workloads)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
-			os.Exit(2)
-		}
-		cores := coresFlag
-		if !coresSet && len(specs) > cores {
-			cores = len(specs)
-		}
-		if len(specs) > cores {
-			fmt.Fprintf(os.Stderr, "bosim: %d workload specs but -cores %d\n", len(specs), cores)
-			os.Exit(2)
-		}
-		return specs, cores
-	case tracePath != "":
-		if workloadSet {
-			fmt.Fprintln(os.Stderr, "bosim: -trace and -workload/-wl are mutually exclusive (a trace replay is the whole core-0 workload)")
-			os.Exit(2)
-		}
-		return []trace.Spec{trace.FileSpec(tracePath)}, coresFlag
-	default:
+// -workloads (';'-separated, one spec per core) or -workload (core 0 only;
+// satellite cores get the registry's microthrash default), never both. With
+// -workloads and no explicit -cores, the core count follows the list length.
+func resolveWorkloads(workload, workloads string, coresFlag int) ([]trace.Spec, int) {
+	if workloads == "" {
 		sp, err := trace.ParseSpec(workload)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
@@ -344,6 +312,35 @@ func resolveWorkloads(workload, workloads, tracePath string, coresFlag int) ([]t
 		}
 		return []trace.Spec{sp}, coresFlag
 	}
+	coresSet, workloadSet := false, false
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "cores":
+			coresSet = true
+		case "workload":
+			workloadSet = true
+		}
+	})
+	if workloadSet {
+		// Silently dropping an explicit -workload would measure the wrong
+		// run without a diagnostic.
+		fmt.Fprintln(os.Stderr, "bosim: -workloads and -workload are mutually exclusive (put the core-0 spec first in -workloads)")
+		os.Exit(2)
+	}
+	specs, err := trace.ParseSpecList(workloads)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bosim: %v\n", err)
+		os.Exit(2)
+	}
+	cores := coresFlag
+	if !coresSet && len(specs) > cores {
+		cores = len(specs)
+	}
+	if len(specs) > cores {
+		fmt.Fprintf(os.Stderr, "bosim: %d workload specs but -cores %d\n", len(specs), cores)
+		os.Exit(2)
+	}
+	return specs, cores
 }
 
 // listWorkloads renders every registered generator with its parameter

@@ -14,11 +14,6 @@
 // by issuing. Built-in ladders cover "bo" (degree/badscore) and "multi"
 // (minscore); any other Retunable base can supply a single-key ladder via
 // key=/levels=.
-//
-// Like duel, the wrapper's state — ladder level, window cursor, counters,
-// mark table, plus the base's state as an opaque nested frame — round-trips
-// through prefetch.StateCodec, so checkpointed and skip-ahead runs are
-// byte-identical to straight ones.
 package adapt
 
 import (
@@ -29,9 +24,9 @@ import (
 	"bopsim/internal/prefetch"
 )
 
-// Params are the phase-adaptation tunables. Base identifies the wrapped spec
-// for checkpoint validation and reports; the registry's build path fills it
-// from the base= sub-spec.
+// Params are the phase-adaptation tunables. Base names the wrapped spec, which
+// selects the built-in ladder; the registry's build path fills it from the
+// base= sub-spec.
 type Params struct {
 	Base     prefetch.Spec
 	Window   int // eligible accesses per monitoring window
@@ -105,13 +100,12 @@ type Stats struct {
 }
 
 // Prefetcher is the phase-adaptive wrapper. It implements
-// prefetch.L2Prefetcher, prefetch.StateCodec and prefetch.MetaL2.
+// prefetch.L2Prefetcher and prefetch.MetaL2.
 type Prefetcher struct {
 	params Params
 	name   string
 	base   prefetch.L2Prefetcher
-	bc     prefetch.StateCodec // the base's codec (same object as base)
-	rt     prefetch.Retunable  // the base's retune hook (same object as base)
+	rt     prefetch.Retunable // the base's retune hook (same object as base)
 	tag    bool
 	lad    ladder
 
@@ -133,10 +127,10 @@ var _ prefetch.MetaL2 = (*Prefetcher)(nil)
 
 // New returns a phase-adaptive wrapper around a constructed base, positioned
 // at its ladder's start level (the base's parameters are retuned to that
-// level before the first access). The base must implement both
-// prefetch.StateCodec and prefetch.Retunable, and every ladder level must be
-// applicable; bad specs surface as errors — the registry's build path and
-// direct callers share this validation.
+// level before the first access). The base must implement
+// prefetch.Retunable, and every ladder level must be applicable; bad specs
+// surface as errors — the registry's build path and direct callers share
+// this validation.
 func New(p Params, base prefetch.L2Prefetcher) (*Prefetcher, error) {
 	if base == nil {
 		return nil, fmt.Errorf("adapt: nil base")
@@ -152,10 +146,6 @@ func New(p Params, base prefetch.L2Prefetcher) (*Prefetcher, error) {
 	}
 	if p.Recent < 1 {
 		return nil, fmt.Errorf("adapt: recent=%d must be >= 1", p.Recent)
-	}
-	bc, ok := base.(prefetch.StateCodec)
-	if !ok {
-		return nil, fmt.Errorf("adapt: base %q does not implement prefetch.StateCodec", base.Name())
 	}
 	rt, ok := base.(prefetch.Retunable)
 	if !ok {
@@ -173,7 +163,6 @@ func New(p Params, base prefetch.L2Prefetcher) (*Prefetcher, error) {
 		params: p,
 		name:   "adapt[" + base.Name() + "]",
 		base:   base,
-		bc:     bc,
 		rt:     rt,
 		lad:    lad,
 		marks:  make([]mem.LineAddr, size),

@@ -1,7 +1,6 @@
 package adapt
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -42,15 +41,8 @@ func (f *fakeBase) OnAccess(a prefetch.AccessInfo) []mem.LineAddr {
 	return nil
 }
 
-func (f *fakeBase) OnFill(mem.LineAddr, bool)  {}
-func (f *fakeBase) SaveState() ([]byte, error) { return []byte(`{}`), nil }
-func (f *fakeBase) RestoreState(data []byte) error {
-	if !bytes.Equal(data, []byte(`{}`)) {
-		return fmt.Errorf("fake: unexpected frame %q", data)
-	}
-	return nil
-}
-func (f *fakeBase) RetunableKeys() []string { return []string{"gain"} }
+func (f *fakeBase) OnFill(mem.LineAddr, bool) {}
+func (f *fakeBase) RetunableKeys() []string   { return []string{"gain"} }
 
 func (f *fakeBase) Retune(key, value string) error {
 	if key == f.failKey {
@@ -199,118 +191,6 @@ func TestNewValidation(t *testing.T) {
 
 	if _, err := New(fakeParams(), prefetch.NewFixedOffset(mem.Page4K, 1)); err == nil {
 		t.Error("non-Retunable base was accepted")
-	}
-}
-
-// statefulAdapt wraps a real multi base under the built-in minscore ladder.
-func statefulAdapt(t *testing.T) *Prefetcher {
-	t.Helper()
-	p := DefaultParams()
-	p.Base = prefetch.MustSpec("multi")
-	p.Window = 256
-	pf, err := New(p, multi.New(mem.Page4M, multi.DefaultParams()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pf
-}
-
-// TestMidWindowSaveRestore checkpoints the wrapper mid-window (counters and
-// marks populated, base mid-learning) and requires the restored instance to
-// issue identical prefetches and save identical bytes from then on.
-func TestMidWindowSaveRestore(t *testing.T) {
-	orig := statefulAdapt(t)
-	h := newHarness(orig)
-	for i := 0; i < 700; i++ { // mid-window at window 256
-		h.access(mem.LineAddr(i * 3 % 5000))
-	}
-	state, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored := statefulAdapt(t)
-	if err := restored.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Level() != orig.Level() {
-		t.Fatalf("restored level %d != original %d", restored.Level(), orig.Level())
-	}
-
-	h2 := newHarness(restored)
-	for l := range h.prefetched {
-		h2.prefetched[l] = true
-	}
-	for i := 0; i < 3000; i++ {
-		line := mem.LineAddr(1 << 20)
-		line += mem.LineAddr(i * 7 % 60000)
-		h.access(line)
-		h2.access(line)
-	}
-	b1, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := restored.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("diverged state bytes after identical post-restore streams")
-	}
-}
-
-// TestRestoreRejections is the rejection matrix: malformed or mismatched
-// wrapper state must error without panicking, including out-of-range ladder
-// levels and window counters and a truncated nested base frame.
-func TestRestoreRejections(t *testing.T) {
-	pf := statefulAdapt(t)
-	h := newHarness(pf)
-	for i := 0; i < 700; i++ {
-		h.access(mem.LineAddr(i))
-	}
-	good, err := pf.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mutate := func(f func(*adaptState)) []byte {
-		var c adaptState
-		if err := prefetch.UnmarshalState(good, &c); err != nil {
-			t.Fatal(err)
-		}
-		f(&c)
-		b, err := prefetch.MarshalState(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"garbage", []byte(`{"Nope":1}`)},
-		{"truncated json", good[:len(good)/2]},
-		{"base spec mismatch", mutate(func(s *adaptState) { s.BaseSpec = "bo" })},
-		{"negative level", mutate(func(s *adaptState) { s.Level = -1 })},
-		{"level beyond ladder", mutate(func(s *adaptState) { s.Level = 99 })},
-		{"window count at window", mutate(func(s *adaptState) { s.Count = pf.params.Window })},
-		{"negative window count", mutate(func(s *adaptState) { s.Count = -1 })},
-		{"useful exceeds count", mutate(func(s *adaptState) { s.Useful = s.Count + 1 })},
-		{"negative fills", mutate(func(s *adaptState) { s.Filled = -1 })},
-		{"mark table resized", mutate(func(s *adaptState) { s.Marks = s.Marks[:4] })},
-		{"truncated nested frame", mutate(func(s *adaptState) { s.Base = s.Base[:len(s.Base)-3] })},
-		{"empty nested frame", mutate(func(s *adaptState) { s.Base = nil })},
-	}
-	for _, c := range cases {
-		fresh := statefulAdapt(t)
-		if err := fresh.RestoreState(c.data); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
-	if err := statefulAdapt(t).RestoreState(good); err != nil {
-		t.Errorf("good state rejected: %v", err)
 	}
 }
 

@@ -14,8 +14,7 @@
 // diffs it against the committed schema.lock (this package's schema.lock
 // file, embedded at build time). Structs are governed when they are:
 //
-//   - encoded or decoded with encoding/gob, encoding/json, or the
-//     prefetch.MarshalState/UnmarshalState codec helpers, in a
+//   - encoded or decoded with encoding/gob or encoding/json in a
 //     result-affecting package (infra packages serialize plenty of
 //     ephemeral JSON — status endpoints, journals — that carries no
 //     cross-version promise);
@@ -262,9 +261,8 @@ func (s *schema) names() []string { return append([]string(nil), s.order...) }
 // encoderFuncs are the calls whose struct arguments are serialization
 // roots, keyed by defining package then function/method name.
 var encoderFuncs = map[string]map[string]bool{
-	"encoding/json":            {"Marshal": true, "MarshalIndent": true, "Unmarshal": true, "Encode": true, "Decode": true},
-	"encoding/gob":             {"Encode": true, "Decode": true, "EncodeValue": true, "DecodeValue": true},
-	"bopsim/internal/prefetch": {"MarshalState": true, "UnmarshalState": true},
+	"encoding/json": {"Marshal": true, "MarshalIndent": true, "Unmarshal": true, "Encode": true, "Decode": true},
+	"encoding/gob":  {"Encode": true, "Decode": true, "EncodeValue": true, "DecodeValue": true},
 }
 
 // derive computes the package's governed types and their serialized field

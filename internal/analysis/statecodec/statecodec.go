@@ -1,8 +1,9 @@
 // Package statecodec verifies checkpoint completeness: for every type with
-// SaveState/RestoreState codec methods (the engine's checkpoint contract,
-// including prefetch.StateCodec implementers), each mutable struct field
-// must be referenced by the codec — otherwise a checkpointed run silently
-// diverges from a straight run the first time that field matters.
+// SaveState/RestoreState codec methods (the engine's checkpoint contract:
+// the machine components a snapshot carries — cores, caches, TLBs, DRAM,
+// the hierarchy), each mutable struct field must be referenced by the
+// codec — otherwise a checkpointed run silently diverges from a straight
+// run the first time that field matters.
 //
 // This is the PR 4 footgun made a build error: adding a field to a stateful
 // component and forgetting to thread it through the codec used to be

@@ -1,6 +1,6 @@
-// Package stride is the fix-forward regression fixture: a trimmed copy of
-// the real internal/stride DL1 prefetcher (table + recent-prefetch filter +
-// mirror-struct JSON codec, the PR 3/PR 4 design) with one deliberate bug —
+// Package stride is the fix-forward regression fixture: a trimmed stride
+// prefetcher (table + recent-prefetch filter) behind a mirror-struct JSON
+// codec, the shape real components serialize in, with one deliberate bug —
 // the filter's age counters are mutated on every Query but never
 // serialized. Before the analyzer existed, this exact class of omission was
 // only catchable by the golden determinism suite happening to exercise the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -71,41 +70,5 @@ func TestRetuneOffsetsRestartsLearning(t *testing.T) {
 	}
 	if err := p.Retune("nope", "1"); err == nil {
 		t.Error("unknown retune key accepted")
-	}
-}
-
-// TestRetunedStateRoundTrip pins the v3 codec property the adaptive wrapper
-// relies on: a retuned instance's state restores into a default-built
-// instance — the snapshot carries offsets/degree/badscore, so the restored
-// prefetcher behaves and re-saves identically.
-func TestRetunedStateRoundTrip(t *testing.T) {
-	orig := New(mem.Page4K, DefaultParams())
-	for _, kv := range [][2]string{{"offsets", "1+2+4+8"}, {"degree", "2"}, {"badscore", "3"}} {
-		if err := orig.Retune(kv[0], kv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	driveStream(orig, 1<<10, 2, 3000, 8)
-	state, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored := New(mem.Page4K, DefaultParams())
-	if err := restored.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	driveStream(orig, 1<<12, 2, 2000, 8)
-	driveStream(restored, 1<<12, 2, 2000, 8)
-	b1, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := restored.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("retuned state did not round-trip into a default-built prefetcher")
 	}
 }

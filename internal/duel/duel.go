@@ -18,10 +18,7 @@
 // margin, so a noisy tie cannot thrash the followers.
 //
 // Because sample-set ownership is a pure function of the line address, the
-// whole mechanism is deterministic, and its state — seat, window cursor,
-// scores, mark tables, plus each candidate's own state as an opaque nested
-// frame — round-trips through prefetch.StateCodec like mix's nested
-// generator cursors do.
+// whole mechanism is deterministic.
 package duel
 
 import (
@@ -36,11 +33,9 @@ const (
 	ownerFollower = 2
 )
 
-// Params are the set-dueling tunables. A and B identify the candidates for
-// checkpoint validation and reports; the registry's build path fills them
-// from the a=/b= sub-specs.
+// Params are the set-dueling tunables. The candidates themselves are built
+// by the registry from the a=/b= sub-specs and handed to New.
 type Params struct {
-	A, B   prefetch.Spec
 	Period int // eligible accesses per evaluation window
 	Margin int // score lead the challenger needs to take the seat
 	Sets   int // modeled L2 set count the sampling hash partitions
@@ -70,13 +65,12 @@ type Stats struct {
 }
 
 // Prefetcher is the set-dueling meta-prefetcher. It implements
-// prefetch.L2Prefetcher, prefetch.StateCodec and prefetch.MetaL2.
+// prefetch.L2Prefetcher and prefetch.MetaL2.
 type Prefetcher struct {
 	params Params
 	name   string
 	a, b   prefetch.L2Prefetcher
-	ac, bc prefetch.StateCodec // the candidates' codecs (same objects as a, b)
-	tag    bool                // either candidate wants the pre-issue tag check
+	tag    bool // either candidate wants the pre-issue tag check
 
 	winner int // ownerA or ownerB: who drives the follower sets
 	count  int // eligible accesses in the current window
@@ -105,10 +99,9 @@ var _ prefetch.PreIssueTagChecker = (*Prefetcher)(nil)
 var _ prefetch.MetaL2 = (*Prefetcher)(nil)
 
 // New returns a set-dueling prefetcher over two constructed candidates.
-// Candidate A starts in the winner's seat. Both candidates must implement
-// prefetch.StateCodec and must not be meta-prefetchers themselves; the
-// registry's build path reports those as spec errors, so New treats them —
-// and invalid Params — as programming errors and panics.
+// Candidate A starts in the winner's seat. Neither candidate may be a
+// meta-prefetcher itself; the registry's build path reports that as a spec
+// error, so New treats invalid Params as programming errors and panics.
 func New(p Params, a, b prefetch.L2Prefetcher) *Prefetcher {
 	if a == nil || b == nil {
 		panic("duel: nil candidate")
@@ -122,14 +115,6 @@ func New(p Params, a, b prefetch.L2Prefetcher) *Prefetcher {
 	if p.Recent < 1 {
 		panic("duel: Recent must be >= 1")
 	}
-	ac, ok := a.(prefetch.StateCodec)
-	if !ok {
-		panic("duel: candidate A does not implement prefetch.StateCodec")
-	}
-	bc, ok := b.(prefetch.StateCodec)
-	if !ok {
-		panic("duel: candidate B does not implement prefetch.StateCodec")
-	}
 	size := 1
 	for size < p.Recent {
 		size <<= 1
@@ -139,8 +124,6 @@ func New(p Params, a, b prefetch.L2Prefetcher) *Prefetcher {
 		name:   "duel[" + a.Name() + "|" + b.Name() + "]",
 		a:      a,
 		b:      b,
-		ac:     ac,
-		bc:     bc,
 		aPend:  make([]mem.LineAddr, size),
 		bPend:  make([]mem.LineAddr, size),
 		aMarks: make([]mem.LineAddr, size),

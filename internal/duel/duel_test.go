@@ -1,12 +1,9 @@
 package duel
 
 import (
-	"bytes"
 	"testing"
 
-	"bopsim/internal/core"
 	"bopsim/internal/mem"
-	"bopsim/internal/multi"
 	"bopsim/internal/prefetch"
 )
 
@@ -41,9 +38,8 @@ func (h *harness) access(line mem.LineAddr) []mem.LineAddr {
 
 // testParams keeps windows short and partitions dense so a few thousand
 // accesses settle the duel.
-func testParams(a, b prefetch.Spec) Params {
+func testParams() Params {
 	return Params{
-		A: a, B: b,
 		Period: 256,
 		Margin: 2,
 		Sets:   64,
@@ -81,8 +77,7 @@ func stridePhase(h *harness, page mem.LineAddr, accesses int) {
 // duel must seat the short-stride specialist during chunked phases and the
 // long-stride specialist during strided phases, switching both ways.
 func TestConvergesToBetterCandidatePerPhase(t *testing.T) {
-	p := testParams(prefetch.MustSpec("offset:d=1"), prefetch.MustSpec("offset:d=33"))
-	pf := New(p,
+	pf := New(testParams(),
 		prefetch.NewFixedOffset(mem.Page4M, 1),
 		prefetch.NewFixedOffset(mem.Page4M, 33))
 	h := newHarness(pf)
@@ -104,129 +99,10 @@ func TestConvergesToBetterCandidatePerPhase(t *testing.T) {
 	}
 }
 
-// statefulDuel builds a duel over bo and multi — children with real learned
-// state — for the nested-codec tests.
-func statefulDuel() *Prefetcher {
-	p := testParams(prefetch.MustSpec("bo"), prefetch.MustSpec("multi"))
-	return New(p,
-		core.New(mem.Page4M, core.DefaultParams()),
-		multi.New(mem.Page4M, multi.DefaultParams()))
-}
-
-// TestMidWindowSaveRestore checkpoints a duel mid-window (count != 0, marks
-// populated, children mid-learning) and requires the restored instance to
-// issue identical prefetches and save identical bytes from then on.
-func TestMidWindowSaveRestore(t *testing.T) {
-	orig := statefulDuel()
-	h := newHarness(orig)
-	chunkedPhase(h, 0, 512)
-	stridePhase(h, 8, 300) // 812 accesses: mid-window at period 256
-	state, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored := statefulDuel()
-	if err := restored.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Winner() != orig.Winner() {
-		t.Fatalf("restored winner %d != original %d", restored.Winner(), orig.Winner())
-	}
-
-	// The harness's prefetched-line set is hierarchy state, not prefetcher
-	// state: the restored run must replay it too.
-	h2 := newHarness(restored)
-	for l := range h.prefetched {
-		h2.prefetched[l] = true
-	}
-	for i := 0; i < 3000; i++ {
-		line := mem.LineAddr(16*pageLines + i*7%60000)
-		got := append([]mem.LineAddr(nil), h2.access(line)...)
-		want := h.access(line)
-		if len(got) != len(want) {
-			t.Fatalf("access %d: restored issued %v, original %v", i, got, want)
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("access %d: restored issued %v, original %v", i, got, want)
-			}
-		}
-	}
-	b1, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := restored.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("diverged state bytes after identical post-restore streams")
-	}
-}
-
-// TestRestoreRejections is the rejection matrix: every malformed or
-// mismatched state must error without panicking, and a candidate-spec
-// mismatch must be caught before any nested frame is opened.
-func TestRestoreRejections(t *testing.T) {
-	pf := statefulDuel()
-	h := newHarness(pf)
-	chunkedPhase(h, 0, 700)
-	good, err := pf.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st duelState
-	if err := prefetch.UnmarshalState(good, &st); err != nil {
-		t.Fatal(err)
-	}
-
-	mutate := func(f func(*duelState)) []byte {
-		var c duelState
-		if err := prefetch.UnmarshalState(good, &c); err != nil {
-			t.Fatal(err)
-		}
-		f(&c)
-		b, err := prefetch.MarshalState(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"garbage", []byte(`{"Nope":1}`)},
-		{"truncated json", good[:len(good)/2]},
-		{"candidate a spec mismatch", mutate(func(s *duelState) { s.ASpec = "offset:d=7" })},
-		{"candidate b spec mismatch", mutate(func(s *duelState) { s.BSpec = "sbp" })},
-		{"winner out of range", mutate(func(s *duelState) { s.Winner = ownerFollower })},
-		{"window count at period", mutate(func(s *duelState) { s.Count = pf.params.Period })},
-		{"negative window count", mutate(func(s *duelState) { s.Count = -1 })},
-		{"scores exceed count", mutate(func(s *duelState) { s.AScore = s.Count + 1 })},
-		{"mark table resized", mutate(func(s *duelState) { s.AMarks = s.AMarks[:4] })},
-		{"truncated nested frame", mutate(func(s *duelState) { s.A = s.A[:len(s.A)-3] })},
-		{"empty nested frame", mutate(func(s *duelState) { s.B = nil })},
-	}
-	for _, c := range cases {
-		fresh := statefulDuel()
-		if err := fresh.RestoreState(c.data); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-	}
-	// The good bytes still restore after all that.
-	if err := statefulDuel().RestoreState(good); err != nil {
-		t.Errorf("good state rejected: %v", err)
-	}
-}
-
 // TestSteadyStateZeroAlloc pins duel's own hot-path cost: once the mark
 // tables exist, accesses, fills and window boundaries allocate nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	p := testParams(prefetch.MustSpec("offset:d=1"), prefetch.MustSpec("offset:d=33"))
-	pf := New(p,
+	pf := New(testParams(),
 		prefetch.NewFixedOffset(mem.Page4M, 1),
 		prefetch.NewFixedOffset(mem.Page4M, 33))
 	line := mem.LineAddr(0)

@@ -78,15 +78,14 @@ func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, err
 	if aSpec.Equal(bSpec) {
 		return nil, fmt.Errorf("candidates a and b are both %q: nothing to duel", aSpec)
 	}
-	p.A, p.B = aSpec, bSpec
 	return New(p, a, b), nil
 }
 
 // BuildCandidate parses a quoted sub-spec and builds the child prefetcher it
-// names, enforcing the meta-prefetcher nesting rules: the child must be a
-// registered non-meta L2 prefetcher implementing prefetch.StateCodec, and a
-// "none" child becomes an explicit prefetch.None instance so it can hold a
-// seat. internal/adapt builds its base the same way.
+// names, enforcing the meta-prefetcher nesting rule: the child must be a
+// registered non-meta L2 prefetcher, and a "none" child becomes an explicit
+// prefetch.None instance so it can hold a seat. internal/adapt builds its base
+// the same way.
 func BuildCandidate(raw string, page mem.PageSize) (prefetch.Spec, prefetch.L2Prefetcher, error) {
 	sp, err := prefetch.ParseSubSpec(raw)
 	if err != nil {
@@ -105,9 +104,6 @@ func BuildCandidate(raw string, page mem.PageSize) (prefetch.Spec, prefetch.L2Pr
 	}
 	if _, meta := pf.(prefetch.MetaL2); meta {
 		return prefetch.Spec{}, nil, fmt.Errorf("%q is a meta-prefetcher: meta-prefetchers cannot nest", norm)
-	}
-	if _, ok := pf.(prefetch.StateCodec); !ok {
-		return prefetch.Spec{}, nil, fmt.Errorf("%q does not implement prefetch.StateCodec, cannot be checkpointed as a child", norm)
 	}
 	return norm, pf, nil
 }

@@ -3,11 +3,12 @@
 // A checkpoint is taken at the warmup barrier, where the machine is drained
 // dry: no in-flight requests, no futures, no ROB entries — only persistent
 // state (cache contents and replacement state, TLB residency, DRAM bank
-// registers, generator cursors, random streams, and — under WarmupPF —
-// each prefetcher's learned state via prefetch.StateCodec). That is what
-// makes the format tractable and the restore provably exact: Restore
-// rebuilds the machine from the same options and overwrites precisely the
-// state the barrier defines.
+// registers, generator cursors, random streams). That is what makes the
+// format tractable and the restore provably exact: Restore rebuilds the
+// machine from the same options and overwrites precisely the state the
+// barrier defines. Prefetchers are not part of it: the shared warmup runs
+// without them and the barrier installs them cold, and a warmup that did
+// run them (WarmupPF) is never checkpointed — see WarmupSignature.
 //
 // Snapshot layout:
 //
@@ -33,7 +34,6 @@ import (
 
 	"bopsim/internal/cpu"
 	"bopsim/internal/mem"
-	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 	"bopsim/internal/uncore"
 )
@@ -54,7 +54,11 @@ import (
 //
 // v4: cache.State carries its valid lines as packed bytes (NumLines plus
 // one varint record per valid line) instead of a []Line of every line.
-const SnapshotVersion = 4
+//
+// v5: a snapshot is the drained machine and nothing else — the per-core
+// prefetcher state frames (L2PF/L1PF) and the signature's WarmupPF/L2PF/L1PF
+// fields are gone.
+const SnapshotVersion = 5
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
@@ -77,19 +81,14 @@ type snapshot struct {
 	Cores []cpu.State
 	// Uncore is the drained hierarchy state.
 	Uncore uncore.State
-	// L2PF/L1PF hold each core's prefetcher state (prefetch.StateCodec
-	// bytes), populated only for WarmupPF snapshots. A nil entry means
-	// "construct fresh at the barrier" — the shared-warmup case.
-	L2PF [][]byte
-	L1PF [][]byte
 }
 
 // warmupSig is the canonical identity of a warmup leg: every normalized
 // option that influences machine state up to the barrier. Instructions and
-// MaxCycles are post-barrier knobs and deliberately absent; the prefetcher
-// specs participate only under WarmupPF (otherwise the warmup runs without
-// prefetching and is shared across specs). Trace replays are identified by
-// content, not path, so a worker's local copy signs identically.
+// MaxCycles are post-barrier knobs and deliberately absent, and so are the
+// prefetcher specs: a signed warmup ran without prefetching and is shared
+// across specs. Trace replays are identified by content, not path, so a
+// worker's local copy signs identically.
 //
 //bovet:schemalock
 type warmupSig struct {
@@ -105,18 +104,21 @@ type warmupSig struct {
 	Seed        uint64
 	CPU         cpu.Config
 	Warmup      uint64
-	WarmupPF    bool
-	L2PF        string `json:",omitempty"`
-	L1PF        string `json:",omitempty"`
 }
 
 // WarmupSignature returns the canonical string identifying this run's
 // warmup leg. Two runs with equal signatures warm identical machines, so
 // they can share one checkpoint; the experiment scheduler groups sweep
 // variants by exactly this value. It reports an error when the options name
-// a trace file that cannot be read.
+// a trace file that cannot be read, and under WarmupPF: a warmup that ran
+// the configured prefetchers is specific to them and is never shared, so it
+// has no signature — Checkpoint, Restore and experiments.WarmupKey all
+// inherit the refusal from here, and such a run executes straight.
 func (o Options) WarmupSignature() (string, error) {
 	o = o.Normalized()
+	if o.WarmupPF {
+		return "", fmt.Errorf("engine: a WarmupPF warmup runs the configured prefetchers and is never checkpointed or shared")
+	}
 	sig := warmupSig{
 		Version:     SnapshotVersion,
 		Cores:       o.Cores,
@@ -126,7 +128,6 @@ func (o Options) WarmupSignature() (string, error) {
 		Seed:        o.Seed,
 		CPU:         o.CPU,
 		Warmup:      o.Warmup,
-		WarmupPF:    o.WarmupPF,
 	}
 	for _, w := range o.Workloads {
 		hs, err := trace.WireSpec(w)
@@ -134,10 +135,6 @@ func (o Options) WarmupSignature() (string, error) {
 			return "", fmt.Errorf("engine: cannot compute warmup signature: %v", err)
 		}
 		sig.Workloads = append(sig.Workloads, hs.String())
-	}
-	if o.WarmupPF {
-		sig.L2PF = o.L2PF.String()
-		sig.L1PF = o.L1PF.String()
 	}
 	b, err := json.Marshal(sig)
 	if err != nil {
@@ -169,34 +166,6 @@ func (s *Simulation) Checkpoint() ([]byte, error) {
 	if snap.Uncore, err = s.hier.SaveState(); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if s.opts.WarmupPF {
-		// The prefetchers ran through the warmup: their learned state must
-		// cross the checkpoint, so each must speak prefetch.StateCodec.
-		for c := 0; c < s.opts.Cores; c++ {
-			l2 := s.hier.L2Prefetcher(c)
-			codec, ok := l2.(prefetch.StateCodec)
-			if !ok {
-				return nil, fmt.Errorf("engine: L2 prefetcher %q does not implement prefetch.StateCodec, cannot checkpoint WarmupPF state", l2.Name())
-			}
-			b, err := codec.SaveState()
-			if err != nil {
-				return nil, fmt.Errorf("engine: saving L2 prefetcher state: %w", err)
-			}
-			snap.L2PF = append(snap.L2PF, b)
-			var l1b []byte
-			if l1 := s.hier.L1Prefetcher(c); l1 != nil {
-				codec, ok := l1.(prefetch.StateCodec)
-				if !ok {
-					return nil, fmt.Errorf("engine: L1 prefetcher %q does not implement prefetch.StateCodec, cannot checkpoint WarmupPF state", l1.Name())
-				}
-				if l1b, err = codec.SaveState(); err != nil {
-					return nil, fmt.Errorf("engine: saving L1 prefetcher state: %w", err)
-				}
-			}
-			snap.L1PF = append(snap.L1PF, l1b)
-		}
-	}
-
 	var buf bytes.Buffer
 	buf.WriteString(snapshotMagic)
 	if err := binary.Write(&buf, binary.BigEndian, uint32(SnapshotVersion)); err != nil {
@@ -242,9 +211,10 @@ func decodeSnapshot(data []byte) (snap snapshot, err error) {
 // barrier recorded in the snapshot, so running it to completion produces
 // byte-identical results to running o from scratch (warmup included). The
 // snapshot must carry the same warmup signature as o — same workload/trace
-// content, core count, page size, seed, warmup length and (under WarmupPF)
-// prefetcher specs. Corrupted, truncated or version-skewed snapshots are
-// rejected with an error; partial state is never installed.
+// content, core count, page size, seed and warmup length; the configured
+// prefetchers are installed cold, as the barrier of a straight run does.
+// Corrupted, truncated or version-skewed snapshots are rejected with an
+// error; partial state is never installed.
 func Restore(data []byte, o Options) (*Simulation, error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {
@@ -272,27 +242,6 @@ func Restore(data []byte, o Options) (*Simulation, error) {
 	if err := s.hier.RestoreState(snap.Uncore); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	if s.opts.WarmupPF {
-		if len(snap.L2PF) != len(s.cores) || len(snap.L1PF) != len(s.cores) {
-			return nil, fmt.Errorf("engine: snapshot carries prefetcher state for %d/%d cores, options need %d",
-				len(snap.L2PF), len(snap.L1PF), len(s.cores))
-		}
-		for c := 0; c < len(s.cores); c++ {
-			if err := restorePFState(s.hier.L2Prefetcher(c), snap.L2PF[c]); err != nil {
-				return nil, fmt.Errorf("engine: core %d L2 prefetcher: %w", c, err)
-			}
-			l1 := s.hier.L1Prefetcher(c)
-			if l1 == nil {
-				if len(snap.L1PF[c]) != 0 {
-					return nil, fmt.Errorf("engine: core %d has no L1 prefetcher but the snapshot carries state for one", c)
-				}
-				continue
-			}
-			if err := restorePFState(l1, snap.L1PF[c]); err != nil {
-				return nil, fmt.Errorf("engine: core %d L1 prefetcher: %w", c, err)
-			}
-		}
-	}
 	s.now = snap.Cycles
 	s.startCycles = s.now
 	s.startRetired = s.cores[0].Retired
@@ -300,37 +249,31 @@ func Restore(data []byte, o Options) (*Simulation, error) {
 	return s, nil
 }
 
-// restorePFState feeds saved codec bytes into a freshly constructed
-// prefetcher.
-func restorePFState(pf any, state []byte) error {
-	codec, ok := pf.(prefetch.StateCodec)
-	if !ok {
-		return fmt.Errorf("does not implement prefetch.StateCodec")
-	}
-	return codec.RestoreState(state)
-}
-
-// WriteSnapshot stores snapshot bytes at path atomically (temp file +
-// rename in the destination directory), so a concurrent reader — parallel
-// sweeps sharing a checkpoint directory, parallel bosim invocations
-// sharing one snapshot file — never observes a torn write.
-func WriteSnapshot(path string, data []byte) error {
+// WriteFileAtomic stores data at path atomically: a uniquely named temp file
+// in the destination directory, then a rename. Concurrent readers and
+// writers — parallel sweeps sharing a checkpoint directory, two processes
+// storing one result-cache key, parallel bosim invocations sharing one
+// snapshot file — never observe or produce a torn file; the last rename
+// wins whole.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	// CreateTemp makes the file 0600; a cache directory is shared the way
+	// os.WriteFile's 0644 shares it.
+	err = tmp.Chmod(0o644)
+	if err == nil {
+		_, err = tmp.Write(data)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }

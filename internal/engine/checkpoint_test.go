@@ -73,27 +73,58 @@ func runCheckpointed(t *testing.T, o engine.Options) (engine.Result, []byte) {
 	return r, snap
 }
 
-// TestGoldenDeterminismPerPrefetcher is the trust anchor of the checkpoint
-// feature: for every registered L2 prefetcher, running warmup -> Checkpoint
-// -> Restore -> run produces byte-identical results to an uncheckpointed
-// straight run. WarmupPF keeps the prefetcher live through the warmup, so
-// the test exercises each prefetcher's StateCodec round trip, the DL1
-// stride prefetcher's included.
-func TestGoldenDeterminismPerPrefetcher(t *testing.T) {
-	for _, name := range prefetch.L2Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+// quotedMetaSpecs are parameterized meta-prefetchers: nested quoted
+// sub-specs must share a none-warmed snapshot like any other variant.
+var quotedMetaSpecs = []string{
+	"duel:a=bo,b=offset.d~4,period=512",
+	"adapt:base=multi.offsets~1+2+4+8,window=1024",
+}
+
+// sharedWarmupMatchesStraight takes one snapshot from a warmup leg of
+// workload with L2PF=none and requires it to restore every spec — installed
+// cold at the barrier — to exactly the state that spec's own straight run
+// reaches: the measured regions must be byte-identical.
+func sharedWarmupMatchesStraight(t *testing.T, workload string, specs []string) {
+	legOpts := warmed(workload)
+	legOpts.L2PF = prefetch.Spec{Name: "none"}
+	leg, err := engine.New(legOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := leg.RunWarmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := leg.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec, func(t *testing.T) {
 			t.Parallel()
-			o := warmed("433.milc")
-			o.L2PF = prefetch.Spec{Name: name}
-			o.WarmupPF = true
+			o := warmed(workload)
+			o.L2PF = prefetch.MustSpec(spec)
 			straight := resultJSON(t, runStraight(t, o))
-			ckpt, _ := runCheckpointed(t, o)
-			if got := resultJSON(t, ckpt); !bytes.Equal(got, straight) {
-				t.Errorf("checkpointed run diverged from straight run\nstraight: %s\nrestored: %s", straight, got)
+			restored, err := engine.Restore(snap, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := restored.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultJSON(t, r); !bytes.Equal(got, straight) {
+				t.Errorf("variant restored from shared warmup diverged\nstraight: %s\nrestored: %s", straight, got)
 			}
 		})
 	}
+}
+
+// TestGoldenDeterminismPerPrefetcher is the trust anchor of the checkpoint
+// feature: every registered L2 prefetcher, plus the quoted meta specs,
+// restored from one shared snapshot equals its own straight run.
+func TestGoldenDeterminismPerPrefetcher(t *testing.T) {
+	sharedWarmupMatchesStraight(t, "433.milc", append(prefetch.L2Names(), quotedMetaSpecs...))
 }
 
 // TestHeterogeneousWorkloadsCheckpointRoundTrip checks per-core workload
@@ -113,7 +144,6 @@ func TestHeterogeneousWorkloadsCheckpointRoundTrip(t *testing.T) {
 		o.Instructions = 10_000
 		o.Warmup = 10_000
 		o.L2PF = prefetch.Spec{Name: "bo"}
-		o.WarmupPF = true
 		straight := resultJSON(t, runStraight(t, o))
 		ckpt, _ := runCheckpointed(t, o)
 		if got := resultJSON(t, ckpt); !bytes.Equal(got, straight) {
@@ -122,49 +152,11 @@ func TestHeterogeneousWorkloadsCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSharedWarmupDeterminism checks the default (shareable) warmup mode:
-// prefetchers disabled during warmup, installed cold at the barrier. One
-// snapshot taken from a warmup leg with L2PF=none must restore every
-// variant to the same state the variant's own straight run reaches.
+// TestSharedWarmupDeterminism repeats the check on a second workload with
+// hand-picked parameterized specs.
 func TestSharedWarmupDeterminism(t *testing.T) {
-	legOpts := warmed("459.GemsFDTD")
-	legOpts.L2PF = prefetch.Spec{Name: "none"}
-	leg, err := engine.New(legOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := leg.RunWarmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := leg.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range []string{
-		"bo", "sbp", "multi", "offset:d=4",
-		// Parameterized meta-prefetchers: nested quoted sub-specs must share
-		// the none-warmed snapshot like any other variant.
-		"duel:a=bo,b=offset.d~4,period=512",
-		"adapt:base=multi.offsets~1+2+4+8,window=1024",
-	} {
-		spec := spec
-		t.Run(spec, func(t *testing.T) {
-			o := warmed("459.GemsFDTD")
-			o.L2PF = prefetch.MustSpec(spec)
-			straight := resultJSON(t, runStraight(t, o))
-			restored, err := engine.Restore(snap, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := restored.Run(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := resultJSON(t, r); !bytes.Equal(got, straight) {
-				t.Errorf("variant restored from shared warmup diverged\nstraight: %s\nrestored: %s", straight, got)
-			}
-		})
-	}
+	sharedWarmupMatchesStraight(t, "459.GemsFDTD",
+		append([]string{"bo", "sbp", "multi", "offset:d=4"}, quotedMetaSpecs...))
 }
 
 // TestMulticoreCheckpointDeterminism covers the 2-core configuration (core
@@ -262,7 +254,6 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 		"cores":    func(o *engine.Options) { o.Cores = 2 },
 		"page":     func(o *engine.Options) { o.Page = mem.Page4M },
 		"l3":       func(o *engine.Options) { o.L3Policy = "LRU" },
-		"warmuppf": func(o *engine.Options) { o.WarmupPF = true },
 	}
 	for name, mutate := range cases {
 		bad := o
@@ -270,6 +261,26 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 		if _, err := engine.Restore(snap, bad); err == nil {
 			t.Errorf("restore into options with different %s succeeded", name)
 		}
+	}
+	// A warmup that ran the configured prefetchers has no signature at all,
+	// so it can neither restore from a snapshot nor produce one.
+	pf := o
+	pf.WarmupPF = true
+	if sig, err := pf.WarmupSignature(); err == nil {
+		t.Errorf("WarmupPF options signed as %s", sig)
+	}
+	if _, err := engine.Restore(snap, pf); err == nil {
+		t.Error("restore into WarmupPF options succeeded")
+	}
+	live, err := engine.New(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.RunWarmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := live.Checkpoint(); err == nil {
+		t.Error("checkpoint of a WarmupPF barrier succeeded")
 	}
 	// Options differing only in measured-region knobs restore fine.
 	ok := o

@@ -57,10 +57,14 @@ type Options struct {
 	// L2PF selects and parameterizes the per-core L2 prefetcher by
 	// registry spec (e.g. "bo", "offset:d=4", "bo:badscore=5"). The zero
 	// spec means the baseline next-line prefetcher.
+	//
+	//bovet:allow sigcomplete a signed warmup runs without prefetchers (installed cold at the barrier); a WarmupPF warmup has no signature
 	L2PF prefetch.Spec
 	// L1PF selects the DL1 prefetcher the same way. The zero spec means
 	// the baseline stride prefetcher; "none" disables DL1 prefetching
 	// (Figure 4's ablation).
+	//
+	//bovet:allow sigcomplete a signed warmup runs without prefetchers (installed cold at the barrier); a WarmupPF warmup has no signature
 	L1PF        prefetch.Spec
 	L3Policy    string // "5P" (default), "LRU", "DRRIP"
 	LatePromote bool
@@ -91,9 +95,9 @@ type Options struct {
 	// warmupless runs are unchanged from before this field existed.
 	Warmup uint64 `json:",omitempty"`
 	// WarmupPF keeps the configured prefetchers active through the warmup
-	// region. Their learned state then crosses the barrier (and is carried
-	// in checkpoints via prefetch.StateCodec), at the cost of making the
-	// warmup leg specific to the exact prefetcher specs.
+	// region, so their learned state crosses the barrier. Such a warmup is
+	// specific to the exact prefetcher specs and is never checkpointed or
+	// shared: WarmupSignature refuses it and the run executes straight.
 	WarmupPF bool `json:",omitempty"`
 }
 

@@ -99,9 +99,10 @@ func (c diskCache) load(key string) (engine.Result, bool) {
 	return e.Result, true
 }
 
-// store writes the result for key atomically (temp file + rename), so a
-// concurrent reader never observes a partial entry and an interrupted run
-// never corrupts the cache.
+// store writes the result for key atomically (engine.WriteFileAtomic), so a
+// concurrent reader never observes a partial entry, an interrupted run
+// never corrupts the cache, and two processes sharing the directory that
+// store one key at once never interleave into one temp file.
 func (c diskCache) store(key string, o engine.Options, res engine.Result) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
@@ -110,11 +111,7 @@ func (c diskCache) store(key string, o engine.Options, res engine.Result) error 
 	if err != nil {
 		return err
 	}
-	tmp := c.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, c.path(key))
+	return engine.WriteFileAtomic(c.path(key), b)
 }
 
 // EvictCache is the size-bounded eviction pass: when the cache directory's

@@ -6,8 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"bopsim/internal/engine"
 )
 
 // TestSchemaBumpInvalidates pins what a resultCacheVersion bump costs: an
@@ -85,6 +88,64 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	}
 	if _, err := os.Stat(unreachable); removed != 1 || !os.IsNotExist(err) {
 		t.Errorf("evicted %d entries, old-version entry gone=%v; want exactly that one", removed, os.IsNotExist(err))
+	}
+}
+
+// TestConcurrentStoreOfOneKey shares one CacheDir between two Runners — two
+// processes, as far as the directory can tell — that both execute and store
+// the same simulation at once. Each store goes through its own temp file, so
+// whichever rename lands last leaves one whole entry and no temp behind; a
+// fixed temp name let the two writes interleave into one file. A leftover
+// temp from a killed writer is never mistaken for an entry.
+func TestConcurrentStoreOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	o := engine.DefaultOptions("416.gamess")
+	o.Instructions = 5_000
+	key := OptionsHash(o)
+	leftover := filepath.Join(dir, key+".json.tmp")
+	if err := os.WriteFile(leftover, []byte(`{"version":3,"result":{"IPC":99}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 8
+	for round := 0; round < rounds; round++ {
+		if err := os.Remove(filepath.Join(dir, key+".json")); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 2; i++ {
+			r := tinyRunner()
+			r.CacheDir = dir
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if err := r.RunJobs([]engine.Options{o}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		res, ok := (diskCache{dir}).load(key)
+		if !ok || res.IPC == 99 || res.Instructions == 0 {
+			t.Fatalf("round %d: entry unreadable or taken from the leftover temp (ok=%v, %+v)", round, ok, res)
+		}
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Errorf("cache dir holds %d files, want the entry and the planted leftover only", len(files))
+	}
+	rep, err := VerifyCache(dir, 0, 1, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != 1 || rep.Skipped != 0 {
+		t.Errorf("verify: %+v, want exactly one entry and the leftover temp not looked at", rep)
 	}
 }
 

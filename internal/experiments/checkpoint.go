@@ -34,7 +34,9 @@ import (
 // WarmupKey returns the hex SHA-256 of o's warmup signature: the identity
 // of the warmup leg the run needs. Jobs with equal keys can fork from one
 // checkpoint. It returns an error for jobs without a warmup region (there
-// is nothing to share) or whose trace file is unreadable.
+// is nothing to share), whose trace file is unreadable, or whose warmup
+// runs the configured prefetchers (WarmupPF: WarmupSignature refuses it);
+// the scheduler runs all of those straight.
 func WarmupKey(o engine.Options) (string, error) {
 	o = o.Normalized()
 	if o.Warmup == 0 {
@@ -82,7 +84,7 @@ func (c checkpointStore) ensure(ctx context.Context, o engine.Options) (checkpoi
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return checkpointRef{}, err
 	}
-	if err := engine.WriteSnapshot(path, data); err != nil {
+	if err := engine.WriteFileAtomic(path, data); err != nil {
 		return checkpointRef{}, err
 	}
 	sum := sha256.Sum256(data)
@@ -90,15 +92,11 @@ func (c checkpointStore) ensure(ctx context.Context, o engine.Options) (checkpoi
 }
 
 // runWarmupLeg executes one warmup region to its barrier and serializes the
-// machine. For the default (shared) mode the leg's prefetcher specs are
-// neutralized — the warmup runs with prefetching disabled anyway, so one
-// leg serves every spec variant; under WarmupPF the specs are part of the
-// group identity and stay.
+// machine. The leg's prefetcher specs are neutralized — the warmup runs
+// with prefetching disabled anyway, so one leg serves every spec variant.
 func runWarmupLeg(ctx context.Context, o engine.Options) ([]byte, error) {
-	if !o.WarmupPF {
-		o.L2PF = prefetch.Spec{Name: "none"}
-		o.L1PF = prefetch.Spec{Name: "none"}
-	}
+	o.L2PF = prefetch.Spec{Name: "none"}
+	o.L1PF = prefetch.Spec{Name: "none"}
 	s, err := engine.New(o)
 	if err != nil {
 		return nil, err
@@ -189,7 +187,8 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 // first takes a follower of the group whose leg is still running and blocks
 // on it, and the legs run one after another. Leaders first, each slot runs
 // a different group's leg at once and a follower finds its snapshot ready.
-// Jobs without a warmup region keep their place among the followers.
+// Jobs without a warmup key (no warmup region, WarmupPF) keep their place
+// among the followers.
 func leadersFirst(jobs []engine.Options) []engine.Options {
 	seen := make(map[string]bool)
 	leaders := make([]engine.Options, 0, len(jobs))
@@ -211,7 +210,7 @@ func leadersFirst(jobs []engine.Options) []engine.Options {
 func (c *ckptResolver) resolve(o engine.Options) (checkpointRef, bool) {
 	key, err := WarmupKey(o)
 	if err != nil {
-		return checkpointRef{}, false // no warmup region or unreadable trace
+		return checkpointRef{}, false // no warmup region, WarmupPF or unreadable trace
 	}
 	c.mu.Lock()
 	e := c.groups[key]

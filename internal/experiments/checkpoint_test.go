@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,6 +250,47 @@ func TestCheckpointReuseAcrossRunners(t *testing.T) {
 	}
 }
 
+// TestWarmupPFRunsStraight mixes shared-warmup and WarmupPF jobs in one
+// checkpointing job set: the WarmupPF jobs have no warmup key, so they pay
+// no leg, execute straight with engine.Run's bytes, and leave the
+// checkpoint directory holding one snapshot per shared group only.
+func TestWarmupPFRunsStraight(t *testing.T) {
+	shared := sweepJobs(5_000, "416.gamess", "456.hmmer")
+	var live []engine.Options
+	for _, o := range shared[1:3] { // nextline and bo on 416.gamess
+		o.WarmupPF = true
+		live = append(live, o)
+	}
+	jobs := append(append([]engine.Options{}, shared...), live...)
+
+	r := tinyRunner()
+	r.Workers = 2
+	r.Checkpoint = true
+	r.CheckpointDir = t.TempDir()
+	if err := r.RunJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Executed(); got != uint64(len(jobs)) {
+		t.Errorf("executed %d simulations, want %d", got, len(jobs))
+	}
+	for _, o := range live {
+		want, err := engine.Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.run(o); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: scheduled result differs from engine.Run\n got %+v\nwant %+v", describeOptions(o), got, want)
+		}
+	}
+	snaps, err := filepath.Glob(filepath.Join(r.CheckpointDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) != 2 {
+		t.Errorf("checkpoint dir holds %v, want one .ckpt per shared group (2)", snaps)
+	}
+}
+
 // TestWarmupKeyExcludesSweptSpecs checks the grouping key: prefetcher
 // variants share one warmup leg; anything shaping the warmed machine does
 // not.
@@ -278,7 +320,6 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 		"Seed":     func(o *engine.Options) { o.Seed = 9 },
 		"Cores":    func(o *engine.Options) { o.Cores = 2 },
 		"Warmup":   func(o *engine.Options) { o.Warmup = 5_000 },
-		"WarmupPF": func(o *engine.Options) { o.WarmupPF = true },
 		"L3Policy": func(o *engine.Options) { o.L3Policy = "LRU" },
 	}
 	for field, mutate := range splitting {
@@ -288,15 +329,15 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 			t.Errorf("changing %s does not split the warmup group (err %v)", field, err)
 		}
 	}
-	// Under WarmupPF the prefetcher state crosses the barrier, so the
-	// specs become part of the group identity.
-	a, b := base, base
-	a.WarmupPF, b.WarmupPF = true, true
-	b.L2PF = prefetch.Spec{Name: "bo"}
-	ka, errA := WarmupKey(a)
-	kb, errB := WarmupKey(b)
-	if errA != nil || errB != nil || ka == kb {
-		t.Errorf("WarmupPF variants with different specs share a key (%v %v)", errA, errB)
+	// Under WarmupPF the warmup runs the configured prefetchers: it belongs
+	// to no group at all, whatever the specs.
+	for _, l2 := range []string{"nextline", "bo"} {
+		o := base
+		o.WarmupPF = true
+		o.L2PF = prefetch.Spec{Name: l2}
+		if k, err := WarmupKey(o); err == nil {
+			t.Errorf("WarmupPF run with L2PF=%s has warmup key %.12s, want a refusal", l2, k)
+		}
 	}
 	// No warmup region: nothing to share.
 	cold := engine.DefaultOptions("433.milc")

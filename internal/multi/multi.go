@@ -62,7 +62,6 @@ type Prefetcher struct {
 	enabled []bool
 	count   int // eligible accesses in the current window
 
-	//bovet:allow statecodec OnAccess scratch is valid only until the next call; never learned state
 	buf []mem.LineAddr // OnAccess scratch, reused across calls
 
 	stats Stats

@@ -1,7 +1,6 @@
 package multi
 
 import (
-	"bytes"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -213,55 +212,5 @@ func TestRetuneOffsetsRestartsAudit(t *testing.T) {
 		if err := p.Retune("offsets", bad); err == nil {
 			t.Errorf("Retune(offsets, %q) accepted", bad)
 		}
-	}
-}
-
-// TestRetunedStateRoundTrip pins the v3 codec property the adaptive wrapper
-// relies on: a retuned instance's state restores into a default-built
-// instance — the snapshot carries offsets/minscore, so the restored
-// prefetcher behaves and re-saves identically.
-func TestRetunedStateRoundTrip(t *testing.T) {
-	orig := New(mem.Page4M, DefaultParams())
-	for _, kv := range [][2]string{{"offsets", "1+2+4+8+16"}, {"minscore", "6"}} {
-		if err := orig.Retune(kv[0], kv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	line := mem.LineAddr(1 << 20)
-	for i := 0; i < 700; i++ { // mid-window at the default period 256
-		orig.OnAccess(eligible(line))
-		line += 4
-	}
-	state, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored := New(mem.Page4M, DefaultParams())
-	if err := restored.RestoreState(state); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 700; i++ {
-		a, b := orig.OnAccess(eligible(line)), restored.OnAccess(eligible(line))
-		if len(a) != len(b) {
-			t.Fatalf("access %d: original issued %v, restored %v", i, a, b)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("access %d: original issued %v, restored %v", i, a, b)
-			}
-		}
-		line += 4
-	}
-	b1, err := orig.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := restored.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("retuned state did not round-trip into a default-built prefetcher")
 	}
 }

@@ -31,7 +31,7 @@ type Retunable interface {
 // MetaL2 marks L2 prefetchers that delegate to nested child specs. Meta
 // prefetchers refuse meta children — exactly one level of nesting, the same
 // rule the trace registry's mix generator enforces — which keeps sub-spec
-// quoting, set partitioning and nested state framing from compounding.
+// quoting and set partitioning from compounding.
 type MetaL2 interface {
 	// MetaL2 is a marker; it reports nothing and must be side-effect free.
 	MetaL2()

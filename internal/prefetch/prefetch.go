@@ -3,6 +3,10 @@
 // Sandbox) and implements the two simplest ones. L2 prefetchers work on
 // physical line addresses only: they see neither PCs nor TLB state (paper
 // section 5.6), and they never prefetch across a page boundary.
+//
+// Prefetchers are never checkpointed: a warmup snapshot (engine.Checkpoint)
+// is the drained machine without them, and the warmup barrier — straight or
+// restored — installs them cold, so an implementation owes no serialization.
 package prefetch
 
 import "bopsim/internal/mem"
@@ -88,8 +92,7 @@ type FixedOffset struct {
 	page   mem.PageSize
 	offset uint64
 	name   string
-	//bovet:allow statecodec OnAccess scratch is valid only until the next call; never learned state
-	buf [1]mem.LineAddr // OnAccess scratch, avoids a per-access slice
+	buf    [1]mem.LineAddr // OnAccess scratch, avoids a per-access slice
 }
 
 // NewFixedOffset returns a fixed-offset prefetcher with offset d >= 1.

@@ -79,7 +79,6 @@ type Prefetcher struct {
 
 	active []activeOffset
 
-	//bovet:allow statecodec OnAccess scratch is valid only until the next call; never learned state
 	buf []mem.LineAddr // issue scratch, reused across OnAccess calls
 
 	stats Stats

@@ -15,11 +15,10 @@ import (
 
 // GenState is the serialized cursor of one generator. Kind selects which
 // fields are meaningful: "workload" uses Rand/AluPC/Comps, "file" uses
-// Idx/Wraps, "mix" uses Rand/Subs (one entry per sub-generator). Kinds are
-// the workload counterpart of prefetch.StateCodec: every registered
-// generator implements StatefulGenerator, whose save/restore pair is the
-// codec for its kind, and restore validates the kind tag so a cursor can
-// never be fed into a generator of a different shape.
+// Idx/Wraps, "mix" uses Rand/Subs (one entry per sub-generator). Every
+// registered generator implements StatefulGenerator, whose save/restore
+// pair is the codec for its kind, and restore validates the kind tag so a
+// cursor can never be fed into a generator of a different shape.
 //
 //bovet:schemalock
 type GenState struct {

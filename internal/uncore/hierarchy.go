@@ -89,11 +89,11 @@ type Hierarchy struct {
 	l3    *cache.Cache
 	fivep *cache.FiveP // non-nil when L3Policy is 5P
 	tlbs  []*tlb.Hierarchy
-	// Prefetcher state is serialized separately through prefetch.StateCodec
-	// (only under WarmupPF); SetPrefetchers installs them on restore.
-	//bovet:allow statecodec prefetchers checkpoint via prefetch.StateCodec, not the hierarchy snapshot
+	// Prefetchers are never serialized: a checkpointed warmup runs without
+	// them and the barrier (straight or restored) installs them cold.
+	//bovet:allow statecodec prefetchers are not part of a snapshot; the barrier installs them cold
 	l1pf []prefetch.L1Prefetcher // nil entries: no DL1 prefetching
-	//bovet:allow statecodec prefetchers checkpoint via prefetch.StateCodec, not the hierarchy snapshot
+	//bovet:allow statecodec prefetchers are not part of a snapshot; the barrier installs them cold
 	l2pf []prefetch.L2Prefetcher
 	// preIssueTagCheck enables the extra L2 tag lookup before issuing a
 	// prefetch, which the paper adds for SBP-style degree-N requests

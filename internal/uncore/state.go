@@ -14,8 +14,8 @@ import (
 // statistic. Transient queue state (fill queues, demand queues, MSHRs,
 // prefetch queues, pending writebacks) is deliberately absent — SaveState
 // refuses a hierarchy that is not Drained, so there is never anything in
-// them to serialize. Prefetcher state is owned by the engine snapshot (via
-// prefetch.StateCodec), not here.
+// them to serialize. Prefetchers are not part of it: the barrier installs
+// them cold.
 type State struct {
 	Stats       Stats
 	DL1         []cache.State
