@@ -17,8 +17,8 @@ race:
 	$(GO) test -race ./...
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
-# (internal/analysis): nondeterm, statecodec, hotalloc, registryinit,
-# schemalock, sigcomplete, deadallow — see DESIGN.md "Static invariants".
+# (internal/analysis): nondeterm, statecodec, hotalloc, schemalock,
+# sigcomplete, deadallow — see DESIGN.md "Static invariants".
 # staticcheck and govulncheck additionally run in CI at pinned versions; run
 # them locally if installed.
 lint: fmt

@@ -19,6 +19,7 @@ import (
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/sbp"
+	"bopsim/internal/spec"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -219,7 +220,7 @@ func BenchmarkAblationDenseList(b *testing.B) {
 		stock := base
 		stock.L2PF = prefetch.MustSpec("bo")
 		abl := base
-		abl.L2PF = prefetch.MustSpec("bo").With("offsets", prefetch.FormatInts(prefetch.DenseOffsetList(64)))
+		abl.L2PF = prefetch.MustSpec("bo").With("offsets", spec.FormatInts(prefetch.DenseOffsetList(64)))
 		ratio = mustRun(abl).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "ablated/stock")
@@ -265,7 +266,7 @@ func BenchmarkExtensionNegativeOffsets(b *testing.B) {
 		stock.L2PF = prefetch.MustSpec("bo")
 		ext := base
 		ext.L2PF = prefetch.MustSpec("bo").With("offsets",
-			prefetch.FormatInts(core.WithNegativeOffsets(prefetch.DefaultOffsetList())))
+			spec.FormatInts(core.WithNegativeOffsets(prefetch.DefaultOffsetList())))
 		ratio = mustRun(ext).IPC / mustRun(stock).IPC
 	}
 	b.ReportMetric(ratio, "negatives/stock")

@@ -57,13 +57,12 @@ func main() {
 		l1pf      = flag.String("l1pf", "stride", "DL1 prefetcher spec: stride, stride:dist=8, none")
 		n         = flag.Uint64("n", 500_000, "instructions to retire on core 0")
 		warmup    = flag.Uint64("warmup", 0, "warmup instructions before the measured region (stats reset at the barrier)")
-		warmupPF  = flag.Bool("warmup-pf", false, "keep the configured prefetchers active through the warmup (their state crosses the barrier; such a run is never checkpointed)")
 		ckptFile  = flag.String("checkpoint", "", "warmup snapshot file: restore from it when present, else run the warmup once and save it there")
 		l3        = flag.String("l3", "5P", "L3 replacement policy: 5P|LRU|DRRIP")
 		seed      = flag.Uint64("seed", 1, "simulation seed (also seeds -verify sampling)")
 		list      = flag.Bool("list", false, "list the benchmark stand-in names and exit")
 		listWL    = flag.Bool("list-workloads", false, "list every registered workload generator with its parameter schema, then exit")
-		listPF    = flag.Bool("list-pf", false, "list registered prefetchers and their spec names, then exit")
+		listPF    = flag.Bool("list-pf", false, "list every registered prefetcher with its parameter schema, then exit")
 		jsonOut   = flag.Bool("json", false, "print the result as JSON instead of text")
 		progress  = flag.Bool("progress", false, "report live progress on stderr while running")
 
@@ -92,18 +91,12 @@ func main() {
 		return
 	}
 	if *listWL {
-		listWorkloads()
+		listRegistry("workload generators (-workload / -workloads):", trace.Generators)
 		return
 	}
 	if *listPF {
-		fmt.Println("L2 prefetchers (-l2pf):")
-		for _, name := range prefetch.L2Names() {
-			fmt.Printf("  %-10s %s\n", name, prefetch.L2Help(name))
-		}
-		fmt.Println("DL1 prefetchers (-l1pf):")
-		for _, name := range prefetch.L1Names() {
-			fmt.Printf("  %-10s %s\n", name, prefetch.L1Help(name))
-		}
+		listRegistry("L2 prefetchers (-l2pf):", prefetch.L2)
+		listRegistry("DL1 prefetchers (-l1pf):", prefetch.L1)
 		return
 	}
 	if *verify {
@@ -130,13 +123,8 @@ func main() {
 	o.Instructions = *n
 	o.Seed = *seed
 	o.Warmup = *warmup
-	o.WarmupPF = *warmupPF
 	if *ckptFile != "" && *warmup == 0 {
 		fmt.Fprintln(os.Stderr, "bosim: -checkpoint needs -warmup N (the snapshot is the warmup barrier)")
-		os.Exit(2)
-	}
-	if *ckptFile != "" && *warmupPF {
-		fmt.Fprintln(os.Stderr, "bosim: -checkpoint and -warmup-pf are mutually exclusive (a warmup that ran the prefetchers is never saved or restored)")
 		os.Exit(2)
 	}
 
@@ -343,13 +331,17 @@ func resolveWorkloads(workload, workloads string, coresFlag int) ([]trace.Spec, 
 	return specs, cores
 }
 
-// listWorkloads renders every registered generator with its parameter
-// schema and defaults, mirroring -list-pf on the workload axis.
-func listWorkloads() {
-	fmt.Println("workload generators (-workload / -workloads):")
-	for _, name := range trace.Names() {
-		fmt.Printf("  %-15s %s\n", name, trace.Help(name))
-		defs, _ := trace.ParamDefaults(name)
+// listRegistry renders every registration of one spec registry (all three
+// are a spec.Registry) with its help line, parameter schema and defaults.
+func listRegistry(title string, r interface {
+	Names() []string
+	Help(name string) string
+	Defaults(name string) (map[string]string, bool)
+}) {
+	fmt.Println(title)
+	for _, name := range r.Names() {
+		fmt.Printf("  %-15s %s\n", name, r.Help(name))
+		defs, _ := r.Defaults(name)
 		keys := make([]string, 0, len(defs))
 		for k := range defs {
 			keys = append(keys, k)

@@ -1,32 +1,24 @@
-// Command bovet runs the repo's custom static-analysis suite: the seven
+// Command bovet runs the repo's custom static-analysis suite: the six
 // analyzers that mechanically enforce the simulator's determinism
 // (nondeterm), checkpoint completeness (statecodec), zero-alloc hot loops
-// (hotalloc), registry discipline (registryinit), serialized-layout
-// stability (schemalock), cache-key/warmup-signature completeness
-// (sigcomplete) and allow-inventory hygiene (deadallow). See DESIGN.md
+// (hotalloc), serialized-layout stability (schemalock),
+// cache-key/warmup-signature completeness (sigcomplete) and
+// allow-inventory hygiene (deadallow). See DESIGN.md
 // "Static invariants". Cross-package reasoning — taint and allocation
 // summaries flowing from dependency to importer — rides the facts layer;
 // packages are analyzed in dependency order.
 //
-// Standalone:
-//
 //	go run ./cmd/bovet ./...
 //	bovet -json ./internal/uncore
 //	bovet -analyzers nondeterm,hotalloc ./...
-//
-// As a vet tool (the go command drives one invocation per package,
-// supplies export data and threads fact files between invocations):
-//
-//	go build -o /tmp/bovet ./cmd/bovet
-//	go vet -vettool=/tmp/bovet ./...
 //
 // Regenerating the schema lock after a reviewed layout change (refuses to
 // run when a governed layout changed without its version constant):
 //
 //	bovet -write-schema-lock   (or `make schema-lock`)
 //
-// Exit status is 0 when the tree is clean, 2 when any diagnostic survives
-// (matching go vet), 1 on operational errors.
+// Exit status is 0 when the tree is clean, 2 when any diagnostic survives,
+// 1 on operational errors.
 package main
 
 import (
@@ -42,7 +34,6 @@ import (
 	"bopsim/internal/analysis/deadallow"
 	"bopsim/internal/analysis/hotalloc"
 	"bopsim/internal/analysis/nondeterm"
-	"bopsim/internal/analysis/registryinit"
 	"bopsim/internal/analysis/schemalock"
 	"bopsim/internal/analysis/sigcomplete"
 	"bopsim/internal/analysis/statecodec"
@@ -52,34 +43,14 @@ var suite = []*analysis.Analyzer{
 	nondeterm.Analyzer,
 	statecodec.Analyzer,
 	hotalloc.Analyzer,
-	registryinit.Analyzer,
 	schemalock.Analyzer,
 	sigcomplete.Analyzer,
 	deadallow.Analyzer,
 }
 
-func main() {
-	// The go vet protocol probes the tool before handing it a package:
-	// -V=full must print a stable identity line (bumped when analyzer
-	// behavior changes, so go vet's result cache invalidates), -flags the
-	// analyzer flags (none), and then each invocation gets a single *.cfg
-	// argument.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "-V":
-			fmt.Println("bovet version 2")
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(runVetTool(os.Args[1]))
-		}
-	}
-	os.Exit(runStandalone())
-}
+func main() { os.Exit(run()) }
 
-func runStandalone() int {
+func run() int {
 	fs := flag.NewFlagSet("bovet", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as JSON, sorted by (package, file, line, analyzer)")
 	list := fs.Bool("list", false, "list the analyzers and exit")

@@ -28,11 +28,11 @@ func run(o engine.Options) engine.Result {
 func main() {
 	fmt.Println("registered L2 prefetchers:")
 	for _, name := range prefetch.L2Names() {
-		fmt.Printf("  %-10s %s\n", name, prefetch.L2Help(name))
+		fmt.Printf("  %-10s %s\n", name, prefetch.L2.Help(name))
 	}
 	fmt.Println("\nregistered DL1 prefetchers:")
 	for _, name := range prefetch.L1Names() {
-		fmt.Printf("  %-10s %s\n", name, prefetch.L1Help(name))
+		fmt.Printf("  %-10s %s\n", name, prefetch.L1.Help(name))
 	}
 
 	base := engine.DefaultOptions("462.libquantum")

@@ -15,10 +15,10 @@ import (
 // values, e.g. "adapt:base=multi,key=minscore,levels=48+24+12+6".
 func init() {
 	def := DefaultParams()
-	prefetch.RegisterL2("adapt", prefetch.Definition[prefetch.L2Prefetcher]{
+	prefetch.RegisterL2("adapt", prefetch.L2Def{
 		Help:         "phase-adaptive wrapper: retunes the base spec's params per accuracy window",
 		Build:        buildSpec,
-		Validate:     func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+		IntKeys:      []string{"window", "lo", "hi", "minfills", "recent"},
 		Canonicalize: prefetch.CanonicalizeSubSpecs("base"),
 		Defaults: map[string]string{
 			"base":     "bo",
@@ -35,7 +35,7 @@ func init() {
 
 // buildSpec parses and validates adapt's spec parameters, builds the base
 // through the registry (same candidate rules as duel), and constructs the
-// wrapper; the registered Validate hook delegates here.
+// wrapper; Normalize checks by calling it.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()
 	var err error

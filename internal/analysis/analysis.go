@@ -14,8 +14,6 @@
 //     must round-trip through its codec methods.
 //   - hotalloc:      functions on a //bovet:hotpath must not contain
 //     allocation sites, nor call cross-package functions that do.
-//   - registryinit:  prefetcher/workload registration happens only from
-//     init functions of internal packages, with complete Definitions.
 //   - schemalock:    the serialized field-set of every checkpoint payload
 //     and wire struct matches the committed schema.lock, and schema
 //     changes bump the governing version constant.
@@ -49,8 +47,7 @@ type Analyzer struct {
 	// Run performs the analysis on one package.
 	Run func(*Pass) error
 	// FactTypes lists prototype values (pointer types) of every Fact this
-	// analyzer exports or imports. Facts of unlisted types are rejected at
-	// export and never decode.
+	// analyzer exports or imports. Facts of unlisted types are rejected.
 	FactTypes []Fact
 }
 
@@ -98,8 +95,8 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 
 // ImportObjectFact copies the fact of fptr's concrete type previously
 // exported about obj into fptr and reports whether one exists. obj may
-// belong to any package analyzed earlier in the run (or whose facts were
-// supplied by the vet driver), including the current one.
+// belong to any package analyzed earlier in the run, including the current
+// one.
 func (p *Pass) ImportObjectFact(obj types.Object, fptr Fact) bool {
 	if obj == nil || obj.Pkg() == nil {
 		return false
@@ -197,22 +194,6 @@ func (r *Runner) init() {
 	if r.Known == nil {
 		r.Known = r.Suite
 	}
-	RegisterFactTypes(r.Suite)
-}
-
-// ImportFacts seeds the store with a package's previously exported fact
-// blob — the vet driver path, where the go command supplies dependency
-// facts through the .cfg's PackageVetx table.
-func (r *Runner) ImportFacts(pkgPath string, blob []byte) error {
-	r.init()
-	return r.store.decodePackage(pkgPath, blob)
-}
-
-// ExportedFacts returns the encoded facts of one analyzed package, for
-// the vet driver to store at VetxOutput.
-func (r *Runner) ExportedFacts(pkgPath string) ([]byte, error) {
-	r.init()
-	return r.store.encodePackage(pkgPath)
 }
 
 // Run applies the suite to every package — dependencies first, so facts
@@ -356,7 +337,7 @@ func sortFindings(fs []Finding) {
 // FuncFor returns the *types.Func a call expression statically resolves to,
 // or nil for builtins, type conversions, function-typed variables and
 // interface-typed callees whose dynamic target is unknown. Shared by the
-// analyzers that classify calls (nondeterm, hotalloc, registryinit).
+// analyzers that classify calls (nondeterm, hotalloc).
 func FuncFor(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {

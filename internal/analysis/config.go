@@ -41,16 +41,3 @@ func ResultAffecting(pkgPath string) bool {
 	top, _, _ := strings.Cut(rest, "/")
 	return !infraPackages[top]
 }
-
-// InternalPackage reports whether pkgPath is one of this module's internal
-// packages — the only place registryinit permits registry mutation.
-func InternalPackage(pkgPath string) bool {
-	return strings.HasPrefix(pkgPath, modulePrefix+"internal/")
-}
-
-// Registry functions whose call sites registryinit polices, keyed by
-// defining package path, then function name.
-var RegistryFuncs = map[string]map[string]bool{
-	modulePrefix + "internal/prefetch": {"RegisterL1": true, "RegisterL2": true},
-	modulePrefix + "internal/trace":    {"Register": true},
-}

@@ -3,8 +3,8 @@ package analysis
 // The facts layer makes bovet interprocedural across the module, mirroring
 // golang.org/x/tools/go/analysis facts on the standard library only.
 //
-// A Fact is a serializable statement an analyzer proves about one object
-// (a function, method, type or package-level variable) or about a whole
+// A Fact is a statement an analyzer proves about one object (a function,
+// method, type or package-level variable) or about a whole
 // package while analyzing the package that declares it. Packages are
 // analyzed in dependency order — the loader emits dependencies before their
 // importers, exactly as `go list -deps` orders them — so when a pass later
@@ -18,25 +18,16 @@ package analysis
 // calling a concrete function in another package is checked against that
 // function's Allocates fact instead of stopping at the package edge.
 //
-// Encoding and identity. Facts travel as gob: each analyzer lists concrete
-// prototypes in Analyzer.FactTypes, and the Runner registers them with gob
-// before the first package runs. Objects are keyed by a stable string —
-// "Name" for package-scope objects, "Recv.Name" for methods — which covers
-// everything a downstream package can statically reference through export
-// data (only package-scope objects and methods of named types are visible
-// across a package boundary; an unexported helper's facts are consumed
-// inside its own package and summarized onto its exported callers).
-//
-// Persistence. A standalone run keeps facts in memory only: every package
-// it needs is analyzed in the one process. Under `go vet -vettool=` the go
-// command owns a cache: dependency facts arrive through the .cfg's
-// PackageVetx table and this package's facts leave through VetxOutput (see
-// cmd/bovet/vettool.go).
+// Identity. Each analyzer lists concrete prototypes in Analyzer.FactTypes.
+// Objects are keyed by a stable string — "Name" for package-scope objects,
+// "Recv.Name" for methods — which covers everything a downstream package can
+// statically reference (only package-scope objects and methods of named
+// types are visible across a package boundary; an unexported helper's facts
+// are consumed inside its own package and summarized onto its exported
+// callers). Facts live in memory only: every package a run needs is
+// analyzed in the one process.
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"go/types"
 	"reflect"
 	"strings"
@@ -44,8 +35,8 @@ import (
 
 // Fact is a statement proved about an object or package, exported by the
 // pass analyzing the defining package and importable by every downstream
-// pass. Implementations must be gob-encodable pointer types listed in
-// their analyzer's FactTypes.
+// pass. Implementations must be pointer types listed in their analyzer's
+// FactTypes.
 type Fact interface {
 	// AFact is a marker; it has no behavior.
 	AFact()
@@ -88,25 +79,17 @@ type factKey struct {
 	typ reflect.Type
 }
 
-// factStore holds every fact of the current run: imported ones (from the
-// vet driver) and ones exported by passes as they execute.
+// factStore holds every fact passes exported so far this run.
 type factStore struct {
 	m map[factKey]Fact
-	// order remembers per-package insertion order so encoded blobs are
-	// byte-stable regardless of map iteration.
-	order map[string][]factKey
 }
 
 func newFactStore() *factStore {
-	return &factStore{m: make(map[factKey]Fact), order: make(map[string][]factKey)}
+	return &factStore{m: make(map[factKey]Fact)}
 }
 
 func (s *factStore) put(pkg, obj string, f Fact) {
-	k := factKey{pkg, obj, reflect.TypeOf(f)}
-	if _, dup := s.m[k]; !dup {
-		s.order[pkg] = append(s.order[pkg], k)
-	}
-	s.m[k] = f
+	s.m[factKey{pkg, obj, reflect.TypeOf(f)}] = f
 }
 
 // get copies the stored fact for (pkg, obj, type of fptr) into fptr and
@@ -119,65 +102,6 @@ func (s *factStore) get(pkg, obj string, fptr Fact) bool {
 	}
 	reflect.ValueOf(fptr).Elem().Set(reflect.ValueOf(f).Elem())
 	return true
-}
-
-// wireFact is the gob record for one fact. The package is implicit: blobs
-// are encoded and decoded per package.
-type wireFact struct {
-	Obj  string // ObjectKey, "" for a package fact
-	Fact Fact
-}
-
-// encodePackage serializes every fact exported for pkgPath, in export
-// order.
-func (s *factStore) encodePackage(pkgPath string) ([]byte, error) {
-	var recs []wireFact
-	for _, k := range s.order[pkgPath] {
-		recs = append(recs, wireFact{Obj: k.obj, Fact: s.m[k]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("encoding facts for %s: %v", pkgPath, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePackage merges a previously encoded blob's facts into the store
-// under pkgPath.
-func (s *factStore) decodePackage(pkgPath string, data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var recs []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
-		return fmt.Errorf("decoding facts for %s: %v", pkgPath, err)
-	}
-	for _, r := range recs {
-		s.put(pkgPath, r.Obj, r.Fact)
-	}
-	return nil
-}
-
-// RegisterFactTypes registers every analyzer's fact prototypes with gob.
-// Idempotent per process; called by the Runner and the vettool driver
-// before any encode or decode.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gobRegisterOnce(f)
-		}
-	}
-}
-
-var gobRegistered = make(map[reflect.Type]bool)
-
-func gobRegisterOnce(f Fact) {
-	t := reflect.TypeOf(f)
-	if gobRegistered[t] {
-		return
-	}
-	gobRegistered[t] = true
-	gob.Register(f)
 }
 
 // ModulePackage reports whether pkgPath belongs to this module — the only

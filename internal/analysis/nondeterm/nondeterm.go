@@ -254,7 +254,7 @@ func checkMapRange(pass *analysis.Pass, file *ast.File, rng *ast.RangeStmt) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sink := sinkCall(pass, n); sink != "" {
-				pass.Reportf(rng.Pos(), "map iteration feeds %s; iterate sorted keys instead (see trace/registry.go)", sink)
+				pass.Reportf(rng.Pos(), "map iteration feeds %s; iterate sorted keys instead (see spec/registry.go)", sink)
 				return true
 			}
 		case *ast.AssignStmt:

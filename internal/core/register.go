@@ -5,6 +5,7 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 )
 
 // Spec registration: the Best-Offset prefetcher owns its name, parameter
@@ -14,17 +15,17 @@ import (
 // "bo:adaptive=true", "bo:offsets=1+2+8".
 func init() {
 	def := DefaultParams()
-	prefetch.RegisterL2("bo", prefetch.Definition[prefetch.L2Prefetcher]{
-		Help:     "Best-Offset prefetcher (the paper's design, Table 2 defaults)",
-		Build:    buildSpec,
-		Validate: func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+	prefetch.RegisterL2("bo", prefetch.L2Def{
+		Help:    "Best-Offset prefetcher (the paper's design, Table 2 defaults)",
+		Build:   buildSpec,
+		IntKeys: []string{"rr", "tagbits", "scoremax", "roundmax", "badscore", "offsets", "degree", "minbad", "maxbad"},
 		Defaults: map[string]string{
 			"rr":        fmt.Sprint(def.RREntries),
 			"tagbits":   fmt.Sprint(def.RRTagBits),
 			"scoremax":  fmt.Sprint(def.ScoreMax),
 			"roundmax":  fmt.Sprint(def.RoundMax),
 			"badscore":  fmt.Sprint(def.BadScore),
-			"offsets":   prefetch.FormatInts(def.Offsets),
+			"offsets":   spec.FormatInts(def.Offsets),
 			"degree":    "1",
 			"rratissue": "false",
 			"allaccess": "false",
@@ -36,8 +37,8 @@ func init() {
 }
 
 // buildSpec parses and validates bo's spec parameters and constructs the
-// prefetcher; the registered Validate hook delegates here (construction is
-// cheap), so a spec Normalize accepts is always constructible.
+// prefetcher. Normalize checks by calling it (construction is cheap), so a
+// spec Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()
 	var err error

@@ -31,7 +31,7 @@ import (
 // payload schemas below. A worker refuses jobs from a different protocol.
 //
 // v2: Job gained CheckpointSHA (warmup snapshots shipped by content hash,
-// like traces) and Options gained the Warmup/WarmupPF fields.
+// like traces) and Options gained the Warmup field.
 //
 // v3: Options carries per-core workload specs (Options.Workloads) instead
 // of the Workload/TracePath pair; trace replays travel as "file" specs in

@@ -13,10 +13,10 @@ import (
 // ',' — e.g. "duel:a=bo.degree~2,b=multi.minscore~6,period=4096".
 func init() {
 	def := DefaultParams()
-	prefetch.RegisterL2("duel", prefetch.Definition[prefetch.L2Prefetcher]{
+	prefetch.RegisterL2("duel", prefetch.L2Def{
 		Help:         "set-dueling meta-prefetcher: two candidate specs race in sample sets, the winner drives the rest",
 		Build:        buildSpec,
-		Validate:     func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+		IntKeys:      []string{"period", "margin", "sets", "sample", "recent"},
 		Canonicalize: prefetch.CanonicalizeSubSpecs("a", "b"),
 		Defaults: map[string]string{
 			"a":      "bo",
@@ -31,8 +31,8 @@ func init() {
 }
 
 // buildSpec parses and validates duel's spec parameters, builds both
-// candidates through the registry, and constructs the meta-prefetcher; the
-// registered Validate hook delegates here (construction is cheap), so a spec
+// candidates through the registry, and constructs the meta-prefetcher.
+// Normalize checks by calling it (construction is cheap), so a spec
 // Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()

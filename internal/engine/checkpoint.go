@@ -6,9 +6,8 @@
 // registers, generator cursors, random streams). That is what makes the
 // format tractable and the restore provably exact: Restore rebuilds the
 // machine from the same options and overwrites precisely the state the
-// barrier defines. Prefetchers are not part of it: the shared warmup runs
-// without them and the barrier installs them cold, and a warmup that did
-// run them (WarmupPF) is never checkpointed — see WarmupSignature.
+// barrier defines. Prefetchers are not part of it: the warmup runs without
+// them and the barrier installs them cold.
 //
 // Snapshot layout:
 //
@@ -56,9 +55,12 @@ import (
 // one varint record per valid line) instead of a []Line of every line.
 //
 // v5: a snapshot is the drained machine and nothing else — the per-core
-// prefetcher state frames (L2PF/L1PF) and the signature's WarmupPF/L2PF/L1PF
-// fields are gone.
-const SnapshotVersion = 5
+// prefetcher state frames (L2PF/L1PF) and the signature's prefetcher fields
+// are gone.
+//
+// v6: Options lost its run-the-prefetchers-through-the-warmup switch (a
+// warmup never runs them), and its spec fields are the one spec.Spec type.
+const SnapshotVersion = 6
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
@@ -110,15 +112,11 @@ type warmupSig struct {
 // warmup leg. Two runs with equal signatures warm identical machines, so
 // they can share one checkpoint; the experiment scheduler groups sweep
 // variants by exactly this value. It reports an error when the options name
-// a trace file that cannot be read, and under WarmupPF: a warmup that ran
-// the configured prefetchers is specific to them and is never shared, so it
-// has no signature — Checkpoint, Restore and experiments.WarmupKey all
-// inherit the refusal from here, and such a run executes straight.
+// a trace file that cannot be read: Checkpoint, Restore and
+// experiments.WarmupKey all inherit the refusal from here, and such a run
+// executes straight.
 func (o Options) WarmupSignature() (string, error) {
 	o = o.Normalized()
-	if o.WarmupPF {
-		return "", fmt.Errorf("engine: a WarmupPF warmup runs the configured prefetchers and is never checkpointed or shared")
-	}
 	sig := warmupSig{
 		Version:     SnapshotVersion,
 		Cores:       o.Cores,

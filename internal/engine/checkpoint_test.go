@@ -262,26 +262,6 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 			t.Errorf("restore into options with different %s succeeded", name)
 		}
 	}
-	// A warmup that ran the configured prefetchers has no signature at all,
-	// so it can neither restore from a snapshot nor produce one.
-	pf := o
-	pf.WarmupPF = true
-	if sig, err := pf.WarmupSignature(); err == nil {
-		t.Errorf("WarmupPF options signed as %s", sig)
-	}
-	if _, err := engine.Restore(snap, pf); err == nil {
-		t.Error("restore into WarmupPF options succeeded")
-	}
-	live, err := engine.New(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.RunWarmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := live.Checkpoint(); err == nil {
-		t.Error("checkpoint of a WarmupPF barrier succeeded")
-	}
 	// Options differing only in measured-region knobs restore fine.
 	ok := o
 	ok.Instructions = 5_000

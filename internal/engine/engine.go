@@ -58,13 +58,13 @@ type Options struct {
 	// registry spec (e.g. "bo", "offset:d=4", "bo:badscore=5"). The zero
 	// spec means the baseline next-line prefetcher.
 	//
-	//bovet:allow sigcomplete a signed warmup runs without prefetchers (installed cold at the barrier); a WarmupPF warmup has no signature
+	//bovet:allow sigcomplete the warmup runs without prefetchers; they are installed cold at the barrier
 	L2PF prefetch.Spec
 	// L1PF selects the DL1 prefetcher the same way. The zero spec means
 	// the baseline stride prefetcher; "none" disables DL1 prefetching
 	// (Figure 4's ablation).
 	//
-	//bovet:allow sigcomplete a signed warmup runs without prefetchers (installed cold at the barrier); a WarmupPF warmup has no signature
+	//bovet:allow sigcomplete the warmup runs without prefetchers; they are installed cold at the barrier
 	L1PF        prefetch.Spec
 	L3Policy    string // "5P" (default), "LRU", "DRRIP"
 	LatePromote bool
@@ -85,20 +85,15 @@ type Options struct {
 	// drained machine has no in-flight requests, so its state is exactly
 	// the warmed caches, TLBs, DRAM rows and generator cursors.
 	//
-	// Unless WarmupPF is set, the warmup region runs with both prefetchers
-	// disabled and the configured ones are installed — cold — at the
-	// barrier. That makes the warmup leg independent of the prefetcher
-	// specs, which is what lets a sweep share one warmup checkpoint across
-	// all its prefetcher variants (see experiments.Runner.Checkpoint).
+	// The warmup region runs with both prefetchers disabled and the
+	// configured ones are installed — cold — at the barrier. That makes the
+	// warmup leg independent of the prefetcher specs, which is what lets a
+	// sweep share one warmup checkpoint across all its prefetcher variants
+	// (see experiments.Runner.Checkpoint).
 	//
-	// The JSON tags keep zero values out of the encoding so cache keys of
+	// The JSON tag keeps the zero value out of the encoding so cache keys of
 	// warmupless runs are unchanged from before this field existed.
 	Warmup uint64 `json:",omitempty"`
-	// WarmupPF keeps the configured prefetchers active through the warmup
-	// region, so their learned state crosses the barrier. Such a warmup is
-	// specific to the exact prefetcher specs and is never checkpointed or
-	// shared: WarmupSignature refuses it and the run executes straight.
-	WarmupPF bool `json:",omitempty"`
 }
 
 // DefaultOptions returns a 1-core, 4KB-page run of the named workload with
@@ -134,22 +129,18 @@ func DefaultOptions(workload string) Options {
 // concrete baseline setting and both prefetcher specs in registry-canonical
 // form (default-valued parameters dropped), so two spellings of the same
 // run compare (and hash) equal. Specs that fail registry validation pass
-// through syntactically canonicalized; New reports the error.
+// through syntactically canonicalized (what Normalize returns next to its
+// error); New reports the error.
 func (o Options) Normalized() Options {
-	// Workload specs: registry-canonical form per entry (default-valued
-	// parameters dropped; specs that fail registry validation pass through
-	// syntactically canonicalized — New reports the error), with the tail
+	// Workload specs: registry-canonical form per entry, with the tail
 	// filled out to one spec per core so the satellite default is explicit
 	// in everything hashed or shipped from the normalized form. The slice
 	// is always reallocated: Options is a value type and callers must be
 	// able to mutate the original without aliasing the normalized copy.
 	ws := make([]trace.Spec, 0, max(len(o.Workloads), o.Cores))
 	for _, w := range o.Workloads {
-		if sp, err := trace.Normalize(w); err == nil {
-			ws = append(ws, sp)
-		} else {
-			ws = append(ws, w.Canonical())
-		}
+		w, _ = trace.Normalize(w)
+		ws = append(ws, w)
 	}
 	// Only satellite slots are filled: an empty list stays empty (so
 	// workload-less options never hash, sign or cache-key like an explicit
@@ -171,16 +162,8 @@ func (o Options) Normalized() Options {
 	if o.L1PF.IsZero() {
 		o.L1PF = prefetch.Spec{Name: "stride"}
 	}
-	if sp, err := prefetch.NormalizeL2(o.L2PF); err == nil {
-		o.L2PF = sp
-	} else {
-		o.L2PF = o.L2PF.Canonical()
-	}
-	if sp, err := prefetch.NormalizeL1(o.L1PF); err == nil {
-		o.L1PF = sp
-	} else {
-		o.L1PF = o.L1PF.Canonical()
-	}
+	o.L2PF, _ = prefetch.NormalizeL2(o.L2PF)
+	o.L1PF, _ = prefetch.NormalizeL1(o.L1PF)
 	if o.L3Policy == "" {
 		o.L3Policy = "5P"
 	}
@@ -188,11 +171,6 @@ func (o Options) Normalized() Options {
 		// IPC floor of 1/400 before declaring a wedge, covering the warmup
 		// region too.
 		o.MaxCycles = (o.Instructions + o.Warmup) * 400
-	}
-	if o.Warmup == 0 {
-		// Without a warmup region WarmupPF is inert; clearing it keeps the
-		// two spellings of the same run on one cache key.
-		o.WarmupPF = false
 	}
 	return o
 }
@@ -273,7 +251,7 @@ func New(o Options) (*Simulation, error) {
 // build assembles the machine. restored builds directly in the measured
 // phase with the configured prefetchers installed (Restore overwrites the
 // clock and barrier marks afterwards); otherwise a warmup run starts in
-// phaseWarmup, with prefetching disabled unless WarmupPF.
+// phaseWarmup, with prefetching disabled.
 func build(o Options, restored bool) (*Simulation, error) {
 	if o.Cores < 1 || o.Cores > 4 {
 		return nil, fmt.Errorf("engine: %d active cores unsupported (want 1..4)", o.Cores)
@@ -304,7 +282,7 @@ func build(o Options, restored bool) (*Simulation, error) {
 	ucfg.Seed = o.Seed
 
 	l2f, l1f := prefetcherFactories(o)
-	if o.Warmup > 0 && !o.WarmupPF && !restored {
+	if o.Warmup > 0 && !restored {
 		// The warmup region runs without prefetching; the barrier installs
 		// the configured prefetchers via SetPrefetchers.
 		l2f, l1f = nil, nil
@@ -362,12 +340,7 @@ func (o Options) WorkloadLabel() string {
 	if len(o.Workloads) == 0 {
 		return ""
 	}
-	sp := o.Workloads[0]
-	if n, err := trace.Normalize(sp); err == nil {
-		sp = n
-	} else {
-		sp = sp.Canonical()
-	}
+	sp, _ := trace.Normalize(o.Workloads[0])
 	return trace.HashSpec(sp).String()
 }
 
@@ -524,19 +497,16 @@ func (s *Simulation) quiesced() bool {
 
 // barrier transitions the drained machine into the measured region: the
 // dependence anchors are cleared (every load has retired), the configured
-// prefetchers are installed unless they ran through the warmup (WarmupPF),
-// all statistics reset, and the barrier marks are recorded. Both the
-// straight path and Restore produce exactly this state, which is what makes
-// checkpointed runs byte-identical to uncheckpointed ones.
+// prefetchers are installed, all statistics reset, and the barrier marks are
+// recorded. Both the straight path and Restore produce exactly this state,
+// which is what makes checkpointed runs byte-identical to uncheckpointed
+// ones.
 func (s *Simulation) barrier() {
 	for _, c := range s.cores {
 		c.ClearDepChain()
 		c.SetPaused(false)
 	}
-	if !s.opts.WarmupPF {
-		l2f, l1f := prefetcherFactories(s.opts)
-		s.hier.SetPrefetchers(l2f, l1f)
-	}
+	s.hier.SetPrefetchers(prefetcherFactories(s.opts))
 	s.hier.ResetStats()
 	s.phase = phaseMeasure
 	s.startCycles = s.now

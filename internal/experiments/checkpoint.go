@@ -34,9 +34,8 @@ import (
 // WarmupKey returns the hex SHA-256 of o's warmup signature: the identity
 // of the warmup leg the run needs. Jobs with equal keys can fork from one
 // checkpoint. It returns an error for jobs without a warmup region (there
-// is nothing to share), whose trace file is unreadable, or whose warmup
-// runs the configured prefetchers (WarmupPF: WarmupSignature refuses it);
-// the scheduler runs all of those straight.
+// is nothing to share) or whose trace file is unreadable; the scheduler runs
+// those straight.
 func WarmupKey(o engine.Options) (string, error) {
 	o = o.Normalized()
 	if o.Warmup == 0 {
@@ -187,7 +186,7 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 // first takes a follower of the group whose leg is still running and blocks
 // on it, and the legs run one after another. Leaders first, each slot runs
 // a different group's leg at once and a follower finds its snapshot ready.
-// Jobs without a warmup key (no warmup region, WarmupPF) keep their place
+// Jobs without a warmup key (no warmup region) keep their place
 // among the followers.
 func leadersFirst(jobs []engine.Options) []engine.Options {
 	seen := make(map[string]bool)
@@ -210,7 +209,7 @@ func leadersFirst(jobs []engine.Options) []engine.Options {
 func (c *ckptResolver) resolve(o engine.Options) (checkpointRef, bool) {
 	key, err := WarmupKey(o)
 	if err != nil {
-		return checkpointRef{}, false // no warmup region, WarmupPF or unreadable trace
+		return checkpointRef{}, false // no warmup region or unreadable trace
 	}
 	c.mu.Lock()
 	e := c.groups[key]

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -250,47 +249,6 @@ func TestCheckpointReuseAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestWarmupPFRunsStraight mixes shared-warmup and WarmupPF jobs in one
-// checkpointing job set: the WarmupPF jobs have no warmup key, so they pay
-// no leg, execute straight with engine.Run's bytes, and leave the
-// checkpoint directory holding one snapshot per shared group only.
-func TestWarmupPFRunsStraight(t *testing.T) {
-	shared := sweepJobs(5_000, "416.gamess", "456.hmmer")
-	var live []engine.Options
-	for _, o := range shared[1:3] { // nextline and bo on 416.gamess
-		o.WarmupPF = true
-		live = append(live, o)
-	}
-	jobs := append(append([]engine.Options{}, shared...), live...)
-
-	r := tinyRunner()
-	r.Workers = 2
-	r.Checkpoint = true
-	r.CheckpointDir = t.TempDir()
-	if err := r.RunJobs(jobs); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Executed(); got != uint64(len(jobs)) {
-		t.Errorf("executed %d simulations, want %d", got, len(jobs))
-	}
-	for _, o := range live {
-		want, err := engine.Run(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.run(o); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: scheduled result differs from engine.Run\n got %+v\nwant %+v", describeOptions(o), got, want)
-		}
-	}
-	snaps, err := filepath.Glob(filepath.Join(r.CheckpointDir, "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 2 {
-		t.Errorf("checkpoint dir holds %v, want one .ckpt per shared group (2)", snaps)
-	}
-}
-
 // TestWarmupKeyExcludesSweptSpecs checks the grouping key: prefetcher
 // variants share one warmup leg; anything shaping the warmed machine does
 // not.
@@ -327,16 +285,6 @@ func TestWarmupKeyExcludesSweptSpecs(t *testing.T) {
 		mutate(&o)
 		if k, err := WarmupKey(o); err != nil || k == baseKey {
 			t.Errorf("changing %s does not split the warmup group (err %v)", field, err)
-		}
-	}
-	// Under WarmupPF the warmup runs the configured prefetchers: it belongs
-	// to no group at all, whatever the specs.
-	for _, l2 := range []string{"nextline", "bo"} {
-		o := base
-		o.WarmupPF = true
-		o.L2PF = prefetch.Spec{Name: l2}
-		if k, err := WarmupKey(o); err == nil {
-			t.Errorf("WarmupPF run with L2PF=%s has warmup key %.12s, want a refusal", l2, k)
 		}
 	}
 	// No warmup region: nothing to share.

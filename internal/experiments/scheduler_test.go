@@ -197,7 +197,6 @@ func TestOptionsKeyComplete(t *testing.T) {
 		"CPU":      func(o *engine.Options) { o.CPU.ROBSize = 128 },
 		"Offset d": func(o *engine.Options) { o.L2PF = prefetch.MustSpec("offset:d=3") },
 		"Warmup":   func(o *engine.Options) { o.Warmup = 10_000 },
-		"WarmupPF": func(o *engine.Options) { o.Warmup = 10_000; o.WarmupPF = true },
 	}
 	baseKey := OptionsHash(base)
 	for field, mutate := range mutations {

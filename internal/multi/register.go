@@ -5,18 +5,19 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 )
 
 // Spec registration: "multi" joined the prefetcher zoo through the registry
 // alone — see the package comment.
 func init() {
 	def := DefaultParams()
-	prefetch.RegisterL2("multi", prefetch.Definition[prefetch.L2Prefetcher]{
-		Help:     "multi-offset prefetcher with per-window accuracy gating",
-		Build:    buildSpec,
-		Validate: func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+	prefetch.RegisterL2("multi", prefetch.L2Def{
+		Help:    "multi-offset prefetcher with per-window accuracy gating",
+		Build:   buildSpec,
+		IntKeys: []string{"offsets", "period", "minscore", "maxissue", "recent"},
 		Defaults: map[string]string{
-			"offsets":  prefetch.FormatInts(def.Offsets),
+			"offsets":  spec.FormatInts(def.Offsets),
 			"period":   fmt.Sprint(def.Period),
 			"minscore": fmt.Sprint(def.MinScore),
 			"maxissue": fmt.Sprint(def.MaxIssue),
@@ -26,8 +27,8 @@ func init() {
 }
 
 // buildSpec parses and validates multi's spec parameters and constructs the
-// prefetcher; the registered Validate hook delegates here (construction is
-// cheap), so a spec Normalize accepts is always constructible.
+// prefetcher. Normalize checks by calling it (construction is cheap), so a
+// spec Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()
 	var err error

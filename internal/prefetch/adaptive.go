@@ -38,7 +38,7 @@ type MetaL2 interface {
 }
 
 // Sub-spec quoting. A spec value may not contain ':', '=' or ',' (see
-// checkValue), so a child spec cannot be embedded verbatim in a parent
+// internal/spec), so a child spec cannot be embedded verbatim in a parent
 // parameter like duel's a=/b=. QuoteSubSpec substitutes each reserved
 // character with a legal stand-in and ParseSubSpec reverses it:
 //
@@ -83,26 +83,25 @@ func ParseSubSpec(v string) (Spec, error) {
 // leaving every other key untouched. Registered by the meta-prefetchers for
 // their child-spec parameters, so equivalent spellings of a nested spec
 // collapse to one canonical parent form.
-func CanonicalizeSubSpecs(keys ...string) func(key, value string) (string, error) {
-	return func(key, value string) (string, error) {
-		isSub := false
-		for _, k := range keys {
-			if k == key {
-				isSub = true
-				break
+func CanonicalizeSubSpecs(keys ...string) func(params map[string]string) error {
+	return func(params map[string]string) error {
+		for _, key := range keys {
+			value, ok := params[key]
+			if !ok {
+				continue
 			}
+			sp, err := ParseSubSpec(value)
+			if err == nil {
+				sp, err = NormalizeL2(sp)
+			}
+			if err == nil {
+				value, err = QuoteSubSpec(sp)
+			}
+			if err != nil {
+				return fmt.Errorf("%s=%q: %v", key, params[key], err)
+			}
+			params[key] = value
 		}
-		if !isSub {
-			return value, nil
-		}
-		sp, err := ParseSubSpec(value)
-		if err != nil {
-			return "", err
-		}
-		norm, err := NormalizeL2(sp)
-		if err != nil {
-			return "", err
-		}
-		return QuoteSubSpec(norm)
+		return nil
 	}
 }

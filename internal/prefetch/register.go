@@ -11,35 +11,31 @@ import (
 // Richer prefetchers (bo, sbp, multi, stride) register from their own
 // packages — see internal/prefetch/all for the link-time bundle.
 //
-// Every Definition spells out Defaults (the parameter schema; empty means
-// "accepts no parameters") and a Validate hook — construction is cheap
-// here, so Validate delegates to the same builder Normalize used to call.
-// The registryinit analyzer enforces this shape on all registrations.
+// Every definition spells out Defaults (the parameter schema; empty means
+// "accepts no parameters" — the registry refuses a nil one). None sets
+// Validate: construction is cheap, so Normalize checks by building.
 
 func init() {
-	RegisterL2("none", Definition[L2Prefetcher]{
+	RegisterL2("none", L2Def{
 		Help:     "no L2 prefetching (Figure 5's ablation)",
 		Defaults: map[string]string{},
 		Build:    buildNoneL2,
-		Validate: func(v Values) error { _, err := buildNoneL2(mem.Page4K, v); return err },
 	})
-	RegisterL2("nextline", Definition[L2Prefetcher]{
+	RegisterL2("nextline", L2Def{
 		Help:     "baseline next-line prefetcher (offset 1, section 5.6)",
 		Defaults: map[string]string{},
 		Build:    buildNextLine,
-		Validate: func(v Values) error { _, err := buildNextLine(mem.Page4K, v); return err },
 	})
-	RegisterL2("offset", Definition[L2Prefetcher]{
+	RegisterL2("offset", L2Def{
 		Help:     "fixed-offset prefetcher: X -> X+d (Figures 7 and 8)",
 		Defaults: map[string]string{"d": "1"},
+		IntKeys:  []string{"d"},
 		Build:    buildOffset,
-		Validate: func(v Values) error { _, err := buildOffset(mem.Page4K, v); return err },
 	})
-	RegisterL1("none", Definition[L1Prefetcher]{
+	RegisterL1("none", L1Def{
 		Help:     "no DL1 prefetching (Figure 4's ablation)",
 		Defaults: map[string]string{},
 		Build:    buildNoneL1,
-		Validate: func(v Values) error { _, err := buildNoneL1(mem.Page4K, v); return err },
 	})
 }
 

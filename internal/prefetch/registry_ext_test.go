@@ -33,7 +33,7 @@ func TestFullRegistryNames(t *testing.T) {
 		}
 	}
 	for _, n := range prefetch.L2Names() {
-		if prefetch.L2Help(n) == "" {
+		if prefetch.L2.Help(n) == "" {
 			t.Errorf("registered prefetcher %q has no help line", n)
 		}
 	}
@@ -52,6 +52,20 @@ func TestNormalizeDropsRegisteredDefaults(t *testing.T) {
 		{"sbp:period=128,cutoff1=256", "sbp:period=128"},
 		// ...while a genuinely non-default cutoff is kept.
 		{"sbp:period=128,cutoff1=128", "sbp:cutoff1=128,period=128"},
+		// Integer-typed values — scalars and '+'-lists — re-render
+		// canonically (IntKeys), so a zero-padded spelling of a default, or
+		// of any value, is not a second cache key for the same run.
+		{"offset:d=04", "offset:d=4"},
+		{"offset:d=01", "offset"},
+		{"bo:badscore=01", "bo"},
+		{"bo:badscore=05,rr=0256", "bo:badscore=5"},
+		{"bo:offsets=01+2+008", "bo:offsets=1+2+8"},
+		{"sbp:period=0128,bits=02048", "sbp:period=128"},
+		{"multi:offsets=01+2+4+8", "multi:offsets=1+2+4+8"},
+		{"duel:period=0512,a=offset.d~04", "duel:a=offset.d~4,period=512"},
+		{"adapt:window=08192,base=bo.badscore~01", "adapt:window=8192"},
+		// String-typed values keep their spelling.
+		{"adapt:base=multi,key=minscore,levels=048+24", "adapt:base=multi,key=minscore,levels=048+24"},
 	}
 	for _, c := range cases {
 		got, err := prefetch.NormalizeL2(prefetch.MustSpec(c.in))
@@ -63,8 +77,10 @@ func TestNormalizeDropsRegisteredDefaults(t *testing.T) {
 			t.Errorf("NormalizeL2(%q) = %q, want %q", c.in, got.String(), c.want)
 		}
 	}
-	if got, err := prefetch.NormalizeL1(prefetch.MustSpec("stride:dist=16")); err != nil || got.String() != "stride" {
-		t.Errorf("NormalizeL1(stride:dist=16) = %q, %v", got, err)
+	for _, in := range []string{"stride:dist=16", "stride:dist=016"} {
+		if got, err := prefetch.NormalizeL1(prefetch.MustSpec(in)); err != nil || got.String() != "stride" {
+			t.Errorf("NormalizeL1(%s) = %q, %v", in, got, err)
+		}
 	}
 	// L1 and L2 namespaces stay separate even fully linked.
 	if _, err := prefetch.NormalizeL1(prefetch.Spec{Name: "bo"}); err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bopsim/internal/mem"
+	"bopsim/internal/spec"
 )
 
 func TestBuiltinL2Registrations(t *testing.T) {
@@ -71,16 +72,26 @@ func TestRegisterRejectsDuplicatesAndBadNames(t *testing.T) {
 		}()
 		fn()
 	}
+	// Each case is otherwise complete, so only the named defect can be
+	// what panics.
 	build := func(mem.PageSize, Values) (L2Prefetcher, error) { return None{}, nil }
 	expectPanic("duplicate registration", func() {
-		RegisterL2("nextline", Definition[L2Prefetcher]{Build: build})
+		RegisterL2("nextline", L2Def{Build: build, Defaults: map[string]string{}})
 	})
 	expectPanic("bad name", func() {
-		RegisterL2("Next Line", Definition[L2Prefetcher]{Build: build})
+		RegisterL2("Next Line", L2Def{Build: build, Defaults: map[string]string{}})
 	})
 	expectPanic("nil Build", func() {
-		RegisterL2("broken", Definition[L2Prefetcher]{})
+		RegisterL2("broken", L2Def{Defaults: map[string]string{}})
 	})
+	expectPanic("nil Defaults", func() {
+		RegisterL2("schemaless", L2Def{Build: build})
+	})
+	for _, name := range []string{"broken", "schemaless"} {
+		if _, err := NewL2(Spec{Name: name}, mem.Page4K); err == nil {
+			t.Errorf("refused registration %q is in the registry", name)
+		}
+	}
 }
 
 func TestValuesAccessors(t *testing.T) {
@@ -113,7 +124,7 @@ func TestValuesAccessors(t *testing.T) {
 func TestFormatIntsRoundTrips(t *testing.T) {
 	list := []int{1, -2, 300}
 	var err error
-	got := Values{"x": FormatInts(list)}.Ints("x", nil, &err)
+	got := Values{"x": spec.FormatInts(list)}.Ints("x", nil, &err)
 	if err != nil || len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 300 {
 		t.Errorf("FormatInts round trip = %v, %v", got, err)
 	}

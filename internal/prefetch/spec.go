@@ -1,182 +1,96 @@
 package prefetch
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"bopsim/internal/mem"
+	"bopsim/internal/spec"
 )
 
-// Spec is a self-describing prefetcher configuration: a registered name
-// plus free-form string parameters that the named prefetcher's factory
-// parses and validates. It replaces the historical closed enum + per-kind
-// option fields, so a new prefetcher is a new registration, not an engine
-// edit.
+// This file binds internal/spec to the prefetcher axis. Each prefetcher
+// package registers a definition for its name in an init function (core
+// registers "bo", sbp "sbp", and so on; internal/prefetch/all blank-imports
+// every implementation, the way image codecs and database drivers link in).
 //
-// The canonical string form is
-//
-//	name[:key=value[,key=value]...]
-//
-// e.g. "nextline", "offset:d=4", "bo:badscore=5,rr=64". Names and keys are
-// lowercase [a-z0-9_-]; values may not contain ',', '=', ':' or
-// whitespace (lists use '+' as separator, e.g. "offsets=1+2+8"). String
-// renders keys sorted, so the canonical form — and anything hashed from it
-// — is deterministic.
-//
-//bovet:schemalock
-type Spec struct {
-	Name   string            `json:"name"`
-	Params map[string]string `json:"params,omitempty"`
-}
+// There are two registries for the two attachment points: L2 prefetchers
+// (physical line addresses, the paper's configurable slot) and L1
+// prefetchers (PC + virtual address, the DL1 stride slot).
 
-// ParseSpec parses the canonical string form. The result is syntactically
-// canonical (lowercased name and keys, no empty map); whether the name is
+// Spec names a prefetcher and its parameters, e.g. "nextline", "offset:d=4",
+// "bo:badscore=5,rr=64".
+type Spec = spec.Spec
+
+// Values is the parameter map a Build function parses.
+type Values = spec.Values
+
+// Grammar is the prefetcher axis' spec syntax: names are lowercase
+// [a-z0-9_-] and fold on input ("BO" is "bo"); no value character is
+// reserved beyond the shared ones, which leaves '.', '~' and ';' free to
+// quote nested sub-specs (see QuoteSubSpec).
+var Grammar = spec.Grammar{Pkg: "prefetch", FoldNames: true}
+
+// L2Build and L1Build construct a prefetcher for one page size. A nil
+// result with a nil error means "explicitly no prefetcher" (the "none"
+// registrations).
+type (
+	L2Build = func(page mem.PageSize, v Values) (L2Prefetcher, error)
+	L1Build = func(page mem.PageSize, v Values) (L1Prefetcher, error)
+	// L2Def and L1Def are what RegisterL2 and RegisterL1 take.
+	L2Def = spec.Definition[L2Build]
+	L1Def = spec.Definition[L1Build]
+)
+
+// L2 and L1 are the two registries. A definition without a Validate hook is
+// checked by building for 4KB pages: prefetcher construction is cheap.
+var (
+	L2 = spec.NewRegistry(Grammar, "prefetcher", func(b L2Build, v Values) error { _, err := b(mem.Page4K, v); return err })
+	L1 = spec.NewRegistry(Grammar, "prefetcher", func(b L1Build, v Values) error { _, err := b(mem.Page4K, v); return err })
+)
+
+// ParseSpec parses the canonical string form; whether the name is
 // registered and the parameters valid is checked by NewL2/NewL1 (or
 // NormalizeL2/NormalizeL1).
-func ParseSpec(s string) (Spec, error) {
-	s = strings.TrimSpace(s)
-	name, rest, hasParams := strings.Cut(s, ":")
-	name = strings.ToLower(strings.TrimSpace(name))
-	if err := checkToken(name); err != nil {
-		return Spec{}, fmt.Errorf("prefetch: bad spec name %q: %v", name, err)
-	}
-	sp := Spec{Name: name}
-	if !hasParams {
-		return sp, nil
-	}
-	sp.Params = make(map[string]string)
-	for _, kv := range strings.Split(rest, ",") {
-		key, value, ok := strings.Cut(kv, "=")
-		key = strings.ToLower(strings.TrimSpace(key))
-		value = strings.TrimSpace(value)
-		if !ok || key == "" || value == "" {
-			return Spec{}, fmt.Errorf("prefetch: bad spec parameter %q in %q (want key=value)", kv, s)
-		}
-		if err := checkToken(key); err != nil {
-			return Spec{}, fmt.Errorf("prefetch: bad parameter key %q: %v", key, err)
-		}
-		if err := checkValue(value); err != nil {
-			return Spec{}, fmt.Errorf("prefetch: bad value %q for %q: %v", value, key, err)
-		}
-		if _, dup := sp.Params[key]; dup {
-			return Spec{}, fmt.Errorf("prefetch: duplicate parameter %q in %q", key, s)
-		}
-		sp.Params[key] = value
-	}
-	if len(sp.Params) == 0 {
-		return Spec{}, fmt.Errorf("prefetch: empty parameter list in %q", s)
-	}
-	return sp, nil
-}
+func ParseSpec(s string) (Spec, error) { return Grammar.Parse(s) }
 
 // MustSpec is ParseSpec that panics on error, for tests and examples.
-func MustSpec(s string) Spec {
-	sp, err := ParseSpec(s)
+func MustSpec(s string) Spec { return Grammar.MustParse(s) }
+
+// RegisterL2 registers an L2 prefetcher definition under name; see
+// spec.Registry.Register for what panics.
+func RegisterL2(name string, def L2Def) { L2.Register(name, def) }
+
+// RegisterL1 registers an L1 (DL1) prefetcher definition under name.
+func RegisterL1(name string, def L1Def) { L1.Register(name, def) }
+
+// NewL2 builds the L2 prefetcher described by s. Unknown names and
+// parameters, and invalid parameter values, are errors.
+func NewL2(s Spec, page mem.PageSize) (L2Prefetcher, error) { return build(L2, s, page) }
+
+// NewL1 builds the L1 prefetcher described by s. A nil prefetcher with a
+// nil error means the spec explicitly disables L1 prefetching ("none").
+func NewL1(s Spec, page mem.PageSize) (L1Prefetcher, error) { return build(L1, s, page) }
+
+func build[T any](r *spec.Registry[func(mem.PageSize, Values) (T, error)], s Spec, page mem.PageSize) (T, error) {
+	var zero T
+	def, s, err := r.Lookup(s)
 	if err != nil {
-		panic(err)
+		return zero, err
 	}
-	return sp
+	p, err := def.Build(page, Values(s.Params))
+	if err != nil {
+		return zero, r.BuildError(s, err)
+	}
+	return p, nil
 }
 
-// String renders the canonical form: lowercase name, parameters sorted by
-// key. ParseSpec(s.String()) reproduces s exactly for any canonical s.
-func (s Spec) String() string {
-	var b strings.Builder
-	b.WriteString(strings.ToLower(s.Name))
-	for i, key := range s.sortedKeys() {
-		if i == 0 {
-			b.WriteByte(':')
-		} else {
-			b.WriteByte(',')
-		}
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(s.Params[key])
-	}
-	return b.String()
-}
+// NormalizeL2 validates s against the L2 registry and returns its canonical
+// form (see spec.Registry.Normalize): "bo:scoremax=31" and "bo" normalize —
+// and therefore hash — identically.
+func NormalizeL2(s Spec) (Spec, error) { return L2.Normalize(s) }
 
-// IsZero reports whether the spec is unset (no name).
-func (s Spec) IsZero() bool { return s.Name == "" }
+// NormalizeL1 is NormalizeL2 for the L1 registry.
+func NormalizeL1(s Spec) (Spec, error) { return L1.Normalize(s) }
 
-// Equal reports whether two specs are canonically identical: same
-// lowercased name and exactly the same parameters.
-func (s Spec) Equal(o Spec) bool { return s.String() == o.String() }
+// L2Names returns the sorted names of every registered L2 prefetcher.
+func L2Names() []string { return L2.Names() }
 
-// Get returns the raw value of one parameter.
-func (s Spec) Get(key string) (string, bool) {
-	v, ok := s.Params[key]
-	return v, ok
-}
-
-// With returns a copy of the spec with one parameter set; the receiver is
-// not modified. It is the programmatic way to build sweep variants:
-// bo.With("badscore", "5").
-func (s Spec) With(key, value string) Spec {
-	out := Spec{Name: s.Name, Params: make(map[string]string, len(s.Params)+1)}
-	for k, v := range s.Params {
-		out.Params[k] = v
-	}
-	out.Params[strings.ToLower(key)] = value
-	return out
-}
-
-// Canonical returns the spec in syntactic canonical form: lowercased name,
-// nil map when empty, copied map otherwise (so the result shares no state
-// with the receiver). It does not consult the registry; NormalizeL2/L1
-// additionally validate the name and drop default-valued parameters.
-func (s Spec) Canonical() Spec {
-	out := Spec{Name: strings.ToLower(s.Name)}
-	if len(s.Params) == 0 {
-		return out
-	}
-	out.Params = make(map[string]string, len(s.Params))
-	for k, v := range s.Params {
-		out.Params[strings.ToLower(k)] = v
-	}
-	return out
-}
-
-func (s Spec) sortedKeys() []string {
-	if len(s.Params) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(s.Params))
-	for k := range s.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// checkToken validates a name or parameter key: non-empty lowercase
-// [a-z0-9_-].
-func checkToken(t string) error {
-	if t == "" {
-		return fmt.Errorf("empty")
-	}
-	for _, r := range t {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_', r == '-':
-		default:
-			return fmt.Errorf("character %q not allowed", r)
-		}
-	}
-	return nil
-}
-
-// checkValue validates a parameter value: non-empty, printable, and free of
-// the spec syntax characters so String() always re-parses.
-func checkValue(v string) error {
-	if v == "" {
-		return fmt.Errorf("empty")
-	}
-	for _, r := range v {
-		switch {
-		case r == ',' || r == '=' || r == ':':
-			return fmt.Errorf("character %q not allowed", r)
-		case r <= ' ' || r == 0x7f:
-			return fmt.Errorf("whitespace/control characters not allowed")
-		}
-	}
-	return nil
-}
+// L1Names returns the sorted names of every registered L1 prefetcher.
+func L1Names() []string { return L1.Names() }

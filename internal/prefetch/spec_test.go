@@ -116,7 +116,9 @@ func TestNormalizeRejectsUnknown(t *testing.T) {
 
 // FuzzParseSpec checks that whatever ParseSpec accepts survives the
 // canonical round trip: parse -> String -> parse yields an equal spec, and
-// the canonical form is a fixed point of itself.
+// the canonical form is a fixed point of itself. `go test` replays this
+// seed corpus through the binding; CI spends its fuzz budget on
+// spec.FuzzParse, which drives both grammars.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"bo", "nextline", "offset:d=4", "bo:badscore=5,rr=64",

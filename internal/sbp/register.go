@@ -5,6 +5,7 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 )
 
 // PreIssueTagCheck implements prefetch.PreIssueTagChecker: the paper adds
@@ -23,10 +24,10 @@ var _ prefetch.PreIssueTagChecker = (*Prefetcher)(nil)
 // therefore spell the cutoffs they want.
 func init() {
 	def := DefaultParams()
-	prefetch.RegisterL2("sbp", prefetch.Definition[prefetch.L2Prefetcher]{
-		Help:     "Sandbox prefetcher (Pugsley et al.) as adapted in section 6.3",
-		Build:    buildSpec,
-		Validate: func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+	prefetch.RegisterL2("sbp", prefetch.L2Def{
+		Help:    "Sandbox prefetcher (Pugsley et al.) as adapted in section 6.3",
+		Build:   buildSpec,
+		IntKeys: []string{"period", "bits", "hashes", "maxissue", "cutoff1", "cutoff2", "cutoff3", "offsets"},
 		Defaults: map[string]string{
 			"period":   fmt.Sprint(def.Period),
 			"bits":     fmt.Sprint(def.BloomBits),
@@ -35,14 +36,14 @@ func init() {
 			"cutoff1":  fmt.Sprint(def.Cutoff1),
 			"cutoff2":  fmt.Sprint(def.Cutoff2),
 			"cutoff3":  fmt.Sprint(def.Cutoff3),
-			"offsets":  prefetch.FormatInts(def.Offsets),
+			"offsets":  spec.FormatInts(def.Offsets),
 		},
 	})
 }
 
 // buildSpec parses and validates sbp's spec parameters and constructs the
-// prefetcher; the registered Validate hook delegates here (construction is
-// cheap), so a spec Normalize accepts is always constructible.
+// prefetcher. Normalize checks by calling it (construction is cheap), so a
+// spec Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()
 	var err error

@@ -13,10 +13,10 @@ var _ prefetch.L1Prefetcher = (*Prefetcher)(nil)
 // 5.5. The prefetch distance factor is the one exposed tunable
 // ("stride:dist=8"); the table geometry is architectural and fixed.
 func init() {
-	prefetch.RegisterL1("stride", prefetch.Definition[prefetch.L1Prefetcher]{
-		Help:     "DL1 stride prefetcher, PC-indexed, TLB2-gated (section 5.5)",
-		Build:    buildSpec,
-		Validate: func(v prefetch.Values) error { _, err := buildSpec(mem.Page4K, v); return err },
+	prefetch.RegisterL1("stride", prefetch.L1Def{
+		Help:    "DL1 stride prefetcher, PC-indexed, TLB2-gated (section 5.5)",
+		Build:   buildSpec,
+		IntKeys: []string{"dist"},
 		Defaults: map[string]string{
 			"dist": fmt.Sprint(DistanceFactor),
 		},
@@ -24,8 +24,8 @@ func init() {
 }
 
 // buildSpec parses and validates stride's spec parameters and constructs
-// the prefetcher; the registered Validate hook delegates here (construction
-// is cheap), so a spec Normalize accepts is always constructible.
+// the prefetcher. Normalize checks by calling it (construction is cheap), so
+// a spec Normalize accepts is always constructible.
 func buildSpec(_ mem.PageSize, v prefetch.Values) (prefetch.L1Prefetcher, error) {
 	var err error
 	dist := v.Int("dist", DistanceFactor, &err)

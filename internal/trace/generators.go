@@ -7,6 +7,7 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/rng"
+	"bopsim/internal/spec"
 )
 
 // This file registers the parameterized micro-pattern generators the
@@ -42,7 +43,7 @@ func registerMixerPattern(d mixerPattern) {
 	defaults := map[string]string{
 		"seed":       "0",
 		"memper1000": strconv.Itoa(d.prep.mp),
-		"footprint":  FormatSize(d.prep.fp),
+		"footprint":  spec.FormatSize(d.prep.fp),
 	}
 	intKeys := []string{"seed", "memper1000"}
 	if d.hasStride {
@@ -177,7 +178,7 @@ func checkMixerParams(memPer1000, storePct, stride int, fp mem.Addr) error {
 	if mem.Addr(stride) >= fp {
 		// A stride at or past the footprint wraps to position zero on every
 		// step: the same single-hot-line degeneration, just spelled larger.
-		return fmt.Errorf("stride=%d not below footprint %s", stride, FormatSize(fp))
+		return fmt.Errorf("stride=%d not below footprint %s", stride, spec.FormatSize(fp))
 	}
 	if fp < 64*kb {
 		// 64kb keeps every component's geometry meaningful after footprint
@@ -185,13 +186,13 @@ func checkMixerParams(memPer1000, storePct, stride int, fp mem.Addr) error {
 		// 459.GemsFDTD's 24-stripe stride sequence) need dozens of lines
 		// per stripe, and below this floor they would degenerate to a
 		// handful of hot lines.
-		return fmt.Errorf("footprint %s below the 64kb minimum", FormatSize(fp))
+		return fmt.Errorf("footprint %s below the 64kb minimum", spec.FormatSize(fp))
 	}
 	if fp > mb<<10 {
 		// Component address regions are spaced 1GB apart (regionBase), so a
 		// larger footprint would silently overlap a benchmark's neighbouring
 		// components. 1GB also dwarfs every cache level being studied.
-		return fmt.Errorf("footprint %s above the 1gb region-spacing maximum", FormatSize(fp))
+		return fmt.Errorf("footprint %s above the 1gb region-spacing maximum", spec.FormatSize(fp))
 	}
 	return nil
 }
@@ -225,7 +226,7 @@ func checkWeights(weights []int, slots int, what string) error {
 // region= parameter opts out per slot: a sub-generator with a non-zero
 // region index is shifted into its own disjoint address range (see
 // regionGen), turning the same mix into a model of co-running programs —
-// the interference-matrix building block (DESIGN.md section 5).
+// the interference-matrix building block (DESIGN.md section 0).
 type mixGen struct {
 	rand      *rng.Stream
 	subs      []StatefulGenerator
@@ -336,7 +337,7 @@ func registerMix() {
 			"region":  "",
 		},
 		IntKeys: []string{"seed", "weights", "region"},
-		CanonicalizeParams: func(params map[string]string) {
+		Canonicalize: func(params map[string]string) error {
 			// An all-ones weights list is the implicit default for any gens
 			// (validation already pinned its length): drop it so
 			// "mix:weights=1+1" and "mix" share one canonical form and one
@@ -356,6 +357,7 @@ func registerMix() {
 			}
 			allEqual("weights", "1")
 			allEqual("region", "0")
+			return nil
 		},
 		Validate: func(v Values) error {
 			_, _, _, err := parseMix(v)

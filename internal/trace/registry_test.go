@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bopsim/internal/spec"
 )
 
 func TestRegistryCoversBenchmarksAndMicroPatterns(t *testing.T) {
@@ -442,7 +444,7 @@ func TestFileSpecHashForms(t *testing.T) {
 }
 
 func TestParamDefaultsSchema(t *testing.T) {
-	defs, ok := ParamDefaults("gups")
+	defs, ok := Generators.Defaults("gups")
 	if !ok {
 		t.Fatal("gups not registered")
 	}
@@ -451,14 +453,14 @@ func TestParamDefaultsSchema(t *testing.T) {
 			t.Errorf("gups schema missing %q", key)
 		}
 	}
-	if _, ok := ParamDefaults("no-such-gen"); ok {
+	if _, ok := Generators.Defaults("no-such-gen"); ok {
 		t.Error("schema reported for unregistered name")
 	}
 	// The returned map is a copy: mutating it must not poison the registry.
 	defs["footprint"] = "tampered"
-	again, _ := ParamDefaults("gups")
+	again, _ := Generators.Defaults("gups")
 	if again["footprint"] == "tampered" {
-		t.Error("ParamDefaults leaks registry state")
+		t.Error("Defaults leaks registry state")
 	}
 }
 
@@ -466,19 +468,19 @@ func TestSizeParsing(t *testing.T) {
 	for raw, want := range map[string]uint64{
 		"64mb": 64 << 20, "512kb": 512 << 10, "1gb": 1 << 30, "4096": 4096, "2MB": 2 << 20,
 	} {
-		got, err := ParseSize(raw)
+		got, err := spec.ParseSize(raw)
 		if err != nil || uint64(got) != want {
 			t.Errorf("ParseSize(%q) = %d, %v; want %d", raw, got, err, want)
 		}
 	}
 	for _, raw := range []string{"", "mb", "12tb", "-1", "1.5mb"} {
-		if _, err := ParseSize(raw); err == nil {
+		if _, err := spec.ParseSize(raw); err == nil {
 			t.Errorf("ParseSize(%q) accepted", raw)
 		}
 	}
 	for _, v := range []uint64{64 << 20, 512 << 10, 1 << 30, 4097} {
-		s := FormatSize(addrFromState(v))
-		back, err := ParseSize(s)
+		s := spec.FormatSize(addrFromState(v))
+		back, err := spec.ParseSize(s)
 		if err != nil || uint64(back) != v {
 			t.Errorf("FormatSize/ParseSize round trip %d -> %q -> %d (%v)", v, s, back, err)
 		}

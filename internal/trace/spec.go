@@ -2,72 +2,74 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+
+	"bopsim/internal/spec"
 )
 
-// Spec is a self-describing workload configuration: a registered generator
-// name plus free-form string parameters that the generator's factory parses
-// and validates. It mirrors prefetch.Spec on the workload axis, replacing
-// the historical closed benchmark table (and the TracePath escape hatch:
-// "file" is just another registered generator).
-//
-// The canonical string form is
-//
-//	name[:key=value[,key=value]...]
-//
-// e.g. "429.mcf", "stream:stride=128", "gups:footprint=64mb",
-// "file:path=milc.trace". Names are case-sensitive [A-Za-z0-9._-] — the
-// SPEC stand-ins keep their published spellings ("459.GemsFDTD") — while
-// keys are lowercase [a-z0-9_-]; values may not contain ',', '=', ':', ';'
-// or whitespace (lists use '+' as separator, e.g. "weights=2+1"; ';'
-// separates per-core specs at the CLI). String renders keys sorted, so the
-// canonical form — and anything hashed from it — is deterministic.
-//
-//bovet:schemalock
-type Spec struct {
-	Name   string            `json:"name"`
-	Params map[string]string `json:"params,omitempty"`
+// This file binds internal/spec to the workload axis. Each generator — the
+// SPEC stand-ins, the parameterized micro-patterns, the trace replayer —
+// registers a Definition for its name in an init function.
+
+// Spec names a workload generator and its parameters, e.g. "429.mcf",
+// "stream:stride=128", "gups:footprint=64mb", "file:path=milc.trace".
+type Spec = spec.Spec
+
+// Values is the parameter map a Build function parses.
+type Values = spec.Values
+
+// Grammar is the workload axis' spec syntax: names are case-sensitive
+// [A-Za-z0-9._-] — the SPEC stand-ins keep their published spellings
+// ("459.GemsFDTD") — and ';' is reserved in values because it separates
+// per-core specs at the CLI (ParseSpecList).
+var Grammar = spec.Grammar{Pkg: "trace", Reserved: ";"}
+
+// Build constructs a generator. seed is the run-derived seed for the core
+// the generator will drive (Options.Seed + core*7919); a spec's explicit
+// seed parameter overrides it (see Values.Seed).
+type Build = func(seed uint64, v Values) (Generator, error)
+
+// Definition describes one registered workload generator.
+type Definition = spec.Definition[Build]
+
+// Generators is the workload registry. A definition without a Validate hook
+// is checked by building with a throwaway seed.
+var Generators = spec.NewRegistry(Grammar, "workload", func(b Build, v Values) error { _, err := b(1, v); return err })
+
+// ParseSpec parses the canonical string form; whether the name is
+// registered and the parameters valid is checked by NewGenerator (or
+// Normalize).
+func ParseSpec(s string) (Spec, error) { return Grammar.Parse(s) }
+
+// MustSpec is ParseSpec that panics on error, for tests and examples.
+func MustSpec(s string) Spec { return Grammar.MustParse(s) }
+
+// Register registers a workload generator definition under name; see
+// spec.Registry.Register for what panics.
+func Register(name string, def Definition) { Generators.Register(name, def) }
+
+// NewGenerator builds the workload generator described by s, seeding it
+// with seed unless the spec carries an explicit seed parameter. Unknown
+// names and parameters, and invalid parameter values, are errors.
+func NewGenerator(s Spec, seed uint64) (Generator, error) {
+	def, s, err := Generators.Lookup(s)
+	if err != nil {
+		return nil, err
+	}
+	g, err := def.Build(seed, Values(s.Params))
+	if err != nil {
+		return nil, Generators.BuildError(s, err)
+	}
+	return g, nil
 }
 
-// ParseSpec parses the canonical string form. The result is syntactically
-// canonical (lowercased keys, no empty map); whether the name is registered
-// and the parameters valid is checked by NewGenerator (or Normalize).
-func ParseSpec(s string) (Spec, error) {
-	s = strings.TrimSpace(s)
-	name, rest, hasParams := strings.Cut(s, ":")
-	name = strings.TrimSpace(name)
-	if err := checkSpecName(name); err != nil {
-		return Spec{}, fmt.Errorf("trace: bad workload spec name %q: %v", name, err)
-	}
-	sp := Spec{Name: name}
-	if !hasParams {
-		return sp, nil
-	}
-	sp.Params = make(map[string]string)
-	for _, kv := range strings.Split(rest, ",") {
-		key, value, ok := strings.Cut(kv, "=")
-		key = strings.ToLower(strings.TrimSpace(key))
-		value = strings.TrimSpace(value)
-		if !ok || key == "" || value == "" {
-			return Spec{}, fmt.Errorf("trace: bad spec parameter %q in %q (want key=value)", kv, s)
-		}
-		if err := checkSpecKey(key); err != nil {
-			return Spec{}, fmt.Errorf("trace: bad parameter key %q: %v", key, err)
-		}
-		if err := checkSpecValue(value); err != nil {
-			return Spec{}, fmt.Errorf("trace: bad value %q for %q: %v", value, key, err)
-		}
-		if _, dup := sp.Params[key]; dup {
-			return Spec{}, fmt.Errorf("trace: duplicate parameter %q in %q", key, s)
-		}
-		sp.Params[key] = value
-	}
-	if len(sp.Params) == 0 {
-		return Spec{}, fmt.Errorf("trace: empty parameter list in %q", s)
-	}
-	return sp, nil
-}
+// Normalize validates s against the registry and returns its canonical form
+// (see spec.Registry.Normalize): "stream:stride=64" and "stream" normalize —
+// and therefore hash — identically.
+func Normalize(s Spec) (Spec, error) { return Generators.Normalize(s) }
+
+// Names returns the sorted names of every registered workload generator.
+func Names() []string { return Generators.Names() }
 
 // ParseSpecList parses a ';'-separated list of workload specs — the CLI
 // form of a per-core assignment ("gups:footprint=64mb;stream:stride=128").
@@ -111,147 +113,46 @@ func SpecsLabel(ws []Spec) string {
 	return strings.Join(parts, ";")
 }
 
-// MustSpec is ParseSpec that panics on error, for tests and examples.
-func MustSpec(s string) Spec {
-	sp, err := ParseSpec(s)
-	if err != nil {
-		panic(err)
-	}
-	return sp
+// FileSpec returns the spec replaying the recorded trace at path — the
+// spec-form spelling of the historical Options.TracePath escape hatch.
+func FileSpec(path string) Spec {
+	return Spec{Name: "file", Params: map[string]string{"path": path}}
 }
 
-// String renders the canonical form: parameters sorted by key.
-// ParseSpec(s.String()) reproduces s exactly for any canonical s.
-func (s Spec) String() string {
-	var b strings.Builder
-	b.WriteString(s.Name)
-	for i, key := range s.sortedKeys() {
-		if i == 0 {
-			b.WriteByte(':')
-		} else {
-			b.WriteByte(',')
-		}
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(s.Params[key])
+// HashSpec returns the spec in hash form: the spelling everything
+// content-addressed (cache keys, warmup signatures, the distrib wire) uses.
+// File specs are keyed by their trace's content SHA-256, never by path —
+// editing a trace invalidates its cached results, and a worker's local copy
+// hashes identically — so a resolvable path parameter is replaced by the
+// content hash. Every other spec is returned unchanged. An unreadable
+// trace falls back to the path spelling (the simulation will fail with the
+// real error anyway).
+func HashSpec(s Spec) Spec {
+	if s.Name != "file" {
+		return s
 	}
-	return b.String()
+	path, ok := s.Get("path")
+	if !ok {
+		return s
+	}
+	sha := ContentSHA(path)
+	if sha == "" {
+		return s
+	}
+	// Parameters other than path survive: a future file knob must keep
+	// participating in cache keys and warmup signatures.
+	return s.Without("path").With("sha", sha)
 }
 
-// IsZero reports whether the spec is unset (no name).
-func (s Spec) IsZero() bool { return s.Name == "" }
-
-// Equal reports whether two specs are canonically identical.
-func (s Spec) Equal(o Spec) bool { return s.String() == o.String() }
-
-// Get returns the raw value of one parameter.
-func (s Spec) Get(key string) (string, bool) {
-	v, ok := s.Params[key]
-	return v, ok
-}
-
-// With returns a copy of the spec with one parameter set; the receiver is
-// not modified. It is the programmatic way to build sweep variants:
-// spec.With("footprint", "128mb").
-func (s Spec) With(key, value string) Spec {
-	out := Spec{Name: s.Name, Params: make(map[string]string, len(s.Params)+1)}
-	for k, v := range s.Params {
-		out.Params[k] = v
-	}
-	out.Params[strings.ToLower(key)] = value
-	return out
-}
-
-// Without returns a copy of the spec with one parameter removed.
-func (s Spec) Without(key string) Spec {
-	out := Spec{Name: s.Name}
-	for k, v := range s.Params {
-		if k == key {
-			continue
-		}
-		if out.Params == nil {
-			out.Params = make(map[string]string, len(s.Params))
-		}
-		out.Params[k] = v
-	}
-	return out
-}
-
-// Canonical returns the spec in syntactic canonical form: lowercased keys,
-// nil map when empty, copied map otherwise (so the result shares no state
-// with the receiver). It does not consult the registry; Normalize
-// additionally validates the name and drops default-valued parameters.
-func (s Spec) Canonical() Spec {
-	out := Spec{Name: s.Name}
-	if len(s.Params) == 0 {
-		return out
-	}
-	out.Params = make(map[string]string, len(s.Params))
-	for k, v := range s.Params {
-		out.Params[strings.ToLower(k)] = v
-	}
-	return out
-}
-
-func (s Spec) sortedKeys() []string {
-	if len(s.Params) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(s.Params))
-	for k := range s.Params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// checkSpecName validates a generator name: non-empty, case-sensitive
-// [A-Za-z0-9._-] (the SPEC benchmark stand-ins keep their published
-// spellings, dots included).
-func checkSpecName(t string) error {
-	if t == "" {
-		return fmt.Errorf("empty")
-	}
-	for _, r := range t {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-		default:
-			return fmt.Errorf("character %q not allowed", r)
+// WireSpec is HashSpec with an error for unreadable traces: the distrib
+// coordinator must not ship a file job it cannot identify by content.
+func WireSpec(s Spec) (Spec, error) {
+	hs := HashSpec(s)
+	if hs.Name == "file" {
+		if _, ok := hs.Get("sha"); !ok {
+			path, _ := s.Get("path")
+			return Spec{}, fmt.Errorf("trace: %s unreadable, cannot ship by content hash", path)
 		}
 	}
-	return nil
-}
-
-// checkSpecKey validates a parameter key: non-empty lowercase [a-z0-9_-].
-func checkSpecKey(t string) error {
-	if t == "" {
-		return fmt.Errorf("empty")
-	}
-	for _, r := range t {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_', r == '-':
-		default:
-			return fmt.Errorf("character %q not allowed", r)
-		}
-	}
-	return nil
-}
-
-// checkSpecValue validates a parameter value: non-empty, printable, and
-// free of the spec syntax characters (including ';', the per-core list
-// separator) so String() always re-parses.
-func checkSpecValue(v string) error {
-	if v == "" {
-		return fmt.Errorf("empty")
-	}
-	for _, r := range v {
-		switch {
-		case r == ',' || r == '=' || r == ':' || r == ';':
-			return fmt.Errorf("character %q not allowed", r)
-		case r <= ' ' || r == 0x7f:
-			return fmt.Errorf("whitespace/control characters not allowed")
-		}
-	}
-	return nil
+	return hs, nil
 }

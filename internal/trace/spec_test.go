@@ -109,8 +109,10 @@ func TestSpecWithWithout(t *testing.T) {
 }
 
 // FuzzParseWorkloadSpec is the workload-axis twin of prefetch's
-// FuzzParseSpec, run with a fixed budget in CI: ParseSpec must never panic,
-// and any accepted input must round-trip through String.
+// FuzzParseSpec: ParseSpec must never panic, and any accepted input must
+// round-trip through String. `go test` replays this seed corpus through the
+// binding; CI spends its fuzz budget on spec.FuzzParse, which drives both
+// grammars.
 func FuzzParseWorkloadSpec(f *testing.F) {
 	for _, seed := range []string{
 		"429.mcf", "459.GemsFDTD", "stream:stride=128",

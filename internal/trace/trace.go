@@ -1,8 +1,8 @@
 // Package trace defines the instruction stream format consumed by the core
 // model and the workload generators that produce it. Generators are
-// configured through Spec and a registry (see spec.go and registry.go, the
-// workload-axis mirror of internal/prefetch): the SPEC CPU2006 stand-ins
-// (see DESIGN.md for the substitution rationale), parameterized
+// configured through Spec and a registry (spec.go binds internal/spec, the
+// grammar and registry shared with internal/prefetch): the SPEC CPU2006
+// stand-ins (see DESIGN.md for the substitution rationale), parameterized
 // micro-patterns (stream, pchase, gups, the mix combinator, the
 // microthrash satellite workload) and recorded-trace replay ("file") are
 // all registered generators, so opening a new workload is a registration,

@@ -7,6 +7,7 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/rng"
+	"bopsim/internal/spec"
 )
 
 // Workload mixes weighted pattern components with ALU filler instructions.
@@ -325,8 +326,8 @@ func registerBench(name string, bs benchSpec) {
 		Defaults: map[string]string{
 			"seed":       "0",
 			"memper1000": strconv.Itoa(bs.memPer1000),
-			"weights":    formatInts(defWeights),
-			"footprint":  FormatSize(bs.footprint),
+			"weights":    spec.FormatInts(defWeights),
+			"footprint":  spec.FormatSize(bs.footprint),
 		},
 		SizeKeys: []string{"footprint"},
 		IntKeys:  []string{"seed", "memper1000", "weights"},
@@ -345,19 +346,8 @@ func registerBench(name string, bs benchSpec) {
 			}
 			return newMixer(name, c.mp, comps, c.seed), nil
 		},
-		Help: fmt.Sprintf("SPEC CPU2006 stand-in (%d mem/KI, %s footprint)", bs.memPer1000, FormatSize(bs.footprint)),
+		Help: fmt.Sprintf("SPEC CPU2006 stand-in (%d mem/KI, %s footprint)", bs.memPer1000, spec.FormatSize(bs.footprint)),
 	})
-}
-
-func formatInts(list []int) string {
-	out := ""
-	for i, n := range list {
-		if i > 0 {
-			out += "+"
-		}
-		out += strconv.Itoa(n)
-	}
-	return out
 }
 
 // Benchmarks returns the 29 SPEC CPU2006 stand-in names in the paper's
