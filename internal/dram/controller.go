@@ -97,13 +97,9 @@ func newController(p Params) *controller {
 // insertion, footnote 13) and the existing Future is returned. It returns
 // nil when core's read queue is full; the caller must retry later.
 func (c *controller) enqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
-	for _, q := range c.readQ {
-		for _, r := range q {
-			if r.line == line {
-				c.stats.MergedReads++
-				return r.future
-			}
-		}
+	if r := c.pendingRead(line); r != nil {
+		c.stats.MergedReads++
+		return r.future
 	}
 	if len(c.readQ[core]) >= c.p.ReadQueueLen {
 		return nil
@@ -114,6 +110,26 @@ func (c *controller) enqueueRead(line mem.LineAddr, core int, fut *Future) *Futu
 	c.readQ[core] = append(c.readQ[core], r)
 	c.pendingReads++
 	return fut
+}
+
+// pendingRead returns the queued read of line in any core's read queue of
+// this channel, or nil (the associative search before insertion).
+func (c *controller) pendingRead(line mem.LineAddr) *request {
+	for _, q := range c.readQ {
+		for _, r := range q {
+			if r.line == line {
+				return r
+			}
+		}
+	}
+	return nil
+}
+
+// readBlocked reports, without touching anything, whether enqueueRead would
+// refuse: core's read queue is full and there is no pending read of line to
+// merge onto.
+func (c *controller) readBlocked(line mem.LineAddr, core int) bool {
+	return len(c.readQ[core]) >= c.p.ReadQueueLen && c.pendingRead(line) == nil
 }
 
 // enqueueWrite adds a write-back; it reports false when the queue is full.

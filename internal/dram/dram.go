@@ -29,6 +29,14 @@ func (m *Memory) EnqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
 	return m.channels[MapAddress(line).Channel].enqueueRead(line, core, fut)
 }
 
+// ReadBlocked reports, without side effects, whether EnqueueRead would
+// refuse (return nil for) a read of line by core right now. The answer can
+// only change when a read is enqueued or a controller issues one, and the
+// latter happens at a bus-cycle boundary that NextEvent reports.
+func (m *Memory) ReadBlocked(line mem.LineAddr, core int) bool {
+	return m.channels[MapAddress(line).Channel].readBlocked(line, core)
+}
+
 // EnqueueWrite queues a write-back of line for core; false when full.
 func (m *Memory) EnqueueWrite(line mem.LineAddr, core int) bool {
 	return m.channels[MapAddress(line).Channel].enqueueWrite(line, core)

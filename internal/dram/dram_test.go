@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +168,49 @@ func TestReadQueueFull(t *testing.T) {
 	}
 	if m.EnqueueRead(ch0[2], 0, Pending()) != nil {
 		t.Error("queue accepted request beyond capacity")
+	}
+}
+
+// TestReadBlockedMirrorsEnqueueRead holds the read-only probe to the
+// operation it predicts: over random two-core traffic on tiny queues, with
+// lines drawn from a universe small enough that merges are common,
+// ReadBlocked must say exactly whether the EnqueueRead that follows is
+// refused — including the full-queue-but-mergeable case — and must itself
+// change nothing.
+func TestReadBlockedMirrorsEnqueueRead(t *testing.T) {
+	p := DefaultParams(2)
+	p.ReadQueueLen = 2
+	m := New(p)
+	rng := rand.New(rand.NewSource(1))
+	var refused, merged, mergedWhileFull int
+	for now := uint64(0); now < 40_000; now++ {
+		if rng.Intn(3) > 0 {
+			line, core := mem.LineAddr(rng.Intn(48)*37), rng.Intn(2)
+			before := m.TotalStats()
+			blocked := m.ReadBlocked(line, core)
+			if after := m.TotalStats(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("cycle %d: ReadBlocked changed the statistics: %+v -> %+v", now, before, after)
+			}
+			full := len(m.channels[MapAddress(line).Channel].readQ[core]) >= p.ReadQueueLen
+			fut := Pending()
+			got := m.EnqueueRead(line, core, fut)
+			if blocked != (got == nil) {
+				t.Fatalf("cycle %d: ReadBlocked(%#x, %d) = %v but EnqueueRead returned %v", now, line, core, blocked, got)
+			}
+			switch {
+			case got == nil:
+				refused++
+			case got != fut:
+				merged++
+				if full {
+					mergedWhileFull++
+				}
+			}
+		}
+		m.Tick(now)
+	}
+	if refused == 0 || merged == 0 || mergedWhileFull == 0 {
+		t.Errorf("traffic too tame to test the probe: %d refused, %d merged, %d merged into a full queue", refused, merged, mergedWhileFull)
 	}
 }
 

@@ -13,3 +13,7 @@ func PackedLinesSpan(data []byte) (off, n int, err error) {
 	lines := snap.Uncore.L3.Lines
 	return bytes.Index(data, lines), len(lines), nil
 }
+
+// NextEventCycle exposes the skip-ahead horizon so the equivalence suite can
+// count skipped cycles: Step(NextEventCycle()-Cycles()) is exactly one jump.
+func (s *Simulation) NextEventCycle() uint64 { return s.nextEventCycle() }

@@ -3,6 +3,7 @@ package tlb
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -53,6 +54,23 @@ func TestTLBStateRoundTrip(t *testing.T) {
 	if h.Walks != fresh.Walks || h.DTLB1Misses() != fresh.DTLB1Misses() || h.TLB2Misses() != fresh.TLB2Misses() {
 		t.Fatal("counters diverged under identical traffic after restore")
 	}
+
+	// Restore-then-continue against the scanning oracle: the list rebuilt
+	// from a snapshot's stamps must evict in the order the stamps dictate,
+	// through repeated save/restore cycles at arbitrary fill levels.
+	rng := rand.New(rand.NewSource(7))
+	for _, entries := range []int{2, 64, 512} {
+		lvl, oracle := newTLBLevel(entries), newScanLevel(entries)
+		for round := 0; round < 6; round++ {
+			checkAgainstScan(t, lvl, oracle, rng, rng.Intn(3*entries)+entries/2)
+			snap := lvl.saveState()
+			lvl = newTLBLevel(entries)
+			if err := lvl.restoreState(snap); err != nil {
+				t.Fatal(err)
+			}
+			oracle.restore(snap)
+		}
+	}
 }
 
 // TestTLBRestoreRejectsBadState checks malformed level states are refused.
@@ -75,6 +93,18 @@ func TestTLBRestoreRejectsBadState(t *testing.T) {
 	ragged.TLB2.Stamps = []uint64{1}
 	if err := New(mem.Page4K).RestoreState(ragged); err == nil {
 		t.Error("restore with mismatched VPN/stamp lengths succeeded")
+	}
+
+	tied := st
+	tied.TLB2.VPNs = []uint64{5, 6}
+	tied.TLB2.Stamps = []uint64{3, 3}
+	tied.TLB2.Clock = 9
+	if err := New(mem.Page4K).RestoreState(tied); err == nil {
+		t.Error("restore with two entries sharing one LRU stamp succeeded")
+	}
+	tied.TLB2.Stamps = []uint64{3, 10}
+	if err := New(mem.Page4K).RestoreState(tied); err == nil {
+		t.Error("restore with a stamp ahead of the level's clock succeeded")
 	}
 
 	dup := st

@@ -25,19 +25,24 @@ const (
 )
 
 // tlbLevel is one fully-associative translation buffer with true LRU. The
-// resident set lives in dense vpn/stamp arrays with a map from VPN to slot:
-// hits touch only the stamp array, and eviction is a linear scan over a
-// contiguous stamp slice instead of a map iteration. Stamps are strictly
-// increasing (every write is preceded by a clock increment), so the LRU
-// minimum is unique and victim selection never depends on scan order.
+// resident set lives in dense vpn/stamp arrays with a map from VPN to slot.
+// Stamps are strictly increasing (every write is preceded by a clock
+// increment), so recency is a total order; an intrusive list over the slot
+// indices keeps it, and the victim is the tail instead of a scan for the
+// minimum stamp. The stamps are still written: they are what a snapshot
+// carries, and restoreState rebuilds the list from them.
 type tlbLevel struct {
 	entries int
 	slot    map[uint64]int // VPN -> index into vpns/stamps
 	vpns    []uint64
 	stamps  []uint64
-	clock   uint64
-	hits    uint64
-	misses  uint64
+	// Recency list over slot indices: prev points toward mru, next toward
+	// lru, -1 ends the list.
+	prev, next []int32
+	mru, lru   int32
+	clock      uint64
+	hits       uint64
+	misses     uint64
 }
 
 func newTLBLevel(entries int) *tlbLevel {
@@ -46,14 +51,44 @@ func newTLBLevel(entries int) *tlbLevel {
 		slot:    make(map[uint64]int, entries),
 		vpns:    make([]uint64, 0, entries),
 		stamps:  make([]uint64, 0, entries),
+		prev:    make([]int32, 0, entries),
+		next:    make([]int32, 0, entries),
+		mru:     -1,
+		lru:     -1,
 	}
+}
+
+// touch stamps slot i with the current clock and makes it most recent.
+func (t *tlbLevel) touch(i int32) {
+	t.stamps[i] = t.clock
+	if t.mru == i {
+		return
+	}
+	p, n := t.prev[i], t.next[i]
+	t.next[p] = n // i is not mru, so p exists
+	if n >= 0 {
+		t.prev[n] = p
+	} else {
+		t.lru = p
+	}
+	t.pushFront(i)
+}
+
+func (t *tlbLevel) pushFront(i int32) {
+	t.prev[i], t.next[i] = -1, t.mru
+	if t.mru >= 0 {
+		t.prev[t.mru] = i
+	} else {
+		t.lru = i
+	}
+	t.mru = i
 }
 
 // access looks up vpn, refreshing LRU state; insert on miss.
 func (t *tlbLevel) access(vpn uint64) (hit bool) {
 	t.clock++
 	if i, ok := t.slot[vpn]; ok {
-		t.stamps[i] = t.clock
+		t.touch(int32(i))
 		t.hits++
 		return true
 	}
@@ -68,7 +103,7 @@ func (t *tlbLevel) access(vpn uint64) (hit bool) {
 func (t *tlbLevel) probe(vpn uint64) bool {
 	if i, ok := t.slot[vpn]; ok {
 		t.clock++
-		t.stamps[i] = t.clock
+		t.touch(int32(i))
 		return true
 	}
 	return false
@@ -76,21 +111,20 @@ func (t *tlbLevel) probe(vpn uint64) bool {
 
 func (t *tlbLevel) insert(vpn uint64) {
 	if len(t.vpns) >= t.entries {
-		victim, best := 0, ^uint64(0)
-		for i, s := range t.stamps {
-			if s < best {
-				victim, best = i, s
-			}
-		}
+		victim := t.lru
 		delete(t.slot, t.vpns[victim])
 		t.vpns[victim] = vpn
-		t.stamps[victim] = t.clock
-		t.slot[vpn] = victim
+		t.slot[vpn] = int(victim)
+		t.touch(victim)
 		return
 	}
+	i := int32(len(t.vpns))
 	t.vpns = append(t.vpns, vpn)
 	t.stamps = append(t.stamps, t.clock)
-	t.slot[vpn] = len(t.vpns) - 1
+	t.prev = append(t.prev, -1)
+	t.next = append(t.next, -1)
+	t.slot[vpn] = int(i)
+	t.pushFront(i)
 }
 
 // Hierarchy is a per-core DTLB1 backed by a TLB2.
@@ -184,9 +218,26 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 		}
 		slot[v] = i
 	}
+	// Recency is the stamp order; a level only ever writes each clock value
+	// once, so equal stamps (or one from the future) are not a state a level
+	// can have been in.
+	order := make([]int32, len(st.Stamps))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(a, b int) bool { return st.Stamps[order[a]] < st.Stamps[order[b]] })
+	for k, i := range order {
+		if st.Stamps[i] > st.Clock || k > 0 && st.Stamps[i] == st.Stamps[order[k-1]] {
+			return fmt.Errorf("tlb: stamp %d of VPN %#x is repeated or ahead of clock %d", st.Stamps[i], st.VPNs[i], st.Clock)
+		}
+	}
 	t.slot = slot
 	t.vpns = append(t.vpns[:0], st.VPNs...)
 	t.stamps = append(t.stamps[:0], st.Stamps...)
+	t.prev, t.next, t.mru, t.lru = t.prev[:len(order)], t.next[:len(order)], -1, -1
+	for _, i := range order { // oldest first, so the newest ends up mru
+		t.pushFront(i)
+	}
 	t.clock, t.hits, t.misses = st.Clock, st.Hits, st.Misses
 	return nil
 }

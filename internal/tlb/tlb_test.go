@@ -1,10 +1,110 @@
 package tlb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"bopsim/internal/mem"
 )
+
+// scanLevel is the oracle for tlbLevel's recency list: the implementation
+// the list replaced, which finds its LRU victim by scanning every stamp for
+// the minimum. It shares LevelState with the real level so the two can be
+// compared byte for byte and restored from one another's snapshots.
+type scanLevel struct {
+	entries int
+	slot    map[uint64]int
+	vpns    []uint64
+	stamps  []uint64
+	clock   uint64
+	hits    uint64
+	misses  uint64
+}
+
+func newScanLevel(entries int) *scanLevel {
+	return &scanLevel{entries: entries, slot: make(map[uint64]int, entries)}
+}
+
+func (t *scanLevel) access(vpn uint64) bool {
+	t.clock++
+	if i, ok := t.slot[vpn]; ok {
+		t.stamps[i] = t.clock
+		t.hits++
+		return true
+	}
+	t.misses++
+	if len(t.vpns) >= t.entries {
+		victim, best := 0, ^uint64(0)
+		for i, s := range t.stamps {
+			if s < best {
+				victim, best = i, s
+			}
+		}
+		delete(t.slot, t.vpns[victim])
+		t.vpns[victim] = vpn
+		t.stamps[victim] = t.clock
+		t.slot[vpn] = victim
+		return false
+	}
+	t.vpns = append(t.vpns, vpn)
+	t.stamps = append(t.stamps, t.clock)
+	t.slot[vpn] = len(t.vpns) - 1
+	return false
+}
+
+func (t *scanLevel) probe(vpn uint64) bool {
+	if i, ok := t.slot[vpn]; ok {
+		t.clock++
+		t.stamps[i] = t.clock
+		return true
+	}
+	return false
+}
+
+// state renders the oracle as a LevelState (VPNs sorted, as saveState does).
+func (t *scanLevel) state() LevelState {
+	real := &tlbLevel{slot: t.slot, vpns: t.vpns, stamps: t.stamps, clock: t.clock, hits: t.hits, misses: t.misses}
+	return real.saveState()
+}
+
+func (t *scanLevel) restore(st LevelState) {
+	t.slot = make(map[uint64]int, t.entries)
+	for i, v := range st.VPNs {
+		t.slot[v] = i
+	}
+	t.vpns = append([]uint64(nil), st.VPNs...)
+	t.stamps = append([]uint64(nil), st.Stamps...)
+	t.clock, t.hits, t.misses = st.Clock, st.Hits, st.Misses
+}
+
+// checkAgainstScan drives lvl and the scanning oracle with one random stream
+// of accesses and probes over a VPN universe somewhat larger than the level,
+// requiring the same outcome at every step and the same LevelState at the
+// end. Phases of locality (a hot subset) alternate with uniform traffic so
+// hits reorder the list between evictions.
+func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.Rand, steps int) {
+	t.Helper()
+	universe := lvl.entries + lvl.entries/2 + 3
+	for i := 0; i < steps; i++ {
+		vpn := uint64(rng.Intn(universe))
+		if (i/97)%2 == 1 {
+			vpn = uint64(rng.Intn(lvl.entries/2 + 1))
+		}
+		if rng.Intn(4) == 0 {
+			if got, want := lvl.probe(vpn), oracle.probe(vpn); got != want {
+				t.Fatalf("step %d: probe(%d) = %v, scanning oracle says %v", i, vpn, got, want)
+			}
+			continue
+		}
+		if got, want := lvl.access(vpn), oracle.access(vpn); got != want {
+			t.Fatalf("step %d: access(%d) hit = %v, scanning oracle says %v", i, vpn, got, want)
+		}
+	}
+	if got, want := lvl.saveState(), oracle.state(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %d steps the level's state differs from the scanning oracle's\n got %+v\nwant %+v", steps, got, want)
+	}
+}
 
 func TestFirstAccessWalks(t *testing.T) {
 	h := New(mem.Page4K)
@@ -45,6 +145,13 @@ func TestTrueLRUInDTLB1(t *testing.T) {
 	}
 	if lat := h.Access(0x2000); lat == 0 {
 		t.Error("LRU page was not evicted from DTLB1")
+	}
+
+	// The recency list must pick the victim the stamp scan picks, at every
+	// size the hierarchy uses and at the degenerate ones.
+	for _, entries := range []int{1, 2, 3, 64, 512} {
+		rng := rand.New(rand.NewSource(int64(entries)))
+		checkAgainstScan(t, newTLBLevel(entries), newScanLevel(entries), rng, 40*entries+2000)
 	}
 }
 

@@ -55,7 +55,11 @@ type dl1Fill struct {
 	pf    bool // set the DL1 prefetch bit (DL1 stride prefetch fills)
 }
 
-// Stats aggregates hierarchy-wide event counts.
+// Stats aggregates hierarchy-wide event counts. L2DemandAccesses and
+// L2Misses count attempts, not requests: a request the L2 path refuses (fill
+// queue or DRAM read queue full, or a late prefetch it may not promote)
+// replays every cycle, and each replay is one access and one miss. DL1Misses
+// likewise counts one per cycle while a core retries against full MSHRs.
 type Stats struct {
 	DL1Hits, DL1Misses   uint64
 	L2DemandAccesses     uint64
@@ -119,6 +123,12 @@ type Hierarchy struct {
 	//bovet:allow statecodec rescan memo, not architectural state: SaveState requires Drained (no futures in flight)
 	futEpoch uint64
 	busRatio uint64
+
+	// stalled lists the cores whose due demand-queue head the latest
+	// NextEvent call found blocked (see demandBlocked); AccountIdle charges
+	// them one refused attempt per skipped cycle.
+	//bovet:allow statecodec NextEvent-to-AccountIdle hand-off recomputed on every NextEvent call, not architectural state
+	stalled []int
 
 	translators []*mem.Translator
 
@@ -340,27 +350,42 @@ func (h *Hierarchy) Tick(now uint64) {
 	}
 }
 
-// AccountIdle charges span skipped cycles to the per-cycle sampled
-// statistics. The engine calls it when event-driven stepping jumps the
-// clock over cycles in which no component can do work: the occupancies a
-// per-cycle Tick would have sampled are constant across such a span (a
-// change would itself be an event), so span identical samples are added in
-// one step and Snapshot bytes match the per-cycle engine exactly.
+// AccountIdle charges span skipped cycles, starting at the cycle the latest
+// NextEvent call was asked about, to the per-cycle statistics. The engine
+// calls it when event-driven stepping jumps the clock over cycles in which
+// no component can do work: the occupancies a per-cycle Tick would have
+// sampled are constant across such a span (a change would itself be an
+// event), so span identical samples are added in one step. A core whose
+// demand-queue head is blocked would have replayed it once per cycle, each
+// replay refused after an L2 lookup miss, so it is charged span attempts.
+// Snapshot bytes match the per-cycle engine exactly.
 func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.TickSamples += span
 	h.stats.L2FQOccupancySum += span * uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += span * uint64(len(h.outstanding[0]))
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
+	for _, c := range h.stalled {
+		h.stats.L2DemandAccesses += span
+		h.stats.L2Misses += span
+		h.l2[c].Misses += span
+	}
 }
 
 // NextEvent returns the earliest cycle at or after now at which the uncore
 // can do real work, or ^uint64(0) when nothing is in flight anywhere. It
 // returns now whenever this cycle's Tick would have side effects beyond
-// statistics sampling: a due demand-queue head (retries mutate L2 stats and
-// prefetcher state every cycle they run), an issuable prefetch, a blocked
-// writeback retry, or a non-idle DRAM at a bus-cycle boundary.
+// per-cycle sampled statistics and per-cycle stall charges: a due
+// demand-queue head that the L2 would accept, a prefetch-queue head the fill
+// path would accept, a blocked writeback retry, or a non-idle DRAM at a
+// bus-cycle boundary. A due head that would be refused is a stall, not an
+// event: the refused replay moves three counters and nothing else (no
+// prefetcher, replacement or queue state), and whatever unblocks it — a
+// fill-queue pop, a DL1 fill, a DRAM scheduling decision, a prefetch issue,
+// a new core request — is an event reported here or by a core. The stalled
+// cores are remembered for AccountIdle.
 func (h *Hierarchy) NextEvent(now uint64) uint64 {
+	h.stalled = h.stalled[:0]
 	if len(h.pendingWB) > 0 {
 		return now
 	}
@@ -372,15 +397,25 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 		next = t
 	}
 	for c := range h.l2fq {
-		if !h.pq[c].empty() && !h.l2fq[c].full() {
+		// A refused issueQueuedPrefetch changes nothing at all (the entry it
+		// takes from the pool goes straight back), so a blocked prefetch
+		// needs no AccountIdle charge.
+		if line, ok := h.pq[c].front(); ok && !h.l2fq[c].full() && !h.l3Blocked(line, c) {
 			return now // a queued prefetch will issue this cycle
 		}
 		if t := h.l2fq[c].nextReady(h.futEpoch); t < next {
 			next = t
 		}
 		if h.demandQ[c].len() > 0 {
-			if t := h.demandQ[c].front().readyAt; t < next {
-				next = t
+			switch req := h.demandQ[c].front(); {
+			case req.readyAt > now:
+				if req.readyAt < next {
+					next = req.readyAt
+				}
+			case h.demandBlocked(c, req.line):
+				h.stalled = append(h.stalled, c)
+			default:
+				return now // the L2 will take the head this cycle
 			}
 		}
 		for _, f := range h.dl1Fills[c] {
@@ -393,6 +428,29 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 		return now
 	}
 	return next
+}
+
+// demandBlocked reports whether processL2Request would refuse a request for
+// line from core this cycle. It mirrors the refusal paths without mutating
+// anything; the lock-step test holds the two together.
+func (h *Hierarchy) demandBlocked(core int, line mem.LineAddr) bool {
+	if h.l2[core].Peek(line) != nil {
+		return false
+	}
+	if e := h.l2fq[core].find(line); e != nil {
+		return e.isPrefetch && !e.promoted && !h.cfg.LatePromotion
+	}
+	return h.l2fq[core].full() || h.l3Blocked(line, core)
+}
+
+// l3Blocked reports whether accessL3 would refuse a request for line from
+// core: the line is neither in the L3 nor in flight to it, and the L3 fill
+// queue or the DRAM read queue has no room.
+func (h *Hierarchy) l3Blocked(line mem.LineAddr, core int) bool {
+	if h.l3.Peek(line) != nil || h.l3fq.find(line) != nil {
+		return false
+	}
+	return h.l3fq.full() || h.mem.ReadBlocked(line, core)
 }
 
 // drainL3Fills inserts memory data into the L3.
