@@ -59,6 +59,8 @@ type controller struct {
 	// freeReqs is a free list of request objects; a request returns to it
 	// when it is issued, so steady-state traffic allocates none.
 	freeReqs []*request
+	// readVersion is the owning Memory's counter (see Memory.ReadVersion).
+	readVersion *uint64
 }
 
 func (c *controller) newRequest() *request {
@@ -76,13 +78,14 @@ func (c *controller) release(r *request) {
 	c.freeReqs = append(c.freeReqs, r)
 }
 
-func newController(p Params) *controller {
+func newController(p Params, readVersion *uint64) *controller {
 	c := &controller{
-		p:      p,
-		banks:  make([]bankState, p.Banks),
-		readQ:  make([][]*request, p.NumCores),
-		writeQ: make([][]*request, p.NumCores),
-		fair:   cache.NewPropCounters(p.NumCores, 7),
+		p:           p,
+		readVersion: readVersion,
+		banks:       make([]bankState, p.Banks),
+		readQ:       make([][]*request, p.NumCores),
+		writeQ:      make([][]*request, p.NumCores),
+		fair:        cache.NewPropCounters(p.NumCores, 7),
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -109,6 +112,7 @@ func (c *controller) enqueueRead(line mem.LineAddr, core int, fut *Future) *Futu
 	r.line, r.core, r.loc, r.seq, r.future = line, core, MapAddress(line), c.seq, fut
 	c.readQ[core] = append(c.readQ[core], r)
 	c.pendingReads++
+	*c.readVersion++
 	return fut
 }
 
@@ -285,6 +289,7 @@ func (c *controller) issueReadIdx(core, i int, now uint64) {
 	r := c.readQ[core][i]
 	c.readQ[core] = remove(c.readQ[core], i)
 	c.pendingReads--
+	*c.readVersion++
 	c.fair.Inc(core)
 	c.stats.Reads++
 	c.stats.PerCoreReads[core]++

@@ -7,13 +7,17 @@ import "bopsim/internal/mem"
 type Memory struct {
 	p        Params
 	channels []*controller
+	// readVersion counts the changes to the read queues of every channel.
+	// It is not machine state: only equality between two readings means
+	// anything, so a restored memory need not resume the saved one's count.
+	readVersion uint64
 }
 
 // New builds a memory system with the given parameters.
 func New(p Params) *Memory {
 	m := &Memory{p: p, channels: make([]*controller, p.Channels)}
 	for i := range m.channels {
-		m.channels[i] = newController(p)
+		m.channels[i] = newController(p, &m.readVersion)
 	}
 	return m
 }
@@ -36,6 +40,10 @@ func (m *Memory) EnqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
 func (m *Memory) ReadBlocked(line mem.LineAddr, core int) bool {
 	return m.channels[MapAddress(line).Channel].readBlocked(line, core)
 }
+
+// ReadVersion moves whenever a read joins or leaves any read queue, so
+// while it stands every ReadBlocked answer stands too.
+func (m *Memory) ReadVersion() uint64 { return m.readVersion }
 
 // EnqueueWrite queues a write-back of line for core; false when full.
 func (m *Memory) EnqueueWrite(line mem.LineAddr, core int) bool {

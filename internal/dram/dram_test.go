@@ -214,6 +214,69 @@ func TestReadBlockedMirrorsEnqueueRead(t *testing.T) {
 	}
 }
 
+// TestReadVersionCoversReadBlocked is the property refusal memos rest on:
+// between any two moments with equal ReadVersion, no ReadBlocked answer has
+// changed. Random reads (refused ones included) and writes arrive while the
+// controllers tick; after every step the whole probe set is re-evaluated and
+// may differ from the last evaluation only if the version moved. It must
+// also have moved at least once each way: by an enqueue and by an issue.
+func TestReadVersionCoversReadBlocked(t *testing.T) {
+	p := DefaultParams(2)
+	p.ReadQueueLen = 2
+	m := New(p)
+	rng := rand.New(rand.NewSource(3))
+	type probe struct {
+		line mem.LineAddr
+		core int
+	}
+	var probes []probe
+	for i := 0; i < 48; i++ {
+		probes = append(probes, probe{mem.LineAddr(i * 37), 0}, probe{mem.LineAddr(i * 37), 1})
+	}
+	answers := func() []bool {
+		out := make([]bool, len(probes))
+		for i, pr := range probes {
+			out[i] = m.ReadBlocked(pr.line, pr.core)
+		}
+		return out
+	}
+	last, lastVersion := answers(), m.ReadVersion()
+	check := func(now uint64, what string) (moved bool) {
+		t.Helper()
+		got, version := answers(), m.ReadVersion()
+		if version == lastVersion && !reflect.DeepEqual(got, last) {
+			t.Fatalf("cycle %d: a ReadBlocked answer changed across %s with ReadVersion standing at %d", now, what, version)
+		}
+		moved = version != lastVersion
+		last, lastVersion = got, version
+		return moved
+	}
+	var byEnqueue, byIssue, changedAnswers int
+	for now := uint64(0); now < 40_000; now++ {
+		if rng.Intn(3) > 0 {
+			m.EnqueueRead(mem.LineAddr(rng.Intn(48)*37), rng.Intn(2), Pending())
+			before := last
+			if check(now, "an EnqueueRead") {
+				byEnqueue++
+				if !reflect.DeepEqual(before, last) {
+					changedAnswers++
+				}
+			}
+		}
+		if rng.Intn(5) == 0 {
+			m.EnqueueWrite(mem.LineAddr(rng.Intn(48)*41), rng.Intn(2))
+			check(now, "an EnqueueWrite")
+		}
+		m.Tick(now)
+		if check(now, "a Tick") {
+			byIssue++
+		}
+	}
+	if byEnqueue == 0 || byIssue == 0 || changedAnswers == 0 {
+		t.Errorf("traffic too tame: the version moved on %d enqueues (%d changing an answer) and %d ticks", byEnqueue, changedAnswers, byIssue)
+	}
+}
+
 func TestWritesAreCounted(t *testing.T) {
 	m := New(DefaultParams(1))
 	if !m.EnqueueWrite(7, 0) {

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -108,6 +109,54 @@ func TestSkipAheadEquivalence(t *testing.T) {
 					100*share, 100*row.minSkipped)
 			}
 			t.Logf("%.0f%% of cycles skipped", 100*share)
+		})
+	}
+}
+
+// TestRefusalMemoEquivalence is the same harness for the uncore's refusal
+// memos: a contended 4-core run (the benchmark's quad-contended shape: one
+// 429.mcf and three default satellites) must produce byte-identical results
+// under every registered L2 prefetcher whether stalled attempts are answered
+// from a memo or evaluated in full every cycle. On the bo row, which is the
+// benchmark's configuration, at least 80 % of each retry loop's attempts must
+// be memo hits, so the suite cannot silently stop exercising the path.
+func TestRefusalMemoEquivalence(t *testing.T) {
+	for _, name := range prefetch.L2Names() {
+		t.Run(name, func(t *testing.T) {
+			o := engine.DefaultOptions("429.mcf")
+			o.Cores = 4
+			o.Instructions = 10_000
+			o.L2PF = prefetch.MustSpec(name)
+			run := func(memos bool) (result []byte, s *engine.Simulation) {
+				s, err := engine.New(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.SetRefusalMemos(memos)
+				res, err := s.Run(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b, s
+			}
+			on, s := run(true)
+			off, oracle := run(false)
+			if !bytes.Equal(on, off) {
+				t.Errorf("refusal memos changed the result\nwith memos:    %s\nwithout memos: %s", on, off)
+			}
+			if d, h, p := oracle.RefusalMemoShares(); d > 0 || h > 0 || p > 0 {
+				t.Errorf("the run with memos off answered %.0f%% / %.0f%% / %.0f%% of its attempts from one: it is no oracle", 100*d, 100*h, 100*p)
+			}
+			demand, head, pref := s.RefusalMemoShares()
+			t.Logf("answered from a memo: %.0f%% of Demand calls, %.0f%% of demand-head attempts, %.0f%% of prefetch-head attempts",
+				100*demand, 100*head, 100*pref)
+			if name == "bo" && (demand < 0.8 || head < 0.8 || pref < 0.8) {
+				t.Errorf("memo shares %.0f%% / %.0f%% / %.0f%%, want at least 80%% each: the row no longer runs on memos", 100*demand, 100*head, 100*pref)
+			}
 		})
 	}
 }

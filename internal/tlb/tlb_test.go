@@ -201,3 +201,68 @@ func TestMissCountersAdvance(t *testing.T) {
 		t.Errorf("TLB2Misses = %d, want 2", h.TLB2Misses())
 	}
 }
+
+// TestRepeatAccess holds RepeatAccess to what it abbreviates: on random
+// streams of accesses and TLB2 probes, a hierarchy that answers every
+// immediate repeat of an access with RepeatAccess must stay state-identical
+// (stamps, clocks, hit counts) to one that calls Access again, and its DTLB1
+// to the scanning oracle — also when the repeat comes first thing after a
+// restore, where the most recent entry is whatever the stamps say.
+func TestRepeatAccess(t *testing.T) {
+	for _, entries := range []int{1, 2, 3, 64, 512} {
+		rng := rand.New(rand.NewSource(int64(entries)))
+		fast, full := NewWithSizes(mem.Page4K, entries, 2*entries), NewWithSizes(mem.Page4K, entries, 2*entries)
+		oracle := newScanLevel(entries)
+		check := func(step int) {
+			t.Helper()
+			if got, want := fast.SaveState(), full.SaveState(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d entries, step %d: RepeatAccess left state\n%+v\nwhere Access leaves\n%+v", entries, step, got, want)
+			}
+			if got, want := fast.dtlb1.saveState(), oracle.state(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d entries, step %d: DTLB1 differs from the scanning oracle\n got %+v\nwant %+v", entries, step, got, want)
+			}
+		}
+		universe := 2*entries + 3
+		var last mem.Addr
+		accessed := false
+		for step := 0; step < 8*entries+400; step++ {
+			switch rng.Intn(8) {
+			case 0: // a TLB2 probe between an access and its repeats
+				va := mem.Addr(rng.Intn(universe)) << 12
+				if got, want := fast.ProbeTLB2(va), full.ProbeTLB2(va); got != want {
+					t.Fatalf("%d entries, step %d: ProbeTLB2 = %v vs %v", entries, step, got, want)
+				}
+			case 1, 2, 3, 4: // the stalled core: the same access again
+				if !accessed {
+					continue // nothing to repeat yet
+				}
+				fast.RepeatAccess()
+				if lat := full.Access(last); lat != 0 {
+					t.Fatalf("%d entries, step %d: a repeated access cost %d cycles", entries, step, lat)
+				}
+				oracle.access(mem.Page4K.PageOf(last))
+			case 5: // restore both from fast's snapshot, then repeat at once
+				snap := fast.SaveState()
+				fast, full = NewWithSizes(mem.Page4K, entries, 2*entries), NewWithSizes(mem.Page4K, entries, 2*entries)
+				if err := fast.RestoreState(snap); err != nil {
+					t.Fatal(err)
+				}
+				if err := full.RestoreState(snap); err != nil {
+					t.Fatal(err)
+				}
+				oracle.restore(snap.DTLB1)
+			default:
+				accessed = true
+				last = mem.Addr(rng.Intn(universe)) << 12
+				if a, b := fast.Access(last), full.Access(last); a != b {
+					t.Fatalf("%d entries, step %d: Access latency %d vs %d", entries, step, a, b)
+				}
+				oracle.access(mem.Page4K.PageOf(last))
+			}
+			if entries <= 64 || step%50 == 0 {
+				check(step)
+			}
+		}
+		check(-1)
+	}
+}

@@ -60,6 +60,9 @@ type dl1Fill struct {
 // queue or DRAM read queue full, or a late prefetch it may not promote)
 // replays every cycle, and each replay is one access and one miss. DL1Misses
 // likewise counts one per cycle while a core retries against full MSHRs.
+// Attempts are still counted one per cycle, but mostly by charge: a replay
+// answered from a refusal memo (see retryState) or skipped by the engine
+// (AccountIdle) adds what the lookup would have counted without doing it.
 type Stats struct {
 	DL1Hits, DL1Misses   uint64
 	L2DemandAccesses     uint64
@@ -82,6 +85,58 @@ type Stats struct {
 	L3FQOccupancySum  uint64
 	MSHROccupancySum  uint64
 	PrefQOccupancySum uint64
+}
+
+// demandMemo is a Demand call refused for full MSHRs, and the front version
+// the refusal was computed at. (Load or store is not remembered: a refusal
+// never reads it.)
+type demandMemo struct {
+	ok    bool
+	pc    uint64
+	va    mem.Addr
+	front uint64
+}
+
+// pathMemo is a queue head the path below it refused, and the versions of
+// the state the refusal read (priv for demand-queue heads only: a prefetch
+// head refused by accessL3 read nothing private).
+type pathMemo struct {
+	ok                  bool
+	line                mem.LineAddr
+	priv, shared, reads uint64
+}
+
+// retryState is one core's part of the refusal memos (DESIGN.md, "Refusal
+// memos"). A refused attempt is a pure function of state it does not change,
+// so each of the three retry loops remembers its latest refusal together
+// with the versions of what it read, and while those stand the next cycle's
+// attempt is answered with the refusal's fixed charges alone. The versions
+// are monotone counters, not machine state: only equality with a remembered
+// value means anything. A refusal says something is full or absent, so a
+// version has to move only when its state loses a queue entry or gains a
+// line; what an accepted request or an issued prefetch adds keeps every
+// refused head refused.
+type retryState struct {
+	// front moves with everything that touches this core's DTLB1, DL1 or
+	// MSHRs: a full Demand, an L2 fill-queue pop, insertDL1.
+	front uint64
+	// priv moves when this core's L2 fill queue loses an entry, which is
+	// also how its L2 gains a line: a fill-queue pop. (The other way in, a
+	// dirty DL1 victim, is never the line a queue head asks for: that line
+	// has an MSHR, so it is not in the DL1.)
+	priv uint64
+
+	demand demandMemo // core -> MSHRs (Demand)
+	head   pathMemo   // demand-queue head -> L2 path (processDemand)
+	pref   pathMemo   // prefetch-queue head -> L3 path (issueQueuedPrefetch)
+}
+
+// memoCounts tallies the attempts answered from a memo, and the prefetch-head
+// attempts they are a share of (the other two denominators are statistics
+// already: L2DemandAccesses, and DL1Hits+DL1Misses). Tests read them to prove
+// the memo path is the one being exercised.
+type memoCounts struct {
+	demand, head, pref, prefAttempts uint64
 }
 
 // Hierarchy is the full uncore shared by all cores of one simulation.
@@ -129,6 +184,21 @@ type Hierarchy struct {
 	// them one refused attempt per skipped cycle.
 	//bovet:allow statecodec NextEvent-to-AccountIdle hand-off recomputed on every NextEvent call, not architectural state
 	stalled []int
+
+	// retry holds the per-core refusal memos and their versions. shared is
+	// the version every core reads: it moves when the L3 fill queue loses an
+	// entry or the L3 gains a line (a fill-queue pop, an L2 victim written
+	// back). The fourth version is dram.Memory.ReadVersion. RestoreState
+	// drops every memo.
+	retry []retryState
+	//bovet:allow statecodec version counter compared for equality only; RestoreState drops every memo that remembers a value of it
+	shared uint64
+	//bovet:allow statecodec telemetry about the memos, read by tests only
+	memoHits memoCounts
+	// memoOff stops refusals from being remembered, so every attempt is
+	// evaluated in full: the oracle the memo tests compare against, as
+	// SetSkipAhead(false) is for skipping. Only tests set it.
+	memoOff bool
 
 	translators []*mem.Translator
 
@@ -186,6 +256,7 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.pq = append(h.pq, newPrefetchQueue(cfg.PrefetchQueueLen))
 		h.outstanding = append(h.outstanding, make(map[mem.LineAddr]outstandingInfo))
 		h.dl1Fills = append(h.dl1Fills, nil)
+		h.retry = append(h.retry, retryState{})
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
 	}
 	return h
@@ -242,6 +313,20 @@ func (h *Hierarchy) Access(core int, pc uint64, va mem.Addr, isWrite bool, now u
 //	fut != nil:  the request is in flight; fut carries the completion.
 //	fut == nil:  a DL1 hit; done is the completion cycle.
 func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, fut *dram.Future, ok bool) {
+	if h.demandRefused(core, pc, va) {
+		// The same access again, against the same DTLB1, DL1 and MSHRs: a
+		// DTLB1 hit on the most recent entry, a DL1 miss, no MSHR to merge
+		// onto and none free. The DL1 prefetcher is still consulted for real
+		// (it has filter state of its own, and it cannot be granted an MSHR).
+		h.memoHits.demand++
+		h.tlbs[core].RepeatAccess()
+		h.dl1[core].Misses++
+		h.stats.DL1Misses++
+		h.strideQuery(core, pc, va, now)
+		return 0, nil, false
+	}
+	r := &h.retry[core]
+	r.front++
 	tlbLat := h.tlbs[core].Access(va)
 	line := h.translators[core].TranslateLine(mem.LineOf(va))
 	t0 := now + tlbLat
@@ -270,6 +355,7 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		return 0, info.fut, true
 	}
 	if !h.CanAccept(core) {
+		r.demand = demandMemo{ok: !h.memoOff, pc: pc, va: va, front: r.front}
 		return 0, nil, false
 	}
 	fut = h.futs.Pending()
@@ -366,10 +452,38 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.MSHROccupancySum += span * uint64(len(h.outstanding[0]))
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 	for _, c := range h.stalled {
-		h.stats.L2DemandAccesses += span
-		h.stats.L2Misses += span
-		h.l2[c].Misses += span
+		h.chargeRefused(c, span)
 	}
+}
+
+// chargeRefused charges n refused attempts of core's demand-queue head: each
+// is one L2 access and one L2 lookup miss, and nothing else.
+func (h *Hierarchy) chargeRefused(core int, n uint64) {
+	h.stats.L2DemandAccesses += n
+	h.stats.L2Misses += n
+	h.l2[core].Misses += n
+}
+
+// demandRefused reports whether core's latest Demand was this one, refused for
+// full MSHRs, and nothing has touched the core's DTLB1, DL1 or MSHRs since.
+func (h *Hierarchy) demandRefused(core int, pc uint64, va mem.Addr) bool {
+	r := &h.retry[core]
+	m := &r.demand
+	return m.ok && m.va == va && m.pc == pc && m.front == r.front
+}
+
+// headRefused reports whether core's demand-queue head, for line, was refused
+// by the L2 path and nothing the refusal read has changed since.
+func (h *Hierarchy) headRefused(core int, line mem.LineAddr) bool {
+	r := &h.retry[core]
+	m := &r.head
+	return m.ok && m.line == line && m.priv == r.priv && m.shared == h.shared && m.reads == h.mem.ReadVersion()
+}
+
+// prefetchRefused is headRefused for core's prefetch-queue head and accessL3.
+func (h *Hierarchy) prefetchRefused(core int, line mem.LineAddr) bool {
+	m := &h.retry[core].pref
+	return m.ok && m.line == line && m.shared == h.shared && m.reads == h.mem.ReadVersion()
 }
 
 // NextEvent returns the earliest cycle at or after now at which the uncore
@@ -383,7 +497,9 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 // prefetcher, replacement or queue state), and whatever unblocks it — a
 // fill-queue pop, a DL1 fill, a DRAM scheduling decision, a prefetch issue,
 // a new core request — is an event reported here or by a core. The stalled
-// cores are remembered for AccountIdle.
+// cores are remembered for AccountIdle. A head whose refusal memo holds is
+// blocked without evaluating the predicate; the predicates still decide every
+// head no memo covers, so a jump never waits for a refusal to be recomputed.
 func (h *Hierarchy) NextEvent(now uint64) uint64 {
 	h.stalled = h.stalled[:0]
 	if len(h.pendingWB) > 0 {
@@ -400,7 +516,7 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 		// A refused issueQueuedPrefetch changes nothing at all (the entry it
 		// takes from the pool goes straight back), so a blocked prefetch
 		// needs no AccountIdle charge.
-		if line, ok := h.pq[c].front(); ok && !h.l2fq[c].full() && !h.l3Blocked(line, c) {
+		if line, ok := h.pq[c].front(); ok && !h.l2fq[c].full() && !h.prefetchRefused(c, line) && !h.l3Blocked(line, c) {
 			return now // a queued prefetch will issue this cycle
 		}
 		if t := h.l2fq[c].nextReady(h.futEpoch); t < next {
@@ -412,7 +528,7 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 				if req.readyAt < next {
 					next = req.readyAt
 				}
-			case h.demandBlocked(c, req.line):
+			case h.headRefused(c, req.line) || h.demandBlocked(c, req.line):
 				h.stalled = append(h.stalled, c)
 			default:
 				return now // the L2 will take the head this cycle
@@ -459,6 +575,7 @@ func (h *Hierarchy) drainL3Fills(now uint64) {
 		return
 	}
 	for _, e := range h.l3fq.popReady(now, h.futEpoch) {
+		h.shared++
 		if h.l3.Peek(e.line) == nil {
 			isPf := e.isPrefetch && !e.promoted
 			ev := h.l3.Insert(e.line, cache.InsertInfo{Core: e.core, IsPrefetch: isPf})
@@ -480,6 +597,8 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 		return
 	}
 	for _, e := range h.l2fq[core].popReady(now, h.futEpoch) {
+		h.retry[core].front++ // the MSHR is released below
+		h.retry[core].priv++
 		// The prefetch *bit* is only set when the block was not promoted to
 		// a demand miss in the meantime, but the prefetcher's fill hook
 		// sees every block its requests brought in — the BO prefetcher's
@@ -534,6 +653,7 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 // insertDL1 places line into core's DL1, handling dirty writeback of the
 // victim into the L2 (write-back hierarchy).
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
+	h.retry[core].front++
 	delete(h.outstanding[core], line)
 	if ln := h.dl1[core].Peek(line); ln != nil {
 		ln.Dirty = ln.Dirty || dirty
@@ -561,6 +681,7 @@ func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 // writebackToL3 sends a dirty L2 victim down to the L3 (non-inclusive:
 // allocate if absent).
 func (h *Hierarchy) writebackToL3(line mem.LineAddr, core int) {
+	h.shared++
 	if ln := h.l3.Peek(line); ln != nil {
 		ln.Dirty = true
 		return
@@ -606,8 +727,17 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 		if q.len() == 0 || q.front().readyAt > now {
 			return
 		}
-		if !h.processL2Request(core, q.front(), now) {
-			return // blocked on a full queue downstream; retry next cycle
+		req := q.front()
+		if h.headRefused(core, req.line) {
+			h.memoHits.head++
+			h.chargeRefused(core, 1)
+			return
+		}
+		if !h.processL2Request(core, req, now) {
+			// Blocked on a full queue downstream; retry next cycle.
+			r := &h.retry[core]
+			r.head = pathMemo{ok: !h.memoOff, line: req.line, priv: r.priv, shared: h.shared, reads: h.mem.ReadVersion()}
+			return
 		}
 		q.pop()
 	}
@@ -731,10 +861,16 @@ func (h *Hierarchy) issueQueuedPrefetch(core int, now uint64) {
 		return
 	}
 	line, _ := h.pq[core].front()
+	h.memoHits.prefAttempts++
+	if h.prefetchRefused(core, line) {
+		h.memoHits.pref++
+		return // a refused prefetch moves nothing
+	}
 	e := h.pool.get()
 	e.line, e.core, e.isPrefetch = line, core, true
 	if !h.accessL3(e, now, true) {
 		h.pool.put(e) // downstream full: leave the request queued
+		h.retry[core].pref = pathMemo{ok: !h.memoOff, line: line, shared: h.shared, reads: h.mem.ReadVersion()}
 		return
 	}
 	h.pq[core].pop()

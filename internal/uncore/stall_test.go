@@ -2,6 +2,7 @@ package uncore
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -9,6 +10,8 @@ import (
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	_ "bopsim/internal/prefetch/all"
+	"bopsim/internal/stride"
+	"bopsim/internal/tlb"
 	"bopsim/internal/trace"
 )
 
@@ -46,43 +49,77 @@ type frontEnd struct {
 	inst    trace.Inst
 	readyAt uint64
 	window  []*dram.Future
+	// side, when set, is a second stream that does not wait for the first:
+	// every sidePeriod cycles it sends its next memory access and forgets it
+	// whatever the answer, as a core's younger loads issue around a stalled
+	// one. Between two retries of the main stream's access it is what moves
+	// the DTLB1's recency, hits the DL1 and brings L2 hits back to it.
+	side trace.Generator
 }
 
-const feWindow = 24
+const (
+	feWindow   = 24
+	sidePeriod = 5
+)
 
-func newFrontEnd(gen trace.Generator) *frontEnd {
-	f := &frontEnd{gen: gen}
+func newFrontEnd(gen, side trace.Generator) *frontEnd {
+	f := &frontEnd{gen: gen, side: side}
 	f.fetch(0)
 	return f
 }
 
-func (f *frontEnd) fetch(now uint64) {
-	alu := uint64(0)
-	for f.inst = f.gen.Next(); f.inst.Op == trace.OpALU; f.inst = f.gen.Next() {
+func nextMemOp(gen trace.Generator) (inst trace.Inst, alu uint64) {
+	for inst = gen.Next(); inst.Op == trace.OpALU; inst = gen.Next() {
 		alu++
 	}
-	f.readyAt = now + alu/4
+	return inst, alu
+}
+
+func (f *frontEnd) fetch(now uint64) {
+	inst, alu := nextMemOp(f.gen)
+	f.inst, f.readyAt = inst, now+alu/4
 }
 
 func (f *frontEnd) nextEvent(now uint64) uint64 {
 	t := f.readyAt
 	if len(f.window) == feWindow {
 		if !f.window[0].Resolved() {
-			return never // an uncore event resolves it
+			t = never // an uncore event resolves it
+		} else {
+			t = max(t, f.window[0].Cycle())
 		}
-		t = max(t, f.window[0].Cycle())
+	}
+	if f.side != nil {
+		t = min(t, (now+sidePeriod-1)/sidePeriod*sidePeriod)
 	}
 	return max(t, now)
 }
 
-func (f *frontEnd) cycle(h *Hierarchy, core int, now uint64) {
+// demand sends inst to the hierarchy and, once accepted, retires it.
+func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Future, ok bool) {
+	h := m.h
+	if m.audit != nil && h.demandRefused(core, inst.PC, inst.VA) {
+		m.auditDemandMemo(core, inst.VA, now)
+	}
+	_, fut, ok = h.Demand(core, inst.PC, inst.VA, inst.Op == trace.OpStore, now)
+	if ok {
+		h.RetireMemOp(core, inst.PC, inst.VA)
+	}
+	return fut, ok
+}
+
+func (f *frontEnd) cycle(m *machine, core int, now uint64) {
+	if f.side != nil && now%sidePeriod == 0 {
+		inst, _ := nextMemOp(f.side)
+		m.demand(core, inst, now)
+	}
 	for len(f.window) > 0 && f.window[0].DoneBy(now) {
 		f.window = f.window[1:]
 	}
 	if len(f.window) == feWindow || now < f.readyAt {
 		return
 	}
-	_, fut, ok := h.Demand(core, f.inst.PC, f.inst.VA, f.inst.Op == trace.OpStore, now)
+	fut, ok := m.demand(core, f.inst, now)
 	if !ok {
 		f.readyAt = now + 1
 		return
@@ -90,7 +127,6 @@ func (f *frontEnd) cycle(h *Hierarchy, core int, now uint64) {
 	if fut != nil {
 		f.window = append(f.window, fut)
 	}
-	h.RetireMemOp(core, f.inst.PC, f.inst.VA)
 	f.fetch(now + 1)
 }
 
@@ -106,9 +142,42 @@ type machine struct {
 	// entry, i.e. the only way accessL3 reaches enqueueRead's merge — the
 	// read-queue-full-but-mergeable case of the predicate.
 	inject bool
+	// audit, when set, makes this the audited machine: every attempt about
+	// to be answered from a refusal memo is first checked against the pure
+	// predicate the memo stands in for.
+	audit *testing.T
+	// demandAudits counts auditDemandMemo calls; every tlbAuditEvery-th one
+	// also pays for a look inside the DTLB1.
+	demandAudits int
 }
 
-const injectPeriod = 7
+const (
+	injectPeriod  = 7
+	tlbAuditEvery = 53
+)
+
+// auditDemandMemo checks what a Demand memo hit takes for granted: the access
+// misses the DL1, has no MSHR to merge onto and none free, and its page is
+// the DTLB1's most recent entry (what RepeatAccess stamps).
+func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
+	t, h := m.audit, m.h
+	t.Helper()
+	line := h.translators[core].TranslateLine(mem.LineOf(va))
+	_, merging := h.outstanding[core][line]
+	if h.dl1[core].Peek(line) != nil || merging || h.CanAccept(core) {
+		t.Fatalf("cycle %d core %d: Demand memo holds for va %#x but DL1 present=%v, MSHR to merge onto=%v, MSHR free=%v",
+			now, core, va, h.dl1[core].Peek(line) != nil, merging, h.CanAccept(core))
+	}
+	if m.demandAudits++; m.demandAudits%tlbAuditEvery != 0 {
+		return
+	}
+	st := h.tlbs[core].SaveState().DTLB1
+	mru := slices.Index(st.Stamps, slices.Max(st.Stamps))
+	if st.VPNs[mru] != h.cfg.Page.PageOf(va) || st.Stamps[mru] != st.Clock {
+		t.Fatalf("cycle %d core %d: Demand memo holds for va %#x (page %#x) but the DTLB1's most recent entry is page %#x, stamp %d at clock %d",
+			now, core, va, h.cfg.Page.PageOf(va), st.VPNs[mru], st.Stamps[mru], st.Clock)
+	}
+}
 
 func (m *machine) nextEvent(now uint64) uint64 {
 	ne := m.h.NextEvent(now)
@@ -129,7 +198,7 @@ func (m *machine) front(now uint64) {
 		}
 	}
 	for c, f := range m.fes {
-		f.cycle(m.h, c, now)
+		f.cycle(m, c, now)
 	}
 }
 
@@ -137,6 +206,7 @@ func (m *machine) front(now uint64) {
 type stallRow struct {
 	name      string
 	workloads []string // one per core
+	side      string   // every core's side stream ("" for none), see frontEnd
 	l2pf      string
 	l1pf      string
 	cycles    uint64
@@ -145,9 +215,13 @@ type stallRow struct {
 	dram      func(*dram.Params)
 	// wantPaths are the refusal paths this row exists to exercise.
 	wantPaths []string
+	// wantMemos are the refusal memos ("demand", "head", "pref") this row
+	// exists to exercise.
+	wantMemos []string
 }
 
-func (r stallRow) build(t *testing.T) *machine {
+// build returns a fresh machine of this row, with the refusal memos on or off.
+func (r stallRow) build(t *testing.T, memos bool) *machine {
 	t.Helper()
 	cores := len(r.workloads)
 	cfg := DefaultConfig(cores, mem.Page4K)
@@ -177,10 +251,58 @@ func (r stallRow) build(t *testing.T) *machine {
 			return pf
 		},
 		dram.New(p))
+	m.h.memoOff = !memos
 	for c, w := range r.workloads {
-		m.fes = append(m.fes, newFrontEnd(trace.MustWorkload(w, 1+uint64(c)*7919)))
+		var side trace.Generator
+		if r.side != "" {
+			side = trace.MustWorkload(r.side, 3+uint64(c)*104729)
+		}
+		m.fes = append(m.fes, newFrontEnd(trace.MustWorkload(w, 1+uint64(c)*7919), side))
 	}
 	return m
+}
+
+// deepState is the part of a machine too costly to compare every cycle: each
+// TLB level's contents with their stamps, clock and hit counts (the cheap
+// fingerprint has only the miss counters) and the DL1 prefetchers' decision
+// counts. It is compared every deepEvery cycles and at the end of a row.
+type deepState struct {
+	TLBs   []tlb.State
+	Stride []stride.Stats
+}
+
+const deepEvery = 97 // prime: no phase-lock with the bus ratio or injectPeriod
+
+func (m *machine) deep() deepState {
+	var d deepState
+	for c := range m.h.tlbs {
+		d.TLBs = append(d.TLBs, m.h.tlbs[c].SaveState())
+		if pf, ok := m.h.l1pf[c].(*stride.Prefetcher); ok {
+			d.Stride = append(d.Stride, pf.Stats())
+		}
+	}
+	return d
+}
+
+// diff names the cores whose deep state differs.
+func (a deepState) diff(b deepState) string {
+	var out string
+	level := func(c int, name string, x, y tlb.LevelState) {
+		if !reflect.DeepEqual(x, y) {
+			out += fmt.Sprintf("\n  core %d %s: clock %d hits %d misses %d vs clock %d hits %d misses %d (stamps equal: %v)",
+				c, name, x.Clock, x.Hits, x.Misses, y.Clock, y.Hits, y.Misses, slices.Equal(x.Stamps, y.Stamps))
+		}
+	}
+	for c := range a.TLBs {
+		level(c, "DTLB1", a.TLBs[c].DTLB1, b.TLBs[c].DTLB1)
+		level(c, "TLB2", a.TLBs[c].TLB2, b.TLBs[c].TLB2)
+	}
+	for c := range a.Stride {
+		if a.Stride[c] != b.Stride[c] {
+			out += fmt.Sprintf("\n  core %d stride.Stats: %+v vs %+v", c, a.Stride[c], b.Stride[c])
+		}
+	}
+	return out
 }
 
 // fingerprint is everything the test can see of a machine short of cache
@@ -311,7 +433,9 @@ func (h *Hierarchy) refusalPath(core int, line mem.LineAddr) string {
 
 // checkedTick is Hierarchy.Tick with the stall predicate audited where it
 // matters: after this cycle's fills have drained, around each core's
-// processDemand. Its body must stay a copy of Tick's — the lock-step
+// processDemand. An attempt a refusal memo is about to answer must be one
+// the predicate calls blocked (and is then held to the same pure-refusal
+// check as any other). Its body must stay a copy of Tick's — the lock-step
 // comparison against a machine that runs the real Tick enforces that.
 func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	t.Helper()
@@ -336,6 +460,9 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 		line := q.front().line
 		blocked := h.demandBlocked(c, line)
 		path := h.refusalPath(c, line)
+		if h.headRefused(c, line) && !blocked {
+			t.Fatalf("cycle %d core %d: the head memo holds for line %#x but the predicate says the L2 path would take it", now, c, line)
+		}
 		before := m.fingerprint(bufA)
 		qlen := q.len()
 		h.processDemand(c, now)
@@ -364,6 +491,9 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 		// Same audit for the prefetch-queue head: refused means untouched.
 		line, queued := h.pq[c].front()
 		blocked := queued && !h.l2fq[c].full() && h.l3Blocked(line, c)
+		if queued && !h.l2fq[c].full() && h.prefetchRefused(c, line) && !blocked {
+			t.Fatalf("cycle %d core %d: the prefetch memo holds for line %#x but the predicate says the L3 path would take it", now, c, line)
+		}
 		if !blocked {
 			n := h.pq[c].n
 			h.issueQueuedPrefetch(c, now)
@@ -388,99 +518,154 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	}
 }
 
-// TestStallPredicateLockStep holds the stall predicate to the model it
-// summarizes. Two machines replay one seeded request stream: the oracle
-// ticks every cycle (through checkedTick, which audits the predicate against
-// what processDemand then actually does), the other follows NextEvent and
-// AccountIdle exactly as the engine does. Whenever the second one ticks, the
-// two must be indistinguishable: identical Stats, per-cache counters
-// (cache.Misses is invisible in Result JSON), TLB counters, queue
-// occupancies, fill-queue flags, prefetcher call counts and DRAM counters.
+// TestStallPredicateLockStep holds the stall predicate and the refusal memos
+// to the model they summarize. Three machines replay one seeded request
+// stream. The audited one ticks every cycle through checkedTick, which checks
+// the predicate against what processDemand then actually does and every memo
+// hit against the predicate. The plain one ticks every cycle with the memos
+// switched off, so every attempt is evaluated in full: it is the oracle for
+// the memos, and the two must be indistinguishable at every cycle. The
+// skipping one follows NextEvent and AccountIdle exactly as the engine does,
+// and must be indistinguishable whenever it ticks. Indistinguishable means
+// identical Stats, per-cache counters (cache.Misses is invisible in Result
+// JSON), TLB counters, queue occupancies, fill-queue flags, prefetcher call
+// counts and DRAM counters; and, every deepEvery cycles and at the end,
+// identical TLB contents (stamps, clocks, hit counts) and stride statistics.
 func TestStallPredicateLockStep(t *testing.T) {
 	rows := []stallRow{
 		{name: "1core-mcf-bo", workloads: []string{"429.mcf"}, l2pf: "bo", l1pf: "stride", cycles: 150_000,
-			wantPaths: []string{"l2fq-full"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"head"}},
 		{name: "4core-thrash", workloads: []string{"429.mcf", "microthrash", "microthrash", "microthrash"},
 			l2pf: "bo:degree=2", l1pf: "stride", cycles: 60_000,
-			wantPaths: []string{"l2fq-full", "l3fq-full", "prefetch-blocked"}},
+			wantPaths: []string{"l2fq-full", "l3fq-full", "prefetch-blocked"},
+			wantMemos: []string{"demand", "head", "pref"}},
 		{name: "no-promotion", workloads: []string{"462.libquantum"}, l2pf: "nextline", l1pf: "none", cycles: 60_000,
 			cfg:       func(c *Config) { c.LatePromotion = false },
-			wantPaths: []string{"no-promotion"}},
+			wantPaths: []string{"no-promotion"}, wantMemos: []string{"head"}},
 		{name: "4MB-pages-sbp", workloads: []string{"433.milc", "microthrash"}, l2pf: "sbp", l1pf: "stride", cycles: 60_000,
 			cfg:       func(c *Config) { c.Page = mem.Page4M },
-			wantPaths: []string{"l2fq-full"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
 		{name: "tiny-queues", workloads: []string{"429.mcf", "microthrash", "470.lbm", "microthrash"},
 			l2pf: "bo:degree=2", l1pf: "stride", cycles: 60_000,
 			cfg:       func(c *Config) { c.L2FillQueueLen, c.L3FillQueueLen, c.PrefetchQueueLen = 4, 12, 4 },
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 1 },
-			wantPaths: []string{"l2fq-full", "l3fq-full", "readq-full", "prefetch-blocked"}},
+			wantPaths: []string{"l2fq-full", "l3fq-full", "readq-full", "prefetch-blocked"},
+			wantMemos: []string{"demand", "head", "pref"}},
 		{name: "tiny-queues-no-promotion", workloads: []string{"462.libquantum", "microthrash"},
 			l2pf: "nextline", l1pf: "stride", cycles: 40_000,
 			cfg: func(c *Config) {
 				c.L2FillQueueLen, c.L3FillQueueLen, c.LatePromotion = 6, 8, false
 			},
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 2 },
-			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"}},
+			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"},
+			wantMemos: []string{"demand", "head", "pref"}},
 		{name: "second-requester", workloads: []string{"429.mcf", "416.gamess"}, l2pf: "none", l1pf: "none",
 			cycles: 60_000, inject: true,
 			cfg:       func(c *Config) { c.L2FillQueueLen, c.L3FillQueueLen = 64, 64 },
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 1 },
-			wantPaths: []string{"readq-full", "readq-full-but-mergeable"}},
+			wantPaths: []string{"readq-full", "readq-full-but-mergeable"}, wantMemos: []string{"head"}},
+		// The two rows below exist for version bumps nothing above depends on.
+		// Side streams touch each core's DTLB1, DL1 and MSHRs between two
+		// retries of a refused access, and L2 hits come back to the DL1 while
+		// the MSHRs are full: the front version has to move for all of it.
+		{name: "side-streams", workloads: []string{"462.libquantum", "470.lbm"}, side: "453.povray",
+			l2pf: "bo", l1pf: "stride", cycles: 60_000,
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
+		// Dirty lines bounce between an L2 and an L3 a few times its size while
+		// next-line prefetches of those very lines wait on a 4-entry L3 fill
+		// queue: an L2 victim written back is a line the L3 gains.
+		{name: "L2-victims-reach-L3", workloads: []string{"gups:footprint=64kb,storepct=100", "microthrash"},
+			l2pf: "nextline", l1pf: "none", cycles: 80_000,
+			cfg:       func(c *Config) { c.L2Size, c.L3Size, c.L3FillQueueLen = 32<<10, 64<<10, 4 },
+			wantPaths: []string{"l3fq-full", "prefetch-blocked"}, wantMemos: []string{"head", "pref"}},
 	}
 	for _, policy := range []string{"LRU", "DRRIP", "5P"} { // an L3 small enough for the policy to matter
 		rows = append(rows, stallRow{name: "L3-" + policy, workloads: []string{"470.lbm", "microthrash"},
 			l2pf: "bo", l1pf: "stride", cycles: 40_000,
 			cfg:       func(c *Config) { c.L3Policy, c.L3Size = policy, 128<<10 },
-			wantPaths: []string{"l2fq-full"}})
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}})
 	}
 	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			oracle, skipper := row.build(t), row.build(t)
-			paths := map[string]int{}
-			var oracleNow, now, skipped, stalledSkipped uint64
-			var bufA, bufB []uint64
-			catchUp := func(to uint64) {
-				for ; oracleNow < to; oracleNow++ {
-					oracle.front(oracleNow)
-					oracle.checkedTick(t, oracleNow, paths)
-				}
-				a, b := oracle.fingerprint(bufA), skipper.fingerprint(bufB)
-				bufA, bufB = a.v, b.v
-				if !a.equal(b) {
-					t.Fatalf("before cycle %d the skipping machine differs from the per-cycle one; per-cycle vs skipping:%s", to, a.diff(b))
-				}
+		t.Run(row.name, row.run)
+	}
+}
+
+// run replays the row on its three machines (see TestStallPredicateLockStep).
+func (row stallRow) run(t *testing.T) {
+	oracle, plain, skipper := row.build(t, true), row.build(t, false), row.build(t, true)
+	oracle.audit = t
+	paths := map[string]int{}
+	var oracleNow, now, skipped, stalledSkipped uint64
+	var bufA, bufB []uint64
+	deepCheck := func(other *machine, what string) {
+		if d := oracle.deep().diff(other.deep()); d != "" {
+			t.Fatalf("before cycle %d the %s machine differs from the audited one in TLB or stride state; audited vs %s:%s", oracleNow, what, what, d)
+		}
+	}
+	catchUp := func(to uint64) {
+		for ; oracleNow < to; oracleNow++ {
+			oracle.front(oracleNow)
+			oracle.checkedTick(t, oracleNow, paths)
+			plain.front(oracleNow)
+			plain.h.Tick(oracleNow)
+			a, b := oracle.fingerprint(bufA), plain.fingerprint(bufB)
+			bufA, bufB = a.v, b.v
+			if !a.equal(b) {
+				t.Fatalf("after cycle %d the machine without memos differs from the one with; with vs without:%s", oracleNow, a.diff(b))
 			}
-			for now < row.cycles {
-				ne := skipper.nextEvent(now)
-				if ne == never {
-					t.Fatalf("cycle %d: nothing scheduled anywhere, the machine is wedged", now)
-				}
-				if ne > now {
-					span := min(ne, row.cycles) - now
-					skipped += span
-					if len(skipper.h.stalled) > 0 {
-						stalledSkipped += span
-					}
-					skipper.h.AccountIdle(span)
-					now += span
-					continue
-				}
-				catchUp(now)
-				skipper.front(now)
-				skipper.h.Tick(now)
-				now++
+			if oracleNow%deepEvery == 0 {
+				deepCheck(plain, "memo-less")
 			}
-			catchUp(row.cycles)
-			t.Logf("%d cycles, %d skipped, %d of them with a stalled head; refusals by path: %v",
-				row.cycles, skipped, stalledSkipped, paths)
-			for _, p := range row.wantPaths {
-				if paths[p] == 0 {
-					t.Errorf("refusal path %q never fired: this row no longer tests it", p)
-				}
+		}
+		a, b := oracle.fingerprint(bufA), skipper.fingerprint(bufB)
+		bufA, bufB = a.v, b.v
+		if !a.equal(b) {
+			t.Fatalf("before cycle %d the skipping machine differs from the per-cycle one; per-cycle vs skipping:%s", to, a.diff(b))
+		}
+	}
+	for now < row.cycles {
+		ne := skipper.nextEvent(now)
+		if ne == never {
+			t.Fatalf("cycle %d: nothing scheduled anywhere, the machine is wedged", now)
+		}
+		if ne > now {
+			span := min(ne, row.cycles) - now
+			skipped += span
+			if len(skipper.h.stalled) > 0 {
+				stalledSkipped += span
 			}
-			if stalledSkipped == 0 {
-				t.Error("no cycle was skipped over a stalled head: the row does not exercise AccountIdle's charge")
-			}
-		})
+			skipper.h.AccountIdle(span)
+			now += span
+			continue
+		}
+		catchUp(now)
+		skipper.front(now)
+		skipper.h.Tick(now)
+		now++
+	}
+	catchUp(row.cycles)
+	deepCheck(plain, "memo-less")
+	deepCheck(skipper, "skipping")
+	hits, st := oracle.h.memoHits, oracle.h.stats
+	t.Logf("%d cycles, %d skipped, %d of them with a stalled head; refusals by path: %v",
+		row.cycles, skipped, stalledSkipped, paths)
+	t.Logf("answered from a memo: %d of %d Demand calls, %d of %d demand-head attempts, %d of %d prefetch-head attempts",
+		hits.demand, st.DL1Hits+st.DL1Misses, hits.head, st.L2DemandAccesses, hits.pref, hits.prefAttempts)
+	if n := plain.h.memoHits; n.demand+n.head+n.pref != 0 {
+		t.Errorf("the machine with memos off answered %+v attempts from a memo: it is no oracle", n)
+	}
+	for _, p := range row.wantPaths {
+		if paths[p] == 0 {
+			t.Errorf("refusal path %q never fired: this row no longer tests it", p)
+		}
+	}
+	fired := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}
+	for _, m := range row.wantMemos {
+		if fired[m] == 0 {
+			t.Errorf("the %s memo never answered an attempt: this row no longer tests it", m)
+		}
+	}
+	if stalledSkipped == 0 {
+		t.Error("no cycle was skipped over a stalled head: the row does not exercise AccountIdle's charge")
 	}
 }

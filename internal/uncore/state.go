@@ -76,6 +76,9 @@ func (h *Hierarchy) RestoreState(st State) error {
 		return err
 	}
 	h.stats = st.Stats
+	// Restore only promises a drained hierarchy, not a fresh one: no attempt
+	// after it may be answered from a refusal remembered before it.
+	clear(h.retry)
 	return nil
 }
 
@@ -86,6 +89,7 @@ func (h *Hierarchy) RestoreState(st State) error {
 // alike.
 func (h *Hierarchy) ResetStats() {
 	h.stats = Stats{}
+	h.memoHits = memoCounts{}
 	h.l3.ResetStats()
 	for c := range h.dl1 {
 		h.dl1[c].ResetStats()

@@ -43,3 +43,28 @@ func TestRestoreRejectsForeignOwnerCore(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoreDropsMemos checks that no attempt after a restore can be
+// answered from a refusal remembered before it. A drained hierarchy's memos
+// are stale anyway (draining moved every version they hold), so the test
+// plants fresh ones — the state RestoreState must not rely on never meeting.
+func TestRestoreDropsMemos(t *testing.T) {
+	h := New(DefaultConfig(1, mem.Page4K), nil, nil, nil)
+	saved, err := h.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &h.retry[0]
+	r.demand = demandMemo{ok: true, pc: 0x400, va: 0x1000, front: r.front}
+	r.head = pathMemo{ok: true, line: 7, priv: r.priv, shared: h.shared, reads: h.mem.ReadVersion()}
+	r.pref = pathMemo{ok: true, line: 9, shared: h.shared, reads: h.mem.ReadVersion()}
+	if !h.demandRefused(0, 0x400, 0x1000) || !h.headRefused(0, 7) || !h.prefetchRefused(0, 9) {
+		t.Fatal("the planted memos do not hold: the test no longer plants what the hierarchy checks")
+	}
+	if err := h.RestoreState(saved); err != nil {
+		t.Fatal(err)
+	}
+	if h.demandRefused(0, 0x400, 0x1000) || h.headRefused(0, 7) || h.prefetchRefused(0, 9) {
+		t.Error("a refusal memo survived RestoreState")
+	}
+}
