@@ -13,7 +13,8 @@ import (
 // TestCoreCycleZeroAlloc pins the steady-state cost of the core's hot loop:
 // once the ROB ring, request queues, fill-entry pool, DRAM request pool and
 // future arena have warmed up, a simulated cycle — Core.Cycle plus the
-// Hierarchy.Tick it drives — must not allocate. A regression here silently
+// Hierarchy.Tick it drives, behind the two NextEvent calls the engine makes
+// before every cycle it ticks — must not allocate. A regression here silently
 // multiplies across hundreds of millions of simulated cycles, so it fails
 // the build instead of the profiler.
 func TestCoreCycleZeroAlloc(t *testing.T) {
@@ -32,6 +33,8 @@ func TestCoreCycleZeroAlloc(t *testing.T) {
 				h.Tick(now)
 			}
 			avg := testing.AllocsPerRun(2000, func() {
+				c.NextEvent(now)
+				h.NextEvent(now)
 				c.Cycle(now)
 				h.Tick(now)
 				now++

@@ -81,6 +81,12 @@ type Core struct {
 	pending    trace.Inst // fetched instruction that could not dispatch (MSHRs full)
 	hasPending bool
 
+	// cycled is the cycle after the latest Cycle call: the first one this
+	// core has not been charged for. A driver that skips cycles leaves it
+	// behind the clock, and settle closes the gap.
+	//bovet:allow statecodec a checkpoint is taken right after a ticked cycle, when no span is owed (and a drained machine owes none: its MSHRs are empty)
+	cycled uint64
+
 	// Retired counts retired instructions; Cycles is advanced by the
 	// simulation driver via Cycle calls.
 	Retired uint64
@@ -99,10 +105,15 @@ func New(id int, cfg Config, hier *uncore.Hierarchy, gen trace.Generator) *Core 
 }
 
 // Cycle advances the core by one clock: retire, issue waiting loads, then
-// dispatch new instructions.
+// dispatch new instructions. Cycles the driver skipped since the previous
+// call are settled first.
 //
 //bovet:hotpath
 func (c *Core) Cycle(now uint64) {
+	if now != c.cycled {
+		c.Settle(now)
+	}
+	c.cycled = now + 1
 	c.retire(now)
 	c.issueWaiting(now)
 	c.dispatch(now)
@@ -276,15 +287,48 @@ func (c *Core) dispatch(now uint64) {
 	}
 }
 
+// dispatching reports whether dispatch runs at all this cycle.
+func (c *Core) dispatching() bool { return !c.paused && c.robLen < c.cfg.ROBSize }
+
+// pendingRefused reports whether all a running dispatch would do is replay the
+// pending instruction's access and have it refused again, moving counters
+// only (uncore.Hierarchy.DispatchStalled).
+func (c *Core) pendingRefused() bool {
+	return c.hasPending && c.hier.DispatchStalled(c.ID, c.pending.PC, c.pending.VA)
+}
+
+// Settle charges the cycles before now that the driver skipped, [cycled, now).
+// NextEvent lets a driver skip a cycle in which dispatch runs only when the
+// dispatch is stalled — one refused replay of the pending access — and
+// nothing else in the core moves. Such a cycle's whole effect is one
+// DispatchStallMSHR and the charges of one refused Demand, so a span of them
+// is added up here, by the core itself: at the top of its next Cycle, and from
+// whoever reads the machine's counters in between (engine.Snapshot). Nothing
+// the stall depends on can have changed during the span (that would have been
+// somebody's event), so it is judged as NextEvent judged it.
+func (c *Core) Settle(now uint64) {
+	if now > c.cycled && c.dispatching() && c.pendingRefused() {
+		n := now - c.cycled
+		c.DispatchStallMSHR += n
+		c.hier.ChargeRefusedDemands(c.ID, c.pending.PC, c.pending.VA, n)
+	}
+	c.cycled = max(c.cycled, now)
+}
+
 // NextEvent returns the earliest cycle at or after now at which the core
 // can make progress, or ^uint64(0) when no event is scheduled (progress, if
 // any, will come from a hierarchy or DRAM completion). It returns now
 // whenever the core would do real work this cycle — dispatching, attempting
 // an issue, or retiring — because those paths have side effects (generator
 // consumption, cache/TLB/prefetcher state updates) on every cycle they run.
+// The one exception is a stalled dispatch, whose per-cycle effect is a fixed
+// charge (see Settle): it is no event, and the core then reports what else it
+// waits for.
+//
+//bovet:hotpath
 func (c *Core) NextEvent(now uint64) uint64 {
-	if !c.paused && c.robLen < c.cfg.ROBSize {
-		return now // dispatch will run this cycle
+	if c.dispatching() && !c.pendingRefused() {
+		return now // dispatch will fetch, or send an access that may be taken
 	}
 	next := ^uint64(0)
 	if c.robLen > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"bopsim/internal/mem"
 	"bopsim/internal/trace"
+	"bopsim/internal/uncore"
 )
 
 // recordingGen tags each instruction with a sequence number in its PC so a
@@ -78,6 +79,46 @@ func TestMSHRStallCounterAdvances(t *testing.T) {
 	}
 	if c.DispatchStallMSHR == 0 {
 		t.Error("no MSHR stalls under a miss flood")
+	}
+}
+
+// TestSkippedStallIsSettled: under the same miss flood, a driver that jumps
+// over every cycle NextEvent lets it, telling the uncore and never the core
+// (the engine's protocol), must end on the counters of one that runs every
+// cycle: the core charges the stalled dispatches it was not cycled for by
+// itself, at its next Cycle and at the closing Settle.
+func TestSkippedStallIsSettled(t *testing.T) {
+	const cycles = 20_000
+	type outcome struct {
+		stalls, retired uint64
+		hier            uncore.Stats
+	}
+	run := func(skip bool) (o outcome, stallSkipped uint64) {
+		c, h := newTestSystem(nil)
+		c.gen = &floodGen{}
+		for now := uint64(0); now < cycles; {
+			if ne := min(c.NextEvent(now), h.NextEvent(now), cycles); skip && ne > now {
+				h.AccountIdle(ne - now)
+				if c.ROBOccupancy() < c.cfg.ROBSize {
+					stallSkipped += ne - now
+				}
+				now = ne
+				continue
+			}
+			c.Cycle(now)
+			h.Tick(now)
+			now++
+		}
+		c.Settle(cycles)
+		return outcome{c.DispatchStallMSHR, c.Retired, h.Stats()}, stallSkipped
+	}
+	want, _ := run(false)
+	got, stallSkipped := run(true)
+	if got != want {
+		t.Errorf("skipping driver ended on\n%+v\nper-cycle driver on\n%+v", got, want)
+	}
+	if stallSkipped == 0 || want.stalls == 0 {
+		t.Errorf("%d cycles skipped across a stalled dispatch, %d stalls: the flood no longer stalls dispatch", stallSkipped, want.stalls)
 	}
 }
 

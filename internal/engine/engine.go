@@ -409,11 +409,13 @@ func (s *Simulation) nextEventCycle() uint64 {
 //
 // Stepping is event-driven: when no core, uncore queue or DRAM channel can
 // do work this cycle, the clock jumps straight to the earliest upcoming
-// event, charging the skipped span to the per-cycle sampled statistics
-// (uncore.Hierarchy.AccountIdle). The skipped cycles would have been no-ops
-// under per-cycle ticking, so results are byte-identical (SetSkipAhead and
-// the skip equivalence suite pin this down); a skip consumes its span from
-// the n-cycle budget just as ticked cycles do.
+// event, charging the skipped span to the per-cycle sampled statistics and
+// the uncore's stalled queue heads (uncore.Hierarchy.AccountIdle); a core
+// whose dispatch is stalled charges its own share later (cpu.Core.Settle).
+// The skipped cycles would have moved nothing else under per-cycle ticking,
+// so results are byte-identical (SetSkipAhead and the skip equivalence suite
+// pin this down); a skip consumes its span from the n-cycle budget just as
+// ticked cycles do.
 func (s *Simulation) Step(n uint64) (done bool, err error) {
 	if s.err != nil {
 		return false, s.err
@@ -443,9 +445,7 @@ func (s *Simulation) Step(n uint64) (done bool, err error) {
 				s.hier.AccountIdle(jump - s.now)
 				s.now = jump
 				s.atBarrier = false
-				if s.now >= s.opts.MaxCycles && !s.Done() {
-					s.err = fmt.Errorf("engine: %s wedged after %d cycles (%d/%d instructions)",
-						s.wsLabel, s.now, s.cores[0].Retired, s.startRetired+s.opts.Instructions)
+				if s.wedged() {
 					return false, s.err
 				}
 				continue
@@ -457,9 +457,7 @@ func (s *Simulation) Step(n uint64) (done bool, err error) {
 		s.hier.Tick(s.now)
 		s.now++
 		s.atBarrier = false
-		if s.now >= s.opts.MaxCycles && !s.Done() {
-			s.err = fmt.Errorf("engine: %s wedged after %d cycles (%d/%d instructions)",
-				s.wsLabel, s.now, s.cores[0].Retired, s.startRetired+s.opts.Instructions)
+		if s.wedged() {
 			return false, s.err
 		}
 		switch s.phase {
@@ -482,6 +480,17 @@ func (s *Simulation) Step(n uint64) (done bool, err error) {
 		}
 	}
 	return s.Done(), nil
+}
+
+// wedged reports whether the clock has reached MaxCycles with the run
+// incomplete, and if so records the sticky error.
+func (s *Simulation) wedged() bool {
+	if s.now < s.opts.MaxCycles || s.Done() {
+		return false
+	}
+	s.err = fmt.Errorf("engine: %s wedged after %d cycles (%d/%d instructions)",
+		s.wsLabel, s.now, s.cores[0].Retired, s.startRetired+s.opts.Instructions)
+	return true
 }
 
 // quiesced reports whether every core's pipeline and the whole uncore are
@@ -512,6 +521,16 @@ func (s *Simulation) barrier() {
 	s.startCycles = s.now
 	s.startRetired = s.cores[0].Retired
 	s.atBarrier = true
+}
+
+// settle has every core charge the cycles the latest jump skipped for it, so
+// the counters read next are those of a machine ticked up to now (see
+// cpu.Core.Settle; a core otherwise settles at its next Cycle). Checkpoint
+// needs none: AtBarrier means the latest step was a ticked cycle, or none.
+func (s *Simulation) settle() {
+	for _, c := range s.cores {
+		c.Settle(s.now)
+	}
 }
 
 // AtBarrier reports whether the simulation sits exactly at the warmup
@@ -575,6 +594,7 @@ func Run(ctx context.Context, o Options) (Result, error) {
 // from the barrier (statistics were reset there), so a warmed run reports
 // the measured region only.
 func (s *Simulation) Snapshot() Result {
+	s.settle()
 	cycles := s.now - s.startCycles
 	retired := s.cores[0].Retired - s.startRetired
 	res := Result{

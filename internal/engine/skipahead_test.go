@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bopsim/internal/engine"
+	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
@@ -18,6 +19,30 @@ type skipRow struct {
 	// minSkipped is the share of the run's cycles that must be skipped, so
 	// a row that exists to cross blocked spans cannot silently stop doing so.
 	minSkipped float64
+	// budget, when non-zero, cuts every seventh jump longer than it short:
+	// the run is stepped with a budget that ends inside the skipped span, and
+	// a Snapshot and a deep digest are taken right there, with the cores
+	// mid-stall. The per-cycle run must show the same at every one of those
+	// cycles.
+	budget uint64
+	// wantStoreStalls requires dispatch to have stalled on full MSHRs on
+	// core 0 (in a row whose every memory instruction is a store).
+	wantStoreStalls bool
+}
+
+// midRun is what a run showed when it was stopped at a cycle.
+type midRun struct {
+	cycle            uint64
+	snapshot, digest string
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestSkipAheadEquivalence is the event-driven engine's correctness
@@ -25,11 +50,17 @@ type skipRow struct {
 // skips over no-event spans (the default) or ticks every cycle
 // (SetSkipAhead(false)). Skip-ahead is a pure scheduling optimization — any
 // divergence here means a component's NextEvent underreports a cycle with
-// side effects, or AccountIdle undercharges a span. A 2-core heterogeneous
-// mix runs under every registered L2 prefetcher; the other rows are where
-// stalled demand-queue heads dominate (a memory-bound core behind a full L2
-// fill queue), with satellites, without late promotion, and across the
-// warmup barrier.
+// side effects, or a skipped span is undercharged (AccountIdle for the
+// uncore's stalled heads, cpu.Core.Settle for a stalled dispatch). Result
+// JSON cannot see most of what a dispatch stall is charged to, so every row
+// also compares the machine's deep digest: DTLB1 stamps and clocks, stride
+// statistics, DispatchStallMSHR, per-cache miss counters. A 2-core
+// heterogeneous mix runs under every registered L2 prefetcher; the other rows
+// are where stalls dominate: a memory-bound core behind a full L2 fill queue
+// (alone, without late promotion, across the warmup barrier), and cores
+// retrying against full MSHRs beside thrashing satellites (the benchmark's
+// quad-contended shape; on 4MB pages; without a DL1 prefetcher; with a store
+// as the refused instruction; stopped and read in the middle of a stall).
 func TestSkipAheadEquivalence(t *testing.T) {
 	names := prefetch.L2Names()
 	if len(names) == 0 {
@@ -50,13 +81,14 @@ func TestSkipAheadEquivalence(t *testing.T) {
 		o.Workloads = []trace.Spec{trace.MustSpec("429.mcf")}
 		o.L2PF = prefetch.MustSpec("bo")
 	}
+	quad := func(o *engine.Options) {
+		mcfBO(o)
+		o.Cores = 4
+		o.Instructions = 10_000
+	}
 	rows = append(rows,
 		skipRow{name: "mcf-bo-1core", opts: mcfBO, minSkipped: 0.75},
-		skipRow{name: "mcf-bo-4core-satellites", opts: func(o *engine.Options) {
-			mcfBO(o)
-			o.Cores = 4
-			o.Instructions = 10_000
-		}},
+		skipRow{name: "mcf-bo-4core-satellites", opts: quad, minSkipped: 0.6},
 		skipRow{name: "mcf-nextline-no-late-promotion", opts: func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("429.mcf")}
 			o.LatePromote = false
@@ -65,6 +97,22 @@ func TestSkipAheadEquivalence(t *testing.T) {
 			mcfBO(o)
 			o.Warmup = 20_000
 		}, minSkipped: 0.75},
+		skipRow{name: "mcf-bo-2core-4MB", opts: func(o *engine.Options) {
+			mcfBO(o)
+			o.Cores = 2
+			o.Page = mem.Page4M
+			o.Instructions = 25_000
+		}, minSkipped: 0.6},
+		skipRow{name: "mcf-bo-4core-no-DL1-prefetcher", opts: func(o *engine.Options) {
+			quad(o)
+			o.L1PF = prefetch.MustSpec("none")
+		}, minSkipped: 0.6},
+		skipRow{name: "stores-2core", opts: func(o *engine.Options) {
+			o.Workloads = []trace.Spec{trace.MustSpec("gups:footprint=64mb,storepct=100")}
+			o.Cores = 2
+			o.Instructions = 10_000
+		}, minSkipped: 0.6, wantStoreStalls: true},
+		skipRow{name: "mcf-bo-4core-read-mid-stall", opts: quad, minSkipped: 0.6, budget: 5},
 	)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -74,41 +122,69 @@ func TestSkipAheadEquivalence(t *testing.T) {
 
 			// run steps the simulation one engine decision at a time — one
 			// jump or one ticked cycle — which is what Run does in larger
-			// quanta, and counts the cycles that were jumped over.
-			run := func(skip bool) (result []byte, skippedShare float64) {
+			// quanta, and counts the cycles that were jumped over. With skip
+			// on it stops inside every jump longer than row.budget; with
+			// skip off it stops at the cycles it is given.
+			run := func(skip bool, stops []midRun) (s *engine.Simulation, stopped []midRun, skippedShare float64) {
 				s, err := engine.New(o)
 				if err != nil {
 					t.Fatal(err)
 				}
 				s.SetSkipAhead(skip)
-				var skipped uint64
+				var skipped, long uint64
 				for done := false; !done; {
-					n := uint64(1)
+					n, stop := uint64(1), false
 					if ne := s.NextEventCycle(); skip && ne > s.Cycles() && ne != ^uint64(0) {
 						n = ne - s.Cycles()
+						if row.budget > 0 && n > row.budget {
+							if long++; long%7 == 0 {
+								n, stop = row.budget, true
+							}
+						}
 						skipped += n
 					}
 					if done, err = s.Step(n); err != nil {
 						t.Fatal(err)
 					}
+					if !skip && len(stops) > len(stopped) && stops[len(stopped)].cycle == s.Cycles() {
+						stop = true
+					}
+					if stop {
+						stopped = append(stopped, midRun{s.Cycles(), mustJSON(t, s.Snapshot()), mustJSON(t, s.DeepDigest())})
+					}
 				}
-				b, err := json.Marshal(s.Snapshot())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b, float64(skipped) / float64(s.Cycles())
+				return s, stopped, float64(skipped) / float64(s.Cycles())
 			}
 
-			skipOn, share := run(true)
-			skipOff, _ := run(false)
-			if !bytes.Equal(skipOn, skipOff) {
-				t.Errorf("skip-ahead changed the result\nwith skip:    %s\nwithout skip: %s", skipOn, skipOff)
+			on, stops, share := run(true, nil)
+			off, oracleStops, _ := run(false, stops)
+			if a, b := mustJSON(t, on.Snapshot()), mustJSON(t, off.Snapshot()); a != b {
+				t.Errorf("skip-ahead changed the result\nwith skip:    %s\nwithout skip: %s", a, b)
+			}
+			if a, b := mustJSON(t, on.DeepDigest()), mustJSON(t, off.DeepDigest()); a != b {
+				t.Errorf("skip-ahead changed the machine below the result\nwith skip:    %s\nwithout skip: %s", a, b)
 			}
 			if share < row.minSkipped {
 				t.Errorf("%.0f%% of the cycles were skipped, want at least %.0f%%: the row no longer crosses stalled spans",
 					100*share, 100*row.minSkipped)
 			}
 			t.Logf("%.0f%% of cycles skipped", 100*share)
+			if row.wantStoreStalls && on.DeepDigest().Cores[0].DispatchStallMSHR == 0 {
+				t.Error("no store ever stalled dispatch on full MSHRs: the row no longer has a store as the refused instruction")
+			}
+			if row.budget == 0 {
+				return
+			}
+			if len(stops) < 100 || len(oracleStops) != len(stops) {
+				t.Fatalf("stopped inside %d jumps (the per-cycle run at %d of those cycles), want at least 100", len(stops), len(oracleStops))
+			}
+			for i, got := range stops {
+				if want := oracleStops[i]; got != want {
+					t.Fatalf("stopped at cycle %d, inside a jump, the machine read\n%s\n%s\nand ticked there every cycle\n%s\n%s",
+						got.cycle, got.snapshot, got.digest, want.snapshot, want.digest)
+				}
+			}
+			t.Logf("read inside %d jumps", len(stops))
 		})
 	}
 }
@@ -119,7 +195,9 @@ func TestSkipAheadEquivalence(t *testing.T) {
 // under every registered L2 prefetcher whether stalled attempts are answered
 // from a memo or evaluated in full every cycle. On the bo row, which is the
 // benchmark's configuration, at least 80 % of each retry loop's attempts must
-// be memo hits, so the suite cannot silently stop exercising the path.
+// be cheap — a memo hit, or charged for a cycle the engine skipped (most of
+// a stalled core's attempts, now that a stalled dispatch is no event) — so
+// the suite cannot silently stop exercising the paths.
 func TestRefusalMemoEquivalence(t *testing.T) {
 	for _, name := range prefetch.L2Names() {
 		t.Run(name, func(t *testing.T) {
@@ -148,14 +226,14 @@ func TestRefusalMemoEquivalence(t *testing.T) {
 			if !bytes.Equal(on, off) {
 				t.Errorf("refusal memos changed the result\nwith memos:    %s\nwithout memos: %s", on, off)
 			}
-			if d, h, p := oracle.RefusalMemoShares(); d > 0 || h > 0 || p > 0 {
-				t.Errorf("the run with memos off answered %.0f%% / %.0f%% / %.0f%% of its attempts from one: it is no oracle", 100*d, 100*h, 100*p)
+			if d, h, p := oracle.RefusalMemoShares(); d.Hits+h.Hits+p.Hits > 0 {
+				t.Errorf("the run with memos off answered %d / %d / %d attempts from one: it is no oracle", d.Hits, h.Hits, p.Hits)
 			}
 			demand, head, pref := s.RefusalMemoShares()
-			t.Logf("answered from a memo: %.0f%% of Demand calls, %.0f%% of demand-head attempts, %.0f%% of prefetch-head attempts",
-				100*demand, 100*head, 100*pref)
-			if name == "bo" && (demand < 0.8 || head < 0.8 || pref < 0.8) {
-				t.Errorf("memo shares %.0f%% / %.0f%% / %.0f%%, want at least 80%% each: the row no longer runs on memos", 100*demand, 100*head, 100*pref)
+			t.Logf("not evaluated in full (memo hits + charged for skipped cycles, of attempts): Demand calls %d + %d of %d, demand-head attempts %d + %d of %d, prefetch-head attempts %d + %d of %d",
+				demand.Hits, demand.Skipped, demand.Attempts, head.Hits, head.Skipped, head.Attempts, pref.Hits, pref.Skipped, pref.Attempts)
+			if d, h, p := demand.Cheap(), head.Cheap(), pref.Cheap(); name == "bo" && (d < 0.8 || h < 0.8 || p < 0.8) {
+				t.Errorf("%.0f%% / %.0f%% / %.0f%% of the attempts were answered from a memo or skipped, want at least 80%% each: the row no longer runs on the cheap paths", 100*d, 100*h, 100*p)
 			}
 		})
 	}

@@ -7,7 +7,10 @@ import (
 	"bopsim/internal/prefetch"
 )
 
-var _ prefetch.L1Prefetcher = (*Prefetcher)(nil)
+var (
+	_ prefetch.L1Prefetcher = (*Prefetcher)(nil)
+	_ prefetch.QueryCharger = (*Prefetcher)(nil)
+)
 
 // Spec registration: "stride" is the baseline DL1 prefetcher of section
 // 5.5. The prefetch distance factor is the one exposed tunable

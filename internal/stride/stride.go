@@ -90,6 +90,58 @@ func (p *Prefetcher) victim() *entry {
 	return &p.entries[best]
 }
 
+// outcome is what a query's classification came to. Every outcome but issue
+// is settled: such a query returns no prefetch and moves counters only.
+type outcome uint8
+
+const (
+	tableMiss   outcome = iota // no entry for the PC
+	unconfident                // an entry short of full confidence, or with a zero stride
+	underflow                  // a confident stride whose target would be a negative address
+	filtered                   // the target's line is in the filter
+	issue                      // a prefetch goes out and its line is noted in the filter
+)
+
+// classify decides what a query at pc for va comes to, and its target, from
+// the table and the filter without touching either. It is the one decision
+// procedure behind Query, QuerySettled and ChargeQueries.
+func (p *Prefetcher) classify(pc uint64, va mem.Addr) (outcome, mem.Addr) {
+	e := p.lookup(pc)
+	if e == nil {
+		return tableMiss, 0
+	}
+	if e.conf < ConfidenceMax || e.stride == 0 {
+		return unconfident, 0
+	}
+	target := mem.Addr(int64(va) + p.distance*e.stride)
+	if int64(target) < 0 {
+		return underflow, 0
+	}
+	if p.recentlyPrefetched(mem.LineOf(target)) {
+		return filtered, target
+	}
+	return issue, target
+}
+
+// charge counts n queries that came to o.
+func (p *Prefetcher) charge(o outcome, n uint64) {
+	if o == tableMiss {
+		p.stats.TableMiss += n
+		return
+	}
+	p.stats.TableHits += n
+	if o == unconfident {
+		return
+	}
+	p.stats.Confident += n
+	switch o {
+	case filtered:
+		p.stats.Filtered += n
+	case issue:
+		p.stats.Issued += n
+	}
+}
+
 // Query computes a prefetch virtual address for a load/store at pc
 // accessing va, using the table state *before* this access updates it (the
 // table is updated at retirement, after the DL1 access, section 5.5). It
@@ -101,27 +153,34 @@ func (p *Prefetcher) victim() *entry {
 //
 //bovet:hotpath
 func (p *Prefetcher) Query(pc uint64, va mem.Addr) (prefVA mem.Addr, ok bool) {
-	e := p.lookup(pc)
-	if e == nil {
-		p.stats.TableMiss++
-		return 0, false
-	}
-	p.stats.TableHits++
-	if e.conf < ConfidenceMax || e.stride == 0 {
-		return 0, false
-	}
-	p.stats.Confident++
-	target := mem.Addr(int64(va) + p.distance*e.stride)
-	if int64(target) < 0 {
-		return 0, false
-	}
-	if p.recentlyPrefetched(mem.LineOf(target)) {
-		p.stats.Filtered++
+	o, target := p.classify(pc, va)
+	p.charge(o, 1)
+	if o != issue {
 		return 0, false
 	}
 	p.notePrefetched(mem.LineOf(target))
-	p.stats.Issued++
 	return target, true
+}
+
+// QuerySettled implements prefetch.QueryCharger: Query(pc, va) would return
+// no prefetch, so all it would move is counters.
+//
+//bovet:hotpath
+func (p *Prefetcher) QuerySettled(pc uint64, va mem.Addr) bool {
+	o, _ := p.classify(pc, va)
+	return o != issue
+}
+
+// ChargeQueries implements prefetch.QueryCharger: the counters of n
+// Query(pc, va) calls, for a query that is settled.
+//
+//bovet:hotpath
+func (p *Prefetcher) ChargeQueries(pc uint64, va mem.Addr, n uint64) {
+	o, _ := p.classify(pc, va)
+	if o == issue {
+		panic("stride: ChargeQueries on a query that would issue a prefetch")
+	}
+	p.charge(o, n)
 }
 
 // Update records the retirement of a load/store at pc with address va:

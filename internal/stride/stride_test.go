@@ -1,6 +1,7 @@
 package stride
 
 import (
+	"math/rand"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -141,4 +142,105 @@ func TestQueryDoesNotUnderflow(t *testing.T) {
 	if pref, ok := p.Query(0x404, a); ok && int64(pref) < 0 {
 		t.Errorf("prefetch address underflowed: %#x", pref)
 	}
+}
+
+// queryBeforeSplit is Query as it was before classify and charge were split
+// out of it, kept as the reference the split is held to.
+func queryBeforeSplit(p *Prefetcher, pc uint64, va mem.Addr) (mem.Addr, bool) {
+	e := p.lookup(pc)
+	if e == nil {
+		p.stats.TableMiss++
+		return 0, false
+	}
+	p.stats.TableHits++
+	if e.conf < ConfidenceMax || e.stride == 0 {
+		return 0, false
+	}
+	p.stats.Confident++
+	target := mem.Addr(int64(va) + p.distance*e.stride)
+	if int64(target) < 0 {
+		return 0, false
+	}
+	if p.recentlyPrefetched(mem.LineOf(target)) {
+		p.stats.Filtered++
+		return 0, false
+	}
+	p.notePrefetched(mem.LineOf(target))
+	p.stats.Issued++
+	return target, true
+}
+
+// TestBulkQueryCharge holds the two halves of the split Query to each other
+// over fuzzed table and filter states (a few PCs, strides that are zero,
+// sub-line, large, negative and underflowing, queries near address zero):
+// Query still moves exactly what it moved before the split; QuerySettled
+// changes nothing; whenever it holds, n Query calls and one ChargeQueries(n)
+// leave the same prefetcher, statistics included; and when it does not, one
+// Query settles it, which is what bounds an unsettled retry to one cycle.
+func TestBulkQueryCharge(t *testing.T) {
+	strides := []int64{0, 8, 64, 96, 4096, -64, -65536}
+	outcomes := map[outcome]int{}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dist := 1 + rng.Intn(20)
+		p, ref := NewWithDistance(dist), NewWithDistance(dist)
+		addr := map[uint64]mem.Addr{}
+		for step := 0; step < 4000; step++ {
+			pc := uint64(0x400 + 4*rng.Intn(10)) // ten PCs that stay in the table
+			if rng.Intn(8) == 0 {
+				pc = uint64(0x1000 + 4*rng.Intn(4*TableEntries)) // and a crowd that evicts
+			}
+			va, seen := addr[pc]
+			next := int64(va) + strides[int(pc/4)%len(strides)]
+			if !seen || next < 0 || rng.Intn(200) == 0 {
+				next = int64(rng.Intn(1 << 22)) // a stride break
+			}
+			va = mem.Addr(next)
+			if rng.Intn(3) > 0 {
+				addr[pc] = va // a query in between is for the access about to retire
+				p.Update(pc, va)
+				ref.Update(pc, va)
+				continue
+			}
+			before := *p
+			settled := p.QuerySettled(pc, va)
+			if *p != before {
+				t.Fatalf("seed %d step %d: QuerySettled changed the prefetcher", seed, step)
+			}
+			o, _ := p.classify(pc, va)
+			outcomes[o]++
+			if settled {
+				n := rng.Intn(5)
+				bulk := *p
+				bulk.ChargeQueries(pc, va, uint64(n))
+				for i := 0; i < n; i++ {
+					if _, ok := p.Query(pc, va); ok {
+						t.Fatalf("seed %d step %d: a settled query issued a prefetch", seed, step)
+					}
+					queryBeforeSplit(ref, pc, va)
+				}
+				if *p != bulk {
+					t.Fatalf("seed %d step %d: %d Query calls left\n%+v\nChargeQueries(%d) left\n%+v", seed, step, n, p.stats, n, bulk.stats)
+				}
+			} else {
+				got, ok := p.Query(pc, va)
+				want, wantOK := queryBeforeSplit(ref, pc, va)
+				if !ok || got != want || !wantOK {
+					t.Fatalf("seed %d step %d: an unsettled query returned %#x, %v; before the split %#x, %v", seed, step, got, ok, want, wantOK)
+				}
+				if !p.QuerySettled(pc, va) {
+					t.Fatalf("seed %d step %d: the query is still unsettled after it issued", seed, step)
+				}
+			}
+			if *p != *ref {
+				t.Fatalf("seed %d step %d: Query moved\n%+v\nbefore the split it moved\n%+v", seed, step, p.stats, ref.stats)
+			}
+		}
+	}
+	for o := tableMiss; o <= issue; o++ {
+		if outcomes[o] == 0 {
+			t.Errorf("no query ever came to outcome %d: the fuzz no longer covers it", o)
+		}
+	}
+	t.Logf("queries by outcome (tableMiss, unconfident, underflow, filtered, issue): %v", outcomes)
 }

@@ -162,17 +162,17 @@ func (h *Hierarchy) Access(va mem.Addr) uint64 {
 	return TLB2HitPenalty + PageWalkPenalty
 }
 
-// RepeatAccess is Access(va) for the va of the latest Access call when
-// nothing else has touched the DTLB1 since: that page is resident and most
-// recent, so the access is a DTLB1 hit (latency 0) whose whole effect is a
-// fresh stamp on the entry already at the head of the recency list. The
-// caller vouches for the precondition (uncore's Demand memo: only Access and
-// RepeatAccess ever touch a DTLB1).
-func (h *Hierarchy) RepeatAccess() {
+// RepeatAccess is n times Access(va) for the va of the latest Access call
+// when nothing else has touched the DTLB1 since: that page is resident and
+// most recent, so each access is a DTLB1 hit (latency 0) whose whole effect is
+// a fresh stamp on the entry already at the head of the recency list, and n of
+// them leave the stamp of the last. The caller vouches for the precondition
+// (uncore's Demand memo: only Access and RepeatAccess ever touch a DTLB1).
+func (h *Hierarchy) RepeatAccess(n uint64) {
 	t := h.dtlb1
-	t.clock++
+	t.clock += n
 	t.stamps[t.mru] = t.clock
-	t.hits++
+	t.hits += n
 }
 
 // ProbeTLB2 reports whether the page of va is present in the TLB2 without

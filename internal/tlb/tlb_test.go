@@ -203,9 +203,10 @@ func TestMissCountersAdvance(t *testing.T) {
 }
 
 // TestRepeatAccess holds RepeatAccess to what it abbreviates: on random
-// streams of accesses and TLB2 probes, a hierarchy that answers every
-// immediate repeat of an access with RepeatAccess must stay state-identical
-// (stamps, clocks, hit counts) to one that calls Access again, and its DTLB1
+// streams of accesses and TLB2 probes, a hierarchy that answers every run of
+// n immediate repeats of an access with one RepeatAccess(n) must stay
+// state-identical (SaveState: stamps, clocks, hit counts) to one that calls
+// Access n more times, and its DTLB1
 // to the scanning oracle — also when the repeat comes first thing after a
 // restore, where the most recent entry is whatever the stamps say.
 func TestRepeatAccess(t *testing.T) {
@@ -236,11 +237,14 @@ func TestRepeatAccess(t *testing.T) {
 				if !accessed {
 					continue // nothing to repeat yet
 				}
-				fast.RepeatAccess()
-				if lat := full.Access(last); lat != 0 {
-					t.Fatalf("%d entries, step %d: a repeated access cost %d cycles", entries, step, lat)
+				n := rng.Intn(5) * rng.Intn(5) // 0..16: one call for a whole skipped span
+				fast.RepeatAccess(uint64(n))
+				for i := 0; i < n; i++ {
+					if lat := full.Access(last); lat != 0 {
+						t.Fatalf("%d entries, step %d: a repeated access cost %d cycles", entries, step, lat)
+					}
+					oracle.access(mem.Page4K.PageOf(last))
 				}
-				oracle.access(mem.Page4K.PageOf(last))
 			case 5: // restore both from fast's snapshot, then repeat at once
 				snap := fast.SaveState()
 				fast, full = NewWithSizes(mem.Page4K, entries, 2*entries), NewWithSizes(mem.Page4K, entries, 2*entries)

@@ -62,7 +62,8 @@ type dl1Fill struct {
 // likewise counts one per cycle while a core retries against full MSHRs.
 // Attempts are still counted one per cycle, but mostly by charge: a replay
 // answered from a refusal memo (see retryState) or skipped by the engine
-// (AccountIdle) adds what the lookup would have counted without doing it.
+// (AccountIdle for a queue head, ChargeRefusedDemands for a core's refused
+// access) adds what the lookup would have counted without doing it.
 type Stats struct {
 	DL1Hits, DL1Misses   uint64
 	L2DemandAccesses     uint64
@@ -133,10 +134,14 @@ type retryState struct {
 
 // memoCounts tallies the attempts answered from a memo, and the prefetch-head
 // attempts they are a share of (the other two denominators are statistics
-// already: L2DemandAccesses, and DL1Hits+DL1Misses). Tests read them to prove
-// the memo path is the one being exercised.
+// already: L2DemandAccesses, and DL1Hits+DL1Misses). The skipped counts are
+// the attempts of each loop that no cycle was run for: charged by
+// ChargeRefusedDemands or AccountIdle, they are in the denominators and not
+// among the hits. Tests read all of it to prove the cheap paths are the ones
+// being exercised.
 type memoCounts struct {
-	demand, head, pref, prefAttempts uint64
+	demand, head, pref, prefAttempts        uint64
+	skippedDemand, skippedHead, skippedPref uint64
 }
 
 // Hierarchy is the full uncore shared by all cores of one simulation.
@@ -154,6 +159,11 @@ type Hierarchy struct {
 	l1pf []prefetch.L1Prefetcher // nil entries: no DL1 prefetching
 	//bovet:allow statecodec prefetchers are not part of a snapshot; the barrier installs them cold
 	l2pf []prefetch.L2Prefetcher
+	// l1charger is l1pf[c] as a prefetch.QueryCharger, nil when it is not one
+	// (then a core retrying a refused access is simulated every cycle, see
+	// DispatchStalled).
+	//bovet:allow statecodec derived wiring: SetPrefetchers recomputes it from the installed prefetchers
+	l1charger []prefetch.QueryCharger
 	// preIssueTagCheck enables the extra L2 tag lookup before issuing a
 	// prefetch, which the paper adds for SBP-style degree-N requests
 	// (section 6.3); prefetchers opt in via prefetch.PreIssueTagChecker.
@@ -234,23 +244,6 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.dl1 = append(h.dl1, cache.New("DL1", cfg.DL1Size, cfg.DL1Ways, cache.NewLRU(dl1Sets, cfg.DL1Ways)))
 		h.l2 = append(h.l2, cache.New("L2", cfg.L2Size, cfg.L2Ways, cache.NewLRU(l2Sets, cfg.L2Ways)))
 		h.tlbs = append(h.tlbs, tlb.New(cfg.Page))
-		var l1 prefetch.L1Prefetcher
-		if newL1PF != nil {
-			l1 = newL1PF(c)
-		}
-		h.l1pf = append(h.l1pf, l1)
-		var pf prefetch.L2Prefetcher = prefetch.None{}
-		if newL2PF != nil {
-			if p := newL2PF(c); p != nil {
-				pf = p
-			}
-		}
-		h.l2pf = append(h.l2pf, pf)
-		tagCheck := false
-		if tc, ok := pf.(prefetch.PreIssueTagChecker); ok {
-			tagCheck = tc.PreIssueTagCheck()
-		}
-		h.preIssueTagCheck = append(h.preIssueTagCheck, tagCheck)
 		h.demandQ = append(h.demandQ, reqQueue{})
 		h.l2fq = append(h.l2fq, newFillQueue(cfg.L2FillQueueLen))
 		h.pq = append(h.pq, newPrefetchQueue(cfg.PrefetchQueueLen))
@@ -259,6 +252,11 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.retry = append(h.retry, retryState{})
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
 	}
+	h.l1pf = make([]prefetch.L1Prefetcher, cfg.NumCores)
+	h.l1charger = make([]prefetch.QueryCharger, cfg.NumCores)
+	h.l2pf = make([]prefetch.L2Prefetcher, cfg.NumCores)
+	h.preIssueTagCheck = make([]bool, cfg.NumCores)
+	h.SetPrefetchers(newL2PF, newL1PF)
 	return h
 }
 
@@ -316,12 +314,12 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 	if h.demandRefused(core, pc, va) {
 		// The same access again, against the same DTLB1, DL1 and MSHRs: a
 		// DTLB1 hit on the most recent entry, a DL1 miss, no MSHR to merge
-		// onto and none free. The DL1 prefetcher is still consulted for real
-		// (it has filter state of its own, and it cannot be granted an MSHR).
+		// onto and none free. The DL1 prefetcher is consulted for real: this
+		// may be the one replay whose query is not settled yet (it cannot be
+		// granted an MSHR, but it notes its target in the filter and probes
+		// the TLB2).
 		h.memoHits.demand++
-		h.tlbs[core].RepeatAccess()
-		h.dl1[core].Misses++
-		h.stats.DL1Misses++
+		h.chargeDemandReplays(core, 1)
 		h.strideQuery(core, pc, va, now)
 		return 0, nil, false
 	}
@@ -453,6 +451,15 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 	for _, c := range h.stalled {
 		h.chargeRefused(c, span)
+		h.memoHits.skippedHead += span
+	}
+	for c := range h.pq {
+		// The attempts issueQueuedPrefetch would have counted: a skipped
+		// span has every one of them refused.
+		if !h.pq[c].empty() && !h.l2fq[c].full() {
+			h.memoHits.prefAttempts += span
+			h.memoHits.skippedPref += span
+		}
 	}
 }
 
@@ -470,6 +477,45 @@ func (h *Hierarchy) demandRefused(core int, pc uint64, va mem.Addr) bool {
 	r := &h.retry[core]
 	m := &r.demand
 	return m.ok && m.va == va && m.pc == pc && m.front == r.front
+}
+
+// DispatchStalled reports whether Demand(core, pc, va) would, now and on every
+// repeat until something touches the core's DTLB1, DL1 or MSHRs, be refused
+// from the demand memo and move counters only: the memo stands, and the DL1
+// prefetcher's query for the access is settled. Such a retry is a stall, not
+// an event; whoever skips n of them owes ChargeRefusedDemands(core, pc, va, n).
+// Behind a DL1 prefetcher that is no prefetch.QueryCharger nothing is known
+// about the query, and the answer is no.
+//
+//bovet:hotpath
+func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
+	if !h.demandRefused(core, pc, va) {
+		return false
+	}
+	if h.l1pf[core] == nil {
+		return true
+	}
+	q := h.l1charger[core]
+	return q != nil && q.QuerySettled(pc, va)
+}
+
+// chargeDemandReplays charges n replays of the access core's demand memo
+// remembers with everything but the DL1 prefetcher's part: each is a hit on
+// the DTLB1's most recent entry and a DL1 miss.
+func (h *Hierarchy) chargeDemandReplays(core int, n uint64) {
+	h.tlbs[core].RepeatAccess(n)
+	h.dl1[core].Misses += n
+	h.stats.DL1Misses += n
+}
+
+// ChargeRefusedDemands charges n Demand(core, pc, va) calls that
+// DispatchStalled vouched for: what Demand's memo branch moves, n times.
+func (h *Hierarchy) ChargeRefusedDemands(core int, pc uint64, va mem.Addr, n uint64) {
+	h.memoHits.skippedDemand += n
+	h.chargeDemandReplays(core, n)
+	if q := h.l1charger[core]; q != nil {
+		q.ChargeQueries(pc, va, n)
+	}
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused

@@ -43,12 +43,16 @@ func (p *countingPF) PreIssueTagCheck() bool {
 // workload against the hierarchy, spaced by the ALU work between them (four
 // per cycle), holds at most feWindow loads in flight (a ROB stand-in, so a
 // memory-bound stream stalls on its oldest load instead of hammering full
-// MSHRs) and retries a refused Demand every cycle, as cpu.Core does.
+// MSHRs) and retries a refused Demand every cycle, as cpu.Core does. Like
+// cpu.Core it reports no event while the retry is a stall (DispatchStalled),
+// and charges the retries of the cycles it was not run for at its next one.
 type frontEnd struct {
 	gen     trace.Generator
 	inst    trace.Inst
 	readyAt uint64
 	window  []*dram.Future
+	// cycled is the cycle after the latest cycle call (cpu.Core.cycled).
+	cycled uint64
 	// side, when set, is a second stream that does not wait for the first:
 	// every sidePeriod cycles it sends its next memory access and forgets it
 	// whatever the answer, as a core's younger loads issue around a stalled
@@ -80,7 +84,13 @@ func (f *frontEnd) fetch(now uint64) {
 	f.inst, f.readyAt = inst, now+alu/4
 }
 
-func (f *frontEnd) nextEvent(now uint64) uint64 {
+// stalled reports whether all the main stream does this cycle is retry an
+// access that is refused again for counters only.
+func (f *frontEnd) stalled(m *machine, core int, now uint64) bool {
+	return len(f.window) < feWindow && now >= f.readyAt && m.h.DispatchStalled(core, f.inst.PC, f.inst.VA)
+}
+
+func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 	t := f.readyAt
 	if len(f.window) == feWindow {
 		if !f.window[0].Resolved() {
@@ -88,6 +98,8 @@ func (f *frontEnd) nextEvent(now uint64) uint64 {
 		} else {
 			t = max(t, f.window[0].Cycle())
 		}
+	} else if f.stalled(m, core, now) {
+		t = never // an uncore event lifts the refusal
 	}
 	if f.side != nil {
 		t = min(t, (now+sidePeriod-1)/sidePeriod*sidePeriod)
@@ -108,7 +120,18 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Futur
 	return fut, ok
 }
 
+// settle charges the retries of the cycles before now that cycle was not
+// called for (cpu.Core.Settle).
+func (f *frontEnd) settle(m *machine, core int, now uint64) {
+	if n := now - f.cycled; n > 0 && f.stalled(m, core, f.cycled) {
+		m.h.ChargeRefusedDemands(core, f.inst.PC, f.inst.VA, n)
+	}
+	f.cycled = now
+}
+
 func (f *frontEnd) cycle(m *machine, core int, now uint64) {
+	f.settle(m, core, now)
+	f.cycled = now + 1
 	if f.side != nil && now%sidePeriod == 0 {
 		inst, _ := nextMemOp(f.side)
 		m.demand(core, inst, now)
@@ -181,8 +204,8 @@ func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
 
 func (m *machine) nextEvent(now uint64) uint64 {
 	ne := m.h.NextEvent(now)
-	for _, f := range m.fes {
-		ne = min(ne, f.nextEvent(now))
+	for c, f := range m.fes {
+		ne = min(ne, f.nextEvent(m, c, now))
 	}
 	if m.inject {
 		ne = min(ne, (now+injectPeriod-1)/injectPeriod*injectPeriod)
@@ -525,8 +548,10 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // hit against the predicate. The plain one ticks every cycle with the memos
 // switched off, so every attempt is evaluated in full: it is the oracle for
 // the memos, and the two must be indistinguishable at every cycle. The
-// skipping one follows NextEvent and AccountIdle exactly as the engine does,
-// and must be indistinguishable whenever it ticks. Indistinguishable means
+// skipping one follows NextEvent and AccountIdle exactly as the engine does —
+// its front ends sit out their refused retries as cpu.Core does and charge
+// them afterwards (DispatchStalled, ChargeRefusedDemands) — and must be
+// indistinguishable whenever it ticks. Indistinguishable means
 // identical Stats, per-cache counters (cache.Misses is invisible in Result
 // JSON), TLB counters, queue occupancies, fill-queue flags, prefetcher call
 // counts and DRAM counters; and, every deepEvery cycles and at the end,
@@ -617,10 +642,16 @@ func (row stallRow) run(t *testing.T) {
 				deepCheck(plain, "memo-less")
 			}
 		}
+		for c, f := range skipper.fes {
+			f.settle(skipper, c, to) // as the engine settles its cores before it reads counters
+		}
 		a, b := oracle.fingerprint(bufA), skipper.fingerprint(bufB)
 		bufA, bufB = a.v, b.v
 		if !a.equal(b) {
 			t.Fatalf("before cycle %d the skipping machine differs from the per-cycle one; per-cycle vs skipping:%s", to, a.diff(b))
+		}
+		if to%deepEvery == 0 {
+			deepCheck(skipper, "skipping")
 		}
 	}
 	for now < row.cycles {
@@ -668,4 +699,99 @@ func (row stallRow) run(t *testing.T) {
 	if stalledSkipped == 0 {
 		t.Error("no cycle was skipped over a stalled head: the row does not exercise AccountIdle's charge")
 	}
+	skippedDemand := skipper.h.memoHits.skippedDemand
+	t.Logf("refused Demand replays the skipping machine charged without running their cycle: %d", skippedDemand)
+	if slices.Contains(row.wantMemos, "demand") && skippedDemand == 0 {
+		t.Error("no cycle was skipped over a core retrying a refused Demand: the row does not exercise ChargeRefusedDemands")
+	}
 }
+
+// opaqueL1 forwards the prefetch.L1Prefetcher methods and nothing else, so
+// the uncore cannot see that the prefetcher behind it is a QueryCharger.
+type opaqueL1 struct{ prefetch.L1Prefetcher }
+
+// TestDispatchStalled walks the predicate through each of its conditions on
+// one refused access: it holds only for the access the demand memo remembers,
+// only while nothing has touched the core's front (an MSHR released), only
+// behind a DL1 prefetcher that can be charged (or none), and only while that
+// prefetcher's query is settled — a retirement that makes the PC's stride
+// confident makes the next replay issue, note its target in the filter and
+// probe the TLB2, which no fixed charge covers; that replay settles it again.
+// Then the bulk charge is held to the replays it stands for.
+func TestDispatchStalled(t *testing.T) {
+	const pc, stridePC = 0x400, 0x800
+	fill := func(h *Hierarchy) (va mem.Addr) {
+		t.Helper()
+		for i := 0; i < h.cfg.MSHRs; i++ {
+			if _, _, ok := h.Demand(0, pc, mem.Addr(0x100000+i*4096), false, 0); !ok {
+				t.Fatalf("access %d refused with %d MSHRs", i, h.cfg.MSHRs)
+			}
+		}
+		va = 0x900000
+		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
+			t.Fatal("an access past the last MSHR was accepted")
+		}
+		return va
+	}
+
+	h := testHier(prefetch.None{})
+	for i := 0; i < confidenceShort; i++ { // one retirement short of a confident stride
+		h.RetireMemOp(0, stridePC, mem.Addr(0x800000+i*64))
+	}
+	va := fill(h)
+	if !h.DispatchStalled(0, stridePC, va) {
+		t.Fatal("a refused access with an unconfident stride entry is not a stall")
+	}
+	if h.DispatchStalled(0, stridePC, va+64) || h.DispatchStalled(0, pc, va) {
+		t.Error("stalled for an access the memo does not remember")
+	}
+
+	twin := testHier(prefetch.None{}) // the same machine, replayed instead of charged
+	for i := 0; i < confidenceShort; i++ {
+		twin.RetireMemOp(0, stridePC, mem.Addr(0x800000+i*64))
+	}
+	fill(twin)
+	const n = 7
+	h.ChargeRefusedDemands(0, stridePC, va, n)
+	for i := 0; i < n; i++ {
+		if _, _, ok := twin.Demand(0, stridePC, va, false, 0); ok {
+			t.Fatal("a replay was accepted")
+		}
+	}
+	got, want := (&machine{h: h}).deep(), (&machine{h: twin}).deep()
+	if d := got.diff(want); d != "" || h.stats != twin.stats || h.dl1[0].Misses != twin.dl1[0].Misses {
+		t.Errorf("ChargeRefusedDemands(%d) and %d replays differ; charged vs replayed:%s\n  Stats %+v vs %+v, dl1.Misses %d vs %d",
+			n, n, d, h.stats, twin.stats, h.dl1[0].Misses, twin.dl1[0].Misses)
+	}
+
+	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+confidenceShort*64)) // the stride is confident now
+	if h.DispatchStalled(0, stridePC, va) {
+		t.Error("stalled although the replay's stride query would issue a prefetch")
+	}
+	if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
+		t.Fatal("the replay was accepted")
+	}
+	if !h.DispatchStalled(0, stridePC, va) {
+		t.Error("not stalled after the replay that put the target into the filter")
+	}
+
+	for now := uint64(0); len(h.outstanding[0]) == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
+		h.Tick(now)
+	}
+	if h.DispatchStalled(0, stridePC, va) {
+		t.Error("stalled although an MSHR has been released since the refusal")
+	}
+
+	for _, l1 := range []prefetch.L1Prefetcher{nil, opaqueL1{stride.New()}} {
+		h := New(DefaultConfig(1, mem.Page4K), nil, func(int) prefetch.L1Prefetcher { return l1 }, nil)
+		va := fill(h)
+		if got, want := h.DispatchStalled(0, stridePC, va), l1 == nil; got != want {
+			t.Errorf("DL1 prefetcher %T: DispatchStalled = %v, want %v", l1, got, want)
+		}
+	}
+}
+
+// confidenceShort is the number of constant-stride retirements that leaves a
+// stride entry one short of full confidence (the first sets the address, the
+// second the stride).
+const confidenceShort = stride.ConfidenceMax + 1

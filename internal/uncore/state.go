@@ -100,10 +100,13 @@ func (h *Hierarchy) ResetStats() {
 	h.mem.ResetStats()
 }
 
-// SetPrefetchers replaces every core's L2 and DL1 prefetchers using the
-// same factory contract as New. The warmup barrier uses it: a warmup region
-// that ran with prefetching disabled installs the configured prefetchers —
-// cold — exactly at the boundary of the measured region.
+// SetPrefetchers replaces every core's L2 and DL1 prefetchers: each factory
+// is called once per core (a nil factory, or one returning nil, means no
+// prefetching at that level), and the wiring that depends on what a
+// prefetcher optionally implements is resolved here, once. New installs the
+// first set; the warmup barrier uses it too — a warmup region that ran with
+// prefetching disabled installs the configured prefetchers, cold, exactly at
+// the boundary of the measured region.
 func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(core int) prefetch.L1Prefetcher) {
 	for c := range h.l2pf {
 		var l1 prefetch.L1Prefetcher
@@ -111,6 +114,7 @@ func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher,
 			l1 = newL1PF(c)
 		}
 		h.l1pf[c] = l1
+		h.l1charger[c], _ = l1.(prefetch.QueryCharger)
 		var pf prefetch.L2Prefetcher = prefetch.None{}
 		if newL2PF != nil {
 			if p := newL2PF(c); p != nil {
