@@ -16,8 +16,8 @@ type Line struct {
 	Addr     mem.LineAddr // full line address (used as the tag)
 	Valid    bool
 	Dirty    bool
-	Prefetch bool // set when inserted by a prefetch, cleared on demand use
-	Core     int  // core that caused the insertion (for core-aware policies)
+	Prefetch bool  // set when inserted by a prefetch, cleared on demand use
+	Core     uint8 // core that caused the insertion (for core-aware policies)
 }
 
 // InsertInfo describes the block being inserted, for policy decisions.
@@ -163,7 +163,7 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 		Addr:     l,
 		Valid:    true,
 		Prefetch: info.IsPrefetch,
-		Core:     info.Core,
+		Core:     uint8(info.Core),
 	}
 	c.policy.OnInsert(set, way, info)
 	return evicted

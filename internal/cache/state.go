@@ -44,9 +44,15 @@ type State struct {
 // Name field says which policy wrote it and which fields are meaningful.
 // LRU/BIP/5P use the stamp fields, DRRIP uses RRPV/PSel, BIP/DRRIP/5P carry
 // their random stream, and 5P adds the two proportional-counter banks.
+//
+// Stamps packs the non-zero stamps only, whether or not their way is valid
+// (minStamp reads invalid ways too), as State.Lines packs the valid lines:
+// per stamp a uvarint index delta and the uvarint stamp. As there, a change
+// to the record layout must bump engine.SnapshotVersion by hand.
 type PolicyState struct {
 	Name      string
-	Stamps    []uint64
+	NumStamps int // sets*ways of the policy that wrote the state
+	Stamps    []byte
 	Clock     uint64
 	Rand      uint64
 	RRPV      []uint8
@@ -116,41 +122,58 @@ func (c *Cache) RestoreState(s State, numCores int) error {
 	return nil
 }
 
+// recordReader walks packed records (State.Lines, PolicyState.Stamps) that
+// each begin with an index delta into an array of n entries.
+type recordReader struct {
+	packed []byte
+	idx, n int
+}
+
+// uvarint reads one field of the record at the head of packed.
+func (r *recordReader) uvarint(field string) (uint64, error) {
+	v, n := binary.Uvarint(r.packed)
+	if n <= 0 {
+		return 0, fmt.Errorf("truncated or overlong %s", field)
+	}
+	r.packed = r.packed[n:]
+	return v, nil
+}
+
+// next reads the index delta that begins a record and returns the index.
+func (r *recordReader) next() (int, error) {
+	delta, err := r.uvarint("index delta")
+	if err != nil {
+		return 0, err
+	}
+	// Compared as a distance so a huge delta cannot wrap the index.
+	if delta == 0 || delta > uint64(r.n-1-r.idx) {
+		return 0, fmt.Errorf("index delta %d after entry %d of %d", delta, r.idx, r.n)
+	}
+	r.idx += int(delta)
+	return r.idx, nil
+}
+
 // unpackLines decodes State.Lines records into the (cleared) cache.
 func (c *Cache) unpackLines(packed []byte, numCores int) error {
-	// uvarint reads one field of the record at the head of packed.
-	uvarint := func(field string) (uint64, error) {
-		v, n := binary.Uvarint(packed)
-		if n <= 0 {
-			return 0, fmt.Errorf("truncated or overlong %s", field)
-		}
-		packed = packed[n:]
-		return v, nil
-	}
-	idx := -1
-	for len(packed) > 0 {
-		delta, err := uvarint("index delta")
+	r := recordReader{packed: packed, idx: -1, n: len(c.lines)}
+	for len(r.packed) > 0 {
+		idx, err := r.next()
 		if err != nil {
 			return err
 		}
-		// Compared as a distance so a huge delta cannot wrap the index.
-		if delta == 0 || delta > uint64(len(c.lines)-1-idx) {
-			return fmt.Errorf("index delta %d after line %d of %d", delta, idx, len(c.lines))
-		}
-		idx += int(delta)
-		addr, err := uvarint("address")
+		addr, err := r.uvarint("address")
 		if err != nil {
 			return err
 		}
-		if len(packed) == 0 {
+		if len(r.packed) == 0 {
 			return fmt.Errorf("truncated flags")
 		}
-		flags := packed[0]
-		packed = packed[1:]
+		flags := r.packed[0]
+		r.packed = r.packed[1:]
 		if flags&^lineFlagMask != 0 {
 			return fmt.Errorf("flag byte %#x", flags)
 		}
-		core, err := uvarint("owner core")
+		core, err := r.uvarint("owner core")
 		if err != nil {
 			return err
 		}
@@ -162,7 +185,7 @@ func (c *Cache) unpackLines(packed []byte, numCores int) error {
 			Valid:    true,
 			Dirty:    flags&lineFlagDirty != 0,
 			Prefetch: flags&lineFlagPrefetch != 0,
-			Core:     int(core),
+			Core:     uint8(core),
 		}
 	}
 	return nil
@@ -177,15 +200,52 @@ func (c *Cache) ResetStats() {
 
 // save/restore serialize the stamp machinery shared by LRU, BIP and 5P.
 func (s *lruState) save(name string) PolicyState {
-	return PolicyState{Name: name, Stamps: append([]uint64(nil), s.stamps...), Clock: s.clock}
+	var packed []byte
+	prev := -1
+	for i, stamp := range s.stamps {
+		if stamp == 0 {
+			continue
+		}
+		packed = binary.AppendUvarint(packed, uint64(i-prev))
+		packed = binary.AppendUvarint(packed, stamp)
+		prev = i
+	}
+	return PolicyState{Name: name, NumStamps: len(s.stamps), Stamps: packed, Clock: s.clock}
 }
 
+// restore replaces the stamps and clock with a saved state's. After an
+// error the policy holds a partial restore and must be discarded.
 func (s *lruState) restore(st PolicyState) error {
-	if len(st.Stamps) != len(s.stamps) {
-		return fmt.Errorf("policy %s: state has %d stamps, policy holds %d", st.Name, len(st.Stamps), len(s.stamps))
+	if st.NumStamps != len(s.stamps) {
+		return fmt.Errorf("policy %s: state has %d stamps, policy holds %d", st.Name, st.NumStamps, len(s.stamps))
 	}
-	copy(s.stamps, st.Stamps)
+	if err := unpackStamps(s.stamps, st.Stamps); err != nil {
+		return fmt.Errorf("policy %s: packed stamps: %w", st.Name, err)
+	}
 	s.clock = st.Clock
+	return nil
+}
+
+// unpackStamps decodes PolicyState.Stamps records over the stamps.
+func unpackStamps(stamps []uint64, packed []byte) error {
+	clear(stamps)
+	r := recordReader{packed: packed, idx: -1, n: len(stamps)}
+	for len(r.packed) > 0 {
+		idx, err := r.next()
+		if err != nil {
+			return err
+		}
+		stamp, err := r.uvarint("stamp")
+		if err != nil {
+			return err
+		}
+		// A zero stamp is never written: accepting one would give one state
+		// two encodings and break encode -> decode -> encode stability.
+		if stamp == 0 {
+			return fmt.Errorf("zero stamp at entry %d", idx)
+		}
+		stamps[idx] = stamp
+	}
 	return nil
 }
 

@@ -60,14 +60,18 @@ import (
 //
 // v6: Options lost its run-the-prefetchers-through-the-warmup switch (a
 // warmup never runs them), and its spec fields are the one spec.Spec type.
-const SnapshotVersion = 6
+//
+// v7: cache.PolicyState carries its non-zero replacement stamps as packed
+// bytes (NumStamps plus one varint record per stamp) instead of a []uint64 of
+// every way's.
+const SnapshotVersion = 7
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
 
 // maxSnapshotBytes bounds what Restore will even look at. A real snapshot
-// is a few hundred KB (the L3's replacement stamps dominate); anything
-// beyond this is malformed or hostile.
+// is a few hundred KB (the valid lines and their replacement stamps);
+// anything beyond this is malformed or hostile.
 const maxSnapshotBytes = 1 << 28
 
 // snapshot is the gob payload.

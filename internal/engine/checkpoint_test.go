@@ -3,7 +3,10 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"bopsim/internal/engine"
@@ -44,9 +47,9 @@ func runStraight(t *testing.T, o engine.Options) engine.Result {
 	return r
 }
 
-// runCheckpointed runs o's warmup, checkpoints, restores into a fresh
-// machine and completes the measured region there.
-func runCheckpointed(t *testing.T, o engine.Options) (engine.Result, []byte) {
+// warmupLeg runs o's warmup region and returns the machine at its barrier
+// with the snapshot taken there.
+func warmupLeg(t *testing.T, o engine.Options) (*engine.Simulation, []byte) {
 	t.Helper()
 	s, err := engine.New(o)
 	if err != nil {
@@ -62,6 +65,14 @@ func runCheckpointed(t *testing.T, o engine.Options) (engine.Result, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, snap
+}
+
+// runCheckpointed runs o's warmup, checkpoints, restores into a fresh
+// machine and completes the measured region there.
+func runCheckpointed(t *testing.T, o engine.Options) (engine.Result, []byte) {
+	t.Helper()
+	_, snap := warmupLeg(t, o)
 	restored, err := engine.Restore(snap, o)
 	if err != nil {
 		t.Fatal(err)
@@ -87,17 +98,7 @@ var quotedMetaSpecs = []string{
 func sharedWarmupMatchesStraight(t *testing.T, workload string, specs []string) {
 	legOpts := warmed(workload)
 	legOpts.L2PF = prefetch.Spec{Name: "none"}
-	leg, err := engine.New(legOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := leg.RunWarmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := leg.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, snap := warmupLeg(t, legOpts)
 	for _, spec := range specs {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
@@ -125,6 +126,58 @@ func sharedWarmupMatchesStraight(t *testing.T, workload string, specs []string) 
 // restored from one shared snapshot equals its own straight run.
 func TestGoldenDeterminismPerPrefetcher(t *testing.T) {
 	sharedWarmupMatchesStraight(t, "433.milc", append(prefetch.L2Names(), quotedMetaSpecs...))
+}
+
+// TestWarmupLegBytesIgnorePrefetcher checks the property that lets the
+// scheduler run a group's warmup leg under its leader's own options: the leg
+// of every registered L2 prefetcher (and the quoted meta specs) writes the
+// snapshot a "none" leg writes, byte for byte.
+func TestWarmupLegBytesIgnorePrefetcher(t *testing.T) {
+	o := warmed("433.milc")
+	o.L2PF = prefetch.Spec{Name: "none"}
+	o.L1PF = prefetch.Spec{Name: "none"}
+	_, want := warmupLeg(t, o)
+	for _, spec := range append(prefetch.L2Names(), quotedMetaSpecs...) {
+		o := warmed("433.milc")
+		o.L2PF = prefetch.MustSpec(spec)
+		if _, got := warmupLeg(t, o); !bytes.Equal(got, want) {
+			t.Errorf("the warmup leg under %s wrote a different snapshot than the leg under none", spec)
+		}
+	}
+}
+
+// TestLegMachineRunsOn checks the machine that ran a warmup leg and was
+// checkpointed is itself a valid fork of the snapshot: for every registered
+// L2 prefetcher on 1 and 2 cores, running it on into the measured region, a
+// Restore of the snapshot, and the straight run that never checkpoints give
+// identical result bytes.
+func TestLegMachineRunsOn(t *testing.T) {
+	for _, cores := range []int{1, 2} {
+		for _, spec := range prefetch.L2Names() {
+			cores, spec := cores, spec
+			t.Run(fmt.Sprintf("%d-core/%s", cores, spec), func(t *testing.T) {
+				t.Parallel()
+				o := warmed("433.milc")
+				o.Cores = cores
+				o.L2PF = prefetch.MustSpec(spec)
+				straight := resultJSON(t, runStraight(t, o))
+				leg, snap := warmupLeg(t, o)
+				restored, err := engine.Restore(snap, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for how, s := range map[string]*engine.Simulation{"leg machine": leg, "restored": restored} {
+					r, err := s.Run(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := resultJSON(t, r); !bytes.Equal(got, straight) {
+						t.Errorf("%s diverged from the straight run\nstraight: %s\n     got: %s", how, straight, got)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestHeterogeneousWorkloadsCheckpointRoundTrip checks per-core workload
@@ -236,17 +289,7 @@ func TestCheckpointOnlyAtBarrier(t *testing.T) {
 // a snapshot cannot restore into options whose warmup leg differs.
 func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 	o := warmed("416.gamess")
-	s, err := engine.New(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunWarmup(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, snap := warmupLeg(t, o)
 	cases := map[string]func(*engine.Options){
 		"workload": func(o *engine.Options) { o.Workloads = []trace.Spec{{Name: "470.lbm"}} },
 		"seed":     func(o *engine.Options) { o.Seed = 99 },
@@ -297,22 +340,35 @@ func FuzzRestore(f *testing.F) {
 	skew := append([]byte(nil), snap...)
 	skew[8]++
 	f.Add(skew)
-	// Damage inside the L3's packed line records, which gob carries as
-	// opaque bytes and only cache.RestoreState parses: a zero index delta,
-	// a stray continuation bit mid-stream, an owner core no machine has.
-	off, n, err := engine.PackedLinesSpan(snap)
-	if err != nil || off < 0 || n == 0 {
-		f.Fatalf("no packed L3 lines in the snapshot (offset %d, %d bytes, err %v)", off, n, err)
+	// A v6 snapshot (every way's stamp in a []uint64) is refused by its
+	// version field, whatever follows it.
+	v6 := append([]byte(nil), snap...)
+	binary.BigEndian.PutUint32(v6[len(snapshotMagicForFuzz):], 6)
+	if _, err := engine.Restore(v6, o); err == nil || !strings.Contains(err.Error(), "snapshot version 6") {
+		f.Fatalf("v6 snapshot not refused by version: %v", err)
+	}
+	f.Add(v6)
+	// Damage inside the L3's packed line and stamp records, which gob
+	// carries as opaque bytes and only cache.RestoreState parses: a zero
+	// index delta, a stray continuation bit mid-stream, an owner core no
+	// machine has; a zero index delta and a stamp cut short.
+	lineOff, lineN, stampOff, stampN, err := engine.PackedSpans(snap)
+	if err != nil || lineOff < 0 || lineN == 0 || stampOff < 0 || stampN == 0 {
+		f.Fatalf("no packed L3 lines (offset %d, %d bytes) or stamps (offset %d, %d bytes) in the snapshot (err %v)",
+			lineOff, lineN, stampOff, stampN, err)
 	}
 	for _, m := range []struct {
 		at       int
 		b        byte
 		rejected bool
-	}{{off, 0, true}, {off + n/2, 0xff, false}, {off + n - 1, 0x7f, true}} {
+	}{
+		{lineOff, 0, true}, {lineOff + lineN/2, 0xff, false}, {lineOff + lineN - 1, 0x7f, true},
+		{stampOff, 0, true}, {stampOff + stampN/2, 0xff, false}, {stampOff + stampN - 1, 0x80, true},
+	} {
 		mut := append([]byte(nil), snap...)
 		mut[m.at] = m.b
 		if _, err := engine.Restore(mut, o); err == nil && m.rejected {
-			f.Fatalf("snapshot with packed line byte %d set to %#x restored", m.at-off, m.b)
+			f.Fatalf("snapshot with packed byte %d set to %#x restored", m.at, m.b)
 		}
 		f.Add(mut)
 	}

@@ -13,16 +13,17 @@ import (
 	"bopsim/internal/uncore"
 )
 
-// PackedLinesSpan locates the L3's packed line records (cache.State.Lines)
-// inside snapshot bytes, so FuzzRestore can seed mutations there: gob moves
-// a []byte verbatim, so the records sit in data as they sit in the state.
-func PackedLinesSpan(data []byte) (off, n int, err error) {
+// PackedSpans locates the L3's packed line records (cache.State.Lines) and
+// packed stamp records (cache.PolicyState.Stamps) inside snapshot bytes, so
+// FuzzRestore can seed mutations there: gob moves a []byte verbatim, so the
+// records sit in data as they sit in the state.
+func PackedSpans(data []byte) (lineOff, lineN, stampOff, stampN int, err error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, 0, err
 	}
-	lines := snap.Uncore.L3.Lines
-	return bytes.Index(data, lines), len(lines), nil
+	lines, stamps := snap.Uncore.L3.Lines, snap.Uncore.L3.Policy.Stamps
+	return bytes.Index(data, lines), len(lines), bytes.Index(data, stamps), len(stamps), nil
 }
 
 // NextEventCycle exposes the skip-ahead horizon so the equivalence suite can

@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"bopsim/internal/engine"
-	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
 
@@ -22,9 +21,11 @@ import (
 // WarmupSignature, which covers everything that shapes machine state up to
 // the barrier and deliberately excludes the swept prefetcher specs — runs
 // one warmup leg per group, checkpoints it, and forks every variant from
-// the snapshot. Checkpoints are cached content-addressed on disk (named by
-// signature hash, verified and shipped by content SHA-256 exactly like
-// traces), so later invocations skip even the single warmup leg.
+// the snapshot (under the in-process pool, every variant but the one whose
+// machine ran the leg: that one runs on). Checkpoints are cached
+// content-addressed on disk (named by signature hash, verified and shipped
+// by content SHA-256 exactly like traces), so later invocations skip even
+// the single warmup leg.
 //
 // Correctness never depends on a checkpoint: the engine's determinism
 // guarantee makes a restored run byte-identical to a straight one, and
@@ -65,45 +66,43 @@ func (c checkpointStore) pathFor(key string) string {
 	return filepath.Join(c.dir, key+".ckpt")
 }
 
-// ensure returns the checkpoint for o's warmup group, running the warmup
-// leg and writing the snapshot if no cached one exists.
-func (c checkpointStore) ensure(ctx context.Context, o engine.Options) (checkpointRef, error) {
-	key, err := WarmupKey(o)
-	if err != nil {
-		return checkpointRef{}, err
-	}
+// ensure returns the checkpoint of warmup group key, which o belongs to. If
+// no cached snapshot exists it runs the warmup leg, writes the snapshot and
+// also returns the machine that ran the leg, standing at its barrier.
+func (c checkpointStore) ensure(ctx context.Context, key string, o engine.Options) (checkpointRef, *engine.Simulation, error) {
 	path := c.pathFor(key)
 	if sha := trace.ContentSHA(path); sha != "" {
-		return checkpointRef{path: path, sha: sha}, nil
+		return checkpointRef{path: path, sha: sha}, nil, nil
 	}
-	data, err := runWarmupLeg(ctx, o)
+	s, data, err := runWarmupLeg(ctx, o)
 	if err != nil {
-		return checkpointRef{}, err
+		return checkpointRef{}, nil, err
 	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return checkpointRef{}, err
+		return checkpointRef{}, nil, err
 	}
 	if err := engine.WriteFileAtomic(path, data); err != nil {
-		return checkpointRef{}, err
+		return checkpointRef{}, nil, err
 	}
 	sum := sha256.Sum256(data)
-	return checkpointRef{path: path, sha: hex.EncodeToString(sum[:])}, nil
+	return checkpointRef{path: path, sha: hex.EncodeToString(sum[:])}, s, nil
 }
 
-// runWarmupLeg executes one warmup region to its barrier and serializes the
-// machine. The leg's prefetcher specs are neutralized — the warmup runs
-// with prefetching disabled anyway, so one leg serves every spec variant.
-func runWarmupLeg(ctx context.Context, o engine.Options) ([]byte, error) {
-	o.L2PF = prefetch.Spec{Name: "none"}
-	o.L1PF = prefetch.Spec{Name: "none"}
+// runWarmupLeg executes o's warmup region to its barrier and serializes the
+// machine. The leg is built from the job's own options: the warmup runs
+// without prefetchers and the snapshot carries none, so the bytes are the
+// same under every spec variant of the group, and the machine can run on
+// into o's measured region.
+func runWarmupLeg(ctx context.Context, o engine.Options) (*engine.Simulation, []byte, error) {
 	s, err := engine.New(o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.RunWarmup(ctx); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.Checkpoint()
+	data, err := s.Checkpoint()
+	return s, data, err
 }
 
 // checkpointSubdir is where snapshots live inside a result cache directory;
@@ -180,54 +179,58 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 	}
 }
 
-// leadersFirst stable-partitions jobs so the first job of every warmup
-// group comes before every other job. Figure builders enumerate a group's
-// variants back to back; dispatched in that order, every slot beyond the
-// first takes a follower of the group whose leg is still running and blocks
-// on it, and the legs run one after another. Leaders first, each slot runs
-// a different group's leg at once and a follower finds its snapshot ready.
-// Jobs without a warmup key (no warmup region) keep their place
-// among the followers.
-func leadersFirst(jobs []engine.Options) []engine.Options {
+// leadersFirst keys jobs by warmup group and stable-partitions them so the
+// first job of every group comes before every other job. Figure builders
+// enumerate a group's variants back to back; dispatched in that order, every
+// slot beyond the first takes a follower of the group whose leg is still
+// running and blocks on it, and the legs run one after another. Leaders
+// first, each slot runs a different group's leg at once and a follower finds
+// its snapshot ready. Jobs without a warmup key (no warmup region, unreadable
+// trace) keep their place among the followers.
+func leadersFirst(jobs []job) []job {
 	seen := make(map[string]bool)
-	leaders := make([]engine.Options, 0, len(jobs))
-	var rest []engine.Options
-	for _, o := range jobs {
-		if key, err := WarmupKey(o); err == nil && !seen[key] {
-			seen[key] = true
-			leaders = append(leaders, o)
+	leaders := make([]job, 0, len(jobs))
+	var rest []job
+	for _, j := range jobs {
+		j.warmupKey, _ = WarmupKey(j.o)
+		if j.warmupKey != "" && !seen[j.warmupKey] {
+			seen[j.warmupKey] = true
+			leaders = append(leaders, j)
 		} else {
-			rest = append(rest, o)
+			rest = append(rest, j)
 		}
 	}
 	return append(leaders, rest...)
 }
 
-// resolve returns o's group checkpoint, running the warmup leg on first
-// demand. A group whose leg fails resolves to false: its jobs run
+// resolve returns the checkpoint of j's warmup group, running the warmup leg
+// on first demand. The one caller whose demand ran the leg also gets the
+// machine that ran it, at its barrier with j's own prefetchers installed;
+// every other caller, and every caller when the snapshot was already on
+// disk, gets nil. A group whose leg fails resolves to false: its jobs run
 // straight, and the real error surfaces there.
-func (c *ckptResolver) resolve(o engine.Options) (checkpointRef, bool) {
-	key, err := WarmupKey(o)
-	if err != nil {
-		return checkpointRef{}, false // no warmup region or unreadable trace
+func (c *ckptResolver) resolve(j job) (checkpointRef, *engine.Simulation, bool) {
+	if j.warmupKey == "" {
+		return checkpointRef{}, nil, false
 	}
 	c.mu.Lock()
-	e := c.groups[key]
+	e := c.groups[j.warmupKey]
 	if e == nil {
 		e = &ckptEntry{}
-		c.groups[key] = e
+		c.groups[j.warmupKey] = e
 	}
 	c.mu.Unlock()
+	var leg *engine.Simulation
 	e.once.Do(func() {
 		c.sem <- struct{}{}
 		defer func() { <-c.sem }()
-		ref, err := c.store.ensure(context.Background(), o)
+		ref, s, err := c.store.ensure(context.Background(), j.warmupKey, j.o)
 		if err != nil {
-			c.logf("  warmup leg %.12s failed (%v); group runs without checkpoint\n", key, err)
+			c.logf("  warmup leg %.12s failed (%v); group runs without checkpoint\n", j.warmupKey, err)
 			return
 		}
-		e.ref, e.ok = ref, true
-		c.logf("  warmup %.12s ready (%s)\n", key, filepath.Base(ref.path))
+		e.ref, e.ok, leg = ref, true, s
+		c.logf("  warmup %.12s ready (%s)\n", j.warmupKey, filepath.Base(ref.path))
 	})
-	return e.ref, e.ok
+	return e.ref, leg, e.ok
 }

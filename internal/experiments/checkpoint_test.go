@@ -2,12 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +117,16 @@ func sweepJobs(warmup uint64, workloads ...string) []engine.Options {
 		}
 	}
 	return jobs
+}
+
+// keyedJobs turns options into the scheduler's jobs, warmup keys set and
+// group leaders first, as RunJobs does under warmup sharing.
+func keyedJobs(opts []engine.Options) []job {
+	jobs := make([]job, len(opts))
+	for i, o := range opts {
+		jobs[i] = job{o: o}
+	}
+	return leadersFirst(jobs)
 }
 
 // holdFirstLeg is a Runner.Log that holds the first "warmup ... ready" line
@@ -246,6 +258,188 @@ func TestCheckpointReuseAcrossRunners(t *testing.T) {
 	}
 	if !info2.ModTime().Equal(before) {
 		t.Error("second sweep rewrote a cached snapshot instead of reusing it")
+	}
+}
+
+// TestResolveHandsLegMachineToOneCaller checks who gets the machine that ran
+// a group's warmup leg: exactly one of the callers racing over the group, at
+// its barrier and built from that caller's own options; every later caller
+// gets none; and nobody does once the snapshot is already on disk.
+func TestResolveHandsLegMachineToOneCaller(t *testing.T) {
+	r := tinyRunner()
+	r.Checkpoint = true
+	r.CheckpointDir = t.TempDir()
+	jobs := keyedJobs(sweepJobs(5_000, "416.gamess"))
+
+	// race resolves every job twice, all at once, and returns the one ref
+	// and the machines handed out beside the jobs they were handed to.
+	race := func(c *ckptResolver) (checkpointRef, []*engine.Simulation, []job) {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		var ref checkpointRef
+		var legs []*engine.Simulation
+		var owners []job
+		for i := 0; i < 2*len(jobs); i++ {
+			j := jobs[i%len(jobs)]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, leg, ok := c.resolve(j)
+				mu.Lock()
+				defer mu.Unlock()
+				if !ok || ref != (checkpointRef{}) && got != ref {
+					t.Errorf("resolve: ok %v, ref %v, want ok and one ref (%v)", ok, got, ref)
+				}
+				ref = got
+				if leg != nil {
+					legs = append(legs, leg)
+					owners = append(owners, j)
+				}
+			}()
+		}
+		wg.Wait()
+		return ref, legs, owners
+	}
+
+	first := r.checkpointResolver()
+	ref, legs, owners := race(first)
+	if len(legs) != 1 {
+		t.Fatalf("%d callers were handed the leg's machine, want exactly 1", len(legs))
+	}
+	if !legs[0].AtBarrier() {
+		t.Error("the leg's machine is not at its barrier")
+	}
+	if got, want := OptionsHash(legs[0].Options()), OptionsHash(owners[0].o); got != want {
+		t.Errorf("the leg's machine was built from options %s, not its caller's %s", got, want)
+	}
+	if _, leg, ok := first.resolve(jobs[0]); !ok || leg != nil {
+		t.Errorf("a later caller: ok %v, machine %v, want ok and none", ok, leg)
+	}
+	// A fresh resolver finds the snapshot on disk: no leg runs, no machine.
+	ref2, legs, _ := race(r.checkpointResolver())
+	if len(legs) != 0 {
+		t.Errorf("%d callers were handed a machine though the snapshot was on disk", len(legs))
+	}
+	if ref2 != ref {
+		t.Errorf("cached snapshot resolved to %v, the leg wrote %v", ref2, ref)
+	}
+}
+
+// forkCounter is a CheckpointBackend that executes as the in-process pool
+// does and counts how its jobs reached it.
+type forkCounter struct {
+	localBackend
+	runs, forks atomic.Int64
+}
+
+func (b *forkCounter) Run(slot int, o engine.Options) (engine.Result, error) {
+	b.runs.Add(1)
+	return b.localBackend.Run(slot, o)
+}
+
+func (b *forkCounter) RunFrom(slot int, o engine.Options, path, sha string) (engine.Result, error) {
+	b.forks.Add(1)
+	return b.localBackend.RunFrom(slot, o, path, sha)
+}
+
+// TestConfiguredBackendForksEveryJob pins the remote path: the leader runs
+// on from its own barrier only under the in-process pool. A configured
+// backend still sees RunFrom for every job, leaders included (its workers
+// are elsewhere; the leg's machine is here), and both render the same bytes.
+func TestConfiguredBackendForksEveryJob(t *testing.T) {
+	mk := func() *Runner {
+		r := tinyRunner()
+		r.Instructions = 20_000
+		r.Warmup = 15_000
+		r.Workers = 2
+		r.Checkpoint = true
+		r.CheckpointDir = t.TempDir()
+		return r
+	}
+	pool := mk()
+	want := renderTable(t, pool.Fig6())
+
+	backend := &forkCounter{localBackend: localBackend{workers: 2}}
+	remote := mk()
+	remote.Backend = backend
+	if got := renderTable(t, remote.Fig6()); !bytes.Equal(got, want) {
+		t.Errorf("configured backend rendered different bytes\npool:\n%s\nbackend:\n%s", want, got)
+	}
+	if runs, forks, jobs := backend.runs.Load(), backend.forks.Load(), int64(pool.Executed()); runs != 0 || forks != jobs {
+		t.Errorf("configured backend saw %d Run and %d RunFrom calls, want 0 and %d", runs, forks, jobs)
+	}
+}
+
+// TestLeaderSkipsTheForkUnderThePool drives execOnBackend as the in-process
+// pool's slots do (no configured Backend) but hands it a recording backend:
+// the job whose demand ran the leg must finish on the leg's machine without
+// reaching the backend at all, with the result of a straight run, and its
+// followers must fork from the snapshot it wrote.
+func TestLeaderSkipsTheForkUnderThePool(t *testing.T) {
+	r := tinyRunner()
+	r.Checkpoint = true
+	r.CheckpointDir = t.TempDir()
+	ckpts := r.checkpointResolver()
+	jobs := keyedJobs(sweepJobs(5_000, "416.gamess"))
+	backend := &recordingBackend{slots: 1}
+	for i, j := range jobs {
+		got, err := r.execOnBackend(backend, 0, j, ckpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			continue
+		}
+		want, err := engine.Run(context.Background(), j.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("leader's result differs from the straight run\n got %+v\nwant %+v", got, want)
+		}
+		if len(backend.jobs) != 0 {
+			t.Errorf("the leader reached the backend: %v", backend.jobs)
+		}
+	}
+	if len(backend.paths) != len(jobs)-1 {
+		t.Errorf("%d RunFrom calls, want %d (every follower forks)", len(backend.paths), len(jobs)-1)
+	}
+}
+
+// TestLeaderWithUnbuildableSpec pins what happens when a group's leader
+// names a prefetcher that cannot be built. The leg is built from the
+// leader's own options, so it fails with them: the leader's job reports the
+// spec error, no snapshot is written, and the group's other jobs complete
+// straight.
+func TestLeaderWithUnbuildableSpec(t *testing.T) {
+	r := tinyRunner()
+	r.Workers = 2
+	r.Checkpoint = true
+	r.CheckpointDir = t.TempDir()
+	jobs := sweepJobs(5_000, "416.gamess")
+	jobs[0].L2PF = prefetch.Spec{Name: "no-such-prefetcher"}
+	err := r.RunJobs(jobs)
+	if err == nil || !strings.Contains(err.Error(), "no-such-prefetcher") {
+		t.Fatalf("RunJobs error %v, want the leader's spec error", err)
+	}
+	if n := strings.Count(err.Error(), "\n") + 1; n != 1 {
+		t.Errorf("%d failures reported, want only the leader's:\n%v", n, err)
+	}
+	if got := r.Executed(); got != 2 {
+		t.Errorf("executed %d simulations, want the group's 2 buildable jobs", got)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(r.CheckpointDir, "*.ckpt")); len(snaps) != 0 {
+		t.Errorf("a failed leg left snapshots behind: %v", snaps)
+	}
+	// The followers' results are those of straight runs.
+	for _, o := range jobs[1:] {
+		want, err := engine.Run(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.run(o); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result differs from the straight run", describeOptions(o))
+		}
 	}
 }
 

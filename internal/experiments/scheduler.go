@@ -24,6 +24,13 @@ import (
 // runFunc executes (or replays from cache) one simulation.
 type runFunc func(engine.Options) engine.Result
 
+// job is one pending simulation with the two keys the scheduler needs of it.
+type job struct {
+	o         engine.Options
+	cacheKey  string // OptionsHash(o)
+	warmupKey string // WarmupKey(o), set by leadersFirst; "" for no leg to share
+}
+
 // defaultMaxErrors bounds how many job failures RunJobs collects before it
 // stops dispatching: enough that a sweep with a handful of bad specs
 // reports them all in one pass, small enough that a systematically broken
@@ -106,17 +113,18 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 		defer errMu.Unlock()
 		return len(errs) >= maxErrors
 	}
-	work := make(chan engine.Options)
+	work := make(chan job)
 	var wg sync.WaitGroup
 	for i := 0; i < slots; i++ {
 		slot := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for o := range work {
+			for j := range work {
+				o := j.o
 				r.setAssignment(slot, describeOptions(o))
-				_, err := r.runWith(o, func(o engine.Options) (engine.Result, error) {
-					return r.execOnBackend(backend, slot, o, ckpts)
+				_, err := r.runWith(o, func(engine.Options) (engine.Result, error) {
+					return r.execOnBackend(backend, slot, j, ckpts)
 				})
 				r.setAssignment(slot, "")
 				if err != nil {
@@ -132,13 +140,13 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 			}
 		}()
 	}
-	for _, o := range jobs {
+	for _, j := range jobs {
 		// Stop dispatching once the failure budget is spent: the figure is
 		// going to abort anyway, so don't burn hours finishing the sweep.
 		if tooManyErrors() {
 			break
 		}
-		work <- o
+		work <- j
 	}
 	close(work)
 	wg.Wait()
@@ -147,15 +155,22 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 
 // execOnBackend runs one job on the backend, forking from its warmup
 // group's checkpoint when one can be resolved and the backend supports it.
-func (r *Runner) execOnBackend(backend ExecBackend, slot int, o engine.Options, ckpts *ckptResolver) (engine.Result, error) {
+// Under the in-process pool the job whose demand ran the group's leg needs
+// no fork: it runs on the machine it is already holding, which stands where
+// Restore of the snapshot it just wrote would put a new one.
+func (r *Runner) execOnBackend(backend ExecBackend, slot int, j job, ckpts *ckptResolver) (engine.Result, error) {
 	if ckpts != nil {
 		if cb, ok := backend.(CheckpointBackend); ok {
-			if ref, ok := ckpts.resolve(o); ok {
-				return cb.RunFrom(slot, o, ref.path, ref.sha)
+			ref, leg, ok := ckpts.resolve(j)
+			if leg != nil && r.Backend == nil {
+				return leg.Run(context.Background())
+			}
+			if ok {
+				return cb.RunFrom(slot, j.o, ref.path, ref.sha)
 			}
 		}
 	}
-	return backend.Run(slot, o)
+	return backend.Run(slot, j.o)
 }
 
 // pendingJobs deduplicates opts by cache key and drops entries either
@@ -165,13 +180,9 @@ func (r *Runner) execOnBackend(backend ExecBackend, slot int, o engine.Options, 
 // prepareCheckpoints never pays a warmup leg for a group with no real work
 // left. Disk hits are promoted into the in-memory cache, exactly as
 // runWith would have done.
-func (r *Runner) pendingJobs(opts []engine.Options) []engine.Options {
-	type pending struct {
-		o   engine.Options
-		key string
-	}
+func (r *Runner) pendingJobs(opts []engine.Options) []job {
 	seen := make(map[string]bool, len(opts))
-	var maybe []pending
+	var maybe []job
 	r.mu.Lock()
 	for _, o := range opts {
 		k := OptionsHash(o)
@@ -182,15 +193,11 @@ func (r *Runner) pendingJobs(opts []engine.Options) []engine.Options {
 		if _, ok := r.cache[k]; ok {
 			continue
 		}
-		maybe = append(maybe, pending{o: o, key: k})
+		maybe = append(maybe, job{o: o, cacheKey: k})
 	}
 	r.mu.Unlock()
 	if r.CacheDir == "" || len(maybe) == 0 {
-		jobs := make([]engine.Options, len(maybe))
-		for i, p := range maybe {
-			jobs[i] = p.o
-		}
-		return jobs
+		return maybe
 	}
 	// Probe the disk cache concurrently — a mostly-cached rerun of a large
 	// sweep would otherwise spend its startup in one goroutine's serial
@@ -200,7 +207,7 @@ func (r *Runner) pendingJobs(opts []engine.Options) []engine.Options {
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, p := range maybe {
-		i, key := i, p.key
+		i, key := i, p.cacheKey
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -212,16 +219,16 @@ func (r *Runner) pendingJobs(opts []engine.Options) []engine.Options {
 		}()
 	}
 	wg.Wait()
-	var jobs []engine.Options
+	var jobs []job
 	for i, p := range maybe {
 		if res := hits[i]; res != nil {
 			r.mu.Lock()
-			r.cache[p.key] = *res
+			r.cache[p.cacheKey] = *res
 			r.mu.Unlock()
 			r.logf("  load %-55s IPC=%.3f\n", describeOptions(p.o), res.IPC)
 			continue
 		}
-		jobs = append(jobs, p.o)
+		jobs = append(jobs, p)
 	}
 	return jobs
 }

@@ -629,7 +629,7 @@ func (h *Hierarchy) drainL3Fills(now uint64) {
 				h.fivep.NoteFill(e.core)
 			}
 			if ev.Valid && ev.Dirty {
-				h.writebackToDRAM(ev.Addr, ev.Core)
+				h.writebackToDRAM(ev.Addr, int(ev.Core))
 			}
 		}
 		h.pool.put(e)
@@ -740,7 +740,7 @@ func (h *Hierarchy) writebackToL3(line mem.LineAddr, core int) {
 		h.fivep.NoteFill(core)
 	}
 	if ev.Valid && ev.Dirty {
-		h.writebackToDRAM(ev.Addr, ev.Core)
+		h.writebackToDRAM(ev.Addr, int(ev.Core))
 	}
 }
 
