@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt bovet schema-lock bench-smoke
+.PHONY: all build test race fuzz lint fmt bovet schema-lock bench-smoke
 
 all: build lint test
 
@@ -15,6 +15,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs CI's three fuzz targets at CI's fixed budgets.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 20000x ./internal/engine
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
 # (internal/analysis): nondeterm, statecodec, hotalloc, schemalock,

@@ -32,7 +32,7 @@ func init() {
 
 // buildSpec parses and validates duel's spec parameters, builds both
 // candidates through the registry, and constructs the meta-prefetcher.
-// Normalize checks by calling it (construction is cheap), so a spec
+// Normalize checks by calling it (once per distinct spec), so a spec
 // Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()

@@ -225,7 +225,7 @@ func (r *Runner) pendingJobs(opts []engine.Options) []job {
 			r.mu.Lock()
 			r.cache[p.cacheKey] = *res
 			r.mu.Unlock()
-			r.logf("  load %-55s IPC=%.3f\n", describeOptions(p.o), res.IPC)
+			r.logResult("load", p.o, res.IPC)
 			continue
 		}
 		jobs = append(jobs, p)
@@ -251,7 +251,7 @@ func (r *Runner) runWith(o engine.Options, exec func(engine.Options) (engine.Res
 			r.mu.Lock()
 			r.cache[key] = res
 			r.mu.Unlock()
-			r.logf("  load %-55s IPC=%.3f\n", describeOptions(o), res.IPC)
+			r.logResult("load", o, res.IPC)
 			return res, nil
 		}
 	}
@@ -260,7 +260,7 @@ func (r *Runner) runWith(o engine.Options, exec func(engine.Options) (engine.Res
 		return engine.Result{}, err
 	}
 	r.executed.Add(1)
-	r.logf("  ran  %-55s IPC=%.3f\n", describeOptions(o), res.IPC)
+	r.logResult("ran", o, res.IPC)
 	r.mu.Lock()
 	r.cache[key] = res
 	r.mu.Unlock()
@@ -301,15 +301,25 @@ func (r *Runner) logf(format string, args ...any) {
 	fmt.Fprintf(r.Log, format, args...)
 }
 
+// logResult writes the progress line of one loaded or executed simulation.
+// describeOptions normalizes and formats, so it runs only when there is a
+// log to write to: a cached render on a Runner without one formats nothing.
+func (r *Runner) logResult(verb string, o engine.Options, ipc float64) {
+	if r.Log == nil {
+		return
+	}
+	r.logf("  %-4s %-55s IPC=%.3f\n", verb, describeOptions(o), ipc)
+}
+
 // describeOptions renders the human-readable run description used in log
 // lines (the cache key itself is an opaque hash). Specs are
-// self-describing, so their canonical strings carry every parameter that
-// the old enum-era description had to special-case.
+// self-describing, so their canonical strings carry every parameter. It is
+// a full Normalized plus a Sprintf: call it where the string is used, not
+// as an argument evaluated ahead of a nil-log check.
 func describeOptions(o engine.Options) string {
 	o = o.Normalized()
 	// trace.SpecsLabel over the just-normalized specs — not WorkloadsLabel,
-	// which would normalize a second time (registry normalization
-	// constructs generators to validate, too much for a log line).
+	// which would normalize a second time.
 	d := fmt.Sprintf("%s|%d-core/%s|%s|%s|l1=%s|n=%d|seed=%d",
 		trace.SpecsLabel(o.Workloads), o.Cores, o.Page, o.L2PF, o.L3Policy, o.L1PF, o.Instructions, o.Seed)
 	if o.Warmup > 0 {

@@ -23,9 +23,13 @@ func OffsetList(maxOffset, maxPrime int) []int {
 	return out
 }
 
+// defaultOffsets is the paper's list, factored once: every DefaultParams of
+// bo and sbp — hence every engine.New — asks for it.
+var defaultOffsets = OffsetList(DefaultMaxOffset, 5)
+
 // DefaultOffsetList returns the paper's 52-offset list: 1..256 with prime
-// factors <= 5.
-func DefaultOffsetList() []int { return OffsetList(DefaultMaxOffset, 5) }
+// factors <= 5. The slice is the caller's to modify.
+func DefaultOffsetList() []int { return append([]int(nil), defaultOffsets...) }
 
 // DenseOffsetList returns every offset in [1, maxOffset]; used by the
 // ablation comparing the sampled list against a dense one.

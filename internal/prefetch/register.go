@@ -13,7 +13,9 @@ import (
 //
 // Every definition spells out Defaults (the parameter schema; empty means
 // "accepts no parameters" — the registry refuses a nil one). None sets
-// Validate: construction is cheap, so Normalize checks by building.
+// Validate: nothing here reads anything but its parameters, so Normalize
+// checks by building — once per distinct spec per process, after which the
+// canonical form is recalled (spec.Registry.Normalize).
 
 func init() {
 	RegisterL2("none", L2Def{

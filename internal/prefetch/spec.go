@@ -39,7 +39,8 @@ type (
 )
 
 // L2 and L1 are the two registries. A definition without a Validate hook is
-// checked by building for 4KB pages: prefetcher construction is cheap.
+// checked by building for 4KB pages, once per distinct spec: Normalize
+// remembers what it accepted.
 var (
 	L2 = spec.NewRegistry(Grammar, "prefetcher", func(b L2Build, v Values) error { _, err := b(mem.Page4K, v); return err })
 	L1 = spec.NewRegistry(Grammar, "prefetcher", func(b L1Build, v Values) error { _, err := b(mem.Page4K, v); return err })

@@ -42,7 +42,7 @@ func init() {
 }
 
 // buildSpec parses and validates sbp's spec parameters and constructs the
-// prefetcher. Normalize checks by calling it (construction is cheap), so a
+// prefetcher. Normalize checks by calling it (once per distinct spec), so a
 // spec Normalize accepts is always constructible.
 func buildSpec(page mem.PageSize, v prefetch.Values) (prefetch.L2Prefetcher, error) {
 	p := DefaultParams()

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -25,9 +26,11 @@ type Definition[B any] struct {
 	// semantically invalid combinations.
 	Build B
 	// Validate, when non-nil, replaces the check-by-building in Normalize.
-	// Implementations whose construction has side effects or real cost
-	// (file opens and parses a whole trace) set it so normalization stays
-	// cheap and pure; it must reject exactly what Build rejects.
+	// Implementations whose construction has side effects or depends on
+	// anything outside the spec (file opens and parses a whole trace) must
+	// set it so normalization stays pure; it must reject exactly what Build
+	// rejects. Cost alone is no reason: Normalize checks a spec once per
+	// process (see the memo), so a table-allocating Build is paid once.
 	Validate func(v Values) error
 	// SizeKeys lists the parameter keys whose values are byte sizes.
 	// Normalize re-renders them canonically (FormatSize of ParseSize), so
@@ -61,13 +64,30 @@ type Registry[B any] struct {
 
 	mu   sync.RWMutex
 	defs map[string]Definition[B]
+	// memo remembers Normalize's successes, keyed by the rendered
+	// syntactically-canonical spec. Registrations never invalidate it: a
+	// success depends only on the registrations of the spec's own name and
+	// of its children's, and those cannot change (a duplicate panics).
+	memo map[string]normalized
 }
+
+// normalized is one memo entry: the parameters of a spec as given and in
+// canonical form (normalization never changes the name). in is kept because
+// the rendered key is not injective over specs built as struct literals (a
+// value may hold ',' or '='); a hit counts only when the parameters match.
+type normalized struct{ in, out map[string]string }
+
+// memoLimit bounds the memo. A sweep has tens of distinct specs; a daemon
+// fed arbitrary spec strings must not grow without limit, so a full memo is
+// dropped whole and refills with what is in use.
+const memoLimit = 1024
 
 // NewRegistry returns an empty registry. kind names what it holds in error
 // messages ("prefetcher", "workload"); check builds with throwaway
 // arguments and is how Normalize validates a definition without Validate.
 func NewRegistry[B any](g Grammar, kind string, check func(build B, v Values) error) *Registry[B] {
-	return &Registry[B]{grammar: g, kind: kind, check: check, defs: make(map[string]Definition[B])}
+	return &Registry[B]{grammar: g, kind: kind, check: check,
+		defs: make(map[string]Definition[B]), memo: make(map[string]normalized)}
 }
 
 // Register adds a definition under name. It panics on a duplicate or
@@ -128,7 +148,38 @@ func (r *Registry[B]) Lookup(spec Spec) (Definition[B], Spec, error) {
 // dropped — so "bo:scoremax=31" and "bo", "gups:footprint=64MB" and "gups"
 // normalize (and therefore hash) identically. A spec that fails validation
 // comes back syntactically canonical next to the error.
+//
+// Normalize is a pure function of the registrations and the spec, and
+// everything that keys on a run (OptionsHash, WarmupKey, the distrib
+// sign/verify) calls it for every spec of every job, so successes are
+// memoised per process: a repeated spec costs a map lookup and a copy of
+// its parameters, not a construction. Failures are not remembered — a name
+// registered later must be seen. The returned Params map is the caller's.
 func (r *Registry[B]) Normalize(spec Spec) (Spec, error) {
+	spec = r.grammar.canonical(spec)
+	key := spec.String()
+	r.mu.RLock()
+	e, ok := r.memo[key]
+	r.mu.RUnlock()
+	if ok && maps.Equal(e.in, spec.Params) {
+		return Spec{Name: spec.Name, Params: maps.Clone(e.out)}, nil
+	}
+	out, err := r.normalize(spec)
+	if err != nil {
+		return out, err
+	}
+	e = normalized{in: spec.Params, out: maps.Clone(out.Params)}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.memo) >= memoLimit {
+		clear(r.memo)
+	}
+	r.memo[key] = e
+	return out, nil
+}
+
+// normalize is Normalize without the memo. It leaves spec untouched.
+func (r *Registry[B]) normalize(spec Spec) (Spec, error) {
 	def, spec, err := r.Lookup(spec)
 	if err != nil {
 		return spec, err
@@ -137,8 +188,7 @@ func (r *Registry[B]) Normalize(spec Spec) (Spec, error) {
 		err = def.Validate(Values(spec.Params))
 	} else {
 		// Building validates the parameter values, so a normalized spec is
-		// always constructible; construction is cheap by design for
-		// everything that does not opt out via Validate.
+		// always constructible.
 		err = r.check(def.Build, Values(spec.Params))
 	}
 	if err != nil {

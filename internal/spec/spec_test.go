@@ -6,10 +6,15 @@ package spec_test
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"bopsim/internal/prefetch"
+	_ "bopsim/internal/prefetch/all" // bo, sbp, multi, duel, adapt: the specs with tables to build and children to quote
 	"bopsim/internal/spec"
 	"bopsim/internal/trace"
 )
@@ -74,6 +79,22 @@ func TestParseBothGrammars(t *testing.T) {
 	}
 }
 
+// fuzzSeeds is the corpus both fuzz targets start from: each grammar's
+// accepted and refused shapes, quoted sub-specs in canonical and
+// non-canonical spellings, and every kind of default Normalize drops.
+var fuzzSeeds = []string{
+	"bo", "nextline", "offset:d=4", "bo:badscore=5,rr=64", "BO:BadScore=5",
+	"  bo : rr = 64 ", "bo:", ":d=1", "a=b", "x:y=z,,", "offset:d=-3", "s t r",
+	"duel:a=bo.degree~2,b=multi.offsets~1+2+8;minscore~6,period=4096",
+	"adapt:base=multi,key=minscore,levels=48+24+12+6", "duel:a=.~;", "adapt:base=~~..;;",
+	"duel:a=bo.scoremax~31,b=multi.maxissue~04", "adapt:base=BO.BadScore~01", "duel:a=duel",
+	"bo:scoremax=31", "offset:d=01", "sbp:period=128,cutoff1=256", "bo:rr=x",
+	"429.mcf", "459.GemsFDTD", "stream:stride=128", "gups:footprint=64mb,storepct=25",
+	"mix:gens=stream+pchase,weights=2+1", "mix:weights=1+1", "gups:footprint=67108864",
+	"file:path=/tmp/x.trace", "file:sha=ab12", "file:path=/x,sha=ab",
+	";", "x:y=z;q", strings.Repeat("a", 300),
+}
+
 // FuzzParse checks, for both grammars, that whatever Parse accepts survives
 // the canonical round trip — parse -> String -> parse yields an equal spec
 // and the canonical form is a fixed point — and that each grammar keeps its
@@ -81,15 +102,7 @@ func TestParseBothGrammars(t *testing.T) {
 // value contains ';'. Normalize must never panic either, whatever the name
 // resolves to, and a normalized form must re-parse.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"bo", "nextline", "offset:d=4", "bo:badscore=5,rr=64", "BO:BadScore=5",
-		"  bo : rr = 64 ", "bo:", ":d=1", "a=b", "x:y=z,,", "offset:d=-3", "s t r",
-		"duel:a=bo.degree~2,b=multi.offsets~1+2+8;minscore~6,period=4096",
-		"adapt:base=multi,key=minscore,levels=48+24+12+6", "duel:a=.~;", "adapt:base=~~..;;",
-		"429.mcf", "459.GemsFDTD", "stream:stride=128", "gups:footprint=64mb,storepct=25",
-		"mix:gens=stream+pchase,weights=2+1", "file:path=/tmp/x.trace", "file:sha=ab12",
-		";", "x:y=z;q", strings.Repeat("a", 300),
-	} {
+	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	normalizers := map[string]func(spec.Spec) (spec.Spec, error){
@@ -183,5 +196,192 @@ func TestRegistryOnAToyAxis(t *testing.T) {
 		if got.String() != c.canonical {
 			t.Errorf("Normalize(%v) returned %q next to its error, want %q", c.in, got, c.canonical)
 		}
+	}
+}
+
+// axis is one registry seen through the calls the memo tests need, so both
+// can sit in one table although their Build types differ.
+type axis struct {
+	grammar   spec.Grammar
+	normalize func(spec.Spec) (spec.Spec, error)
+	fresh     func(spec.Spec) (spec.Spec, error) // spec's export_test: no memo read or written
+	forget    func()
+}
+
+var axes = []axis{
+	{prefetch.Grammar, prefetch.L2.Normalize, prefetch.L2.NormalizeFresh, prefetch.L2.ForgetNormalized},
+	{trace.Grammar, trace.Generators.Normalize, trace.Generators.NormalizeFresh, trace.Generators.ForgetNormalized},
+}
+
+// sameAnswer reports how two Normalize results differ ("" when they do
+// not): the spec deeply — a nil Params map is not an empty one — and the
+// error by its text.
+func sameAnswer(got spec.Spec, gotErr error, want spec.Spec, wantErr error) string {
+	if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		return fmt.Sprintf("got %#v, %v; want %#v, %v", got, gotErr, want, wantErr)
+	}
+	return ""
+}
+
+// FuzzNormalizeMemo is the differential check of Normalize's memo, for both
+// grammars: whatever Parse accepts normalizes to the same spec and the same
+// error whether it is computed with an empty memo (children of a quoted
+// sub-spec included), stored, or recalled — and neither the argument nor a
+// returned spec is shared with the memo, so a caller scribbling on either
+// never changes a later answer.
+func FuzzNormalizeMemo(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		for _, a := range axes {
+			sp, err := a.grammar.Parse(in)
+			if err != nil {
+				continue
+			}
+			a.forget()
+			want, wantErr := a.fresh(sp)
+			for _, pass := range []string{"stored", "recalled", "recalled after scribbling"} {
+				arg := spec.Spec{Name: sp.Name, Params: maps.Clone(sp.Params)}
+				got, err := a.normalize(arg)
+				if diff := sameAnswer(got, err, want, wantErr); diff != "" {
+					t.Fatalf("%s: Normalize(%q) %s: %s", a.grammar.Pkg, in, pass, diff)
+				}
+				for _, m := range []map[string]string{arg.Params, got.Params} {
+					for k := range m {
+						m[k] = "scribbled"
+					}
+					if m != nil {
+						m["scribbled"] = "too"
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestNormalizeConcurrent normalizes the same and different specs from many
+// goroutines at once, as pendingJobs' probe goroutines and RunJobs' workers
+// do when they hash; under -race it is the memo's locking test. Refused
+// specs are in the mix because they take the write-free path every time.
+func TestNormalizeConcurrent(t *testing.T) {
+	inputs := [][]string{
+		{"bo", "bo:scoremax=31", "BO:BadScore=5", "offset:d=04", "sbp:period=128", "multi:maxissue=4",
+			"duel:a=bo.degree~2,b=multi.maxissue~4", "adapt:base=bo.rr~64", "nosuch", "bo:rr=x"},
+		{"429.mcf", "gups:footprint=64MB", "mix:gens=stream+pchase,weights=1+1", "stream:stride=128",
+			"file:sha=ab12", "nosuch", "gups:footprint=x"},
+	}
+	type answer struct {
+		a    axis
+		in   spec.Spec
+		want spec.Spec
+		err  error
+	}
+	var answers []answer
+	for i, a := range axes {
+		a.forget()
+		for _, in := range inputs[i] {
+			sp := a.grammar.MustParse(in)
+			want, err := a.fresh(sp)
+			answers = append(answers, answer{a, sp, want, err})
+		}
+		a.forget() // fresh's children were remembered; start every goroutine cold
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50*len(answers); i++ {
+				c := answers[(g+i)%len(answers)]
+				got, err := c.a.normalize(c.in)
+				if diff := sameAnswer(got, err, c.want, c.err); diff != "" {
+					t.Errorf("goroutine %d: Normalize(%q): %s", g, c.in, diff)
+					return
+				}
+				if got.Params != nil {
+					got.Params["scribbled"] = "too" // the map is this goroutine's own
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestNormalizeMemoContract pins what the memo remembers, on a toy axis:
+// not a failure — a name registered after it was refused is seen, the
+// child of a quoting parent included — never more than its bound, however
+// many distinct valid specs a process is fed, and never one spec's answer
+// for another that merely renders like it.
+func TestNormalizeMemoContract(t *testing.T) {
+	type build = func(v spec.Values) (int, error)
+	g := spec.Grammar{Pkg: "toy", FoldNames: true}
+	r := spec.NewRegistry(g, "gadget", func(b build, v spec.Values) error { _, err := b(v); return err })
+	r.Register("pair", spec.Definition[build]{
+		Defaults: map[string]string{"of": "late"},
+		Build:    func(spec.Values) (int, error) { return 0, nil },
+		Canonicalize: func(params map[string]string) error {
+			child, err := r.Normalize(spec.Spec{Name: params["of"]})
+			params["of"] = child.Name
+			return err
+		},
+	})
+	late, pair := spec.Spec{Name: "Late"}, spec.Spec{Name: "pair", Params: map[string]string{"of": "LATE"}}
+	for _, sp := range []spec.Spec{late, pair} {
+		if _, err := r.Normalize(sp); err == nil || !strings.Contains(err.Error(), `unknown gadget "late"`) {
+			t.Fatalf("Normalize(%v) before registration: error %v", sp, err)
+		}
+	}
+	if n := r.Remembered(); n != 0 {
+		t.Errorf("%d failures remembered", n)
+	}
+	builds := 0
+	r.Register("late", spec.Definition[build]{
+		Defaults: map[string]string{"k": "0"},
+		IntKeys:  []string{"k"},
+		Build: func(v spec.Values) (int, error) {
+			builds++
+			var err error
+			return v.Int("k", 0, &err), err
+		},
+	})
+	for i := 0; i < 3; i++ {
+		if got, err := r.Normalize(late); err != nil || got.String() != "late" {
+			t.Errorf("Normalize(%v) after registration = %q, %v", late, got, err)
+		}
+		if got, err := r.Normalize(pair); err != nil || got.String() != "pair" {
+			t.Errorf("Normalize(%v) after registration = %q, %v; want the default child dropped", pair, got, err)
+		}
+	}
+	if builds != 1 {
+		t.Errorf("late was built %d times for three lookups directly and three as a child, want once", builds)
+	}
+
+	for k := 1; k <= 10*spec.MemoLimit; k++ {
+		in := spec.Spec{Name: "late", Params: map[string]string{"k": fmt.Sprintf("0%d", k)}}
+		if got, err := r.Normalize(in); err != nil || got.String() != fmt.Sprintf("late:k=%d", k) {
+			t.Fatalf("Normalize(%v) = %q, %v", in, got, err)
+		}
+		if n := r.Remembered(); n > spec.MemoLimit {
+			t.Fatalf("memo holds %d specs after %d distinct ones, bound %d", n, k, spec.MemoLimit)
+		}
+	}
+	if got, err := r.Normalize(pair); err != nil || got.String() != "pair" {
+		t.Errorf("Normalize(%v) after the memo turned over = %q, %v", pair, got, err)
+	}
+
+	// The memo's key is the rendered spec, and specs built as literals can
+	// share one: a path holding ",sha=" renders like a path beside a sha.
+	// The first is a valid spec, the second is refused, remembered or not.
+	odd := trace.Spec{Name: "file", Params: map[string]string{"path": "/x,sha=ab"}}
+	both := trace.Spec{Name: "file", Params: map[string]string{"path": "/x", "sha": "ab"}}
+	if odd.String() != both.String() {
+		t.Fatalf("%q and %q were meant to render alike", odd, both)
+	}
+	if got, err := trace.Normalize(odd); err != nil || !reflect.DeepEqual(got, odd) {
+		t.Errorf("Normalize(%#v) = %#v, %v", odd, got, err)
+	}
+	if got, err := trace.Normalize(both); err == nil {
+		t.Errorf("Normalize(%#v) = %#v: answered from the spec it renders like", both, got)
 	}
 }

@@ -27,8 +27,8 @@ func init() {
 }
 
 // buildSpec parses and validates stride's spec parameters and constructs
-// the prefetcher. Normalize checks by calling it (construction is cheap), so
-// a spec Normalize accepts is always constructible.
+// the prefetcher. Normalize checks by calling it (once per distinct spec),
+// so a spec Normalize accepts is always constructible.
 func buildSpec(_ mem.PageSize, v prefetch.Values) (prefetch.L1Prefetcher, error) {
 	var err error
 	dist := v.Int("dist", DistanceFactor, &err)
