@@ -23,8 +23,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 20000x ./internal/engine
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
-# (internal/analysis): nondeterm, statecodec, hotalloc, schemalock,
-# sigcomplete, deadallow — see DESIGN.md "Static invariants".
+# (internal/analysis): nondeterm, statecodec, hotalloc, deadallow — see
+# DESIGN.md "Static invariants".
 # staticcheck and govulncheck additionally run in CI at pinned versions; run
 # them locally if installed.
 lint: fmt
@@ -34,13 +34,15 @@ lint: fmt
 bovet:
 	$(GO) run ./cmd/bovet ./...
 
-# schema-lock regenerates internal/analysis/schemalock/schema.lock from the
-# current tree after a reviewed layout change. The generator refuses to run
-# when a governed layout changed without its version constant
-# (engine.SnapshotVersion, distrib.ProtocolVersion, or the result-cache
-# version) being bumped first — bump, regenerate, commit both.
+# schema-lock regenerates the three testdata/schema.lock files the
+# TestSchemaLock tests check (internal/schemalock) after a reviewed layout
+# change. A lock is not rewritten while the constant that governs it
+# (engine.SnapshotVersion, the result-cache version, distrib.ProtocolVersion)
+# is the one it already records — bump, regenerate, commit both. A struct
+# that a cached result and a snapshot both carry is in every lock that
+# reaches it, and moves every one of their constants.
 schema-lock:
-	$(GO) run ./cmd/bovet -write-schema-lock ./...
+	$(GO) test -run '^TestSchemaLock$$' ./internal/engine ./internal/experiments ./internal/distrib -write-schema-lock
 
 # bench-smoke runs every bopbench workload at 1/100 size, both passes (a few
 # seconds). The full instrument is `go run ./benchmarks/bopbench`; CI's bench

@@ -1,9 +1,7 @@
-// Command bovet runs the repo's custom static-analysis suite: the six
+// Command bovet runs the repo's custom static-analysis suite: the four
 // analyzers that mechanically enforce the simulator's determinism
 // (nondeterm), checkpoint completeness (statecodec), zero-alloc hot loops
-// (hotalloc), serialized-layout stability (schemalock),
-// cache-key/warmup-signature completeness (sigcomplete) and
-// allow-inventory hygiene (deadallow). See DESIGN.md
+// (hotalloc) and allow-inventory hygiene (deadallow). See DESIGN.md
 // "Static invariants". Cross-package reasoning — taint and allocation
 // summaries flowing from dependency to importer — rides the facts layer;
 // packages are analyzed in dependency order.
@@ -11,11 +9,6 @@
 //	go run ./cmd/bovet ./...
 //	bovet -json ./internal/uncore
 //	bovet -analyzers nondeterm,hotalloc ./...
-//
-// Regenerating the schema lock after a reviewed layout change (refuses to
-// run when a governed layout changed without its version constant):
-//
-//	bovet -write-schema-lock   (or `make schema-lock`)
 //
 // Exit status is 0 when the tree is clean, 2 when any diagnostic survives,
 // 1 on operational errors.
@@ -27,15 +20,12 @@ import (
 	"fmt"
 	"go/token"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"bopsim/internal/analysis"
 	"bopsim/internal/analysis/deadallow"
 	"bopsim/internal/analysis/hotalloc"
 	"bopsim/internal/analysis/nondeterm"
-	"bopsim/internal/analysis/schemalock"
-	"bopsim/internal/analysis/sigcomplete"
 	"bopsim/internal/analysis/statecodec"
 )
 
@@ -43,8 +33,6 @@ var suite = []*analysis.Analyzer{
 	nondeterm.Analyzer,
 	statecodec.Analyzer,
 	hotalloc.Analyzer,
-	schemalock.Analyzer,
-	sigcomplete.Analyzer,
 	deadallow.Analyzer,
 }
 
@@ -55,7 +43,6 @@ func run() int {
 	jsonOut := fs.Bool("json", false, "emit findings as JSON, sorted by (package, file, line, analyzer)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	selected := fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-	writeLock := fs.Bool("write-schema-lock", false, "regenerate internal/analysis/schemalock/schema.lock and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: bovet [-json] [-analyzers a,b] [packages]\n\nAnalyzers:\n")
 		for _, a := range suite {
@@ -78,9 +65,6 @@ func run() int {
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	if *writeLock {
-		return writeSchemaLock(patterns)
 	}
 
 	fset := token.NewFileSet()
@@ -146,61 +130,6 @@ func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("-analyzers selected nothing (available: %s)", strings.Join(available, ", "))
 	}
 	return active, nil
-}
-
-// writeSchemaLock regenerates the committed schema lock from the current
-// tree: it derives every governed layout (running the schemalock closure
-// checks on the way, so an unlockable cross-package reference fails
-// generation), refuses to proceed when a version domain's sections changed
-// without its version constant, and writes the file the analyzer embeds.
-func writeSchemaLock(patterns []string) int {
-	fset := token.NewFileSet()
-	pkgs, err := analysis.Load(fset, "", patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bovet:", err)
-		return 1
-	}
-	collector := schemalock.NewCollector()
-	runner := &analysis.Runner{Suite: []*analysis.Analyzer{collector.Analyzer()}, Known: suite}
-	findings, err := runner.Run(pkgs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bovet:", err)
-		return 1
-	}
-	if len(findings) > 0 {
-		for _, f := range findings {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		fmt.Fprintln(os.Stderr, "bovet: schema derivation is incomplete; fix the findings above before regenerating")
-		return 1
-	}
-
-	lockPath := ""
-	for _, pkg := range pkgs {
-		if pkg.PkgPath == "bopsim/internal/analysis/schemalock" {
-			lockPath = filepath.Join(pkg.Dir, "schema.lock")
-		}
-	}
-	if lockPath == "" {
-		fmt.Fprintln(os.Stderr, "bovet: -write-schema-lock needs the schemalock package in the pattern set (run it as `bovet -write-schema-lock ./...` from the module root)")
-		return 1
-	}
-	old, _ := os.ReadFile(lockPath)
-	if err := collector.CheckBump(old); err != nil {
-		fmt.Fprintln(os.Stderr, "bovet:", err)
-		return 1
-	}
-	data := collector.Format()
-	if string(old) == string(data) {
-		fmt.Printf("bovet: %s is up to date (%d sections)\n", lockPath, len(collector.Sections))
-		return 0
-	}
-	if err := os.WriteFile(lockPath, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "bovet:", err)
-		return 1
-	}
-	fmt.Printf("bovet: wrote %s (%d sections); rebuild to embed it\n", lockPath, len(collector.Sections))
-	return 0
 }
 
 type findingJSON struct {

@@ -14,11 +14,6 @@
 //     must round-trip through its codec methods.
 //   - hotalloc:      functions on a //bovet:hotpath must not contain
 //     allocation sites, nor call cross-package functions that do.
-//   - schemalock:    the serialized field-set of every checkpoint payload
-//     and wire struct matches the committed schema.lock, and schema
-//     changes bump the governing version constant.
-//   - sigcomplete:   every outcome-affecting engine.Options field is
-//     visible to experiments.OptionsHash and consulted by WarmupSignature.
 //   - deadallow:     every //bovet:allow directive suppressed at least one
 //     diagnostic this run; stale exceptions are findings themselves.
 //
@@ -109,20 +104,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fptr Fact) bool {
 	return p.facts.get(obj.Pkg().Path(), key, fptr)
 }
 
-// ExportPackageFact states fact about the package under analysis as a
-// whole.
-func (p *Pass) ExportPackageFact(f Fact) {
-	p.checkFactType(f)
-	p.facts.put(p.Pkg.Path(), "", f)
-}
-
-// ImportPackageFact copies the package-level fact of fptr's concrete type
-// exported by pkgPath into fptr and reports whether one exists.
-func (p *Pass) ImportPackageFact(pkgPath string, fptr Fact) bool {
-	p.checkFactType(fptr)
-	return p.facts.get(pkgPath, "", fptr)
-}
-
 func (p *Pass) checkFactType(f Fact) {
 	for _, proto := range p.Analyzer.FactTypes {
 		if fmt.Sprintf("%T", proto) == fmt.Sprintf("%T", f) {
@@ -160,7 +141,6 @@ func (f Finding) String() string {
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package

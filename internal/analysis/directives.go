@@ -15,11 +15,6 @@ import (
 //	    cross-package calls through their Allocates facts — must be
 //	    allocation-free.
 //
-//	//bovet:schemalock
-//	    On a struct type declaration's doc comment: locks the struct's
-//	    serialized field-set into schema.lock for the schemalock analyzer,
-//	    in addition to the codec payload structs it discovers on its own.
-//
 //	//bovet:allow <analyzer>[,<analyzer>] <reason>
 //	    On (or on the line directly above) an offending line: suppresses the
 //	    named analyzers' diagnostics for that line. The reason is mandatory —
@@ -33,30 +28,19 @@ import (
 // comment form ("//bovet:...") so gofmt leaves them alone.
 
 const (
-	allowPrefix      = "//bovet:allow"
-	hotpathMarker    = "//bovet:hotpath"
-	schemalockMarker = "//bovet:schemalock"
-	anyPrefix        = "//bovet:"
+	allowPrefix   = "//bovet:allow"
+	hotpathMarker = "//bovet:hotpath"
+	anyPrefix     = "//bovet:"
 )
 
 // HasHotpathDirective reports whether the function declaration is annotated
 // as a hot-loop root.
 func HasHotpathDirective(decl *ast.FuncDecl) bool {
-	return docHasMarker(decl.Doc, hotpathMarker)
-}
-
-// HasSchemalockDirective reports whether the doc comment group carries the
-// schema-lock marker (on a GenDecl or TypeSpec doc).
-func HasSchemalockDirective(doc *ast.CommentGroup) bool {
-	return docHasMarker(doc, schemalockMarker)
-}
-
-func docHasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
+	if decl.Doc == nil {
 		return false
 	}
-	for _, c := range doc.List {
-		if c.Text == marker || strings.HasPrefix(c.Text, marker+" ") {
+	for _, c := range decl.Doc.List {
+		if c.Text == hotpathMarker || strings.HasPrefix(c.Text, hotpathMarker+" ") {
 			return true
 		}
 	}
@@ -124,12 +108,10 @@ func parseAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) 
 				case c.Text == hotpathMarker, strings.HasPrefix(c.Text, hotpathMarker+" "):
 					// Validated where it is consumed (hotalloc); nothing to
 					// record here.
-				case c.Text == schemalockMarker, strings.HasPrefix(c.Text, schemalockMarker+" "):
-					// Consumed by schemalock via HasSchemalockDirective.
 				case strings.HasPrefix(c.Text, allowPrefix):
 					parseAllow(fset, c, known, allows, report)
 				case strings.HasPrefix(c.Text, anyPrefix):
-					report(c.Pos(), "unknown bovet directive "+firstWord(c.Text)+" (known: allow, hotpath, schemalock)")
+					report(c.Pos(), "unknown bovet directive "+firstWord(c.Text)+" (known: allow, hotpath)")
 				}
 			}
 		}
@@ -140,7 +122,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File, analyzers []*Analyzer) 
 func parseAllow(fset *token.FileSet, c *ast.Comment, known map[string]bool, allows *allowSet, report func(token.Pos, string)) {
 	rest := strings.TrimPrefix(c.Text, allowPrefix)
 	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		report(c.Pos(), "unknown bovet directive "+firstWord(c.Text)+" (known: allow, hotpath, schemalock)")
+		report(c.Pos(), "unknown bovet directive "+firstWord(c.Text)+" (known: allow, hotpath)")
 		return
 	}
 	fields := strings.Fields(rest)

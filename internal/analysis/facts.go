@@ -4,12 +4,11 @@ package analysis
 // golang.org/x/tools/go/analysis facts on the standard library only.
 //
 // A Fact is a statement an analyzer proves about one object (a function,
-// method, type or package-level variable) or about a whole
-// package while analyzing the package that declares it. Packages are
-// analyzed in dependency order — the loader emits dependencies before their
-// importers, exactly as `go list -deps` orders them — so when a pass later
-// analyzes an importer, the facts of everything it can reference are
-// already available through Pass.ImportObjectFact / ImportPackageFact.
+// method, type or package-level variable) while analyzing the package that
+// declares it. Packages are analyzed in dependency order — the loader emits
+// dependencies before their importers, exactly as `go list -deps` orders
+// them — so when a pass later analyzes an importer, the facts of everything
+// it can reference are already available through Pass.ImportObjectFact.
 //
 // This is what turns per-package invariants into module-wide ones: a
 // result-affecting package calling an infra helper that (transitively)
@@ -33,10 +32,9 @@ import (
 	"strings"
 )
 
-// Fact is a statement proved about an object or package, exported by the
-// pass analyzing the defining package and importable by every downstream
-// pass. Implementations must be pointer types listed in their analyzer's
-// FactTypes.
+// Fact is a statement proved about an object, exported by the pass analyzing
+// the defining package and importable by every downstream pass.
+// Implementations must be pointer types listed in their analyzer's FactTypes.
 type Fact interface {
 	// AFact is a marker; it has no behavior.
 	AFact()
@@ -71,8 +69,8 @@ func ObjectKey(obj types.Object) string {
 	return obj.Name()
 }
 
-// factKey identifies one fact: the defining package, the object key (""
-// for package facts), and the concrete fact type.
+// factKey identifies one fact: the defining package, the object key, and
+// the concrete fact type.
 type factKey struct {
 	pkg string
 	obj string

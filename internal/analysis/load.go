@@ -132,7 +132,6 @@ func typeCheck(fset *token.FileSet, imp types.Importer, lp *listedPackage) (*Pac
 	}
 	return &Package{
 		PkgPath: lp.ImportPath,
-		Dir:     lp.Dir,
 		Fset:    fset,
 		Files:   files,
 		Types:   tpkg,

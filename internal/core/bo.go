@@ -67,8 +67,6 @@ func DefaultParams() Params {
 // Stats exposes the prefetcher's learning behaviour for the experiments.
 // It is serialized inside engine.Result (the result cache and the distrib
 // result payload).
-//
-//bovet:schemalock
 type Stats struct {
 	Phases       uint64 // completed learning phases
 	PhasesOff    uint64 // phases that ended with prefetch turned off

@@ -20,8 +20,6 @@ import (
 // Config sets the core's pipeline shape. The defaults follow Table 1 in
 // spirit; widths are "effective" (post-dependence) rather than peak decode
 // widths since the model does not track ALU dependences.
-//
-//bovet:schemalock
 type Config struct {
 	DispatchWidth int
 	RetireWidth   int

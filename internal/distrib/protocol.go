@@ -59,8 +59,6 @@ const MaxArtifactBytes = 1 << 30
 
 // Job is the /v1/run request payload: one simulation for the worker to
 // execute.
-//
-//bovet:schemalock
 type Job struct {
 	// Protocol and Schema pin the wire protocol and the result-cache
 	// schema (experiments.SchemaVersion) the coordinator was built
@@ -91,8 +89,6 @@ type Job struct {
 }
 
 // Info is the /v1/info response: the worker's advertisement.
-//
-//bovet:schemalock
 type Info struct {
 	Protocol int `json:"protocol"`
 	Schema   int `json:"schema"`
@@ -134,8 +130,6 @@ const (
 )
 
 // ErrorBody is every non-200 response's JSON payload.
-//
-//bovet:schemalock
 type ErrorBody struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`

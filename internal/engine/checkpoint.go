@@ -75,8 +75,6 @@ const snapshotMagic = "BOCKPT01"
 const maxSnapshotBytes = 1 << 28
 
 // snapshot is the gob payload.
-//
-//bovet:schemalock
 type snapshot struct {
 	// Sig is the producing run's warmup signature (WarmupSignature).
 	Sig string
@@ -95,8 +93,6 @@ type snapshot struct {
 // prefetcher specs: a signed warmup ran without prefetching and is shared
 // across specs. Trace replays are identified by content, not path, so a
 // worker's local copy signs identically.
-//
-//bovet:schemalock
 type warmupSig struct {
 	Version int
 	// Workloads holds one hash-form spec string per core: canonical specs

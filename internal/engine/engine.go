@@ -36,8 +36,6 @@ import (
 // "use the baseline default"; Normalized resolves them, and anything keying
 // a result cache must hash the normalized form so equivalent spellings of
 // the same run share an entry.
-//
-//bovet:schemalock
 type Options struct {
 	// Workloads holds one generator spec per core, resolved through the
 	// workload registry (see internal/trace's Spec and Register): entry i
@@ -57,24 +55,17 @@ type Options struct {
 	// L2PF selects and parameterizes the per-core L2 prefetcher by
 	// registry spec (e.g. "bo", "offset:d=4", "bo:badscore=5"). The zero
 	// spec means the baseline next-line prefetcher.
-	//
-	//bovet:allow sigcomplete the warmup runs without prefetchers; they are installed cold at the barrier
 	L2PF prefetch.Spec
 	// L1PF selects the DL1 prefetcher the same way. The zero spec means
 	// the baseline stride prefetcher; "none" disables DL1 prefetching
 	// (Figure 4's ablation).
-	//
-	//bovet:allow sigcomplete the warmup runs without prefetchers; they are installed cold at the barrier
-	L1PF        prefetch.Spec
-	L3Policy    string // "5P" (default), "LRU", "DRRIP"
-	LatePromote bool
-	//bovet:allow sigcomplete post-barrier knob: the measured-region length cannot shape state warmed before the barrier
+	L1PF         prefetch.Spec
+	L3Policy     string // "5P" (default), "LRU", "DRRIP"
+	LatePromote  bool
 	Instructions uint64 // retired instructions on core 0
 	Seed         uint64
 	CPU          cpu.Config
 	// MaxCycles aborts a wedged simulation; 0 means a generous default.
-	//
-	//bovet:allow sigcomplete post-barrier knob: the abort ceiling only ends a run, it cannot shape pre-barrier state
 	MaxCycles uint64
 
 	// Warmup, when non-zero, prepends a warmup region to the run: core 0
@@ -176,8 +167,6 @@ func (o Options) Normalized() Options {
 }
 
 // Result carries the measurements of one run.
-//
-//bovet:schemalock
 type Result struct {
 	Workload     string
 	IPC          float64

@@ -65,8 +65,6 @@ func OptionsHash(o engine.Options) string {
 // options so a human (or a migration tool) can see what produced it. It
 // doubles as the wire format a distrib worker returns a finished job in —
 // the coordinator writes received entries straight into this cache.
-//
-//bovet:schemalock
 type CacheEntry struct {
 	Version int            `json:"version"`
 	Options engine.Options `json:"options"`

@@ -25,8 +25,6 @@ import (
 
 // Spec is a self-describing configuration: a registered name plus string
 // parameters.
-//
-//bovet:schemalock
 type Spec struct {
 	Name   string            `json:"name"`
 	Params map[string]string `json:"params,omitempty"`

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"bopsim/internal/schemalock"
 )
 
 func TestTableJSONRoundTrip(t *testing.T) {
@@ -28,6 +30,28 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	}
 	if back.String() != tb.String() {
 		t.Errorf("round trip changed rendering:\n%s\n---\n%s", tb.String(), back.String())
+	}
+}
+
+// TestTableJSONShape pins the field set of `experiments -json` output. No
+// version constant governs it (nothing in the tree reads a figN.json back):
+// a change here is a change to what downstream scripts parse, and edits the
+// literal with it.
+func TestTableJSONShape(t *testing.T) {
+	want := strings.Join([]string{
+		"",
+		"[bopsim/internal/stats.tableJSON]",
+		"Title string `json:\"title\"`",
+		"Columns []string `json:\"columns\"`",
+		"Rows []tableRowJSON `json:\"rows\"`",
+		"",
+		"[bopsim/internal/stats.tableRowJSON]",
+		"Label string `json:\"label\"`",
+		"Values []float64 `json:\"values\"`",
+		"",
+	}, "\n")
+	if got := schemalock.Render(tableJSON{}); got != want {
+		t.Errorf("table JSON layout changed:\n%s\nwant:\n%s", got, want)
 	}
 }
 

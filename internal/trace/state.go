@@ -19,8 +19,6 @@ import (
 // registered generator implements StatefulGenerator, whose save/restore
 // pair is the codec for its kind, and restore validates the kind tag so a
 // cursor can never be fed into a generator of a different shape.
-//
-//bovet:schemalock
 type GenState struct {
 	Kind  string
 	Rand  uint64

@@ -27,8 +27,6 @@ const (
 )
 
 // Inst is one dynamic instruction.
-//
-//bovet:schemalock
 type Inst struct {
 	Op Op
 	// PC identifies the static instruction; the DL1 stride prefetcher
