@@ -1,35 +1,27 @@
 // Command boworkerd is the remote-execution worker daemon for the
 // experiment scheduler: it serves internal/distrib's worker protocol
-// (advertise capacity on /v1/info, execute jobs on /v1/run, accept
-// artifact seeding on /v1/artifacts) using the same simulation engine the
-// coordinator runs locally, so `experiments -all -workers host:port,...`
-// can fan a sweep out over a fleet and still render byte-identical
-// tables.
+// (advertise capacity on /v1/info, execute jobs on /v1/run) using the same
+// simulation engine the coordinator runs locally, so
+// `experiments -all -workers host:port,...` can fan a sweep out over
+// several machines and still render byte-identical tables.
 //
 // Trace-replay jobs name their trace by content SHA-256; point -trace-dir
 // at the director(ies) holding this machine's copies and the daemon
-// resolves hashes against them. A coordinator holding a trace this
-// worker lacks pushes it via PUT /v1/artifacts/{sha}, so even an empty
-// -trace-dir fills itself.
+// resolves hashes against them. A job whose trace this worker lacks is
+// refused with 412, and the coordinator retries it on another worker.
 //
-// With -announce, the daemon registers itself with a bofleetd
-// coordinator (POST /v1/workers) and keeps re-announcing, so a restarted
-// worker rejoins the fleet without operator action. SIGTERM triggers a
-// graceful drain: /healthz and /v1/run answer 503 (the coordinator
-// requeues elsewhere), in-flight jobs run to completion, then the daemon
-// exits — a rolling restart never loses work.
+// SIGTERM triggers a graceful drain: /healthz and /v1/run answer 503 (the
+// coordinator requeues elsewhere), in-flight jobs run to completion, then
+// the daemon exits — a restart never loses work.
 //
 // Usage:
 //
 //	boworkerd -listen :9123
 //	boworkerd -listen :9123 -capacity 8 -trace-dir /data/traces -v
-//	boworkerd -listen :9123 -announce http://coordinator:9200 -advertise 10.0.0.7:9123
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,9 +44,6 @@ func main() {
 		capacity  = flag.Int("capacity", runtime.GOMAXPROCS(0), "simulations to execute concurrently (advertised to the coordinator)")
 		traceDirs = flag.String("trace-dir", "", "comma-separated directories holding trace files, resolved by content hash")
 		ckptDirs  = flag.String("checkpoint-dir", "", "comma-separated directories holding warmup snapshots, resolved by content hash (trace-dir files are indexed too)")
-		seedDir   = flag.String("seed-dir", "", "directory for coordinator-pushed artifacts (default: first -trace-dir, then first -checkpoint-dir)")
-		announce  = flag.String("announce", "", "bofleetd coordinator URL to register with (POST /v1/workers, repeated every 15s)")
-		advertise = flag.String("advertise", "", "address the coordinator should dial back (default: -listen; required with -announce when -listen has no host)")
 		drain     = flag.Duration("drain", 5*time.Minute, "maximum time to wait for in-flight jobs on SIGTERM before exiting anyway")
 		verbose   = flag.Bool("v", false, "log every job")
 	)
@@ -79,7 +68,7 @@ func main() {
 	if cap <= 0 {
 		cap = runtime.GOMAXPROCS(0)
 	}
-	worker := &distrib.Server{Capacity: cap, TraceDirs: dirs, CheckpointDirs: checkpointDirs, SeedDir: *seedDir, Log: logw}
+	worker := &distrib.Server{Capacity: cap, TraceDirs: dirs, CheckpointDirs: checkpointDirs, Log: logw}
 	if len(dirs)+len(checkpointDirs) > 0 {
 		// Hash the corpus before serving so the first trace job doesn't
 		// pay for the scan inside its request.
@@ -91,24 +80,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *announce != "" {
-		addr := *advertise
-		if addr == "" {
-			addr = *listen
-		}
-		if strings.HasPrefix(addr, ":") {
-			fmt.Fprintf(os.Stderr, "boworkerd: -announce needs a dialable address: set -advertise host:port (got %q)\n", addr)
-			os.Exit(2)
-		}
-		go announceLoop(ctx, *announce, addr)
-	}
-
 	// SIGTERM drain: refuse new jobs (503 on /v1/run and /healthz, so the
-	// coordinator requeues elsewhere and the revival prober leaves us
-	// alone), wait for accepted jobs to finish, then shut the listener
-	// down. A second signal — NotifyContext restores default handling
-	// after the first — kills the process the hard way, which the
-	// coordinator's retry policy also survives.
+	// coordinator requeues elsewhere), wait for accepted jobs to finish,
+	// then shut the listener down. A second signal — NotifyContext
+	// restores default handling after the first — kills the process the
+	// hard way, which the coordinator's retry policy also survives.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
@@ -135,38 +111,4 @@ func main() {
 	}
 	stop() // unblock the shutdown goroutine when the listener failed on its own
 	<-drained
-}
-
-// announceLoop registers this worker with the coordinator, immediately
-// and then every 15s: the repeat is what heals a coordinator restart
-// (journal replay re-dials too, but a fresh state directory would
-// otherwise never learn of us) and doubles as the worker's own
-// crash-recovery — a restarted boworkerd re-announces and the
-// coordinator's AddWorker revives it in place.
-func announceLoop(ctx context.Context, coordinator, addr string) {
-	coordinator = strings.TrimSuffix(coordinator, "/")
-	if !strings.Contains(coordinator, "://") {
-		coordinator = "http://" + coordinator
-	}
-	body, _ := json.Marshal(map[string]string{"addr": addr})
-	client := &http.Client{Timeout: 10 * time.Second}
-	announced := false
-	t := time.NewTicker(15 * time.Second)
-	defer t.Stop()
-	for {
-		resp, err := client.Post(coordinator+"/v1/workers", "application/json", bytes.NewReader(body))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK && !announced {
-				fmt.Fprintf(os.Stderr, "boworkerd: registered with %s as %s\n", coordinator, addr)
-				announced = true
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-	}
 }

@@ -31,7 +31,6 @@ import (
 
 	"bopsim/internal/distrib"
 	"bopsim/internal/experiments"
-	"bopsim/internal/fleet"
 	"bopsim/internal/plot"
 	"bopsim/internal/profiling"
 	"bopsim/internal/stats"
@@ -55,9 +54,6 @@ func main() {
 		cacheMaxMB = flag.Int64("cache-max-mb", 0, "evict oldest cache entries and warmup snapshots past this size budget after the run (0: unbounded)")
 		workersCS  = flag.String("workers", "", "comma-separated boworkerd addresses (host:port,...) to execute simulations on instead of this process")
 		statusAddr = flag.String("status", "", "serve scheduler progress as JSON on this address (e.g. :8090) for long sweeps")
-		submitURL  = flag.String("submit", "", "submit the selected targets to a bofleetd coordinator at this URL and tail them (execution-side flags -j/-cache/-workers are the coordinator's business then)")
-		submitAs   = flag.String("as", "", "submitter identity for -submit (fair-share tenant; default: $USER or anon)")
-		priority   = flag.Int("priority", 0, "queue priority for -submit (higher runs first)")
 
 		table1 = flag.Bool("table1", false, "print Table 1 (baseline microarchitecture)")
 		table2 = flag.Bool("table2", false, "print Table 2 (BO parameters)")
@@ -92,8 +88,7 @@ func main() {
 
 	// selected reports whether a renderable target was asked for; the
 	// dispatch below walks experiments.TargetNames() (canonical output
-	// order) through it, so local and submitted runs enumerate targets
-	// identically.
+	// order) through it.
 	selected := func(name string) bool {
 		switch name {
 		case "table1":
@@ -113,33 +108,8 @@ func main() {
 		}
 	}
 
-	if *submitURL != "" {
-		var targets []string
-		for _, name := range experiments.TargetNames() {
-			if selected(name) {
-				targets = append(targets, name)
-			}
-		}
-		if len(targets) == 0 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		req := fleet.SweepRequest{
-			Quick:        *quick,
-			Instructions: *n,
-			Warmup:       *warmup,
-			Submitter:    submitter(*submitAs),
-			Priority:     *priority,
-		}
-		for _, sp := range rows {
-			req.Workloads = append(req.Workloads, sp.String())
-		}
-		os.Exit(submitAndTail(*submitURL, targets, req))
-	}
-
-	// Refuse a row no generator can build before anything is scheduled (the
-	// rule fleet.Submit applies on the coordinator): otherwise every job of
-	// the sweep runs to the same failure first.
+	// Refuse a row no generator can build before anything is scheduled:
+	// otherwise every job of the sweep runs to the same failure first.
 	for _, sp := range rows {
 		if _, err := trace.Normalize(sp); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -266,10 +236,6 @@ func main() {
 			}
 		}
 	}
-	// One dispatch for every target, shared with the fleet service
-	// (experiments.TargetTables): a sweep submitted to bofleetd renders
-	// through the same calls, so its bytes match this path by
-	// construction.
 	for _, name := range experiments.TargetNames() {
 		if !selected(name) {
 			continue

@@ -20,12 +20,6 @@ var infraPackages = map[string]bool{
 	"profiling":   true, // pprof plumbing
 	"plot":        true, // table rendering, not part of Result bytes
 	"analysis":    true, // this suite
-	// fleet is coordinator infrastructure — journal I/O, probe timers,
-	// HTTP serving. It never computes results itself: sweeps render
-	// through experiments.RenderTarget against the deterministic engine,
-	// so wall-clock use here cannot reach Result bytes. Deliberate
-	// classification, revisit if fleet ever grows result math.
-	"fleet": true,
 }
 
 const modulePrefix = "bopsim/"

@@ -40,7 +40,7 @@ var Analyzer = &analysis.Analyzer{
 // sites.
 type Nondeterministic struct {
 	// Path is the call chain from this function down to the ambient-state
-	// read, innermost call last (e.g. ["bopsim/internal/fleet.stamp",
+	// read, innermost call last (e.g. ["bopsim/internal/experiments.Stamp",
 	// "time.Now"]). Capped; the root cause is always the last element.
 	Path []string
 }

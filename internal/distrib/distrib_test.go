@@ -189,6 +189,60 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
+// TestDrainingWorker covers the graceful-shutdown protocol: a draining
+// worker 503s /healthz and /v1/run, the job requeues on the survivor, and
+// the drained worker reports nothing in flight.
+func TestDrainingWorker(t *testing.T) {
+	drainingSrv := &Server{Capacity: 1}
+	draining := httptest.NewServer(drainingSrv.Handler())
+	t.Cleanup(draining.Close)
+	healthy, healthyCount := startWorker(t, 1)
+
+	pool, err := Dial([]string{draining.URL, healthy.URL}, RetryPolicy{Backoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	drainingSrv.StartDraining()
+	if !drainingSrv.Draining() {
+		t.Fatal("Draining() false after StartDraining")
+	}
+	resp, err := http.Get(draining.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining /healthz answered %d, want 503", resp.StatusCode)
+	}
+
+	o := engine.DefaultOptions("416.gamess")
+	o.Instructions = 20_000
+	want, err := engine.Run(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pool.Run(0, o) // slot 0 homes on the draining worker
+	if err != nil {
+		t.Fatalf("run against draining worker: %v", err)
+	}
+	wb, _ := json.Marshal(want)
+	rb, _ := json.Marshal(res)
+	if !bytes.Equal(wb, rb) {
+		t.Errorf("result beside a draining worker diverged from local\nlocal:  %s\nremote: %s", wb, rb)
+	}
+	if healthyCount.runs.Load() != 1 {
+		t.Errorf("healthy worker ran %d jobs, want 1", healthyCount.runs.Load())
+	}
+	if _, alive := pool.Workers(); alive != 1 {
+		t.Errorf("%d workers alive, want 1 (the draining worker is written off)", alive)
+	}
+	if n := drainingSrv.InFlight(); n != 0 {
+		t.Errorf("InFlight()=%d with nothing running", n)
+	}
+}
+
 // TestServerRejectsBadPayloads covers the worker's input validation:
 // malformed JSON, oversized bodies, schema skew and key mismatches are
 // all refused with the right status and error code.
@@ -218,7 +272,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 
 	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 1000
-	good, err := NewPool(RetryPolicy{}).makeJob(o)
+	good, err := makeJob(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +313,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 	}
 
 	// A bad simulation (unknown benchmark) is a deterministic job error.
-	bad, err := NewPool(RetryPolicy{}).makeJob(engine.Options{Workloads: []trace.Spec{{Name: "no-such-benchmark"}}, Cores: 1, Page: mem.Page4K, Instructions: 1000})
+	bad, err := makeJob(engine.Options{Workloads: []trace.Spec{{Name: "no-such-benchmark"}}, Cores: 1, Page: mem.Page4K, Instructions: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,9 @@
 // coordinator never ships trace bytes; it sends the trace's content
 // SHA-256 (the same identity the cache keys by) and the worker resolves
 // it against its own trace directories, refusing the job — with a
-// distinct, retry-on-another-worker status — when it has no copy.
+// distinct, retry-on-another-worker status — when it has no copy. Workers
+// never receive files from the coordinator: a trace reaches a worker only
+// through its own -trace-dir.
 //
 // See DESIGN.md ("Distributed execution") for the endpoint table and
 // retry semantics.
@@ -38,24 +40,22 @@ import (
 // hash form ("file:sha=HEX", resolved against the worker's trace
 // directories), so the Job-level TraceSHA field is gone.
 //
-// v4: workers accept artifact uploads (PUT /v1/artifacts/{sha}), so a
-// coordinator holding a trace or checkpoint can seed a worker that 412s
-// instead of excluding it; the 412 ErrorBody names the missing hash in
-// the structured SHA field; /healthz and /v1/run answer 503 with the
-// "draining" code while the worker drains for a graceful shutdown.
-const ProtocolVersion = 4
+// v4: workers accepted artifact uploads, so a coordinator holding a trace
+// or checkpoint could seed a worker that 412s instead of excluding it; the
+// 412 ErrorBody named the missing hash in a structured SHA field; /healthz
+// and /v1/run answer 503 with the "draining" code while the worker drains
+// for a graceful shutdown.
+//
+// v5: the artifact upload endpoint and the 412 ErrorBody's SHA field are
+// gone; a worker that 412s is excluded for that job, and the job retries
+// on another worker.
+const ProtocolVersion = 5
 
 // MaxJobBytes bounds a /v1/run request body. A legitimate job is a few
 // hundred bytes of JSON (options are value types; traces travel by hash),
 // so anything near the megabyte is malformed or hostile and is rejected with
 // 413 before being parsed.
 const MaxJobBytes = 1 << 20
-
-// MaxArtifactBytes bounds a PUT /v1/artifacts/{sha} body: recorded traces
-// and warmup snapshots are tens of MB at most, so a 1 GiB cap leaves
-// generous headroom while keeping a hostile upload from filling the
-// worker's disk.
-const MaxArtifactBytes = 1 << 30
 
 // Job is the /v1/run request payload: one simulation for the worker to
 // execute.
@@ -68,8 +68,8 @@ type Job struct {
 	Protocol int `json:"protocol"`
 	Schema   int `json:"schema"`
 	// Key is the coordinator's OptionsHash for this job. The worker
-	// recomputes it from Options (after resolving TraceSHA to a local
-	// path) and refuses the job on mismatch — the cheap end-to-end check
+	// recomputes it from Options (after resolving file specs to local
+	// paths) and refuses the job on mismatch — the cheap end-to-end check
 	// that both sides normalize and hash identically.
 	Key string `json:"key"`
 	// Options is the run itself, normalized, with every "file" workload
@@ -81,7 +81,7 @@ type Job struct {
 	// CheckpointSHA, when non-empty, identifies a warmup snapshot
 	// (engine.Checkpoint bytes) by content hash. The worker resolves it in
 	// its trace/checkpoint directories and forks the measured region from
-	// it. Unlike TraceSHA this is advisory: a worker without the snapshot
+	// it. Unlike a trace this is advisory: a worker without the snapshot
 	// (or with an unusable one) runs the warmup itself — the engine's
 	// determinism guarantee makes the result byte-identical — so a missing
 	// checkpoint degrades throughput, never correctness.
@@ -117,25 +117,12 @@ const (
 	CodeSimFailed = "sim_failed"
 	// CodeDraining: the worker is draining for a graceful shutdown and
 	// accepts no new jobs (HTTP 503); the coordinator treats it like a
-	// lost worker (requeue elsewhere) and revival re-probing brings the
-	// restarted daemon back.
+	// lost worker and requeues the job elsewhere.
 	CodeDraining = "draining"
-	// CodeArtifactMismatch: an uploaded artifact's bytes do not hash to
-	// the sha named in the PUT /v1/artifacts/{sha} path (HTTP 422).
-	CodeArtifactMismatch = "artifact_mismatch"
-	// CodeNoArtifactDir: the worker has no writable artifact directory to
-	// accept uploads into (HTTP 403) — it was started without -trace-dir
-	// or -checkpoint-dir and seeding is not possible.
-	CodeNoArtifactDir = "no_artifact_dir"
 )
 
 // ErrorBody is every non-200 response's JSON payload.
 type ErrorBody struct {
 	Code  string `json:"code"`
 	Error string `json:"error"`
-	// SHA, set on trace_unavailable (412) responses, is the content hash
-	// the worker could not resolve — the structured field the
-	// coordinator's artifact seeding reads (the hash also appears in
-	// Error, but prose is not an interface).
-	SHA string `json:"sha,omitempty"`
 }

@@ -3,8 +3,6 @@ package distrib
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,13 +37,8 @@ type Server struct {
 	// CheckpointDirs are additional directories indexed the same way for
 	// warmup snapshots (jobs name them by CheckpointSHA). Snapshots
 	// dropped into TraceDirs are found too — the index is shared — so a
-	// fleet with one mounted artifact directory needs no extra flag.
+	// worker with one mounted artifact directory needs no extra flag.
 	CheckpointDirs []string
-	// SeedDir, when non-empty, is where artifacts pushed by a coordinator
-	// (PUT /v1/artifacts/{sha}) are stored. Empty defaults to the first
-	// TraceDir, then the first CheckpointDir; with no directory at all the
-	// endpoint refuses uploads (403 no_artifact_dir).
-	SeedDir string
 	// Log, when non-nil, receives one line per job.
 	Log io.Writer
 
@@ -83,9 +75,8 @@ func (s *Server) acquire() func() {
 // StartDraining puts the server into drain mode: /healthz and /v1/run
 // answer 503 (code "draining") from now on, while jobs already executing
 // run to completion. cmd/boworkerd flips this on SIGTERM before waiting
-// for the HTTP server to drain, so a rolling restart never loses work —
-// the coordinator requeues refused jobs elsewhere and its revival prober
-// picks the worker back up once it restarts.
+// for the HTTP server to drain, so a restart never loses work — the
+// coordinator requeues refused jobs elsewhere.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // Draining reports whether StartDraining has been called.
@@ -98,10 +89,9 @@ func (s *Server) InFlight() int { return int(s.inflight.Load()) }
 
 // Handler returns the worker's HTTP API:
 //
-//	GET  /healthz             liveness probe: "ok", or 503 while draining
-//	GET  /v1/info             capacity + protocol/schema advertisement (Info)
-//	POST /v1/run              execute one Job, respond with experiments.CacheEntry
-//	PUT  /v1/artifacts/{sha}  accept a trace/checkpoint upload (coordinator seeding)
+//	GET  /healthz   liveness probe: "ok", or 503 while draining
+//	GET  /v1/info   capacity + protocol/schema advertisement (Info)
+//	POST /v1/run    execute one Job, respond with experiments.CacheEntry
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -119,7 +109,6 @@ func (s *Server) Handler() http.Handler {
 		})
 	})
 	mux.HandleFunc("/v1/run", s.handleRun)
-	mux.HandleFunc("PUT /v1/artifacts/{sha}", s.handlePutArtifact)
 	return mux
 }
 
@@ -198,13 +187,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		path, found := s.lookupTrace(sha)
 		if !found {
-			// The structured SHA field is what a seeding coordinator reads
-			// to know which artifact to push before retrying here.
-			writeJSON(w, http.StatusPreconditionFailed, ErrorBody{
-				Code:  CodeTraceUnavailable,
-				Error: fmt.Sprintf("no trace with content sha256 %s in %v", sha, s.TraceDirs),
-				SHA:   sha,
-			})
+			s.logf("refused %.12s: no such trace\n", sha)
+			writeError(w, http.StatusPreconditionFailed, CodeTraceUnavailable,
+				fmt.Sprintf("no trace with content sha256 %s in %v", sha, s.TraceDirs))
 			return
 		}
 		o.Workloads[i] = trace.FileSpec(path)
@@ -342,96 +327,6 @@ func (s *Server) rescanTracesLocked() {
 			}
 		}
 	}
-}
-
-// seedDir resolves where pushed artifacts land: SeedDir, else the first
-// trace directory, else the first checkpoint directory.
-func (s *Server) seedDir() string {
-	if s.SeedDir != "" {
-		return s.SeedDir
-	}
-	if len(s.TraceDirs) > 0 {
-		return s.TraceDirs[0]
-	}
-	if len(s.CheckpointDirs) > 0 {
-		return s.CheckpointDirs[0]
-	}
-	return ""
-}
-
-// handlePutArtifact accepts a trace or checkpoint upload from the
-// coordinator: the body is streamed to the seed directory while being
-// hashed, kept only when its SHA-256 matches the {sha} path element, and
-// then inserted into the shared content index so the retried job resolves
-// it without waiting for a rescan. Idempotent: re-uploading a known hash
-// succeeds without rewriting the file.
-func (s *Server) handlePutArtifact(w http.ResponseWriter, r *http.Request) {
-	sha := r.PathValue("sha")
-	if len(sha) != 64 || strings.ToLower(sha) != sha {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "artifact name must be a lowercase hex sha256")
-		return
-	}
-	if _, err := hex.DecodeString(sha); err != nil {
-		writeError(w, http.StatusBadRequest, CodeMalformed, "artifact name must be a lowercase hex sha256")
-		return
-	}
-	if p, ok := s.lookupTrace(sha); ok {
-		s.logf("artifact %.12s already present at %s\n", sha, p)
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	dir := s.seedDir()
-	if dir == "" {
-		writeError(w, http.StatusForbidden, CodeNoArtifactDir,
-			"worker has no artifact directory (start it with -trace-dir or -checkpoint-dir)")
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeMalformed, err.Error())
-		return
-	}
-	// Stream to a temp file while hashing, then rename into place: a
-	// concurrent lookup never sees a partial artifact, and a mismatched
-	// upload never lands at all.
-	tmp, err := os.CreateTemp(dir, ".seed-*")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeMalformed, err.Error())
-		return
-	}
-	defer os.Remove(tmp.Name())
-	h := sha256.New()
-	_, err = io.Copy(io.MultiWriter(tmp, h), http.MaxBytesReader(w, r.Body, MaxArtifactBytes))
-	if closeErr := tmp.Close(); err == nil {
-		err = closeErr
-	}
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, CodeMalformed,
-				fmt.Sprintf("artifact exceeds %d bytes", int64(MaxArtifactBytes)))
-			return
-		}
-		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
-		return
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != sha {
-		writeError(w, http.StatusUnprocessableEntity, CodeArtifactMismatch,
-			fmt.Sprintf("uploaded bytes hash to %.12s…, path names %.12s…", got, sha))
-		return
-	}
-	final := filepath.Join(dir, sha)
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		writeError(w, http.StatusInternalServerError, CodeMalformed, err.Error())
-		return
-	}
-	s.traceMu.Lock()
-	if s.traceIndex == nil {
-		s.traceIndex = make(map[string]string)
-	}
-	s.traceIndex[sha] = final
-	s.traceMu.Unlock()
-	s.logf("artifact %.12s seeded into %s\n", sha, dir)
-	w.WriteHeader(http.StatusCreated)
 }
 
 func (s *Server) logf(format string, args ...any) {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"bopsim/internal/engine"
 	"bopsim/internal/trace"
@@ -21,8 +22,8 @@ import (
 // WarmupSignature, which covers everything that shapes machine state up to
 // the barrier and deliberately excludes the swept prefetcher specs — runs
 // one warmup leg per group, checkpoints it, and forks every variant from
-// the snapshot (under the in-process pool, every variant but the one whose
-// machine ran the leg: that one runs on). Checkpoints are cached
+// the snapshot (under the in-process pool, every variant but the group's
+// leader, which runs on the machine that ran the leg). Checkpoints are cached
 // content-addressed on disk (named by signature hash, verified and shipped
 // by content SHA-256 exactly like traces), so later invocations skip even
 // the single warmup leg.
@@ -66,7 +67,7 @@ func (c checkpointStore) pathFor(key string) string {
 	return filepath.Join(c.dir, key+".ckpt")
 }
 
-// ensure returns the checkpoint of warmup group key, which o belongs to. If
+// ensure returns the checkpoint of warmup group key, whose leader is o. If
 // no cached snapshot exists it runs the warmup leg, writes the snapshot and
 // also returns the machine that ran the leg, standing at its barrier.
 func (c checkpointStore) ensure(ctx context.Context, key string, o engine.Options) (checkpointRef, *engine.Simulation, error) {
@@ -89,10 +90,10 @@ func (c checkpointStore) ensure(ctx context.Context, key string, o engine.Option
 }
 
 // runWarmupLeg executes o's warmup region to its barrier and serializes the
-// machine. The leg is built from the job's own options: the warmup runs
+// machine. The leg is built from the group leader's options: the warmup runs
 // without prefetchers and the snapshot carries none, so the bytes are the
 // same under every spec variant of the group, and the machine can run on
-// into o's measured region.
+// into the leader's measured region.
 func runWarmupLeg(ctx context.Context, o engine.Options) (*engine.Simulation, []byte, error) {
 	s, err := engine.New(o)
 	if err != nil {
@@ -139,26 +140,21 @@ func (r *Runner) checkpointDir() string {
 
 // ckptResolver lazily creates one checkpoint per warmup-equivalence group,
 // on first demand from a dispatch slot. Laziness is the point: the first
-// job of a group pays its group's warmup leg (or finds it cached), jobs of
-// the same group wait on that leg only, and jobs of other groups keep the
-// remaining slots busy — there is no global barrier stalling the whole
-// sweep behind the slowest leg. RunJobs dispatches every group's first job
-// before any other (leadersFirst), so the slots run different legs at
-// once. Warmup legs always execute locally (they are the artifacts remote
-// workers fork from), bounded to the local CPU count so a wide remote
-// fleet cannot oversubscribe the coordinator.
+// job of a group to arrive pays its group's warmup leg (or finds it
+// cached), jobs of the same group wait on that leg only, and jobs of other
+// groups keep the remaining slots busy — there is no global barrier
+// stalling the whole sweep behind the slowest leg. RunJobs dispatches every
+// group's first job before any other (leadersFirst), so the slots run
+// different legs at once. Warmup legs always execute locally (they are the
+// artifacts remote workers fork from), bounded to the local CPU count so a
+// wide remote fleet cannot oversubscribe the coordinator.
 type ckptResolver struct {
-	store  checkpointStore
-	sem    chan struct{}
-	logf   func(format string, args ...any)
-	mu     sync.Mutex
-	groups map[string]*ckptEntry
-}
-
-type ckptEntry struct {
-	once sync.Once
-	ref  checkpointRef
-	ok   bool
+	store checkpointStore
+	sem   chan struct{}
+	logf  func(format string, args ...any)
+	// groups maps a warmup key to its group's resolve function. leadersFirst
+	// fills it before any job is dispatched, and nothing writes it after.
+	groups map[string]func(job) (checkpointRef, *engine.Simulation, bool)
 }
 
 // checkpointResolver returns the Runner's lazy resolver, or nil when
@@ -175,26 +171,26 @@ func (r *Runner) checkpointResolver() *ckptResolver {
 		store:  checkpointStore{dir: dir},
 		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		logf:   r.logf,
-		groups: make(map[string]*ckptEntry),
+		groups: make(map[string]func(job) (checkpointRef, *engine.Simulation, bool)),
 	}
 }
 
-// leadersFirst keys jobs by warmup group and stable-partitions them so the
-// first job of every group comes before every other job. Figure builders
-// enumerate a group's variants back to back; dispatched in that order, every
-// slot beyond the first takes a follower of the group whose leg is still
-// running and blocks on it, and the legs run one after another. Leaders
-// first, each slot runs a different group's leg at once and a follower finds
-// its snapshot ready. Jobs without a warmup key (no warmup region, unreadable
-// trace) keep their place among the followers.
-func leadersFirst(jobs []job) []job {
-	seen := make(map[string]bool)
+// leadersFirst keys jobs by warmup group, fixes each group's leader — its
+// first job — and stable-partitions them so every leader comes before every
+// other job. Figure builders enumerate a group's variants back to back;
+// dispatched in that order, every slot beyond the first takes a follower of
+// the group whose leg is still running and blocks on it, and the legs run
+// one after another. Leaders first, each slot runs a different group's leg
+// at once and a follower finds its snapshot ready. Jobs without a warmup
+// key (no warmup region, unreadable trace) keep their place among the
+// followers.
+func (c *ckptResolver) leadersFirst(jobs []job) []job {
 	leaders := make([]job, 0, len(jobs))
 	var rest []job
 	for _, j := range jobs {
 		j.warmupKey, _ = WarmupKey(j.o)
-		if j.warmupKey != "" && !seen[j.warmupKey] {
-			seen[j.warmupKey] = true
+		if j.warmupKey != "" && c.groups[j.warmupKey] == nil {
+			c.groups[j.warmupKey] = c.group(j)
 			leaders = append(leaders, j)
 		} else {
 			rest = append(rest, j)
@@ -203,34 +199,54 @@ func leadersFirst(jobs []job) []job {
 	return append(leaders, rest...)
 }
 
-// resolve returns the checkpoint of j's warmup group, running the warmup leg
-// on first demand. The one caller whose demand ran the leg also gets the
-// machine that ran it, at its barrier with j's own prefetchers installed;
-// every other caller, and every caller when the snapshot was already on
-// disk, gets nil. A group whose leg fails resolves to false: its jobs run
-// straight, and the real error surfaces there.
-func (c *ckptResolver) resolve(j job) (checkpointRef, *engine.Simulation, bool) {
-	if j.warmupKey == "" {
+// group returns the resolve function of leader's warmup group. The leg runs
+// once, on the first call, and is always built from leader's options,
+// whichever job's call runs it: dispatch order does not fix arrival order,
+// and a leg built from a follower's options would succeed where the
+// leader's fails. The machine that ran the leg, standing at its barrier
+// with leader's prefetchers installed, goes to leader's call alone; every
+// other job forks from the snapshot. A group whose leg fails resolves to
+// false: its jobs run straight, and the real error surfaces there.
+func (c *ckptResolver) group(leader job) func(job) (checkpointRef, *engine.Simulation, bool) {
+	var once sync.Once
+	var ref checkpointRef
+	var ok bool
+	var leg atomic.Pointer[engine.Simulation]
+	return func(j job) (checkpointRef, *engine.Simulation, bool) {
+		once.Do(func() {
+			var s *engine.Simulation
+			ref, s, ok = c.runLeg(leader)
+			leg.Store(s)
+		})
+		if j.cacheKey != leader.cacheKey {
+			return ref, nil, ok
+		}
+		return ref, leg.Swap(nil), ok
+	}
+}
+
+// runLeg returns the checkpoint of leader's warmup group, running the leg
+// (bounded by the resolver's semaphore) when no snapshot is on disk yet,
+// and the machine that ran it, if one did.
+func (c *ckptResolver) runLeg(leader job) (checkpointRef, *engine.Simulation, bool) {
+	c.sem <- struct{}{}
+	defer func() { <-c.sem }()
+	ref, s, err := c.store.ensure(context.Background(), leader.warmupKey, leader.o)
+	if err != nil {
+		c.logf("  warmup leg %.12s failed (%v); group runs without checkpoint\n", leader.warmupKey, err)
 		return checkpointRef{}, nil, false
 	}
-	c.mu.Lock()
-	e := c.groups[j.warmupKey]
-	if e == nil {
-		e = &ckptEntry{}
-		c.groups[j.warmupKey] = e
+	c.logf("  warmup %.12s ready (%s)\n", leader.warmupKey, filepath.Base(ref.path))
+	return ref, s, true
+}
+
+// resolve returns the checkpoint of j's warmup group, running the warmup leg
+// on first demand, and hands the leg's machine to the group's leader. A job
+// without a group (no warmup key) resolves to false.
+func (c *ckptResolver) resolve(j job) (checkpointRef, *engine.Simulation, bool) {
+	g := c.groups[j.warmupKey]
+	if g == nil {
+		return checkpointRef{}, nil, false
 	}
-	c.mu.Unlock()
-	var leg *engine.Simulation
-	e.once.Do(func() {
-		c.sem <- struct{}{}
-		defer func() { <-c.sem }()
-		ref, s, err := c.store.ensure(context.Background(), j.warmupKey, j.o)
-		if err != nil {
-			c.logf("  warmup leg %.12s failed (%v); group runs without checkpoint\n", j.warmupKey, err)
-			return
-		}
-		e.ref, e.ok, leg = ref, true, s
-		c.logf("  warmup %.12s ready (%s)\n", j.warmupKey, filepath.Base(ref.path))
-	})
-	return e.ref, leg, e.ok
+	return g(j)
 }

@@ -119,14 +119,15 @@ func sweepJobs(warmup uint64, workloads ...string) []engine.Options {
 	return jobs
 }
 
-// keyedJobs turns options into the scheduler's jobs, warmup keys set and
-// group leaders first, as RunJobs does under warmup sharing.
-func keyedJobs(opts []engine.Options) []job {
+// keyedJobs turns options into the scheduler's jobs, keys set, group
+// leaders first and their groups registered with c, as RunJobs does under
+// warmup sharing.
+func keyedJobs(c *ckptResolver, opts []engine.Options) []job {
 	jobs := make([]job, len(opts))
 	for i, o := range opts {
-		jobs[i] = job{o: o}
+		jobs[i] = job{o: o, cacheKey: OptionsHash(o)}
 	}
-	return leadersFirst(jobs)
+	return c.leadersFirst(jobs)
 }
 
 // holdFirstLeg is a Runner.Log that holds the first "warmup ... ready" line
@@ -262,14 +263,17 @@ func TestCheckpointReuseAcrossRunners(t *testing.T) {
 }
 
 // TestResolveHandsLegMachineToOneCaller checks who gets the machine that ran
-// a group's warmup leg: exactly one of the callers racing over the group, at
-// its barrier and built from that caller's own options; every later caller
-// gets none; and nobody does once the snapshot is already on disk.
+// a group's warmup leg: exactly one of the callers racing over the group —
+// the group's leader, whichever caller ran the leg — at its barrier and
+// built from the leader's options; every later caller gets none; and nobody
+// does once the snapshot is already on disk.
 func TestResolveHandsLegMachineToOneCaller(t *testing.T) {
 	r := tinyRunner()
 	r.Checkpoint = true
 	r.CheckpointDir = t.TempDir()
-	jobs := keyedJobs(sweepJobs(5_000, "416.gamess"))
+	opts := sweepJobs(5_000, "416.gamess")
+	first := r.checkpointResolver()
+	jobs := keyedJobs(first, opts)
 
 	// race resolves every job twice, all at once, and returns the one ref
 	// and the machines handed out beside the jobs they were handed to.
@@ -301,7 +305,6 @@ func TestResolveHandsLegMachineToOneCaller(t *testing.T) {
 		return ref, legs, owners
 	}
 
-	first := r.checkpointResolver()
 	ref, legs, owners := race(first)
 	if len(legs) != 1 {
 		t.Fatalf("%d callers were handed the leg's machine, want exactly 1", len(legs))
@@ -309,14 +312,19 @@ func TestResolveHandsLegMachineToOneCaller(t *testing.T) {
 	if !legs[0].AtBarrier() {
 		t.Error("the leg's machine is not at its barrier")
 	}
-	if got, want := OptionsHash(legs[0].Options()), OptionsHash(owners[0].o); got != want {
-		t.Errorf("the leg's machine was built from options %s, not its caller's %s", got, want)
+	if owners[0].cacheKey != jobs[0].cacheKey {
+		t.Errorf("the leg's machine went to %s, not the leader %s", describeOptions(owners[0].o), describeOptions(jobs[0].o))
+	}
+	if got, want := OptionsHash(legs[0].Options()), jobs[0].cacheKey; got != want {
+		t.Errorf("the leg's machine was built from options %s, not the leader's %s", got, want)
 	}
 	if _, leg, ok := first.resolve(jobs[0]); !ok || leg != nil {
 		t.Errorf("a later caller: ok %v, machine %v, want ok and none", ok, leg)
 	}
 	// A fresh resolver finds the snapshot on disk: no leg runs, no machine.
-	ref2, legs, _ := race(r.checkpointResolver())
+	second := r.checkpointResolver()
+	keyedJobs(second, opts)
+	ref2, legs, _ := race(second)
 	if len(legs) != 0 {
 		t.Errorf("%d callers were handed a machine though the snapshot was on disk", len(legs))
 	}
@@ -380,7 +388,7 @@ func TestLeaderSkipsTheForkUnderThePool(t *testing.T) {
 	r.Checkpoint = true
 	r.CheckpointDir = t.TempDir()
 	ckpts := r.checkpointResolver()
-	jobs := keyedJobs(sweepJobs(5_000, "416.gamess"))
+	jobs := keyedJobs(ckpts, sweepJobs(5_000, "416.gamess"))
 	backend := &recordingBackend{slots: 1}
 	for i, j := range jobs {
 		got, err := r.execOnBackend(backend, 0, j, ckpts)
@@ -439,6 +447,66 @@ func TestLeaderWithUnbuildableSpec(t *testing.T) {
 		}
 		if got := r.run(o); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: result differs from the straight run", describeOptions(o))
+		}
+	}
+}
+
+// TestLegIgnoresArrivalOrder drives one group's jobs through execOnBackend
+// on one slot, as the in-process pool does, in three arrival orders: the
+// leader first, and each follower first. The leg is built from the
+// leader's options whoever arrives first, and its machine goes to the
+// leader alone, so the snapshots on disk, Executed(), the number of forks
+// and every job's result are the same in every order — with a leader whose
+// spec builds, and with one whose spec does not (no snapshot; the leader's
+// job fails).
+func TestLegIgnoresArrivalOrder(t *testing.T) {
+	for _, broken := range []bool{false, true} {
+		opts := sweepJobs(5_000, "416.gamess")
+		if broken {
+			opts[0].L2PF = prefetch.Spec{Name: "no-such-prefetcher"}
+		}
+		type outcome struct {
+			snaps    []string
+			executed uint64
+			forks    int64
+			results  []engine.Result // in job order
+		}
+		var want outcome
+		for n, order := range [][]int{{0, 1, 2}, {1, 0, 2}, {2, 1, 0}} {
+			r := tinyRunner()
+			r.Checkpoint = true
+			r.CheckpointDir = t.TempDir()
+			ckpts := r.checkpointResolver()
+			jobs := keyedJobs(ckpts, opts)
+			backend := &forkCounter{localBackend: localBackend{workers: 1}}
+			got := outcome{results: make([]engine.Result, len(jobs))}
+			for _, i := range order {
+				j := jobs[i]
+				got.results[i], _ = r.runWith(j.o, func(engine.Options) (engine.Result, error) {
+					return r.execOnBackend(backend, 0, j, ckpts)
+				})
+			}
+			paths, _ := filepath.Glob(filepath.Join(r.CheckpointDir, "*.ckpt"))
+			for _, p := range paths {
+				got.snaps = append(got.snaps, filepath.Base(p))
+			}
+			got.executed, got.forks = r.Executed(), backend.forks.Load()
+			if n == 0 {
+				want = got
+				wantSnaps, wantExecuted := 1, uint64(3)
+				if broken {
+					wantSnaps, wantExecuted = 0, 2
+				}
+				if len(got.snaps) != wantSnaps || got.executed != wantExecuted {
+					t.Fatalf("broken=%v, leader first: %d snapshots and %d executed, want %d and %d",
+						broken, len(got.snaps), got.executed, wantSnaps, wantExecuted)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("broken=%v, arrival order %v: snapshots %v, executed %d, forks %d; leader first: %v, %d, %d (or the results differ)",
+					broken, order, got.snaps, got.executed, got.forks, want.snaps, want.executed, want.forks)
+			}
 		}
 	}
 }

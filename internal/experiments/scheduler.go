@@ -86,7 +86,7 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 	// slower.
 	ckpts := r.checkpointResolver()
 	if ckpts != nil {
-		jobs = leadersFirst(jobs)
+		jobs = ckpts.leadersFirst(jobs)
 	}
 	backend := r.backend()
 	slots := backend.Slots()

@@ -10,10 +10,8 @@ import (
 
 // This file is the one place the figure names are mapped to Runner
 // methods. cmd/experiments dispatches its -figN flags through
-// TargetTables, and the fleet service renders submitted sweeps through
-// RenderTarget — the same enumeration, the same Runner calls — so a sweep
-// executed remotely produces the table bytes a local serial run would,
-// by construction rather than by test.
+// TargetTables, and RenderTarget writes the same bytes for callers that
+// want one target's text.
 
 // TargetNames lists every renderable target in canonical output order
 // (the order `experiments -all` prints; "wzoo" last, excluded from -all).
@@ -25,16 +23,6 @@ func TargetNames() []string {
 	return append(names, "zoo", "wzoo")
 }
 
-// ValidTarget reports whether name is a renderable target.
-func ValidTarget(name string) bool {
-	for _, n := range TargetNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // TargetTables builds the tables for one figure target. The static text
 // targets ("table1", "table2") have no tables — render those through
 // RenderTarget. quick only affects targets whose job set depends on it
@@ -42,7 +30,7 @@ func ValidTarget(name string) bool {
 //
 // This is the one place a figure builder's failure (a buildError panic
 // out of materialize) becomes an error: every caller that must survive a
-// failed simulation — the CLI, the fleet service — renders through here.
+// failed simulation renders through here.
 func TargetTables(r *Runner, name string, quick bool) (tables []*stats.Table, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -98,8 +86,7 @@ func TargetTables(r *Runner, name string, quick bool) (tables []*stats.Table, er
 // QuickBenchmarks is the row subset quick mode uses (when no explicit
 // workload list overrides it): every benchmark the paper's figures single
 // out, plus compute-bound representatives so the GM stays meaningful.
-// cmd/experiments' -quick and a fleet sweep with Quick set trim through
-// this same function, which is what keeps their output bytes identical.
+// cmd/experiments' -quick trims through this function.
 func QuickBenchmarks() []trace.Spec {
 	want := map[string]bool{
 		"403.gcc": true, "410.bwaves": true, "416.gamess": true,
