@@ -80,7 +80,7 @@ func New(name string, sizeBytes, ways int, policy Policy) *Cache {
 		sets:    sets,
 		ways:    ways,
 		setMask: uint64(sets - 1),
-		lines:   make([]Line, sets*ways),
+		lines:   freeLines.get(sets * ways),
 		policy:  policy,
 	}
 }

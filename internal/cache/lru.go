@@ -13,7 +13,9 @@ type lruState struct {
 }
 
 func newLRUState(sets, ways int) *lruState {
-	return &lruState{stamps: make([]uint64, sets*ways), ways: ways, clock: 1}
+	s := &lruState{ways: ways, clock: 1}
+	s.stamps = freeStamps.get(sets * ways)
+	return s
 }
 
 func (s *lruState) touchMRU(set, way int) {
@@ -60,11 +62,6 @@ type LRU struct {
 	state *lruState
 }
 
-// NewLRU returns an LRU policy for a cache with the given geometry.
-func NewLRU(sets, ways int) *LRU {
-	return &LRU{state: newLRUState(sets, ways)}
-}
-
 // Name implements Policy.
 func (p *LRU) Name() string { return "LRU" }
 
@@ -76,6 +73,11 @@ func (p *LRU) OnInsert(set, way int, _ InsertInfo) { p.state.touchMRU(set, way) 
 
 // Victim implements Policy.
 func (p *LRU) Victim(set int) int { return p.state.victim(set) }
+
+// NewLRU returns an LRU policy for a cache with the given geometry.
+func NewLRU(sets, ways int) *LRU {
+	return &LRU{state: newLRUState(sets, ways)}
+}
 
 // BIP is bimodal insertion (Qureshi et al.): blocks are inserted at the LRU
 // position except with probability 1/32, when they are inserted at MRU.

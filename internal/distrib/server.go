@@ -244,19 +244,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // steppable engine. With a resolvable warmup checkpoint it forks the
 // measured region from the snapshot; any failure on that path falls back
 // to the full run, which the engine's determinism guarantee makes
-// byte-identical.
+// byte-identical. The machine is closed when the job ends, so a worker slot
+// reuses one machine's memory from job to job.
 func runJob(ctx context.Context, o engine.Options, ckptPath string) (engine.Result, error) {
+	var eng *engine.Simulation
 	if ckptPath != "" {
 		if data, err := os.ReadFile(ckptPath); err == nil {
-			if eng, err := engine.Restore(data, o); err == nil {
-				return eng.Run(ctx)
-			}
+			eng, _ = engine.Restore(data, o)
 		}
 	}
-	eng, err := engine.New(o)
-	if err != nil {
-		return engine.Result{}, err
+	if eng == nil {
+		var err error
+		if eng, err = engine.New(o); err != nil {
+			return engine.Result{}, err
+		}
 	}
+	defer eng.Close()
 	return eng.Run(ctx)
 }
 

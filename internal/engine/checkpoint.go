@@ -146,6 +146,9 @@ func (o Options) WarmupSignature() (string, error) {
 // measured cycle); any other point has in-flight state the format cannot
 // carry, and Checkpoint reports an error rather than guessing.
 func (s *Simulation) Checkpoint() ([]byte, error) {
+	if s.err == errClosed {
+		return nil, errClosed
+	}
 	if !s.AtBarrier() {
 		return nil, fmt.Errorf("engine: Checkpoint is only valid at the warmup barrier (call RunWarmup first)")
 	}

@@ -14,12 +14,13 @@
 //
 // The layering (see DESIGN.md) is:
 //
-//	engine.Simulation   one run: New -> Step/Run(ctx) -> Snapshot
+//	engine.Simulation   one run: New -> Step/Run(ctx) -> Snapshot -> Close
 //	experiments.Runner  scheduler: dedup, worker pool, disk cache
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bopsim/internal/core"
@@ -574,7 +575,26 @@ func Run(ctx context.Context, o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Close()
 	return s.Run(ctx)
+}
+
+// errClosed is the sticky error of a closed Simulation.
+var errClosed = errors.New("engine: simulation is closed")
+
+// Close ends the machine's life: its cache arrays go to the free list the
+// next simulation's caches are built from (cache.Cache.Close), which is what
+// keeps a sweep from building every machine from fresh memory. A reused array
+// is cleared, so reuse never moves a simulated byte. Afterwards Step, Run and
+// Checkpoint report an error, and Snapshot still reports the measurements.
+// Close is idempotent. The caller must own the simulation to its end: a
+// closed machine's arrays may already belong to another.
+func (s *Simulation) Close() {
+	if s.err == errClosed {
+		return
+	}
+	s.err = errClosed
+	s.hier.Close()
 }
 
 // Snapshot computes the measurements at the current cycle. It is valid at

@@ -78,6 +78,7 @@ func (b localBackend) RunFrom(slot int, o engine.Options, checkpointPath, _ stri
 	if err != nil {
 		return b.Run(slot, o)
 	}
+	defer s.Close()
 	return s.Run(context.Background())
 }
 

@@ -157,13 +157,17 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 // group's checkpoint when one can be resolved and the backend supports it.
 // Under the in-process pool the job whose demand ran the group's leg needs
 // no fork: it runs on the machine it is already holding, which stands where
-// Restore of the snapshot it just wrote would put a new one.
+// Restore of the snapshot it just wrote would put a new one. Either way the
+// leg's machine ends here, closed.
 func (r *Runner) execOnBackend(backend ExecBackend, slot int, j job, ckpts *ckptResolver) (engine.Result, error) {
 	if ckpts != nil {
 		if cb, ok := backend.(CheckpointBackend); ok {
 			ref, leg, ok := ckpts.resolve(j)
-			if leg != nil && r.Backend == nil {
-				return leg.Run(context.Background())
+			if leg != nil {
+				defer leg.Close()
+				if r.Backend == nil {
+					return leg.Run(context.Background())
+				}
 			}
 			if ok {
 				return cb.RunFrom(slot, j.o, ref.path, ref.sha)

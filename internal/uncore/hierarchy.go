@@ -8,39 +8,6 @@ import (
 	"bopsim/internal/tlb"
 )
 
-// coreReq is a core-side request (demand load/store miss or DL1 stride
-// prefetch) waiting to access a private L2.
-type coreReq struct {
-	line    mem.LineAddr
-	readyAt uint64
-	fut     *dram.Future // completion future (also set for L1 prefetches)
-	isWrite bool
-	l1pf    bool // DL1 stride prefetch rather than a demand request
-	pc      uint64
-}
-
-// reqQueue is a FIFO of coreReq values: pushes append, pops advance a head
-// index, and the backing array is reused once the queue runs dry, so the
-// steady-state demand path allocates nothing.
-type reqQueue struct {
-	reqs []coreReq
-	head int
-}
-
-func (q *reqQueue) len() int        { return len(q.reqs) - q.head }
-func (q *reqQueue) front() *coreReq { return &q.reqs[q.head] }
-
-func (q *reqQueue) push(r coreReq) { q.reqs = append(q.reqs, r) }
-
-func (q *reqQueue) pop() {
-	q.reqs[q.head] = coreReq{} // drop the future reference
-	q.head++
-	if q.head == len(q.reqs) {
-		q.reqs = q.reqs[:0]
-		q.head = 0
-	}
-}
-
 // outstandingInfo tracks one in-flight DL1 miss for MSHR-style merging.
 type outstandingInfo struct {
 	fut       *dram.Future

@@ -129,3 +129,14 @@ func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher,
 		h.preIssueTagCheck[c] = tagCheck
 	}
 }
+
+// Close releases every cache's arrays for the next hierarchy to reuse
+// (cache.Cache.Close). The hierarchy must not be ticked or accessed again;
+// Stats still reads.
+func (h *Hierarchy) Close() {
+	for i, c := range h.dl1 {
+		c.Close()
+		h.l2[i].Close()
+	}
+	h.l3.Close()
+}
