@@ -7,6 +7,8 @@
 // bytes. A "line address" is a byte address shifted right by LineBits.
 package mem
 
+import "math/bits"
+
 // Line and page geometry. Lines are fixed at 64 bytes as in the paper
 // (Table 1). Page size is a run-time parameter (4KB or 4MB).
 const (
@@ -38,14 +40,8 @@ const (
 	Page4M PageSize = 4 << 20
 )
 
-// Bits returns log2 of the page size.
-func (p PageSize) Bits() uint {
-	b := uint(0)
-	for s := uint64(p); s > 1; s >>= 1 {
-		b++
-	}
-	return b
-}
+// Bits returns log2 of the page size (rounded down; 0 for sizes 0 and 1).
+func (p PageSize) Bits() uint { return uint(bits.Len64(uint64(p) >> 1)) }
 
 // LinesPerPage returns the number of cache lines per page.
 func (p PageSize) LinesPerPage() uint64 { return uint64(p) >> LineBits }

@@ -18,12 +18,31 @@ func TestLineConversionRoundTrip(t *testing.T) {
 	}
 }
 
+// loopBits is the shift loop Bits replaced, kept as its oracle.
+func loopBits(p PageSize) uint {
+	b := uint(0)
+	for s := uint64(p); s > 1; s >>= 1 {
+		b++
+	}
+	return b
+}
+
 func TestPageSizeBits(t *testing.T) {
 	if got := Page4K.Bits(); got != 12 {
 		t.Errorf("Page4K.Bits() = %d, want 12", got)
 	}
 	if got := Page4M.Bits(); got != 22 {
 		t.Errorf("Page4M.Bits() = %d, want 22", got)
+	}
+	sizes := []PageSize{0, 1}
+	for b := 0; b < 64; b++ {
+		p := PageSize(1) << b
+		sizes = append(sizes, p-1, p, p+1)
+	}
+	for _, p := range sizes {
+		if got, want := p.Bits(), loopBits(p); got != want {
+			t.Errorf("PageSize(%d).Bits() = %d, the shift loop says %d", uint64(p), got, want)
+		}
 	}
 }
 

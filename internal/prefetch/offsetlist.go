@@ -31,16 +31,6 @@ var defaultOffsets = OffsetList(DefaultMaxOffset, 5)
 // factors <= 5. The slice is the caller's to modify.
 func DefaultOffsetList() []int { return append([]int(nil), defaultOffsets...) }
 
-// DenseOffsetList returns every offset in [1, maxOffset]; used by the
-// ablation comparing the sampled list against a dense one.
-func DenseOffsetList(maxOffset int) []int {
-	out := make([]int, maxOffset)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // largestPrimeFactor returns the largest prime factor of n (1 for n=1).
 func largestPrimeFactor(n int) int {
 	largest := 1

@@ -66,13 +66,6 @@ func TestOffsetListPrimeFactors(t *testing.T) {
 	}
 }
 
-func TestDenseOffsetList(t *testing.T) {
-	l := DenseOffsetList(8)
-	if len(l) != 8 || l[0] != 1 || l[7] != 8 {
-		t.Errorf("DenseOffsetList(8) = %v", l)
-	}
-}
-
 func TestNextLinePrefetchesOnMiss(t *testing.T) {
 	p := NewNextLine(mem.Page4K)
 	got := p.OnAccess(AccessInfo{Line: 10, Hit: false})

@@ -31,6 +31,12 @@ const (
 // indices keeps it, and the victim is the tail instead of a scan for the
 // minimum stamp. The stamps are still written: they are what a snapshot
 // carries, and restoreState rebuilds the list from them.
+//
+// access checks the most recent entry before the map, since consecutive
+// accesses mostly touch one page. The check is exact: VPNs are unique among
+// the slots and the map agrees with vpns, so when vpns[mru] is the VPN the
+// map would answer mru, and touching the entry that is already most recent
+// only stamps it.
 type tlbLevel struct {
 	entries int
 	slot    map[uint64]int // VPN -> index into vpns/stamps
@@ -87,6 +93,11 @@ func (t *tlbLevel) pushFront(i int32) {
 // access looks up vpn, refreshing LRU state; insert on miss.
 func (t *tlbLevel) access(vpn uint64) (hit bool) {
 	t.clock++
+	if t.mru >= 0 && t.vpns[t.mru] == vpn {
+		t.stamps[t.mru] = t.clock // touch(mru)
+		t.hits++
+		return true
+	}
 	if i, ok := t.slot[vpn]; ok {
 		t.touch(int32(i))
 		t.hits++

@@ -82,14 +82,21 @@ func (t *scanLevel) restore(st LevelState) {
 // of accesses and probes over a VPN universe somewhat larger than the level,
 // requiring the same outcome at every step and the same LevelState at the
 // end. Phases of locality (a hot subset) alternate with uniform traffic so
-// hits reorder the list between evictions.
+// hits reorder the list between evictions, and with runs on a single VPN,
+// where every access after the first hits the most recent entry (access's
+// check ahead of the map). A stream long enough to hold such a run must have
+// sent a share of its accesses down that check.
 func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.Rand, steps int) {
 	t.Helper()
 	universe := lvl.entries + lvl.entries/2 + 3
+	mruHits := 0
 	for i := 0; i < steps; i++ {
 		vpn := uint64(rng.Intn(universe))
-		if (i/97)%2 == 1 {
+		switch phase := i / 97; phase % 3 {
+		case 1:
 			vpn = uint64(rng.Intn(lvl.entries/2 + 1))
+		case 2:
+			vpn = uint64(phase*31) % uint64(universe)
 		}
 		if rng.Intn(4) == 0 {
 			if got, want := lvl.probe(vpn), oracle.probe(vpn); got != want {
@@ -97,9 +104,15 @@ func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.
 			}
 			continue
 		}
+		if lvl.mru >= 0 && lvl.vpns[lvl.mru] == vpn {
+			mruHits++
+		}
 		if got, want := lvl.access(vpn), oracle.access(vpn); got != want {
 			t.Fatalf("step %d: access(%d) hit = %v, scanning oracle says %v", i, vpn, got, want)
 		}
+	}
+	if steps >= 3*97 && mruHits < steps/16 {
+		t.Fatalf("%d of %d steps hit the most recent entry: the single-VPN runs did not reach access's check", mruHits, steps)
 	}
 	if got, want := lvl.saveState(), oracle.state(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after %d steps the level's state differs from the scanning oracle's\n got %+v\nwant %+v", steps, got, want)

@@ -76,7 +76,7 @@ func TestHierarchyTickZeroAlloc(t *testing.T) {
 			t.Errorf("the measured cycles took %d Demand, %d demand-head and %d prefetch-head memo hits: not the blocked path",
 				hits.demand-before.demand, hits.head-before.head, hits.pref-before.pref)
 		}
-		if n := len(h.outstanding[0]); n != cfg.MSHRs || !h.l3fq.full() {
+		if n := h.outstanding[0].len(); n != cfg.MSHRs || !h.l3fq.full() {
 			t.Errorf("core 0 holds %d of %d MSHRs, L3 fill queue full = %v: the machine is not blocked", n, cfg.MSHRs, h.l3fq.full())
 		}
 	})

@@ -8,12 +8,6 @@ import (
 	"bopsim/internal/tlb"
 )
 
-// outstandingInfo tracks one in-flight DL1 miss for MSHR-style merging.
-type outstandingInfo struct {
-	fut       *dram.Future
-	markWrite bool
-}
-
 // dl1Fill is a block scheduled for insertion into a DL1.
 type dl1Fill struct {
 	line  mem.LineAddr
@@ -143,7 +137,7 @@ type Hierarchy struct {
 	l2fq        []*fillQueue
 	l3fq        *fillQueue
 	pq          []*prefetchQueue
-	outstanding []map[mem.LineAddr]outstandingInfo
+	outstanding []mshrs
 	dl1Fills    [][]dl1Fill
 	pendingWB   []wbReq
 	pool        entryPool
@@ -214,7 +208,7 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.demandQ = append(h.demandQ, reqQueue{})
 		h.l2fq = append(h.l2fq, newFillQueue(cfg.L2FillQueueLen))
 		h.pq = append(h.pq, newPrefetchQueue(cfg.PrefetchQueueLen))
-		h.outstanding = append(h.outstanding, make(map[mem.LineAddr]outstandingInfo))
+		h.outstanding = append(h.outstanding, newMSHRs(cfg.MSHRs))
 		h.dl1Fills = append(h.dl1Fills, nil)
 		h.retry = append(h.retry, retryState{})
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
@@ -251,7 +245,7 @@ func (h *Hierarchy) L1Prefetcher(core int) prefetch.L1Prefetcher { return h.l1pf
 
 // CanAccept reports whether core can start a new DL1 miss (MSHR space).
 func (h *Hierarchy) CanAccept(core int) bool {
-	return len(h.outstanding[core]) < h.cfg.MSHRs
+	return h.outstanding[core].len() < h.cfg.MSHRs
 }
 
 // Access performs a demand load or store for core at cycle now. It returns
@@ -311,11 +305,11 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 	h.stats.DL1Misses++
 	h.strideQuery(core, pc, va, t0)
 
-	if info, found := h.outstanding[core][line]; found {
+	if i := h.outstanding[core].find(line); i >= 0 {
 		// MSHR merge: a request for this line is already in flight.
-		if isWrite && !info.markWrite {
+		info := &h.outstanding[core].infos[i]
+		if isWrite {
 			info.markWrite = true
-			h.outstanding[core][line] = info
 		}
 		return 0, info.fut, true
 	}
@@ -324,7 +318,7 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		return 0, nil, false
 	}
 	fut = h.futs.Pending()
-	h.outstanding[core][line] = outstandingInfo{fut: fut, markWrite: isWrite}
+	h.outstanding[core].add(line, outstandingInfo{fut: fut, markWrite: isWrite})
 	h.demandQ[core].push(coreReq{
 		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, isWrite: isWrite, pc: pc,
 	})
@@ -358,14 +352,14 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 	if h.dl1[core].Peek(line) != nil {
 		return
 	}
-	if _, inFlight := h.outstanding[core][line]; inFlight {
+	if h.outstanding[core].find(line) >= 0 {
 		return
 	}
 	if !h.CanAccept(core) {
 		return
 	}
 	fut := h.futs.Pending()
-	h.outstanding[core][line] = outstandingInfo{fut: fut}
+	h.outstanding[core].add(line, outstandingInfo{fut: fut})
 	h.demandQ[core].push(coreReq{
 		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, l1pf: true, pc: pc,
 	})
@@ -381,7 +375,7 @@ func (h *Hierarchy) Tick(now uint64) {
 	h.stats.TickSamples++
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
-	h.stats.MSHROccupancySum += uint64(len(h.outstanding[0]))
+	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	h.drainL3Fills(now)
 	for c := range h.l2fq {
@@ -414,7 +408,7 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.TickSamples += span
 	h.stats.L2FQOccupancySum += span * uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
-	h.stats.MSHROccupancySum += span * uint64(len(h.outstanding[0]))
+	h.stats.MSHROccupancySum += span * uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 	for _, c := range h.stalled {
 		h.chargeRefused(c, span)
@@ -633,15 +627,15 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 		}
 		if e.fillL1 {
 			dirty := e.isWrite
-			if info, found := h.outstanding[core][e.line]; found {
-				dirty = dirty || info.markWrite
+			if i := h.outstanding[core].find(e.line); i >= 0 {
+				dirty = dirty || h.outstanding[core].infos[i].markWrite
 			}
 			h.insertDL1(core, e.line, dirty, e.l1pf)
 		}
 		for _, w := range e.waiters {
 			w.Resolve(now)
 		}
-		delete(h.outstanding[core], e.line)
+		h.outstanding[core].remove(e.line)
 		h.pool.put(e)
 	}
 }
@@ -667,7 +661,7 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 // victim into the L2 (write-back hierarchy).
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 	h.retry[core].front++
-	delete(h.outstanding[core], line)
+	h.outstanding[core].remove(line)
 	if ln := h.dl1[core].Peek(line); ln != nil {
 		ln.Dirty = ln.Dirty || dirty
 		return
@@ -900,7 +894,7 @@ func (h *Hierarchy) Drained() bool {
 		if h.l2fq[c].len() > 0 || h.demandQ[c].len() > 0 || !h.pq[c].empty() || len(h.dl1Fills[c]) > 0 {
 			return false
 		}
-		if len(h.outstanding[c]) > 0 {
+		if h.outstanding[c].len() > 0 {
 			return false
 		}
 	}

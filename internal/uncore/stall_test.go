@@ -186,7 +186,7 @@ func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
 	t, h := m.audit, m.h
 	t.Helper()
 	line := h.translators[core].TranslateLine(mem.LineOf(va))
-	_, merging := h.outstanding[core][line]
+	merging := h.outstanding[core].find(line) >= 0
 	if h.dl1[core].Peek(line) != nil || merging || h.CanAccept(core) {
 		t.Fatalf("cycle %d core %d: Demand memo holds for va %#x but DL1 present=%v, MSHR to merge onto=%v, MSHR free=%v",
 			now, core, va, h.dl1[core].Peek(line) != nil, merging, h.CanAccept(core))
@@ -388,7 +388,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 			h.tlbs[c].Walks, h.tlbs[c].DTLB1Misses(), h.tlbs[c].TLB2Misses(),
 			uint64(h.demandQ[c].len()), head, uint64(h.l2fq[c].len()), queueFlags(h.l2fq[c]),
 			uint64(h.pq[c].n), h.pq[c].Cancelled,
-			uint64(len(h.outstanding[c])), uint64(len(h.dl1Fills[c])), m.pfs[c].accesses, m.pfs[c].fills)
+			uint64(h.outstanding[c].len()), uint64(len(h.dl1Fills[c])), m.pfs[c].accesses, m.pfs[c].fills)
 	}
 	d := h.mem.TotalStats()
 	idle := uint64(0)
@@ -466,7 +466,7 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	h.stats.TickSamples++
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
-	h.stats.MSHROccupancySum += uint64(len(h.outstanding[0]))
+	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	h.drainL3Fills(now)
 	for c := range h.l2fq {
@@ -775,7 +775,7 @@ func TestDispatchStalled(t *testing.T) {
 		t.Error("not stalled after the replay that put the target into the filter")
 	}
 
-	for now := uint64(0); len(h.outstanding[0]) == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
+	for now := uint64(0); h.outstanding[0].len() == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
 		h.Tick(now)
 	}
 	if h.DispatchStalled(0, stridePC, va) {
