@@ -10,7 +10,7 @@
 //	experiments -all -quick                    # representative configs, fast
 //	experiments -all -j 8 -cache .simcache     # parallel + persistent cache
 //	experiments -fig6 -n 500000 -json out/     # full six configs for Figure 6
-//	experiments -fig8 -workloads "433.milc;470.lbm"
+//	experiments -fig12 -workloads "433.milc;470.lbm"   # rows follow -workloads
 //	experiments -zoo -quick                    # every registered prefetcher
 //	experiments -all -cache .simcache -cache-max-mb 256
 //	experiments -all -workers 10.0.0.7:9123,10.0.0.8:9123 -cache .simcache
@@ -42,7 +42,7 @@ func main() {
 		all      = flag.Bool("all", false, "run every table and figure")
 		quick    = flag.Bool("quick", false, "use the representative config subset instead of all six")
 		n        = flag.Uint64("n", 300_000, "instructions per simulation (core 0)")
-		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (default: all 29 benchmarks; satellite cores run microthrash). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
+		wlCS     = flag.String("workloads", "", "';'-separated core-0 workload specs, one table ROW each (default: all 29 benchmarks; satellite cores run microthrash; fig8's columns are fixed and ignore it). Unlike bosim -workloads, entries here are rows, not cores — per-core heterogeneous runs are bosim's job")
 		verbose  = flag.Bool("v", false, "log every simulation run")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run concurrently")
 		cacheDir = flag.String("cache", "", "persistent result-cache directory (empty: in-memory only)")
@@ -55,19 +55,16 @@ func main() {
 		workersCS  = flag.String("workers", "", "comma-separated boworkerd addresses (host:port,...) to execute simulations on instead of this process")
 		statusAddr = flag.String("status", "", "serve scheduler progress as JSON on this address (e.g. :8090) for long sweeps")
 
-		table1 = flag.Bool("table1", false, "print Table 1 (baseline microarchitecture)")
-		table2 = flag.Bool("table2", false, "print Table 2 (BO parameters)")
-		zoo    = flag.Bool("zoo", false, "run every registered L2 prefetcher (the registry-driven ablation sweep)")
-		wzoo   = flag.Bool("wzoo", false, "run every registered workload generator (the workload-axis registry sweep)")
 		doPlot = flag.Bool("plot", false, "render each figure's first column as an ASCII chart")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the sweep to this file")
-
-		fig [14]*bool
 	)
-	for i := 2; i <= 13; i++ {
-		fig[i] = flag.Bool(fmt.Sprintf("fig%d", i), false, fmt.Sprintf("regenerate Figure %d", i))
+	// One -<name> flag per renderable target, in canonical output order.
+	targets := experiments.Targets()
+	want := make([]*bool, len(targets))
+	for i, t := range targets {
+		want[i] = flag.Bool(t.Name, false, t.Usage)
 	}
 	flag.Parse()
 
@@ -86,27 +83,7 @@ func main() {
 		}
 	}
 
-	// selected reports whether a renderable target was asked for; the
-	// dispatch below walks experiments.TargetNames() (canonical output
-	// order) through it.
-	selected := func(name string) bool {
-		switch name {
-		case "table1":
-			return *all || *table1
-		case "table2":
-			return *all || *table2
-		case "zoo":
-			return *all || *zoo
-		case "wzoo":
-			// Deliberately not part of -all: the legacy -all output stays
-			// byte-identical to the pre-spec table set.
-			return *wzoo
-		default:
-			var i int
-			fmt.Sscanf(name, "fig%d", &i)
-			return i >= 2 && i <= 13 && (*all || *fig[i])
-		}
-	}
+	selected := func(i int) bool { return *want[i] || (*all && targets[i].InAll) }
 
 	// Refuse a row no generator can build before anything is scheduled:
 	// otherwise every job of the sweep runs to the same failure first.
@@ -184,8 +161,8 @@ func main() {
 	}
 
 	any := false
-	for _, name := range experiments.TargetNames() {
-		any = any || selected(name)
+	for i := range targets {
+		any = any || selected(i)
 	}
 	if !any {
 		flag.Usage()
@@ -230,30 +207,24 @@ func main() {
 				fmt.Println()
 			}
 		}
-		if *jsonDir != "" {
+		if *jsonDir != "" && len(tables) > 0 {
 			if err := writeJSON(filepath.Join(*jsonDir, name+".json"), tables); err != nil {
 				fatalf("experiments: %v\n", err)
 			}
 		}
 	}
-	for _, name := range experiments.TargetNames() {
-		if !selected(name) {
+	for i, t := range targets {
+		if !selected(i) {
 			continue
 		}
-		switch name {
-		case "table1":
-			fmt.Print(experiments.Table1())
-			fmt.Println()
-		case "table2":
-			fmt.Print(experiments.Table2())
-			fmt.Println()
-		default:
-			tables, err := experiments.TargetTables(r, name, *quick)
-			if err != nil {
-				fatalf("%v\n", err) // already prefixed "experiments: "
-			}
-			show(name, tables...)
+		tables, err := experiments.TargetTables(r, t.Name, *quick)
+		if err == nil && tables == nil { // a static text table
+			err = experiments.RenderTarget(r, t.Name, *quick, os.Stdout)
 		}
+		if err != nil {
+			fatalf("%v\n", err) // already prefixed "experiments: "
+		}
+		show(t.Name, tables...)
 	}
 	if *cacheDir != "" && *cacheMaxMB > 0 {
 		removed, freed, err := experiments.EvictCache(*cacheDir, *cacheMaxMB<<20)

@@ -38,6 +38,8 @@ func Example() {
 }
 
 // ExampleParams shows the Table 2 defaults and an extension configuration.
+// An extension is a "bo" spec string; parameters left at their Table 2
+// default drop out of its canonical form.
 func ExampleParams() {
 	p := core.DefaultParams()
 	fmt.Println("SCOREMAX:", p.ScoreMax)
@@ -45,12 +47,15 @@ func ExampleParams() {
 	fmt.Println("BADSCORE:", p.BadScore)
 	fmt.Println("offsets:", len(p.Offsets))
 
-	ext := core.DegreeTwoParams()
-	fmt.Println("degree-2:", ext.Degree)
+	ext, err := prefetch.NormalizeL2(prefetch.MustSpec("bo:degree=2,badscore=1"))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("degree-2:", ext)
 	// Output:
 	// SCOREMAX: 31
 	// ROUNDMAX: 100
 	// BADSCORE: 1
 	// offsets: 52
-	// degree-2: 2
+	// degree-2: bo:degree=2
 }

@@ -25,34 +25,6 @@ func WithNegativeOffsets(offsets []int) []int {
 	return out
 }
 
-// DegreeTwoParams returns the evaluated defaults with degree-two
-// prefetching enabled: each eligible access prefetches with the best and
-// the second-best offset of the last learning phase. The paper notes this
-// may buy coverage on irregular patterns at the cost of extra traffic; the
-// hierarchy's associative searches and mandatory tag check absorb the
-// redundant requests (footnote 5).
-func DegreeTwoParams() Params {
-	p := DefaultParams()
-	p.Degree = 2
-	return p
-}
-
-// AdaptiveThrottleParams returns the evaluated defaults with the dynamic
-// throttling-threshold heuristic enabled (the paper's future-work item).
-// BADSCORE then floats between MinBadScore and MaxBadScore, steered by an
-// exponentially weighted average of phase best scores: applications whose
-// phases consistently score high get a stricter threshold (turning prefetch
-// off faster when behaviour degrades), while applications hovering near the
-// threshold get a lenient one (avoiding the 429.mcf pathology of Figure 9,
-// where aggressive throttling hurts).
-func AdaptiveThrottleParams() Params {
-	p := DefaultParams()
-	p.AdaptiveThrottle = true
-	p.MinBadScore = 0
-	p.MaxBadScore = 4
-	return p
-}
-
 // secondBestIdx returns the index of the best-scoring offset distinct from
 // bestIdx (or -1 when there is none with a positive score).
 func (p *Prefetcher) secondBestIdx() int {
@@ -69,7 +41,12 @@ func (p *Prefetcher) secondBestIdx() int {
 }
 
 // updateAdaptiveThrottle adjusts the effective BADSCORE after a phase with
-// the given best score.
+// the given best score ("bo:adaptive=true"). BADSCORE floats between
+// MinBadScore and MaxBadScore, steered by an exponentially weighted average
+// of phase best scores: applications whose phases consistently score high
+// get a stricter threshold, while applications hovering near the threshold
+// get a lenient one (avoiding the 429.mcf pathology of Figure 9, where
+// aggressive throttling hurts).
 func (p *Prefetcher) updateAdaptiveThrottle(bestScore int) {
 	// EWMA with factor 1/4, in fixed point (x16).
 	p.scoreEWMA += (bestScore*16 - p.scoreEWMA) / 4

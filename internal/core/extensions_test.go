@@ -7,6 +7,17 @@ import (
 	"bopsim/internal/prefetch"
 )
 
+// boSpec builds a prefetcher the way the "bo" registration does, from spec
+// parameters over the defaults.
+func boSpec(t *testing.T, v prefetch.Values) *Prefetcher {
+	t.Helper()
+	pf, err := buildSpec(mem.Page4M, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pf.(*Prefetcher)
+}
+
 func TestWithNegativeOffsets(t *testing.T) {
 	base := []int{1, 2, 3}
 	got := WithNegativeOffsets(base)
@@ -72,8 +83,7 @@ func TestNegativePrefetchTargetsBackward(t *testing.T) {
 }
 
 func TestDegreeTwoIssuesTwoOffsets(t *testing.T) {
-	p := DegreeTwoParams()
-	bo := New(mem.Page4M, p)
+	bo := boSpec(t, prefetch.Values{"degree": "2"})
 	bo.d = 8
 	bo.d2 = 16
 	got := bo.OnAccess(miss(1000))
@@ -85,8 +95,7 @@ func TestDegreeTwoIssuesTwoOffsets(t *testing.T) {
 func TestDegreeTwoLearnsSecondOffset(t *testing.T) {
 	// Two interleaved stripes with periods 2 and 3 (section 3.3's example):
 	// degree-2 should pick two distinct useful offsets after learning.
-	p := DegreeTwoParams()
-	bo := New(mem.Page4M, p)
+	bo := boSpec(t, prefetch.Values{"degree": "2"})
 	var pending []mem.LineAddr
 	x2 := mem.LineAddr(0)       // stream with stride 2
 	x3 := mem.LineAddr(1 << 22) // stream with stride 3
@@ -137,8 +146,8 @@ func TestDegreeValidation(t *testing.T) {
 }
 
 func TestAdaptiveThrottleBounds(t *testing.T) {
-	p := AdaptiveThrottleParams()
-	bo := New(mem.Page4M, p)
+	bo := boSpec(t, prefetch.Values{"adaptive": "true"})
+	p := bo.params
 	// Feed phases with very high best scores: the dynamic threshold must
 	// rise but stay within MaxBadScore.
 	for i := 0; i < 50; i++ {
@@ -186,7 +195,7 @@ func TestAdaptiveThrottleKeepsMarginalPrefetchOn(t *testing.T) {
 	}
 	fixed := DefaultParams()
 	fixed.BadScore = 5
-	adaptive := AdaptiveThrottleParams()
+	adaptive := boSpec(t, prefetch.Values{"adaptive": "true"}).params
 	if offAdaptive, offFixed := run(adaptive), run(fixed); offAdaptive > offFixed {
 		t.Errorf("adaptive throttling turned prefetch off more often (%d) than fixed BADSCORE=5 (%d)",
 			offAdaptive, offFixed)

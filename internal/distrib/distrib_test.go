@@ -388,7 +388,7 @@ func TestWorkerRejectsPathFileSpec(t *testing.T) {
 func TestTraceJobsResolveByContentHash(t *testing.T) {
 	srcDir := t.TempDir()
 	tracePath := filepath.Join(srcDir, "workload.trace")
-	gen, err := trace.NewWorkload("456.hmmer", 1)
+	gen, err := trace.NewGenerator(trace.Spec{Name: "456.hmmer"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

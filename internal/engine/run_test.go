@@ -181,7 +181,7 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	// Recording a workload and replaying it must give identical timing.
 	path := filepath.Join(t.TempDir(), "w.trace")
 	const n = 60_000
-	gen, err := trace.NewWorkload("456.hmmer", 1)
+	gen, err := trace.NewGenerator(trace.Spec{Name: "456.hmmer"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

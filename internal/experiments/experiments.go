@@ -156,27 +156,86 @@ func (r *Runner) options(wl trace.Spec, cc CoreConfig) engine.Options {
 	return o
 }
 
-// speedupTable builds a per-benchmark table of IPC(variant)/IPC(baseline)
-// across all configured CoreConfigs, with a GM row.
-func (r *Runner) speedupTable(title string, variant func(o engine.Options) engine.Options) *stats.Table {
+// grid is every figure's builder but Fig13's: one row per label in rows,
+// one column per label in cols, cell i,j computed by cell, and a GM row
+// when gm is set. It enumerates through materialize, so the cells' run
+// calls are the figure's job set, in row-major order.
+func (r *Runner) grid(title string, rows, cols []string, gm bool, cell func(run runFunc, i, j int) float64) *stats.Table {
 	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
 		tb := stats.NewTable(title, cols...)
-		for _, wl := range r.Benchmarks {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				base := run(r.options(wl, cc))
-				v := run(variant(r.options(wl, cc)))
-				row[i] = stats.Speedup(base.IPC, v.IPC)
+		for i, label := range rows {
+			vals := make([]float64, len(cols))
+			for j := range cols {
+				vals[j] = cell(run, i, j)
 			}
-			tb.AddRow(wl.String(), row...)
+			tb.AddRow(label, vals...)
 		}
-		tb.AddGeoMeanRow()
+		if gm {
+			tb.AddGeoMeanRow()
+		}
 		return tb
 	})
+}
+
+// labels returns each element's row or column label.
+func labels[T any](xs []T, label func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = label(x)
+	}
+	return out
+}
+
+// workloadGrid is a grid with one row per workload in wls and one column
+// per configuration; cell gets that pair's baseline options.
+func (r *Runner) workloadGrid(title string, wls []trace.Spec, gm bool, cell func(run runFunc, o engine.Options) float64) *stats.Table {
+	return r.grid(title, labels(wls, trace.Spec.String), labels(r.Configs, CoreConfig.Label), gm,
+		func(run runFunc, i, j int) float64 { return cell(run, r.options(wls[i], r.Configs[j])) })
+}
+
+// variant derives a figure's configuration under test from its baseline.
+type variant func(engine.Options) engine.Options
+
+// l2 is the variant that swaps the L2 prefetcher for s.
+func l2(s prefetch.Spec) variant {
+	return func(o engine.Options) engine.Options { o.L2PF = s; return o }
+}
+
+// speedup runs the baseline o, then v(o), and returns the IPC ratio.
+func speedup(run runFunc, o engine.Options, v variant) float64 {
+	base := run(o)
+	return stats.Speedup(base.IPC, run(v(o)).IPC)
+}
+
+// speedupTable builds a per-benchmark table of IPC(variant)/IPC(baseline)
+// across all configured CoreConfigs, with a GM row.
+func (r *Runner) speedupTable(title string, v variant) *stats.Table {
+	return r.workloadGrid(title, r.Benchmarks, true, func(run runFunc, o engine.Options) float64 { return speedup(run, o, v) })
+}
+
+// gmTable builds one row per L2 prefetcher in specs (labelled by the same
+// index of rows) and one column per configuration; each cell is the GM over
+// the benchmarks of that prefetcher's speedup over the baseline.
+func (r *Runner) gmTable(title string, rows []string, specs []prefetch.Spec) *stats.Table {
+	return r.grid(title, rows, labels(r.Configs, CoreConfig.Label), false, func(run runFunc, i, j int) float64 {
+		v := l2(specs[i])
+		ratios := make([]float64, len(r.Benchmarks))
+		for k, wl := range r.Benchmarks {
+			ratios[k] = speedup(run, r.options(wl, r.Configs[j]), v)
+		}
+		return stats.GeoMean(ratios)
+	})
+}
+
+// offsetRows returns Figures 7 and 8's rows: BO, then fixed offset d for
+// each d in ds.
+func offsetRows(ds []int) (rows []string, specs []prefetch.Spec) {
+	rows, specs = []string{"BO"}, []prefetch.Spec{{Name: "bo"}}
+	for _, d := range ds {
+		rows = append(rows, fmt.Sprintf("D=%d", d))
+		specs = append(specs, prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d)))
+	}
+	return rows, specs
 }
 
 // Table1 renders the baseline microarchitecture parameters.
@@ -222,21 +281,8 @@ func Table2() string {
 
 // Fig2 reports baseline IPC for every benchmark and configuration.
 func (r *Runner) Fig2() *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Figure 2: baseline IPC (core 0)", cols...)
-		for _, wl := range r.Benchmarks {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				row[i] = run(r.options(wl, cc)).IPC
-			}
-			tb.AddRow(wl.String(), row...)
-		}
-		return tb
-	})
+	return r.workloadGrid("Figure 2: baseline IPC (core 0)", r.Benchmarks, false,
+		func(run runFunc, o engine.Options) float64 { return run(o).IPC })
 }
 
 // Fig3 reports the impact of replacing the 5P L3 policy with LRU and with
@@ -244,7 +290,6 @@ func (r *Runner) Fig2() *stats.Table {
 func (r *Runner) Fig3() []*stats.Table {
 	var out []*stats.Table
 	for _, pol := range []string{"LRU", "DRRIP"} {
-		pol := pol
 		out = append(out, r.speedupTable(
 			fmt.Sprintf("Figure 3: L3 replacement %s vs 5P baseline", pol),
 			func(o engine.Options) engine.Options { o.L3Policy = pol; return o }))
@@ -260,48 +305,19 @@ func (r *Runner) Fig4() *stats.Table {
 
 // Fig5 reports the impact of disabling the L2 next-line prefetcher.
 func (r *Runner) Fig5() *stats.Table {
-	return r.speedupTable("Figure 5: L2 next-line prefetcher disabled (vs baseline)",
-		func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "none"}; return o })
+	return r.speedupTable("Figure 5: L2 next-line prefetcher disabled (vs baseline)", l2(prefetch.Spec{Name: "none"}))
 }
 
 // Fig6 reports BO prefetcher speedup relative to next-line.
 func (r *Runner) Fig6() *stats.Table {
-	return r.speedupTable("Figure 6: BO prefetcher speedup (vs next-line baseline)",
-		func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "bo"}; return o })
+	return r.speedupTable("Figure 6: BO prefetcher speedup (vs next-line baseline)", l2(prefetch.Spec{Name: "bo"}))
 }
 
 // Fig7 compares BO against fixed offsets 2..7 (geometric means only, as in
 // the paper).
 func (r *Runner) Fig7() *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Figure 7: BO vs fixed-offset prefetching (GM speedup)", cols...)
-		addRow := func(label string, variant func(o engine.Options) engine.Options) {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				ratios := make([]float64, 0, len(r.Benchmarks))
-				for _, wl := range r.Benchmarks {
-					base := run(r.options(wl, cc))
-					v := run(variant(r.options(wl, cc)))
-					ratios = append(ratios, stats.Speedup(base.IPC, v.IPC))
-				}
-				row[i] = stats.GeoMean(ratios)
-			}
-			tb.AddRow(label, row...)
-		}
-		addRow("BO", func(o engine.Options) engine.Options { o.L2PF = prefetch.Spec{Name: "bo"}; return o })
-		for d := 2; d <= 7; d++ {
-			d := d
-			addRow(fmt.Sprintf("D=%d", d), func(o engine.Options) engine.Options {
-				o.L2PF = prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))
-				return o
-			})
-		}
-		return tb
-	})
+	rows, specs := offsetRows([]int{2, 3, 4, 5, 6, 7})
+	return r.gmTable("Figure 7: BO vs fixed-offset prefetching (GM speedup)", rows, specs)
 }
 
 // Fig8Offsets is the default offset sample for the fixed-offset sweep.
@@ -327,32 +343,10 @@ func (r *Runner) Fig8(offsets []int) *stats.Table {
 	}
 	benchmarks := []trace.Spec{{Name: "433.milc"}, {Name: "459.GemsFDTD"}, {Name: "470.lbm"}, {Name: "462.libquantum"}}
 	cc := CoreConfig{Cores: 1, Page: mem.Page4M}
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(benchmarks))
-		for i, b := range benchmarks {
-			cols[i] = b.String()
-		}
-		tb := stats.NewTable("Figure 8: fixed-offset sweep, 4MB pages, 1 core (speedup vs next-line)", cols...)
-		boRow := make([]float64, len(benchmarks))
-		for i, wl := range benchmarks {
-			base := run(r.options(wl, cc))
-			o := r.options(wl, cc)
-			o.L2PF = prefetch.Spec{Name: "bo"}
-			boRow[i] = stats.Speedup(base.IPC, run(o).IPC)
-		}
-		tb.AddRow("BO", boRow...)
-		for _, d := range offsets {
-			row := make([]float64, len(benchmarks))
-			for i, wl := range benchmarks {
-				base := run(r.options(wl, cc))
-				o := r.options(wl, cc)
-				o.L2PF = prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))
-				row[i] = stats.Speedup(base.IPC, run(o).IPC)
-			}
-			tb.AddRow(fmt.Sprintf("D=%d", d), row...)
-		}
-		return tb
-	})
+	rows, specs := offsetRows(offsets)
+	return r.grid("Figure 8: fixed-offset sweep, 4MB pages, 1 core (speedup vs next-line)",
+		rows, labels(benchmarks, trace.Spec.String), false,
+		func(run runFunc, i, j int) float64 { return speedup(run, r.options(benchmarks[j], cc), l2(specs[i])) })
 }
 
 // Fig9 sweeps the BADSCORE throttling threshold (GM speedups).
@@ -370,79 +364,26 @@ func (r *Runner) Fig10() *stats.Table {
 // boParamSweep sweeps one registered "bo" spec parameter across values —
 // the parameter sweeps of Figures 9 and 10 are just spec variants now.
 func (r *Runner) boParamSweep(title string, values []int, param string, labelFmt string) *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable(title, cols...)
-		for _, v := range values {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				ratios := make([]float64, 0, len(r.Benchmarks))
-				for _, wl := range r.Benchmarks {
-					base := run(r.options(wl, cc))
-					o := r.options(wl, cc)
-					o.L2PF = prefetch.Spec{Name: "bo"}.With(param, fmt.Sprint(v))
-					ratios = append(ratios, stats.Speedup(base.IPC, run(o).IPC))
-				}
-				row[i] = stats.GeoMean(ratios)
-			}
-			tb.AddRow(fmt.Sprintf(labelFmt, v), row...)
-		}
-		return tb
-	})
+	rows := make([]string, len(values))
+	specs := make([]prefetch.Spec, len(values))
+	for i, v := range values {
+		rows[i] = fmt.Sprintf(labelFmt, v)
+		specs[i] = prefetch.Spec{Name: "bo"}.With(param, fmt.Sprint(v))
+	}
+	return r.gmTable(title, rows, specs)
 }
 
 // Fig11 compares BO and SBP geometric-mean speedups over the baseline.
 func (r *Runner) Fig11() *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Figure 11: BO vs SBP (GM speedup vs next-line baseline)", cols...)
-		for _, spec := range []prefetch.Spec{{Name: "bo"}, {Name: "sbp"}} {
-			spec := spec
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				ratios := make([]float64, 0, len(r.Benchmarks))
-				for _, wl := range r.Benchmarks {
-					base := run(r.options(wl, cc))
-					o := r.options(wl, cc)
-					o.L2PF = spec
-					ratios = append(ratios, stats.Speedup(base.IPC, run(o).IPC))
-				}
-				row[i] = stats.GeoMean(ratios)
-			}
-			tb.AddRow(spec.String(), row...)
-		}
-		return tb
-	})
+	specs := []prefetch.Spec{{Name: "bo"}, {Name: "sbp"}}
+	return r.gmTable("Figure 11: BO vs SBP (GM speedup vs next-line baseline)", labels(specs, prefetch.Spec.String), specs)
 }
 
 // Fig12 reports per-benchmark BO speedup relative to SBP.
 func (r *Runner) Fig12() *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Figure 12: BO speedup relative to SBP", cols...)
-		for _, wl := range r.Benchmarks {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				oBO := r.options(wl, cc)
-				oBO.L2PF = prefetch.Spec{Name: "bo"}
-				oSBP := r.options(wl, cc)
-				oSBP.L2PF = prefetch.Spec{Name: "sbp"}
-				row[i] = stats.Speedup(run(oSBP).IPC, run(oBO).IPC)
-			}
-			tb.AddRow(wl.String(), row...)
-		}
-		tb.AddGeoMeanRow()
-		return tb
-	})
+	sbp, bo := l2(prefetch.Spec{Name: "sbp"}), l2(prefetch.Spec{Name: "bo"})
+	return r.workloadGrid("Figure 12: BO speedup relative to SBP", r.Benchmarks, true,
+		func(run runFunc, o engine.Options) float64 { return speedup(run, sbp(o), bo) })
 }
 
 // Fig13 reports DRAM accesses per kilo-instruction (4KB pages, 1 core) for
@@ -451,11 +392,7 @@ func (r *Runner) Fig13() *stats.Table {
 	return r.materialize(func(run runFunc) *stats.Table {
 		cc := CoreConfig{Cores: 1, Page: mem.Page4K}
 		specs := []prefetch.Spec{{Name: "none"}, {Name: "nextline"}, {Name: "bo"}, {Name: "sbp"}}
-		cols := make([]string, len(specs))
-		for i, s := range specs {
-			cols[i] = s.String()
-		}
-		tb := stats.NewTable("Figure 13: DRAM accesses per 1000 instructions (4KB, 1 core)", cols...)
+		tb := stats.NewTable("Figure 13: DRAM accesses per 1000 instructions (4KB, 1 core)", labels(specs, prefetch.Spec.String)...)
 		type entry struct {
 			wl  string
 			row []float64
@@ -488,29 +425,12 @@ func (r *Runner) Fig13() *stats.Table {
 // internal/multi — shows up here, scheduled and cached like every paper
 // figure, with no engine or scheduler change.
 func (r *Runner) Zoo() *stats.Table {
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Prefetcher zoo: registered L2 prefetchers (GM speedup vs next-line)", cols...)
-		for _, name := range prefetch.L2Names() {
-			spec := prefetch.Spec{Name: name}
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				ratios := make([]float64, 0, len(r.Benchmarks))
-				for _, wl := range r.Benchmarks {
-					base := run(r.options(wl, cc))
-					o := r.options(wl, cc)
-					o.L2PF = spec
-					ratios = append(ratios, stats.Speedup(base.IPC, run(o).IPC))
-				}
-				row[i] = stats.GeoMean(ratios)
-			}
-			tb.AddRow(name, row...)
-		}
-		return tb
-	})
+	names := prefetch.L2Names()
+	specs := make([]prefetch.Spec, len(names))
+	for i, name := range names {
+		specs[i] = prefetch.Spec{Name: name}
+	}
+	return r.gmTable("Prefetcher zoo: registered L2 prefetchers (GM speedup vs next-line)", names, specs)
 }
 
 // WorkloadZoo is Zoo's mirror on the workload axis: one row per
@@ -530,22 +450,7 @@ func (r *Runner) WorkloadZoo() *stats.Table {
 		}
 		rows = append(rows, spec)
 	}
-	return r.materialize(func(run runFunc) *stats.Table {
-		cols := make([]string, len(r.Configs))
-		for i, cc := range r.Configs {
-			cols[i] = cc.Label()
-		}
-		tb := stats.NewTable("Workload zoo: registered generators (BO speedup vs next-line)", cols...)
-		for _, wl := range rows {
-			row := make([]float64, len(r.Configs))
-			for i, cc := range r.Configs {
-				base := run(r.options(wl, cc))
-				o := r.options(wl, cc)
-				o.L2PF = prefetch.Spec{Name: "bo"}
-				row[i] = stats.Speedup(base.IPC, run(o).IPC)
-			}
-			tb.AddRow(wl.String(), row...)
-		}
-		return tb
-	})
+	bo := l2(prefetch.Spec{Name: "bo"})
+	return r.workloadGrid("Workload zoo: registered generators (BO speedup vs next-line)", rows, false,
+		func(run runFunc, o engine.Options) float64 { return speedup(run, o, bo) })
 }

@@ -299,7 +299,7 @@ func TestRunJobsSurfacesBadWorkloadSpecs(t *testing.T) {
 func TestTraceContentKeysCache(t *testing.T) {
 	dir := t.TempDir()
 	pathA := filepath.Join(dir, "a.trace")
-	gen, err := trace.NewWorkload("456.hmmer", 1)
+	gen, err := trace.NewGenerator(trace.Spec{Name: "456.hmmer"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestTraceContentKeysCache(t *testing.T) {
 	// Rewriting the trace with different content must change the key. (A
 	// different length also changes the file size, so the mtime-based hash
 	// memo can never serve the stale hash even on coarse-mtime filesystems.)
-	gen2, err := trace.NewWorkload("456.hmmer", 7)
+	gen2, err := trace.NewGenerator(trace.Spec{Name: "456.hmmer"}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func registerMixerPattern(d mixerPattern) {
 
 // registerMicrothrash registers the cache-thrashing micro-benchmark the
 // engine schedules on satellite cores by default. Its defaults reproduce
-// the historical NewThrasher stream bit for bit.
+// the historical thrasher stream bit for bit.
 func registerMicrothrash() {
 	registerMixerPattern(mixerPattern{
 		name:      "microthrash",

@@ -12,7 +12,7 @@ import (
 // instructions, so a generator refactor (or an innocent-looking parameter
 // plumbing change) can never silently shift the streams behind published
 // figures. The 29 SPEC stand-ins' hashes were captured from the
-// pre-registry NewWorkload implementation, proving the registry migration
+// pre-registry benchmark table, proving the registry migration
 // byte-exact; if a hash change is intentional, it is a simulator behaviour
 // change and must come with a resultCacheVersion bump (see
 // internal/experiments/cache.go) and a re-pin here.

@@ -51,17 +51,11 @@ func genRoundTrip(t *testing.T, gen, fresh StatefulGenerator, advance int) {
 // stream, chunk, pattern, stripes, random) plus the thrasher.
 func TestWorkloadCursorRoundTrip(t *testing.T) {
 	names := append(Benchmarks(), "microthrash")
-	mk := func(name string) StatefulGenerator {
-		if name == "microthrash" {
-			return NewThrasher(3)
-		}
-		return MustWorkload(name, 3)
-	}
 	for _, name := range names {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			genRoundTrip(t, mk(name), mk(name), 12_345)
+			genRoundTrip(t, MustWorkload(name, 3), MustWorkload(name, 3), 12_345)
 		})
 	}
 }

@@ -12,7 +12,7 @@ func TestAllBenchmarksConstruct(t *testing.T) {
 		t.Fatalf("%d benchmarks, want 29", len(Benchmarks()))
 	}
 	for _, name := range Benchmarks() {
-		w, err := NewWorkload(name, 1)
+		w, err := NewGenerator(Spec{Name: name}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -29,7 +29,7 @@ func TestAllBenchmarksConstruct(t *testing.T) {
 }
 
 func TestUnknownWorkload(t *testing.T) {
-	if _, err := NewWorkload("999.nope", 1); err == nil {
+	if _, err := NewGenerator(Spec{Name: "999.nope"}, 1); err == nil {
 		t.Error("unknown workload did not error")
 	}
 	defer func() {
@@ -161,7 +161,7 @@ func TestRandomCompDependencyFlag(t *testing.T) {
 }
 
 func TestThrasherIsStoreHeavySequential(t *testing.T) {
-	th := NewThrasher(9)
+	th := MustWorkload("microthrash", 9)
 	if th.Name() != "microthrash" {
 		t.Errorf("name = %s", th.Name())
 	}

@@ -290,7 +290,7 @@ func init() {
 }
 
 // registerBench registers one benchmark stand-in with its knobs exposed as
-// spec parameters. The defaults reproduce the historical NewWorkload
+// spec parameters. The defaults reproduce the pre-registry benchmark
 // streams bit for bit (pinned by the golden determinism suite).
 func registerBench(name string, bs benchSpec) {
 	// The default weight list comes from the components themselves, so the
@@ -375,32 +375,13 @@ func BenchmarkSpecs() []Spec {
 	return out
 }
 
-// NewWorkload builds the named workload generator with the given seed. It
-// is the historical entry point, now a thin wrapper over the registry: any
-// registered spec name works, not just the benchmark table.
-func NewWorkload(name string, seed uint64) (Generator, error) {
-	sp, err := ParseSpec(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewGenerator(sp, seed)
-}
-
-// MustWorkload is NewWorkload that panics on unknown names, for tests and
-// examples. Library code paths (the engine, the scheduler) use
-// NewGenerator and surface errors instead.
+// MustWorkload builds the workload generator of the spec string name with
+// the given seed and panics on error, for tests. Library code paths (the
+// engine, the scheduler) use NewGenerator and surface errors instead.
 func MustWorkload(name string, seed uint64) StatefulGenerator {
-	w, err := NewWorkload(name, seed)
+	w, err := NewGenerator(MustSpec(name), seed)
 	if err != nil {
 		panic(err)
 	}
 	return w.(StatefulGenerator)
-}
-
-// NewThrasher returns the cache-thrashing micro-benchmark of section 5.1
-// (registered as "microthrash"): it writes a huge array, going through it
-// quickly and sequentially, consuming L3 capacity and memory bandwidth on
-// the satellite cores.
-func NewThrasher(seed uint64) StatefulGenerator {
-	return MustWorkload("microthrash", seed)
 }
