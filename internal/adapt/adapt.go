@@ -220,9 +220,6 @@ func (p *Prefetcher) Stats() Stats { return p.stats }
 // Level reports the current ladder level, for tests and reports.
 func (p *Prefetcher) Level() int { return p.level }
 
-// Levels reports the ladder height.
-func (p *Prefetcher) Levels() int { return len(p.lad.levels) }
-
 // OnAccess implements prefetch.L2Prefetcher: consume a pending fill mark
 // (a useful prefetch counts exactly once), advance the window, and delegate
 // the access to the base.

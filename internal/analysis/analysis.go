@@ -65,9 +65,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Report records a finding.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Reportf records a finding at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
@@ -280,13 +277,6 @@ func deadAllows(pkg *Package, allows *allowSet, suite []*Analyzer) []Finding {
 // ledger of every other analyzer, so it cannot be an ordinary per-package
 // pass).
 const DeadallowName = "deadallow"
-
-// Run applies every analyzer to every package with a fresh Runner.
-// Packages must be in dependency order when analyzers use facts; the loader
-// returns them that way.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return (&Runner{Suite: analyzers}).Run(pkgs)
-}
 
 func sortFindings(fs []Finding) {
 	// (package, file, line, column, analyzer) order makes output — and the

@@ -16,7 +16,7 @@
 // where each quoted (or backquoted) Go string literal is a regular
 // expression that must match a finding reported on that line. Lines without
 // a want comment must produce no findings. Because fixtures run through the
-// same analysis.Run pipeline as cmd/bovet, //bovet:allow directives in
+// same analysis.Runner as cmd/bovet, //bovet:allow directives in
 // fixtures are honored — a fixture line carrying an allow directive and no
 // want comment asserts that suppression works.
 package analysistest

@@ -4,7 +4,8 @@ package core
 // evaluate, clearly separated from the evaluated design in bo.go:
 //
 //   - negative offsets (section 4.2: "Nothing prevents a BO prefetcher to
-//     use negative offset values"),
+//     use negative offset values"), spelled "bo:offsets=1+2+-1+-2"; the
+//     learning machinery handles negative candidates transparently,
 //   - degree-two prefetching with the best and second-best offsets
 //     (section 4.3),
 //   - dynamic adjustment of the throttling threshold (section 7, future
@@ -12,18 +13,6 @@ package core
 //
 // All three are off by default; DefaultParams matches the evaluated
 // configuration exactly.
-
-// WithNegativeOffsets returns offsets extended with the negation of every
-// entry (sorted: all positives in original order, then negatives). The BO
-// learning machinery handles negative candidates transparently.
-func WithNegativeOffsets(offsets []int) []int {
-	out := make([]int, 0, 2*len(offsets))
-	out = append(out, offsets...)
-	for _, d := range offsets {
-		out = append(out, -d)
-	}
-	return out
-}
 
 // secondBestIdx returns the index of the best-scoring offset distinct from
 // bestIdx (or -1 when there is none with a positive score).

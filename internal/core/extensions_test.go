@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 )
 
 // boSpec builds a prefetcher the way the "bo" registration does, from spec
@@ -18,24 +20,28 @@ func boSpec(t *testing.T, v prefetch.Values) *Prefetcher {
 	return pf.(*Prefetcher)
 }
 
-func TestWithNegativeOffsets(t *testing.T) {
-	base := []int{1, 2, 3}
-	got := WithNegativeOffsets(base)
-	if len(got) != 6 {
-		t.Fatalf("len = %d, want 6", len(got))
+// withNegativeOffsets is the "offsets" value of the negative-offset
+// extension: the Table 2 list, then the negation of every entry.
+func withNegativeOffsets() prefetch.Values {
+	offsets := prefetch.DefaultOffsetList()
+	for _, d := range offsets {
+		offsets = append(offsets, -d)
 	}
-	want := []int{1, 2, 3, -1, -2, -3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("offset[%d] = %d, want %d", i, got[i], want[i])
-		}
+	return prefetch.Values{"offsets": spec.FormatInts(offsets)}
+}
+
+func TestWithNegativeOffsets(t *testing.T) {
+	pf, err := prefetch.NewL2(prefetch.MustSpec("bo:offsets=1+2+3+-1+-2+-3"), mem.Page4M)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pf.(*Prefetcher).params.Offsets, []int{1, 2, 3, -1, -2, -3}; !slices.Equal(got, want) {
+		t.Errorf("offsets = %v, want %v", got, want)
 	}
 }
 
 func TestNegativeOffsetsAccepted(t *testing.T) {
-	p := DefaultParams()
-	p.Offsets = WithNegativeOffsets(p.Offsets)
-	bo := New(mem.Page4M, p)
+	bo := boSpec(t, withNegativeOffsets())
 	// Exercise the full learning path with negative candidates present.
 	driveStream(bo, 1<<20, 1, 60000, 4)
 	if bo.Offset() == 0 {
@@ -45,9 +51,7 @@ func TestNegativeOffsetsAccepted(t *testing.T) {
 
 func TestNegativeOffsetLearnedOnBackwardStream(t *testing.T) {
 	// A descending stream: only negative offsets are useful.
-	p := DefaultParams()
-	p.Offsets = WithNegativeOffsets(p.Offsets)
-	bo := New(mem.Page4M, p)
+	bo := boSpec(t, withNegativeOffsets())
 	var pending []mem.LineAddr
 	x := mem.LineAddr(1 << 24)
 	for i := 0; i < 120000; i++ {

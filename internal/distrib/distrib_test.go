@@ -424,7 +424,7 @@ func TestTraceJobsResolveByContentHash(t *testing.T) {
 		t.Fatalf("trace job failed: %v", err)
 	}
 	// Trace probes must not consume the worker-loss retry budget: with
-	// more traceless workers than MaxAttempts ahead of the holder, the
+	// more traceless workers than maxAttempts ahead of the holder, the
 	// job still has to find it.
 	var fleet []string
 	for i := 0; i < 5; i++ {
@@ -432,7 +432,7 @@ func TestTraceJobsResolveByContentHash(t *testing.T) {
 		fleet = append(fleet, bare.URL)
 	}
 	fleet = append(fleet, holder.URL)
-	wide, err := Dial(fleet, RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond})
+	wide, err := Dial(fleet, RetryPolicy{Backoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

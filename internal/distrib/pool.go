@@ -20,18 +20,18 @@ import (
 // RetryPolicy bounds how the coordinator reacts to lost workers: a job
 // whose request dies mid-flight (connection refused, reset, truncated
 // response, 5xx) or comes back with a 200 that does not answer it is
-// requeued on another live worker, sleeping Backoff first. Job-level
-// failures (the simulation itself errors, schema skew) are deterministic
-// and never retried.
+// requeued on another live worker, sleeping Backoff first, until
+// maxAttempts attempts have been lost. Job-level failures (the simulation
+// itself errors, schema skew) are deterministic and never retried.
 type RetryPolicy struct {
-	// MaxAttempts bounds execution attempts per job: each worker loss
-	// consumes one, and the job fails once MaxAttempts attempts have
-	// been cut short (so MaxAttempts of 1 means no failover at all).
-	// <= 0 means 3, i.e. a job tolerates two worker losses.
-	MaxAttempts int
 	// Backoff after a worker loss; < 0 means none, 0 means 100ms.
 	Backoff time.Duration
 }
+
+// maxAttempts bounds execution attempts per job: each worker loss consumes
+// one, and the job fails once maxAttempts attempts have been cut short, so
+// a job tolerates two worker losses.
+const maxAttempts = 3
 
 // maxWorkerCapacity bounds what one worker may advertise: each capacity
 // unit becomes a coordinator slot (a goroutine plus bookkeeping), so an
@@ -39,13 +39,6 @@ type RetryPolicy struct {
 // coordinator. 1024 is far above any real machine's useful simulation
 // parallelism.
 const maxWorkerCapacity = 1024
-
-func (p RetryPolicy) attempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return 3
-}
 
 func (p RetryPolicy) backoff() time.Duration {
 	if p.Backoff < 0 {
@@ -261,7 +254,7 @@ func (p *Pool) runJob(slot int, job Job) (engine.Result, error) {
 		case verdictWorkerLost:
 			p.markDead(w)
 			lastErr = err
-			if lost++; lost >= p.retry.attempts() {
+			if lost++; lost >= maxAttempts {
 				return engine.Result{}, fmt.Errorf("distrib: job failed after losing %d workers: %w", lost, lastErr)
 			}
 			time.Sleep(p.retry.backoff())

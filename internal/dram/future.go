@@ -9,11 +9,6 @@ type Future struct {
 	resolved bool
 }
 
-// ResolvedAt returns a future already resolved at cycle.
-func ResolvedAt(cycle uint64) *Future {
-	return &Future{cycle: cycle, resolved: true}
-}
-
 // Pending returns an unresolved future.
 func Pending() *Future { return &Future{} }
 

@@ -119,7 +119,7 @@ func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDi
 
 // StrayDemand sends core 0 a load straight into the hierarchy, past every
 // guard Simulation has: what a stray pointer to the machine would do.
-func (s *Simulation) StrayDemand() { s.hier.Access(0, 0x400, 0x1000, false, s.now) }
+func (s *Simulation) StrayDemand() { s.hier.Demand(0, 0x400, 0x1000, false, s.now) }
 
 // DeepDigest is the simulation's MachineDigest at the current cycle, settled
 // as Snapshot settles.

@@ -30,33 +30,54 @@ func renderTable(t *testing.T, tb *stats.Table) []byte {
 // TestCheckpointedSweepMatchesSerial is the scheduler-level determinism
 // gate: a sweep executed with warmup sharing (grouped warmup legs +
 // checkpoint forking) must render byte-identical tables to the same sweep
-// executed straight, however many slots race over the groups.
+// executed straight, however many slots race over the groups. The last row
+// sets neither CheckpointDir nor CacheDir, so snapshots go to checkpointDir's
+// last resort: a fresh 0700 directory only this Runner knows.
 func TestCheckpointedSweepMatchesSerial(t *testing.T) {
 	serial := tinyRunner()
 	serial.Instructions = 20_000
 	serial.Warmup = 15_000
 	want := renderTable(t, serial.Fig6())
 
-	for _, workers := range []int{1, 2, 4} {
+	for _, tc := range []struct {
+		workers int
+		private bool
+	}{{1, false}, {2, false}, {4, false}, {1, true}} {
 		ckpt := tinyRunner()
 		ckpt.Instructions = 20_000
 		ckpt.Warmup = 15_000
-		ckpt.Workers = workers
+		ckpt.Workers = tc.workers
 		ckpt.Checkpoint = true
-		ckpt.CheckpointDir = t.TempDir()
+		if !tc.private {
+			ckpt.CheckpointDir = t.TempDir()
+		}
 		got := renderTable(t, ckpt.Fig6())
+		dir := ckpt.checkpointDir()
+		if tc.private {
+			if dir == "" {
+				t.Fatal("no private checkpoint directory was created")
+			}
+			t.Cleanup(func() { os.RemoveAll(dir) })
+			info, err := os.Stat(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perm := info.Mode().Perm(); perm != 0o700 {
+				t.Errorf("private checkpoint directory has mode %v, want 0700", perm)
+			}
+		}
 
 		if !bytes.Equal(got, want) {
-			t.Errorf("-j %d: checkpointed sweep rendered different bytes\nserial:\n%s\ncheckpointed:\n%s", workers, want, got)
+			t.Errorf("-j %d, private dir %v: checkpointed sweep rendered different bytes\nserial:\n%s\ncheckpointed:\n%s", tc.workers, tc.private, want, got)
 		}
 		// The sharing actually happened: one snapshot per (benchmark,
 		// config) group on disk.
-		entries, err := os.ReadDir(ckpt.CheckpointDir)
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(entries) != 2 {
-			t.Errorf("-j %d: %d snapshots on disk, want 2 (one per benchmark)", workers, len(entries))
+			t.Errorf("-j %d, private dir %v: %d snapshots on disk, want 2 (one per benchmark)", tc.workers, tc.private, len(entries))
 		}
 	}
 }

@@ -87,10 +87,6 @@ type Runner struct {
 	// own concurrency. Results are cached identically either way, so
 	// table bytes do not depend on where simulations ran.
 	Backend ExecBackend
-	// MaxErrors bounds how many job failures RunJobs accumulates before
-	// it stops dispatching further jobs; <= 0 means a default of 16. The
-	// returned error joins every collected failure.
-	MaxErrors int
 	// CacheDir, when non-empty, persists every result as JSON under this
 	// directory (keyed by OptionsHash) and satisfies future runs from it.
 	CacheDir string

@@ -31,11 +31,11 @@ type job struct {
 	warmupKey string // WarmupKey(o), set by leadersFirst; "" for no leg to share
 }
 
-// defaultMaxErrors bounds how many job failures RunJobs collects before it
-// stops dispatching: enough that a sweep with a handful of bad specs
-// reports them all in one pass, small enough that a systematically broken
-// sweep doesn't burn hours failing every job.
-const defaultMaxErrors = 16
+// maxErrors bounds how many job failures RunJobs collects before it stops
+// dispatching: enough that a sweep with a handful of bad specs reports them
+// all in one pass, small enough that a systematically broken sweep doesn't
+// burn hours failing every job.
+const maxErrors = 16
 
 // enumerationResult is what the recording stub hands back during the
 // planning pass: harmless non-zero placeholders, since speedup and
@@ -72,8 +72,8 @@ type buildError struct{ error }
 // Job failures are collected, not short-circuited: the returned error
 // joins every failure (errors.Join), each prefixed with the run it
 // belongs to, so a partially-failed sweep reports all its bad jobs in one
-// pass. Dispatch stops early only once MaxErrors failures (default 16)
-// have accumulated; in-flight jobs always complete.
+// pass. Dispatch stops early only once maxErrors failures have
+// accumulated; in-flight jobs always complete.
 func (r *Runner) RunJobs(opts []engine.Options) error {
 	jobs := r.pendingJobs(opts)
 	if len(jobs) == 0 {
@@ -95,10 +95,6 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 	}
 	if slots > len(jobs) {
 		slots = len(jobs)
-	}
-	maxErrors := r.MaxErrors
-	if maxErrors <= 0 {
-		maxErrors = defaultMaxErrors
 	}
 
 	total := len(jobs)

@@ -77,24 +77,31 @@ func TestRunJobsDedup(t *testing.T) {
 }
 
 // TestRunJobsAbortsAfterFailure checks that once the failure budget
-// (MaxErrors) is spent, dispatch of the jobs queued behind it stops
+// (maxErrors) is spent, dispatch of the jobs queued behind it stops
 // (in-flight ones still finish).
 func TestRunJobsAbortsAfterFailure(t *testing.T) {
 	r := tinyRunner()
 	r.Workers = 1
-	r.MaxErrors = 1
-	bad := r.options(trace.MustSpec("no-such-benchmark"), CoreConfig{Cores: 1, Page: mem.Page4K})
-	jobs := []engine.Options{bad}
+	var jobs []engine.Options
+	for seed := uint64(1); seed <= maxErrors; seed++ {
+		bad := r.options(trace.MustSpec("no-such-benchmark"), CoreConfig{Cores: 1, Page: mem.Page4K})
+		bad.Seed = seed
+		jobs = append(jobs, bad)
+	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		o := r.options(trace.MustSpec("416.gamess"), CoreConfig{Cores: 1, Page: mem.Page4K})
 		o.Seed = seed
 		jobs = append(jobs, o)
 	}
-	if err := r.RunJobs(jobs); err == nil {
+	err := r.RunJobs(jobs)
+	if err == nil {
 		t.Fatal("RunJobs returned no error for an unknown benchmark")
 	}
-	// With one worker the failure lands before most dispatches; allow the
-	// handful that can race the flag.
+	if got := len(err.(interface{ Unwrap() []error }).Unwrap()); got != maxErrors {
+		t.Errorf("RunJobs joined %d failures, want all %d bad jobs", got, maxErrors)
+	}
+	// With one worker the last failure lands before most dispatches; allow
+	// the handful that can race the flag.
 	if got := r.Executed(); got > 2 {
 		t.Errorf("executed %d queued jobs after the failure, want <= 2", got)
 	}
@@ -272,7 +279,6 @@ func TestOptionsKeyComplete(t *testing.T) {
 func TestRunJobsSurfacesBadWorkloadSpecs(t *testing.T) {
 	r := tinyRunner()
 	r.Workers = 2
-	r.MaxErrors = 8
 	cc := CoreConfig{Cores: 1, Page: mem.Page4K}
 	jobs := []engine.Options{
 		r.options(trace.Spec{Name: "no-such-workload"}, cc),

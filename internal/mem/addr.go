@@ -43,9 +43,6 @@ const (
 // Bits returns log2 of the page size (rounded down; 0 for sizes 0 and 1).
 func (p PageSize) Bits() uint { return uint(bits.Len64(uint64(p) >> 1)) }
 
-// LinesPerPage returns the number of cache lines per page.
-func (p PageSize) LinesPerPage() uint64 { return uint64(p) >> LineBits }
-
 // PageOf returns the page number of byte address a.
 func (p PageSize) PageOf(a Addr) uint64 { return uint64(a) >> p.Bits() }
 
@@ -58,12 +55,6 @@ func (p PageSize) PageOfLine(l LineAddr) uint64 {
 // prefetchers never prefetch across a page boundary (paper section 4).
 func (p PageSize) SamePage(a, b LineAddr) bool {
 	return p.PageOfLine(a) == p.PageOfLine(b)
-}
-
-// LineIndexInPage returns the position of line l inside its page
-// (0 .. LinesPerPage-1).
-func (p PageSize) LineIndexInPage(l LineAddr) uint64 {
-	return uint64(l) & (p.LinesPerPage() - 1)
 }
 
 // String implements fmt.Stringer for readable experiment labels.

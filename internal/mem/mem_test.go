@@ -46,12 +46,16 @@ func TestPageSizeBits(t *testing.T) {
 	}
 }
 
+// TestLinesPerPage checks where PageOfLine puts the page boundary: a 4KB
+// page holds 64 lines and a 4MB page 65536.
 func TestLinesPerPage(t *testing.T) {
-	if got := Page4K.LinesPerPage(); got != 64 {
-		t.Errorf("4KB page has %d lines, want 64", got)
-	}
-	if got := Page4M.LinesPerPage(); got != 65536 {
-		t.Errorf("4MB page has %d lines, want 65536", got)
+	for _, tc := range []struct {
+		page  PageSize
+		lines LineAddr
+	}{{Page4K, 64}, {Page4M, 65536}} {
+		if tc.page.PageOfLine(tc.lines-1) != 0 || tc.page.PageOfLine(tc.lines) != 1 {
+			t.Errorf("a %s page does not hold exactly %d lines", tc.page, tc.lines)
+		}
 	}
 }
 
@@ -66,19 +70,6 @@ func TestSamePage(t *testing.T) {
 	// With 4MB pages, lines 0 and 64 do share a page.
 	if !Page4M.SamePage(0, 64) {
 		t.Error("lines 0 and 64 should share a 4MB page")
-	}
-}
-
-func TestLineIndexInPage(t *testing.T) {
-	for _, tc := range []struct {
-		line LineAddr
-		want uint64
-	}{
-		{0, 0}, {1, 1}, {63, 63}, {64, 0}, {65, 1}, {130, 2},
-	} {
-		if got := Page4K.LineIndexInPage(tc.line); got != tc.want {
-			t.Errorf("LineIndexInPage(%d) = %d, want %d", tc.line, got, tc.want)
-		}
 	}
 }
 

@@ -21,9 +21,6 @@ func NewTranslator(page PageSize, seed uint64) *Translator {
 	return &Translator{page: page, seed: seed}
 }
 
-// PageSize returns the page size this translator was built for.
-func (t *Translator) PageSize() PageSize { return t.page }
-
 // Translate maps a virtual byte address to a physical byte address.
 func (t *Translator) Translate(va Addr) Addr {
 	bits := t.page.Bits()

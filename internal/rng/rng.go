@@ -30,11 +30,6 @@ func (s *Stream) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Float64 returns a value uniform in [0, 1).
-func (s *Stream) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
 // OneIn reports true with probability 1/n.
 func (s *Stream) OneIn(n int) bool { return s.Intn(n) == 0 }
 

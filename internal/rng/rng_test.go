@@ -53,16 +53,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestFloat64Range(t *testing.T) {
-	s := New(7)
-	for i := 0; i < 10000; i++ {
-		v := s.Float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("Float64 = %g out of [0,1)", v)
-		}
-	}
-}
-
 func TestUniformity(t *testing.T) {
 	// Coarse chi-square-ish check: 16 buckets over 64k draws should each
 	// hold ~4096 +- 10%.

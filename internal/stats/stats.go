@@ -1,66 +1,13 @@
-// Package stats provides the counters and summary math used by the
-// experiment harness: per-component event counters, IPC and speedup
-// computation, and geometric means, matching how the paper reports results
-// (speedups relative to a baseline, geometric mean over 29 benchmarks).
+// Package stats provides the summary math and tables used by the
+// experiment harness: speedup computation and geometric means, matching how
+// the paper reports results (speedups relative to a baseline, geometric mean
+// over 29 benchmarks).
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
-
-// Counters is a named bag of monotonically increasing event counts. Every
-// simulator component exposes one; the harness merges them into reports.
-type Counters struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewCounters returns an empty counter bag.
-func NewCounters() *Counters {
-	return &Counters{values: make(map[string]uint64)}
-}
-
-// Add increments counter name by delta, creating it at zero first if needed.
-func (c *Counters) Add(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
-}
-
-// Inc increments counter name by one.
-func (c *Counters) Inc(name string) { c.Add(name, 1) }
-
-// Get returns the current value of counter name (zero if never touched).
-func (c *Counters) Get(name string) uint64 { return c.values[name] }
-
-// Names returns the counter names in first-touch order.
-func (c *Counters) Names() []string {
-	out := make([]string, len(c.names))
-	copy(out, c.names)
-	return out
-}
-
-// Merge adds every counter of other into c.
-func (c *Counters) Merge(other *Counters) {
-	for _, n := range other.names {
-		c.Add(n, other.values[n])
-	}
-}
-
-// String renders the counters sorted by name, one per line.
-func (c *Counters) String() string {
-	names := c.Names()
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-32s %12d\n", n, c.values[n])
-	}
-	return b.String()
-}
 
 // GeoMean returns the geometric mean of xs. It returns 1 for an empty slice
 // so that ratios of empty sets are neutral, and panics on non-positive

@@ -7,44 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestCountersAddGet(t *testing.T) {
-	c := NewCounters()
-	c.Inc("a")
-	c.Add("a", 4)
-	c.Add("b", 2)
-	if got := c.Get("a"); got != 5 {
-		t.Errorf("a = %d, want 5", got)
-	}
-	if got := c.Get("b"); got != 2 {
-		t.Errorf("b = %d, want 2", got)
-	}
-	if got := c.Get("missing"); got != 0 {
-		t.Errorf("missing = %d, want 0", got)
-	}
-}
-
-func TestCountersMerge(t *testing.T) {
-	a, b := NewCounters(), NewCounters()
-	a.Add("x", 3)
-	b.Add("x", 4)
-	b.Add("y", 1)
-	a.Merge(b)
-	if a.Get("x") != 7 || a.Get("y") != 1 {
-		t.Errorf("merge produced x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-}
-
-func TestCountersNamesOrder(t *testing.T) {
-	c := NewCounters()
-	c.Inc("z")
-	c.Inc("a")
-	c.Inc("z")
-	names := c.Names()
-	if len(names) != 2 || names[0] != "z" || names[1] != "a" {
-		t.Errorf("Names() = %v, want [z a] in first-touch order", names)
-	}
-}
-
 func TestGeoMeanKnownValues(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
 		t.Errorf("GeoMean(2,8) = %g, want 4", got)

@@ -102,51 +102,6 @@ func (c *chunkComp) next(r *rng.Stream) Inst {
 	return Inst{Op: op, PC: pc, VA: va}
 }
 
-// patternComp advances by a repeating sequence of line strides, touching
-// one full line (chunkWords accesses) at each position — e.g. [29,30,29]
-// reproduces the 459.GemsFDTD-like peaks at offsets ~29.3 lines, and [5]
-// with a phase-shifted twin reproduces the 470.lbm peaks at multiples of 5
-// with secondary peaks at 5k+3 (Figure 8).
-type patternComp struct {
-	pcBase     uint64
-	base       mem.Addr
-	pos        mem.Addr
-	strides    []int64 // in lines
-	idx        int
-	chunkWords int
-	wordIdx    int
-	region     mem.Addr
-	storePct   int
-}
-
-func newPattern(pcBase uint64, base mem.Addr, lineStrides []int64, chunkWords int, region mem.Addr, storePct int) *patternComp {
-	if chunkWords < 1 {
-		chunkWords = 1
-	}
-	return &patternComp{pcBase: pcBase, base: base, strides: lineStrides,
-		chunkWords: chunkWords, region: region, storePct: storePct}
-}
-
-func (p *patternComp) next(r *rng.Stream) Inst {
-	op := OpLoad
-	if p.storePct > 0 && r.Intn(100) < p.storePct {
-		op = OpStore
-	}
-	va := p.base + p.pos + mem.Addr(p.wordIdx*8)
-	pc := p.pcBase + uint64(p.wordIdx)*4
-	p.wordIdx++
-	if p.wordIdx >= p.chunkWords {
-		p.wordIdx = 0
-		p.pos += mem.Addr(p.strides[p.idx] * mem.LineSize)
-		p.idx = (p.idx + 1) % len(p.strides)
-		if p.pos >= p.region {
-			p.pos = 0
-			p.idx = 0
-		}
-	}
-	return Inst{Op: op, PC: pc, VA: va}
-}
-
 // stripesComp models S interleaved streams ("stripes") sharing one region:
 // stripe j touches lines {S*k + j}, one chunk (chunkWords 8-byte accesses)
 // per position, round-robin across stripes. Stripe start positions are

@@ -31,6 +31,8 @@ type GenState struct {
 
 // ComponentState is the cursor of one workload pattern component. It is the
 // union of every component type's fields; each type reads the ones it owns.
+// No component owns Idx; it stays so that the snapshot layout, which
+// engine's testdata/schema.lock pins, does not move.
 type ComponentState struct {
 	Pos       uint64
 	WordIdx   int
@@ -122,23 +124,6 @@ func (c *chunkComp) restoreState(st ComponentState) error {
 	}
 	c.pos = addrFromState(st.Pos)
 	c.wordIdx = st.WordIdx
-	return nil
-}
-
-func (p *patternComp) saveState() ComponentState {
-	return ComponentState{Pos: uint64(p.pos), Idx: p.idx, WordIdx: p.wordIdx}
-}
-
-func (p *patternComp) restoreState(st ComponentState) error {
-	if st.Idx < 0 || st.Idx >= len(p.strides) {
-		return fmt.Errorf("pattern stride index %d out of range 0..%d", st.Idx, len(p.strides)-1)
-	}
-	if st.WordIdx < 0 || st.WordIdx >= p.chunkWords {
-		return fmt.Errorf("pattern word index %d out of range 0..%d", st.WordIdx, p.chunkWords-1)
-	}
-	p.pos = addrFromState(st.Pos)
-	p.idx = st.Idx
-	p.wordIdx = st.WordIdx
 	return nil
 }
 

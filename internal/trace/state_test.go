@@ -48,7 +48,7 @@ func genRoundTrip(t *testing.T, gen, fresh StatefulGenerator, advance int) {
 }
 
 // TestWorkloadCursorRoundTrip covers every workload (every component type:
-// stream, chunk, pattern, stripes, random) plus the thrasher.
+// stream, chunk, stripes, random) plus the thrasher.
 func TestWorkloadCursorRoundTrip(t *testing.T) {
 	names := append(Benchmarks(), "microthrash")
 	for _, name := range names {

@@ -42,7 +42,7 @@ func TestNilPrefetcherFactoryMeansNone(t *testing.T) {
 func TestOccupancyTelemetryAdvances(t *testing.T) {
 	h := New(DefaultConfig(1, mem.Page4K), nil, nil, nil)
 	for now := uint64(0); now < 100; now++ {
-		h.Access(0, 0x400, mem.Addr(0x100000+now*4096), false, now)
+		access(h, 0, 0x400, mem.Addr(0x100000+now*4096), false, now)
 		h.Tick(now)
 	}
 	s := h.Stats()
@@ -91,7 +91,7 @@ func TestConfigLatenciesRespected(t *testing.T) {
 	h := New(DefaultConfig(1, mem.Page4K), nil, nil, nil)
 	// Warm the line into DL1+L2, then evict it from DL1 only by filling
 	// the DL1 set; simplest: access once, drain, invalidate the DL1 copy.
-	fut := h.Access(0, 0x400, 0x10000, false, 0)
+	fut := access(h, 0, 0x400, 0x10000, false, 0)
 	var now uint64
 	for ; !fut.DoneBy(now); now++ {
 		h.Tick(now)
@@ -102,7 +102,7 @@ func TestConfigLatenciesRespected(t *testing.T) {
 	line := h.translators[0].TranslateLine(mem.LineOf(0x10000))
 	h.dl1[0].Invalidate(line)
 	start := now + 10
-	fut2 := h.Access(0, 0x404, 0x10000, false, start)
+	fut2 := access(h, 0, 0x404, 0x10000, false, start)
 	for ; !fut2.Resolved(); now++ {
 		h.Tick(now)
 	}

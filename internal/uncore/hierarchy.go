@@ -248,23 +248,6 @@ func (h *Hierarchy) CanAccept(core int) bool {
 	return h.outstanding[core].len() < h.cfg.MSHRs
 }
 
-// Access performs a demand load or store for core at cycle now. It returns
-// the completion future, or nil when the request cannot be accepted yet
-// (MSHRs full) and the core must retry. It is the allocation-convenient
-// wrapper over Demand (a DL1 hit costs a resolved Future); the core's hot
-// path calls Demand directly.
-func (h *Hierarchy) Access(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) *dram.Future {
-	done, fut, ok := h.Demand(core, pc, va, isWrite, now)
-	switch {
-	case !ok:
-		return nil
-	case fut != nil:
-		return fut
-	default:
-		return dram.ResolvedAt(done)
-	}
-}
-
 // Demand performs a demand load or store for core at cycle now without
 // allocating on the hit path. It returns, in order of precedence:
 //

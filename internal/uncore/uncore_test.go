@@ -19,6 +19,18 @@ func testHier(pf prefetch.L2Prefetcher) *Hierarchy {
 		nil)
 }
 
+// access performs a demand load or store through Demand. It returns nil
+// when the MSHRs refuse the request, and otherwise a future that carries
+// its completion; a DL1 hit's future is already resolved.
+func access(h *Hierarchy, core int, pc uint64, va mem.Addr, isWrite bool, now uint64) *dram.Future {
+	done, fut, ok := h.Demand(core, pc, va, isWrite, now)
+	if ok && fut == nil {
+		fut = dram.Pending()
+		fut.Resolve(done)
+	}
+	return fut
+}
+
 // runUntil ticks the hierarchy until fut resolves, returning the cycle.
 func runUntil(t *testing.T, h *Hierarchy, fut *dram.Future, from, budget uint64) uint64 {
 	t.Helper()
@@ -34,7 +46,7 @@ func runUntil(t *testing.T, h *Hierarchy, fut *dram.Future, from, budget uint64)
 
 func TestDemandMissGoesToDRAMAndFills(t *testing.T) {
 	h := testHier(prefetch.None{})
-	fut := h.Access(0, 0x400, 0x10000, false, 0)
+	fut := access(h, 0, 0x400, 0x10000, false, 0)
 	if fut == nil {
 		t.Fatal("access rejected")
 	}
@@ -46,7 +58,7 @@ func TestDemandMissGoesToDRAMAndFills(t *testing.T) {
 	for now := done; !h.Drained(); now++ {
 		h.Tick(now)
 	}
-	fut2 := h.Access(0, 0x400, 0x10000, false, done+1000)
+	fut2 := access(h, 0, 0x400, 0x10000, false, done+1000)
 	if !fut2.Resolved() || fut2.Cycle() > done+1000+h.cfg.DL1Latency {
 		t.Error("second access did not hit the DL1")
 	}
@@ -57,8 +69,8 @@ func TestDemandMissGoesToDRAMAndFills(t *testing.T) {
 
 func TestMSHRMerging(t *testing.T) {
 	h := testHier(prefetch.None{})
-	f1 := h.Access(0, 0x400, 0x10000, false, 0)
-	f2 := h.Access(0, 0x404, 0x10008, false, 0) // same line
+	f1 := access(h, 0, 0x400, 0x10000, false, 0)
+	f2 := access(h, 0, 0x404, 0x10008, false, 0) // same line
 	if f1 != f2 {
 		t.Error("two misses to one line did not merge onto one future")
 	}
@@ -67,11 +79,11 @@ func TestMSHRMerging(t *testing.T) {
 func TestMSHRCapacity(t *testing.T) {
 	h := testHier(prefetch.None{})
 	for i := 0; i < h.cfg.MSHRs; i++ {
-		if h.Access(0, 0x400, mem.Addr(0x100000+i*4096), false, 0) == nil {
+		if access(h, 0, 0x400, mem.Addr(0x100000+i*4096), false, 0) == nil {
 			t.Fatalf("access %d rejected below MSHR capacity", i)
 		}
 	}
-	if h.Access(0, 0x400, 0x900000, false, 0) != nil {
+	if access(h, 0, 0x400, 0x900000, false, 0) != nil {
 		t.Error("access accepted beyond MSHR capacity")
 	}
 	if h.CanAccept(0) {
@@ -88,13 +100,13 @@ func TestLatePrefetchPromotion(t *testing.T) {
 
 	// Trigger: a demand miss to line A, prefetcher asks for line B.
 	pf.targets = []mem.LineAddr{h.translators[0].TranslateLine(mem.LineOf(0x20000))}
-	futA := h.Access(0, 0x400, 0x10000, false, 0)
+	futA := access(h, 0, 0x400, 0x10000, false, 0)
 	// Let the prefetch enter the fill path.
 	for now := uint64(0); now < 50; now++ {
 		h.Tick(now)
 	}
 	// Demand for the prefetched line while in flight.
-	futB := h.Access(0, 0x404, 0x20000, false, 50)
+	futB := access(h, 0, 0x404, 0x20000, false, 50)
 	runUntil(t, h, futA, 50, 100000)
 	runUntil(t, h, futB, 50, 100000)
 	if h.Stats().PrefLatePromotions != 1 {
@@ -111,11 +123,11 @@ func TestPromotionDisabledAblation(t *testing.T) {
 	pf := &scriptedPF{}
 	h := New(cfg, func(int) prefetch.L2Prefetcher { return pf }, nil, nil)
 	pf.targets = []mem.LineAddr{h.translators[0].TranslateLine(mem.LineOf(0x20000))}
-	h.Access(0, 0x400, 0x10000, false, 0)
+	access(h, 0, 0x400, 0x10000, false, 0)
 	for now := uint64(0); now < 50; now++ {
 		h.Tick(now)
 	}
-	futB := h.Access(0, 0x404, 0x20000, false, 50)
+	futB := access(h, 0, 0x404, 0x20000, false, 50)
 	done := runUntil(t, h, futB, 50, 200000)
 	if h.Stats().PrefLatePromotions != 0 {
 		t.Error("promotion happened despite ablation")
@@ -128,7 +140,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 	h := testHier(pf)
 	target := h.translators[0].TranslateLine(mem.LineOf(0x20000))
 	pf.targets = []mem.LineAddr{target}
-	futA := h.Access(0, 0x400, 0x10000, false, 0)
+	futA := access(h, 0, 0x400, 0x10000, false, 0)
 	runUntil(t, h, futA, 0, 100000)
 	var now uint64 = futA.Cycle()
 	for ; !h.Drained(); now++ {
@@ -139,7 +151,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 		t.Fatal("prefetched line missing from L2 or prefetch bit clear")
 	}
 	// Demand access: must be counted as a prefetched hit and clear the bit.
-	futB := h.Access(0, 0x404, 0x20000, false, now)
+	futB := access(h, 0, 0x404, 0x20000, false, now)
 	runUntil(t, h, futB, now, 100000)
 	if h.Stats().L2PrefetchedHits != 1 {
 		t.Errorf("L2PrefetchedHits = %d, want 1", h.Stats().L2PrefetchedHits)
@@ -152,7 +164,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 func TestPrefetcherSeesEligibleAccessesOnly(t *testing.T) {
 	pf := &scriptedPF{}
 	h := testHier(pf)
-	futA := h.Access(0, 0x400, 0x10000, false, 0)
+	futA := access(h, 0, 0x400, 0x10000, false, 0)
 	runUntil(t, h, futA, 0, 100000)
 	var now uint64 = futA.Cycle()
 	for ; !h.Drained(); now++ {
@@ -163,7 +175,7 @@ func TestPrefetcherSeesEligibleAccessesOnly(t *testing.T) {
 		t.Fatal("prefetcher saw no accesses for a demand miss")
 	}
 	// A DL1 hit must not reach the L2 prefetcher.
-	h.Access(0, 0x404, 0x10000, false, now)
+	access(h, 0, 0x404, 0x10000, false, now)
 	if pf.accesses != missAccesses {
 		t.Error("DL1 hit reached the L2 prefetcher")
 	}
@@ -178,7 +190,7 @@ func TestWritebackPath(t *testing.T) {
 		va := mem.Addr(0x100000 + i*h.dl1[0].Sets()*mem.LineSize)
 		var fut *dram.Future
 		for fut == nil {
-			fut = h.Access(0, 0x500, va, true, now)
+			fut = access(h, 0, 0x500, va, true, now)
 			h.Tick(now)
 			now++
 		}
@@ -214,7 +226,7 @@ func TestStridePrefetcherIssuesIntoHierarchy(t *testing.T) {
 	// enough that its page is usually TLB2-resident.
 	va := mem.Addr(0x400000)
 	for i := 0; i < 80; i++ {
-		fut := h.Access(0, 0x600, va, false, now)
+		fut := access(h, 0, 0x600, va, false, now)
 		h.RetireMemOp(0, 0x600, va)
 		if fut != nil {
 			for !fut.DoneBy(now) {
@@ -236,7 +248,7 @@ func TestStridePrefetchTLB2Gate(t *testing.T) {
 	// Stride of one page: the target page is never TLB2-resident.
 	va := mem.Addr(0x400000)
 	for i := 0; i < 40; i++ {
-		fut := h.Access(0, 0x600, va, false, now)
+		fut := access(h, 0, 0x600, va, false, now)
 		h.RetireMemOp(0, 0x600, va)
 		if fut != nil {
 			for !fut.DoneBy(now) {
@@ -259,7 +271,7 @@ func TestFillQueueCapacityRespected(t *testing.T) {
 	var now uint64
 	va := mem.Addr(0x1000000)
 	for now = 0; now < 5000; now++ {
-		h.Access(0, 0x700, va, false, now)
+		access(h, 0, 0x700, va, false, now)
 		va += 4096
 		if h.l2fq[0].len() > h.cfg.L2FillQueueLen {
 			t.Fatalf("L2 fill queue overflow: %d > %d", h.l2fq[0].len(), h.cfg.L2FillQueueLen)
@@ -280,7 +292,7 @@ func TestSystemDrains(t *testing.T) {
 	var futs []*dram.Future
 	va := mem.Addr(0x2000000)
 	for i := 0; i < 300; i++ {
-		if fut := h.Access(0, 0x800+uint64(i%8)*4, va, i%3 == 0, now); fut != nil {
+		if fut := access(h, 0, 0x800+uint64(i%8)*4, va, i%3 == 0, now); fut != nil {
 			futs = append(futs, fut)
 		}
 		va += 64
