@@ -60,7 +60,6 @@ func main() {
 		ckptFile  = flag.String("checkpoint", "", "warmup snapshot file: restore from it when present, else run the warmup once and save it there")
 		l3        = flag.String("l3", "5P", "L3 replacement policy: 5P|LRU|DRRIP")
 		seed      = flag.Uint64("seed", 1, "simulation seed (also seeds -verify sampling)")
-		list      = flag.Bool("list", false, "list the benchmark stand-in names and exit")
 		listWL    = flag.Bool("list-workloads", false, "list every registered workload generator with its parameter schema, then exit")
 		listPF    = flag.Bool("list-pf", false, "list every registered prefetcher with its parameter schema, then exit")
 		jsonOut   = flag.Bool("json", false, "print the result as JSON instead of text")
@@ -84,12 +83,6 @@ func main() {
 	}
 	defer stopProfiles()
 
-	if *list {
-		for _, b := range trace.Benchmarks() {
-			fmt.Println(b)
-		}
-		return
-	}
 	if *listWL {
 		listRegistry("workload generators (-workload / -workloads):", trace.Generators)
 		return

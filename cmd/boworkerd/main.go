@@ -5,10 +5,12 @@
 // `experiments -all -workers host:port,...` can fan a sweep out over
 // several machines and still render byte-identical tables.
 //
-// Trace-replay jobs name their trace by content SHA-256; point -trace-dir
-// at the director(ies) holding this machine's copies and the daemon
-// resolves hashes against them. A job whose trace this worker lacks is
-// refused with 412, and the coordinator retries it on another worker.
+// Trace-replay jobs name their trace, and checkpointed jobs their warmup
+// snapshot, by content SHA-256; point -trace-dir at the director(ies)
+// holding this machine's copies of either and the daemon resolves hashes
+// against one index of them. A job whose trace this worker lacks is refused
+// with 412, and the coordinator retries it on another worker; a job whose
+// snapshot it lacks replays the warmup itself, byte-identically.
 //
 // SIGTERM triggers a graceful drain: /healthz and /v1/run answer 503 (the
 // coordinator requeues elsewhere), in-flight jobs run to completion, then
@@ -42,24 +44,18 @@ func main() {
 	var (
 		listen    = flag.String("listen", ":9123", "address to serve the worker API on")
 		capacity  = flag.Int("capacity", runtime.GOMAXPROCS(0), "simulations to execute concurrently (advertised to the coordinator)")
-		traceDirs = flag.String("trace-dir", "", "comma-separated directories holding trace files, resolved by content hash")
-		ckptDirs  = flag.String("checkpoint-dir", "", "comma-separated directories holding warmup snapshots, resolved by content hash (trace-dir files are indexed too)")
+		traceDirs = flag.String("trace-dir", "", "comma-separated directories holding trace files and warmup snapshots, resolved by content hash")
 		drain     = flag.Duration("drain", 5*time.Minute, "maximum time to wait for in-flight jobs on SIGTERM before exiting anyway")
 		verbose   = flag.Bool("v", false, "log every job")
 	)
 	flag.Parse()
 
-	splitDirs := func(csv string) []string {
-		var out []string
-		for _, d := range strings.Split(csv, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				out = append(out, d)
-			}
+	var dirs []string
+	for _, d := range strings.Split(*traceDirs, ",") {
+		if d = strings.TrimSpace(d); d != "" {
+			dirs = append(dirs, d)
 		}
-		return out
 	}
-	dirs := splitDirs(*traceDirs)
-	checkpointDirs := splitDirs(*ckptDirs)
 	var logw io.Writer
 	if *verbose {
 		logw = os.Stderr
@@ -68,11 +64,11 @@ func main() {
 	if cap <= 0 {
 		cap = runtime.GOMAXPROCS(0)
 	}
-	worker := &distrib.Server{Capacity: cap, TraceDirs: dirs, CheckpointDirs: checkpointDirs, Log: logw}
-	if len(dirs)+len(checkpointDirs) > 0 {
+	worker := &distrib.Server{Capacity: cap, TraceDirs: dirs, Log: logw}
+	if len(dirs) > 0 {
 		// Hash the corpus before serving so the first trace job doesn't
 		// pay for the scan inside its request.
-		fmt.Fprintf(os.Stderr, "boworkerd: indexed %d traces in %s\n",
+		fmt.Fprintf(os.Stderr, "boworkerd: indexed %d files in %s\n",
 			worker.WarmTraceIndex(), strings.Join(dirs, ","))
 	}
 	srv := &http.Server{Addr: *listen, Handler: worker.Handler()}

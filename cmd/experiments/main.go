@@ -178,7 +178,11 @@ func main() {
 	if *checkpoint && *ckptDir == "" && *cacheDir == "" {
 		// Snapshots have nowhere durable to live: use a private directory
 		// for this invocation and remove it on exit, so repeated sweeps
-		// don't accumulate multi-MB snapshots in the system temp dir. This
+		// don't accumulate multi-MB snapshots in the system temp dir. It is
+		// fresh and 0700 (MkdirTemp) rather than a fixed shared path:
+		// Restore trusts any snapshot whose signature matches, so a
+		// predictable shared directory would let another local user
+		// pre-plant forged machine state. This
 		// sits after all flag validation so usage errors (os.Exit above)
 		// never create the directory; error exits below go through fatalf,
 		// which removes it (os.Exit skips defers).

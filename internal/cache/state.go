@@ -42,8 +42,8 @@ type State struct {
 
 // PolicyState is the union of every in-tree policy's replacement state; the
 // Name field says which policy wrote it and which fields are meaningful.
-// LRU/BIP/5P use the stamp fields, DRRIP uses RRPV/PSel, BIP/DRRIP/5P carry
-// their random stream, and 5P adds the two proportional-counter banks.
+// LRU/5P use the stamp fields, DRRIP uses RRPV/PSel, DRRIP/5P carry their
+// random stream, and 5P adds the two proportional-counter banks.
 //
 // Stamps packs the non-zero stamps only, whether or not their way is valid
 // (minStamp reads invalid ways too), as State.Lines packs the valid lines:
@@ -198,7 +198,7 @@ func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.Evicts, c.PrefHits = 0, 0, 0, 0
 }
 
-// save/restore serialize the stamp machinery shared by LRU, BIP and 5P.
+// save/restore serialize the stamp machinery shared by LRU and 5P.
 func (s *lruState) save(name string) PolicyState {
 	var packed []byte
 	prev := -1
@@ -265,25 +265,6 @@ func (p *LRU) RestoreState(st PolicyState) error {
 		return err
 	}
 	return p.state.restore(st)
-}
-
-// SaveState implements Policy.
-func (p *BIP) SaveState() PolicyState {
-	st := p.state.save("BIP")
-	st.Rand = p.rand.State()
-	return st
-}
-
-// RestoreState implements Policy.
-func (p *BIP) RestoreState(st PolicyState) error {
-	if err := checkPolicyName(st, "BIP"); err != nil {
-		return err
-	}
-	if err := p.state.restore(st); err != nil {
-		return err
-	}
-	p.rand.SetState(st.Rand)
-	return nil
 }
 
 // SaveState implements Policy.

@@ -39,7 +39,6 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	const sets, ways = 16, 4
 	mkPolicy := map[string]func() Policy{
 		"LRU":   func() Policy { return NewLRU(sets, ways) },
-		"BIP":   func() Policy { return NewBIP(sets, ways, 7) },
 		"DRRIP": func() Policy { return NewDRRIP(sets, ways, 7) },
 		"5P":    func() Policy { return NewFiveP(sets, ways, 2, 7) },
 	}
@@ -134,13 +133,11 @@ func TestCacheRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// lruStateOf returns the stamp machinery of an LRU, BIP or 5P policy.
+// lruStateOf returns the stamp machinery of an LRU or 5P policy.
 func lruStateOf(t *testing.T, p Policy) *lruState {
 	t.Helper()
 	switch p := p.(type) {
 	case *LRU:
-		return p.state
-	case *BIP:
 		return p.state
 	case *FiveP:
 		return p.state
@@ -158,7 +155,6 @@ func TestPackedStampsRoundTrip(t *testing.T) {
 	const sets, ways = 16, 4
 	mkPolicy := map[string]func() Policy{
 		"LRU": func() Policy { return NewLRU(sets, ways) },
-		"BIP": func() Policy { return NewBIP(sets, ways, 7) },
 		"5P":  func() Policy { return NewFiveP(sets, ways, 2, 7) },
 	}
 	traffic := func(c *Cache, from, to int) {
@@ -194,7 +190,7 @@ func TestPackedStampsRoundTrip(t *testing.T) {
 			if liveInvalid == 0 {
 				t.Fatal("no invalidated way holds a live stamp: the case is not exercised")
 			}
-			// LRU never inserts at the LRU position, so only BIP and 5P can
+			// LRU never inserts at the LRU position, so only 5P can
 			// hold a valid line with stamp 0.
 			if name != "LRU" && zeroValid == 0 {
 				t.Fatal("no valid way holds stamp 0: the case is not exercised")

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,11 +45,38 @@ func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // startWorker runs one in-process worker daemon for tests.
 func startWorker(t *testing.T, capacity int, traceDirs ...string) (*httptest.Server, *countingHandler) {
 	t.Helper()
-	ch := &countingHandler{h: (&Server{Capacity: capacity, TraceDirs: traceDirs}).Handler()}
+	return serveWorker(t, &Server{Capacity: capacity, TraceDirs: traceDirs})
+}
+
+// serveWorker serves s over loopback until the test ends.
+func serveWorker(t *testing.T, s *Server) (*httptest.Server, *countingHandler) {
+	t.Helper()
+	ch := &countingHandler{h: s.Handler()}
 	srv := httptest.NewServer(ch)
 	t.Cleanup(srv.Close)
 	return srv, ch
 }
+
+// workerLog is a Server.Log that a test reads while handlers may still write.
+type workerLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *workerLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *workerLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// count returns how many times substr was logged.
+func (l *workerLog) count(substr string) int { return strings.Count(l.String(), substr) }
 
 // TestRemoteMatchesLocal is the tentpole guarantee: a sweep fanned out
 // over two workers renders byte-identical tables to a local run, every
@@ -512,10 +540,12 @@ func TestDialRejectsBadFleet(t *testing.T) {
 
 // TestCheckpointedRemoteSweep checks warmup sharing end to end over the
 // wire: the coordinator runs the warmup legs locally, ships each job with
-// its snapshot's content hash, and a worker holding the snapshot forks
-// from it — rendering byte-identical tables to a serial, uncheckpointed
-// sweep. A second fleet *without* the snapshots must also match: a worker
-// that cannot resolve a CheckpointSHA runs the warmup itself.
+// its snapshot's content hash, and a worker that finds the snapshot through
+// its TraceDirs forks from it — rendering byte-identical tables to a
+// serial, uncheckpointed sweep. A second fleet *without* the snapshots must
+// also match: a worker that cannot resolve a CheckpointSHA runs the warmup
+// itself. The bytes match by design either way, so the workers' logs show
+// which of the two each one did.
 func TestCheckpointedRemoteSweep(t *testing.T) {
 	serial := tinyRunner()
 	serial.Instructions = 20_000
@@ -538,17 +568,21 @@ func TestCheckpointedRemoteSweep(t *testing.T) {
 	}
 
 	// Worker with the snapshot directory mounted: resolves CheckpointSHA.
-	withSnaps, c1 := startWorker(t, 2, ckptDir)
+	var snapLog, bareLog workerLog
+	withSnaps, c1 := serveWorker(t, &Server{Capacity: 2, TraceDirs: []string{ckptDir}, Log: &snapLog})
 	if got := runRemote(withSnaps); got != want {
 		t.Errorf("checkpointed remote sweep diverged from serial\nserial:\n%s\nremote:\n%s", want, got)
 	}
 	if c1.runs.Load() == 0 {
 		t.Error("no jobs executed on the snapshot-holding worker")
 	}
+	if snapLog.count("forked from snapshot") == 0 {
+		t.Errorf("the snapshot-holding worker forked no job from a snapshot:\n%s", snapLog.String())
+	}
 
 	// Worker with no access to the snapshots: CheckpointSHA is advisory,
 	// so it replays warmups itself and must still match byte for byte.
-	bare, c2 := startWorker(t, 2)
+	bare, c2 := serveWorker(t, &Server{Capacity: 2, Log: &bareLog})
 	r2 := tinyRunner()
 	r2.Instructions = 20_000
 	r2.Warmup = 15_000
@@ -570,5 +604,11 @@ func TestCheckpointedRemoteSweep(t *testing.T) {
 	}
 	if c2.runs.Load() == 0 {
 		t.Error("no jobs executed on the snapshot-less worker")
+	}
+	if n := bareLog.count("forked from snapshot"); n != 0 {
+		t.Errorf("the snapshot-less worker forked %d jobs from a snapshot it cannot hold", n)
+	}
+	if bareLog.count("replayed the warmup") == 0 {
+		t.Errorf("the snapshot-less worker logged no warmup replay:\n%s", bareLog.String())
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 	"bopsim/internal/trace"
 )
@@ -30,15 +29,10 @@ type Server struct {
 	// Capacity bounds concurrent simulations; <= 0 means
 	// runtime.GOMAXPROCS(0). Advertised via /v1/info.
 	Capacity int
-	// TraceDirs is where trace replays are resolved: jobs name traces by
-	// content SHA-256 and the server indexes these directories to find a
-	// matching file.
+	// TraceDirs are indexed by content SHA-256, recorded traces and warmup
+	// snapshots alike: a job names its trace replays and its snapshot
+	// (CheckpointSHA) by content, and the server looks each up here.
 	TraceDirs []string
-	// CheckpointDirs are additional directories indexed the same way for
-	// warmup snapshots (jobs name them by CheckpointSHA). Snapshots
-	// dropped into TraceDirs are found too — the index is shared — so a
-	// worker with one mounted artifact directory needs no extra flag.
-	CheckpointDirs []string
 	// Log, when non-nil, receives one line per job.
 	Log io.Writer
 
@@ -222,7 +216,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// goes away (killed sweep, retry-after-truncated-response), the
 	// orphaned job aborts instead of burning a capacity slot on a result
 	// nobody will read.
-	res, err := runJob(r.Context(), o, ckptPath)
+	res, forked, err := experiments.RunFromCheckpoint(r.Context(), o, ckptPath)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			s.logf("abandoned %s (coordinator gone)\n", label)
@@ -232,35 +226,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, CodeSimFailed, err.Error())
 		return
 	}
-	s.logf("done %s IPC=%.3f\n", label, res.IPC)
+	switch {
+	case forked:
+		s.logf("done %s IPC=%.3f, forked from snapshot %.12s\n", label, res.IPC, job.CheckpointSHA)
+	case job.CheckpointSHA != "":
+		s.logf("done %s IPC=%.3f, replayed the warmup (snapshot %.12s unusable here)\n", label, res.IPC, job.CheckpointSHA)
+	default:
+		s.logf("done %s IPC=%.3f\n", label, res.IPC)
+	}
 	writeJSON(w, http.StatusOK, experiments.CacheEntry{
 		Version: experiments.SchemaVersion(),
 		Options: job.Options.Normalized(), // coordinator-side spelling: file specs stay in wire (sha) form
 		Result:  res,
 	})
-}
-
-// runJob executes one simulation, honouring ctx cancellation via the
-// steppable engine. With a resolvable warmup checkpoint it forks the
-// measured region from the snapshot; any failure on that path falls back
-// to the full run, which the engine's determinism guarantee makes
-// byte-identical. The machine is closed when the job ends, so a worker slot
-// reuses one machine's memory from job to job.
-func runJob(ctx context.Context, o engine.Options, ckptPath string) (engine.Result, error) {
-	var eng *engine.Simulation
-	if ckptPath != "" {
-		if data, err := os.ReadFile(ckptPath); err == nil {
-			eng, _ = engine.Restore(data, o)
-		}
-	}
-	if eng == nil {
-		var err error
-		if eng, err = engine.New(o); err != nil {
-			return engine.Result{}, err
-		}
-	}
-	defer eng.Close()
-	return eng.Run(ctx)
 }
 
 // traceRescanInterval bounds how often a lookup miss may rebuild the
@@ -315,7 +293,7 @@ func (s *Server) WarmTraceIndex() int {
 func (s *Server) rescanTracesLocked() {
 	s.lastTraceScan = time.Now()
 	s.traceIndex = make(map[string]string)
-	for _, dir := range append(append([]string(nil), s.TraceDirs...), s.CheckpointDirs...) {
+	for _, dir := range s.TraceDirs {
 		files, err := filepath.Glob(filepath.Join(dir, "*"))
 		if err != nil {
 			continue

@@ -65,21 +65,34 @@ func (b localBackend) Run(_ int, o engine.Options) (engine.Result, error) {
 	return engine.Run(context.Background(), o)
 }
 
-// RunFrom implements CheckpointBackend: restore the snapshot and run the
-// measured region. Any problem with the snapshot — unreadable, corrupt,
+// RunFrom implements CheckpointBackend.
+func (localBackend) RunFrom(_ int, o engine.Options, checkpointPath, _ string) (engine.Result, error) {
+	res, _, err := RunFromCheckpoint(context.Background(), o, checkpointPath)
+	return res, err
+}
+
+// RunFromCheckpoint runs o to completion under ctx, forking the measured
+// region from the warmup snapshot at checkpointPath; forked reports whether
+// it did. Any problem with the snapshot — none given, unreadable, corrupt,
 // version-skewed, signed for a different warmup — falls back to the full
-// run, which the engine's determinism guarantee makes byte-identical.
-func (b localBackend) RunFrom(slot int, o engine.Options, checkpointPath, _ string) (engine.Result, error) {
-	data, err := os.ReadFile(checkpointPath)
-	if err != nil {
-		return b.Run(slot, o)
+// run, which the engine's determinism guarantee makes byte-identical. The
+// machine is closed when the run ends, so the next one reuses its memory.
+func RunFromCheckpoint(ctx context.Context, o engine.Options, checkpointPath string) (res engine.Result, forked bool, err error) {
+	var s *engine.Simulation
+	if checkpointPath != "" {
+		if data, err := os.ReadFile(checkpointPath); err == nil {
+			s, _ = engine.Restore(data, o)
+		}
 	}
-	s, err := engine.Restore(data, o)
-	if err != nil {
-		return b.Run(slot, o)
+	forked = s != nil
+	if !forked {
+		if s, err = engine.New(o); err != nil {
+			return engine.Result{}, false, err
+		}
 	}
 	defer s.Close()
-	return s.Run(context.Background())
+	res, err = s.Run(ctx)
+	return res, forked, err
 }
 
 // backend resolves the Runner's execution backend: the configured one, or

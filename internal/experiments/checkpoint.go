@@ -110,34 +110,6 @@ func runWarmupLeg(ctx context.Context, o engine.Options) (*engine.Simulation, []
 // EvictCache bounds it together with the result entries.
 const checkpointSubdir = "checkpoints"
 
-// checkpointDir resolves where warmup snapshots live: the configured
-// directory, a "checkpoints" subdirectory of the result cache, or — as a
-// last resort — a private temporary directory for this Runner. The
-// fallback is deliberately fresh and 0700 rather than a fixed world-shared
-// path: Restore trusts any snapshot whose signature matches, so a
-// predictable shared directory would let another local user pre-plant
-// forged machine state. Sharing snapshots across invocations needs
-// CacheDir or CheckpointDir — long-lived callers should set one of them,
-// since the fallback directory lives until something removes it
-// (cmd/experiments creates and removes its own instead).
-func (r *Runner) checkpointDir() string {
-	if r.CheckpointDir != "" {
-		return r.CheckpointDir
-	}
-	if r.CacheDir != "" {
-		return filepath.Join(r.CacheDir, checkpointSubdir)
-	}
-	r.ckptTmpOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "bopsim-checkpoints-")
-		if err != nil {
-			r.logf("  checkpoint dir: %v; warmup sharing disabled\n", err)
-			return
-		}
-		r.ckptTmp = dir
-	})
-	return r.ckptTmp
-}
-
 // ckptResolver lazily creates one checkpoint per warmup-equivalence group,
 // on first demand from a dispatch slot. Laziness is the point: the first
 // job of a group to arrive pays its group's warmup leg (or finds it
@@ -158,13 +130,18 @@ type ckptResolver struct {
 }
 
 // checkpointResolver returns the Runner's lazy resolver, or nil when
-// checkpointing is off or no snapshot directory could be resolved.
+// checkpointing is off or there is no directory to keep snapshots in:
+// CheckpointDir, else a "checkpoints" subdirectory of the result cache.
 func (r *Runner) checkpointResolver() *ckptResolver {
 	if !r.Checkpoint {
 		return nil
 	}
-	dir := r.checkpointDir()
+	dir := r.CheckpointDir
+	if dir == "" && r.CacheDir != "" {
+		dir = filepath.Join(r.CacheDir, checkpointSubdir)
+	}
 	if dir == "" {
+		r.logf("  warmup sharing off: no CheckpointDir or CacheDir to keep snapshots in\n")
 		return nil
 	}
 	return &ckptResolver{

@@ -31,8 +31,9 @@ func renderTable(t *testing.T, tb *stats.Table) []byte {
 // gate: a sweep executed with warmup sharing (grouped warmup legs +
 // checkpoint forking) must render byte-identical tables to the same sweep
 // executed straight, however many slots race over the groups. The last row
-// sets neither CheckpointDir nor CacheDir, so snapshots go to checkpointDir's
-// last resort: a fresh 0700 directory only this Runner knows.
+// sets neither CheckpointDir nor CacheDir: with nowhere to keep snapshots
+// the Runner says sharing is off and runs straight, writing nothing to the
+// system temp directory.
 func TestCheckpointedSweepMatchesSerial(t *testing.T) {
 	serial := tinyRunner()
 	serial.Instructions = 20_000
@@ -41,43 +42,42 @@ func TestCheckpointedSweepMatchesSerial(t *testing.T) {
 
 	for _, tc := range []struct {
 		workers int
-		private bool
+		noDir   bool
 	}{{1, false}, {2, false}, {4, false}, {1, true}} {
 		ckpt := tinyRunner()
 		ckpt.Instructions = 20_000
 		ckpt.Warmup = 15_000
 		ckpt.Workers = tc.workers
 		ckpt.Checkpoint = true
-		if !tc.private {
-			ckpt.CheckpointDir = t.TempDir()
+		var log bytes.Buffer
+		ckpt.Log = &log
+		tmp := t.TempDir()
+		if tc.noDir {
+			t.Setenv("TMPDIR", tmp)
+		} else {
+			ckpt.CheckpointDir = tmp
 		}
 		got := renderTable(t, ckpt.Fig6())
-		dir := ckpt.checkpointDir()
-		if tc.private {
-			if dir == "" {
-				t.Fatal("no private checkpoint directory was created")
-			}
-			t.Cleanup(func() { os.RemoveAll(dir) })
-			info, err := os.Stat(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if perm := info.Mode().Perm(); perm != 0o700 {
-				t.Errorf("private checkpoint directory has mode %v, want 0700", perm)
-			}
-		}
-
 		if !bytes.Equal(got, want) {
-			t.Errorf("-j %d, private dir %v: checkpointed sweep rendered different bytes\nserial:\n%s\ncheckpointed:\n%s", tc.workers, tc.private, want, got)
+			t.Errorf("-j %d, no dir %v: checkpointed sweep rendered different bytes\nserial:\n%s\ncheckpointed:\n%s", tc.workers, tc.noDir, want, got)
 		}
-		// The sharing actually happened: one snapshot per (benchmark,
-		// config) group on disk.
-		entries, err := os.ReadDir(dir)
+		entries, err := os.ReadDir(tmp)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.noDir {
+			if len(entries) != 0 {
+				t.Errorf("a Runner with no snapshot directory left %d entries in TMPDIR", len(entries))
+			}
+			if !strings.Contains(log.String(), "warmup sharing off") {
+				t.Errorf("a Runner with no snapshot directory did not log that sharing is off:\n%s", log.String())
+			}
+			continue
+		}
+		// The sharing actually happened: one snapshot per (benchmark,
+		// config) group on disk.
 		if len(entries) != 2 {
-			t.Errorf("-j %d, private dir %v: %d snapshots on disk, want 2 (one per benchmark)", tc.workers, tc.private, len(entries))
+			t.Errorf("-j %d: %d snapshots on disk, want 2 (one per benchmark)", tc.workers, len(entries))
 		}
 	}
 }

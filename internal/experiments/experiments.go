@@ -105,8 +105,8 @@ type Runner struct {
 	Checkpoint bool
 	// CheckpointDir is where warmup snapshots are cached (content-
 	// addressed, one .ckpt per warmup group). Empty means a directory
-	// named "checkpoints" under CacheDir, or a temporary one when CacheDir
-	// is empty too.
+	// named "checkpoints" under CacheDir when that is set; otherwise
+	// sharing is off.
 	CheckpointDir string
 	// Progress, when non-nil, is called after each scheduled job finishes
 	// with (completed, total) for the current job set. It is called from
@@ -117,11 +117,6 @@ type Runner struct {
 	cache    map[string]engine.Result
 	logMu    sync.Mutex
 	executed atomic.Int64
-
-	// ckptTmp is the lazily created private fallback snapshot directory
-	// (see checkpointDir).
-	ckptTmpOnce sync.Once
-	ckptTmp     string
 
 	statusMu sync.Mutex
 	status   ProgressStatus
