@@ -63,6 +63,8 @@ func OptionsHash(o engine.Options) string {
 // CacheEntry is the on-disk record format: one JSON file per completed
 // simulation, named <OptionsHash>.json, self-describing via the stored
 // options so a human (or a migration tool) can see what produced it. It
+// is written compact (json.Marshal); readers decode either that or the
+// indented form older builds wrote, since both are the same JSON value. It
 // doubles as the wire format a distrib worker returns a finished job in —
 // the coordinator writes received entries straight into this cache.
 type CacheEntry struct {
@@ -105,7 +107,7 @@ func (c diskCache) store(key string, o engine.Options, res engine.Result) error 
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(CacheEntry{resultCacheVersion, o.Normalized(), res}, "", " ")
+	b, err := json.Marshal(CacheEntry{resultCacheVersion, o.Normalized(), res})
 	if err != nil {
 		return err
 	}

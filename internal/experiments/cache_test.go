@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -88,6 +89,67 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	}
 	if _, err := os.Stat(unreachable); removed != 1 || !os.IsNotExist(err) {
 		t.Errorf("evicted %d entries, old-version entry gone=%v; want exactly that one", removed, os.IsNotExist(err))
+	}
+}
+
+// TestCacheEntryFormats checks both on-disk forms of an entry: what this
+// package writes is compact JSON that VerifyCache still reads in full
+// (options included), and an entry in the indented form earlier builds
+// wrote is served as it stands, executing nothing.
+func TestCacheEntryFormats(t *testing.T) {
+	dir := t.TempDir()
+	r1 := tinyRunner()
+	r1.CacheDir = dir
+	want := r1.Fig2().String()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 2 {
+		t.Fatalf("%d cache files, want 2", len(files))
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, b); err != nil {
+			t.Fatal(err)
+		}
+		if compact.Len() != len(b) {
+			t.Errorf("%s: %d bytes, %d compact: entry written indented", filepath.Base(f), len(b), compact.Len())
+		}
+	}
+	rep, err := VerifyCache(dir, 0, 1, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Entries != 2 || rep.Checked != 2 || rep.Skipped != 0 || rep.Orphaned != 0 || rep.Mismatched != 0 {
+		t.Errorf("verify compact entries: %+v, want 2 entries checked clean", rep)
+	}
+
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e CacheEntry
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		indented, err := json.MarshalIndent(e, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, indented, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r2 := tinyRunner()
+	r2.CacheDir = dir
+	if got := r2.Fig2().String(); got != want {
+		t.Errorf("table served from indented entries differs:\n%s\n---\n%s", got, want)
+	}
+	if got := r2.Executed(); got != 0 {
+		t.Errorf("executed %d simulations with indented entries on disk, want 0", got)
 	}
 }
 

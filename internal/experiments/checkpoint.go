@@ -115,7 +115,7 @@ const checkpointSubdir = "checkpoints"
 // job of a group to arrive pays its group's warmup leg (or finds it
 // cached), jobs of the same group wait on that leg only, and jobs of other
 // groups keep the remaining slots busy — there is no global barrier
-// stalling the whole sweep behind the slowest leg. RunJobs dispatches every
+// stalling the whole sweep behind the slowest leg. execute dispatches every
 // group's first job before any other (leadersFirst), so the slots run
 // different legs at once. Warmup legs always execute locally (they are the
 // artifacts remote workers fork from), bounded to the local CPU count so a

@@ -466,7 +466,7 @@ func TestLeaderWithUnbuildableSpec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.run(o); !reflect.DeepEqual(got, want) {
+		if got := cachedResult(t, r, o); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: result differs from the straight run", describeOptions(o))
 		}
 	}
@@ -503,7 +503,7 @@ func TestLegIgnoresArrivalOrder(t *testing.T) {
 			got := outcome{results: make([]engine.Result, len(jobs))}
 			for _, i := range order {
 				j := jobs[i]
-				got.results[i], _ = r.runWith(j.o, func(engine.Options) (engine.Result, error) {
+				got.results[i], _ = r.runWith(j.cacheKey, j.o, func(engine.Options) (engine.Result, error) {
 					return r.execOnBackend(backend, 0, j, ckpts)
 				})
 			}

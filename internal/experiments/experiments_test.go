@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/trace"
 )
@@ -14,6 +16,19 @@ func tinyRunner() *Runner {
 	r := NewRunner(40_000, []CoreConfig{{Cores: 1, Page: mem.Page4K}})
 	r.Benchmarks = []trace.Spec{{Name: "416.gamess"}, {Name: "456.hmmer"}}
 	return r
+}
+
+// cachedResult returns o's result from r's caches, failing the test if
+// answering it would take a simulation.
+func cachedResult(t *testing.T, r *Runner, o engine.Options) engine.Result {
+	t.Helper()
+	res, err := r.runWith(OptionsHash(o), o, func(engine.Options) (engine.Result, error) {
+		return engine.Result{}, errors.New("not cached")
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", describeOptions(o), err)
+	}
+	return res
 }
 
 func TestAllConfigsShape(t *testing.T) {
@@ -153,7 +168,7 @@ func TestFig13FiltersQuietBenchmarks(t *testing.T) {
 			continue
 		}
 		o := r.options(wl, CoreConfig{Cores: 1, Page: mem.Page4K})
-		res := r.run(o)
+		res := cachedResult(t, r, o)
 		if res.DRAMAccessesPerKI >= 2 {
 			t.Errorf("benchmark %s excluded despite %.2f accesses/KI", wl, res.DRAMAccessesPerKI)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -44,19 +45,41 @@ const maxErrors = 16
 var enumerationResult = engine.Result{IPC: 1, DRAMAccessesPerKI: 1}
 
 // materialize invokes build twice: first with a recording stub to
-// enumerate every simulation the figure needs, then — after RunJobs has
-// executed the deduplicated job set on the backend — against the warm
-// cache to assemble the real table.
+// enumerate every simulation the figure needs, then — after the
+// deduplicated job set has run on the backend — against the warm cache to
+// assemble the real table. The assembly pass replays the enumeration: its
+// i-th run call must ask for options DeepEqual to the i-th recorded ones,
+// and is answered from the key pendingJobs computed for them, so each cell
+// is keyed once. A pass that diverges, or stops short, is a builder bug
+// and aborts the figure with a buildError naming the first such cell.
 func (r *Runner) materialize(build func(run runFunc) *stats.Table) *stats.Table {
-	var jobs []engine.Options
+	var opts []engine.Options
 	build(func(o engine.Options) engine.Result {
-		jobs = append(jobs, o)
+		opts = append(opts, o)
 		return enumerationResult
 	})
-	if err := r.RunJobs(jobs); err != nil {
+	keys, jobs := r.pendingJobs(opts)
+	if err := r.execute(jobs); err != nil {
 		panic(buildError{fmt.Errorf("experiments: %w", err)})
 	}
-	return build(r.run)
+	results := make([]engine.Result, len(keys))
+	r.mu.Lock()
+	for i, k := range keys {
+		results[i] = r.cache[k]
+	}
+	r.mu.Unlock()
+	next := 0
+	tb := build(func(o engine.Options) engine.Result {
+		if next == len(opts) || !reflect.DeepEqual(o, opts[next]) {
+			panic(buildError{fmt.Errorf("experiments: assembly pass diverged from its enumeration at cell %d: asked for %s", next, describeOptions(o))})
+		}
+		next++
+		return results[next-1]
+	})
+	if next < len(opts) {
+		panic(buildError{fmt.Errorf("experiments: assembly pass stopped at cell %d of %d, never asking for %s", next, len(opts), describeOptions(opts[next]))})
+	}
+	return tb
 }
 
 // buildError is the panic value a figure builder aborts with when one of
@@ -75,7 +98,13 @@ type buildError struct{ error }
 // pass. Dispatch stops early only once maxErrors failures have
 // accumulated; in-flight jobs always complete.
 func (r *Runner) RunJobs(opts []engine.Options) error {
-	jobs := r.pendingJobs(opts)
+	_, jobs := r.pendingJobs(opts)
+	return r.execute(jobs)
+}
+
+// execute runs jobs, which pendingJobs returned, on the execution backend;
+// see RunJobs.
+func (r *Runner) execute(jobs []job) error {
 	if len(jobs) == 0 {
 		return nil
 	}
@@ -119,7 +148,7 @@ func (r *Runner) RunJobs(opts []engine.Options) error {
 			for j := range work {
 				o := j.o
 				r.setAssignment(slot, describeOptions(o))
-				_, err := r.runWith(o, func(engine.Options) (engine.Result, error) {
+				_, err := r.runWith(j.cacheKey, o, func(engine.Options) (engine.Result, error) {
 					return r.execOnBackend(backend, slot, j, ckpts)
 				})
 				r.setAssignment(slot, "")
@@ -173,19 +202,22 @@ func (r *Runner) execOnBackend(backend ExecBackend, slot int, j job, ckpts *ckpt
 	return backend.Run(slot, j.o)
 }
 
-// pendingJobs deduplicates opts by cache key and drops entries either
-// cache already satisfies, preserving first-appearance order. Probing the
-// disk cache here (not just per-job in runWith) matters for warmup
-// sharing: a fully disk-cached rerun must schedule nothing, so
+// pendingJobs keys every entry of opts (keys[i] is OptionsHash(opts[i]))
+// and returns the jobs still to run: the entries deduplicated by key, in
+// first-appearance order, less those either cache already satisfies.
+// Probing the disk cache here (not just per-job in runWith) matters for
+// warmup sharing: a fully disk-cached rerun must schedule nothing, so
 // prepareCheckpoints never pays a warmup leg for a group with no real work
 // left. Disk hits are promoted into the in-memory cache, exactly as
 // runWith would have done.
-func (r *Runner) pendingJobs(opts []engine.Options) []job {
+func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) {
+	keys = make([]string, len(opts))
 	seen := make(map[string]bool, len(opts))
 	var maybe []job
 	r.mu.Lock()
-	for _, o := range opts {
+	for i, o := range opts {
 		k := OptionsHash(o)
+		keys[i] = k
 		if seen[k] {
 			continue
 		}
@@ -197,49 +229,50 @@ func (r *Runner) pendingJobs(opts []engine.Options) []job {
 	}
 	r.mu.Unlock()
 	if r.CacheDir == "" || len(maybe) == 0 {
-		return maybe
+		return keys, maybe
 	}
-	// Probe the disk cache concurrently — a mostly-cached rerun of a large
-	// sweep would otherwise spend its startup in one goroutine's serial
-	// read+decode loop — then apply the hits in input order so log lines
-	// and the resulting job list stay deterministic.
-	hits := make([]*engine.Result, len(maybe))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	// Probe the disk cache on a fixed pool of loaders that take entries by
+	// index — a mostly-cached rerun of a large sweep would otherwise spend
+	// its startup in one goroutine's serial read+decode loop — then apply
+	// the hits in input order so log lines and the resulting job list stay
+	// deterministic.
+	results := make([]engine.Result, len(maybe))
+	hit := make([]bool, len(maybe))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, p := range maybe {
-		i, key := i, p.cacheKey
+	for range min(runtime.GOMAXPROCS(0), len(maybe)) {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			if res, ok := (diskCache{r.CacheDir}).load(key); ok {
-				hits[i] = &res
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(maybe) {
+					return
+				}
+				results[i], hit[i] = (diskCache{r.CacheDir}).load(maybe[i].cacheKey)
 			}
 		}()
 	}
 	wg.Wait()
-	var jobs []job
 	for i, p := range maybe {
-		if res := hits[i]; res != nil {
-			r.mu.Lock()
-			r.cache[p.cacheKey] = *res
-			r.mu.Unlock()
-			r.logResult("load", p.o, res.IPC)
+		if !hit[i] {
+			jobs = append(jobs, p)
 			continue
 		}
-		jobs = append(jobs, p)
+		r.mu.Lock()
+		r.cache[p.cacheKey] = results[i]
+		r.mu.Unlock()
+		r.logResult("load", p.o, results[i].IPC)
 	}
-	return jobs
+	return keys, jobs
 }
 
-// runWith executes one simulation via exec unless a cache satisfies it:
-// in-memory first, then the on-disk cache (when CacheDir is set). Fresh
-// results are written through to both, so a result computed by a remote
-// worker lands in the shared disk cache in the same entry format a local
-// run produces. Safe for concurrent use.
-func (r *Runner) runWith(o engine.Options, exec func(engine.Options) (engine.Result, error)) (engine.Result, error) {
-	key := OptionsHash(o)
+// runWith executes one simulation, whose OptionsHash is key, via exec
+// unless a cache satisfies it: in-memory first, then the on-disk cache
+// (when CacheDir is set). Fresh results are written through to both, so a
+// result computed by a remote worker lands in the shared disk cache in the
+// same entry format a local run produces. Safe for concurrent use.
+func (r *Runner) runWith(key string, o engine.Options, exec func(engine.Options) (engine.Result, error)) (engine.Result, error) {
 	r.mu.Lock()
 	res, ok := r.cache[key]
 	r.mu.Unlock()
@@ -270,20 +303,6 @@ func (r *Runner) runWith(o engine.Options, exec func(engine.Options) (engine.Res
 		}
 	}
 	return res, nil
-}
-
-// run executes one simulation in-process unless a cache satisfies it. The
-// figures' assembly pass uses it after RunJobs has warmed the cache, so it
-// normally never executes anything; a failure aborts the builder like a
-// failed job set does.
-func (r *Runner) run(o engine.Options) engine.Result {
-	res, err := r.runWith(o, func(o engine.Options) (engine.Result, error) {
-		return engine.Run(context.Background(), o)
-	})
-	if err != nil {
-		panic(buildError{fmt.Errorf("experiments: %w", err)})
-	}
-	return res
 }
 
 // Executed returns how many simulations this Runner actually executed —

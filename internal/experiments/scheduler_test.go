@@ -1,15 +1,19 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
 
@@ -162,25 +166,147 @@ func TestDiskCachePersists(t *testing.T) {
 	}
 }
 
-// TestDiskCacheIgnoresCorruptEntries checks a truncated cache file is
-// re-executed rather than trusted.
+// TestDiskCacheIgnoresCorruptEntries checks that an entry the disk cache
+// cannot serve — truncated, stamped with another schema version, empty, or
+// a directory where the file should be — is a miss that the loader pool
+// reports once: the run executes exactly once and the table is unchanged.
 func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
-	dir := t.TempDir()
-	r1 := tinyRunner()
-	r1.CacheDir = dir
-	r1.Fig2()
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(files) == 0 {
-		t.Fatal("no cache files written")
+	for _, tc := range []struct {
+		name    string
+		corrupt func(path string) error
+	}{
+		{"truncated", func(path string) error { return os.WriteFile(path, []byte("{not json"), 0o644) }},
+		{"wrong version", func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			var e CacheEntry
+			if err := json.Unmarshal(b, &e); err != nil {
+				return err
+			}
+			e.Version++
+			if b, err = json.Marshal(e); err != nil {
+				return err
+			}
+			return os.WriteFile(path, b, 0o644)
+		}},
+		{"empty", func(path string) error { return os.WriteFile(path, nil, 0o644) }},
+		{"directory", func(path string) error {
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			return os.Mkdir(path, 0o755)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r1 := tinyRunner()
+			r1.CacheDir = dir
+			want := r1.Fig2().String()
+			files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+			if len(files) == 0 {
+				t.Fatal("no cache files written")
+			}
+			if err := tc.corrupt(files[0]); err != nil {
+				t.Fatal(err)
+			}
+			r2 := tinyRunner()
+			r2.CacheDir = dir
+			if got := r2.Fig2().String(); got != want {
+				t.Errorf("table differs after corrupting one entry:\n%s\n---\n%s", got, want)
+			}
+			if got := r2.Executed(); got != 1 {
+				t.Errorf("executed %d simulations after corrupting one entry, want 1", got)
+			}
+		})
 	}
-	if err := os.WriteFile(files[0], []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// placeholderBackend executes nothing: each job it receives gets a
+// distinct positive result, numbered in arrival order, so a figure's whole
+// job set completes at once.
+type placeholderBackend struct{ n atomic.Int64 }
+
+func (b *placeholderBackend) Slots() int           { return 2 }
+func (b *placeholderBackend) SlotLabel(int) string { return "placeholder" }
+
+func (b *placeholderBackend) Run(int, engine.Options) (engine.Result, error) {
+	n := b.n.Add(1)
+	return engine.Result{IPC: float64(n), DRAMAccessesPerKI: float64(n % 4)}, nil
+}
+
+// materializeErr is materialize with its buildError returned, as
+// TargetTables returns it.
+func materializeErr(r *Runner, build func(runFunc) *stats.Table) (tb *stats.Table, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			be, ok := p.(buildError)
+			if !ok {
+				panic(p)
+			}
+			err = be.error
+		}
+	}()
+	return r.materialize(build), nil
+}
+
+// TestAssemblyReplaysEnumeration checks what lets materialize answer the
+// assembly pass from the keys its enumeration computed: every target's
+// builder asks for the same options in the same order on both passes (the
+// guard in materialize fails the figure otherwise), and a builder whose
+// passes disagree is stopped at its first divergent cell instead of being
+// handed a neighbour's result.
+func TestAssemblyReplaysEnumeration(t *testing.T) {
+	for _, tg := range Targets() {
+		if tg.tables == nil {
+			continue
+		}
+		r := tinyRunner()
+		backend := &placeholderBackend{}
+		r.Backend = backend
+		if _, err := TargetTables(r, tg.Name, true); err != nil {
+			t.Errorf("%s: %v", tg.Name, err)
+		}
+		if backend.n.Load() == 0 {
+			t.Errorf("%s scheduled no job", tg.Name)
+		}
 	}
-	r2 := tinyRunner()
-	r2.CacheDir = dir
-	r2.Fig2()
-	if got := r2.Executed(); got != 1 {
-		t.Errorf("executed %d simulations after corrupting one entry, want 1", got)
+
+	r := tinyRunner()
+	r.Backend = &placeholderBackend{}
+	cc := r.Configs[0]
+	a, b, c := r.options(r.Benchmarks[0], cc), r.options(r.Benchmarks[1], cc), r.options(r.Benchmarks[0], cc)
+	c.L2PF = prefetch.Spec{Name: "bo"}
+	reseeded := c
+	reseeded.Seed++
+	enumerated := []engine.Options{a, b, c}
+	for _, tc := range []struct {
+		name   string
+		second []engine.Options
+		want   string
+	}{
+		{"reordered", []engine.Options{a, c, b}, "cell 1: asked for " + describeOptions(c)},
+		{"changed", []engine.Options{a, b, reseeded}, "cell 2: asked for " + describeOptions(reseeded)},
+		{"longer", []engine.Options{a, b, c, a}, "cell 3: asked for " + describeOptions(a)},
+		{"shorter", []engine.Options{a, b}, "stopped at cell 2 of 3, never asking for " + describeOptions(c)},
+	} {
+		pass := 0
+		_, err := materializeErr(r, func(run runFunc) *stats.Table {
+			cells := enumerated
+			if pass > 0 {
+				cells = tc.second
+			}
+			pass++
+			tb := stats.NewTable(tc.name, "IPC")
+			for i, o := range cells {
+				tb.AddRow(strconv.Itoa(i), run(o).IPC)
+			}
+			return tb
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s second pass: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// This file is the Runner's observability surface: RunJobs maintains a
+// This file is the Runner's observability surface: execute maintains a
 // ProgressStatus snapshot of the current (or last) job set — per-slot
 // assignments included — and StatusHandler serves it as JSON, so a long
 // `experiments -all -status :port` sweep can be watched from outside the
@@ -59,7 +59,7 @@ func (r *Runner) Status() ProgressStatus {
 	return s
 }
 
-// beginJobSet resets the status snapshot for a new RunJobs invocation.
+// beginJobSet resets the status snapshot for a new job set.
 func (r *Runner) beginJobSet(backend ExecBackend, slots, total int) {
 	labels := make([]SlotStatus, slots)
 	for i := range labels {
@@ -71,7 +71,7 @@ func (r *Runner) beginJobSet(backend ExecBackend, slots, total int) {
 	r.status = ProgressStatus{Active: true, Total: total, Slots: labels}
 }
 
-// endJobSet freezes the snapshot when RunJobs returns: elapsed time stops
+// endJobSet freezes the snapshot when execute returns: elapsed time stops
 // advancing and every slot reads idle.
 func (r *Runner) endJobSet() {
 	r.statusMu.Lock()
