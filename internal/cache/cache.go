@@ -48,16 +48,12 @@ type Policy interface {
 // Cache is a set-associative cache. It is not safe for concurrent use; the
 // simulator is single-threaded by design (one global clock).
 type Cache struct {
-	name     string
-	sets     int
-	ways     int
-	setMask  uint64
-	lines    []Line // sets*ways, row-major
-	policy   Policy
-	Hits     uint64
-	Misses   uint64
-	Evicts   uint64
-	PrefHits uint64 // hits on lines whose prefetch bit was still set
+	name    string
+	sets    int
+	ways    int
+	setMask uint64
+	lines   []Line // sets*ways, row-major
+	policy  Policy
 }
 
 // New creates a cache of sizeBytes with the given associativity and policy.
@@ -103,27 +99,21 @@ func (c *Cache) SetOf(l mem.LineAddr) int { return int(uint64(l) & c.setMask) }
 func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 
 // Lookup probes the cache. On a hit it applies the policy's hit update and
-// returns a pointer to the line metadata; on a miss it returns nil. The
-// returned pointer is only valid until the next Insert on the same set.
+// returns a pointer to the line metadata; on a miss it returns nil and changes
+// nothing. The returned pointer is only valid until the next Insert on the same set.
 func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
 	for w := 0; w < c.ways; w++ {
 		ln := c.line(set, w)
 		if ln.Valid && ln.Addr == l {
-			c.Hits++
-			if ln.Prefetch {
-				c.PrefHits++
-			}
 			c.policy.OnHit(set, w)
 			return ln
 		}
 	}
-	c.Misses++
 	return nil
 }
 
-// Peek probes the cache without updating hit/miss statistics or replacement
-// state. Used for the mandatory tag check before filling a prefetched block
+// Peek probes the cache without updating replacement state. Used for the mandatory tag check before filling a prefetched block
 // (paper section 5.4) and by tests.
 func (c *Cache) Peek(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
@@ -157,7 +147,6 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 			panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d", c.name, c.policy.Name(), way))
 		}
 		evicted = *c.line(set, way)
-		c.Evicts++
 	}
 	*c.line(set, way) = Line{
 		Addr:     l,
@@ -183,11 +172,10 @@ func (c *Cache) Invalidate(l mem.LineAddr) (old Line, ok bool) {
 	return Line{}, false
 }
 
-// Reset clears all lines and statistics (policy state is left as-is; use a
-// fresh cache for independent runs).
+// Reset clears all lines (policy state is left as-is; use a fresh cache for
+// independent runs).
 func (c *Cache) Reset() {
 	for i := range c.lines {
 		c.lines[i] = Line{}
 	}
-	c.Hits, c.Misses, c.Evicts, c.PrefHits = 0, 0, 0, 0
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -16,21 +17,27 @@ func newSmallLRU(t *testing.T, sizeBytes, ways int) *Cache {
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
 	c.Insert(100, InsertInfo{})
-	if c.Lookup(100) == nil {
-		t.Fatal("line 100 missing after insert")
-	}
-	if c.Hits != 1 || c.Misses != 0 {
-		t.Errorf("hits=%d misses=%d, want 1/0", c.Hits, c.Misses)
+	if ln := c.Lookup(100); ln == nil || ln.Addr != 100 {
+		t.Fatalf("Lookup(100) after insert = %+v", ln)
 	}
 }
 
-func TestCacheMissRecorded(t *testing.T) {
+// TestCacheMissChangesNothing: a lookup that misses touches neither the lines
+// nor the replacement state, so a probe the hierarchy makes and discards
+// cannot perturb the run.
+func TestCacheMissChangesNothing(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
-	if c.Lookup(5) != nil {
-		t.Fatal("hit in empty cache")
+	for l := mem.LineAddr(0); l < 20; l++ {
+		c.Insert(l*3, InsertInfo{IsPrefetch: l%2 == 0})
 	}
-	if c.Misses != 1 {
-		t.Errorf("misses=%d, want 1", c.Misses)
+	before := c.SaveState()
+	for l := mem.LineAddr(1); l < 60; l += 3 {
+		if c.Lookup(l) != nil {
+			t.Fatalf("Lookup(%d) hit a line never inserted", l)
+		}
+	}
+	if !reflect.DeepEqual(c.SaveState(), before) {
+		t.Error("missing lookups changed the cache's lines or replacement state")
 	}
 }
 
@@ -61,16 +68,10 @@ func TestPrefetchBitLifecycle(t *testing.T) {
 	if ln == nil || !ln.Prefetch {
 		t.Fatal("prefetch bit not set on prefetched insert")
 	}
-	if c.PrefHits != 1 {
-		t.Errorf("PrefHits=%d, want 1", c.PrefHits)
-	}
 	// The L2 access path clears the bit on demand use.
 	ln.Prefetch = false
 	if ln2 := c.Lookup(7); ln2.Prefetch {
 		t.Error("prefetch bit set after demand clear")
-	}
-	if c.PrefHits != 1 {
-		t.Errorf("PrefHits=%d after clear, want still 1", c.PrefHits)
 	}
 }
 
@@ -167,7 +168,7 @@ func TestResetClearsEverything(t *testing.T) {
 	if c.Peek(1) != nil {
 		t.Error("line survived Reset")
 	}
-	if c.Hits != 0 || c.Misses != 0 {
-		t.Error("stats survived Reset")
+	if st := c.SaveState(); len(st.Lines) != 0 {
+		t.Errorf("Reset left packed lines %x", st.Lines)
 	}
 }

@@ -13,8 +13,9 @@ import (
 // encode yields identical bytes, which is what lets snapshots be
 // content-addressed by SHA-256.
 
-// State is the full serialized state of one Cache: the line metadata, the
-// hit/miss counters and the replacement policy's state.
+// State is the full serialized state of one Cache: the line metadata and the
+// replacement policy's state. A cache keeps no counters; the hierarchy counts
+// what a Result reports (uncore.Stats).
 //
 // Lines packs the valid lines only, in increasing index order (index =
 // set*ways + way), one record per line:
@@ -33,10 +34,6 @@ import (
 type State struct {
 	NumLines int // sets*ways of the cache that wrote the state
 	Lines    []byte
-	Hits     uint64
-	Misses   uint64
-	Evicts   uint64
-	PrefHits uint64
 	Policy   PolicyState
 }
 
@@ -67,7 +64,7 @@ const (
 	lineFlagMask     = lineFlagDirty | lineFlagPrefetch
 )
 
-// SaveState serializes the cache's lines, counters and policy state.
+// SaveState serializes the cache's lines and policy state.
 func (c *Cache) SaveState() State {
 	var packed []byte
 	prev := -1
@@ -92,10 +89,6 @@ func (c *Cache) SaveState() State {
 	return State{
 		NumLines: len(c.lines),
 		Lines:    packed,
-		Hits:     c.Hits,
-		Misses:   c.Misses,
-		Evicts:   c.Evicts,
-		PrefHits: c.PrefHits,
 		Policy:   c.policy.SaveState(),
 	}
 }
@@ -118,7 +111,6 @@ func (c *Cache) RestoreState(s State, numCores int) error {
 	if err := c.unpackLines(s.Lines, numCores); err != nil {
 		return fmt.Errorf("cache %s: packed lines: %w", c.name, err)
 	}
-	c.Hits, c.Misses, c.Evicts, c.PrefHits = s.Hits, s.Misses, s.Evicts, s.PrefHits
 	return nil
 }
 
@@ -189,13 +181,6 @@ func (c *Cache) unpackLines(packed []byte, numCores int) error {
 		}
 	}
 	return nil
-}
-
-// ResetStats clears the hit/miss counters without touching the cached lines
-// or the replacement state (the warmup barrier uses it: the warmed contents
-// stay, the measured region's counters start at zero).
-func (c *Cache) ResetStats() {
-	c.Hits, c.Misses, c.Evicts, c.PrefHits = 0, 0, 0, 0
 }
 
 // save/restore serialize the stamp machinery shared by LRU and 5P.

@@ -308,7 +308,7 @@ func (c *Core) Settle(now uint64) {
 	if now > c.cycled && c.dispatching() && c.pendingRefused() {
 		n := now - c.cycled
 		c.DispatchStallMSHR += n
-		c.hier.ChargeRefusedDemands(c.ID, c.pending.PC, c.pending.VA, n)
+		c.hier.ChargeRefusedDemands(c.ID, n)
 	}
 	c.cycled = max(c.cycled, now)
 }

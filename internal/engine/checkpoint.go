@@ -64,7 +64,10 @@ import (
 // v7: cache.PolicyState carries its non-zero replacement stamps as packed
 // bytes (NumStamps plus one varint record per stamp) instead of a []uint64 of
 // every way's.
-const SnapshotVersion = 7
+//
+// v8: cache.State and tlb.LevelState lose their hit, miss, eviction and
+// prefetched-hit counters: nothing read them, and no Result byte moved.
+const SnapshotVersion = 8
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"

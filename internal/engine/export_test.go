@@ -2,12 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"unsafe"
 
-	"bopsim/internal/cache"
 	"bopsim/internal/cpu"
 	"bopsim/internal/dram"
+	"bopsim/internal/prefetch"
 	"bopsim/internal/stride"
 	"bopsim/internal/tlb"
 	"bopsim/internal/uncore"
@@ -73,17 +74,19 @@ func (s *Simulation) RefusalMemoShares() (demand, head, pref MemoShare) {
 
 // CoreDigest is one core's part of a MachineDigest.
 type CoreDigest struct {
-	Retired, DispatchStallMSHR         uint64
-	DL1Hits, DL1Misses, L2Hits, L2Miss uint64
-	TLB                                tlb.State     // every stamp, both clocks, hit counts
-	Stride                             *stride.Stats // nil unless the DL1 prefetcher reports them
+	Retired, DispatchStallMSHR uint64
+	TLB                        tlb.State // every stamp and both clocks
+	// Stride is the DL1 stride prefetcher's table and filter, printed ("" for
+	// any other DL1 prefetcher; a decorator is looked through by its Unwrap):
+	// what a skipped retry leaves alone only because its query was settled.
+	Stride string
 }
 
 // MachineDigest is the machine below what a Result shows: the state a
-// skipped dispatch stall is charged to (DTLB1 stamps and clock, the stride
-// prefetcher's decision counts, DispatchStallMSHR, the per-cache miss
-// counters) next to everything a Result is computed from. Two drivers of one
-// run must agree on all of it. The memo telemetry is in only as far as it is
+// skipped dispatch stall is charged to that no Result reads (the DTLB1's
+// stamps and clock, DispatchStallMSHR), the stride prefetcher it must leave
+// alone, and everything a Result is computed from. Two drivers of one run
+// must agree on all of it. The memo telemetry is in only as far as it is
 // a property of the run and not of the driver: Demand replays answered
 // cheaply, and prefetch-head attempts.
 type MachineDigest struct {
@@ -103,14 +106,14 @@ func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDi
 		CheapDemandReplays: memoCount(h, "demand") + memoCount(h, "skippedDemand"),
 		PrefetchAttempts:   memoCount(h, "prefAttempts")}
 	tlbs := *hierField[[]*tlb.Hierarchy](h, "tlbs")
-	dl1, l2 := *hierField[[]*cache.Cache](h, "dl1"), *hierField[[]*cache.Cache](h, "l2")
 	for i, c := range cores {
-		cd := CoreDigest{Retired: c.Retired, DispatchStallMSHR: c.DispatchStallMSHR,
-			DL1Hits: dl1[i].Hits, DL1Misses: dl1[i].Misses, L2Hits: l2[i].Hits, L2Miss: l2[i].Misses,
-			TLB: tlbs[i].SaveState()}
-		if pf, ok := h.L1Prefetcher(i).(interface{ Stats() stride.Stats }); ok {
-			st := pf.Stats()
-			cd.Stride = &st
+		cd := CoreDigest{Retired: c.Retired, DispatchStallMSHR: c.DispatchStallMSHR, TLB: tlbs[i].SaveState()}
+		pf := h.L1Prefetcher(i)
+		if w, ok := pf.(interface{ Unwrap() prefetch.L1Prefetcher }); ok {
+			pf = w.Unwrap()
+		}
+		if pf, ok := pf.(*stride.Prefetcher); ok {
+			cd.Stride = fmt.Sprintf("%+v", *pf)
 		}
 		d.Cores = append(d.Cores, cd)
 	}

@@ -8,7 +8,6 @@ import (
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
-	"bopsim/internal/stride"
 	"bopsim/internal/trace"
 	"bopsim/internal/uncore"
 )
@@ -16,13 +15,13 @@ import (
 // opaqueL1 is a DL1 prefetcher behind a decorator that forwards the
 // prefetch.L1Prefetcher methods and nothing else, as bopbench's timing
 // decorator does: whatever optional interface the wrapped prefetcher
-// implements is invisible to the uncore. (Stats is for the digest only.)
-type opaqueL1 struct{ inner *stride.Prefetcher }
+// implements is invisible to the uncore. (Unwrap is for the digest only.)
+type opaqueL1 struct{ inner prefetch.L1Prefetcher }
 
 func (p opaqueL1) Name() string                                  { return p.inner.Name() }
 func (p opaqueL1) Query(pc uint64, va mem.Addr) (mem.Addr, bool) { return p.inner.Query(pc, va) }
 func (p opaqueL1) Update(pc uint64, va mem.Addr)                 { p.inner.Update(pc, va) }
-func (p opaqueL1) Stats() stride.Stats                           { return p.inner.Stats() }
+func (p opaqueL1) Unwrap() prefetch.L1Prefetcher                 { return p.inner }
 
 // TestReplicaProtocol guards a driver this package cannot see:
 // benchmarks/bopbench/replica.go assembles the machine from the layers'
@@ -33,7 +32,7 @@ func (p opaqueL1) Stats() stride.Stats                           { return p.inne
 // counters without settling anyone. A driver that makes exactly those calls
 // must still end on the per-cycle engine's machine, down to the deep digest:
 // once with the DL1 prefetcher behind a decorator that hides
-// prefetch.QueryCharger (the cores then veto every cycle of a dispatch stall,
+// prefetch.SettledQuerier (the cores then veto every cycle of a dispatch stall,
 // as they always did), and once without a DL1 prefetcher, where the cores do
 // skip their stalls and have to settle them unasked.
 func TestReplicaProtocol(t *testing.T) {
@@ -75,7 +74,7 @@ func TestReplicaProtocol(t *testing.T) {
 					if p == nil {
 						return nil
 					}
-					return opaqueL1{p.(*stride.Prefetcher)}
+					return opaqueL1{p}
 				}, nil)
 			var cores []*cpu.Core
 			for i := 0; i < o.Cores; i++ {

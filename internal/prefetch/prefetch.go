@@ -69,21 +69,17 @@ type L1Prefetcher interface {
 	Update(pc uint64, va mem.Addr)
 }
 
-// QueryCharger is optionally implemented by DL1 prefetchers that can tell
-// when a query is settled — it returns no prefetch, so its whole effect is on
-// the prefetcher's own counters — and can then count any number of them at
-// once. A core retrying one refused access queries with the same arguments
-// every cycle; with this interface the engine may skip those cycles and charge
-// them afterwards (DESIGN.md, "Dispatch stalls"). Behind a prefetcher without
-// it every such cycle is simulated.
-type QueryCharger interface {
+// SettledQuerier is optionally implemented by DL1 prefetchers that can tell
+// when a query is settled: it returns no prefetch and changes nothing, so any
+// number of repeats of it may go unasked. A core retrying one refused access
+// queries with the same arguments every cycle; with this interface the engine
+// may skip those cycles (DESIGN.md, "Dispatch stalls"). Behind a prefetcher
+// without it every such cycle is simulated.
+type SettledQuerier interface {
 	// QuerySettled reports whether Query(pc, va) would return ok=false and
-	// change nothing but counters, now and on every repeat until the
-	// prefetcher's next Update or other Query.
+	// change nothing, now and on every repeat until the prefetcher's next
+	// Update or other Query.
 	QuerySettled(pc uint64, va mem.Addr) bool
-	// ChargeQueries has the effect of n Query(pc, va) calls. The caller
-	// vouches that QuerySettled(pc, va) holds.
-	ChargeQueries(pc uint64, va mem.Addr, n uint64)
 }
 
 // None is the "no L2 prefetcher" configuration (Figure 5's ablation).

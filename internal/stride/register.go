@@ -8,8 +8,8 @@ import (
 )
 
 var (
-	_ prefetch.L1Prefetcher = (*Prefetcher)(nil)
-	_ prefetch.QueryCharger = (*Prefetcher)(nil)
+	_ prefetch.L1Prefetcher   = (*Prefetcher)(nil)
+	_ prefetch.SettledQuerier = (*Prefetcher)(nil)
 )
 
 // Spec registration: "stride" is the baseline DL1 prefetcher of section

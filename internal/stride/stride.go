@@ -28,15 +28,6 @@ type entry struct {
 	valid    bool
 }
 
-// Stats counts the prefetcher's decisions.
-type Stats struct {
-	Issued    uint64 // prefetch addresses returned to the caller
-	Filtered  uint64 // suppressed by the 16-entry line filter
-	TableHits uint64
-	TableMiss uint64
-	Confident uint64 // queries that found a confident, non-zero stride
-}
-
 // Prefetcher is the DL1 stride prefetcher.
 type Prefetcher struct {
 	entries  [TableEntries]entry
@@ -46,8 +37,6 @@ type Prefetcher struct {
 	filter    [FilterEntries]mem.LineAddr
 	filterAge [FilterEntries]uint64
 	filterLen int
-
-	stats Stats
 }
 
 // New returns an empty stride prefetcher with the paper's distance factor.
@@ -62,9 +51,6 @@ func NewWithDistance(distance int) *Prefetcher {
 
 // Name identifies the prefetcher in reports.
 func (p *Prefetcher) Name() string { return "stride" }
-
-// Stats returns a copy of the statistics.
-func (p *Prefetcher) Stats() Stats { return p.stats }
 
 // lookup finds pc's entry, or nil.
 func (p *Prefetcher) lookup(pc uint64) *entry {
@@ -90,56 +76,23 @@ func (p *Prefetcher) victim() *entry {
 	return &p.entries[best]
 }
 
-// outcome is what a query's classification came to. Every outcome but issue
-// is settled: such a query returns no prefetch and moves counters only.
-type outcome uint8
-
-const (
-	tableMiss   outcome = iota // no entry for the PC
-	unconfident                // an entry short of full confidence, or with a zero stride
-	underflow                  // a confident stride whose target would be a negative address
-	filtered                   // the target's line is in the filter
-	issue                      // a prefetch goes out and its line is noted in the filter
-)
-
-// classify decides what a query at pc for va comes to, and its target, from
-// the table and the filter without touching either. It is the one decision
-// procedure behind Query, QuerySettled and ChargeQueries.
-func (p *Prefetcher) classify(pc uint64, va mem.Addr) (outcome, mem.Addr) {
+// classify decides, from the table and the filter and without touching
+// either, whether a query at pc for va issues a prefetch, and its target when
+// it does. A query issues unless there is no entry for the PC, the entry is
+// short of full confidence or has a zero stride, the target would be a
+// negative address, or the target's line is in the filter; every other query
+// is settled: it returns no prefetch and changes nothing. It is the one
+// decision procedure behind Query and QuerySettled.
+func (p *Prefetcher) classify(pc uint64, va mem.Addr) (target mem.Addr, issue bool) {
 	e := p.lookup(pc)
-	if e == nil {
-		return tableMiss, 0
+	if e == nil || e.conf < ConfidenceMax || e.stride == 0 {
+		return 0, false
 	}
-	if e.conf < ConfidenceMax || e.stride == 0 {
-		return unconfident, 0
+	target = mem.Addr(int64(va) + p.distance*e.stride)
+	if int64(target) < 0 || p.recentlyPrefetched(mem.LineOf(target)) {
+		return 0, false
 	}
-	target := mem.Addr(int64(va) + p.distance*e.stride)
-	if int64(target) < 0 {
-		return underflow, 0
-	}
-	if p.recentlyPrefetched(mem.LineOf(target)) {
-		return filtered, target
-	}
-	return issue, target
-}
-
-// charge counts n queries that came to o.
-func (p *Prefetcher) charge(o outcome, n uint64) {
-	if o == tableMiss {
-		p.stats.TableMiss += n
-		return
-	}
-	p.stats.TableHits += n
-	if o == unconfident {
-		return
-	}
-	p.stats.Confident += n
-	switch o {
-	case filtered:
-		p.stats.Filtered += n
-	case issue:
-		p.stats.Issued += n
-	}
+	return target, true
 }
 
 // Query computes a prefetch virtual address for a load/store at pc
@@ -153,34 +106,21 @@ func (p *Prefetcher) charge(o outcome, n uint64) {
 //
 //bovet:hotpath
 func (p *Prefetcher) Query(pc uint64, va mem.Addr) (prefVA mem.Addr, ok bool) {
-	o, target := p.classify(pc, va)
-	p.charge(o, 1)
-	if o != issue {
+	target, issue := p.classify(pc, va)
+	if !issue {
 		return 0, false
 	}
 	p.notePrefetched(mem.LineOf(target))
 	return target, true
 }
 
-// QuerySettled implements prefetch.QueryCharger: Query(pc, va) would return
-// no prefetch, so all it would move is counters.
+// QuerySettled implements prefetch.SettledQuerier: Query(pc, va) would return
+// no prefetch and change nothing.
 //
 //bovet:hotpath
 func (p *Prefetcher) QuerySettled(pc uint64, va mem.Addr) bool {
-	o, _ := p.classify(pc, va)
-	return o != issue
-}
-
-// ChargeQueries implements prefetch.QueryCharger: the counters of n
-// Query(pc, va) calls, for a query that is settled.
-//
-//bovet:hotpath
-func (p *Prefetcher) ChargeQueries(pc uint64, va mem.Addr, n uint64) {
-	o, _ := p.classify(pc, va)
-	if o == issue {
-		panic("stride: ChargeQueries on a query that would issue a prefetch")
-	}
-	p.charge(o, n)
+	_, issue := p.classify(pc, va)
+	return !issue
 }
 
 // Update records the retirement of a load/store at pc with address va:

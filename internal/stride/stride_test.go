@@ -2,6 +2,7 @@ package stride
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -82,9 +83,6 @@ func TestFilterSuppressesRepeats(t *testing.T) {
 	if _, ok := p.Query(0x400, a+8); ok {
 		t.Error("duplicate same-line prefetch not filtered")
 	}
-	if p.Stats().Filtered == 0 {
-		t.Error("filter counter did not advance")
-	}
 }
 
 func TestTableLRUEviction(t *testing.T) {
@@ -128,8 +126,8 @@ func TestQueryUnknownPC(t *testing.T) {
 	if _, ok := p.Query(0xdead, 0x1000); ok {
 		t.Error("prefetch from unknown PC")
 	}
-	if p.Stats().TableMiss != 1 {
-		t.Error("table miss not counted")
+	if *p != *New() {
+		t.Error("a query for an unknown PC changed the prefetcher")
 	}
 }
 
@@ -144,46 +142,44 @@ func TestQueryDoesNotUnderflow(t *testing.T) {
 	}
 }
 
-// queryBeforeSplit is Query as it was before classify and charge were split
-// out of it, kept as the reference the split is held to.
-func queryBeforeSplit(p *Prefetcher, pc uint64, va mem.Addr) (mem.Addr, bool) {
+// outcome names what a query at pc for va comes to, from the table and the
+// filter: the four ways a query is settled, or "issue". It is the reference
+// classify is held to, and the measure of what the fuzz covers.
+func outcome(p *Prefetcher, pc uint64, va mem.Addr) string {
 	e := p.lookup(pc)
-	if e == nil {
-		p.stats.TableMiss++
-		return 0, false
+	switch {
+	case e == nil:
+		return "table miss"
+	case e.conf < ConfidenceMax || e.stride == 0:
+		return "unconfident"
 	}
-	p.stats.TableHits++
-	if e.conf < ConfidenceMax || e.stride == 0 {
-		return 0, false
-	}
-	p.stats.Confident++
 	target := mem.Addr(int64(va) + p.distance*e.stride)
-	if int64(target) < 0 {
-		return 0, false
+	switch {
+	case int64(target) < 0:
+		return "underflow"
+	case p.recentlyPrefetched(mem.LineOf(target)):
+		return "filtered"
 	}
-	if p.recentlyPrefetched(mem.LineOf(target)) {
-		p.stats.Filtered++
-		return 0, false
-	}
-	p.notePrefetched(mem.LineOf(target))
-	p.stats.Issued++
-	return target, true
+	return "issue"
 }
 
-// TestBulkQueryCharge holds the two halves of the split Query to each other
-// over fuzzed table and filter states (a few PCs, strides that are zero,
-// sub-line, large, negative and underflowing, queries near address zero):
-// Query still moves exactly what it moved before the split; QuerySettled
-// changes nothing; whenever it holds, n Query calls and one ChargeQueries(n)
-// leave the same prefetcher, statistics included; and when it does not, one
-// Query settles it, which is what bounds an unsettled retry to one cycle.
-func TestBulkQueryCharge(t *testing.T) {
+// TestSettledQueryChangesNothing holds QuerySettled to what the uncore skips
+// on its word (uncore.Hierarchy.DispatchStalled), over fuzzed table and filter
+// states: a few PCs, strides that are zero, sub-line, large, negative and
+// underflowing, queries near address zero. QuerySettled itself changes
+// nothing. Whenever it holds, Query returns no prefetch and leaves the
+// prefetcher reflect.DeepEqual to its copy, however many times it is asked:
+// that is why a core retrying a refused access may skip its retries and owe
+// the prefetcher nothing. Whenever it does not hold, Query issues the target
+// D*stride ahead, and its whole effect is to note that target's line in the
+// filter, which settles the query: an unsettled retry lasts one cycle.
+func TestSettledQueryChangesNothing(t *testing.T) {
 	strides := []int64{0, 8, 64, 96, 4096, -64, -65536}
-	outcomes := map[outcome]int{}
+	outcomes := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dist := 1 + rng.Intn(20)
-		p, ref := NewWithDistance(dist), NewWithDistance(dist)
+		p := NewWithDistance(dist)
 		addr := map[uint64]mem.Addr{}
 		for step := 0; step < 4000; step++ {
 			pc := uint64(0x400 + 4*rng.Intn(10)) // ten PCs that stay in the table
@@ -199,48 +195,49 @@ func TestBulkQueryCharge(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				addr[pc] = va // a query in between is for the access about to retire
 				p.Update(pc, va)
-				ref.Update(pc, va)
 				continue
 			}
 			before := *p
 			settled := p.QuerySettled(pc, va)
-			if *p != before {
+			if !reflect.DeepEqual(*p, before) {
 				t.Fatalf("seed %d step %d: QuerySettled changed the prefetcher", seed, step)
 			}
-			o, _ := p.classify(pc, va)
+			o := outcome(p, pc, va)
 			outcomes[o]++
+			if settled != (o != "issue") {
+				t.Fatalf("seed %d step %d: QuerySettled = %v for a query that comes to %q", seed, step, settled, o)
+			}
 			if settled {
-				n := rng.Intn(5)
-				bulk := *p
-				bulk.ChargeQueries(pc, va, uint64(n))
-				for i := 0; i < n; i++ {
+				for i := 0; i < 1+rng.Intn(4); i++ {
 					if _, ok := p.Query(pc, va); ok {
-						t.Fatalf("seed %d step %d: a settled query issued a prefetch", seed, step)
+						t.Fatalf("seed %d step %d: a settled query (%s) issued a prefetch", seed, step, o)
 					}
-					queryBeforeSplit(ref, pc, va)
+					if !reflect.DeepEqual(*p, before) {
+						t.Fatalf("seed %d step %d: a settled query (%s) changed the prefetcher: clock %d, filter %v, ages %v; was clock %d, filter %v, ages %v",
+							seed, step, o, p.clock, p.filter, p.filterAge, before.clock, before.filter, before.filterAge)
+					}
 				}
-				if *p != bulk {
-					t.Fatalf("seed %d step %d: %d Query calls left\n%+v\nChargeQueries(%d) left\n%+v", seed, step, n, p.stats, n, bulk.stats)
-				}
-			} else {
-				got, ok := p.Query(pc, va)
-				want, wantOK := queryBeforeSplit(ref, pc, va)
-				if !ok || got != want || !wantOK {
-					t.Fatalf("seed %d step %d: an unsettled query returned %#x, %v; before the split %#x, %v", seed, step, got, ok, want, wantOK)
-				}
-				if !p.QuerySettled(pc, va) {
-					t.Fatalf("seed %d step %d: the query is still unsettled after it issued", seed, step)
-				}
+				continue
 			}
-			if *p != *ref {
-				t.Fatalf("seed %d step %d: Query moved\n%+v\nbefore the split it moved\n%+v", seed, step, p.stats, ref.stats)
+			e := p.lookup(pc)
+			want := mem.Addr(int64(va) + p.distance*e.stride)
+			noted := before
+			noted.notePrefetched(mem.LineOf(want))
+			if got, ok := p.Query(pc, va); !ok || got != want {
+				t.Fatalf("seed %d step %d: an unsettled query returned %#x, %v; want %#x, true", seed, step, got, ok, want)
+			}
+			if !reflect.DeepEqual(*p, noted) {
+				t.Fatalf("seed %d step %d: an issuing query did more than note its target's line", seed, step)
+			}
+			if !p.QuerySettled(pc, va) {
+				t.Fatalf("seed %d step %d: the query is still unsettled after it issued", seed, step)
 			}
 		}
 	}
-	for o := tableMiss; o <= issue; o++ {
+	for _, o := range []string{"table miss", "unconfident", "underflow", "filtered", "issue"} {
 		if outcomes[o] == 0 {
-			t.Errorf("no query ever came to outcome %d: the fuzz no longer covers it", o)
+			t.Errorf("no query ever came to %q: the fuzz no longer covers it", o)
 		}
 	}
-	t.Logf("queries by outcome (tableMiss, unconfident, underflow, filtered, issue): %v", outcomes)
+	t.Logf("queries by outcome: %v", outcomes)
 }

@@ -47,8 +47,6 @@ type tlbLevel struct {
 	prev, next []int32
 	mru, lru   int32
 	clock      uint64
-	hits       uint64
-	misses     uint64
 }
 
 func newTLBLevel(entries int) *tlbLevel {
@@ -95,15 +93,12 @@ func (t *tlbLevel) access(vpn uint64) (hit bool) {
 	t.clock++
 	if t.mru >= 0 && t.vpns[t.mru] == vpn {
 		t.stamps[t.mru] = t.clock // touch(mru)
-		t.hits++
 		return true
 	}
 	if i, ok := t.slot[vpn]; ok {
 		t.touch(int32(i))
-		t.hits++
 		return true
 	}
-	t.misses++
 	t.insert(vpn)
 	return false
 }
@@ -176,14 +171,14 @@ func (h *Hierarchy) Access(va mem.Addr) uint64 {
 // RepeatAccess is n times Access(va) for the va of the latest Access call
 // when nothing else has touched the DTLB1 since: that page is resident and
 // most recent, so each access is a DTLB1 hit (latency 0) whose whole effect is
-// a fresh stamp on the entry already at the head of the recency list, and n of
-// them leave the stamp of the last. The caller vouches for the precondition
+// n ticks of the level's clock and a fresh stamp on the entry already at the
+// head of the recency list — the stamp of the last. Both are state a snapshot
+// carries and a later eviction reads. The caller vouches for the precondition
 // (uncore's Demand memo: only Access and RepeatAccess ever touch a DTLB1).
 func (h *Hierarchy) RepeatAccess(n uint64) {
 	t := h.dtlb1
 	t.clock += n
 	t.stamps[t.mru] = t.clock
-	t.hits += n
 }
 
 // ProbeTLB2 reports whether the page of va is present in the TLB2 without
@@ -193,21 +188,14 @@ func (h *Hierarchy) ProbeTLB2(va mem.Addr) bool {
 	return h.tlb2.probe(h.page.PageOf(va))
 }
 
-// DTLB1Misses returns the number of DTLB1 misses observed.
-func (h *Hierarchy) DTLB1Misses() uint64 { return h.dtlb1.misses }
-
-// TLB2Misses returns the number of TLB2 misses observed.
-func (h *Hierarchy) TLB2Misses() uint64 { return h.tlb2.misses }
-
 // LevelState is one TLB level's serialized contents: the resident VPNs with
 // their LRU stamps (sorted by VPN so encoding is byte-stable — the live
-// structure is a map) plus the level's clock and counters.
+// structure is a map) plus the level's clock. A level keeps no counters; the
+// hierarchy's Walks is the one a Result reports.
 type LevelState struct {
 	VPNs   []uint64
 	Stamps []uint64
 	Clock  uint64
-	Hits   uint64
-	Misses uint64
 }
 
 // State is the serialized state of one TLB hierarchy.
@@ -220,8 +208,7 @@ type State struct {
 func (t *tlbLevel) saveState() LevelState {
 	vpns := append([]uint64(nil), t.vpns...)
 	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	st := LevelState{VPNs: vpns, Stamps: make([]uint64, len(vpns)),
-		Clock: t.clock, Hits: t.hits, Misses: t.misses}
+	st := LevelState{VPNs: vpns, Stamps: make([]uint64, len(vpns)), Clock: t.clock}
 	for i, v := range vpns {
 		st.Stamps[i] = t.stamps[t.slot[v]]
 	}
@@ -262,11 +249,11 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 	for _, i := range order { // oldest first, so the newest ends up mru
 		t.pushFront(i)
 	}
-	t.clock, t.hits, t.misses = st.Clock, st.Hits, st.Misses
+	t.clock = st.Clock
 	return nil
 }
 
-// SaveState serializes the hierarchy's resident translations and counters.
+// SaveState serializes the hierarchy's resident translations and walk count.
 func (h *Hierarchy) SaveState() State {
 	return State{DTLB1: h.dtlb1.saveState(), TLB2: h.tlb2.saveState(), Walks: h.Walks}
 }
@@ -283,10 +270,8 @@ func (h *Hierarchy) RestoreState(st State) error {
 	return nil
 }
 
-// ResetStats clears the walk and hit/miss counters, keeping the resident
-// translations (warmup barrier semantics).
+// ResetStats clears the walk counter, keeping the resident translations
+// (warmup barrier semantics).
 func (h *Hierarchy) ResetStats() {
 	h.Walks = 0
-	h.dtlb1.hits, h.dtlb1.misses = 0, 0
-	h.tlb2.hits, h.tlb2.misses = 0, 0
 }

@@ -18,8 +18,6 @@ type scanLevel struct {
 	vpns    []uint64
 	stamps  []uint64
 	clock   uint64
-	hits    uint64
-	misses  uint64
 }
 
 func newScanLevel(entries int) *scanLevel {
@@ -30,10 +28,8 @@ func (t *scanLevel) access(vpn uint64) bool {
 	t.clock++
 	if i, ok := t.slot[vpn]; ok {
 		t.stamps[i] = t.clock
-		t.hits++
 		return true
 	}
-	t.misses++
 	if len(t.vpns) >= t.entries {
 		victim, best := 0, ^uint64(0)
 		for i, s := range t.stamps {
@@ -64,7 +60,7 @@ func (t *scanLevel) probe(vpn uint64) bool {
 
 // state renders the oracle as a LevelState (VPNs sorted, as saveState does).
 func (t *scanLevel) state() LevelState {
-	real := &tlbLevel{slot: t.slot, vpns: t.vpns, stamps: t.stamps, clock: t.clock, hits: t.hits, misses: t.misses}
+	real := &tlbLevel{slot: t.slot, vpns: t.vpns, stamps: t.stamps, clock: t.clock}
 	return real.saveState()
 }
 
@@ -75,7 +71,7 @@ func (t *scanLevel) restore(st LevelState) {
 	}
 	t.vpns = append([]uint64(nil), st.VPNs...)
 	t.stamps = append([]uint64(nil), st.Stamps...)
-	t.clock, t.hits, t.misses = st.Clock, st.Hits, st.Misses
+	t.clock = st.Clock
 }
 
 // checkAgainstScan drives lvl and the scanning oracle with one random stream
@@ -204,21 +200,23 @@ func TestProbeTLB2DoesNotAllocate(t *testing.T) {
 
 func TestMissCountersAdvance(t *testing.T) {
 	h := New(mem.Page4K)
-	h.Access(0x1000)
-	h.Access(0x2000)
-	h.Access(0x1000)
-	if h.DTLB1Misses() != 2 {
-		t.Errorf("DTLB1Misses = %d, want 2", h.DTLB1Misses())
+	for i, c := range []struct {
+		va  mem.Addr
+		lat uint64
+	}{{0x1000, TLB2HitPenalty + PageWalkPenalty}, {0x2000, TLB2HitPenalty + PageWalkPenalty}, {0x1000, 0}} {
+		if lat := h.Access(c.va); lat != c.lat {
+			t.Errorf("access %d (%#x): latency %d, want %d", i, c.va, lat, c.lat)
+		}
 	}
-	if h.TLB2Misses() != 2 {
-		t.Errorf("TLB2Misses = %d, want 2", h.TLB2Misses())
+	if h.Walks != 2 {
+		t.Errorf("Walks = %d, want 2", h.Walks)
 	}
 }
 
 // TestRepeatAccess holds RepeatAccess to what it abbreviates: on random
 // streams of accesses and TLB2 probes, a hierarchy that answers every run of
 // n immediate repeats of an access with one RepeatAccess(n) must stay
-// state-identical (SaveState: stamps, clocks, hit counts) to one that calls
+// state-identical (SaveState: stamps and clocks) to one that calls
 // Access n more times, and its DTLB1
 // to the scanning oracle — also when the repeat comes first thing after a
 // restore, where the most recent entry is whatever the stamps say.

@@ -120,11 +120,11 @@ type Hierarchy struct {
 	l1pf []prefetch.L1Prefetcher // nil entries: no DL1 prefetching
 	//bovet:allow statecodec prefetchers are not part of a snapshot; the barrier installs them cold
 	l2pf []prefetch.L2Prefetcher
-	// l1charger is l1pf[c] as a prefetch.QueryCharger, nil when it is not one
-	// (then a core retrying a refused access is simulated every cycle, see
+	// l1settled is l1pf[c] as a prefetch.SettledQuerier, nil when it is not
+	// one (then a core retrying a refused access is simulated every cycle, see
 	// DispatchStalled).
 	//bovet:allow statecodec derived wiring: SetPrefetchers recomputes it from the installed prefetchers
-	l1charger []prefetch.QueryCharger
+	l1settled []prefetch.SettledQuerier
 	// preIssueTagCheck enables the extra L2 tag lookup before issuing a
 	// prefetch, which the paper adds for SBP-style degree-N requests
 	// (section 6.3); prefetchers opt in via prefetch.PreIssueTagChecker.
@@ -214,7 +214,7 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
 	}
 	h.l1pf = make([]prefetch.L1Prefetcher, cfg.NumCores)
-	h.l1charger = make([]prefetch.QueryCharger, cfg.NumCores)
+	h.l1settled = make([]prefetch.SettledQuerier, cfg.NumCores)
 	h.l2pf = make([]prefetch.L2Prefetcher, cfg.NumCores)
 	h.preIssueTagCheck = make([]bool, cfg.NumCores)
 	h.SetPrefetchers(newL2PF, newL1PF)
@@ -393,8 +393,8 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += span * uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
-	for _, c := range h.stalled {
-		h.chargeRefused(c, span)
+	for range h.stalled {
+		h.chargeRefused(span)
 		h.memoHits.skippedHead += span
 	}
 	for c := range h.pq {
@@ -407,12 +407,11 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	}
 }
 
-// chargeRefused charges n refused attempts of core's demand-queue head: each
-// is one L2 access and one L2 lookup miss, and nothing else.
-func (h *Hierarchy) chargeRefused(core int, n uint64) {
+// chargeRefused charges n refused attempts of a demand-queue head: each is one
+// L2 access and one L2 lookup miss, and nothing else.
+func (h *Hierarchy) chargeRefused(n uint64) {
 	h.stats.L2DemandAccesses += n
 	h.stats.L2Misses += n
-	h.l2[core].Misses += n
 }
 
 // demandRefused reports whether core's latest Demand was this one, refused for
@@ -425,11 +424,11 @@ func (h *Hierarchy) demandRefused(core int, pc uint64, va mem.Addr) bool {
 
 // DispatchStalled reports whether Demand(core, pc, va) would, now and on every
 // repeat until something touches the core's DTLB1, DL1 or MSHRs, be refused
-// from the demand memo and move counters only: the memo stands, and the DL1
+// from the demand memo with fixed charges only: the memo stands, and the DL1
 // prefetcher's query for the access is settled. Such a retry is a stall, not
-// an event; whoever skips n of them owes ChargeRefusedDemands(core, pc, va, n).
-// Behind a DL1 prefetcher that is no prefetch.QueryCharger nothing is known
-// about the query, and the answer is no.
+// an event; whoever skips n of them owes ChargeRefusedDemands(core, n). Behind
+// a DL1 prefetcher that is no prefetch.SettledQuerier nothing is known about
+// the query, and the answer is no.
 //
 //bovet:hotpath
 func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
@@ -439,7 +438,7 @@ func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
 	if h.l1pf[core] == nil {
 		return true
 	}
-	q := h.l1charger[core]
+	q := h.l1settled[core]
 	return q != nil && q.QuerySettled(pc, va)
 }
 
@@ -448,18 +447,15 @@ func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
 // the DTLB1's most recent entry and a DL1 miss.
 func (h *Hierarchy) chargeDemandReplays(core int, n uint64) {
 	h.tlbs[core].RepeatAccess(n)
-	h.dl1[core].Misses += n
 	h.stats.DL1Misses += n
 }
 
-// ChargeRefusedDemands charges n Demand(core, pc, va) calls that
-// DispatchStalled vouched for: what Demand's memo branch moves, n times.
-func (h *Hierarchy) ChargeRefusedDemands(core int, pc uint64, va mem.Addr, n uint64) {
+// ChargeRefusedDemands charges n replays of core's refused access that
+// DispatchStalled vouched for: what Demand's memo branch moves, n times. The
+// DL1 prefetcher's part is nothing, as its query is settled.
+func (h *Hierarchy) ChargeRefusedDemands(core int, n uint64) {
 	h.memoHits.skippedDemand += n
 	h.chargeDemandReplays(core, n)
-	if q := h.l1charger[core]; q != nil {
-		q.ChargeQueries(pc, va, n)
-	}
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused
@@ -720,7 +716,7 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 		req := q.front()
 		if h.headRefused(core, req.line) {
 			h.memoHits.head++
-			h.chargeRefused(core, 1)
+			h.chargeRefused(1)
 			return
 		}
 		if !h.processL2Request(core, req, now) {
@@ -796,8 +792,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 // L3 fill, or a new DRAM read. It returns false if a required queue is full
 // (nothing is modified in that case).
 func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
-	if h.l3.Peek(e.line) != nil {
-		h.l3.Lookup(e.line) // real access: stats + replacement update
+	if h.l3.Lookup(e.line) != nil { // a real access: the replacement update
 		h.stats.L3Hits++
 		e.fut, e.readyAt = nil, now+h.cfg.L3Latency
 		return true
@@ -816,7 +811,6 @@ func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 	if fut == nil {
 		return false
 	}
-	h.l3.Lookup(e.line) // counts the miss
 	h.stats.L3Misses++
 	l3e := h.pool.get()
 	l3e.line, l3e.core, l3e.isPrefetch, l3e.fut = e.line, e.core, isPrefetch, fut

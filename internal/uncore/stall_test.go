@@ -124,7 +124,7 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Futur
 // called for (cpu.Core.Settle).
 func (f *frontEnd) settle(m *machine, core int, now uint64) {
 	if n := now - f.cycled; n > 0 && f.stalled(m, core, f.cycled) {
-		m.h.ChargeRefusedDemands(core, f.inst.PC, f.inst.VA, n)
+		m.h.ChargeRefusedDemands(core, n)
 	}
 	f.cycled = now
 }
@@ -286,12 +286,12 @@ func (r stallRow) build(t *testing.T, memos bool) *machine {
 }
 
 // deepState is the part of a machine too costly to compare every cycle: each
-// TLB level's contents with their stamps, clock and hit counts (the cheap
-// fingerprint has only the miss counters) and the DL1 prefetchers' decision
-// counts. It is compared every deepEvery cycles and at the end of a row.
+// TLB level's contents with their stamps and clock (the cheap fingerprint has
+// only the walk counts) and the DL1 stride prefetchers' tables and filters.
+// It is compared every deepEvery cycles and at the end of a row.
 type deepState struct {
 	TLBs   []tlb.State
-	Stride []stride.Stats
+	Stride []stride.Prefetcher
 }
 
 const deepEvery = 97 // prime: no phase-lock with the bus ratio or injectPeriod
@@ -301,7 +301,7 @@ func (m *machine) deep() deepState {
 	for c := range m.h.tlbs {
 		d.TLBs = append(d.TLBs, m.h.tlbs[c].SaveState())
 		if pf, ok := m.h.l1pf[c].(*stride.Prefetcher); ok {
-			d.Stride = append(d.Stride, pf.Stats())
+			d.Stride = append(d.Stride, *pf)
 		}
 	}
 	return d
@@ -312,8 +312,8 @@ func (a deepState) diff(b deepState) string {
 	var out string
 	level := func(c int, name string, x, y tlb.LevelState) {
 		if !reflect.DeepEqual(x, y) {
-			out += fmt.Sprintf("\n  core %d %s: clock %d hits %d misses %d vs clock %d hits %d misses %d (stamps equal: %v)",
-				c, name, x.Clock, x.Hits, x.Misses, y.Clock, y.Hits, y.Misses, slices.Equal(x.Stamps, y.Stamps))
+			out += fmt.Sprintf("\n  core %d %s: clock %d vs %d (VPNs equal: %v, stamps equal: %v)",
+				c, name, x.Clock, y.Clock, slices.Equal(x.VPNs, y.VPNs), slices.Equal(x.Stamps, y.Stamps))
 		}
 	}
 	for c := range a.TLBs {
@@ -322,14 +322,14 @@ func (a deepState) diff(b deepState) string {
 	}
 	for c := range a.Stride {
 		if a.Stride[c] != b.Stride[c] {
-			out += fmt.Sprintf("\n  core %d stride.Stats: %+v vs %+v", c, a.Stride[c], b.Stride[c])
+			out += fmt.Sprintf("\n  core %d stride prefetcher: %+v vs %+v", c, a.Stride[c], b.Stride[c])
 		}
 	}
 	return out
 }
 
-// fingerprint is everything the test can see of a machine short of cache
-// contents: every statistic, every per-cache and TLB counter, every queue
+// fingerprint is everything the test can see of a machine short of cache and
+// TLB contents: every statistic, every TLB walk count, every queue
 // occupancy, the flags of every fill-queue entry, the prefetchers' call
 // counts and DRAM's counters. (Not the entry pool or the future arena: a
 // refused attempt borrows from both, and neither is model state.) v has
@@ -339,21 +339,15 @@ type fingerprint struct {
 	v     []uint64
 }
 
-const (
-	perCoreWords = 21
-	wordL2Misses = 5 // index of l2.Misses within a core's block
-)
+const perCoreWords = 11
 
 var perCoreLabels = [perCoreWords]string{
-	"dl1.Hits", "dl1.Misses", "dl1.Evicts", "dl1.PrefHits",
-	"l2.Hits", "l2.Misses", "l2.Evicts", "l2.PrefHits",
-	"tlb.Walks", "tlb.DTLB1Misses", "tlb.TLB2Misses",
-	"len(demandQ)", "demandQ head line", "len(l2fq)", "l2fq entry flags", "pq.n", "pq.Cancelled",
+	"tlb.Walks", "len(demandQ)", "demandQ head line", "len(l2fq)", "l2fq entry flags", "pq.n", "pq.Cancelled",
 	"len(outstanding)", "len(dl1Fills)", "l2pf OnAccess calls", "l2pf OnFill calls",
 }
 
 var sharedLabels = []string{
-	"l3.Hits", "l3.Misses", "l3.Evicts", "l3.PrefHits", "len(l3fq)", "l3fq entry flags",
+	"len(l3fq)", "l3fq entry flags",
 	"len(pendingWB)", "dram.Reads", "dram.Writes", "dram.RowHits", "dram.RowClosed",
 	"dram.RowConflicts", "dram.UrgentReads", "dram.WriteBursts", "dram.MergedReads", "dram idle",
 }
@@ -383,10 +377,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 			head = uint64(h.demandQ[c].front().line)
 		}
 		v = append(v,
-			h.dl1[c].Hits, h.dl1[c].Misses, h.dl1[c].Evicts, h.dl1[c].PrefHits,
-			h.l2[c].Hits, h.l2[c].Misses, h.l2[c].Evicts, h.l2[c].PrefHits,
-			h.tlbs[c].Walks, h.tlbs[c].DTLB1Misses(), h.tlbs[c].TLB2Misses(),
-			uint64(h.demandQ[c].len()), head, uint64(h.l2fq[c].len()), queueFlags(h.l2fq[c]),
+			h.tlbs[c].Walks, uint64(h.demandQ[c].len()), head, uint64(h.l2fq[c].len()), queueFlags(h.l2fq[c]),
 			uint64(h.pq[c].n), h.pq[c].Cancelled,
 			uint64(h.outstanding[c].len()), uint64(len(h.dl1Fills[c])), m.pfs[c].accesses, m.pfs[c].fills)
 	}
@@ -395,7 +386,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 	if h.mem.Idle() {
 		idle = 1
 	}
-	v = append(v, h.l3.Hits, h.l3.Misses, h.l3.Evicts, h.l3.PrefHits, uint64(h.l3fq.len()), queueFlags(h.l3fq),
+	v = append(v, uint64(h.l3fq.len()), queueFlags(h.l3fq),
 		uint64(len(h.pendingWB)), d.Reads, d.Writes, d.RowHits, d.RowClosed,
 		d.RowConflicts, d.UrgentReads, d.WriteBursts, d.MergedReads, idle)
 	return fingerprint{stats: h.Stats(), v: v}
@@ -501,10 +492,9 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 			continue
 		}
 		paths[path]++
-		// One attempt, refused, three counters and nothing else.
+		// One attempt, refused, two counters and nothing else.
 		before.stats.L2DemandAccesses++
 		before.stats.L2Misses++
-		before.v[c*perCoreWords+wordL2Misses]++
 		if !after.equal(before) {
 			t.Fatalf("cycle %d core %d: predicate says line %#x is blocked (%s) but the attempt was not a pure refusal; got vs want:%s",
 				now, c, line, path, after.diff(before))
@@ -551,11 +541,11 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // skipping one follows NextEvent and AccountIdle exactly as the engine does —
 // its front ends sit out their refused retries as cpu.Core does and charge
 // them afterwards (DispatchStalled, ChargeRefusedDemands) — and must be
-// indistinguishable whenever it ticks. Indistinguishable means
-// identical Stats, per-cache counters (cache.Misses is invisible in Result
-// JSON), TLB counters, queue occupancies, fill-queue flags, prefetcher call
-// counts and DRAM counters; and, every deepEvery cycles and at the end,
-// identical TLB contents (stamps, clocks, hit counts) and stride statistics.
+// indistinguishable whenever it ticks. Indistinguishable means identical
+// Stats, TLB walk counts, queue occupancies, fill-queue flags, prefetcher
+// call counts and DRAM counters; and, every deepEvery cycles and at the end,
+// identical TLB contents (stamps and clocks) and stride prefetchers (tables
+// and filters).
 func TestStallPredicateLockStep(t *testing.T) {
 	rows := []stallRow{
 		{name: "1core-mcf-bo", workloads: []string{"429.mcf"}, l2pf: "bo", l1pf: "stride", cycles: 150_000,
@@ -707,14 +697,14 @@ func (row stallRow) run(t *testing.T) {
 }
 
 // opaqueL1 forwards the prefetch.L1Prefetcher methods and nothing else, so
-// the uncore cannot see that the prefetcher behind it is a QueryCharger.
+// the uncore cannot see that the prefetcher behind it is a SettledQuerier.
 type opaqueL1 struct{ prefetch.L1Prefetcher }
 
 // TestDispatchStalled walks the predicate through each of its conditions on
 // one refused access: it holds only for the access the demand memo remembers,
 // only while nothing has touched the core's front (an MSHR released), only
-// behind a DL1 prefetcher that can be charged (or none), and only while that
-// prefetcher's query is settled — a retirement that makes the PC's stride
+// behind a DL1 prefetcher that can say its query is settled (or none), and
+// only while that query is settled — a retirement that makes the PC's stride
 // confident makes the next replay issue, note its target in the filter and
 // probe the TLB2, which no fixed charge covers; that replay settles it again.
 // Then the bulk charge is held to the replays it stands for.
@@ -752,16 +742,16 @@ func TestDispatchStalled(t *testing.T) {
 	}
 	fill(twin)
 	const n = 7
-	h.ChargeRefusedDemands(0, stridePC, va, n)
+	h.ChargeRefusedDemands(0, n)
 	for i := 0; i < n; i++ {
 		if _, _, ok := twin.Demand(0, stridePC, va, false, 0); ok {
 			t.Fatal("a replay was accepted")
 		}
 	}
 	got, want := (&machine{h: h}).deep(), (&machine{h: twin}).deep()
-	if d := got.diff(want); d != "" || h.stats != twin.stats || h.dl1[0].Misses != twin.dl1[0].Misses {
-		t.Errorf("ChargeRefusedDemands(%d) and %d replays differ; charged vs replayed:%s\n  Stats %+v vs %+v, dl1.Misses %d vs %d",
-			n, n, d, h.stats, twin.stats, h.dl1[0].Misses, twin.dl1[0].Misses)
+	if d := got.diff(want); d != "" || h.stats != twin.stats {
+		t.Errorf("ChargeRefusedDemands(%d) and %d replays differ; charged vs replayed:%s\n  Stats %+v vs %+v",
+			n, n, d, h.stats, twin.stats)
 	}
 
 	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+confidenceShort*64)) // the stride is confident now

@@ -83,17 +83,14 @@ func (h *Hierarchy) RestoreState(st State) error {
 }
 
 // ResetStats zeroes every event counter in the hierarchy — the hierarchy's
-// own, the caches', the TLBs', the prefetch queues' and DRAM's — without
+// own, the TLBs' walk counts, the prefetch queues' and DRAM's — without
 // touching any warmed state. The warmup barrier calls it so the measured
 // region's statistics start from zero in checkpointed and straight runs
 // alike.
 func (h *Hierarchy) ResetStats() {
 	h.stats = Stats{}
 	h.memoHits = memoCounts{}
-	h.l3.ResetStats()
 	for c := range h.dl1 {
-		h.dl1[c].ResetStats()
-		h.l2[c].ResetStats()
 		h.tlbs[c].ResetStats()
 		h.pq[c].Cancelled = 0
 	}
@@ -114,7 +111,7 @@ func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher,
 			l1 = newL1PF(c)
 		}
 		h.l1pf[c] = l1
-		h.l1charger[c], _ = l1.(prefetch.QueryCharger)
+		h.l1settled[c], _ = l1.(prefetch.SettledQuerier)
 		var pf prefetch.L2Prefetcher = prefetch.None{}
 		if newL2PF != nil {
 			if p := newL2PF(c); p != nil {
