@@ -100,7 +100,8 @@ func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 
 // Lookup probes the cache. On a hit it applies the policy's hit update and
 // returns a pointer to the line metadata; on a miss it returns nil and changes
-// nothing. The returned pointer is only valid until the next Insert on the same set.
+// nothing. The returned pointer is only valid until the next Insert on the
+// same set.
 func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
 	for w := 0; w < c.ways; w++ {
@@ -113,8 +114,9 @@ func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	return nil
 }
 
-// Peek probes the cache without updating replacement state. Used for the mandatory tag check before filling a prefetched block
-// (paper section 5.4) and by tests.
+// Peek probes the cache without updating replacement state. Used for the
+// mandatory tag check before filling a prefetched block (paper section 5.4)
+// and by tests.
 func (c *Cache) Peek(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
 	for w := 0; w < c.ways; w++ {

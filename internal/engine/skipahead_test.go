@@ -52,9 +52,10 @@ func mustJSON(t *testing.T, v any) string {
 // divergence here means a component's NextEvent underreports a cycle with
 // side effects, or a skipped span is undercharged (AccountIdle for the
 // uncore's stalled heads, cpu.Core.Settle for a stalled dispatch). Result
-// JSON cannot see most of what a dispatch stall is charged to, so every row
-// also compares the machine's deep digest: DTLB1 stamps and clocks, stride
-// statistics, DispatchStallMSHR, per-cache miss counters. A 2-core
+// JSON cannot see all of what a dispatch stall is charged to, so every row
+// also compares the machine's deep digest: DTLB1 stamps and clocks,
+// DispatchStallMSHR, and the stride prefetcher a skipped retry must leave
+// alone. A 2-core
 // heterogeneous mix runs under every registered L2 prefetcher; the other rows
 // are where stalls dominate: a memory-bound core behind a full L2 fill queue
 // (alone, without late promotion, across the warmup barrier), and cores

@@ -85,7 +85,7 @@ func (f *frontEnd) fetch(now uint64) {
 }
 
 // stalled reports whether all the main stream does this cycle is retry an
-// access that is refused again for counters only.
+// access that is refused again for fixed charges only.
 func (f *frontEnd) stalled(m *machine, core int, now uint64) bool {
 	return len(f.window) < feWindow && now >= f.readyAt && m.h.DispatchStalled(core, f.inst.PC, f.inst.VA)
 }
