@@ -31,9 +31,9 @@ func init() {
 }
 
 // TestCachedRenderBuildsEachSpecOnce guards the cost of a fully cached
-// render: keying a job (once, in pendingJobs; the assembly pass answers
-// from that key) must recall its specs' canonical forms, not re-derive them
-// by building, and a Runner
+// render: keying a job (once per Runner, on a key memo miss in
+// pendingJobs; the assembly pass answers from that key) must recall its
+// specs' canonical forms, not re-derive them by building, and a Runner
 // without a Log must not format a line per job. Each tag is spelled
 // differently in the warm render ("03" for "3") so its spec is new to the
 // process there: one Build each is the whole allowance. With

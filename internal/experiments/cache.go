@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -87,13 +88,28 @@ func (c diskCache) path(key string) string {
 }
 
 // load returns the stored result for key, if present and schema-compatible.
+// It decodes the whole CacheEntry, options included, so an entry with any
+// malformed field is a miss, never half-served.
 func (c diskCache) load(key string) (engine.Result, bool) {
-	b, err := os.ReadFile(c.path(key))
+	return c.loadInto(new(bytes.Buffer), key)
+}
+
+// loadInto is load reading the entry through buf, which it empties first
+// and leaves grown for the next call: a loader keeps one buffer for every
+// entry it reads instead of allocating a file-sized slice per entry.
+// Unmarshal copies what it keeps, so the result never aliases buf.
+func (c diskCache) loadInto(buf *bytes.Buffer, key string) (engine.Result, bool) {
+	f, err := os.Open(c.path(key))
 	if err != nil {
 		return engine.Result{}, false
 	}
+	defer f.Close()
+	buf.Reset()
+	if _, err := buf.ReadFrom(f); err != nil {
+		return engine.Result{}, false
+	}
 	var e CacheEntry
-	if err := json.Unmarshal(b, &e); err != nil || e.Version != resultCacheVersion {
+	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Version != resultCacheVersion {
 		return engine.Result{}, false
 	}
 	return e.Result, true

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -150,6 +151,45 @@ func TestCacheEntryFormats(t *testing.T) {
 	}
 	if got := r2.Executed(); got != 0 {
 		t.Errorf("executed %d simulations with indented entries on disk, want 0", got)
+	}
+
+	// A loader reads every entry into one buffer: a long indented entry, a
+	// shorter compact one and a truncated one in turn must each be read on
+	// its own, never through what the previous one left in the buffer.
+	var entries []CacheEntry
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e CacheEntry
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	long, err := json.MarshalIndent(entries[0], "", "        ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := json.Marshal(entries[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := diskCache{t.TempDir()}
+	for key, b := range map[string][]byte{"long": long, "short": short, "truncated": short[:len(short)/2]} {
+		if err := os.WriteFile(c.path(key), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	for i, key := range []string{"long", "short"} {
+		if res, ok := c.loadInto(&buf, key); !ok || !reflect.DeepEqual(res, entries[i].Result) {
+			t.Errorf("%s entry read through a reused buffer: ok=%v, result %+v, want %+v", key, ok, res, entries[i].Result)
+		}
+	}
+	if _, ok := c.loadInto(&buf, "truncated"); ok {
+		t.Error("truncated entry read through a reused buffer was served")
 	}
 }
 

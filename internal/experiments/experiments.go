@@ -113,8 +113,10 @@ type Runner struct {
 	// worker goroutines and must be safe for concurrent use.
 	Progress func(done, total int)
 
-	mu       sync.Mutex
-	cache    map[string]engine.Result
+	mu    sync.Mutex
+	cache map[string]engine.Result
+	// keys memoises OptionsHash per distinct cell (keyOf).
+	keys     map[cellPrint][]keyedCell
 	logMu    sync.Mutex
 	executed atomic.Int64
 
@@ -132,6 +134,7 @@ func NewRunner(instructions uint64, configs []CoreConfig) *Runner {
 		Benchmarks:   trace.BenchmarkSpecs(),
 		Configs:      configs,
 		cache:        make(map[string]engine.Result),
+		keys:         make(map[cellPrint][]keyedCell),
 	}
 }
 

@@ -1,15 +1,20 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"bopsim/internal/engine"
+	"bopsim/internal/mem"
+	"bopsim/internal/spec"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -202,21 +207,33 @@ func (r *Runner) execOnBackend(backend ExecBackend, slot int, j job, ckpts *ckpt
 	return backend.Run(slot, j.o)
 }
 
-// pendingJobs keys every entry of opts (keys[i] is OptionsHash(opts[i]))
-// and returns the jobs still to run: the entries deduplicated by key, in
-// first-appearance order, less those either cache already satisfies.
-// Probing the disk cache here (not just per-job in runWith) matters for
-// warmup sharing: a fully disk-cached rerun must schedule nothing, so
-// prepareCheckpoints never pays a warmup leg for a group with no real work
-// left. Disk hits are promoted into the in-memory cache, exactly as
-// runWith would have done.
+// pendingJobs keys every entry of opts (keys[i] is OptionsHash(opts[i]),
+// taken from the Runner's key memo, keyOf) and returns the jobs still to
+// run: the entries deduplicated by key, in first-appearance order, less
+// those either cache already satisfies. Probing the disk cache here (not
+// just per-job in runWith) matters for warmup sharing: a fully disk-cached
+// rerun must schedule nothing, so prepareCheckpoints never pays a warmup
+// leg for a group with no real work left.
+//
+// The disk probes run while keying goes on: the first key missing from
+// memory starts a fixed pool of loaders, and each such key is handed to it
+// as soon as it is known — the key itself travels through the channel, so
+// no loader reads the job list this loop is still appending to. Hits are
+// applied in input order once the pool drains, promoted into the in-memory
+// cache exactly as runWith would, so log lines and the job list do not
+// depend on which loader finished first.
 func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) {
 	keys = make([]string, len(opts))
 	seen := make(map[string]bool, len(opts))
-	var maybe []job
+	var (
+		probes  chan diskProbe
+		results []engine.Result // indexed like jobs
+		hit     []bool
+		wg      sync.WaitGroup
+	)
 	r.mu.Lock()
 	for i, o := range opts {
-		k := OptionsHash(o)
+		k := r.keyOf(o)
 		keys[i] = k
 		if seen[k] {
 			continue
@@ -225,46 +242,138 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 		if _, ok := r.cache[k]; ok {
 			continue
 		}
-		maybe = append(maybe, job{o: o, cacheKey: k})
+		if r.CacheDir != "" {
+			if probes == nil {
+				// Every job from here on is probed, so at most
+				// len(opts)-i of them are left: a buffer that size
+				// never blocks a send made under r.mu.
+				n := len(opts) - i
+				probes = make(chan diskProbe, n)
+				results, hit = make([]engine.Result, n), make([]bool, n)
+				for range min(runtime.GOMAXPROCS(0), n) {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						var buf bytes.Buffer
+						for p := range probes {
+							results[p.job], hit[p.job] = (diskCache{r.CacheDir}).loadInto(&buf, p.key)
+						}
+					}()
+				}
+			}
+			probes <- diskProbe{len(jobs), k}
+		}
+		jobs = append(jobs, job{o: o, cacheKey: k})
 	}
 	r.mu.Unlock()
-	if r.CacheDir == "" || len(maybe) == 0 {
-		return keys, maybe
+	if probes == nil {
+		return keys, jobs
 	}
-	// Probe the disk cache on a fixed pool of loaders that take entries by
-	// index — a mostly-cached rerun of a large sweep would otherwise spend
-	// its startup in one goroutine's serial read+decode loop — then apply
-	// the hits in input order so log lines and the resulting job list stay
-	// deterministic.
-	results := make([]engine.Result, len(maybe))
-	hit := make([]bool, len(maybe))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(maybe)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(maybe) {
-					return
-				}
-				results[i], hit[i] = (diskCache{r.CacheDir}).load(maybe[i].cacheKey)
-			}
-		}()
-	}
+	close(probes)
 	wg.Wait()
-	for i, p := range maybe {
+	pending := jobs[:0]
+	for i, j := range jobs {
 		if !hit[i] {
-			jobs = append(jobs, p)
+			pending = append(pending, j)
 			continue
 		}
 		r.mu.Lock()
-		r.cache[p.cacheKey] = results[i]
+		r.cache[j.cacheKey] = results[i]
 		r.mu.Unlock()
-		r.logResult("load", p.o, results[i].IPC)
+		r.logResult("load", j.o, results[i].IPC)
 	}
-	return keys, jobs
+	return keys, pending
+}
+
+// diskProbe asks a pendingJobs loader for the entry of jobs[job], whose
+// cache key is key.
+type diskProbe struct {
+	job int
+	key string
+}
+
+// keyedCell is one key memo entry: a private deep copy of a cell's options
+// (cloneOptions) and their OptionsHash.
+type keyedCell struct {
+	o   engine.Options
+	key string
+}
+
+// cellPrint buckets the key memo: a comparable digest of the option fields
+// the figures vary between cells — the core-0 workload, both prefetcher
+// specs, the L3 policy (Figure 3), cores, page and warmup. Cells that share
+// a print are told apart by reflect.DeepEqual on the whole options.
+type cellPrint struct {
+	wl0, l2, l1 specPrint
+	l3          string
+	cores       int
+	page        mem.PageSize
+	warmup      uint64
+}
+
+// specPrint is a spec's name and an order-free digest of its parameters.
+type specPrint struct {
+	name   string
+	params uint64
+}
+
+func printSpec(s spec.Spec) specPrint {
+	// Each key=value pair is hashed alone (FNV-1a) and the hashes summed,
+	// so map iteration order cannot matter and nothing is allocated.
+	var sum uint64
+	for k, v := range s.Params {
+		sum += fnv64a(fnv64a(fnv64a(14695981039346656037, k), "="), v)
+	}
+	return specPrint{s.Name, sum}
+}
+
+func fnv64a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+func printCell(o engine.Options) cellPrint {
+	p := cellPrint{l2: printSpec(o.L2PF), l1: printSpec(o.L1PF), l3: o.L3Policy, cores: o.Cores, page: o.Page, warmup: o.Warmup}
+	if len(o.Workloads) > 0 {
+		p.wl0 = printSpec(o.Workloads[0])
+	}
+	return p
+}
+
+// keyOf returns OptionsHash(o), hashing o only the first time this Runner
+// sees options DeepEqual to it: a render of Figures 6, 11 and 12 asks for
+// 144 distinct cells 384 times. The memo keeps its own deep copy of each
+// cell, so a caller that later mutates a spec's Params map in place cannot
+// change an entry behind its key. Options naming a trace file are always
+// hashed, since their key follows the file's content. r.mu must be held.
+func (r *Runner) keyOf(o engine.Options) string {
+	for _, w := range o.Workloads {
+		if w.Name == "file" {
+			return OptionsHash(o)
+		}
+	}
+	p := printCell(o)
+	for _, c := range r.keys[p] {
+		if reflect.DeepEqual(c.o, o) {
+			return c.key
+		}
+	}
+	k := OptionsHash(o)
+	r.keys[p] = append(r.keys[p], keyedCell{cloneOptions(o), k})
+	return k
+}
+
+// cloneOptions returns o with its own Workloads slice and parameter maps.
+func cloneOptions(o engine.Options) engine.Options {
+	o.Workloads = slices.Clone(o.Workloads)
+	for i := range o.Workloads {
+		o.Workloads[i].Params = maps.Clone(o.Workloads[i].Params)
+	}
+	o.L2PF.Params = maps.Clone(o.L2PF.Params)
+	o.L1PF.Params = maps.Clone(o.L1PF.Params)
+	return o
 }
 
 // runWith executes one simulation, whose OptionsHash is key, via exec

@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +17,7 @@ import (
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 	"bopsim/internal/stats"
 	"bopsim/internal/trace"
 )
@@ -225,15 +230,24 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 
 // placeholderBackend executes nothing: each job it receives gets a
 // distinct positive result, numbered in arrival order, so a figure's whole
-// job set completes at once.
-type placeholderBackend struct{ n atomic.Int64 }
+// job set completes at once. It keeps every job with the result it got.
+type placeholderBackend struct {
+	n   atomic.Int64
+	mu  sync.Mutex
+	ran []engine.Options
+	got []engine.Result
+}
 
 func (b *placeholderBackend) Slots() int           { return 2 }
 func (b *placeholderBackend) SlotLabel(int) string { return "placeholder" }
 
-func (b *placeholderBackend) Run(int, engine.Options) (engine.Result, error) {
+func (b *placeholderBackend) Run(_ int, o engine.Options) (engine.Result, error) {
 	n := b.n.Add(1)
-	return engine.Result{IPC: float64(n), DRAMAccessesPerKI: float64(n % 4)}, nil
+	res := engine.Result{IPC: float64(n), DRAMAccessesPerKI: float64(n % 4)}
+	b.mu.Lock()
+	b.ran, b.got = append(b.ran, o), append(b.got, res)
+	b.mu.Unlock()
+	return res, nil
 }
 
 // materializeErr is materialize with its buildError returned, as
@@ -256,7 +270,11 @@ func materializeErr(r *Runner, build func(runFunc) *stats.Table) (tb *stats.Tabl
 // builder asks for the same options in the same order on both passes (the
 // guard in materialize fails the figure otherwise), and a builder whose
 // passes disagree is stopped at its first divergent cell instead of being
-// handed a neighbour's result.
+// handed a neighbour's result. It also checks where those keys come from,
+// the Runner's key memo (keyOf): each job ran under the key OptionsHash
+// gives its options — its result is filed there — every memo entry holds
+// its own options' hash, and the cell print separates every cell a target
+// asks for, so no lookup pays more than one DeepEqual.
 func TestAssemblyReplaysEnumeration(t *testing.T) {
 	for _, tg := range Targets() {
 		if tg.tables == nil {
@@ -271,6 +289,12 @@ func TestAssemblyReplaysEnumeration(t *testing.T) {
 		if backend.n.Load() == 0 {
 			t.Errorf("%s scheduled no job", tg.Name)
 		}
+		for i, o := range backend.ran {
+			if got, ok := r.cache[OptionsHash(o)]; !ok || !reflect.DeepEqual(got, backend.got[i]) {
+				t.Errorf("%s: the result of %s is not filed under its OptionsHash", tg.Name, describeOptions(o))
+			}
+		}
+		checkKeyMemo(t, tg.Name, r, true)
 	}
 
 	r := tinyRunner()
@@ -469,5 +493,233 @@ func TestTraceContentKeysCache(t *testing.T) {
 	}
 	if OptionsHash(o) == keyA {
 		t.Error("editing the trace file did not change the cache key")
+	}
+}
+
+// checkKeyMemo fails the test unless every key memo entry of r is the
+// OptionsHash of the options it stores, and, when single is set, no bucket
+// holds more than one entry.
+func checkKeyMemo(t *testing.T, name string, r *Runner, single bool) {
+	t.Helper()
+	for p, cells := range r.keys {
+		if single && len(cells) > 1 {
+			t.Errorf("%s: memo bucket %+v holds %d cells", name, p, len(cells))
+		}
+		for _, c := range cells {
+			if want := OptionsHash(c.o); c.key != want {
+				t.Errorf("%s: memo keys %s as %.12s, OptionsHash says %.12s", name, describeOptions(c.o), c.key, want)
+			}
+		}
+	}
+}
+
+// TestKeyMemoOwnsItsCells mutates, between two renders, a Params map the
+// first render's cells share with their caller: a row's workload spec, the
+// L2 spec, and a satellite core's workload spec, which no cell print looks
+// at. The second render must key the changed cells anew — one job each —
+// and leave every memo entry keyed by its own options. A memo that stored
+// the caller's options instead of a copy fails both: the satellite change
+// hits the aliased entry and runs nothing, and the other two leave an
+// entry whose options no longer hash to its key. A trace file's cells are
+// keyed by content, so rewriting the file between renders re-keys them too.
+func TestKeyMemoOwnsItsCells(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mutate  func(row, l2, sat spec.Spec)
+		changed int64
+	}{
+		{"row spec", func(row, _, _ spec.Spec) { row.Params["footprint"] = "2mb" }, 2},
+		{"L2 spec", func(_, l2, _ spec.Spec) { l2.Params["badscore"] = "5" }, 2},
+		{"satellite spec", func(_, _, sat spec.Spec) { sat.Params["footprint"] = "2mb" }, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tinyRunner()
+			r.Benchmarks[0] = trace.MustSpec("stream:footprint=1mb")
+			backend := &placeholderBackend{}
+			r.Backend = backend
+			l2 := prefetch.MustSpec("bo:badscore=1")
+			sat := trace.MustSpec("stream:footprint=1mb")
+			render := func() string {
+				return r.materialize(func(run runFunc) *stats.Table {
+					tb := stats.NewTable(tc.name, "base", "bo")
+					for _, wl := range r.Benchmarks {
+						o := r.options(wl, CoreConfig{Cores: 2, Page: mem.Page4K})
+						o.Workloads = append(o.Workloads, sat)
+						base := run(o).IPC
+						o.L2PF = l2
+						tb.AddRow(wl.Name, base, run(o).IPC)
+					}
+					return tb
+				}).String()
+			}
+			render()
+			before := backend.n.Load()
+			tc.mutate(r.Benchmarks[0], l2, sat)
+			render()
+			if got := backend.n.Load() - before; got != tc.changed {
+				t.Errorf("second render ran %d jobs, want the %d cells the change touched", got, tc.changed)
+			}
+			checkKeyMemo(t, tc.name, r, false)
+		})
+	}
+
+	t.Run("trace file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "a.trace")
+		write := func(seed, n uint64) {
+			gen, err := trace.NewGenerator(trace.Spec{Name: "456.hmmer"}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := trace.WriteTraceFile(path, gen, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(1, 2000)
+		r := tinyRunner()
+		o := r.options(trace.FileSpec(path), r.Configs[0])
+		first, _ := r.pendingJobs([]engine.Options{o})
+		// Another length, so the content hash's own mtime memo cannot
+		// serve the old hash either.
+		write(7, 2500)
+		second, _ := r.pendingJobs([]engine.Options{o})
+		if first[0] == second[0] || second[0] != OptionsHash(o) {
+			t.Errorf("rewritten trace keyed %.12s, was %.12s, OptionsHash says %.12s", second[0], first[0], OptionsHash(o))
+		}
+	})
+}
+
+// TestKeyMemoSpansFigures checks that the memo is Runner-wide: every cell
+// of Figure 12 is a cell of Figure 6 or 11, so once those two have
+// rendered, Figure 12's first render hashes nothing. Each measured render
+// starts from its own copy of the memo as Figures 6 and 11 left it; it must
+// allocate fewer objects than a render on the memo it has filled itself
+// plus one OptionsHash call. A render that starts from an empty memo shows
+// the scale: it pays about one OptionsHash per cell on top, and at least
+// half that under the race detector, whose sync.Pool drops objects at
+// random.
+func TestKeyMemoSpansFigures(t *testing.T) {
+	r := tinyRunner()
+	r.Backend = &placeholderBackend{}
+	r.Fig6()
+	r.Fig11()
+	const runs = 20
+	memos, empty := make([]map[cellPrint][]keyedCell, runs+1), make([]map[cellPrint][]keyedCell, runs+1) // AllocsPerRun calls f runs+1 times
+	for i := range memos {
+		memos[i], empty[i] = maps.Clone(r.keys), map[cellPrint][]keyedCell{}
+	}
+	fig12 := func(ms []map[cellPrint][]keyedCell) float64 {
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			r.keys = ms[next]
+			next++
+			r.Fig12()
+		})
+	}
+	cold := fig12(empty)
+	first := fig12(memos)
+	filled := testing.AllocsPerRun(runs, func() { r.Fig12() })
+	o := r.options(r.Benchmarks[0], r.Configs[0])
+	o.L2PF = prefetch.Spec{Name: "sbp"}
+	hash := testing.AllocsPerRun(runs, func() { OptionsHash(o) })
+	cells := 2 * len(r.Benchmarks) * len(r.Configs)
+	t.Logf("Figure 12 allocations: %.0f from an empty memo, %.0f after Figures 6 and 11, %.0f on its own memo; OptionsHash %.0f", cold, first, filled, hash)
+	if cold < filled+hash*float64(cells)/2 {
+		t.Errorf("Figure 12 from an empty memo allocates %.0f objects, %.0f on its filled memo: less than half of %d OptionsHash calls (%.0f each) apart", cold, filled, cells, hash)
+	}
+	if first >= filled+hash {
+		t.Errorf("Figure 12 after Figures 6 and 11 allocates %.0f objects, %.0f on its own filled memo, one OptionsHash %.0f: it hashed a cell", first, filled, hash)
+	}
+	if len(r.keys) != len(memos[0]) {
+		t.Errorf("Figure 12 added %d memo buckets to Figures 6 and 11's", len(r.keys)-len(memos[0]))
+	}
+}
+
+// TestPartialCacheRerun deletes every 7th entry of a warm cache and renders
+// Figures 6, 11 and 12 again on a fresh Runner: it must execute exactly the
+// deleted cells and print the same bytes. Each figure's log must be the
+// cold render's with the surviving cells' lines first, as "load", in the
+// cold order, then the deleted cells' "ran" lines: the loaders finish in
+// any order, but hits are applied in the order the figure asks for its
+// cells. That holds at -j 1 and -j 2 — the executed cells' lines follow
+// completion order at -j 2 (Runner.Log), so there they are compared as a
+// set. Four loaders at least, so that loaders racing each other is the
+// common case, not the exception.
+func TestPartialCacheRerun(t *testing.T) {
+	defer runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 4))
+	type line struct{ verb, cell string }
+	// render renders the three figures on a fresh Runner and returns their
+	// bytes and each figure's log lines.
+	render := func(dir string, workers int) (r *Runner, out string, logs [][]line) {
+		r = NewRunner(10_000, []CoreConfig{{Cores: 1, Page: mem.Page4K}, {Cores: 1, Page: mem.Page4M}})
+		r.Benchmarks = QuickBenchmarks()[:8]
+		r.CacheDir, r.Workers = dir, workers
+		for _, fig := range []func() *stats.Table{r.Fig6, r.Fig11, r.Fig12} {
+			var log strings.Builder
+			r.Log = &log
+			out += fig().String()
+			var lines []line
+			for _, l := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+				if l == "" {
+					continue
+				}
+				verb, cell, _ := strings.Cut(strings.TrimSpace(l), " ")
+				lines = append(lines, line{verb, strings.TrimSpace(cell)})
+			}
+			logs = append(logs, lines)
+		}
+		return r, out, logs
+	}
+
+	dir := t.TempDir()
+	cold, want, coldLogs := render(dir, 1)
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != int(cold.Executed()) || len(files) < 14 {
+		t.Fatalf("%d cache entries for %d runs, want at least 14 and one each", len(files), cold.Executed())
+	}
+	deleted := map[string]bool{} // describeOptions of each deleted cell
+	for i := 0; i < len(files); i += 7 {
+		key := strings.TrimSuffix(filepath.Base(files[i]), ".json")
+		for _, cells := range cold.keys {
+			for _, c := range cells {
+				if c.key == key {
+					deleted[describeOptions(c.o)] = true
+				}
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		for i := 0; i < len(files); i += 7 {
+			if err := os.Remove(files[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, got, logs := render(dir, workers)
+		if got != want {
+			t.Errorf("-j %d: partial rerun renders other bytes:\n%s\n---\n%s", workers, got, want)
+		}
+		if got := r.Executed(); got != uint64(len(deleted)) {
+			t.Errorf("-j %d: executed %d simulations, want the %d deleted", workers, got, len(deleted))
+		}
+		for fig, coldLog := range coldLogs {
+			var loads, ran []line
+			for _, l := range coldLog {
+				name, _, _ := strings.Cut(l.cell, " ")
+				if deleted[name] {
+					ran = append(ran, l)
+				} else {
+					loads = append(loads, line{"load", l.cell})
+				}
+			}
+			wantLog, log := append(loads, ran...), logs[fig]
+			if workers > 1 && len(log) == len(wantLog) {
+				byCell := func(a, b line) int { return strings.Compare(a.cell, b.cell) }
+				slices.SortFunc(wantLog[len(loads):], byCell)
+				slices.SortFunc(log[len(loads):], byCell)
+			}
+			if !slices.Equal(log, wantLog) {
+				t.Errorf("-j %d: figure %d of 3 logs\n%v\nwant\n%v", workers, fig+1, log, wantLog)
+			}
+		}
 	}
 }
