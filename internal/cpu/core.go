@@ -289,26 +289,24 @@ func (c *Core) dispatch(now uint64) {
 func (c *Core) dispatching() bool { return !c.paused && c.robLen < c.cfg.ROBSize }
 
 // pendingRefused reports whether all a running dispatch would do is replay the
-// pending instruction's access and have it refused again, moving counters
-// only (uncore.Hierarchy.DispatchStalled).
+// pending instruction's access and have it refused again, moving nothing in
+// the hierarchy (uncore.Hierarchy.DispatchStalled).
 func (c *Core) pendingRefused() bool {
 	return c.hasPending && c.hier.DispatchStalled(c.ID, c.pending.PC, c.pending.VA)
 }
 
 // Settle charges the cycles before now that the driver skipped, [cycled, now).
 // NextEvent lets a driver skip a cycle in which dispatch runs only when the
-// dispatch is stalled — one refused replay of the pending access — and
-// nothing else in the core moves. Such a cycle's whole effect is one
-// DispatchStallMSHR and the charges of one refused Demand, so a span of them
-// is added up here, by the core itself: at the top of its next Cycle, and from
-// whoever reads the machine's counters in between (engine.Snapshot). Nothing
-// the stall depends on can have changed during the span (that would have been
+// dispatch is stalled — one refused replay of the pending access, which moves
+// nothing in the hierarchy — and nothing else in the core moves. Such a
+// cycle's whole effect is one DispatchStallMSHR, so a span of them is added
+// up here, by the core itself: at the top of its next Cycle, and from whoever
+// reads the machine's counters in between (engine.Snapshot). Nothing the
+// stall depends on can have changed during the span (that would have been
 // somebody's event), so it is judged as NextEvent judged it.
 func (c *Core) Settle(now uint64) {
 	if now > c.cycled && c.dispatching() && c.pendingRefused() {
-		n := now - c.cycled
-		c.DispatchStallMSHR += n
-		c.hier.ChargeRefusedDemands(c.ID, n)
+		c.DispatchStallMSHR += now - c.cycled
 	}
 	c.cycled = max(c.cycled, now)
 }
@@ -319,9 +317,9 @@ func (c *Core) Settle(now uint64) {
 // whenever the core would do real work this cycle — dispatching, attempting
 // an issue, or retiring — because those paths have side effects (generator
 // consumption, cache/TLB/prefetcher state updates) on every cycle they run.
-// The one exception is a stalled dispatch, whose per-cycle effect is a fixed
-// charge (see Settle): it is no event, and the core then reports what else it
-// waits for.
+// The one exception is a stalled dispatch, whose per-cycle effect is one
+// DispatchStallMSHR (see Settle): it is no event, and the core then reports
+// what else it waits for.
 //
 //bovet:hotpath
 func (c *Core) NextEvent(now uint64) uint64 {

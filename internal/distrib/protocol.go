@@ -49,7 +49,10 @@ import (
 // v5: the artifact upload endpoint and the 412 ErrorBody's SHA field are
 // gone; a worker that 412s is excluded for that job, and the job retries
 // on another worker.
-const ProtocolVersion = 5
+//
+// v6: the Result a worker returns carries no write-burst count in
+// dram.Stats, and its uncore.Stats counts each request once.
+const ProtocolVersion = 6
 
 // MaxJobBytes bounds a /v1/run request body. A legitimate job is a few
 // hundred bytes of JSON (options are value types; traces travel by hash),

@@ -34,7 +34,6 @@ type Stats struct {
 	RowClosed    uint64
 	RowConflicts uint64
 	UrgentReads  uint64
-	WriteBursts  uint64
 	MergedReads  uint64
 	PerCoreReads []uint64
 }
@@ -311,7 +310,6 @@ func (c *controller) issueWrite(now uint64) {
 	if c.writesInBatch > 0 {
 		c.writesInBatch--
 	}
-	c.stats.WriteBursts++
 	c.access(r, now)
 	c.release(r)
 }

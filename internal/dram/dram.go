@@ -98,7 +98,6 @@ func (m *Memory) TotalStats() Stats {
 		s.RowClosed += c.stats.RowClosed
 		s.RowConflicts += c.stats.RowConflicts
 		s.UrgentReads += c.stats.UrgentReads
-		s.WriteBursts += c.stats.WriteBursts
 		s.MergedReads += c.stats.MergedReads
 		for i, v := range c.stats.PerCoreReads {
 			s.PerCoreReads[i] += v

@@ -67,7 +67,11 @@ import (
 //
 // v8: cache.State and tlb.LevelState lose their hit, miss, eviction and
 // prefetched-hit counters: nothing read them, and no Result byte moved.
-const SnapshotVersion = 8
+//
+// v9: dram.Stats loses its write-burst count (it always equalled Writes),
+// and a TLB level's clock no longer ticks when an access or probe touches
+// the entry that is already most recent, so its clock and stamps read lower.
+const SnapshotVersion = 9
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"

@@ -27,29 +27,29 @@ func TestResultDigests(t *testing.T) {
 		want string
 	}{
 		{name: "mcf-stride-nextline-1core-4KB", opts: func(*engine.Options) {},
-			want: "0013f439677e95333054562b006700f2ac539da71447c00ac05e1cb2b7db75d9"},
+			want: "a02260cfe1f05f9122cafbcbe8cd351d8090adc9654cea7e7594ce6f573a4bb5"},
 		{name: "mcf-none-bo-1core-4KB", opts: func(o *engine.Options) {
 			o.L1PF = prefetch.MustSpec("none")
 			o.L2PF = prefetch.MustSpec("bo")
-		}, want: "e732ae091cfa05a208bff96b2ddd53ef512392c82cecd0e7010fdd53a3b4abcc"},
+		}, want: "558431225b62491dd1e96208c4cb87a9f30eb8a6d8562ae8f388cc2f1342fb30"},
 		{name: "milc-stride-sbp-2core-4MB", opts: func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("433.milc")}
 			o.Cores = 2
 			o.Page = mem.Page4M
 			o.L2PF = prefetch.MustSpec("sbp")
-		}, want: "4ded8b0e345cdbd5ca2cf838defbe2fd54b26a8bb9289b2f45847a4f73359397"},
+		}, want: "3790c9ca94b89f39eb3ccd091554cb8cf153db21d75df1cbc1d1cf1939b00e83"},
 		{name: "mcf-stride-bo-4core-4KB", opts: func(o *engine.Options) {
 			o.Cores = 4
 			o.Instructions = 10_000
 			o.L2PF = prefetch.MustSpec("bo")
-		}, want: "0a267b4cc09b9fb90cd2f7d5b55b738a1e8120d0c8f63cdc6bcedd83158a501a"},
+		}, want: "ec703ccb5a8ab79213b3c1162c0d3dcb49f41c0b1e5aa1314da39a93978283f9"},
 		{name: "gups-none-nextline-4core-4MB", opts: func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("gups:footprint=8mb")}
 			o.Cores = 4
 			o.Page = mem.Page4M
 			o.Instructions = 10_000
 			o.L1PF = prefetch.MustSpec("none")
-		}, want: "0e9dbca68c44feb559f9f45d48dad152faf0b8b465da94d3942b90079eb19b77"},
+		}, want: "9604b6951ec3bb7b4cba97873bebd2f41e2aefe4865c1e50ddb267653983a93f"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestResultDigests(t *testing.T) {
 		o := warmed("433.milc")
 		o.L2PF = prefetch.MustSpec("bo")
 		r, _ := runCheckpointed(t, o)
-		if got, want := resultDigest(t, r), "b2dbc348af9248fbc2ff9f027fdcb6404e0beb85f194a37942a4382f92e923fa"; got != want {
+		if got, want := resultDigest(t, r), "07311cc4b1cc819c927d4d356fda94860ffc2f30c5f7c3a651a3db64d348bcb4"; got != want {
 			t.Errorf("Result digest %s, pinned %s", got, want)
 		}
 	})

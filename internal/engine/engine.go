@@ -399,9 +399,9 @@ func (s *Simulation) nextEventCycle() uint64 {
 //
 // Stepping is event-driven: when no core, uncore queue or DRAM channel can
 // do work this cycle, the clock jumps straight to the earliest upcoming
-// event, charging the skipped span to the per-cycle sampled statistics and
-// the uncore's stalled queue heads (uncore.Hierarchy.AccountIdle); a core
-// whose dispatch is stalled charges its own share later (cpu.Core.Settle).
+// event, charging the skipped span to the uncore's per-cycle sampled
+// statistics (uncore.Hierarchy.AccountIdle); a core whose dispatch is stalled
+// counts its DispatchStallMSHR for the span later (cpu.Core.Settle).
 // The skipped cycles would have moved nothing else under per-cycle ticking,
 // so results are byte-identical (SetSkipAhead and the skip equivalence suite
 // pin this down); a skip consumes its span from the n-cycle budget just as
@@ -513,10 +513,11 @@ func (s *Simulation) barrier() {
 	s.atBarrier = true
 }
 
-// settle has every core charge the cycles the latest jump skipped for it, so
-// the counters read next are those of a machine ticked up to now (see
-// cpu.Core.Settle; a core otherwise settles at its next Cycle). Checkpoint
-// needs none: AtBarrier means the latest step was a ticked cycle, or none.
+// settle has every core count the dispatch stalls of the cycles the latest
+// jump skipped for it, so the counters read next are those of a machine
+// ticked up to now (see cpu.Core.Settle; a core otherwise settles at its next
+// Cycle). Checkpoint needs none: AtBarrier means the latest step was a ticked
+// cycle, or none.
 func (s *Simulation) settle() {
 	for _, c := range s.cores {
 		c.Settle(s.now)

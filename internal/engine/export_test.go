@@ -44,32 +44,12 @@ func hierField[T any](h *uncore.Hierarchy, name string) *T {
 // or back on.
 func (s *Simulation) SetRefusalMemos(on bool) { *hierField[bool](s.hier, "memoOff") = !on }
 
-// MemoShare is one retry loop's attempts, split three ways: answered from a
-// refusal memo, charged for a cycle that was skipped, and (the rest)
-// evaluated in full.
-type MemoShare struct{ Hits, Skipped, Attempts uint64 }
-
-// Cheap is the share of the attempts that were not evaluated in full.
-func (m MemoShare) Cheap() float64 {
-	if m.Attempts == 0 {
-		return 0
-	}
-	return float64(m.Hits+m.Skipped) / float64(m.Attempts)
-}
-
-// memoCount reads one counter of the uncore's unexported memo telemetry.
-func memoCount(h *uncore.Hierarchy, field string) uint64 {
-	return reflect.ValueOf(h).Elem().FieldByName("memoHits").FieldByName(field).Uint()
-}
-
-// RefusalMemoShares returns the memo telemetry of the three retry loops:
-// Demand calls, demand-queue head attempts and prefetch-queue head attempts.
-func (s *Simulation) RefusalMemoShares() (demand, head, pref MemoShare) {
-	s.settle()
-	h, st := s.hier, s.hier.Stats()
-	return MemoShare{memoCount(h, "demand"), memoCount(h, "skippedDemand"), st.DL1Hits + st.DL1Misses},
-		MemoShare{memoCount(h, "head"), memoCount(h, "skippedHead"), st.L2DemandAccesses},
-		MemoShare{memoCount(h, "pref"), memoCount(h, "skippedPref"), memoCount(h, "prefAttempts")}
+// RefusalMemoHits returns how many attempts each of the three retry loops
+// answered from its refusal memo: Demand calls, demand-queue heads and
+// prefetch-queue heads.
+func (s *Simulation) RefusalMemoHits() (demand, head, pref uint64) {
+	hits := reflect.ValueOf(s.hier).Elem().FieldByName("memoHits")
+	return hits.FieldByName("demand").Uint(), hits.FieldByName("head").Uint(), hits.FieldByName("pref").Uint()
 }
 
 // CoreDigest is one core's part of a MachineDigest.
@@ -83,28 +63,21 @@ type CoreDigest struct {
 }
 
 // MachineDigest is the machine below what a Result shows: the state a
-// skipped dispatch stall is charged to that no Result reads (the DTLB1's
-// stamps and clock, DispatchStallMSHR), the stride prefetcher it must leave
-// alone, and everything a Result is computed from. Two drivers of one run
-// must agree on all of it. The memo telemetry is in only as far as it is
-// a property of the run and not of the driver: Demand replays answered
-// cheaply, and prefetch-head attempts.
+// skipped retry must leave alone that no Result reads (every TLB stamp and
+// clock, the stride prefetcher), DispatchStallMSHR, and everything a Result
+// is computed from. Two drivers of one run must agree on all of it.
 type MachineDigest struct {
-	Cycles             uint64
-	Hier               uncore.Stats
-	DRAM               dram.Stats
-	Cores              []CoreDigest
-	CheapDemandReplays uint64
-	PrefetchAttempts   uint64
+	Cycles uint64
+	Hier   uncore.Stats
+	DRAM   dram.Stats
+	Cores  []CoreDigest
 }
 
 // DigestMachine reads the digest of a machine at cycle now. It settles
 // nothing: a driver that stops inside a skipped span gets the counters as
 // they stand (Simulation.DeepDigest settles first).
 func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDigest {
-	d := MachineDigest{Cycles: now, Hier: h.Stats(), DRAM: h.Memory().TotalStats(),
-		CheapDemandReplays: memoCount(h, "demand") + memoCount(h, "skippedDemand"),
-		PrefetchAttempts:   memoCount(h, "prefAttempts")}
+	d := MachineDigest{Cycles: now, Hier: h.Stats(), DRAM: h.Memory().TotalStats()}
 	tlbs := *hierField[[]*tlb.Hierarchy](h, "tlbs")
 	for i, c := range cores {
 		cd := CoreDigest{Retired: c.Retired, DispatchStallMSHR: c.DispatchStallMSHR, TLB: tlbs[i].SaveState()}

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"bopsim/internal/core"
+	"bopsim/internal/dram"
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
+	"bopsim/internal/uncore"
 )
 
 // TestKernelThrottling is Figure 13's claim checked on kernels with no
@@ -147,5 +149,78 @@ func TestKernelTimeliness(t *testing.T) {
 	}
 	if saved("nextline") <= 0 || saved("bo") < 2*saved("nextline") {
 		t.Errorf("BO saves %d cycles over none, next-line %d: want BO at least twice next-line", saved("bo"), saved("nextline"))
+	}
+}
+
+// TestKernelBandwidthBound is a stream too dense for any prefetcher to help:
+// one load per instruction, each to the next line of a 64 MB footprint, with
+// no DL1 prefetcher. What bounds it is not DRAM but the L2 fill queue.
+//
+// In this model an L2 fill-queue entry is held from the moment the miss
+// leaves for the L3 until its line fills the L2 (processL2Request allocates
+// it, drainL2Fills frees it), and a miss that finds the queue full waits in
+// the demand queue. That is how this model reads Table 1's 16-entry fill
+// queue and section 5.4, where a miss or a prefetch needs a fill-queue entry
+// to be sent to the L3, and it is what makes the queue a bound: at most 16
+// lines are in flight below the L2, so by Little's law the stream moves at
+// most 16 ÷ (loaded latency) lines per cycle. The loaded latency is the mean
+// time an entry is held, occupancy sum ÷ entries allocated, measured on the
+// none run, where every entry is one demand miss. With the queue full the
+// bound is met with equality; what the row pins is which bound binds. Table
+// 1's DRAM peak is two channels of one line per tBURST = 4 bus cycles, 0.125
+// lines per core cycle, and the stream runs at 0.087, 70 % of it, with the
+// fill queue at 16.00 of 16 and the DL1 MSHRs at 32.00 of 32 on average.
+// Prefetchers cannot help: they need fill-queue entries the demands already
+// hold, so the prefetch queue overflows and every IPC is the same.
+//
+// Readings (seed 1, 200,000 instructions): IPC 0.0870 and 2,299,922 cycles
+// under none, next-line, BO and offset:d=8, a loaded latency of 184 cycles.
+// Each request is counted once, so under none L2DemandAccesses = L3Misses =
+// DRAM reads = 200,019: every entry allocated is one DRAM read.
+func TestKernelBandwidthBound(t *testing.T) {
+	p := dram.DefaultParams(1)
+	peak := float64(p.Channels) / float64(p.TBURST*p.BusRatio)
+	// An open-row read with no queueing: tCL + tBURST on the bus, plus the
+	// fixed round trip. A loaded latency below it would be a counting bug.
+	floor := float64((p.TCL+p.TBURST)*p.BusRatio) + float64(p.ExtraLatency)
+	entries := float64(uncore.DefaultConfig(1, mem.Page4K).L2FillQueueLen)
+	var latency, bound float64
+	ipc := map[string]float64{}
+	for _, pf := range []string{"none", "nextline", "bo", "offset:d=8"} {
+		o := engine.DefaultOptions("")
+		o.Workloads = []trace.Spec{trace.MustSpec("stream:memper1000=1000,footprint=64mb")}
+		o.L1PF = prefetch.MustSpec("none")
+		o.L2PF = prefetch.MustSpec(pf)
+		o.Instructions = 200_000
+		r := runStraight(t, o)
+		h := r.Hier
+		if pf == "none" {
+			if h.L2DemandAccesses != h.L3Misses || h.L3Misses != r.DRAM.Reads {
+				t.Errorf("none: L2DemandAccesses %d, L3Misses %d, DRAM reads %d: a stream with no prefetcher must read each line once and count it once",
+					h.L2DemandAccesses, h.L3Misses, r.DRAM.Reads)
+			}
+			latency = float64(h.L2FQOccupancySum) / float64(h.L2Misses)
+			bound = min(peak, entries/latency)
+		}
+		ipc[pf] = r.IPC
+		throughput := float64(r.DRAM.Reads) / float64(r.Cycles)
+		t.Logf("%s: IPC %.4f, %d cycles, %.4f lines per cycle; fill queue %.2f of %.0f, MSHRs %.2f",
+			pf, r.IPC, r.Cycles, throughput, float64(h.L2FQOccupancySum)/float64(h.TickSamples), entries,
+			float64(h.MSHROccupancySum)/float64(h.TickSamples))
+		if throughput > bound*(1+1e-9) { // the margin is floating-point rounding only
+
+			t.Errorf("%s: %.4f lines per cycle, above min(DRAM peak %.3f, %.0f entries / %.0f cycles)", pf, throughput, peak, entries, latency)
+		}
+		if r.IPC != ipc["none"] {
+			t.Errorf("%s: IPC %.6f, none %.6f: a prefetcher changed a stream the fill queue bounds", pf, r.IPC, ipc["none"])
+		}
+	}
+	t.Logf("loaded latency %.0f cycles (open-row floor %.0f); bound min(DRAM peak %.3f, %.0f / %.0f = %.4f)",
+		latency, floor, peak, entries, latency, entries/latency)
+	if latency < floor {
+		t.Errorf("loaded latency %.0f cycles, below the %.0f-cycle open-row floor", latency, floor)
+	}
+	if entries/latency >= peak {
+		t.Errorf("the fill-queue bound %.4f is not below DRAM's peak %.3f: the queue no longer bounds the stream", entries/latency, peak)
 	}
 }

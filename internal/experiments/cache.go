@@ -25,10 +25,14 @@ import (
 // specs (Options.Workloads); file replays are keyed inside the spec by
 // content hash (trace.HashSpec).
 //
+// v4: uncore.Stats counts each request once, when the path accepts it, so
+// DL1Misses, L2DemandAccesses and L2Misses no longer count refused retries;
+// dram.Stats loses its write-burst count.
+//
 // A bump simply invalidates: an older entry is never loaded (load rejects
 // the version), VerifyCache counts it skipped, and EvictCache removes it
 // first because it is the oldest thing in the directory.
-const resultCacheVersion = 3
+const resultCacheVersion = 4
 
 // OptionsHash returns the canonical cache key of one simulation run: a
 // SHA-256 over the JSON encoding of the *normalized* options plus the cache

@@ -34,23 +34,23 @@ func TestOptionsHashGolden(t *testing.T) {
 		o    engine.Options
 		want string
 	}{
-		{"bare name", with("429.mcf", nil), "3ed42a4057f796498e639f61eff0e8a99db32e20bbe934c3957629d5e5eb1961"},
+		{"bare name", with("429.mcf", nil), "ca8894dc1d8686c2ae965317e717c8670015c257f0e4a9a276d306c30d68d114"},
 		{"parameterized", with("stream:stride=128", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("bo:badscore=5,rr=64")
 			o.L1PF = prefetch.MustSpec("stride:dist=8")
-		}), "b2e01700f2fe73ca99938c42953870f8f792ced2bc70c83e53f64564f4f564d1"},
+		}), "05f06c1db1702f197b452cd0bb92211403f5ab993e3bf40912763a491a082c55"},
 		// Non-canonical spellings hash like their canonical forms: a size
 		// in another unit, an all-ones weights list, an upper-case
 		// prefetcher name and key that never went through ParseSpec.
-		{"size spelling", with("gups:footprint=64MB", nil), "e49f3f1cab1e5a633335f3e86fb7b9360b567ef6b9b3f79f4d913c1ca5f2db96"},
-		{"implicit weights", with("mix:gens=stream+pchase,weights=1+1", nil), "3ad43c333e8510e4b29dffd25d1ec2a7796a76614ac5ad15f91fc4bd93a3b8f9"},
+		{"size spelling", with("gups:footprint=64MB", nil), "80471ed14279f2ca79b8df8fd267d8257eff76f45856da9c0a386134661d52b8"},
+		{"implicit weights", with("mix:gens=stream+pchase,weights=1+1", nil), "b7785b07a2b180712c0dcb44060c573f2a34791046e8cc25334fcc9a0ebc505e"},
 		{"unfolded prefetcher", with("433.milc", func(o *engine.Options) {
 			o.L2PF = prefetch.Spec{Name: "BO", Params: map[string]string{"BadScore": "5"}}
-		}), "50f86029b9d2b780e7ae82fb0f6f13252b6103129de5f45efd8c164fe276a20d"},
+		}), "fb6c8fb9bc0c6ca4cc7e225f840bcd2d72b4543f76cbfad55815553c328669f4"},
 		// Keyed by the trace's content hash, so the temp path is invisible.
 		{"file spec", with("", func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
-		}), "202eb977925c6b59bbca65eed4a298e2022093af30387fef516b9b188a0772ec"},
+		}), "718ffe7fc9b3852835658969897d4670869199321e2b810c3758bb7c4315bf45"},
 		{"4-core heterogeneous", with("", func(o *engine.Options) {
 			o.Workloads = []trace.Spec{
 				trace.MustSpec("429.mcf"), trace.MustSpec("gups:footprint=128mb"),
@@ -58,19 +58,19 @@ func TestOptionsHashGolden(t *testing.T) {
 			}
 			o.Cores, o.Page = 4, mem.Page4M
 			o.L2PF = prefetch.MustSpec("sbp")
-		}), "a32983e43cfb872747d1467370e5d906e9c2c9d47135572df812943608ae59ef"},
+		}), "f8ba84530133978f9e9f8598d6b334a52a46c5734b77dd5275731edb3cdc0833"},
 		{"duel with quoted sub-specs", with("462.libquantum", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("duel:a=bo.degree~2,b=multi.minscore~6,period=4096")
-		}), "3b7603810bcae428074588fede171ef0f41a3fc80ec62c15171c86fc08ba136f"},
+		}), "e2c6e04f3d82bd53187f44d6fb1316eafc61a514590148b030d946096812803d"},
 		{"warmed run", with("433.milc", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("bo")
 			o.Warmup, o.Instructions = 20_000, 40_000
-		}), "bd0b89a03e26b5919c283d586c51e01fe02d7e0a7bc610a72f0c298b6492fd9c"},
+		}), "38d5aa812ff7b0c434dbbd463b0bbbd007a36dc460d3e963e343ab4ae0050f55"},
 		// A spec the registry refuses still hashes, syntactically
 		// canonicalized (folded name, lowercased key).
 		{"unregistered prefetcher", with("429.mcf", func(o *engine.Options) {
 			o.L2PF = prefetch.Spec{Name: "Warp-Drive", Params: map[string]string{"X": "1"}}
-		}), "ec8caef3e7002b6b765e250e9ae6ff61ee670779afed5c0921c78e02b3e34d82"},
+		}), "fe9f3c2d06df17d485dbac8e3fe86553188afcf132c4e177a21571af14b1dea4"},
 	}
 	for _, c := range cases {
 		if got := OptionsHash(c.o); got != c.want {

@@ -60,7 +60,7 @@ func TestTLBStateRoundTrip(t *testing.T) {
 	// through repeated save/restore cycles at arbitrary fill levels.
 	rng := rand.New(rand.NewSource(7))
 	for _, entries := range []int{2, 64, 512} {
-		lvl, oracle := newTLBLevel(entries), newScanLevel(entries)
+		lvl, oracle := newTLBLevel(entries), newOracles(entries)
 		for round := 0; round < 6; round++ {
 			checkAgainstScan(t, lvl, oracle, rng, rng.Intn(3*entries)+entries/2)
 			snap := lvl.saveState()

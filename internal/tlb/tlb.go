@@ -35,8 +35,10 @@ const (
 // access checks the most recent entry before the map, since consecutive
 // accesses mostly touch one page. The check is exact: VPNs are unique among
 // the slots and the map agrees with vpns, so when vpns[mru] is the VPN the
-// map would answer mru, and touching the entry that is already most recent
-// only stamps it.
+// map would answer mru. Touching the entry that is already most recent
+// changes nothing — recency is an order, and that entry is already first —
+// so neither access nor probe ticks the clock or restamps it: a level's
+// state moves only when its order does.
 type tlbLevel struct {
 	entries int
 	slot    map[uint64]int // VPN -> index into vpns/stamps
@@ -63,6 +65,7 @@ func newTLBLevel(entries int) *tlbLevel {
 }
 
 // touch stamps slot i with the current clock and makes it most recent.
+// Only insert hands it the most recent slot (a one-entry level's victim).
 func (t *tlbLevel) touch(i int32) {
 	t.stamps[i] = t.clock
 	if t.mru == i {
@@ -90,11 +93,10 @@ func (t *tlbLevel) pushFront(i int32) {
 
 // access looks up vpn, refreshing LRU state; insert on miss.
 func (t *tlbLevel) access(vpn uint64) (hit bool) {
-	t.clock++
 	if t.mru >= 0 && t.vpns[t.mru] == vpn {
-		t.stamps[t.mru] = t.clock // touch(mru)
 		return true
 	}
+	t.clock++
 	if i, ok := t.slot[vpn]; ok {
 		t.touch(int32(i))
 		return true
@@ -107,12 +109,12 @@ func (t *tlbLevel) access(vpn uint64) (hit bool) {
 // prefetcher's TLB2 check, which drops the prefetch on a miss rather than
 // walking the page table).
 func (t *tlbLevel) probe(vpn uint64) bool {
-	if i, ok := t.slot[vpn]; ok {
+	i, ok := t.slot[vpn]
+	if ok && int32(i) != t.mru {
 		t.clock++
 		t.touch(int32(i))
-		return true
 	}
-	return false
+	return ok
 }
 
 func (t *tlbLevel) insert(vpn uint64) {
@@ -166,19 +168,6 @@ func (h *Hierarchy) Access(va mem.Addr) uint64 {
 	}
 	h.Walks++
 	return TLB2HitPenalty + PageWalkPenalty
-}
-
-// RepeatAccess is n times Access(va) for the va of the latest Access call
-// when nothing else has touched the DTLB1 since: that page is resident and
-// most recent, so each access is a DTLB1 hit (latency 0) whose whole effect is
-// n ticks of the level's clock and a fresh stamp on the entry already at the
-// head of the recency list — the stamp of the last. Both are state a snapshot
-// carries and a later eviction reads. The caller vouches for the precondition
-// (uncore's Demand memo: only Access and RepeatAccess ever touch a DTLB1).
-func (h *Hierarchy) RepeatAccess(n uint64) {
-	t := h.dtlb1
-	t.clock += n
-	t.stamps[t.mru] = t.clock
 }
 
 // ProbeTLB2 reports whether the page of va is present in the TLB2 without

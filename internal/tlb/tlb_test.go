@@ -1,8 +1,10 @@
 package tlb
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -11,25 +13,44 @@ import (
 // scanLevel is the oracle for tlbLevel's recency list: the implementation
 // the list replaced, which finds its LRU victim by scanning every stamp for
 // the minimum. It shares LevelState with the real level so the two can be
-// compared byte for byte and restored from one another's snapshots.
+// restored from one another's snapshots.
+//
+// It runs under one of two stamping rules. The ticking rule is the original
+// one: every access and every probe hit ticks the clock and stamps the entry
+// it touches, so a stamp is the time of the entry's latest touch. It is the
+// reference for decisions — hit or miss at every step, and the recency order
+// — and says nothing about stamp values. Under the still-MRU rule, which is
+// tlbLevel's, touching the entry that already holds the largest stamp neither
+// ticks nor stamps: it is most recent already, so no order changes. Only an
+// oracle under that rule is compared with a level byte for byte.
 type scanLevel struct {
-	entries int
-	slot    map[uint64]int
-	vpns    []uint64
-	stamps  []uint64
-	clock   uint64
+	entries  int
+	stillMRU bool
+	slot     map[uint64]int
+	vpns     []uint64
+	stamps   []uint64
+	clock    uint64
 }
 
-func newScanLevel(entries int) *scanLevel {
-	return &scanLevel{entries: entries, slot: make(map[uint64]int, entries)}
+func newScanLevel(entries int, stillMRU bool) *scanLevel {
+	return &scanLevel{entries: entries, stillMRU: stillMRU, slot: make(map[uint64]int, entries)}
+}
+
+// touch refreshes slot i under the oracle's rule.
+func (t *scanLevel) touch(i int) {
+	if t.stillMRU && t.stamps[i] == slices.Max(t.stamps) {
+		return
+	}
+	t.clock++
+	t.stamps[i] = t.clock
 }
 
 func (t *scanLevel) access(vpn uint64) bool {
-	t.clock++
 	if i, ok := t.slot[vpn]; ok {
-		t.stamps[i] = t.clock
+		t.touch(i)
 		return true
 	}
+	t.clock++
 	if len(t.vpns) >= t.entries {
 		victim, best := 0, ^uint64(0)
 		for i, s := range t.stamps {
@@ -50,12 +71,11 @@ func (t *scanLevel) access(vpn uint64) bool {
 }
 
 func (t *scanLevel) probe(vpn uint64) bool {
-	if i, ok := t.slot[vpn]; ok {
-		t.clock++
-		t.stamps[i] = t.clock
-		return true
+	i, ok := t.slot[vpn]
+	if ok {
+		t.touch(i)
 	}
-	return false
+	return ok
 }
 
 // state renders the oracle as a LevelState (VPNs sorted, as saveState does).
@@ -74,15 +94,39 @@ func (t *scanLevel) restore(st LevelState) {
 	t.clock = st.Clock
 }
 
-// checkAgainstScan drives lvl and the scanning oracle with one random stream
-// of accesses and probes over a VPN universe somewhat larger than the level,
-// requiring the same outcome at every step and the same LevelState at the
-// end. Phases of locality (a hot subset) alternate with uniform traffic so
-// hits reorder the list between evictions, and with runs on a single VPN,
+// recency lists a level's VPNs most recent first.
+func recency(st LevelState) []uint64 {
+	order := slices.Clone(st.VPNs)
+	rank := make(map[uint64]uint64, len(order))
+	for i, v := range st.VPNs {
+		rank[v] = st.Stamps[i]
+	}
+	slices.SortFunc(order, func(a, b uint64) int { return cmp.Compare(rank[b], rank[a]) })
+	return order
+}
+
+// oracles is the pair of scanning oracles one level is checked against.
+type oracles struct{ ticking, exact *scanLevel }
+
+func newOracles(entries int) oracles {
+	return oracles{newScanLevel(entries, false), newScanLevel(entries, true)}
+}
+
+func (o oracles) restore(st LevelState) {
+	o.ticking.restore(st)
+	o.exact.restore(st)
+}
+
+// checkAgainstScan drives lvl and both scanning oracles with one random
+// stream of accesses and probes over a VPN universe somewhat larger than the
+// level. Every step must decide as the ticking oracle decides; at the end the
+// recency order must be the ticking oracle's and the LevelState the still-MRU
+// oracle's. Phases of locality (a hot subset) alternate with uniform traffic
+// so hits reorder the list between evictions, and with runs on a single VPN,
 // where every access after the first hits the most recent entry (access's
 // check ahead of the map). A stream long enough to hold such a run must have
 // sent a share of its accesses down that check.
-func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.Rand, steps int) {
+func checkAgainstScan(t *testing.T, lvl *tlbLevel, o oracles, rng *rand.Rand, steps int) {
 	t.Helper()
 	universe := lvl.entries + lvl.entries/2 + 3
 	mruHits := 0
@@ -95,7 +139,8 @@ func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.
 			vpn = uint64(phase*31) % uint64(universe)
 		}
 		if rng.Intn(4) == 0 {
-			if got, want := lvl.probe(vpn), oracle.probe(vpn); got != want {
+			got, want := lvl.probe(vpn), o.ticking.probe(vpn)
+			if o.exact.probe(vpn) != want || got != want {
 				t.Fatalf("step %d: probe(%d) = %v, scanning oracle says %v", i, vpn, got, want)
 			}
 			continue
@@ -103,15 +148,20 @@ func checkAgainstScan(t *testing.T, lvl *tlbLevel, oracle *scanLevel, rng *rand.
 		if lvl.mru >= 0 && lvl.vpns[lvl.mru] == vpn {
 			mruHits++
 		}
-		if got, want := lvl.access(vpn), oracle.access(vpn); got != want {
+		got, want := lvl.access(vpn), o.ticking.access(vpn)
+		if o.exact.access(vpn) != want || got != want {
 			t.Fatalf("step %d: access(%d) hit = %v, scanning oracle says %v", i, vpn, got, want)
 		}
 	}
 	if steps >= 3*97 && mruHits < steps/16 {
 		t.Fatalf("%d of %d steps hit the most recent entry: the single-VPN runs did not reach access's check", mruHits, steps)
 	}
-	if got, want := lvl.saveState(), oracle.state(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after %d steps the level's state differs from the scanning oracle's\n got %+v\nwant %+v", steps, got, want)
+	got := lvl.saveState()
+	if want := recency(o.ticking.state()); !slices.Equal(recency(got), want) {
+		t.Fatalf("after %d steps the level's recency order differs from the scanning oracle's\n got %v\nwant %v", steps, recency(got), want)
+	}
+	if want := o.exact.state(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %d steps the level's state differs from the still-MRU oracle's\n got %+v\nwant %+v", steps, got, want)
 	}
 }
 
@@ -160,7 +210,7 @@ func TestTrueLRUInDTLB1(t *testing.T) {
 	// size the hierarchy uses and at the degenerate ones.
 	for _, entries := range []int{1, 2, 3, 64, 512} {
 		rng := rand.New(rand.NewSource(int64(entries)))
-		checkAgainstScan(t, newTLBLevel(entries), newScanLevel(entries), rng, 40*entries+2000)
+		checkAgainstScan(t, newTLBLevel(entries), newOracles(entries), rng, 40*entries+2000)
 	}
 }
 
@@ -213,71 +263,34 @@ func TestMissCountersAdvance(t *testing.T) {
 	}
 }
 
-// TestRepeatAccess holds RepeatAccess to what it abbreviates: on random
-// streams of accesses and TLB2 probes, a hierarchy that answers every run of
-// n immediate repeats of an access with one RepeatAccess(n) must stay
-// state-identical (SaveState: stamps and clocks) to one that calls
-// Access n more times, and its DTLB1
-// to the scanning oracle — also when the repeat comes first thing after a
-// restore, where the most recent entry is whatever the stamps say.
-func TestRepeatAccess(t *testing.T) {
-	for _, entries := range []int{1, 2, 3, 64, 512} {
+// TestTouchingMostRecentChangesNothing: an access or a TLB2 probe of the
+// page that is already most recent in its level leaves the level's state, and
+// the hierarchy's, exactly as it was: no clock tick, no new stamp.
+func TestTouchingMostRecentChangesNothing(t *testing.T) {
+	for _, entries := range []int{1, 2, 64} {
 		rng := rand.New(rand.NewSource(int64(entries)))
-		fast, full := NewWithSizes(mem.Page4K, entries, 2*entries), NewWithSizes(mem.Page4K, entries, 2*entries)
-		oracle := newScanLevel(entries)
-		check := func(step int) {
-			t.Helper()
-			if got, want := fast.SaveState(), full.SaveState(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d entries, step %d: RepeatAccess left state\n%+v\nwhere Access leaves\n%+v", entries, step, got, want)
-			}
-			if got, want := fast.dtlb1.saveState(), oracle.state(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d entries, step %d: DTLB1 differs from the scanning oracle\n got %+v\nwant %+v", entries, step, got, want)
-			}
+		lvl := newTLBLevel(entries)
+		for i := 0; i < 4*entries; i++ {
+			lvl.access(uint64(rng.Intn(2 * entries)))
 		}
-		universe := 2*entries + 3
-		var last mem.Addr
-		accessed := false
-		for step := 0; step < 8*entries+400; step++ {
-			switch rng.Intn(8) {
-			case 0: // a TLB2 probe between an access and its repeats
-				va := mem.Addr(rng.Intn(universe)) << 12
-				if got, want := fast.ProbeTLB2(va), full.ProbeTLB2(va); got != want {
-					t.Fatalf("%d entries, step %d: ProbeTLB2 = %v vs %v", entries, step, got, want)
-				}
-			case 1, 2, 3, 4: // the stalled core: the same access again
-				if !accessed {
-					continue // nothing to repeat yet
-				}
-				n := rng.Intn(5) * rng.Intn(5) // 0..16: one call for a whole skipped span
-				fast.RepeatAccess(uint64(n))
-				for i := 0; i < n; i++ {
-					if lat := full.Access(last); lat != 0 {
-						t.Fatalf("%d entries, step %d: a repeated access cost %d cycles", entries, step, lat)
-					}
-					oracle.access(mem.Page4K.PageOf(last))
-				}
-			case 5: // restore both from fast's snapshot, then repeat at once
-				snap := fast.SaveState()
-				fast, full = NewWithSizes(mem.Page4K, entries, 2*entries), NewWithSizes(mem.Page4K, entries, 2*entries)
-				if err := fast.RestoreState(snap); err != nil {
-					t.Fatal(err)
-				}
-				if err := full.RestoreState(snap); err != nil {
-					t.Fatal(err)
-				}
-				oracle.restore(snap.DTLB1)
-			default:
-				accessed = true
-				last = mem.Addr(rng.Intn(universe)) << 12
-				if a, b := fast.Access(last), full.Access(last); a != b {
-					t.Fatalf("%d entries, step %d: Access latency %d vs %d", entries, step, a, b)
-				}
-				oracle.access(mem.Page4K.PageOf(last))
-			}
-			if entries <= 64 || step%50 == 0 {
-				check(step)
-			}
+		before := lvl.saveState()
+		mru := lvl.vpns[lvl.mru]
+		if !lvl.access(mru) || !lvl.probe(mru) {
+			t.Fatalf("%d entries: the most recent entry missed", entries)
 		}
-		check(-1)
+		if after := lvl.saveState(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%d entries: re-touching the most recent entry moved the level\nbefore %+v\nafter  %+v", entries, before, after)
+		}
+	}
+
+	h := New(mem.Page4K)
+	h.Access(0x1000)
+	h.Access(0x2000)
+	before := h.SaveState()
+	if lat := h.Access(0x2008); lat != 0 || !h.ProbeTLB2(0x2010) {
+		t.Fatalf("the most recent page missed: latency %d", lat)
+	}
+	if after := h.SaveState(); !reflect.DeepEqual(after, before) {
+		t.Errorf("re-touching the most recent page moved the hierarchy\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -16,15 +16,15 @@ type dl1Fill struct {
 	pf    bool // set the DL1 prefetch bit (DL1 stride prefetch fills)
 }
 
-// Stats aggregates hierarchy-wide event counts. L2DemandAccesses and
-// L2Misses count attempts, not requests: a request the L2 path refuses (fill
-// queue or DRAM read queue full, or a late prefetch it may not promote)
-// replays every cycle, and each replay is one access and one miss. DL1Misses
-// likewise counts one per cycle while a core retries against full MSHRs.
-// Attempts are still counted one per cycle, but mostly by charge: a replay
-// answered from a refusal memo (see retryState) or skipped by the engine
-// (AccountIdle for a queue head, ChargeRefusedDemands for a core's refused
-// access) adds what the lookup would have counted without doing it.
+// Stats aggregates hierarchy-wide event counts. One request is one count,
+// taken when the path accepts it. DL1Misses counts the accepted Demand calls
+// that missed the DL1, MSHR merges included (a merge waits on the fill
+// another miss started). L2DemandAccesses counts the requests that left a
+// demand queue — a core's access or a DL1 stride prefetch — and each of them
+// is one L2 hit or one L2 miss. A refused attempt counts nothing: not one
+// refused for full MSHRs, nor a queue head the L2 path refuses (fill queue or
+// DRAM read queue full, or a late prefetch it may not promote), however many
+// cycles it replays.
 type Stats struct {
 	DL1Hits, DL1Misses   uint64
 	L2DemandAccesses     uint64
@@ -72,7 +72,7 @@ type pathMemo struct {
 // memos"). A refused attempt is a pure function of state it does not change,
 // so each of the three retry loops remembers its latest refusal together
 // with the versions of what it read, and while those stand the next cycle's
-// attempt is answered with the refusal's fixed charges alone. The versions
+// attempt is answered as refused without being evaluated. The versions
 // are monotone counters, not machine state: only equality with a remembered
 // value means anything. A refusal says something is full or absent, so a
 // version has to move only when its state loses a queue entry or gains a
@@ -93,17 +93,9 @@ type retryState struct {
 	pref   pathMemo   // prefetch-queue head -> L3 path (issueQueuedPrefetch)
 }
 
-// memoCounts tallies the attempts answered from a memo, and the prefetch-head
-// attempts they are a share of (the other two denominators are statistics
-// already: L2DemandAccesses, and DL1Hits+DL1Misses). The skipped counts are
-// the attempts of each loop that no cycle was run for: charged by
-// ChargeRefusedDemands or AccountIdle, they are in the denominators and not
-// among the hits. Tests read all of it to prove the cheap paths are the ones
-// being exercised.
-type memoCounts struct {
-	demand, head, pref, prefAttempts        uint64
-	skippedDemand, skippedHead, skippedPref uint64
-}
+// memoCounts tallies the attempts each retry loop answered from its memo.
+// Tests read it to prove the cheap paths are the ones being exercised.
+type memoCounts struct{ demand, head, pref uint64 }
 
 // Hierarchy is the full uncore shared by all cores of one simulation.
 type Hierarchy struct {
@@ -149,12 +141,6 @@ type Hierarchy struct {
 	//bovet:allow statecodec rescan memo, not architectural state: SaveState requires Drained (no futures in flight)
 	futEpoch uint64
 	busRatio uint64
-
-	// stalled lists the cores whose due demand-queue head the latest
-	// NextEvent call found blocked (see demandBlocked); AccountIdle charges
-	// them one refused attempt per skipped cycle.
-	//bovet:allow statecodec NextEvent-to-AccountIdle hand-off recomputed on every NextEvent call, not architectural state
-	stalled []int
 
 	// retry holds the per-core refusal memos and their versions. shared is
 	// the version every core reads: it moves when the L3 fill queue loses an
@@ -257,13 +243,12 @@ func (h *Hierarchy) CanAccept(core int) bool {
 func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, fut *dram.Future, ok bool) {
 	if h.demandRefused(core, pc, va) {
 		// The same access again, against the same DTLB1, DL1 and MSHRs: a
-		// DTLB1 hit on the most recent entry, a DL1 miss, no MSHR to merge
-		// onto and none free. The DL1 prefetcher is consulted for real: this
-		// may be the one replay whose query is not settled yet (it cannot be
-		// granted an MSHR, but it notes its target in the filter and probes
-		// the TLB2).
+		// hit on the DTLB1's most recent entry, a DL1 miss, no MSHR to merge
+		// onto and none free, all of which moves nothing. The DL1 prefetcher
+		// is consulted for real: this may be the one replay whose query is not
+		// settled yet (it cannot be granted an MSHR, but it notes its target
+		// in the filter and probes the TLB2).
 		h.memoHits.demand++
-		h.chargeDemandReplays(core, 1)
 		h.strideQuery(core, pc, va, now)
 		return 0, nil, false
 	}
@@ -285,11 +270,11 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		}
 		return t0 + h.cfg.DL1Latency, nil, true
 	}
-	h.stats.DL1Misses++
 	h.strideQuery(core, pc, va, t0)
 
 	if i := h.outstanding[core].find(line); i >= 0 {
 		// MSHR merge: a request for this line is already in flight.
+		h.stats.DL1Misses++
 		info := &h.outstanding[core].infos[i]
 		if isWrite {
 			info.markWrite = true
@@ -300,6 +285,7 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		r.demand = demandMemo{ok: !h.memoOff, pc: pc, va: va, front: r.front}
 		return 0, nil, false
 	}
+	h.stats.DL1Misses++
 	fut = h.futs.Pending()
 	h.outstanding[core].add(line, outstandingInfo{fut: fut, markWrite: isWrite})
 	h.demandQ[core].push(coreReq{
@@ -379,39 +365,19 @@ func (h *Hierarchy) Tick(now uint64) {
 }
 
 // AccountIdle charges span skipped cycles, starting at the cycle the latest
-// NextEvent call was asked about, to the per-cycle statistics. The engine
-// calls it when event-driven stepping jumps the clock over cycles in which
-// no component can do work: the occupancies a per-cycle Tick would have
+// NextEvent call was asked about, to the per-cycle sampled statistics. The
+// engine calls it when event-driven stepping jumps the clock over cycles in
+// which no component can do work: the occupancies a per-cycle Tick would have
 // sampled are constant across such a span (a change would itself be an
-// event), so span identical samples are added in one step. A core whose
-// demand-queue head is blocked would have replayed it once per cycle, each
-// replay refused after an L2 lookup miss, so it is charged span attempts.
-// Snapshot bytes match the per-cycle engine exactly.
+// event), so span identical samples are added in one step. A stalled queue
+// head owes nothing: its refused replays count nothing. Snapshot bytes match
+// the per-cycle engine exactly.
 func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.TickSamples += span
 	h.stats.L2FQOccupancySum += span * uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += span * uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
-	for range h.stalled {
-		h.chargeRefused(span)
-		h.memoHits.skippedHead += span
-	}
-	for c := range h.pq {
-		// The attempts issueQueuedPrefetch would have counted: a skipped
-		// span has every one of them refused.
-		if !h.pq[c].empty() && !h.l2fq[c].full() {
-			h.memoHits.prefAttempts += span
-			h.memoHits.skippedPref += span
-		}
-	}
-}
-
-// chargeRefused charges n refused attempts of a demand-queue head: each is one
-// L2 access and one L2 lookup miss, and nothing else.
-func (h *Hierarchy) chargeRefused(n uint64) {
-	h.stats.L2DemandAccesses += n
-	h.stats.L2Misses += n
 }
 
 // demandRefused reports whether core's latest Demand was this one, refused for
@@ -424,11 +390,11 @@ func (h *Hierarchy) demandRefused(core int, pc uint64, va mem.Addr) bool {
 
 // DispatchStalled reports whether Demand(core, pc, va) would, now and on every
 // repeat until something touches the core's DTLB1, DL1 or MSHRs, be refused
-// from the demand memo with fixed charges only: the memo stands, and the DL1
+// from the demand memo and move nothing: the memo stands, and the DL1
 // prefetcher's query for the access is settled. Such a retry is a stall, not
-// an event; whoever skips n of them owes ChargeRefusedDemands(core, n). Behind
-// a DL1 prefetcher that is no prefetch.SettledQuerier nothing is known about
-// the query, and the answer is no.
+// an event, and skipping it owes the hierarchy nothing. Behind a DL1
+// prefetcher that is no prefetch.SettledQuerier nothing is known about the
+// query, and the answer is no.
 //
 //bovet:hotpath
 func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
@@ -440,22 +406,6 @@ func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
 	}
 	q := h.l1settled[core]
 	return q != nil && q.QuerySettled(pc, va)
-}
-
-// chargeDemandReplays charges n replays of the access core's demand memo
-// remembers with everything but the DL1 prefetcher's part: each is a hit on
-// the DTLB1's most recent entry and a DL1 miss.
-func (h *Hierarchy) chargeDemandReplays(core int, n uint64) {
-	h.tlbs[core].RepeatAccess(n)
-	h.stats.DL1Misses += n
-}
-
-// ChargeRefusedDemands charges n replays of core's refused access that
-// DispatchStalled vouched for: what Demand's memo branch moves, n times. The
-// DL1 prefetcher's part is nothing, as its query is settled.
-func (h *Hierarchy) ChargeRefusedDemands(core int, n uint64) {
-	h.memoHits.skippedDemand += n
-	h.chargeDemandReplays(core, n)
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused
@@ -475,19 +425,17 @@ func (h *Hierarchy) prefetchRefused(core int, line mem.LineAddr) bool {
 // NextEvent returns the earliest cycle at or after now at which the uncore
 // can do real work, or ^uint64(0) when nothing is in flight anywhere. It
 // returns now whenever this cycle's Tick would have side effects beyond
-// per-cycle sampled statistics and per-cycle stall charges: a due
-// demand-queue head that the L2 would accept, a prefetch-queue head the fill
-// path would accept, a blocked writeback retry, or a non-idle DRAM at a
-// bus-cycle boundary. A due head that would be refused is a stall, not an
-// event: the refused replay moves three counters and nothing else (no
-// prefetcher, replacement or queue state), and whatever unblocks it — a
-// fill-queue pop, a DL1 fill, a DRAM scheduling decision, a prefetch issue,
-// a new core request — is an event reported here or by a core. The stalled
-// cores are remembered for AccountIdle. A head whose refusal memo holds is
-// blocked without evaluating the predicate; the predicates still decide every
-// head no memo covers, so a jump never waits for a refusal to be recomputed.
+// per-cycle sampled statistics: a due demand-queue head that the L2 would
+// accept, a prefetch-queue head the fill path would accept, a blocked
+// writeback retry, or a non-idle DRAM at a bus-cycle boundary. A due head
+// that would be refused is a stall, not an event: the refused replay moves
+// nothing (no counter, prefetcher, replacement or queue state), and whatever
+// unblocks it — a fill-queue pop, a DL1 fill, a DRAM scheduling decision, a
+// prefetch issue, a new core request — is an event reported here or by a
+// core. A head whose refusal memo holds is blocked without evaluating the
+// predicate; the predicates still decide every head no memo covers, so a jump
+// never waits for a refusal to be recomputed.
 func (h *Hierarchy) NextEvent(now uint64) uint64 {
-	h.stalled = h.stalled[:0]
 	if len(h.pendingWB) > 0 {
 		return now
 	}
@@ -500,8 +448,7 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 	}
 	for c := range h.l2fq {
 		// A refused issueQueuedPrefetch changes nothing at all (the entry it
-		// takes from the pool goes straight back), so a blocked prefetch
-		// needs no AccountIdle charge.
+		// takes from the pool goes straight back).
 		if line, ok := h.pq[c].front(); ok && !h.l2fq[c].full() && !h.prefetchRefused(c, line) && !h.l3Blocked(line, c) {
 			return now // a queued prefetch will issue this cycle
 		}
@@ -514,9 +461,7 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 				if req.readyAt < next {
 					next = req.readyAt
 				}
-			case h.headRefused(c, req.line) || h.demandBlocked(c, req.line):
-				h.stalled = append(h.stalled, c)
-			default:
+			case !h.headRefused(c, req.line) && !h.demandBlocked(c, req.line):
 				return now // the L2 will take the head this cycle
 			}
 		}
@@ -716,7 +661,6 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 		req := q.front()
 		if h.headRefused(core, req.line) {
 			h.memoHits.head++
-			h.chargeRefused(1)
 			return
 		}
 		if !h.processL2Request(core, req, now) {
@@ -730,11 +674,13 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 }
 
 // processL2Request performs the L2 access for a core request. It returns
-// false when the request must be retried (fill queue or read queue full).
+// false when the request must be retried (fill queue or read queue full, or
+// a late prefetch it may not promote); the access and its hit or miss are
+// counted only once it returns true.
 func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 	l2 := h.l2[core]
-	h.stats.L2DemandAccesses++
 	if ln := l2.Lookup(req.line); ln != nil {
+		h.stats.L2DemandAccesses++
 		h.stats.L2Hits++
 		pfHit := ln.Prefetch
 		if pfHit {
@@ -749,7 +695,6 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 		h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: true, PrefetchedHit: pfHit})
 		return true
 	}
-	h.stats.L2Misses++
 
 	// CAM search of the fill queue: merge onto an in-flight fill.
 	if e := h.l2fq[core].find(req.line); e != nil {
@@ -768,22 +713,22 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 			e.l1pf = false // a demand now depends on this block
 		}
 		e.waiters = append(e.waiters, req.fut)
-		h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: false})
-		return true
+	} else {
+		if h.l2fq[core].full() {
+			return false
+		}
+		e := h.pool.get()
+		e.line, e.core = req.line, core
+		e.fillL1, e.isWrite, e.l1pf = true, req.isWrite, req.l1pf
+		e.waiters = append(e.waiters, req.fut)
+		if !h.accessL3(e, now, false) {
+			h.pool.put(e)
+			return false
+		}
+		h.l2fq[core].push(e)
 	}
-
-	if h.l2fq[core].full() {
-		return false
-	}
-	e := h.pool.get()
-	e.line, e.core = req.line, core
-	e.fillL1, e.isWrite, e.l1pf = true, req.isWrite, req.l1pf
-	e.waiters = append(e.waiters, req.fut)
-	if !h.accessL3(e, now, false) {
-		h.pool.put(e)
-		return false
-	}
-	h.l2fq[core].push(e)
+	h.stats.L2DemandAccesses++
+	h.stats.L2Misses++
 	h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: false})
 	return true
 }
@@ -845,7 +790,6 @@ func (h *Hierarchy) issueQueuedPrefetch(core int, now uint64) {
 		return
 	}
 	line, _ := h.pq[core].front()
-	h.memoHits.prefAttempts++
 	if h.prefetchRefused(core, line) {
 		h.memoHits.pref++
 		return // a refused prefetch moves nothing

@@ -44,15 +44,13 @@ func (p *countingPF) PreIssueTagCheck() bool {
 // per cycle), holds at most feWindow loads in flight (a ROB stand-in, so a
 // memory-bound stream stalls on its oldest load instead of hammering full
 // MSHRs) and retries a refused Demand every cycle, as cpu.Core does. Like
-// cpu.Core it reports no event while the retry is a stall (DispatchStalled),
-// and charges the retries of the cycles it was not run for at its next one.
+// cpu.Core it reports no event while the retry is a stall (DispatchStalled);
+// a skipped retry moves nothing, so there is nothing to settle afterwards.
 type frontEnd struct {
 	gen     trace.Generator
 	inst    trace.Inst
 	readyAt uint64
 	window  []*dram.Future
-	// cycled is the cycle after the latest cycle call (cpu.Core.cycled).
-	cycled uint64
 	// side, when set, is a second stream that does not wait for the first:
 	// every sidePeriod cycles it sends its next memory access and forgets it
 	// whatever the answer, as a core's younger loads issue around a stalled
@@ -85,7 +83,7 @@ func (f *frontEnd) fetch(now uint64) {
 }
 
 // stalled reports whether all the main stream does this cycle is retry an
-// access that is refused again for fixed charges only.
+// access that is refused again and moves nothing.
 func (f *frontEnd) stalled(m *machine, core int, now uint64) bool {
 	return len(f.window) < feWindow && now >= f.readyAt && m.h.DispatchStalled(core, f.inst.PC, f.inst.VA)
 }
@@ -107,31 +105,29 @@ func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 	return max(t, now)
 }
 
-// demand sends inst to the hierarchy and, once accepted, retires it.
+// demand sends inst to the hierarchy and, once accepted, retires it. It
+// counts, from outside the hierarchy, what Stats must count once per request:
+// the requests the call put into the core's demand queue, and the accepted
+// calls that missed the DL1.
 func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Future, ok bool) {
 	h := m.h
 	if m.audit != nil && h.demandRefused(core, inst.PC, inst.VA) {
 		m.auditDemandMemo(core, inst.VA, now)
 	}
+	line := h.translators[core].TranslateLine(mem.LineOf(inst.VA))
+	missed, queued := h.dl1[core].Peek(line) == nil, h.demandQ[core].len()
 	_, fut, ok = h.Demand(core, inst.PC, inst.VA, inst.Op == trace.OpStore, now)
+	m.enqueued += uint64(h.demandQ[core].len() - queued)
 	if ok {
+		if missed {
+			m.dl1Misses++
+		}
 		h.RetireMemOp(core, inst.PC, inst.VA)
 	}
 	return fut, ok
 }
 
-// settle charges the retries of the cycles before now that cycle was not
-// called for (cpu.Core.Settle).
-func (f *frontEnd) settle(m *machine, core int, now uint64) {
-	if n := now - f.cycled; n > 0 && f.stalled(m, core, f.cycled) {
-		m.h.ChargeRefusedDemands(core, n)
-	}
-	f.cycled = now
-}
-
 func (f *frontEnd) cycle(m *machine, core int, now uint64) {
-	f.settle(m, core, now)
-	f.cycled = now + 1
 	if f.side != nil && now%sidePeriod == 0 {
 		inst, _ := nextMemOp(f.side)
 		m.demand(core, inst, now)
@@ -172,6 +168,9 @@ type machine struct {
 	// demandAudits counts auditDemandMemo calls; every tlbAuditEvery-th one
 	// also pays for a look inside the DTLB1.
 	demandAudits int
+	// enqueued counts the requests that entered a demand queue, and
+	// dl1Misses the accepted Demand calls that missed the DL1 (see demand).
+	enqueued, dl1Misses uint64
 }
 
 const (
@@ -181,7 +180,8 @@ const (
 
 // auditDemandMemo checks what a Demand memo hit takes for granted: the access
 // misses the DL1, has no MSHR to merge onto and none free, and its page is
-// the DTLB1's most recent entry (what RepeatAccess stamps).
+// the DTLB1's most recent entry (so the DTLB1 access the hit skips would have
+// moved nothing).
 func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
 	t, h := m.audit, m.h
 	t.Helper()
@@ -349,7 +349,7 @@ var perCoreLabels = [perCoreWords]string{
 var sharedLabels = []string{
 	"len(l3fq)", "l3fq entry flags",
 	"len(pendingWB)", "dram.Reads", "dram.Writes", "dram.RowHits", "dram.RowClosed",
-	"dram.RowConflicts", "dram.UrgentReads", "dram.WriteBursts", "dram.MergedReads", "dram idle",
+	"dram.RowConflicts", "dram.UrgentReads", "dram.MergedReads", "dram idle",
 }
 
 func queueFlags(q *fillQueue) uint64 {
@@ -388,7 +388,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 	}
 	v = append(v, uint64(h.l3fq.len()), queueFlags(h.l3fq),
 		uint64(len(h.pendingWB)), d.Reads, d.Writes, d.RowHits, d.RowClosed,
-		d.RowConflicts, d.UrgentReads, d.WriteBursts, d.MergedReads, idle)
+		d.RowConflicts, d.UrgentReads, d.MergedReads, idle)
 	return fingerprint{stats: h.Stats(), v: v}
 }
 
@@ -492,9 +492,7 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 			continue
 		}
 		paths[path]++
-		// One attempt, refused, two counters and nothing else.
-		before.stats.L2DemandAccesses++
-		before.stats.L2Misses++
+		// One attempt, refused: nothing moves, not even a counter.
 		if !after.equal(before) {
 			t.Fatalf("cycle %d core %d: predicate says line %#x is blocked (%s) but the attempt was not a pure refusal; got vs want:%s",
 				now, c, line, path, after.diff(before))
@@ -539,14 +537,20 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // switched off, so every attempt is evaluated in full: it is the oracle for
 // the memos, and the two must be indistinguishable at every cycle. The
 // skipping one follows NextEvent and AccountIdle exactly as the engine does —
-// its front ends sit out their refused retries as cpu.Core does and charge
-// them afterwards (DispatchStalled, ChargeRefusedDemands) — and must be
-// indistinguishable whenever it ticks. Indistinguishable means identical
+// its front ends sit out their refused retries as cpu.Core does
+// (DispatchStalled) — and must be indistinguishable whenever it ticks. Indistinguishable means identical
 // Stats, TLB walk counts, queue occupancies, fill-queue flags, prefetcher
 // call counts and DRAM counters; and, every deepEvery cycles and at the end,
 // identical TLB contents (stamps and clocks) and stride prefetchers (tables
 // and filters).
 func TestStallPredicateLockStep(t *testing.T) {
+	for _, row := range stallRows() {
+		t.Run(row.name, row.run)
+	}
+}
+
+// stallRows are TestStallPredicateLockStep's configurations.
+func stallRows() []stallRow {
 	rows := []stallRow{
 		{name: "1core-mcf-bo", workloads: []string{"429.mcf"}, l2pf: "bo", l1pf: "stride", cycles: 150_000,
 			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"head"}},
@@ -600,9 +604,7 @@ func TestStallPredicateLockStep(t *testing.T) {
 			cfg:       func(c *Config) { c.L3Policy, c.L3Size = policy, 128<<10 },
 			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}})
 	}
-	for _, row := range rows {
-		t.Run(row.name, row.run)
-	}
+	return rows
 }
 
 // run replays the row on its three machines (see TestStallPredicateLockStep).
@@ -610,7 +612,7 @@ func (row stallRow) run(t *testing.T) {
 	oracle, plain, skipper := row.build(t, true), row.build(t, false), row.build(t, true)
 	oracle.audit = t
 	paths := map[string]int{}
-	var oracleNow, now, skipped, stalledSkipped uint64
+	var oracleNow, now, skipped, headSkipped, demandSkipped uint64
 	var bufA, bufB []uint64
 	deepCheck := func(other *machine, what string) {
 		if d := oracle.deep().diff(other.deep()); d != "" {
@@ -632,9 +634,6 @@ func (row stallRow) run(t *testing.T) {
 				deepCheck(plain, "memo-less")
 			}
 		}
-		for c, f := range skipper.fes {
-			f.settle(skipper, c, to) // as the engine settles its cores before it reads counters
-		}
 		a, b := oracle.fingerprint(bufA), skipper.fingerprint(bufB)
 		bufA, bufB = a.v, b.v
 		if !a.equal(b) {
@@ -652,8 +651,14 @@ func (row stallRow) run(t *testing.T) {
 		if ne > now {
 			span := min(ne, row.cycles) - now
 			skipped += span
-			if len(skipper.h.stalled) > 0 {
-				stalledSkipped += span
+			if skipper.headDue(now) {
+				headSkipped += span
+			}
+			for c, f := range skipper.fes {
+				if f.stalled(skipper, c, now) {
+					demandSkipped += span
+					break
+				}
 			}
 			skipper.h.AccountIdle(span)
 			now += span
@@ -667,11 +672,11 @@ func (row stallRow) run(t *testing.T) {
 	catchUp(row.cycles)
 	deepCheck(plain, "memo-less")
 	deepCheck(skipper, "skipping")
-	hits, st := oracle.h.memoHits, oracle.h.stats
-	t.Logf("%d cycles, %d skipped, %d of them with a stalled head; refusals by path: %v",
-		row.cycles, skipped, stalledSkipped, paths)
-	t.Logf("answered from a memo: %d of %d Demand calls, %d of %d demand-head attempts, %d of %d prefetch-head attempts",
-		hits.demand, st.DL1Hits+st.DL1Misses, hits.head, st.L2DemandAccesses, hits.pref, hits.prefAttempts)
+	hits := oracle.h.memoHits
+	t.Logf("%d cycles, %d skipped, %d of them with a stalled head, %d with a stalled Demand retry; refusals by path: %v",
+		row.cycles, skipped, headSkipped, demandSkipped, paths)
+	t.Logf("answered from a memo: %d Demand calls, %d demand-head attempts, %d prefetch-head attempts",
+		hits.demand, hits.head, hits.pref)
 	if n := plain.h.memoHits; n.demand+n.head+n.pref != 0 {
 		t.Errorf("the machine with memos off answered %+v attempts from a memo: it is no oracle", n)
 	}
@@ -686,13 +691,64 @@ func (row stallRow) run(t *testing.T) {
 			t.Errorf("the %s memo never answered an attempt: this row no longer tests it", m)
 		}
 	}
-	if stalledSkipped == 0 {
-		t.Error("no cycle was skipped over a stalled head: the row does not exercise AccountIdle's charge")
+	if headSkipped == 0 {
+		t.Error("no cycle was skipped over a stalled head: the row does not skip refused queue heads")
 	}
-	skippedDemand := skipper.h.memoHits.skippedDemand
-	t.Logf("refused Demand replays the skipping machine charged without running their cycle: %d", skippedDemand)
-	if slices.Contains(row.wantMemos, "demand") && skippedDemand == 0 {
-		t.Error("no cycle was skipped over a core retrying a refused Demand: the row does not exercise ChargeRefusedDemands")
+	if slices.Contains(row.wantMemos, "demand") && demandSkipped == 0 {
+		t.Error("no cycle was skipped over a core retrying a refused Demand: the row does not skip dispatch stalls")
+	}
+}
+
+// headDue reports whether some core's demand-queue head is due at now. At a
+// cycle NextEvent lets the machine skip, such a head is a stalled one.
+func (m *machine) headDue(now uint64) bool {
+	for c := range m.h.demandQ {
+		if q := &m.h.demandQ[c]; q.len() > 0 && q.front().readyAt <= now {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRequestsCountedOnce holds Stats to one count per request on the
+// lock-step rows that refuse the most: run each to the end of its request
+// stream and then dry, every L2 access counted must be a request that entered
+// a demand queue, and every DL1 miss an accepted Demand call that missed the
+// DL1 (an MSHR merge included). A refused attempt, however often replayed,
+// counts nothing; the rows must see refusals for that to mean anything.
+func TestRequestsCountedOnce(t *testing.T) {
+	for _, row := range stallRows() {
+		if !slices.Contains([]string{"4core-thrash", "no-promotion", "tiny-queues"}, row.name) {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			m := row.build(t, true)
+			now := uint64(0)
+			for ; now < row.cycles; now++ {
+				m.front(now)
+				m.h.Tick(now)
+			}
+			for ; !m.h.Drained(); now++ {
+				if now > 2*row.cycles {
+					t.Fatalf("not drained %d cycles after the last request", now-row.cycles)
+				}
+				m.h.Tick(now)
+			}
+			st, hits := m.h.Stats(), m.h.memoHits
+			t.Logf("%d requests entered a demand queue, %d accepted Demand calls missed the DL1; memo hits %+v", m.enqueued, m.dl1Misses, hits)
+			if st.L2DemandAccesses != m.enqueued || st.L2Hits+st.L2Misses != st.L2DemandAccesses {
+				t.Errorf("L2DemandAccesses %d (L2Hits %d + L2Misses %d) for %d requests that entered a demand queue",
+					st.L2DemandAccesses, st.L2Hits, st.L2Misses, m.enqueued)
+			}
+			if st.DL1Misses != m.dl1Misses {
+				t.Errorf("DL1Misses %d for %d accepted Demand calls that missed the DL1", st.DL1Misses, m.dl1Misses)
+			}
+			for _, memo := range row.wantMemos {
+				if n := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}[memo]; n == 0 {
+					t.Errorf("no %s attempt was refused twice: the row no longer refuses what it must not count", memo)
+				}
+			}
+		})
 	}
 }
 
@@ -706,8 +762,9 @@ type opaqueL1 struct{ prefetch.L1Prefetcher }
 // behind a DL1 prefetcher that can say its query is settled (or none), and
 // only while that query is settled — a retirement that makes the PC's stride
 // confident makes the next replay issue, note its target in the filter and
-// probe the TLB2, which no fixed charge covers; that replay settles it again.
-// Then the bulk charge is held to the replays it stands for.
+// probe the TLB2; that replay settles it again. While the predicate holds, a
+// replay moves nothing: the TLBs, the stride prefetcher and Stats stay as
+// they were.
 func TestDispatchStalled(t *testing.T) {
 	const pc, stridePC = 0x400, 0x800
 	fill := func(h *Hierarchy) (va mem.Addr) {
@@ -736,22 +793,16 @@ func TestDispatchStalled(t *testing.T) {
 		t.Error("stalled for an access the memo does not remember")
 	}
 
-	twin := testHier(prefetch.None{}) // the same machine, replayed instead of charged
-	for i := 0; i < confidenceShort; i++ {
-		twin.RetireMemOp(0, stridePC, mem.Addr(0x800000+i*64))
-	}
-	fill(twin)
+	before, stats := (&machine{h: h}).deep(), h.Stats()
 	const n = 7
-	h.ChargeRefusedDemands(0, n)
 	for i := 0; i < n; i++ {
-		if _, _, ok := twin.Demand(0, stridePC, va, false, 0); ok {
+		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
 			t.Fatal("a replay was accepted")
 		}
 	}
-	got, want := (&machine{h: h}).deep(), (&machine{h: twin}).deep()
-	if d := got.diff(want); d != "" || h.stats != twin.stats {
-		t.Errorf("ChargeRefusedDemands(%d) and %d replays differ; charged vs replayed:%s\n  Stats %+v vs %+v",
-			n, n, d, h.stats, twin.stats)
+	if after := (&machine{h: h}).deep(); !reflect.DeepEqual(after, before) || h.Stats() != stats {
+		t.Errorf("%d refused replays moved the machine; before vs after:%s\n  Stats %+v vs %+v",
+			n, before.diff(after), stats, h.Stats())
 	}
 
 	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+confidenceShort*64)) // the stride is confident now
