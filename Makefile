@@ -16,11 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's three fuzz targets at CI's fixed budgets.
+# fuzz runs CI's four fuzz targets at CI's fixed budgets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 20000x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzBOAgainstReference$$' -fuzztime 20000x ./internal/core
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
 # (internal/analysis): nondeterm, statecodec, hotalloc, deadallow — see

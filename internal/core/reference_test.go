@@ -1,0 +1,531 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"bopsim/internal/mem"
+	"bopsim/internal/prefetch"
+)
+
+// reference is a deliberately naive best-offset learner, written from the
+// text of paper section 4 and from the learning loop of SNIPPETS.md snippet 3
+// (Michaud's code as a ChampSim sandbox prefetcher carries it), not from
+// bo.go or rrtable.go. FuzzBOAgainstReference runs it beside Prefetcher.
+//
+//   - RR table (sections 4.1 and 4.4): 256 direct-mapped entries, indexed by
+//     the 8 low line-address bits XOR the next 8, holding a 12-bit tag, the
+//     line bits above the index. It is a map from slot to tag.
+//   - Widths are snippet 3's: 5-bit saturating scores (SCORE_MAX 31) and a
+//     7-bit round counter (ROUND_MAX 100). Its 7-bit best-offset register is
+//     not: Table 2's offsets reach 256, so the best offset here is an int, as
+//     Prefetcher's is.
+//   - A phase ends when a score reaches SCORE_MAX or the round counter
+//     reaches ROUND_MAX. The best offset becomes D (snippet 3's
+//     DEFAULT_OFFSET 1 when nothing scored; both configurations list offset 1
+//     first, so that is Prefetcher's Offsets[0] too), and a best score at or
+//     below BADSCORE turns prefetch off. D keeps the best offset while off,
+//     as in Prefetcher (snippet 3 stores 0 there; neither prefetches).
+//   - While prefetch is on, a prefetched line Y filled into the L2 inserts
+//     its base address Y-D when that shares Y's page; while it is off, every
+//     fill inserts Y itself (section 4.3).
+//
+// It refuses every knob Prefetcher has beyond Table 2 and an offset list:
+// degree=2, adaptive=true, rratissue, allaccess, and any RR geometry,
+// SCORE_MAX or ROUND_MAX but the paper's. Snippet 1's per-PC counters and
+// credit-on-hit map are not the paper's algorithm, and nothing here follows
+// them.
+//
+// Prefetcher and snippet 3 disagree in two places, and the reference takes
+// Prefetcher's side unless snippetRules is set:
+//   - Prefetcher scores offset d on access X whenever X-d >= 0; snippet 3
+//     also requires X-d in X's page (SAMEPAGE).
+//   - Prefetcher takes a new best offset only on a strictly higher score, so
+//     the first offset in list order to reach a score keeps it; snippet 3
+//     uses >=, so the last one does.
+//
+// Prefetcher stays as it is: either fix moves rendered bytes (the SAMEPAGE
+// check changes the final offset on 3 of the 29 workload stand-ins, >= on
+// 18). TestReferenceSnippetRules measures how often the two rules change a
+// phase's outcome on the fuzz seeds.
+type reference struct {
+	offsets      []int
+	badScore     int
+	linesPerPage int64
+	snippetRules bool
+
+	rr map[int]uint16
+
+	score    []uint8 // 5 bits each, saturating
+	maxScore uint8   // 5 bits
+	best     int     // 0 until an offset scores
+	round    uint8   // 7 bits
+	index    int     // next offset to test
+
+	d      int
+	on     bool
+	phases int
+}
+
+const (
+	refScoreMax = 31
+	refRoundMax = 100
+	refRRSlots  = 256
+)
+
+// newReference returns a reference learner for p, or an error naming the
+// setting it does not model.
+func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, error) {
+	switch {
+	case p.Degree > 1:
+		return nil, fmt.Errorf("degree=%d: the reference prefetches one offset", p.Degree)
+	case p.AdaptiveThrottle:
+		return nil, fmt.Errorf("adaptive=true: the reference has a fixed BADSCORE")
+	case p.InsertRRAtIssue || p.TriggerOnAllAccesses:
+		return nil, fmt.Errorf("the reference models neither ablation")
+	case p.RREntries != refRRSlots || p.RRTagBits != 12 || p.ScoreMax != refScoreMax || p.RoundMax != refRoundMax:
+		return nil, fmt.Errorf("the reference has section 4.4's RR table and snippet 3's widths only")
+	}
+	return &reference{
+		offsets:      p.Offsets,
+		badScore:     p.BadScore,
+		linesPerPage: int64(page) / 64,
+		snippetRules: snippetRules,
+		rr:           map[int]uint16{},
+		score:        make([]uint8, len(p.Offsets)),
+		d:            1,
+		on:           true,
+	}, nil
+}
+
+func (r *reference) samePage(a, b int64) bool { return a/r.linesPerPage == b/r.linesPerPage }
+
+func rrSlot(line int64) int         { return int(line&0xff ^ line>>8&0xff) }
+func rrTag(line int64) uint16       { return uint16(line >> 8 & 0xfff) }
+func (r *reference) insert(l int64) { r.rr[rrSlot(l)] = rrTag(l) }
+
+func (r *reference) hit(l int64) bool {
+	tag, ok := r.rr[rrSlot(l)]
+	return ok && tag == rrTag(l)
+}
+
+// OnAccess takes one L2 access: only a miss or a prefetched hit learns and
+// prefetches (section 5.6).
+func (r *reference) OnAccess(a prefetch.AccessInfo) []mem.LineAddr {
+	if a.Hit && !a.PrefetchedHit {
+		return nil
+	}
+	x := int64(a.Line)
+	r.learn(x)
+	if !r.on {
+		return nil
+	}
+	if t := x + int64(r.d); t >= 0 && r.samePage(x, t) {
+		return []mem.LineAddr{mem.LineAddr(t)}
+	}
+	return nil
+}
+
+func (r *reference) learn(x int64) {
+	test := r.offsets[r.index]
+	base := x - int64(test)
+	if base >= 0 && (!r.snippetRules || r.samePage(x, base)) && r.hit(base) {
+		if r.score[r.index] < refScoreMax {
+			r.score[r.index]++
+		}
+		s := r.score[r.index]
+		if s > r.maxScore || r.snippetRules && s == r.maxScore {
+			r.maxScore, r.best = s, test
+		}
+	}
+	if r.index < len(r.offsets)-1 {
+		r.index++
+		return
+	}
+	r.index = 0
+	r.round = (r.round + 1) & 0x7f
+	if r.maxScore == refScoreMax || r.round == refRoundMax {
+		r.endPhase()
+	}
+}
+
+func (r *reference) endPhase() {
+	r.phases++
+	r.d = r.best
+	if r.d == 0 {
+		r.d = 1
+	}
+	r.on = int(r.maxScore) > r.badScore
+	clear(r.score)
+	r.maxScore, r.best, r.round = 0, 0, 0
+}
+
+// OnFill takes one line filled into the L2.
+func (r *reference) OnFill(y mem.LineAddr, wasPrefetch bool) {
+	l := int64(y)
+	switch {
+	case !r.on:
+		r.insert(l)
+	case wasPrefetch:
+		if base := l - int64(r.d); base >= 0 && r.samePage(l, base) {
+			r.insert(base)
+		}
+	}
+}
+
+// paperOffsets is section 4.2's list: every offset from 1 to 256 with no
+// prime factor above 5.
+func paperOffsets() []int {
+	var out []int
+	for d := 1; d <= 256; d++ {
+		n := d
+		for _, f := range []int{2, 3, 5} {
+			for n%f == 0 {
+				n /= f
+			}
+		}
+		if n == 1 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// snippet3Spec is snippet 3's configuration spelled as a bo spec: its 46
+// signed offsets up to ±40 and BAD_SCORE 10.
+var snippet3Spec = func() string {
+	var offs []string
+	for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 18, 20, 24, 30, 32, 36, 40} {
+		offs = append(offs, fmt.Sprint(d), fmt.Sprint(-d))
+	}
+	return "bo:offsets=" + strings.Join(offs, "+") + ",badscore=10"
+}()
+
+// learner is what the stream drives: Prefetcher or reference.
+type learner interface {
+	OnAccess(prefetch.AccessInfo) []mem.LineAddr
+	OnFill(mem.LineAddr, bool)
+}
+
+// l2Model is a toy L2 in front of one learner: refL2Lines direct-mapped
+// slots, each holding a line as a prefetch still in flight, a prefetched line
+// not yet touched, or a line the core has touched. A fill arrives lag
+// accesses after its request. An access to an in-flight prefetch is a miss
+// (a late prefetch), to an untouched prefetched line a prefetched hit, to a
+// touched line a plain hit; a miss that no prefetch covers fills as a demand.
+type l2Model struct {
+	l     learner
+	slots [refL2Lines]struct {
+		line  mem.LineAddr
+		state uint8
+	}
+	due [refMaxLag + 1][]refFill // fills by arrival time modulo refMaxLag+1
+	now int
+}
+
+type refFill struct {
+	line        mem.LineAddr
+	wasPrefetch bool
+}
+
+const (
+	refL2Lines = 1024
+	refMaxLag  = 31
+	inFlight   = 1 // l2Model line states; 0 is an empty or foreign slot
+	prefetched = 2
+	touched    = 3
+)
+
+func newL2Model(l learner) *l2Model { return &l2Model{l: l} }
+
+func (m *l2Model) state(line mem.LineAddr) uint8 {
+	if sl := &m.slots[line%refL2Lines]; sl.line == line {
+		return sl.state
+	}
+	return 0
+}
+
+func (m *l2Model) set(line mem.LineAddr, state uint8) {
+	sl := &m.slots[line%refL2Lines]
+	sl.line, sl.state = line, state
+}
+
+func (m *l2Model) request(f refFill, lag int) {
+	i := (m.now + lag + 1) % len(m.due) // due at the (lag+1)th access from now
+	m.due[i] = append(m.due[i], f)
+}
+
+// access delivers the fills due, then sends line to the learner and queues
+// what it asks for.
+func (m *l2Model) access(line mem.LineAddr, lag int) []mem.LineAddr {
+	m.now++
+	due := &m.due[m.now%len(m.due)]
+	for _, f := range *due {
+		m.l.OnFill(f.line, f.wasPrefetch)
+		if f.wasPrefetch && m.state(f.line) == inFlight {
+			m.set(f.line, prefetched)
+		}
+	}
+	*due = (*due)[:0]
+	a := prefetch.AccessInfo{Line: line}
+	switch m.state(line) {
+	case prefetched:
+		a.Hit, a.PrefetchedHit = true, true
+	case touched:
+		a.Hit = true
+	case 0:
+		m.request(refFill{line: line}, lag)
+	}
+	if m.state(line) != inFlight {
+		m.set(line, touched)
+	}
+	targets := m.l.OnAccess(a)
+	for _, t := range targets {
+		if m.state(t) == 0 {
+			m.set(t, inFlight)
+			m.request(refFill{line: t, wasPrefetch: true}, lag)
+		}
+	}
+	return targets
+}
+
+// refAccesses is the length of one stream: enough for a few learning phases
+// (a phase is 31 to 100 rounds of 46 or 52 accesses).
+const refAccesses = 8_000
+
+// refStream turns fuzz bytes into an access stream: data[0] picks the
+// configuration (bit 0: snippet 3's, else Table 2's) and the page size (bit
+// 1: 4MB), and each following 4-byte group is one segment, replayed in a
+// loop until refAccesses accesses: a stride (0: pseudo-random lines), a
+// length, the fill lag and flags (bit 0: jump to a new region; bit 1:
+// interleave a second stream at three times the stride; bits 2-3, read as
+// k > 0: every (k+2)th access goes back one stride).
+type refStream struct {
+	name, spec string
+	page       mem.PageSize
+	segs       [][4]byte
+}
+
+func decodeStream(data []byte) refStream {
+	s := refStream{name: "table2", spec: "bo", page: mem.Page4K}
+	if len(data) > 0 {
+		if data[0]&1 != 0 {
+			s.name, s.spec = "snippet3", snippet3Spec
+		}
+		if data[0]&2 != 0 {
+			s.page = mem.Page4M
+		}
+		data = data[1:]
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		s.segs = append(s.segs, [4]byte(data[:4]))
+	}
+	if len(s.segs) == 0 {
+		s.segs = [][4]byte{{1, 64, 8, 0}}
+	}
+	return s
+}
+
+// each calls visit with every access of the stream and its fill lag.
+func (s refStream) each(visit func(line mem.LineAddr, lag int)) {
+	x, y := int64(1)<<24, int64(1)<<25
+	rnd := uint64(0x9e3779b97f4a7c15)
+	for n := 0; n < refAccesses; {
+		for _, g := range s.segs {
+			stride, length, lag, flags := int64(int8(g[0]))%48, 16+int(g[1])*4, int(g[2]%(refMaxLag+1)), g[3]
+			if flags&1 != 0 {
+				x += int64(mem.Mix64(uint64(x))%4096) * 64
+			}
+			back := int(flags>>2&3) + 2
+			for i := 0; i < length && n < refAccesses; i, n = i+1, n+1 {
+				if stride == 0 {
+					rnd = mem.Mix64(rnd)
+					visit(mem.LineAddr(x+int64(rnd%(1<<20))), lag)
+					continue
+				}
+				if flags&12 != 0 && i%back == back-1 {
+					visit(mem.LineAddr(x-stride), lag)
+					continue
+				}
+				x += stride
+				visit(mem.LineAddr(x), lag)
+				if flags&2 != 0 {
+					y += 3 * stride
+					visit(mem.LineAddr(y), lag)
+					n++
+				}
+			}
+		}
+	}
+}
+
+// phaseEnd is what a learning phase decided.
+type phaseEnd struct {
+	d  int
+	on bool
+}
+
+// same reports whether two phases decided the same prefetching: D matters
+// only while prefetch is on.
+func (e phaseEnd) same(o phaseEnd) bool { return e.on == o.on && (!e.on || e.d == o.d) }
+
+// build returns the Prefetcher the stream's spec names and its reference.
+func (s refStream) build(t testing.TB, snippetRules bool) (*Prefetcher, *reference) {
+	t.Helper()
+	pf, err := prefetch.NewL2(prefetch.MustSpec(s.spec), s.page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pf.(*Prefetcher)
+	ref, err := newReference(p.params, s.page, snippetRules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, ref
+}
+
+// lockStep drives a Prefetcher and its reference (Prefetcher's rules) over
+// the stream and fails at the first prefetch they disagree on, and at the
+// first phase end after which they hold a different on/off state, a
+// different D or a different RR table. It returns the number of
+// phase ends compared and the Prefetcher.
+func lockStep(t testing.TB, s refStream) (int, *Prefetcher) {
+	t.Helper()
+	p, ref := s.build(t, false)
+	mp, mr := newL2Model(p), newL2Model(ref)
+	n := 0
+	s.each(func(line mem.LineAddr, lag int) {
+		if n < 0 {
+			return
+		}
+		got, want := mp.access(line, lag), mr.access(line, lag)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s, %v pages, access %d to line %#x: Prefetcher asks for %v, the reference for %v", s.name, s.page, mp.now, line, got, want)
+			n = -1
+			return
+		}
+		if int(p.stats.Phases) == n && ref.phases == n {
+			return
+		}
+		n++
+		if int(p.stats.Phases) != n || ref.phases != n {
+			t.Errorf("%s, %v pages, access %d: Prefetcher has ended %d phases, the reference %d", s.name, s.page, mp.now, p.stats.Phases, ref.phases)
+			n = -1
+			return
+		}
+		if got, want := (phaseEnd{p.d, p.on}), (phaseEnd{ref.d, ref.on}); got != want {
+			t.Errorf("%s, %v pages, phase %d: Prefetcher ends with D=%d on=%v, the reference with D=%d on=%v", s.name, s.page, n, got.d, got.on, want.d, want.on)
+			n = -1
+			return
+		}
+		for i := 0; i < refRRSlots; i++ {
+			tag, ok := ref.rr[i]
+			if p.rr.valid[i] != ok || ok && p.rr.tags[i] != tag {
+				t.Errorf("%s, %v pages, phase %d: RR slot %d holds valid=%v tag %#x, the reference valid=%v tag %#x",
+					s.name, s.page, n, i, p.rr.valid[i], p.rr.tags[i], ok, tag)
+				n = -1
+				return
+			}
+		}
+	})
+	return n, p
+}
+
+// refSeeds are the fuzz seeds: each configuration on streams BO learns (unit,
+// odd and negative strides, two interleaved streams, lags short and long)
+// and on pseudo-random lines that should turn it off and back on.
+var refSeeds = [][]byte{
+	{0, 1, 255, 4, 0},
+	{1, 1, 255, 20, 0},
+	{0, 3, 200, 12, 2, 0, 150, 3, 1},
+	{1, 253, 200, 6, 0, 7, 200, 25, 4},
+	{2, 5, 255, 30, 12, 1, 100, 2, 0},
+	{0, 0, 255, 5, 0},
+	{1, 0, 255, 5, 0},
+	{0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 2, 255, 16, 1},
+	{1, 0, 255, 5, 0, 1, 255, 9, 8},
+	{3, 7, 180, 10, 6, 254, 60, 1, 1},
+}
+
+// FuzzBOAgainstReference holds Prefetcher to the reference learner in lock
+// step over fuzzed access and fill streams, in Table 2's configuration and
+// in snippet 3's (see reference and refStream).
+func FuzzBOAgainstReference(f *testing.F) {
+	for _, s := range refSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lockStep(t, decodeStream(data))
+	})
+}
+
+// TestReferenceCoversPhaseEnds keeps the fuzz seeds meaningful: they must
+// end learning phases in both configurations, with prefetch both on and off,
+// and the reference must be built from the paper's offset list.
+func TestReferenceCoversPhaseEnds(t *testing.T) {
+	if got, want := DefaultParams().Offsets, paperOffsets(); !slices.Equal(got, want) {
+		t.Fatalf("Table 2's offsets %v, section 4.2's %v", got, want)
+	}
+	phases := map[string]int{}
+	var on, off int
+	for _, seed := range refSeeds {
+		s := decodeStream(seed)
+		n, p := lockStep(t, s)
+		phases[s.name] += n
+		on += int(p.stats.Phases - p.stats.PhasesOff)
+		off += int(p.stats.PhasesOff)
+	}
+	t.Logf("phase ends compared: %v; %d ended on, %d off", phases, on, off)
+	if phases["table2"] < 4 || phases["snippet3"] < 4 || on == 0 || off == 0 {
+		t.Errorf("the seeds end too few phases: %v, %d on and %d off", phases, on, off)
+	}
+	for _, spec := range []string{"bo:degree=2", "bo:adaptive=true"} {
+		pf, err := prefetch.NewL2(prefetch.MustSpec(spec), mem.Page4K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newReference(pf.(*Prefetcher).params, mem.Page4K, false); err == nil {
+			t.Errorf("the reference accepted %s", spec)
+		}
+	}
+}
+
+// TestReferenceSnippetRules runs the reference with snippet 3's two rules
+// (SAMEPAGE when scoring, ties to the later offset) beside Prefetcher, each
+// behind its own toy L2, and logs how many phase ends decide differently.
+// It fails on nothing: it measures the two disagreements Prefetcher keeps.
+func TestReferenceSnippetRules(t *testing.T) {
+	for _, cfg := range []byte{0, 1} {
+		name := map[byte]string{0: "table2", 1: "snippet3"}[cfg]
+		t.Run(name, func(t *testing.T) {
+			var ends, differ int
+			for _, seed := range refSeeds {
+				seed = append([]byte{cfg}, seed[1:]...)
+				s := decodeStream(seed)
+				p, ref := s.build(t, true)
+				var pe, re []phaseEnd
+				mp, mr := newL2Model(p), newL2Model(ref)
+				s.each(func(line mem.LineAddr, lag int) {
+					mp.access(line, lag)
+					mr.access(line, lag)
+					if int(p.stats.Phases) > len(pe) {
+						pe = append(pe, phaseEnd{p.d, p.on})
+					}
+					if ref.phases > len(re) {
+						re = append(re, phaseEnd{ref.d, ref.on})
+					}
+				})
+				ends += max(len(pe), len(re))
+				differ += max(len(pe), len(re)) - min(len(pe), len(re))
+				for i := range min(len(pe), len(re)) {
+					if !pe[i].same(re[i]) {
+						differ++
+					}
+				}
+			}
+			t.Logf("%s: %d of %d phase ends decide differently under snippet 3's rules", name, differ, ends)
+		})
+	}
+}

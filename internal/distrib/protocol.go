@@ -52,7 +52,10 @@ import (
 //
 // v6: the Result a worker returns carries no write-burst count in
 // dram.Stats, and its uncore.Stats counts each request once.
-const ProtocolVersion = 6
+//
+// v7: the Result a worker returns carries no merged-read count in
+// dram.Stats.
+const ProtocolVersion = 7
 
 // MaxJobBytes bounds a /v1/run request body. A legitimate job is a few
 // hundred bytes of JSON (options are value types; traces travel by hash),

@@ -34,7 +34,6 @@ type Stats struct {
 	RowClosed    uint64
 	RowConflicts uint64
 	UrgentReads  uint64
-	MergedReads  uint64
 	PerCoreReads []uint64
 }
 
@@ -52,8 +51,8 @@ type controller struct {
 	busFreeAt     uint64
 	writesInBatch int
 	seq           uint64
-	pendingReads  int
-	pendingWrites int
+	queuedReads   int
+	queuedWrites  int
 	stats         Stats
 	// freeReqs is a free list of request objects; a request returns to it
 	// when it is issued, so steady-state traffic allocates none.
@@ -93,47 +92,26 @@ func newController(p Params, readVersion *uint64) *controller {
 	return c
 }
 
-// enqueueRead adds a read for line on behalf of core. If the same line is
-// already pending in any read queue of this channel, the new request is
-// merged onto the existing future (the paper's associative search before
-// insertion, footnote 13) and the existing Future is returned. It returns
-// nil when core's read queue is full; the caller must retry later.
-func (c *controller) enqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
-	if r := c.pendingRead(line); r != nil {
-		c.stats.MergedReads++
-		return r.future
-	}
-	if len(c.readQ[core]) >= c.p.ReadQueueLen {
-		return nil
+// enqueueRead adds a read of line for core with completion handle fut. It
+// reports false when core's read queue is full; the caller must retry later.
+// It does not search for a queued read of the same line: the uncore never
+// sends one (see the package doc).
+func (c *controller) enqueueRead(line mem.LineAddr, core int, fut *Future) bool {
+	if c.readBlocked(core) {
+		return false
 	}
 	c.seq++
 	r := c.newRequest()
 	r.line, r.core, r.loc, r.seq, r.future = line, core, MapAddress(line), c.seq, fut
 	c.readQ[core] = append(c.readQ[core], r)
-	c.pendingReads++
+	c.queuedReads++
 	*c.readVersion++
-	return fut
+	return true
 }
 
-// pendingRead returns the queued read of line in any core's read queue of
-// this channel, or nil (the associative search before insertion).
-func (c *controller) pendingRead(line mem.LineAddr) *request {
-	for _, q := range c.readQ {
-		for _, r := range q {
-			if r.line == line {
-				return r
-			}
-		}
-	}
-	return nil
-}
-
-// readBlocked reports, without touching anything, whether enqueueRead would
-// refuse: core's read queue is full and there is no pending read of line to
-// merge onto.
-func (c *controller) readBlocked(line mem.LineAddr, core int) bool {
-	return len(c.readQ[core]) >= c.p.ReadQueueLen && c.pendingRead(line) == nil
-}
+// readBlocked reports whether enqueueRead would refuse: core's read queue is
+// full.
+func (c *controller) readBlocked(core int) bool { return len(c.readQ[core]) >= c.p.ReadQueueLen }
 
 // enqueueWrite adds a write-back; it reports false when the queue is full.
 func (c *controller) enqueueWrite(line mem.LineAddr, core int) bool {
@@ -144,11 +122,11 @@ func (c *controller) enqueueWrite(line mem.LineAddr, core int) bool {
 	r := c.newRequest()
 	r.line, r.core, r.loc, r.seq, r.write = line, core, MapAddress(line), c.seq, true
 	c.writeQ[core] = append(c.writeQ[core], r)
-	c.pendingWrites++
+	c.queuedWrites++
 	return true
 }
 
-func (c *controller) idle() bool { return c.pendingReads == 0 && c.pendingWrites == 0 }
+func (c *controller) idle() bool { return c.queuedReads == 0 && c.queuedWrites == 0 }
 
 // rowHit reports whether r targets the currently open row of its bank.
 func (c *controller) rowHit(r *request) bool {
@@ -225,7 +203,7 @@ func (c *controller) schedule(now uint64) {
 		return
 	}
 	// Continue an in-progress write burst first.
-	if c.writesInBatch > 0 && c.pendingWrites > 0 {
+	if c.writesInBatch > 0 && c.queuedWrites > 0 {
 		c.issueWrite(now)
 		return
 	}
@@ -256,7 +234,7 @@ func (c *controller) schedule(now uint64) {
 	// Steady mode: keep serving the served core while it has a pending read
 	// hitting an open row; otherwise elect the core with the smallest
 	// fairness counter among those with pending reads.
-	if c.pendingReads > 0 {
+	if c.queuedReads > 0 {
 		if c.served >= 0 && len(c.readQ[c.served]) > 0 {
 			if i := c.pickRead(c.readQ[c.served]); i >= 0 && c.rowHit(c.readQ[c.served][i]) {
 				c.issueReadIdx(c.served, i, now)
@@ -270,7 +248,7 @@ func (c *controller) schedule(now uint64) {
 	}
 
 	// No reads pending: drain writes in a batch.
-	if c.pendingWrites > 0 {
+	if c.queuedWrites > 0 {
 		c.writesInBatch = c.p.WriteBatch
 		c.issueWrite(now)
 	}
@@ -287,7 +265,7 @@ func (c *controller) issueRead(core int, now uint64) {
 func (c *controller) issueReadIdx(core, i int, now uint64) {
 	r := c.readQ[core][i]
 	c.readQ[core] = remove(c.readQ[core], i)
-	c.pendingReads--
+	c.queuedReads--
 	*c.readVersion++
 	c.fair.Inc(core)
 	c.stats.Reads++
@@ -305,7 +283,7 @@ func (c *controller) issueWrite(now uint64) {
 	}
 	r := c.writeQ[core][i]
 	c.writeQ[core] = remove(c.writeQ[core], i)
-	c.pendingWrites--
+	c.queuedWrites--
 	c.stats.Writes++
 	if c.writesInBatch > 0 {
 		c.writesInBatch--

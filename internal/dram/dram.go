@@ -25,20 +25,25 @@ func New(p Params) *Memory {
 // Params returns the memory parameters.
 func (m *Memory) Params() Params { return m.p }
 
-// EnqueueRead queues a read of line for core. It returns the future that
-// will carry the completion cycle — the caller's own fut, or an earlier
-// request's future when the read was merged — and nil when the core's read
-// queue on the target channel is full (caller retries later).
+// EnqueueRead queues a read of line for core. It returns fut, which will
+// carry the completion cycle, or nil when the core's read queue on the
+// line's channel is full (caller retries later). Two reads of one line are
+// two requests: the uncore is the one place in-flight reads are
+// deduplicated, by searching its L3 fill queue before it calls here.
 func (m *Memory) EnqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
-	return m.channels[MapAddress(line).Channel].enqueueRead(line, core, fut)
+	if !m.channels[MapAddress(line).Channel].enqueueRead(line, core, fut) {
+		return nil
+	}
+	return fut
 }
 
 // ReadBlocked reports, without side effects, whether EnqueueRead would
-// refuse (return nil for) a read of line by core right now. The answer can
-// only change when a read is enqueued or a controller issues one, and the
-// latter happens at a bus-cycle boundary that NextEvent reports.
+// refuse (return nil for) a read of line by core right now: core's read
+// queue on the line's channel is full. The answer can only change when a
+// read is enqueued or a controller issues one, and the latter happens at a
+// bus-cycle boundary that NextEvent reports.
 func (m *Memory) ReadBlocked(line mem.LineAddr, core int) bool {
-	return m.channels[MapAddress(line).Channel].readBlocked(line, core)
+	return m.channels[MapAddress(line).Channel].readBlocked(core)
 }
 
 // ReadVersion moves whenever a read joins or leaves any read queue, so
@@ -98,17 +103,9 @@ func (m *Memory) TotalStats() Stats {
 		s.RowClosed += c.stats.RowClosed
 		s.RowConflicts += c.stats.RowConflicts
 		s.UrgentReads += c.stats.UrgentReads
-		s.MergedReads += c.stats.MergedReads
 		for i, v := range c.stats.PerCoreReads {
 			s.PerCoreReads[i] += v
 		}
 	}
 	return s
-}
-
-// Accesses returns the total number of DRAM accesses (reads + writes), the
-// quantity Figure 13 reports per kilo-instruction.
-func (m *Memory) Accesses() uint64 {
-	s := m.TotalStats()
-	return s.Reads + s.Writes
 }

@@ -132,20 +132,27 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	}
 }
 
-func TestReadMergingSameLine(t *testing.T) {
+// TestSameLineReadsAreTwoRequests is the controller's side of the contract
+// that the uncore's L3 fill queue is the one place in-flight reads are
+// deduplicated: a second read of a line already queued is a request of its
+// own, with its own future and its own DRAM access.
+func TestSameLineReadsAreTwoRequests(t *testing.T) {
 	m := New(DefaultParams(1))
-	f1 := Pending()
-	f2 := Pending()
-	got1 := m.EnqueueRead(42, 0, f1)
-	got2 := m.EnqueueRead(42, 0, f2)
-	if got1 != f1 {
-		t.Fatal("first enqueue did not keep its future")
+	f1, f2 := Pending(), Pending()
+	if m.EnqueueRead(42, 0, f1) != f1 || m.EnqueueRead(42, 0, f2) != f2 {
+		t.Fatal("an enqueue did not return its own future")
 	}
-	if got2 != f1 {
-		t.Error("duplicate read was not merged onto the pending future")
+	for now := uint64(0); now < 10000 && !m.Idle(); now++ {
+		m.Tick(now)
 	}
-	if s := m.TotalStats(); s.MergedReads != 1 {
-		t.Errorf("MergedReads = %d, want 1", s.MergedReads)
+	if !f1.Resolved() || !f2.Resolved() || f1.Cycle() >= f2.Cycle() {
+		t.Errorf("futures resolved %v at %d and %v at %d, want both, the second later", f1.Resolved(), f1.Cycle(), f2.Resolved(), f2.Cycle())
+	}
+	if !f2.DoneBy(f2.Cycle()) || f2.DoneBy(f2.Cycle()-1) {
+		t.Error("DoneBy boundary wrong")
+	}
+	if s := m.TotalStats(); s.Reads != 2 {
+		t.Errorf("Reads = %d, want 2", s.Reads)
 	}
 }
 
@@ -172,17 +179,15 @@ func TestReadQueueFull(t *testing.T) {
 }
 
 // TestReadBlockedMirrorsEnqueueRead holds the read-only probe to the
-// operation it predicts: over random two-core traffic on tiny queues, with
-// lines drawn from a universe small enough that merges are common,
+// operation it predicts: over random two-core traffic on tiny queues,
 // ReadBlocked must say exactly whether the EnqueueRead that follows is
-// refused — including the full-queue-but-mergeable case — and must itself
-// change nothing.
+// refused, and must itself change nothing.
 func TestReadBlockedMirrorsEnqueueRead(t *testing.T) {
 	p := DefaultParams(2)
 	p.ReadQueueLen = 2
 	m := New(p)
 	rng := rand.New(rand.NewSource(1))
-	var refused, merged, mergedWhileFull int
+	var refused, accepted int
 	for now := uint64(0); now < 40_000; now++ {
 		if rng.Intn(3) > 0 {
 			line, core := mem.LineAddr(rng.Intn(48)*37), rng.Intn(2)
@@ -191,26 +196,20 @@ func TestReadBlockedMirrorsEnqueueRead(t *testing.T) {
 			if after := m.TotalStats(); !reflect.DeepEqual(before, after) {
 				t.Fatalf("cycle %d: ReadBlocked changed the statistics: %+v -> %+v", now, before, after)
 			}
-			full := len(m.channels[MapAddress(line).Channel].readQ[core]) >= p.ReadQueueLen
-			fut := Pending()
-			got := m.EnqueueRead(line, core, fut)
+			got := m.EnqueueRead(line, core, Pending())
 			if blocked != (got == nil) {
 				t.Fatalf("cycle %d: ReadBlocked(%#x, %d) = %v but EnqueueRead returned %v", now, line, core, blocked, got)
 			}
-			switch {
-			case got == nil:
+			if got == nil {
 				refused++
-			case got != fut:
-				merged++
-				if full {
-					mergedWhileFull++
-				}
+			} else {
+				accepted++
 			}
 		}
 		m.Tick(now)
 	}
-	if refused == 0 || merged == 0 || mergedWhileFull == 0 {
-		t.Errorf("traffic too tame to test the probe: %d refused, %d merged, %d merged into a full queue", refused, merged, mergedWhileFull)
+	if refused == 0 || accepted == 0 {
+		t.Errorf("traffic too tame to test the probe: %d refused, %d accepted", refused, accepted)
 	}
 }
 
@@ -289,8 +288,8 @@ func TestWritesAreCounted(t *testing.T) {
 	if s.Writes != 1 {
 		t.Errorf("Writes = %d, want 1", s.Writes)
 	}
-	if m.Accesses() != 1 {
-		t.Errorf("Accesses = %d, want 1", m.Accesses())
+	if s.Reads != 0 {
+		t.Errorf("Reads = %d, want 0", s.Reads)
 	}
 }
 
@@ -407,21 +406,5 @@ func TestStreamBandwidthBounded(t *testing.T) {
 	minCycles := uint64(n) * uint64(p.TBURST*p.BusRatio) / uint64(p.Channels)
 	if last < minCycles {
 		t.Errorf("stream of %d lines finished in %d cycles; bus bound is %d", n, last, minCycles)
-	}
-}
-
-func TestFutureResolveKeepsEarliest(t *testing.T) {
-	f := Pending()
-	f.Resolve(100)
-	f.Resolve(200)
-	if f.Cycle() != 100 {
-		t.Errorf("Cycle = %d, want earliest 100", f.Cycle())
-	}
-	f.Resolve(50)
-	if f.Cycle() != 50 {
-		t.Errorf("Cycle = %d, want 50 after earlier resolve", f.Cycle())
-	}
-	if !f.DoneBy(50) || f.DoneBy(49) {
-		t.Error("DoneBy boundary wrong")
 	}
 }

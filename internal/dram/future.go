@@ -12,13 +12,8 @@ type Future struct {
 // Pending returns an unresolved future.
 func Pending() *Future { return &Future{} }
 
-// Resolve marks the future complete at cycle. Resolving twice keeps the
-// earliest completion (a request can be satisfied by a fill-queue match
-// racing with its own DRAM access).
+// Resolve marks the future complete at cycle.
 func (f *Future) Resolve(cycle uint64) {
-	if f.resolved && f.cycle <= cycle {
-		return
-	}
 	f.cycle = cycle
 	f.resolved = true
 }
@@ -37,8 +32,9 @@ const arenaSlab = 4096
 
 // Arena hands out Futures carved from slab allocations, so the steady-state
 // miss path costs one heap allocation per slab instead of one per request.
-// Individual futures are never recycled — MSHR merges and read-queue merges
-// alias them freely, so no single release point exists — but a slab is
+// Individual futures are never recycled — the uncore, the one place requests
+// for a line in flight are deduplicated, aliases them through MSHR merges and
+// L3 fill-queue matches, so no single release point exists — but a slab is
 // collected as a unit once every future carved from it has been dropped.
 type Arena struct {
 	slab []Future

@@ -7,6 +7,16 @@
 //
 // The scheduler does not distinguish demand from prefetch requests — they
 // are treated equally, exactly as in the paper.
+//
+// The paper's controller searches every read queue for the line before it
+// inserts a read (footnote 13). Here that search would never match: the
+// uncore searches its L3 fill queue first, and an L3 fill-queue entry is
+// pushed together with its read and popped only after the controller has
+// issued it, so a queued read always has an entry that catches the next
+// request for its line. A snapshot needs a drained machine, so a restored
+// memory holds no read the uncore does not know about either. The L3 fill
+// queue is therefore the one record of an in-flight DRAM read, and each
+// controller is a plain per-core queue.
 package dram
 
 // Params collects the DDR3-like timing and geometry parameters from

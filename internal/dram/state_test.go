@@ -121,7 +121,7 @@ func TestMemoryRestoreRejectsMismatch(t *testing.T) {
 // TestMemoryResetStats checks counters clear while bank state persists.
 func TestMemoryResetStats(t *testing.T) {
 	m := warmMemory(t)
-	if m.Accesses() == 0 {
+	if s := m.TotalStats(); s.Reads+s.Writes == 0 {
 		t.Fatal("warmup produced no accesses")
 	}
 	st, err := m.SaveState()
@@ -129,7 +129,7 @@ func TestMemoryResetStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ResetStats()
-	if m.Accesses() != 0 {
+	if s := m.TotalStats(); s.Reads+s.Writes != 0 {
 		t.Fatal("ResetStats left access counters non-zero")
 	}
 	st2, err := m.SaveState()

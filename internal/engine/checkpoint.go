@@ -71,7 +71,10 @@ import (
 // v9: dram.Stats loses its write-burst count (it always equalled Writes),
 // and a TLB level's clock no longer ticks when an access or probe touches
 // the entry that is already most recent, so its clock and stamps read lower.
-const SnapshotVersion = 9
+//
+// v10: dram.Stats loses its merged-read count (the L3 fill queue is the one
+// place in-flight reads are deduplicated, so it always read 0).
+const SnapshotVersion = 10
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"

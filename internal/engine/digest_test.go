@@ -27,29 +27,29 @@ func TestResultDigests(t *testing.T) {
 		want string
 	}{
 		{name: "mcf-stride-nextline-1core-4KB", opts: func(*engine.Options) {},
-			want: "a02260cfe1f05f9122cafbcbe8cd351d8090adc9654cea7e7594ce6f573a4bb5"},
+			want: "3f1a129413127f5c62de357db78260d9c070986b0ea4bc41c6211a7882b14334"},
 		{name: "mcf-none-bo-1core-4KB", opts: func(o *engine.Options) {
 			o.L1PF = prefetch.MustSpec("none")
 			o.L2PF = prefetch.MustSpec("bo")
-		}, want: "558431225b62491dd1e96208c4cb87a9f30eb8a6d8562ae8f388cc2f1342fb30"},
+		}, want: "ca21e9560c788e438a29bc5a839800364dbfd95d5ef6772cbe45e9054466e847"},
 		{name: "milc-stride-sbp-2core-4MB", opts: func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("433.milc")}
 			o.Cores = 2
 			o.Page = mem.Page4M
 			o.L2PF = prefetch.MustSpec("sbp")
-		}, want: "3790c9ca94b89f39eb3ccd091554cb8cf153db21d75df1cbc1d1cf1939b00e83"},
+		}, want: "d22765f4cb7558825447a062bf9a52f1fb52defcae8738b11a4a7c4448ea007d"},
 		{name: "mcf-stride-bo-4core-4KB", opts: func(o *engine.Options) {
 			o.Cores = 4
 			o.Instructions = 10_000
 			o.L2PF = prefetch.MustSpec("bo")
-		}, want: "ec703ccb5a8ab79213b3c1162c0d3dcb49f41c0b1e5aa1314da39a93978283f9"},
+		}, want: "85e4de994b44e9e1827514cd41150eae6b949bc839d7642db142ef878c4d2514"},
 		{name: "gups-none-nextline-4core-4MB", opts: func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.MustSpec("gups:footprint=8mb")}
 			o.Cores = 4
 			o.Page = mem.Page4M
 			o.Instructions = 10_000
 			o.L1PF = prefetch.MustSpec("none")
-		}, want: "9604b6951ec3bb7b4cba97873bebd2f41e2aefe4865c1e50ddb267653983a93f"},
+		}, want: "e4667b34ec198730019050a1bdab19ff38e83b918b1393df1266ef33b934a882"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -65,7 +65,7 @@ func TestResultDigests(t *testing.T) {
 		o := warmed("433.milc")
 		o.L2PF = prefetch.MustSpec("bo")
 		r, _ := runCheckpointed(t, o)
-		if got, want := resultDigest(t, r), "07311cc4b1cc819c927d4d356fda94860ffc2f30c5f7c3a651a3db64d348bcb4"; got != want {
+		if got, want := resultDigest(t, r), "48dbdb74226b946112ac42501e987498634fc429e52971dd1ba7cbd57d002ac5"; got != want {
 			t.Errorf("Result digest %s, pinned %s", got, want)
 		}
 	})

@@ -618,7 +618,7 @@ func (s *Simulation) Snapshot() Result {
 		res.IPC = float64(retired) / float64(cycles)
 	}
 	if retired > 0 {
-		res.DRAMAccessesPerKI = float64(s.hier.Memory().Accesses()) / float64(retired) * 1000
+		res.DRAMAccessesPerKI = float64(res.DRAM.Reads+res.DRAM.Writes) / float64(retired) * 1000
 	}
 	if bo, ok := s.hier.L2Prefetcher(0).(*core.Prefetcher); ok {
 		st := bo.Stats()

@@ -29,10 +29,12 @@ import (
 // DL1Misses, L2DemandAccesses and L2Misses no longer count refused retries;
 // dram.Stats loses its write-burst count.
 //
+// v5: dram.Stats loses its merged-read count, which always read 0.
+//
 // A bump simply invalidates: an older entry is never loaded (load rejects
 // the version), VerifyCache counts it skipped, and EvictCache removes it
 // first because it is the oldest thing in the directory.
-const resultCacheVersion = 4
+const resultCacheVersion = 5
 
 // OptionsHash returns the canonical cache key of one simulation run: a
 // SHA-256 over the JSON encoding of the *normalized* options plus the cache

@@ -34,23 +34,23 @@ func TestOptionsHashGolden(t *testing.T) {
 		o    engine.Options
 		want string
 	}{
-		{"bare name", with("429.mcf", nil), "ca8894dc1d8686c2ae965317e717c8670015c257f0e4a9a276d306c30d68d114"},
+		{"bare name", with("429.mcf", nil), "bb09c3042a9b85d87bd0628f7158e20b3922191be3319b9880a2ed87763515e3"},
 		{"parameterized", with("stream:stride=128", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("bo:badscore=5,rr=64")
 			o.L1PF = prefetch.MustSpec("stride:dist=8")
-		}), "05f06c1db1702f197b452cd0bb92211403f5ab993e3bf40912763a491a082c55"},
+		}), "6cb5f9cfa4e24017a6a54a215badb95a1b629fff33c99a4ac41b9f9f2089797f"},
 		// Non-canonical spellings hash like their canonical forms: a size
 		// in another unit, an all-ones weights list, an upper-case
 		// prefetcher name and key that never went through ParseSpec.
-		{"size spelling", with("gups:footprint=64MB", nil), "80471ed14279f2ca79b8df8fd267d8257eff76f45856da9c0a386134661d52b8"},
-		{"implicit weights", with("mix:gens=stream+pchase,weights=1+1", nil), "b7785b07a2b180712c0dcb44060c573f2a34791046e8cc25334fcc9a0ebc505e"},
+		{"size spelling", with("gups:footprint=64MB", nil), "4beeb318611ea56715825e2fdf16ccff7291fab271271c5dbf96cb5b0eba0240"},
+		{"implicit weights", with("mix:gens=stream+pchase,weights=1+1", nil), "22d900abe453ea89f37a36425d9ee63d11ee54819e54d0c33dcada33d95193a6"},
 		{"unfolded prefetcher", with("433.milc", func(o *engine.Options) {
 			o.L2PF = prefetch.Spec{Name: "BO", Params: map[string]string{"BadScore": "5"}}
-		}), "fb6c8fb9bc0c6ca4cc7e225f840bcd2d72b4543f76cbfad55815553c328669f4"},
+		}), "aad59f972de54a395f322c3597b45565508672d1126620013b2f2f0a7900c9fa"},
 		// Keyed by the trace's content hash, so the temp path is invisible.
 		{"file spec", with("", func(o *engine.Options) {
 			o.Workloads = []trace.Spec{trace.FileSpec(tracePath)}
-		}), "718ffe7fc9b3852835658969897d4670869199321e2b810c3758bb7c4315bf45"},
+		}), "60d74d7d9946a04818634e9e147115f83221078bb52c99fa0e6954d39e7a863f"},
 		{"4-core heterogeneous", with("", func(o *engine.Options) {
 			o.Workloads = []trace.Spec{
 				trace.MustSpec("429.mcf"), trace.MustSpec("gups:footprint=128mb"),
@@ -58,19 +58,19 @@ func TestOptionsHashGolden(t *testing.T) {
 			}
 			o.Cores, o.Page = 4, mem.Page4M
 			o.L2PF = prefetch.MustSpec("sbp")
-		}), "f8ba84530133978f9e9f8598d6b334a52a46c5734b77dd5275731edb3cdc0833"},
+		}), "044fbc02546358a6cb97798254a5fdfad736a3d702aaf6436e75b56f19335d46"},
 		{"duel with quoted sub-specs", with("462.libquantum", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("duel:a=bo.degree~2,b=multi.minscore~6,period=4096")
-		}), "e2c6e04f3d82bd53187f44d6fb1316eafc61a514590148b030d946096812803d"},
+		}), "a0fb5579ca780758cebdf42fe1623caa320056ea93c07f36b6ff060f28e2255a"},
 		{"warmed run", with("433.milc", func(o *engine.Options) {
 			o.L2PF = prefetch.MustSpec("bo")
 			o.Warmup, o.Instructions = 20_000, 40_000
-		}), "38d5aa812ff7b0c434dbbd463b0bbbd007a36dc460d3e963e343ab4ae0050f55"},
+		}), "ceda540751c0d4388e838b8f489ed481f24f74de1184da3e7b4ca4e3aebed09f"},
 		// A spec the registry refuses still hashes, syntactically
 		// canonicalized (folded name, lowercased key).
 		{"unregistered prefetcher", with("429.mcf", func(o *engine.Options) {
 			o.L2PF = prefetch.Spec{Name: "Warp-Drive", Params: map[string]string{"X": "1"}}
-		}), "fe9f3c2d06df17d485dbac8e3fe86553188afcf132c4e177a21571af14b1dea4"},
+		}), "9927f2dae2852ab6f8ab7666d3ad0b17a326c73d0b32118c7ef1cb95f823a0d7"},
 	}
 	for _, c := range cases {
 		if got := OptionsHash(c.o); got != c.want {

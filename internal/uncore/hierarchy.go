@@ -735,7 +735,8 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 
 // accessL3 resolves where entry e's data comes from: L3 hit, an in-flight
 // L3 fill, or a new DRAM read. It returns false if a required queue is full
-// (nothing is modified in that case).
+// (nothing is modified in that case). Its L3 fill-queue search is the one
+// place in-flight DRAM reads are deduplicated (the dram package doc says why).
 func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 	if h.l3.Lookup(e.line) != nil { // a real access: the replacement update
 		h.stats.L3Hits++
@@ -749,13 +750,10 @@ func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 		e.fut = l3e.fut
 		return true
 	}
-	if h.l3fq.full() {
+	if h.l3fq.full() || h.mem.ReadBlocked(e.line, e.core) {
 		return false
 	}
 	fut := h.mem.EnqueueRead(e.line, e.core, h.futs.Pending())
-	if fut == nil {
-		return false
-	}
 	h.stats.L3Misses++
 	l3e := h.pool.get()
 	l3e.line, l3e.core, l3e.isPrefetch, l3e.fut = e.line, e.core, isPrefetch, fut

@@ -154,16 +154,10 @@ type machine struct {
 	h   *Hierarchy
 	fes []*frontEnd
 	pfs []*countingPF
-	// inject, when set, plays a second requester on the memory bus: every
-	// injectPeriod cycles, if core 0's head is blocked on its full DRAM read
-	// queue, it queues a read of that very line in core 1's name. That is
-	// the one way a read can sit in a DRAM queue with no L3 fill-queue
-	// entry, i.e. the only way accessL3 reaches enqueueRead's merge — the
-	// read-queue-full-but-mergeable case of the predicate.
-	inject bool
 	// audit, when set, makes this the audited machine: every attempt about
 	// to be answered from a refusal memo is first checked against the pure
-	// predicate the memo stands in for.
+	// predicate the memo stands in for, and every cycle ends with
+	// auditInFlight.
 	audit *testing.T
 	// demandAudits counts auditDemandMemo calls; every tlbAuditEvery-th one
 	// also pays for a look inside the DTLB1.
@@ -173,10 +167,7 @@ type machine struct {
 	enqueued, dl1Misses uint64
 }
 
-const (
-	injectPeriod  = 7
-	tlbAuditEvery = 53
-)
+const tlbAuditEvery = 53
 
 // auditDemandMemo checks what a Demand memo hit takes for granted: the access
 // misses the DL1, has no MSHR to merge onto and none free, and its page is
@@ -207,19 +198,11 @@ func (m *machine) nextEvent(now uint64) uint64 {
 	for c, f := range m.fes {
 		ne = min(ne, f.nextEvent(m, c, now))
 	}
-	if m.inject {
-		ne = min(ne, (now+injectPeriod-1)/injectPeriod*injectPeriod)
-	}
 	return ne
 }
 
 // front runs the core side of cycle now; the caller ticks the hierarchy.
 func (m *machine) front(now uint64) {
-	if h := m.h; m.inject && now%injectPeriod == 0 && h.demandQ[0].len() > 0 {
-		if req := h.demandQ[0].front(); req.readyAt <= now && h.refusalPath(0, req.line) == "readq-full" {
-			h.mem.EnqueueRead(req.line, 1, h.futs.Pending())
-		}
-	}
 	for c, f := range m.fes {
 		f.cycle(m, c, now)
 	}
@@ -233,7 +216,6 @@ type stallRow struct {
 	l2pf      string
 	l1pf      string
 	cycles    uint64
-	inject    bool
 	cfg       func(*Config)
 	dram      func(*dram.Params)
 	// wantPaths are the refusal paths this row exists to exercise.
@@ -255,7 +237,7 @@ func (r stallRow) build(t *testing.T, memos bool) *machine {
 	if r.dram != nil {
 		r.dram(&p)
 	}
-	m := &machine{inject: r.inject}
+	m := &machine{}
 	m.h = New(cfg,
 		func(int) prefetch.L2Prefetcher {
 			pf, err := prefetch.NewL2(prefetch.MustSpec(r.l2pf), cfg.Page)
@@ -294,7 +276,7 @@ type deepState struct {
 	Stride []stride.Prefetcher
 }
 
-const deepEvery = 97 // prime: no phase-lock with the bus ratio or injectPeriod
+const deepEvery = 97 // prime: no phase-lock with the bus ratio
 
 func (m *machine) deep() deepState {
 	var d deepState
@@ -349,7 +331,7 @@ var perCoreLabels = [perCoreWords]string{
 var sharedLabels = []string{
 	"len(l3fq)", "l3fq entry flags",
 	"len(pendingWB)", "dram.Reads", "dram.Writes", "dram.RowHits", "dram.RowClosed",
-	"dram.RowConflicts", "dram.UrgentReads", "dram.MergedReads", "dram idle",
+	"dram.RowConflicts", "dram.UrgentReads", "dram idle",
 }
 
 func queueFlags(q *fillQueue) uint64 {
@@ -388,7 +370,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 	}
 	v = append(v, uint64(h.l3fq.len()), queueFlags(h.l3fq),
 		uint64(len(h.pendingWB)), d.Reads, d.Writes, d.RowHits, d.RowClosed,
-		d.RowConflicts, d.UrgentReads, d.MergedReads, idle)
+		d.RowConflicts, d.UrgentReads, idle)
 	return fingerprint{stats: h.Stats(), v: v}
 }
 
@@ -416,8 +398,8 @@ func (a fingerprint) diff(b fingerprint) string {
 }
 
 // refusalPath names, for reporting only, why the L2 path refuses line (""
-// when it does not) and whether it is accepted only thanks to a read-queue
-// merge. The verdict the test trusts is processDemand's, not this one.
+// when it does not). The verdict the test trusts is processDemand's, not this
+// one.
 func (h *Hierarchy) refusalPath(core int, line mem.LineAddr) string {
 	if h.l2[core].Peek(line) != nil {
 		return ""
@@ -437,10 +419,6 @@ func (h *Hierarchy) refusalPath(core int, line mem.LineAddr) string {
 		return "l3fq-full"
 	case h.mem.ReadBlocked(line, core):
 		return "readq-full"
-	// Same channel (the mapping reads byte-address bits 8..16 only), a line
-	// nothing ever requests: blocked iff the core's read queue is full.
-	case h.mem.ReadBlocked(line|1<<40, core):
-		return "readq-full-but-mergeable"
 	}
 	return ""
 }
@@ -486,9 +464,6 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 			if q.len() >= qlen {
 				t.Fatalf("cycle %d core %d: predicate says line %#x is free (path %q) but processDemand popped nothing", now, c, line, path)
 			}
-			if path == "readq-full-but-mergeable" {
-				paths[path]++
-			}
 			continue
 		}
 		paths[path]++
@@ -526,6 +501,33 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	h.mem.Tick(now)
 	if now%h.busRatio == 0 {
 		h.futEpoch++
+	}
+	m.auditInFlight(t, now)
+}
+
+// auditInFlight checks that the L3 fill queue is the one record of an
+// in-flight DRAM read: it holds each line at most once, so the uncore never
+// sends DRAM a second read of a line already on its way (DRAM would serve
+// it as a request of its own), and its entries whose future is unresolved
+// are exactly the reads DRAM has queued and not yet issued — each L3 miss
+// enqueued one read, and a read's future resolves when it issues.
+func (m *machine) auditInFlight(t *testing.T, now uint64) {
+	t.Helper()
+	h := m.h
+	var unresolved uint64
+	for i, e := range h.l3fq.entries {
+		for _, o := range h.l3fq.entries[:i] {
+			if o.line == e.line {
+				t.Fatalf("cycle %d: line %#x has two L3 fill-queue entries", now, e.line)
+			}
+		}
+		if !e.fut.Resolved() {
+			unresolved++
+		}
+	}
+	if misses, reads := h.stats.L3Misses, h.mem.TotalStats().Reads; unresolved != misses-reads {
+		t.Fatalf("cycle %d: %d L3 fill-queue entries wait on DRAM, but L3Misses %d - DRAM.Reads %d = %d reads are queued",
+			now, unresolved, misses, reads, misses-reads)
 	}
 }
 
@@ -578,11 +580,6 @@ func stallRows() []stallRow {
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 2 },
 			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"},
 			wantMemos: []string{"demand", "head", "pref"}},
-		{name: "second-requester", workloads: []string{"429.mcf", "416.gamess"}, l2pf: "none", l1pf: "none",
-			cycles: 60_000, inject: true,
-			cfg:       func(c *Config) { c.L2FillQueueLen, c.L3FillQueueLen = 64, 64 },
-			dram:      func(p *dram.Params) { p.ReadQueueLen = 1 },
-			wantPaths: []string{"readq-full", "readq-full-but-mergeable"}, wantMemos: []string{"head"}},
 		// The two rows below exist for version bumps nothing above depends on.
 		// Side streams touch each core's DTLB1, DL1 and MSHRs between two
 		// retries of a refused access, and L2 hits come back to the DL1 while
@@ -713,8 +710,8 @@ func (m *machine) headDue(now uint64) bool {
 // TestRequestsCountedOnce holds Stats to one count per request on the
 // lock-step rows that refuse the most: run each to the end of its request
 // stream and then dry, every L2 access counted must be a request that entered
-// a demand queue, and every DL1 miss an accepted Demand call that missed the
-// DL1 (an MSHR merge included). A refused attempt, however often replayed,
+// a demand queue, every DL1 miss an accepted Demand call that missed the
+// DL1 (an MSHR merge included), and every L3 miss one DRAM read. A refused attempt, however often replayed,
 // counts nothing; the rows must see refusals for that to mean anything.
 func TestRequestsCountedOnce(t *testing.T) {
 	for _, row := range stallRows() {
@@ -742,6 +739,9 @@ func TestRequestsCountedOnce(t *testing.T) {
 			}
 			if st.DL1Misses != m.dl1Misses {
 				t.Errorf("DL1Misses %d for %d accepted Demand calls that missed the DL1", st.DL1Misses, m.dl1Misses)
+			}
+			if reads := m.h.mem.TotalStats().Reads; st.L3Misses != reads {
+				t.Errorf("L3Misses %d but DRAM served %d reads: each L3 miss is one DRAM read", st.L3Misses, reads)
 			}
 			for _, memo := range row.wantMemos {
 				if n := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}[memo]; n == 0 {
