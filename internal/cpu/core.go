@@ -79,18 +79,9 @@ type Core struct {
 	pending    trace.Inst // fetched instruction that could not dispatch (MSHRs full)
 	hasPending bool
 
-	// cycled is the cycle after the latest Cycle call: the first one this
-	// core has not been charged for. A driver that skips cycles leaves it
-	// behind the clock, and settle closes the gap.
-	//bovet:allow statecodec a checkpoint is taken right after a ticked cycle, when no span is owed (and a drained machine owes none: its MSHRs are empty)
-	cycled uint64
-
 	// Retired counts retired instructions; Cycles is advanced by the
 	// simulation driver via Cycle calls.
 	Retired uint64
-
-	// DispatchStallMSHR counts dispatch stalls due to full MSHRs.
-	DispatchStallMSHR uint64
 }
 
 // New builds a core bound to a hierarchy and an instruction stream.
@@ -103,15 +94,12 @@ func New(id int, cfg Config, hier *uncore.Hierarchy, gen trace.Generator) *Core 
 }
 
 // Cycle advances the core by one clock: retire, issue waiting loads, then
-// dispatch new instructions. Cycles the driver skipped since the previous
-// call are settled first.
+// dispatch new instructions. A driver may skip the cycles NextEvent lets it
+// without telling the core: a stalled dispatch's replay moves nothing, so
+// skipping it is free.
 //
 //bovet:hotpath
 func (c *Core) Cycle(now uint64) {
-	if now != c.cycled {
-		c.Settle(now)
-	}
-	c.cycled = now + 1
 	c.retire(now)
 	c.issueWaiting(now)
 	c.dispatch(now)
@@ -257,7 +245,6 @@ func (c *Core) dispatch(now uint64) {
 			} else {
 				done, fut, ok := c.hier.Demand(c.ID, inst.PC, inst.VA, false, now)
 				if !ok {
-					c.DispatchStallMSHR++
 					c.pending = inst
 					c.hasPending = true
 					return
@@ -272,7 +259,6 @@ func (c *Core) dispatch(now uint64) {
 			// the fill, but still generate the write-allocate traffic.
 			_, _, ok := c.hier.Demand(c.ID, inst.PC, inst.VA, true, now)
 			if !ok {
-				c.DispatchStallMSHR++
 				c.pending = inst
 				c.hasPending = true
 				return
@@ -295,31 +281,15 @@ func (c *Core) pendingRefused() bool {
 	return c.hasPending && c.hier.DispatchStalled(c.ID, c.pending.PC, c.pending.VA)
 }
 
-// Settle charges the cycles before now that the driver skipped, [cycled, now).
-// NextEvent lets a driver skip a cycle in which dispatch runs only when the
-// dispatch is stalled — one refused replay of the pending access, which moves
-// nothing in the hierarchy — and nothing else in the core moves. Such a
-// cycle's whole effect is one DispatchStallMSHR, so a span of them is added
-// up here, by the core itself: at the top of its next Cycle, and from whoever
-// reads the machine's counters in between (engine.Snapshot). Nothing the
-// stall depends on can have changed during the span (that would have been
-// somebody's event), so it is judged as NextEvent judged it.
-func (c *Core) Settle(now uint64) {
-	if now > c.cycled && c.dispatching() && c.pendingRefused() {
-		c.DispatchStallMSHR += now - c.cycled
-	}
-	c.cycled = max(c.cycled, now)
-}
-
 // NextEvent returns the earliest cycle at or after now at which the core
 // can make progress, or ^uint64(0) when no event is scheduled (progress, if
 // any, will come from a hierarchy or DRAM completion). It returns now
 // whenever the core would do real work this cycle — dispatching, attempting
 // an issue, or retiring — because those paths have side effects (generator
 // consumption, cache/TLB/prefetcher state updates) on every cycle they run.
-// The one exception is a stalled dispatch, whose per-cycle effect is one
-// DispatchStallMSHR (see Settle): it is no event, and the core then reports
-// what else it waits for.
+// The one exception is a stalled dispatch: its replay of the pending access
+// is refused and moves nothing, so skipping it is free. It is no event, and
+// the core then reports what else it waits for.
 //
 //bovet:hotpath
 func (c *Core) NextEvent(now uint64) uint64 {
@@ -370,13 +340,12 @@ func (c *Core) Quiesced() bool { return c.robLen == 0 && len(c.waiting) == 0 }
 // clearing it makes the drained state literally equal to a restored one.
 func (c *Core) ClearDepChain() { c.lastLoadSlot = -1 }
 
-// State is the serialized state of a quiesced core: its counters, the
+// State is the serialized state of a quiesced core: its retired count, the
 // fetched-but-undispatched instruction (if any) and the generator cursor.
 type State struct {
-	Retired           uint64
-	DispatchStallMSHR uint64
-	Pending           *trace.Inst
-	Gen               trace.GenState
+	Retired uint64
+	Pending *trace.Inst
+	Gen     trace.GenState
 }
 
 // SaveState serializes the core. It reports an error when the core still
@@ -390,7 +359,7 @@ func (c *Core) SaveState() (State, error) {
 	if !ok {
 		return State{}, fmt.Errorf("cpu: core %d generator %s does not support checkpointing", c.ID, c.gen.Name())
 	}
-	st := State{Retired: c.Retired, DispatchStallMSHR: c.DispatchStallMSHR, Gen: sg.SaveGenState()}
+	st := State{Retired: c.Retired, Gen: sg.SaveGenState()}
 	if c.hasPending {
 		p := c.pending
 		st.Pending = &p
@@ -412,7 +381,6 @@ func (c *Core) RestoreState(st State) error {
 		return fmt.Errorf("cpu: core %d: %w", c.ID, err)
 	}
 	c.Retired = st.Retired
-	c.DispatchStallMSHR = st.DispatchStallMSHR
 	c.hasPending = false
 	if st.Pending != nil {
 		c.pending = *st.Pending

@@ -67,31 +67,35 @@ func TestROBNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestMSHRStallCounterAdvances(t *testing.T) {
-	// A flood of independent misses must eventually stall dispatch on
-	// MSHRs.
+// TestMissFloodStallsDispatch: a flood of independent misses must fill the
+// MSHRs and leave dispatch stalled, its pending access refused from the
+// demand memo, on some cycle.
+func TestMissFloodStallsDispatch(t *testing.T) {
 	c, h := newTestSystem(nil)
-	g := &floodGen{}
-	c.gen = g
+	c.gen = &floodGen{}
+	var stalled int
 	for now := uint64(0); now < 5000; now++ {
 		c.Cycle(now)
 		h.Tick(now)
+		if c.dispatching() && c.pendingRefused() {
+			stalled++
+		}
 	}
-	if c.DispatchStallMSHR == 0 {
-		t.Error("no MSHR stalls under a miss flood")
+	if stalled == 0 {
+		t.Error("dispatch never stalled under a miss flood")
 	}
 }
 
-// TestSkippedStallIsSettled: under the same miss flood, a driver that jumps
-// over every cycle NextEvent lets it, telling the uncore and never the core
-// (the engine's protocol), must end on the counters of one that runs every
-// cycle: the core charges the stalled dispatches it was not cycled for by
-// itself, at its next Cycle and at the closing Settle.
-func TestSkippedStallIsSettled(t *testing.T) {
+// TestSkippedStallOwesNothing: under the same miss flood, a driver that jumps
+// over every cycle NextEvent lets it, telling the uncore (AccountIdle) and
+// never the core — the engine's protocol — must end on the retired count and
+// uncore statistics of one that runs every cycle: a stalled dispatch's replay
+// moves nothing, so skipping it is free.
+func TestSkippedStallOwesNothing(t *testing.T) {
 	const cycles = 20_000
 	type outcome struct {
-		stalls, retired uint64
-		hier            uncore.Stats
+		retired uint64
+		hier    uncore.Stats
 	}
 	run := func(skip bool) (o outcome, stallSkipped uint64) {
 		c, h := newTestSystem(nil)
@@ -99,7 +103,7 @@ func TestSkippedStallIsSettled(t *testing.T) {
 		for now := uint64(0); now < cycles; {
 			if ne := min(c.NextEvent(now), h.NextEvent(now), cycles); skip && ne > now {
 				h.AccountIdle(ne - now)
-				if c.ROBOccupancy() < c.cfg.ROBSize {
+				if c.dispatching() && c.pendingRefused() {
 					stallSkipped += ne - now
 				}
 				now = ne
@@ -109,17 +113,17 @@ func TestSkippedStallIsSettled(t *testing.T) {
 			h.Tick(now)
 			now++
 		}
-		c.Settle(cycles)
-		return outcome{c.DispatchStallMSHR, c.Retired, h.Stats()}, stallSkipped
+		return outcome{c.Retired, h.Stats()}, stallSkipped
 	}
 	want, _ := run(false)
 	got, stallSkipped := run(true)
 	if got != want {
 		t.Errorf("skipping driver ended on\n%+v\nper-cycle driver on\n%+v", got, want)
 	}
-	if stallSkipped == 0 || want.stalls == 0 {
-		t.Errorf("%d cycles skipped across a stalled dispatch, %d stalls: the flood no longer stalls dispatch", stallSkipped, want.stalls)
+	if stallSkipped == 0 {
+		t.Error("no skipped span crossed a stalled dispatch: the flood no longer stalls dispatch")
 	}
+	t.Logf("%d of %d cycles skipped across a stalled dispatch", stallSkipped, cycles)
 }
 
 type floodGen struct{ n uint64 }

@@ -74,7 +74,10 @@ import (
 //
 // v10: dram.Stats loses its merged-read count (the L3 fill queue is the one
 // place in-flight reads are deduplicated, so it always read 0).
-const SnapshotVersion = 10
+//
+// v11: cpu.State loses its MSHR dispatch-stall count: nothing read it, and no
+// Result byte moved.
+const SnapshotVersion = 11
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"

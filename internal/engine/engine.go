@@ -400,8 +400,8 @@ func (s *Simulation) nextEventCycle() uint64 {
 // Stepping is event-driven: when no core, uncore queue or DRAM channel can
 // do work this cycle, the clock jumps straight to the earliest upcoming
 // event, charging the skipped span to the uncore's per-cycle sampled
-// statistics (uncore.Hierarchy.AccountIdle); a core whose dispatch is stalled
-// counts its DispatchStallMSHR for the span later (cpu.Core.Settle).
+// statistics (uncore.Hierarchy.AccountIdle), the one charge a skip owes: a
+// stalled dispatch's replay moves nothing, so skipping it is free.
 // The skipped cycles would have moved nothing else under per-cycle ticking,
 // so results are byte-identical (SetSkipAhead and the skip equivalence suite
 // pin this down); a skip consumes its span from the n-cycle budget just as
@@ -513,17 +513,6 @@ func (s *Simulation) barrier() {
 	s.atBarrier = true
 }
 
-// settle has every core count the dispatch stalls of the cycles the latest
-// jump skipped for it, so the counters read next are those of a machine
-// ticked up to now (see cpu.Core.Settle; a core otherwise settles at its next
-// Cycle). Checkpoint needs none: AtBarrier means the latest step was a ticked
-// cycle, or none.
-func (s *Simulation) settle() {
-	for _, c := range s.cores {
-		c.Settle(s.now)
-	}
-}
-
 // AtBarrier reports whether the simulation sits exactly at the warmup
 // barrier: drained, statistics reset, and no measured cycle executed yet.
 // This is the only point Checkpoint accepts.
@@ -604,7 +593,6 @@ func (s *Simulation) Close() {
 // from the barrier (statistics were reset there), so a warmed run reports
 // the measured region only.
 func (s *Simulation) Snapshot() Result {
-	s.settle()
 	cycles := s.now - s.startCycles
 	retired := s.cores[0].Retired - s.startRetired
 	res := Result{

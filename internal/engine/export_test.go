@@ -11,6 +11,7 @@ import (
 	"bopsim/internal/prefetch"
 	"bopsim/internal/stride"
 	"bopsim/internal/tlb"
+	"bopsim/internal/trace"
 	"bopsim/internal/uncore"
 )
 
@@ -31,18 +32,31 @@ func PackedSpans(data []byte) (lineOff, lineN, stampOff, stampN int, err error) 
 // count skipped cycles: Step(NextEventCycle()-Cycles()) is exactly one jump.
 func (s *Simulation) NextEventCycle() uint64 { return s.nextEventCycle() }
 
-// hierField returns the address of an unexported field of uncore.Hierarchy.
-// The suites below compare state no production code exposes (and flip a
-// switch none sets), so they reach it the only way another package's test
-// can: by address. T must be the field's exact type.
-func hierField[T any](h *uncore.Hierarchy, name string) *T {
-	return (*T)(unsafe.Pointer(reflect.ValueOf(h).Elem().FieldByName(name).UnsafeAddr()))
+// field returns the address of an unexported field of the struct p points to
+// (an uncore.Hierarchy or a cpu.Core). The suites below compare state no
+// production code exposes (and flip a switch none sets), so they reach it the
+// only way another package's test can: by address. T must be the field's
+// exact type.
+func field[T any](p any, name string) *T {
+	return (*T)(unsafe.Pointer(reflect.ValueOf(p).Elem().FieldByName(name).UnsafeAddr()))
+}
+
+// PendingStoreRefused reports whether core's fetched-but-undispatched
+// instruction is a store whose access uncore.Hierarchy.DispatchStalled
+// refuses: its dispatch is stalled on a store.
+func (s *Simulation) PendingStoreRefused(core int) bool {
+	c := s.cores[core]
+	if !*field[bool](c, "hasPending") {
+		return false
+	}
+	inst := *field[trace.Inst](c, "pending")
+	return inst.Op == trace.OpStore && s.hier.DispatchStalled(core, inst.PC, inst.VA)
 }
 
 // SetRefusalMemos turns the uncore's refusal memos off (every attempt is then
 // evaluated in full: the oracle TestRefusalMemoEquivalence compares against)
 // or back on.
-func (s *Simulation) SetRefusalMemos(on bool) { *hierField[bool](s.hier, "memoOff") = !on }
+func (s *Simulation) SetRefusalMemos(on bool) { *field[bool](s.hier, "memoOff") = !on }
 
 // RefusalMemoHits returns how many attempts each of the three retry loops
 // answered from its refusal memo: Demand calls, demand-queue heads and
@@ -54,8 +68,8 @@ func (s *Simulation) RefusalMemoHits() (demand, head, pref uint64) {
 
 // CoreDigest is one core's part of a MachineDigest.
 type CoreDigest struct {
-	Retired, DispatchStallMSHR uint64
-	TLB                        tlb.State // every stamp and both clocks
+	Retired uint64
+	TLB     tlb.State // every stamp and both clocks
 	// Stride is the DL1 stride prefetcher's table and filter, printed ("" for
 	// any other DL1 prefetcher; a decorator is looked through by its Unwrap):
 	// what a skipped retry leaves alone only because its query was settled.
@@ -64,8 +78,8 @@ type CoreDigest struct {
 
 // MachineDigest is the machine below what a Result shows: the state a
 // skipped retry must leave alone that no Result reads (every TLB stamp and
-// clock, the stride prefetcher), DispatchStallMSHR, and everything a Result
-// is computed from. Two drivers of one run must agree on all of it.
+// clock, the stride prefetcher) and everything a Result is computed from.
+// Two drivers of one run must agree on all of it.
 type MachineDigest struct {
 	Cycles uint64
 	Hier   uncore.Stats
@@ -73,14 +87,12 @@ type MachineDigest struct {
 	Cores  []CoreDigest
 }
 
-// DigestMachine reads the digest of a machine at cycle now. It settles
-// nothing: a driver that stops inside a skipped span gets the counters as
-// they stand (Simulation.DeepDigest settles first).
+// DigestMachine reads the digest of a machine at cycle now.
 func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDigest {
 	d := MachineDigest{Cycles: now, Hier: h.Stats(), DRAM: h.Memory().TotalStats()}
-	tlbs := *hierField[[]*tlb.Hierarchy](h, "tlbs")
+	tlbs := *field[[]*tlb.Hierarchy](h, "tlbs")
 	for i, c := range cores {
-		cd := CoreDigest{Retired: c.Retired, DispatchStallMSHR: c.DispatchStallMSHR, TLB: tlbs[i].SaveState()}
+		cd := CoreDigest{Retired: c.Retired, TLB: tlbs[i].SaveState()}
 		pf := h.L1Prefetcher(i)
 		if w, ok := pf.(interface{ Unwrap() prefetch.L1Prefetcher }); ok {
 			pf = w.Unwrap()
@@ -97,9 +109,7 @@ func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDi
 // guard Simulation has: what a stray pointer to the machine would do.
 func (s *Simulation) StrayDemand() { s.hier.Demand(0, 0x400, 0x1000, false, s.now) }
 
-// DeepDigest is the simulation's MachineDigest at the current cycle, settled
-// as Snapshot settles.
+// DeepDigest is the simulation's MachineDigest at the current cycle.
 func (s *Simulation) DeepDigest() MachineDigest {
-	s.settle()
 	return DigestMachine(s.now, s.hier, s.cores)
 }

@@ -25,16 +25,15 @@ func (p opaqueL1) Unwrap() prefetch.L1Prefetcher                 { return p.inne
 
 // TestReplicaProtocol guards a driver this package cannot see:
 // benchmarks/bopbench/replica.go assembles the machine from the layers'
-// public constructors and drives its own copy of Simulation.Step, written
-// before a core could owe anything for a skipped span. Its whole protocol is
-// Core.NextEvent and Core.Cycle, Hierarchy.NextEvent, AccountIdle and Tick —
-// on a jump it tells the uncore and never the cores, and it reads the
-// counters without settling anyone. A driver that makes exactly those calls
-// must still end on the per-cycle engine's machine, down to the deep digest:
-// once with the DL1 prefetcher behind a decorator that hides
-// prefetch.SettledQuerier (the cores then veto every cycle of a dispatch stall,
-// as they always did), and once without a DL1 prefetcher, where the cores do
-// skip their stalls and have to settle them unasked.
+// public constructors and drives its own copy of Simulation.Step. Its whole
+// protocol is Core.NextEvent and Core.Cycle, Hierarchy.NextEvent, AccountIdle
+// and Tick — on a jump it tells the uncore and never the cores, which is the
+// engine's protocol too. A driver that makes exactly those calls must end on
+// the per-cycle engine's machine, down to the deep digest: once with the DL1
+// prefetcher behind a decorator that hides prefetch.SettledQuerier (the cores
+// then veto every cycle of a dispatch stall), and once without a DL1
+// prefetcher, which proves that the cores skip their stalls under the
+// replica's calls and still end on the per-cycle machine.
 func TestReplicaProtocol(t *testing.T) {
 	for _, row := range []struct {
 		name, l1pf string
@@ -132,11 +131,11 @@ func TestReplicaProtocol(t *testing.T) {
 			share := float64(stallSkipped) / float64(now)
 			t.Logf("%d cycles, %d skipped, %.0f%% of all cycles skipped across a stalled dispatch", now, skipped, 100*share)
 			if share < row.minStallSkipped {
-				t.Errorf("%.0f%% of the cycles were skipped across a stalled dispatch, want at least %.0f%%: the row no longer makes the cores settle on their own",
+				t.Errorf("%.0f%% of the cycles were skipped across a stalled dispatch, want at least %.0f%%: the row no longer makes the cores skip their stalls",
 					100*share, 100*row.minStallSkipped)
 			}
 			if row.minStallSkipped == 0 && stallSkipped != 0 {
-				t.Errorf("%d cycles were skipped while a core's dispatch was running behind a DL1 prefetcher the uncore cannot charge", stallSkipped)
+				t.Errorf("%d cycles were skipped while a core's dispatch was running behind a DL1 prefetcher whose queries the uncore cannot judge settled", stallSkipped)
 			}
 		})
 	}
