@@ -307,7 +307,7 @@ func sortFindings(fs []Finding) {
 // FuncFor returns the *types.Func a call expression statically resolves to,
 // or nil for builtins, type conversions, function-typed variables and
 // interface-typed callees whose dynamic target is unknown. Shared by the
-// analyzers that classify calls (nondeterm, hotalloc).
+// analyzers that judge calls by their callee (nondeterm, hotalloc).
 func FuncFor(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {

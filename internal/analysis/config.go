@@ -12,7 +12,7 @@ import "strings"
 //
 // A new internal package is infra only if it appears in infraPackages;
 // everything else under bopsim/internal/ defaults to result-affecting, so
-// forgetting to classify a new simulator package fails closed (the analyzer
+// forgetting to list a new simulator package fails closed (the analyzer
 // runs on it) rather than open.
 var infraPackages = map[string]bool{
 	"experiments": true, // scheduler/status: progress rates use wall clocks

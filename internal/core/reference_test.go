@@ -31,12 +31,25 @@ import (
 //   - While prefetch is on, a prefetched line Y filled into the L2 inserts
 //     its base address Y-D when that shares Y's page; while it is off, every
 //     fill inserts Y itself (section 4.3).
+//   - degree=2 (section 4.3): an access X prefetches X+D and then X+D2, each
+//     when it shares X's page, where D2 is the phase's second-best offset:
+//     the highest score among the offsets other than D, the first in list
+//     order on a tie, and none when no other offset scored. Every phase end
+//     sets D2 afresh, so a phase with no second best leaves none, whatever
+//     the phase before it chose. The paper leaves open which base a D2
+//     prefetch's fill inserts into the RR table. The reference takes Y-D for
+//     every prefetched fill, D2's included: a fill carries only the line and
+//     the L2's prefetch bit (what OnFill sees), not the offset that asked for
+//     it, and Y-D is the base section 4.3 gives for a prefetched line. An
+//     offset list that repeats an offset is refused at degree 2, where
+//     "other than D" would be ambiguous.
 //
-// It refuses every knob Prefetcher has beyond Table 2 and an offset list:
-// degree=2, adaptive=true, rratissue, allaccess, and any RR geometry,
-// SCORE_MAX or ROUND_MAX but the paper's. Snippet 1's per-PC counters and
-// credit-on-hit map are not the paper's algorithm, and nothing here follows
-// them.
+// It refuses every other knob Prefetcher has beyond Table 2 and an offset
+// list: adaptive=true, whose floating BADSCORE is this repository's
+// extension with no rule in the paper to transliterate (section 7 names it
+// future work), rratissue, allaccess, and any RR geometry, SCORE_MAX or
+// ROUND_MAX but the paper's. Snippet 1's per-PC counters and credit-on-hit
+// map are not the paper's algorithm, and nothing here follows them.
 //
 // Prefetcher and snippet 3 disagree in two places, and the reference takes
 // Prefetcher's side unless snippetRules is set:
@@ -53,6 +66,7 @@ import (
 type reference struct {
 	offsets      []int
 	badScore     int
+	degree       int
 	linesPerPage int64
 	snippetRules bool
 
@@ -65,6 +79,7 @@ type reference struct {
 	index    int     // next offset to test
 
 	d      int
+	d2     int // 0: no second offset
 	on     bool
 	phases int
 }
@@ -79,10 +94,10 @@ const (
 // setting it does not model.
 func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, error) {
 	switch {
-	case p.Degree > 1:
-		return nil, fmt.Errorf("degree=%d: the reference prefetches one offset", p.Degree)
+	case p.Degree == 2 && repeats(p.Offsets):
+		return nil, fmt.Errorf("degree=2 with a repeated offset: the second-best offset is ambiguous")
 	case p.AdaptiveThrottle:
-		return nil, fmt.Errorf("adaptive=true: the reference has a fixed BADSCORE")
+		return nil, fmt.Errorf("adaptive=true: the paper gives no rule for a floating BADSCORE")
 	case p.InsertRRAtIssue || p.TriggerOnAllAccesses:
 		return nil, fmt.Errorf("the reference models neither ablation")
 	case p.RREntries != refRRSlots || p.RRTagBits != 12 || p.ScoreMax != refScoreMax || p.RoundMax != refRoundMax:
@@ -91,6 +106,7 @@ func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, e
 	return &reference{
 		offsets:      p.Offsets,
 		badScore:     p.BadScore,
+		degree:       p.Degree,
 		linesPerPage: int64(page) / 64,
 		snippetRules: snippetRules,
 		rr:           map[int]uint16{},
@@ -98,6 +114,13 @@ func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, e
 		d:            1,
 		on:           true,
 	}, nil
+}
+
+// repeats reports whether some offset appears twice in offs.
+func repeats(offs []int) bool {
+	sorted := slices.Clone(offs)
+	slices.Sort(sorted)
+	return len(slices.Compact(sorted)) < len(offs)
 }
 
 func (r *reference) samePage(a, b int64) bool { return a/r.linesPerPage == b/r.linesPerPage }
@@ -122,10 +145,13 @@ func (r *reference) OnAccess(a prefetch.AccessInfo) []mem.LineAddr {
 	if !r.on {
 		return nil
 	}
-	if t := x + int64(r.d); t >= 0 && r.samePage(x, t) {
-		return []mem.LineAddr{mem.LineAddr(t)}
+	var out []mem.LineAddr
+	for _, d := range []int{r.d, r.d2} {
+		if t := x + int64(d); d != 0 && t >= 0 && r.samePage(x, t) {
+			out = append(out, mem.LineAddr(t))
+		}
 	}
-	return nil
+	return out
 }
 
 func (r *reference) learn(x int64) {
@@ -158,6 +184,15 @@ func (r *reference) endPhase() {
 		r.d = 1
 	}
 	r.on = int(r.maxScore) > r.badScore
+	r.d2 = 0
+	if r.degree == 2 {
+		var s2 uint8
+		for i, s := range r.score {
+			if r.offsets[i] != r.d && s > s2 {
+				r.d2, s2 = r.offsets[i], s
+			}
+		}
+	}
 	clear(r.score)
 	r.maxScore, r.best, r.round = 0, 0, 0
 }
@@ -296,12 +331,12 @@ func (m *l2Model) access(line mem.LineAddr, lag int) []mem.LineAddr {
 const refAccesses = 8_000
 
 // refStream turns fuzz bytes into an access stream: data[0] picks the
-// configuration (bit 0: snippet 3's, else Table 2's) and the page size (bit
-// 1: 4MB), and each following 4-byte group is one segment, replayed in a
-// loop until refAccesses accesses: a stride (0: pseudo-random lines), a
-// length, the fill lag and flags (bit 0: jump to a new region; bit 1:
-// interleave a second stream at three times the stride; bits 2-3, read as
-// k > 0: every (k+2)th access goes back one stride).
+// configuration (bit 0: snippet 3's, else Table 2's; bit 2: either at
+// degree=2) and the page size (bit 1: 4MB), and each following 4-byte group
+// is one segment, replayed in a loop until refAccesses accesses: a stride (0:
+// pseudo-random lines), a length, the fill lag and flags (bit 0: jump to a
+// new region; bit 1: interleave a second stream at three times the stride;
+// bits 2-3, read as k > 0: every (k+2)th access goes back one stride).
 type refStream struct {
 	name, spec string
 	page       mem.PageSize
@@ -316,6 +351,13 @@ func decodeStream(data []byte) refStream {
 		}
 		if data[0]&2 != 0 {
 			s.page = mem.Page4M
+		}
+		if data[0]&4 != 0 {
+			sep := ","
+			if s.spec == "bo" {
+				sep = ":"
+			}
+			s.name, s.spec = s.name+"-degree2", s.spec+sep+"degree=2"
 		}
 		data = data[1:]
 	}
@@ -363,13 +405,15 @@ func (s refStream) each(visit func(line mem.LineAddr, lag int)) {
 
 // phaseEnd is what a learning phase decided.
 type phaseEnd struct {
-	d  int
-	on bool
+	d, d2 int
+	on    bool
 }
 
-// same reports whether two phases decided the same prefetching: D matters
-// only while prefetch is on.
-func (e phaseEnd) same(o phaseEnd) bool { return e.on == o.on && (!e.on || e.d == o.d) }
+// same reports whether two phases decided the same prefetching: D and D2
+// matter only while prefetch is on.
+func (e phaseEnd) same(o phaseEnd) bool {
+	return e.on == o.on && (!e.on || e.d == o.d && e.d2 == o.d2)
+}
 
 // build returns the Prefetcher the stream's spec names and its reference.
 func (s refStream) build(t testing.TB, snippetRules bool) (*Prefetcher, *reference) {
@@ -387,15 +431,14 @@ func (s refStream) build(t testing.TB, snippetRules bool) (*Prefetcher, *referen
 }
 
 // lockStep drives a Prefetcher and its reference (Prefetcher's rules) over
-// the stream and fails at the first prefetch they disagree on, and at the
-// first phase end after which they hold a different on/off state, a
-// different D or a different RR table. It returns the number of
-// phase ends compared and the Prefetcher.
-func lockStep(t testing.TB, s refStream) (int, *Prefetcher) {
+// the stream and fails at the first access whose prefetch list they disagree
+// on, and at the first phase end after which they hold a different on/off
+// state, a different D or D2 or a different RR table. It returns the number
+// of phase ends compared and what the run covered.
+func lockStep(t testing.TB, s refStream) (n int, c refCoverage) {
 	t.Helper()
 	p, ref := s.build(t, false)
 	mp, mr := newL2Model(p), newL2Model(ref)
-	n := 0
 	s.each(func(line mem.LineAddr, lag int) {
 		if n < 0 {
 			return
@@ -406,6 +449,9 @@ func lockStep(t testing.TB, s refStream) (int, *Prefetcher) {
 			n = -1
 			return
 		}
+		if len(got) == 2 {
+			c.pairs++
+		}
 		if int(p.stats.Phases) == n && ref.phases == n {
 			return
 		}
@@ -415,8 +461,9 @@ func lockStep(t testing.TB, s refStream) (int, *Prefetcher) {
 			n = -1
 			return
 		}
-		if got, want := (phaseEnd{p.d, p.on}), (phaseEnd{ref.d, ref.on}); got != want {
-			t.Errorf("%s, %v pages, phase %d: Prefetcher ends with D=%d on=%v, the reference with D=%d on=%v", s.name, s.page, n, got.d, got.on, want.d, want.on)
+		if got, want := (phaseEnd{p.d, p.d2, p.on}), (phaseEnd{ref.d, ref.d2, ref.on}); got != want {
+			t.Errorf("%s, %v pages, phase %d: Prefetcher ends with D=%d D2=%d on=%v, the reference with D=%d D2=%d on=%v",
+				s.name, s.page, n, got.d, got.d2, got.on, want.d, want.d2, want.on)
 			n = -1
 			return
 		}
@@ -429,8 +476,23 @@ func lockStep(t testing.TB, s refStream) (int, *Prefetcher) {
 				return
 			}
 		}
+		if p.params.Degree == 2 && p.d2 != 0 {
+			c.d2++
+		} else if p.params.Degree == 2 {
+			c.noD2++
+		}
 	})
-	return n, p
+	c.on, c.off = int(p.stats.Phases-p.stats.PhasesOff), int(p.stats.PhasesOff)
+	return n, c
+}
+
+// refCoverage is what one lock-step run covered: phase ends with prefetch on
+// and off, accesses that asked for two lines, and degree-2 phase ends with
+// and without a second offset.
+type refCoverage struct{ on, off, pairs, d2, noD2 int }
+
+func (c *refCoverage) add(o refCoverage) {
+	c.on, c.off, c.pairs, c.d2, c.noD2 = c.on+o.on, c.off+o.off, c.pairs+o.pairs, c.d2+o.d2, c.noD2+o.noD2
 }
 
 // refSeeds are the fuzz seeds: each configuration on streams BO learns (unit,
@@ -447,11 +509,24 @@ var refSeeds = [][]byte{
 	{0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 2, 255, 16, 1},
 	{1, 0, 255, 5, 0, 1, 255, 9, 8},
 	{3, 7, 180, 10, 6, 254, 60, 1, 1},
+	{4, 1, 255, 4, 0},
+	{5, 253, 200, 6, 0, 7, 200, 25, 4},
+	{6, 3, 200, 12, 2, 0, 150, 3, 1},
+	{4, 0, 255, 5, 0},
+	{5, 0, 255, 5, 0},
+	{5, 1, 255, 20, 0},
+	{4, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 2, 255, 16, 1},
+	{5, 0, 255, 5, 0, 1, 255, 9, 8},
+	// A unit stride of 32 rounds, just long enough to end the first phase on
+	// a score with a second offset, then pseudo-random lines long enough to
+	// end the next phase with none.
+	{4, 1, 255, 4, 0, 1, 148, 4, 0, 0, 255, 5, 1, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0},
+	{4, 1, 255, 8, 0, 1, 146, 8, 0, 0, 255, 5, 1, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0, 0, 255, 5, 0},
 }
 
 // FuzzBOAgainstReference holds Prefetcher to the reference learner in lock
 // step over fuzzed access and fill streams, in Table 2's configuration and
-// in snippet 3's (see reference and refStream).
+// in snippet 3's, each at degree 1 and 2 (see reference and refStream).
 func FuzzBOAgainstReference(f *testing.F) {
 	for _, s := range refSeeds {
 		f.Add(s)
@@ -462,26 +537,32 @@ func FuzzBOAgainstReference(f *testing.F) {
 }
 
 // TestReferenceCoversPhaseEnds keeps the fuzz seeds meaningful: they must
-// end learning phases in both configurations, with prefetch both on and off,
-// and the reference must be built from the paper's offset list.
+// end learning phases in all four configurations, with prefetch both on and
+// off; at degree 2 some accesses must ask for two lines and some phases must
+// end with a second offset and some without. The reference must be built
+// from the paper's offset list.
 func TestReferenceCoversPhaseEnds(t *testing.T) {
 	if got, want := DefaultParams().Offsets, paperOffsets(); !slices.Equal(got, want) {
 		t.Fatalf("Table 2's offsets %v, section 4.2's %v", got, want)
 	}
 	phases := map[string]int{}
-	var on, off int
+	var all refCoverage
 	for _, seed := range refSeeds {
 		s := decodeStream(seed)
-		n, p := lockStep(t, s)
+		n, c := lockStep(t, s)
 		phases[s.name] += n
-		on += int(p.stats.Phases - p.stats.PhasesOff)
-		off += int(p.stats.PhasesOff)
+		all.add(c)
 	}
-	t.Logf("phase ends compared: %v; %d ended on, %d off", phases, on, off)
-	if phases["table2"] < 4 || phases["snippet3"] < 4 || on == 0 || off == 0 {
-		t.Errorf("the seeds end too few phases: %v, %d on and %d off", phases, on, off)
+	t.Logf("phase ends compared: %v; %+v", phases, all)
+	for _, name := range []string{"table2", "snippet3", "table2-degree2", "snippet3-degree2"} {
+		if phases[name] < 4 {
+			t.Errorf("the seeds end %d phases in %s, want at least 4", phases[name], name)
+		}
 	}
-	for _, spec := range []string{"bo:degree=2", "bo:adaptive=true"} {
+	if all.on == 0 || all.off == 0 || all.pairs == 0 || all.d2 == 0 || all.noD2 == 0 {
+		t.Errorf("the seeds miss a case: %+v", all)
+	}
+	for _, spec := range []string{"bo:adaptive=true", "bo:degree=2,offsets=1+2+1"} {
 		pf, err := prefetch.NewL2(prefetch.MustSpec(spec), mem.Page4K)
 		if err != nil {
 			t.Fatal(err)
@@ -511,10 +592,10 @@ func TestReferenceSnippetRules(t *testing.T) {
 					mp.access(line, lag)
 					mr.access(line, lag)
 					if int(p.stats.Phases) > len(pe) {
-						pe = append(pe, phaseEnd{p.d, p.on})
+						pe = append(pe, phaseEnd{p.d, p.d2, p.on})
 					}
 					if ref.phases > len(re) {
-						re = append(re, phaseEnd{ref.d, ref.on})
+						re = append(re, phaseEnd{ref.d, ref.d2, ref.on})
 					}
 				})
 				ends += max(len(pe), len(re))

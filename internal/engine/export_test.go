@@ -72,7 +72,8 @@ type CoreDigest struct {
 	TLB     tlb.State // every stamp and both clocks
 	// Stride is the DL1 stride prefetcher's table and filter, printed ("" for
 	// any other DL1 prefetcher; a decorator is looked through by its Unwrap):
-	// what a skipped retry leaves alone only because its query was settled.
+	// what a skipped retry leaves alone only because a repeated query changes
+	// nothing.
 	Stride string
 }
 

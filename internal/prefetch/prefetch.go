@@ -63,23 +63,15 @@ type L1Prefetcher interface {
 	// Query computes a prefetch virtual address for a load/store at pc
 	// accessing va, using state from *before* this access's table update.
 	// The caller invokes it only for DL1 misses and prefetched hits.
+	//
+	// Asked again with the same arguments and no Update and no other Query
+	// in between, Query returns no prefetch and changes nothing. The
+	// hierarchy relies on it whenever it replays a refused access without
+	// asking again.
 	Query(pc uint64, va mem.Addr) (prefVA mem.Addr, ok bool)
 	// Update records the retirement of a load/store at pc with address va
 	// (tables update at retirement, in program order).
 	Update(pc uint64, va mem.Addr)
-}
-
-// SettledQuerier is optionally implemented by DL1 prefetchers that can tell
-// when a query is settled: it returns no prefetch and changes nothing, so any
-// number of repeats of it may go unasked. A core retrying one refused access
-// queries with the same arguments every cycle; with this interface the engine
-// may skip those cycles (DESIGN.md, "Dispatch stalls"). Behind a prefetcher
-// without it every such cycle is simulated.
-type SettledQuerier interface {
-	// QuerySettled reports whether Query(pc, va) would return ok=false and
-	// change nothing, now and on every repeat until the prefetcher's next
-	// Update or other Query.
-	QuerySettled(pc uint64, va mem.Addr) bool
 }
 
 // None is the "no L2 prefetcher" configuration (Figure 5's ablation).

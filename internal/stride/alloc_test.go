@@ -7,14 +7,13 @@ import (
 )
 
 // TestSteadyStateZeroAlloc pins the L1 stride prefetcher's hot-path cost:
-// once the PC table exists, Update, QuerySettled and Query allocate nothing.
+// once the PC table exists, Update and Query allocate nothing.
 // Guards the //bovet:hotpath roots with a runtime witness.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	p := New()
 	pc, a := uint64(0x400), mem.Addr(0x10000)
 	step := func() {
 		p.Update(pc, a)
-		p.QuerySettled(pc, a+64)
 		p.Query(pc, a+64)
 		a += 64
 		pc = (pc + 4) % 0x800

@@ -7,10 +7,7 @@ import (
 	"bopsim/internal/prefetch"
 )
 
-var (
-	_ prefetch.L1Prefetcher   = (*Prefetcher)(nil)
-	_ prefetch.SettledQuerier = (*Prefetcher)(nil)
-)
+var _ prefetch.L1Prefetcher = (*Prefetcher)(nil)
 
 // Spec registration: "stride" is the baseline DL1 prefetcher of section
 // 5.5. The prefetch distance factor is the one exposed tunable

@@ -76,51 +76,30 @@ func (p *Prefetcher) victim() *entry {
 	return &p.entries[best]
 }
 
-// classify decides, from the table and the filter and without touching
-// either, whether a query at pc for va issues a prefetch, and its target when
-// it does. A query issues unless there is no entry for the PC, the entry is
-// short of full confidence or has a zero stride, the target would be a
-// negative address, or the target's line is in the filter; every other query
-// is settled: it returns no prefetch and changes nothing. It is the one
-// decision procedure behind Query and QuerySettled.
-func (p *Prefetcher) classify(pc uint64, va mem.Addr) (target mem.Addr, issue bool) {
-	e := p.lookup(pc)
-	if e == nil || e.conf < ConfidenceMax || e.stride == 0 {
-		return 0, false
-	}
-	target = mem.Addr(int64(va) + p.distance*e.stride)
-	if int64(target) < 0 || p.recentlyPrefetched(mem.LineOf(target)) {
-		return 0, false
-	}
-	return target, true
-}
-
 // Query computes a prefetch virtual address for a load/store at pc
 // accessing va, using the table state *before* this access updates it (the
 // table is updated at retirement, after the DL1 access, section 5.5). It
 // returns ok=false when the entry is absent, unconfident, has a zero
-// stride, or the target was recently prefetched.
+// stride, the target would be a negative address, or the target was
+// recently prefetched; such a query changes nothing. A query that issues
+// notes its target's line in the filter, so asking it again issues nothing
+// (the prefetch.L1Prefetcher contract).
 //
 // The caller must only invoke Query for DL1 misses and prefetched hits, and
 // must drop the returned address if its page misses in the TLB2.
 //
 //bovet:hotpath
 func (p *Prefetcher) Query(pc uint64, va mem.Addr) (prefVA mem.Addr, ok bool) {
-	target, issue := p.classify(pc, va)
-	if !issue {
+	e := p.lookup(pc)
+	if e == nil || e.conf < ConfidenceMax || e.stride == 0 {
+		return 0, false
+	}
+	target := mem.Addr(int64(va) + p.distance*e.stride)
+	if int64(target) < 0 || p.recentlyPrefetched(mem.LineOf(target)) {
 		return 0, false
 	}
 	p.notePrefetched(mem.LineOf(target))
 	return target, true
-}
-
-// QuerySettled implements prefetch.SettledQuerier: Query(pc, va) would return
-// no prefetch and change nothing.
-//
-//bovet:hotpath
-func (p *Prefetcher) QuerySettled(pc uint64, va mem.Addr) bool {
-	_, issue := p.classify(pc, va)
-	return !issue
 }
 
 // Update records the retirement of a load/store at pc with address va:

@@ -143,8 +143,8 @@ func TestQueryDoesNotUnderflow(t *testing.T) {
 }
 
 // outcome names what a query at pc for va comes to, from the table and the
-// filter: the four ways a query is settled, or "issue". It is the reference
-// classify is held to, and the measure of what the fuzz covers.
+// filter: the four ways it issues nothing, or "issue". It is the reference
+// Query is held to, and the measure of what the fuzz covers.
 func outcome(p *Prefetcher, pc uint64, va mem.Addr) string {
 	e := p.lookup(pc)
 	switch {
@@ -163,17 +163,15 @@ func outcome(p *Prefetcher, pc uint64, va mem.Addr) string {
 	return "issue"
 }
 
-// TestSettledQueryChangesNothing holds QuerySettled to what the uncore skips
-// on its word (uncore.Hierarchy.DispatchStalled), over fuzzed table and filter
+// TestQueryOutcomes holds Query to outcome over fuzzed table and filter
 // states: a few PCs, strides that are zero, sub-line, large, negative and
-// underflowing, queries near address zero. QuerySettled itself changes
-// nothing. Whenever it holds, Query returns no prefetch and leaves the
-// prefetcher reflect.DeepEqual to its copy, however many times it is asked:
-// that is why a core retrying a refused access may skip its retries and owe
-// the prefetcher nothing. Whenever it does not hold, Query issues the target
-// D*stride ahead, and its whole effect is to note that target's line in the
-// filter, which settles the query: an unsettled retry lasts one cycle.
-func TestSettledQueryChangesNothing(t *testing.T) {
+// underflowing, queries near address zero. A query that issues returns the
+// target D*stride ahead and its whole effect is to note that target's line
+// in the filter; every other query returns no prefetch and leaves the
+// prefetcher reflect.DeepEqual to its copy. (That a repeat of either issues
+// nothing is the prefetch.L1Prefetcher contract, held registry-wide by the
+// prefetch package's TestRepeatedL1QueryChangesNothing.)
+func TestQueryOutcomes(t *testing.T) {
 	strides := []int64{0, 8, 64, 96, 4096, -64, -65536}
 	outcomes := map[string]int{}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -198,39 +196,27 @@ func TestSettledQueryChangesNothing(t *testing.T) {
 				continue
 			}
 			before := *p
-			settled := p.QuerySettled(pc, va)
-			if !reflect.DeepEqual(*p, before) {
-				t.Fatalf("seed %d step %d: QuerySettled changed the prefetcher", seed, step)
-			}
 			o := outcome(p, pc, va)
 			outcomes[o]++
-			if settled != (o != "issue") {
-				t.Fatalf("seed %d step %d: QuerySettled = %v for a query that comes to %q", seed, step, settled, o)
-			}
-			if settled {
-				for i := 0; i < 1+rng.Intn(4); i++ {
-					if _, ok := p.Query(pc, va); ok {
-						t.Fatalf("seed %d step %d: a settled query (%s) issued a prefetch", seed, step, o)
-					}
-					if !reflect.DeepEqual(*p, before) {
-						t.Fatalf("seed %d step %d: a settled query (%s) changed the prefetcher: clock %d, filter %v, ages %v; was clock %d, filter %v, ages %v",
-							seed, step, o, p.clock, p.filter, p.filterAge, before.clock, before.filter, before.filterAge)
-					}
+			got, ok := p.Query(pc, va)
+			if o != "issue" {
+				if ok {
+					t.Fatalf("seed %d step %d: a query that comes to %q issued %#x", seed, step, o, got)
+				}
+				if !reflect.DeepEqual(*p, before) {
+					t.Fatalf("seed %d step %d: a query that comes to %q changed the prefetcher: clock %d, filter %v, ages %v; was clock %d, filter %v, ages %v",
+						seed, step, o, p.clock, p.filter, p.filterAge, before.clock, before.filter, before.filterAge)
 				}
 				continue
 			}
-			e := p.lookup(pc)
-			want := mem.Addr(int64(va) + p.distance*e.stride)
+			want := mem.Addr(int64(va) + p.distance*before.lookup(pc).stride)
 			noted := before
 			noted.notePrefetched(mem.LineOf(want))
-			if got, ok := p.Query(pc, va); !ok || got != want {
-				t.Fatalf("seed %d step %d: an unsettled query returned %#x, %v; want %#x, true", seed, step, got, ok, want)
+			if !ok || got != want {
+				t.Fatalf("seed %d step %d: an issuing query returned %#x, %v; want %#x, true", seed, step, got, ok, want)
 			}
 			if !reflect.DeepEqual(*p, noted) {
 				t.Fatalf("seed %d step %d: an issuing query did more than note its target's line", seed, step)
-			}
-			if !p.QuerySettled(pc, va) {
-				t.Fatalf("seed %d step %d: the query is still unsettled after it issued", seed, step)
 			}
 		}
 	}

@@ -79,8 +79,9 @@ type pathMemo struct {
 // line; what an accepted request or an issued prefetch adds keeps every
 // refused head refused.
 type retryState struct {
-	// front moves with everything that touches this core's DTLB1, DL1 or
-	// MSHRs: a full Demand, an L2 fill-queue pop, insertDL1.
+	// front moves with everything that touches this core's DTLB1, DL1,
+	// MSHRs or DL1 prefetcher table: a full Demand, an L2 fill-queue pop,
+	// insertDL1, a retirement that updates the table, a new table.
 	front uint64
 	// priv moves when this core's L2 fill queue loses an entry, which is
 	// also how its L2 gains a line: a fill-queue pop. (The other way in, a
@@ -112,11 +113,6 @@ type Hierarchy struct {
 	l1pf []prefetch.L1Prefetcher // nil entries: no DL1 prefetching
 	//bovet:allow statecodec prefetchers are not part of a snapshot; the barrier installs them cold
 	l2pf []prefetch.L2Prefetcher
-	// l1settled is l1pf[c] as a prefetch.SettledQuerier, nil when it is not
-	// one (then a core retrying a refused access is simulated every cycle, see
-	// DispatchStalled).
-	//bovet:allow statecodec derived wiring: SetPrefetchers recomputes it from the installed prefetchers
-	l1settled []prefetch.SettledQuerier
 	// preIssueTagCheck enables the extra L2 tag lookup before issuing a
 	// prefetch, which the paper adds for SBP-style degree-N requests
 	// (section 6.3); prefetchers opt in via prefetch.PreIssueTagChecker.
@@ -200,7 +196,6 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		h.translators = append(h.translators, mem.NewTranslator(cfg.Page, cfg.Seed+uint64(c)*0x1234567))
 	}
 	h.l1pf = make([]prefetch.L1Prefetcher, cfg.NumCores)
-	h.l1settled = make([]prefetch.SettledQuerier, cfg.NumCores)
 	h.l2pf = make([]prefetch.L2Prefetcher, cfg.NumCores)
 	h.preIssueTagCheck = make([]bool, cfg.NumCores)
 	h.SetPrefetchers(newL2PF, newL1PF)
@@ -241,15 +236,13 @@ func (h *Hierarchy) CanAccept(core int) bool {
 //	fut != nil:  the request is in flight; fut carries the completion.
 //	fut == nil:  a DL1 hit; done is the completion cycle.
 func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, fut *dram.Future, ok bool) {
-	if h.demandRefused(core, pc, va) {
-		// The same access again, against the same DTLB1, DL1 and MSHRs: a
-		// hit on the DTLB1's most recent entry, a DL1 miss, no MSHR to merge
-		// onto and none free, all of which moves nothing. The DL1 prefetcher
-		// is consulted for real: this may be the one replay whose query is not
-		// settled yet (it cannot be granted an MSHR, but it notes its target
-		// in the filter and probes the TLB2).
+	if h.DispatchStalled(core, pc, va) {
+		// The same access again, against the same DTLB1, DL1, MSHRs and DL1
+		// prefetcher table: a hit on the DTLB1's most recent entry, a DL1
+		// miss, a repeated query (prefetch.L1Prefetcher: no prefetch, no
+		// change), no MSHR to merge onto and none free, all of which moves
+		// nothing.
 		h.memoHits.demand++
-		h.strideQuery(core, pc, va, now)
 		return 0, nil, false
 	}
 	r := &h.retry[core]
@@ -296,10 +289,12 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 
 // RetireMemOp updates the DL1 prefetcher table at retirement of a
 // load/store (section 5.5: the table is updated at retirement to see
-// accesses in program order).
+// accesses in program order). An updated table may answer a refused
+// access's query differently, so it moves the front version.
 func (h *Hierarchy) RetireMemOp(core int, pc uint64, va mem.Addr) {
 	if h.l1pf[core] != nil {
 		h.l1pf[core].Update(pc, va)
+		h.retry[core].front++
 	}
 }
 
@@ -380,32 +375,18 @@ func (h *Hierarchy) AccountIdle(span uint64) {
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 }
 
-// demandRefused reports whether core's latest Demand was this one, refused for
-// full MSHRs, and nothing has touched the core's DTLB1, DL1 or MSHRs since.
-func (h *Hierarchy) demandRefused(core int, pc uint64, va mem.Addr) bool {
-	r := &h.retry[core]
-	m := &r.demand
-	return m.ok && m.va == va && m.pc == pc && m.front == r.front
-}
-
-// DispatchStalled reports whether Demand(core, pc, va) would, now and on every
-// repeat until something touches the core's DTLB1, DL1 or MSHRs, be refused
-// from the demand memo and move nothing: the memo stands, and the DL1
-// prefetcher's query for the access is settled. Such a retry is a stall, not
-// an event, and skipping it owes the hierarchy nothing. Behind a DL1
-// prefetcher that is no prefetch.SettledQuerier nothing is known about the
-// query, and the answer is no.
+// DispatchStalled reports whether core's latest Demand was this one, refused
+// for full MSHRs, and nothing has touched the core's DTLB1, DL1, MSHRs or DL1
+// prefetcher table since: Demand(core, pc, va) would then, now and on every
+// repeat until the front version moves, be refused from the demand memo and
+// move nothing. Such a retry is a stall, not an event, and skipping it owes
+// the hierarchy nothing.
 //
 //bovet:hotpath
 func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
-	if !h.demandRefused(core, pc, va) {
-		return false
-	}
-	if h.l1pf[core] == nil {
-		return true
-	}
-	q := h.l1settled[core]
-	return q != nil && q.QuerySettled(pc, va)
+	r := &h.retry[core]
+	m := &r.demand
+	return m.ok && m.va == va && m.pc == pc && m.front == r.front
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused

@@ -51,6 +51,13 @@ type frontEnd struct {
 	inst    trace.Inst
 	readyAt uint64
 	window  []*dram.Future
+	// retiring, on a machine with retireLate set, holds the accepted accesses
+	// in program order until they retire: each at the first cycle at which it
+	// and every older one is done, before that cycle's dispatch, as a ROB
+	// retires. The DL1 prefetcher's table then moves while a younger access,
+	// of the same PC too, is refused. Otherwise an access retires as it is
+	// accepted.
+	retiring []retiring
 	// side, when set, is a second stream that does not wait for the first:
 	// every sidePeriod cycles it sends its next memory access and forgets it
 	// whatever the answer, as a core's younger loads issue around a stalled
@@ -63,6 +70,12 @@ const (
 	feWindow   = 24
 	sidePeriod = 5
 )
+
+// retiring is an accepted access waiting to retire: fut is nil for a DL1 hit.
+type retiring struct {
+	inst trace.Inst
+	fut  *dram.Future
+}
 
 func newFrontEnd(gen, side trace.Generator) *frontEnd {
 	f := &frontEnd{gen: gen, side: side}
@@ -102,17 +115,24 @@ func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 	if f.side != nil {
 		t = min(t, (now+sidePeriod-1)/sidePeriod*sidePeriod)
 	}
+	if len(f.retiring) > 0 {
+		if fut := f.retiring[0].fut; fut == nil {
+			t = now
+		} else if fut.Resolved() {
+			t = min(t, fut.Cycle())
+		} // else an uncore event resolves it
+	}
 	return max(t, now)
 }
 
-// demand sends inst to the hierarchy and, once accepted, retires it. It
+// demand sends inst to the hierarchy; the caller retires it once accepted. It
 // counts, from outside the hierarchy, what Stats must count once per request:
 // the requests the call put into the core's demand queue, and the accepted
 // calls that missed the DL1.
 func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Future, ok bool) {
 	h := m.h
-	if m.audit != nil && h.demandRefused(core, inst.PC, inst.VA) {
-		m.auditDemandMemo(core, inst.VA, now)
+	if m.audit != nil && h.DispatchStalled(core, inst.PC, inst.VA) {
+		m.auditDemandMemo(core, inst.PC, inst.VA, now)
 	}
 	line := h.translators[core].TranslateLine(mem.LineOf(inst.VA))
 	missed, queued := h.dl1[core].Peek(line) == nil, h.demandQ[core].len()
@@ -122,19 +142,50 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Futur
 		if missed {
 			m.dl1Misses++
 		}
-		h.RetireMemOp(core, inst.PC, inst.VA)
 	}
 	return fut, ok
+}
+
+// retire retires the main stream's done accesses in order. On the audited
+// machine it counts each retirement that makes the stride query of the
+// core's refused access issue: a stride entry that became confident while
+// its own PC's access waited for an MSHR.
+func (f *frontEnd) retire(m *machine, core int, now uint64) {
+	h := m.h
+	for len(f.retiring) > 0 && (f.retiring[0].fut == nil || f.retiring[0].fut.DoneBy(now)) {
+		inst := f.retiring[0].inst
+		f.retiring = f.retiring[1:]
+		refused := m.audit != nil && inst.PC == f.inst.PC && h.DispatchStalled(core, f.inst.PC, f.inst.VA)
+		h.RetireMemOp(core, inst.PC, inst.VA)
+		if refused && strideWouldIssue(h, core, f.inst.PC, f.inst.VA) {
+			m.confidentMidStall++
+		}
+	}
+}
+
+// strideWouldIssue reports whether core's stride prefetcher would issue a
+// prefetch for a query at pc for va, asking a copy of it.
+func strideWouldIssue(h *Hierarchy, core int, pc uint64, va mem.Addr) bool {
+	pf, ok := h.l1pf[core].(*stride.Prefetcher)
+	if !ok {
+		return false
+	}
+	cp := *pf
+	_, issue := cp.Query(pc, va)
+	return issue
 }
 
 func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 	if f.side != nil && now%sidePeriod == 0 {
 		inst, _ := nextMemOp(f.side)
-		m.demand(core, inst, now)
+		if _, ok := m.demand(core, inst, now); ok {
+			m.h.RetireMemOp(core, inst.PC, inst.VA)
+		}
 	}
 	for len(f.window) > 0 && f.window[0].DoneBy(now) {
 		f.window = f.window[1:]
 	}
+	f.retire(m, core, now)
 	if len(f.window) == feWindow || now < f.readyAt {
 		return
 	}
@@ -145,6 +196,11 @@ func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 	}
 	if fut != nil {
 		f.window = append(f.window, fut)
+	}
+	if m.retireLate {
+		f.retiring = append(f.retiring, retiring{f.inst, fut})
+	} else {
+		m.h.RetireMemOp(core, f.inst.PC, f.inst.VA)
 	}
 	f.fetch(now + 1)
 }
@@ -165,15 +221,21 @@ type machine struct {
 	// enqueued counts the requests that entered a demand queue, and
 	// dl1Misses the accepted Demand calls that missed the DL1 (see demand).
 	enqueued, dl1Misses uint64
+	// retireLate makes the front ends retire the main stream's accesses
+	// when they are done rather than when they are accepted.
+	retireLate bool
+	// confidentMidStall counts, on the audited machine, the retirements that
+	// made a refused access's stride query issue (frontEnd.retire).
+	confidentMidStall uint64
 }
 
 const tlbAuditEvery = 53
 
 // auditDemandMemo checks what a Demand memo hit takes for granted: the access
-// misses the DL1, has no MSHR to merge onto and none free, and its page is
-// the DTLB1's most recent entry (so the DTLB1 access the hit skips would have
-// moved nothing).
-func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
+// misses the DL1, has no MSHR to merge onto and none free, its stride query
+// would issue nothing, and its page is the DTLB1's most recent entry (so the
+// DTLB1 access the hit skips would have moved nothing).
+func (m *machine) auditDemandMemo(core int, pc uint64, va mem.Addr, now uint64) {
 	t, h := m.audit, m.h
 	t.Helper()
 	line := h.translators[core].TranslateLine(mem.LineOf(va))
@@ -181,6 +243,9 @@ func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
 	if h.dl1[core].Peek(line) != nil || merging || h.CanAccept(core) {
 		t.Fatalf("cycle %d core %d: Demand memo holds for va %#x but DL1 present=%v, MSHR to merge onto=%v, MSHR free=%v",
 			now, core, va, h.dl1[core].Peek(line) != nil, merging, h.CanAccept(core))
+	}
+	if strideWouldIssue(h, core, pc, va) {
+		t.Fatalf("cycle %d core %d: Demand memo holds for pc %#x va %#x but its stride query would issue a prefetch", now, core, pc, va)
 	}
 	if m.demandAudits++; m.demandAudits%tlbAuditEvery != 0 {
 		return
@@ -216,8 +281,11 @@ type stallRow struct {
 	l2pf      string
 	l1pf      string
 	cycles    uint64
-	cfg       func(*Config)
-	dram      func(*dram.Params)
+	// retireLate: the main streams retire late (frontEnd.retiring), and the
+	// row must see a stride entry become confident mid-stall.
+	retireLate bool
+	cfg        func(*Config)
+	dram       func(*dram.Params)
 	// wantPaths are the refusal paths this row exists to exercise.
 	wantPaths []string
 	// wantMemos are the refusal memos ("demand", "head", "pref") this row
@@ -237,7 +305,7 @@ func (r stallRow) build(t *testing.T, memos bool) *machine {
 	if r.dram != nil {
 		r.dram(&p)
 	}
-	m := &machine{}
+	m := &machine{retireLate: r.retireLate}
 	m.h = New(cfg,
 		func(int) prefetch.L2Prefetcher {
 			pf, err := prefetch.NewL2(prefetch.MustSpec(r.l2pf), cfg.Page)
@@ -580,12 +648,22 @@ func stallRows() []stallRow {
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 2 },
 			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"},
 			wantMemos: []string{"demand", "head", "pref"}},
-		// The two rows below exist for version bumps nothing above depends on.
+		// The three rows below exist for version bumps nothing above depends on.
 		// Side streams touch each core's DTLB1, DL1 and MSHRs between two
 		// retries of a refused access, and L2 hits come back to the DL1 while
 		// the MSHRs are full: the front version has to move for all of it.
 		{name: "side-streams", workloads: []string{"462.libquantum", "470.lbm"}, side: "453.povray",
 			l2pf: "bo", l1pf: "stride", cycles: 60_000,
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
+		// The DL1 prefetcher's table moves while an access is refused: accesses
+		// retire late, so the older accesses of a refused one's PC keep
+		// retiring, and a stream that wraps every 32 accesses, one line per
+		// page (all in one DL1 set, so every access misses it), breaks its
+		// stride often enough for the entry to become confident mid-stall. The
+		// front version has to move for it (RetireMemOp).
+		{name: "retire-mid-stall", workloads: []string{"stream:footprint=128kb,stride=4096,memper1000=300", "microthrash"},
+			retireLate: true, l2pf: "bo", l1pf: "stride", cycles: 60_000,
+			cfg:       func(c *Config) { c.MSHRs, c.L2FillQueueLen = 4, 3 },
 			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
 		// Dirty lines bounce between an L2 and an L3 a few times its size while
 		// next-line prefetches of those very lines wait on a 4-entry L3 fill
@@ -670,6 +748,12 @@ func (row stallRow) run(t *testing.T) {
 	deepCheck(plain, "memo-less")
 	deepCheck(skipper, "skipping")
 	hits := oracle.h.memoHits
+	if row.retireLate {
+		t.Logf("%d retirements made a refused access's stride query issue", oracle.confidentMidStall)
+		if oracle.confidentMidStall == 0 {
+			t.Error("no retirement made a refused access's stride query issue: the row no longer moves the DL1 prefetcher's table mid-stall")
+		}
+	}
 	t.Logf("%d cycles, %d skipped, %d of them with a stalled head, %d with a stalled Demand retry; refusals by path: %v",
 		row.cycles, skipped, headSkipped, demandSkipped, paths)
 	t.Logf("answered from a memo: %d Demand calls, %d demand-head attempts, %d prefetch-head attempts",
@@ -752,19 +836,20 @@ func TestRequestsCountedOnce(t *testing.T) {
 	}
 }
 
-// opaqueL1 forwards the prefetch.L1Prefetcher methods and nothing else, so
-// the uncore cannot see that the prefetcher behind it is a SettledQuerier.
+// opaqueL1 forwards the prefetch.L1Prefetcher methods and nothing else, as a
+// timing decorator does.
 type opaqueL1 struct{ prefetch.L1Prefetcher }
 
 // TestDispatchStalled walks the predicate through each of its conditions on
 // one refused access: it holds only for the access the demand memo remembers,
-// only while nothing has touched the core's front (an MSHR released), only
-// behind a DL1 prefetcher that can say its query is settled (or none), and
-// only while that query is settled — a retirement that makes the PC's stride
-// confident makes the next replay issue, note its target in the filter and
-// probe the TLB2; that replay settles it again. While the predicate holds, a
-// replay moves nothing: the TLBs, the stride prefetcher and Stats stay as
-// they were.
+// and only while nothing has touched the core's front — a retirement that
+// updates the DL1 prefetcher's table, an MSHR released, a new set of
+// prefetchers. A retirement that makes the PC's stride confident lifts it;
+// the replay that follows is evaluated in full, issues its query (noting the
+// target in the filter and probing the TLB2) and sets it again. While the
+// predicate holds, a replay moves nothing: the TLBs, the stride prefetcher
+// and Stats stay as they were. Behind a decorator a stride prefetcher stalls
+// exactly as a bare one does.
 func TestDispatchStalled(t *testing.T) {
 	const pc, stridePC = 0x400, 0x800
 	fill := func(h *Hierarchy) (va mem.Addr) {
@@ -780,6 +865,12 @@ func TestDispatchStalled(t *testing.T) {
 		}
 		return va
 	}
+	replay := func(h *Hierarchy, va mem.Addr) {
+		t.Helper()
+		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
+			t.Fatal("a replay was accepted")
+		}
+	}
 
 	h := testHier(prefetch.None{})
 	for i := 0; i < confidenceShort; i++ { // one retirement short of a confident stride
@@ -787,7 +878,7 @@ func TestDispatchStalled(t *testing.T) {
 	}
 	va := fill(h)
 	if !h.DispatchStalled(0, stridePC, va) {
-		t.Fatal("a refused access with an unconfident stride entry is not a stall")
+		t.Fatal("a refused access is not a stall")
 	}
 	if h.DispatchStalled(0, stridePC, va+64) || h.DispatchStalled(0, pc, va) {
 		t.Error("stalled for an access the memo does not remember")
@@ -796,9 +887,7 @@ func TestDispatchStalled(t *testing.T) {
 	before, stats := (&machine{h: h}).deep(), h.Stats()
 	const n = 7
 	for i := 0; i < n; i++ {
-		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
-			t.Fatal("a replay was accepted")
-		}
+		replay(h, va)
 	}
 	if after := (&machine{h: h}).deep(); !reflect.DeepEqual(after, before) || h.Stats() != stats {
 		t.Errorf("%d refused replays moved the machine; before vs after:%s\n  Stats %+v vs %+v",
@@ -807,13 +896,24 @@ func TestDispatchStalled(t *testing.T) {
 
 	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+confidenceShort*64)) // the stride is confident now
 	if h.DispatchStalled(0, stridePC, va) {
-		t.Error("stalled although the replay's stride query would issue a prefetch")
+		t.Error("stalled after a retirement updated the DL1 prefetcher's table")
 	}
-	if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
-		t.Fatal("the replay was accepted")
+	before = (&machine{h: h}).deep()
+	replay(h, va)
+	if after := (&machine{h: h}).deep(); reflect.DeepEqual(after, before) {
+		t.Error("the replay after the retirement did not issue its stride query")
 	}
 	if !h.DispatchStalled(0, stridePC, va) {
 		t.Error("not stalled after the replay that put the target into the filter")
+	}
+
+	h.SetPrefetchers(nil, func(int) prefetch.L1Prefetcher { return stride.New() })
+	if h.DispatchStalled(0, stridePC, va) {
+		t.Error("stalled although a new DL1 prefetcher has been installed since the refusal")
+	}
+	replay(h, va)
+	if !h.DispatchStalled(0, stridePC, va) {
+		t.Error("not stalled after a replay against the new prefetcher")
 	}
 
 	for now := uint64(0); h.outstanding[0].len() == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
@@ -823,11 +923,10 @@ func TestDispatchStalled(t *testing.T) {
 		t.Error("stalled although an MSHR has been released since the refusal")
 	}
 
-	for _, l1 := range []prefetch.L1Prefetcher{nil, opaqueL1{stride.New()}} {
+	for _, l1 := range []prefetch.L1Prefetcher{nil, stride.New(), opaqueL1{stride.New()}} {
 		h := New(DefaultConfig(1, mem.Page4K), nil, func(int) prefetch.L1Prefetcher { return l1 }, nil)
-		va := fill(h)
-		if got, want := h.DispatchStalled(0, stridePC, va), l1 == nil; got != want {
-			t.Errorf("DL1 prefetcher %T: DispatchStalled = %v, want %v", l1, got, want)
+		if va := fill(h); !h.DispatchStalled(0, stridePC, va) {
+			t.Errorf("DL1 prefetcher %T: a refused access is not a stall", l1)
 		}
 	}
 }

@@ -111,7 +111,7 @@ func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher,
 			l1 = newL1PF(c)
 		}
 		h.l1pf[c] = l1
-		h.l1settled[c], _ = l1.(prefetch.SettledQuerier)
+		h.retry[c].front++ // a refusal's query was asked of the old table
 		var pf prefetch.L2Prefetcher = prefetch.None{}
 		if newL2PF != nil {
 			if p := newL2PF(c); p != nil {
