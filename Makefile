@@ -16,13 +16,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's five fuzz targets at CI's fixed budgets.
+# fuzz runs CI's six fuzz targets at CI's fixed budgets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 20000x ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzBOAgainstReference$$' -fuzztime 20000x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMTiming$$' -fuzztime 20000x ./internal/dram
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 20000x ./internal/experiments
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
 # (internal/analysis): nondeterm, statecodec, hotalloc, deadallow — see

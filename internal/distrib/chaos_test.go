@@ -154,8 +154,8 @@ func TestLyingWorkerIsWrittenOff(t *testing.T) {
 // in want, byte for byte.
 func assertSameDir(t *testing.T, want, got string) {
 	t.Helper()
-	wantFiles, _ := filepath.Glob(filepath.Join(want, "*.json"))
-	gotFiles, _ := filepath.Glob(filepath.Join(got, "*.json"))
+	wantFiles, _ := filepath.Glob(filepath.Join(want, "*.entry"))
+	gotFiles, _ := filepath.Glob(filepath.Join(got, "*.entry"))
 	if len(wantFiles) == 0 || len(gotFiles) != len(wantFiles) {
 		t.Fatalf("%d cache entries, want %d", len(gotFiles), len(wantFiles))
 	}
@@ -172,7 +172,7 @@ func assertSameDir(t *testing.T, want, got string) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(wb, gb) {
-			t.Errorf("cache entry %s differs from the local run's:\n%s\n---\n%s",
+			t.Errorf("cache entry %s differs from the local run's:\n%q\n---\n%q",
 				filepath.Base(wf), strings.TrimSpace(string(gb)), strings.TrimSpace(string(wb)))
 		}
 	}

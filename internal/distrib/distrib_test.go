@@ -118,7 +118,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		t.Errorf("workers saw %d runs, coordinator executed %d", runs, remote.Executed())
 	}
 	// Remote results persisted through the coordinator's disk cache.
-	files, err := filepath.Glob(filepath.Join(cacheDir, "*.json"))
+	files, err := filepath.Glob(filepath.Join(cacheDir, "*.entry"))
 	if err != nil || len(files) != int(remote.Executed()) {
 		t.Errorf("%d disk-cache entries for %d remote executions (err %v)", len(files), remote.Executed(), err)
 	}

@@ -9,9 +9,10 @@
 // canonical strings, so serializing one is just JSON — no code or state
 // moves. Second, results are content-addressed: the coordinator's
 // OptionsHash keys a job, the worker recomputes the same hash from the
-// payload as an integrity check, and the response reuses the disk cache's
-// entry format (experiments.CacheEntry) so the coordinator can write it
-// straight into the shared cache.
+// payload as an integrity check, and the response is the result with the
+// options it answers (experiments.CacheEntry, JSON), which the coordinator
+// checks against the job's key before its write-through stores the result
+// in the shared cache, as the same record a local run writes.
 //
 // Trace replays are the one job kind with a file dependency. The
 // coordinator never ships trace bytes; it sends the trace's content

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"strconv"
 	"testing"
 
 	"bopsim/internal/core"
@@ -222,5 +223,90 @@ func TestKernelBandwidthBound(t *testing.T) {
 	}
 	if entries/latency >= peak {
 		t.Errorf("the fill-queue bound %.4f is not below DRAM's peak %.3f: the queue no longer bounds the stream", entries/latency, peak)
+	}
+}
+
+// TestKernelLateVsTimely separates the two causes item 13 of the roadmap
+// names for late prefetches beating timely ones on the 462.libquantum
+// stand-in at 4 KB: late promotion rewarding late prefetches, or the first
+// D lines of every 4 KB page never being prefetched. The kernel is a stream
+// at libquantum's density, stream:memper1000=300,stride=4 over 64 MB, with
+// no DL1 prefetcher, under offset:d=D for D from 1 to 32 at 4 KB and 4 MB
+// pages. Every line it touches is demanded, so no prefetch is useless, and
+// it asks for a new line every 53 instructions, far below DRAM's peak.
+//
+// What the mechanism allows. A demand that finds its line in the L2 fill
+// queue as a prefetch is promoted (section 5.4) and waits for the rest of
+// that prefetch's latency, so a prefetch issued L cycles ahead of its demand
+// saves min(L, latency) cycles: a late prefetch saves its lead, a timely one
+// the whole miss, and no prefetch makes its demand later than no prefetch
+// would. Promotion works the same on both page sizes. What differs is the
+// page: prefetches do not cross pages, so on 4 KB pages the first D lines
+// of each 64-line page are never prefetched, and on 4 MB pages only the
+// first D lines of the run.
+//   - Each offset must run faster than no prefetcher, on both page sizes.
+//   - On 4 MB pages the lead grows with D and coverage does not shrink, so
+//     the best offset whose prefetches are mostly timely (useful prefetches,
+//     demand hits on prefetched lines, outnumber late promotions) must beat
+//     every offset whose prefetches are mostly late. If promotion rewarded
+//     a late prefetch beyond its lead, the first cause, a mostly-late offset
+//     would win here too.
+//   - On 4 KB pages an offset must reach the miss latency to be timely and
+//     then covers only (64−D)/64 of the lines. The row asserts that a
+//     mostly-late offset wins there, as on the stand-in, so the page loss
+//     alone, the second cause, reproduces the reading.
+//
+// Readings (seed 1, 200,000 instructions, 3,766 lines; IPC, with useful and
+// late-promoted prefetches in brackets). None: 1.873 at 4 KB, 2.089 at 4 MB.
+// 4 MB: D=4 3.401 (0 / 3,762), D=8 3.894 (111 / 3,647), D=12 3.958
+// (3,414 / 340), D=16 3.970 (3,635 / 115), D=32 3.955 (3,734 / 0). 4 KB: D=4
+// 2.728 (25 / 3,501), D=8 2.864 (834 / 2,454), D=12 2.823 (2,157 / 895),
+// D=16 2.799 (2,567 / 249), D=32 2.412 (1,872 / 0). With promotion switched
+// off, a demand that finds its prefetch in flight replays until the fill
+// and holds the demand queue behind it: D=2 reads 0.873 at 4 MB, below none.
+func TestKernelLateVsTimely(t *testing.T) {
+	for _, page := range []mem.PageSize{mem.Page4K, mem.Page4M} {
+		t.Run(page.String(), func(t *testing.T) {
+			t.Parallel()
+			run := func(l2 string) engine.Result {
+				o := engine.DefaultOptions("")
+				o.Workloads = []trace.Spec{trace.MustSpec("stream:memper1000=300,stride=4,footprint=64mb")}
+				o.L1PF = prefetch.MustSpec("none")
+				o.L2PF = prefetch.MustSpec(l2)
+				o.Page = page
+				o.Instructions = 200_000
+				return runStraight(t, o)
+			}
+			none := run("none")
+			t.Logf("none: IPC %.4f", none.IPC)
+			var bestLate, bestTimely struct {
+				d   int
+				ipc float64
+			}
+			for d := 1; d <= 32; d++ {
+				r := run("offset:d=" + strconv.Itoa(d))
+				useful, late := r.Hier.L2PrefetchedHits, r.Hier.PrefLatePromotions
+				t.Logf("D=%2d: IPC %.4f, useful %5d, late-promoted %5d", d, r.IPC, useful, late)
+				if r.IPC <= none.IPC {
+					t.Errorf("D=%d: IPC %.4f, not above none's %.4f: a prefetch made its demands later", d, r.IPC, none.IPC)
+				}
+				best := &bestTimely
+				if late > useful {
+					best = &bestLate
+				}
+				if r.IPC > best.ipc {
+					best.d, best.ipc = d, r.IPC
+				}
+			}
+			t.Logf("best mostly-late offset D=%d (IPC %.4f), best mostly-timely D=%d (IPC %.4f)", bestLate.d, bestLate.ipc, bestTimely.d, bestTimely.ipc)
+			if page == mem.Page4M && bestTimely.ipc <= bestLate.ipc {
+				t.Errorf("4 MB pages: mostly-late D=%d reads %.4f, not below mostly-timely D=%d's %.4f: late promotion rewards late prefetches beyond their lead",
+					bestLate.d, bestLate.ipc, bestTimely.d, bestTimely.ipc)
+			}
+			if page == mem.Page4K && bestLate.ipc <= bestTimely.ipc {
+				t.Errorf("4 KB pages: mostly-late D=%d reads %.4f, not above mostly-timely D=%d's %.4f: the page loss no longer reproduces the stand-in's reading",
+					bestLate.d, bestLate.ipc, bestTimely.d, bestTimely.ipc)
+			}
+		})
 	}
 }

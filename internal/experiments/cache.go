@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"bopsim/internal/engine"
 	"bopsim/internal/trace"
@@ -31,9 +32,12 @@ import (
 //
 // v5: dram.Stats loses its merged-read count, which always read 0.
 //
-// A bump simply invalidates: an older entry is never loaded (load rejects
-// the version), VerifyCache counts it skipped, and EvictCache removes it
-// first because it is the oldest thing in the directory.
+// A bump simply invalidates: an older entry is never loaded (loadInto
+// rejects the version), VerifyCache counts it skipped, and EvictCache
+// removes it first because it is the oldest thing in the directory. The
+// .json entries of builds before the record format (entry.go) are never
+// read at all; VerifyCache counts them skipped and EvictCache removes them
+// ahead of everything else.
 const resultCacheVersion = 5
 
 // OptionsHash returns the canonical cache key of one simulation run: a
@@ -50,30 +54,57 @@ const resultCacheVersion = 5
 // moving or copying one preserves them. An unreadable trace falls back to
 // path keying (the simulation will fail with the real error anyway).
 func OptionsHash(o engine.Options) string {
+	key, _ := runKey(o)
+	return key
+}
+
+// keyPrefix opens what OptionsHash hashes, the JSON encoding of
+// {Version, Options}: keyPrefix, the options' own encoding, then "}".
+var keyPrefix = `{"Version":` + strconv.Itoa(resultCacheVersion) + `,"Options":`
+
+// runKey returns OptionsHash(o) and the JSON encoding of o's normalized
+// options: the bytes a record of the run stores and a loader compares
+// (entry.go). The options are encoded once, inside the {Version, Options}
+// value the key hashes, and returned as that encoding's middle. A file
+// workload is the exception: the record names its trace by path and the key
+// by content, so the key hashes a second encoding, in hash form.
+func runKey(o engine.Options) (key string, opts []byte) {
 	keyed := struct {
 		Version int
 		Options engine.Options
 	}{Version: resultCacheVersion, Options: o.Normalized()}
+	b := mustMarshal(keyed)
+	opts = b[len(keyPrefix) : len(b)-1 : len(b)-1]
 	// Normalized always reallocates the spec slice, so rewriting entries
 	// here never aliases the caller's options.
+	file := false
 	for i, w := range keyed.Options.Workloads {
-		keyed.Options.Workloads[i] = trace.HashSpec(w)
+		if w.Name == "file" {
+			keyed.Options.Workloads[i] = trace.HashSpec(w)
+			file = true
+		}
 	}
-	b, err := json.Marshal(keyed)
+	if file {
+		b = mustMarshal(keyed)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), opts
+}
+
+func mustMarshal(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: options not hashable: %v", err))
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return b
 }
 
-// CacheEntry is the on-disk record format: one JSON file per completed
-// simulation, named <OptionsHash>.json, self-describing via the stored
-// options so a human (or a migration tool) can see what produced it. It
-// is written compact (json.Marshal); readers decode either that or the
-// indented form older builds wrote, since both are the same JSON value. It
-// doubles as the wire format a distrib worker returns a finished job in —
-// the coordinator writes received entries straight into this cache.
+// CacheEntry is the wire form of a finished job: what a distrib worker
+// answers /v1/run with, JSON, self-describing via the stored options so the
+// coordinator can check that they hash to the job's key. The coordinator's
+// write-through stores the result as a record (entry.go), like any other;
+// the disk cache holds no CacheEntry. TestSchemaLock pins it, and with it
+// every struct a record carries.
 type CacheEntry struct {
 	Version int            `json:"version"`
 	Options engine.Options `json:"options"`
@@ -90,21 +121,16 @@ func SchemaVersion() int { return resultCacheVersion }
 type diskCache struct{ dir string }
 
 func (c diskCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+entryExt)
 }
 
-// load returns the stored result for key, if present and schema-compatible.
-// It decodes the whole CacheEntry, options included, so an entry with any
-// malformed field is a miss, never half-served.
-func (c diskCache) load(key string) (engine.Result, bool) {
-	return c.loadInto(new(bytes.Buffer), key)
-}
-
-// loadInto is load reading the entry through buf, which it empties first
-// and leaves grown for the next call: a loader keeps one buffer for every
-// entry it reads instead of allocating a file-sized slice per entry.
-// Unmarshal copies what it keeps, so the result never aliases buf.
-func (c diskCache) loadInto(buf *bytes.Buffer, key string) (engine.Result, bool) {
+// loadInto returns the result stored for key when its record is whole, of
+// this resultCacheVersion, and stores exactly opts, the options the key was
+// computed from (runKey): an entry filed under another run's key is a miss.
+// It reads the record through buf, which it empties first and leaves grown
+// for the next call, so a loader keeps one buffer for every entry it reads.
+// decodeEntry copies what the result keeps, so it never aliases buf.
+func (c diskCache) loadInto(buf *bytes.Buffer, key string, opts []byte) (engine.Result, bool) {
 	f, err := os.Open(c.path(key))
 	if err != nil {
 		return engine.Result{}, false
@@ -114,53 +140,52 @@ func (c diskCache) loadInto(buf *bytes.Buffer, key string) (engine.Result, bool)
 	if _, err := buf.ReadFrom(f); err != nil {
 		return engine.Result{}, false
 	}
-	var e CacheEntry
-	if err := json.Unmarshal(buf.Bytes(), &e); err != nil || e.Version != resultCacheVersion {
+	stored, res, ok := decodeEntry(buf.Bytes())
+	if !ok || !bytes.Equal(stored, opts) {
 		return engine.Result{}, false
 	}
-	return e.Result, true
+	return res, true
 }
 
-// store writes the result for key atomically (engine.WriteFileAtomic), so a
-// concurrent reader never observes a partial entry, an interrupted run
-// never corrupts the cache, and two processes sharing the directory that
-// store one key at once never interleave into one temp file.
-func (c diskCache) store(key string, o engine.Options, res engine.Result) error {
+// store writes the record of key, whose options encode as opts, atomically
+// (engine.WriteFileAtomic), so a concurrent reader never observes a partial
+// entry, an interrupted run never corrupts the cache, and two processes
+// sharing the directory that store one key at once never interleave into
+// one temp file.
+func (c diskCache) store(key string, opts []byte, res engine.Result) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	b, err := json.Marshal(CacheEntry{resultCacheVersion, o.Normalized(), res})
-	if err != nil {
-		return err
-	}
-	return engine.WriteFileAtomic(c.path(key), b)
+	return engine.WriteFileAtomic(c.path(key), appendEntry(nil, opts, res))
 }
 
 // EvictCache is the size-bounded eviction pass: when the cache directory's
-// .json entries and the warmup snapshots under its checkpoints
-// subdirectory together exceed maxBytes, the oldest files (by modification
-// time, i.e. least recently written) are deleted until the total fits. One
-// budget covers both because a snapshot is larger than any result entry,
-// and a SnapshotVersion bump orphans every older one under a WarmupKey no
-// run will look up again. It returns how many files were removed and how
-// many bytes were freed. A maxBytes <= 0 budget disables eviction.
+// entries and the warmup snapshots under its checkpoints subdirectory
+// together exceed maxBytes, files are deleted until the total fits — first
+// the .json entries older builds left, which no loader reads, then the
+// oldest files by modification time (least recently written). One budget
+// covers entries and snapshots because a snapshot is larger than any
+// result entry, and a SnapshotVersion bump orphans every older one under a
+// WarmupKey no run will look up again. It returns how many files were
+// removed and how many bytes were freed. A maxBytes <= 0 budget disables
+// eviction.
 func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error) {
 	if maxBytes <= 0 {
 		return 0, 0, nil
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return 0, 0, err
+	var files []string
+	for _, pattern := range []string{"*.json", "*" + entryExt, filepath.Join(checkpointSubdir, "*.ckpt")} {
+		matched, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			return 0, 0, err
+		}
+		files = append(files, matched...)
 	}
-	snapshots, err := filepath.Glob(filepath.Join(dir, checkpointSubdir, "*.ckpt"))
-	if err != nil {
-		return 0, 0, err
-	}
-	files = append(files, snapshots...)
 	type entry struct {
 		path  string
 		size  int64
 		mtime int64
+		dead  bool // an older build's .json entry
 	}
 	var entries []entry
 	var total int64
@@ -169,10 +194,15 @@ func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error
 		if err != nil {
 			continue // raced with another process; skip
 		}
-		entries = append(entries, entry{path: f, size: st.Size(), mtime: st.ModTime().UnixNano()})
+		entries = append(entries, entry{path: f, size: st.Size(), mtime: st.ModTime().UnixNano(), dead: filepath.Ext(f) == ".json"})
 		total += st.Size()
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].dead != entries[j].dead {
+			return entries[i].dead
+		}
+		return entries[i].mtime < entries[j].mtime
+	})
 	for _, e := range entries {
 		if total <= maxBytes {
 			break

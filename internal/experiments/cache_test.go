@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +16,41 @@ import (
 
 	"bopsim/internal/engine"
 )
+
+// entryFiles returns the records in dir, sorted.
+func entryFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// readEntry decodes the record at path, failing the test unless it is one.
+func readEntry(t *testing.T, path string) (opts []byte, res engine.Result) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, res, ok := decodeEntry(b)
+	if !ok {
+		t.Fatalf("%s: not a record of this version", filepath.Base(path))
+	}
+	return opts, res
+}
+
+// writeEntry writes the record of opts and res to path, stamped with
+// version. A version below 128 is the one uvarint byte after the magic.
+func writeEntry(t *testing.T, path string, version int, opts []byte, res engine.Result) {
+	t.Helper()
+	b := appendEntry(nil, opts, res)
+	b[len(entryMagic)] = byte(version)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestSchemaBumpInvalidates pins what a resultCacheVersion bump costs: an
 // entry stamped with an older version is never served — even filed under
@@ -24,33 +61,19 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	r1 := tinyRunner()
 	r1.CacheDir = dir
 	r1.Fig2() // 2 entries
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	files := entryFiles(t, dir)
 	if len(files) != 2 {
 		t.Fatalf("%d cache files, want 2", len(files))
 	}
 
 	// Restamp one entry as the previous schema, with a result that would
 	// show if it were served, and file a copy under a key no run computes.
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e CacheEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		t.Fatal(err)
-	}
-	e.Version = resultCacheVersion - 1
-	e.Result.IPC = 99
-	old, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unreachable := filepath.Join(dir, strings.Repeat("0", 64)+".json")
+	opts, res := readEntry(t, files[0])
+	res.IPC = 99
+	unreachable := filepath.Join(dir, strings.Repeat("0", 64)+entryExt)
 	past := time.Now().Add(-time.Hour)
 	for _, path := range []string{files[0], unreachable} {
-		if err := os.WriteFile(path, old, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeEntry(t, path, resultCacheVersion-1, opts, res)
 		if err := os.Chtimes(path, past, past); err != nil {
 			t.Fatal(err)
 		}
@@ -70,14 +93,12 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	if got := r2.Executed(); got != 1 {
 		t.Errorf("executed %d simulations with one old-version entry, want 1", got)
 	}
-	key := strings.TrimSuffix(filepath.Base(files[0]), ".json")
-	if res, ok := (diskCache{dir}).load(key); !ok || res.IPC == 99 {
-		t.Errorf("old-version entry not rewritten at the current version (ok=%v, IPC=%v)", ok, res.IPC)
+	if _, res := readEntry(t, files[0]); res.IPC == 99 {
+		t.Errorf("old-version entry not rewritten at the current version (IPC=%v)", res.IPC)
 	}
 
 	var total int64
-	all, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	for _, f := range all {
+	for _, f := range entryFiles(t, dir) {
 		st, err := os.Stat(f)
 		if err != nil {
 			t.Fatal(err)
@@ -93,103 +114,166 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	}
 }
 
-// TestCacheEntryFormats checks both on-disk forms of an entry: what this
-// package writes is compact JSON that VerifyCache still reads in full
-// (options included), and an entry in the indented form earlier builds
-// wrote is served as it stands, executing nothing.
-func TestCacheEntryFormats(t *testing.T) {
+// TestOlderBuildsJSONEntries covers the .json entries that builds before
+// the record format left in a cache directory: no loader reads them, so
+// a render executes as if they were absent, VerifyCache counts each
+// skipped, and EvictCache removes them before any record or snapshot, even
+// when they are the newest files there.
+func TestOlderBuildsJSONEntries(t *testing.T) {
 	dir := t.TempDir()
 	r1 := tinyRunner()
 	r1.CacheDir = dir
 	want := r1.Fig2().String()
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	files := entryFiles(t, dir)
 	if len(files) != 2 {
 		t.Fatalf("%d cache files, want 2", len(files))
 	}
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, b); err != nil {
-			t.Fatal(err)
-		}
-		if compact.Len() != len(b) {
-			t.Errorf("%s: %d bytes, %d compact: entry written indented", filepath.Base(f), len(b), compact.Len())
-		}
+	// The JSON an older build stored for files[0]'s run, under its key.
+	opts, res := readEntry(t, files[0])
+	var e CacheEntry
+	if err := json.Unmarshal(opts, &e.Options); err != nil {
+		t.Fatal(err)
+	}
+	e.Version, e.Result = resultCacheVersion, res
+	old, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.TrimSuffix(filepath.Base(files[0]), entryExt)
+	legacy := filepath.Join(dir, key+".json")
+	if err := os.WriteFile(legacy, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(files[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	r2 := tinyRunner()
+	r2.CacheDir = dir
+	if got := r2.Fig2().String(); got != want {
+		t.Errorf("table differs with a .json entry in place of a record:\n%s\n---\n%s", got, want)
+	}
+	if got := r2.Executed(); got != 1 {
+		t.Errorf("executed %d simulations with one run stored as .json only, want 1", got)
 	}
 	rep, err := VerifyCache(dir, 0, 1, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Entries != 2 || rep.Checked != 2 || rep.Skipped != 0 || rep.Orphaned != 0 || rep.Mismatched != 0 {
-		t.Errorf("verify compact entries: %+v, want 2 entries checked clean", rep)
+	if rep.Skipped != 1 || rep.Entries != 2 || rep.Mismatched != 0 {
+		t.Errorf("verify: %+v, want the .json entry skipped and 2 records", rep)
 	}
 
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e CacheEntry
-		if err := json.Unmarshal(b, &e); err != nil {
-			t.Fatal(err)
-		}
-		indented, err := json.MarshalIndent(e, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(f, indented, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// The .json file is the newest in the directory and still goes first.
+	future := time.Now().Add(time.Hour)
+	if err := os.Chtimes(legacy, future, future); err != nil {
+		t.Fatal(err)
 	}
+	var total int64
+	for _, f := range append(entryFiles(t, dir), legacy) {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += st.Size()
+	}
+	removed, _, err := EvictCache(dir, total-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(legacy); removed != 1 || !os.IsNotExist(err) {
+		t.Errorf("evicted %d files, .json entry gone=%v; want exactly that one", removed, os.IsNotExist(err))
+	}
+}
+
+// TestEntryUnderAnotherKeyIsAMiss files one run's whole, current record
+// under the key of another run. A loader serves a record only when its
+// options are the bytes its key came from, so that run is simulated again
+// rather than answered with the other run's result.
+func TestEntryUnderAnotherKeyIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	r1 := tinyRunner()
+	r1.CacheDir = dir
+	want := r1.Fig2().String()
+	files := entryFiles(t, dir)
+	if len(files) != 2 {
+		t.Fatalf("%d cache files, want 2", len(files))
+	}
+	b, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[1], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	other, _ := readEntry(t, files[0])
+
 	r2 := tinyRunner()
 	r2.CacheDir = dir
 	if got := r2.Fig2().String(); got != want {
-		t.Errorf("table served from indented entries differs:\n%s\n---\n%s", got, want)
+		t.Errorf("table served with a record filed under another run's key:\n%s\n---\n%s", got, want)
 	}
-	if got := r2.Executed(); got != 0 {
-		t.Errorf("executed %d simulations with indented entries on disk, want 0", got)
+	if got := r2.Executed(); got != 1 {
+		t.Errorf("executed %d simulations, want 1: the run whose key holds another run's record", got)
 	}
+	if opts, _ := readEntry(t, files[1]); bytes.Equal(opts, other) {
+		t.Error("the mis-filed record was not replaced by the run's own")
+	}
+}
 
-	// A loader reads every entry into one buffer: a long indented entry, a
-	// shorter compact one and a truncated one in turn must each be read on
-	// its own, never through what the previous one left in the buffer.
-	var entries []CacheEntry
-	for _, f := range files {
-		b, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e CacheEntry
-		if err := json.Unmarshal(b, &e); err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, e)
+// TestLoaderRefusesInexactRecords reads records through one reused buffer,
+// as a loader does: a long record, a shorter one, then damaged copies. A
+// one-byte edit anywhere in the stored options, a truncated record and a
+// record with one byte more are each a miss, and no read sees what the
+// previous one left in the buffer.
+func TestLoaderRefusesInexactRecords(t *testing.T) {
+	dir := t.TempDir()
+	r1 := tinyRunner()
+	r1.CacheDir = dir
+	r1.Fig2()
+	c := diskCache{dir}
+	type stored struct {
+		key  string
+		opts []byte
+		res  engine.Result
 	}
-	long, err := json.MarshalIndent(entries[0], "", "        ")
-	if err != nil {
-		t.Fatal(err)
+	var runs []stored
+	for _, f := range entryFiles(t, dir) {
+		opts, res := readEntry(t, f)
+		runs = append(runs, stored{strings.TrimSuffix(filepath.Base(f), entryExt), opts, res})
 	}
-	short, err := json.Marshal(entries[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := diskCache{t.TempDir()}
-	for key, b := range map[string][]byte{"long": long, "short": short, "truncated": short[:len(short)/2]} {
-		if err := os.WriteFile(c.path(key), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// The longer record first, so the buffer shrinks under the second.
+	long := appendEntry(nil, runs[0].opts, runs[0].res)
+	if short := appendEntry(nil, runs[1].opts, runs[1].res); len(short) > len(long) {
+		runs[0], runs[1] = runs[1], runs[0]
 	}
 	var buf bytes.Buffer
-	for i, key := range []string{"long", "short"} {
-		if res, ok := c.loadInto(&buf, key); !ok || !reflect.DeepEqual(res, entries[i].Result) {
-			t.Errorf("%s entry read through a reused buffer: ok=%v, result %+v, want %+v", key, ok, res, entries[i].Result)
+	for _, s := range runs {
+		if res, ok := c.loadInto(&buf, s.key, s.opts); !ok || !reflect.DeepEqual(res, s.res) {
+			t.Errorf("record read through a reused buffer: ok=%v, result %+v, want %+v", ok, res, s.res)
 		}
 	}
-	if _, ok := c.loadInto(&buf, "truncated"); ok {
-		t.Error("truncated entry read through a reused buffer was served")
+
+	s := runs[0]
+	whole := appendEntry(nil, s.opts, s.res)
+	at := bytes.Index(whole, s.opts)
+	damaged := map[string][]byte{
+		"truncated": whole[:len(whole)-1],
+		"trailing":  append(slices.Clip(whole), 0),
+	}
+	for i := range s.opts {
+		b := slices.Clone(whole)
+		b[at+i] ^= 0x01
+		damaged["options byte "+strconv.Itoa(i)] = b
+	}
+	path := c.path(s.key)
+	for name, b := range damaged {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, ok := c.loadInto(&buf, s.key, s.opts); ok {
+			t.Errorf("%s: served %+v", name, res)
+		}
 	}
 }
 
@@ -204,14 +288,13 @@ func TestConcurrentStoreOfOneKey(t *testing.T) {
 	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 5_000
 	key := OptionsHash(o)
-	leftover := filepath.Join(dir, key+".json.tmp")
-	if err := os.WriteFile(leftover, []byte(`{"version":3,"result":{"IPC":99}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	_, opts := runKey(o)
+	leftover := filepath.Join(dir, key+entryExt+".tmp")
+	writeEntry(t, leftover, resultCacheVersion, opts, engine.Result{IPC: 99})
 
 	const rounds = 8
 	for round := 0; round < rounds; round++ {
-		if err := os.Remove(filepath.Join(dir, key+".json")); err != nil && !os.IsNotExist(err) {
+		if err := os.Remove(filepath.Join(dir, key+entryExt)); err != nil && !os.IsNotExist(err) {
 			t.Fatal(err)
 		}
 		var wg sync.WaitGroup
@@ -230,7 +313,7 @@ func TestConcurrentStoreOfOneKey(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		res, ok := (diskCache{dir}).load(key)
+		res, ok := (diskCache{dir}).loadInto(new(bytes.Buffer), key, opts)
 		if !ok || res.IPC == 99 || res.Instructions == 0 {
 			t.Fatalf("round %d: entry unreadable or taken from the leftover temp (ok=%v, %+v)", round, ok, res)
 		}
@@ -256,7 +339,7 @@ func TestEvictCacheRemovesOldestPastBudget(t *testing.T) {
 	// Three entries of ~1KB each, with distinct mtimes, oldest first.
 	payload := make([]byte, 1024)
 	for i, name := range []string{"old", "mid", "new"} {
-		path := filepath.Join(dir, name+".json")
+		path := filepath.Join(dir, name+entryExt)
 		if err := os.WriteFile(path, payload, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -272,11 +355,11 @@ func TestEvictCacheRemovesOldestPastBudget(t *testing.T) {
 	if removed != 1 || freed != 1024 {
 		t.Errorf("removed %d entries / %d bytes, want 1 / 1024", removed, freed)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "old.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "old"+entryExt)); !os.IsNotExist(err) {
 		t.Error("oldest entry survived eviction")
 	}
 	for _, name := range []string{"mid", "new"} {
-		if _, err := os.Stat(filepath.Join(dir, name+".json")); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, name+entryExt)); err != nil {
 			t.Errorf("%s entry evicted, should have been kept", name)
 		}
 	}
@@ -313,8 +396,8 @@ func TestEvictCacheRemovesOldestPastBudget(t *testing.T) {
 	}
 	for path, wantKept := range map[string]bool{
 		filepath.Join(ckptDir, "stale.ckpt"): false,
-		filepath.Join(dir, "mid.json"):       false,
-		filepath.Join(dir, "new.json"):       true,
+		filepath.Join(dir, "mid"+entryExt):   false,
+		filepath.Join(dir, "new"+entryExt):   true,
 		filepath.Join(ckptDir, "fresh.ckpt"): true,
 	} {
 		if _, err := os.Stat(path); (err == nil) != wantKept {

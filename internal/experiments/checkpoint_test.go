@@ -503,9 +503,10 @@ func TestLegIgnoresArrivalOrder(t *testing.T) {
 			got := outcome{results: make([]engine.Result, len(jobs))}
 			for _, i := range order {
 				j := jobs[i]
-				got.results[i], _ = r.runWith(j.cacheKey, j.o, func(engine.Options) (engine.Result, error) {
+				_ = r.runWith(j, func() (engine.Result, error) {
 					return r.execOnBackend(backend, 0, j, ckpts)
 				})
+				got.results[i] = r.cache[j.cacheKey]
 			}
 			paths, _ := filepath.Glob(filepath.Join(r.CheckpointDir, "*.ckpt"))
 			for _, p := range paths {

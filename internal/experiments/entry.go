@@ -1,0 +1,220 @@
+package experiments
+
+import (
+	"encoding/binary"
+	"math"
+
+	"bopsim/internal/core"
+	"bopsim/internal/dram"
+	"bopsim/internal/engine"
+	"bopsim/internal/uncore"
+)
+
+// A result-cache entry is one record, <dir>/<OptionsHash>.entry, written and
+// read by hand:
+//
+//	4 bytes  magic "bopR"
+//	uvarint  resultCacheVersion
+//	uvarint  length of the options, then the options: the JSON encoding of
+//	         the run's normalized engine.Options (runKey's second result)
+//	uvarint  length of Result.Workload, then its bytes
+//	8 bytes  Result.IPC, IEEE 754 bits, little-endian
+//	uvarint  Cycles, Instructions
+//	uvarint  every uncore.Stats field, in declaration order (hierCounters)
+//	uvarint  every dram.Stats counter, in declaration order (dramCounters),
+//	         then the length of PerCoreReads and each of its elements
+//	8 bytes  DRAMAccessesPerKI, as IPC
+//	byte     1 when BO is set, then every core.Stats field as a uvarint
+//	         (boCounters); 0 when BO is nil
+//	varint   FinalBOOffset (zig-zag)
+//
+// Every varint is minimal and nothing follows the last field, so a record
+// decodes in exactly one way: decodeEntry accepts b only when
+// appendEntry would write b back. The options stay JSON so that a human can
+// still read what produced an entry; a loader never decodes them, it
+// compares them with the bytes its own key came from. The record is
+// positional: a Result field added, removed or reordered without codec
+// support fails TestEntryRoundTrip, and without a resultCacheVersion bump
+// fails TestSchemaLock.
+const entryMagic = "bopR"
+
+// entryExt names a record on disk. A cache directory may still hold the
+// .json entries of older builds; no loader reads them.
+const entryExt = ".entry"
+
+// hierCounters lists the fields of s in declaration order.
+func hierCounters(s *uncore.Stats) [21]*uint64 {
+	return [...]*uint64{
+		&s.DL1Hits, &s.DL1Misses, &s.L2DemandAccesses, &s.L2Hits, &s.L2Misses,
+		&s.L2PrefetchedHits, &s.L3Hits, &s.L3Misses, &s.PrefIssued,
+		&s.PrefDroppedDup, &s.PrefDroppedTagCheck, &s.PrefLatePromotions,
+		&s.PrefCancelled, &s.StridePrefIssued, &s.StridePrefDroppedTLB,
+		&s.TLBWalks, &s.TickSamples, &s.L2FQOccupancySum, &s.L3FQOccupancySum,
+		&s.MSHROccupancySum, &s.PrefQOccupancySum,
+	}
+}
+
+// dramCounters lists the scalar fields of s in declaration order.
+func dramCounters(s *dram.Stats) [6]*uint64 {
+	return [...]*uint64{&s.Reads, &s.Writes, &s.RowHits, &s.RowClosed, &s.RowConflicts, &s.UrgentReads}
+}
+
+// boCounters lists the fields of s in declaration order.
+func boCounters(s *core.Stats) [5]*uint64 {
+	return [...]*uint64{&s.Phases, &s.PhasesOff, &s.Issued, &s.RRInsertions, &s.ScoreMaxEnds}
+}
+
+// appendEntry appends the record of a run whose options encode as opts and
+// whose result is res.
+func appendEntry(b, opts []byte, res engine.Result) []byte {
+	b = append(b, entryMagic...)
+	b = binary.AppendUvarint(b, resultCacheVersion)
+	b = appendBytes(b, opts)
+	b = appendBytes(b, []byte(res.Workload))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.IPC))
+	b = binary.AppendUvarint(b, res.Cycles)
+	b = binary.AppendUvarint(b, res.Instructions)
+	for _, p := range hierCounters(&res.Hier) {
+		b = binary.AppendUvarint(b, *p)
+	}
+	for _, p := range dramCounters(&res.DRAM) {
+		b = binary.AppendUvarint(b, *p)
+	}
+	b = binary.AppendUvarint(b, uint64(len(res.DRAM.PerCoreReads)))
+	for _, v := range res.DRAM.PerCoreReads {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.DRAMAccessesPerKI))
+	if res.BO == nil {
+		b = append(b, 0)
+	} else {
+		b = append(b, 1)
+		for _, p := range boCounters(res.BO) {
+			b = binary.AppendUvarint(b, *p)
+		}
+	}
+	return binary.AppendVarint(b, int64(res.FinalBOOffset))
+}
+
+func appendBytes(b, s []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// decodeEntry reads the record b: the options it stores, which alias b, and
+// its result. ok is false unless b is exactly one record of this
+// resultCacheVersion. A loader serves the result only when the options also
+// equal the bytes its key was computed from (diskCache.loadInto).
+func decodeEntry(b []byte) (opts []byte, res engine.Result, ok bool) {
+	if len(b) < len(entryMagic) || string(b[:len(entryMagic)]) != entryMagic {
+		return nil, engine.Result{}, false
+	}
+	r := entryReader{b: b[len(entryMagic):]}
+	if r.uvarint() != resultCacheVersion {
+		return nil, engine.Result{}, false
+	}
+	opts = r.bytes()
+	res.Workload = string(r.bytes())
+	res.IPC = r.float()
+	res.Cycles = r.uvarint()
+	res.Instructions = r.uvarint()
+	for _, p := range hierCounters(&res.Hier) {
+		*p = r.uvarint()
+	}
+	for _, p := range dramCounters(&res.DRAM) {
+		*p = r.uvarint()
+	}
+	// Each element takes at least one byte, so a length past what is left
+	// is refused before anything is allocated for it.
+	if n := r.uvarint(); n > uint64(len(r.b)) {
+		r.fail()
+	} else if n > 0 {
+		res.DRAM.PerCoreReads = make([]uint64, n)
+		for i := range res.DRAM.PerCoreReads {
+			res.DRAM.PerCoreReads[i] = r.uvarint()
+		}
+	}
+	res.DRAMAccessesPerKI = r.float()
+	switch r.flag() {
+	case 0:
+	case 1:
+		res.BO = new(core.Stats)
+		for _, p := range boCounters(res.BO) {
+			*p = r.uvarint()
+		}
+	default:
+		r.fail()
+	}
+	res.FinalBOOffset = int(r.varint())
+	if r.bad || len(r.b) != 0 {
+		return nil, engine.Result{}, false
+	}
+	return opts, res, true
+}
+
+// entryReader walks a record. The first malformed field marks it bad and
+// empties it, so every later read fails too and yields zero.
+type entryReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *entryReader) fail() { r.b, r.bad = nil, true }
+
+// minimal reports whether the n-byte varint at the head of r.b is the
+// shortest encoding of its value: only a one-byte varint may end in zero.
+func (r *entryReader) minimal(n int) bool {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail()
+		return false
+	}
+	return true
+}
+
+func (r *entryReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if !r.minimal(n) {
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *entryReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if !r.minimal(n) {
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *entryReader) bytes() []byte {
+	n := r.uvarint()
+	if n > uint64(len(r.b)) {
+		r.fail()
+		return nil
+	}
+	s := r.b[:n:n]
+	r.b = r.b[n:]
+	return s
+}
+
+func (r *entryReader) float() float64 {
+	if len(r.b) < 8 {
+		r.fail()
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
+}
+
+func (r *entryReader) flag() byte {
+	if len(r.b) == 0 {
+		r.fail()
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}

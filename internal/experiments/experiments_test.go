@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -18,15 +17,15 @@ func tinyRunner() *Runner {
 	return r
 }
 
-// cachedResult returns o's result from r's caches, failing the test if
-// answering it would take a simulation.
+// cachedResult returns o's result from r's in-memory cache, failing the
+// test if it is not there.
 func cachedResult(t *testing.T, r *Runner, o engine.Options) engine.Result {
 	t.Helper()
-	res, err := r.runWith(OptionsHash(o), o, func(engine.Options) (engine.Result, error) {
-		return engine.Result{}, errors.New("not cached")
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", describeOptions(o), err)
+	r.mu.Lock()
+	res, ok := r.cache[OptionsHash(o)]
+	r.mu.Unlock()
+	if !ok {
+		t.Fatalf("%s: not cached", describeOptions(o))
 	}
 	return res
 }

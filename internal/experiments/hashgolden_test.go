@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -73,8 +74,14 @@ func TestOptionsHashGolden(t *testing.T) {
 		}), "9927f2dae2852ab6f8ab7666d3ad0b17a326c73d0b32118c7ef1cb95f823a0d7"},
 	}
 	for _, c := range cases {
-		if got := OptionsHash(c.o); got != c.want {
-			t.Errorf("%s: OptionsHash = %s, want %s", c.name, got, c.want)
+		key, opts := runKey(c.o)
+		if key != c.want {
+			t.Errorf("%s: OptionsHash = %s, want %s", c.name, key, c.want)
+		}
+		// What a record stores is the options' own encoding, path form for
+		// a file workload, whatever form the key hashes.
+		if want := mustMarshal(c.o.Normalized()); !bytes.Equal(opts, want) {
+			t.Errorf("%s: record options\n%s\nwant\n%s", c.name, opts, want)
 		}
 	}
 }

@@ -34,6 +34,7 @@ type runFunc func(engine.Options) engine.Result
 type job struct {
 	o         engine.Options
 	cacheKey  string // OptionsHash(o)
+	opts      []byte // the options' JSON, as runKey returns it with cacheKey
 	warmupKey string // WarmupKey(o), set by leadersFirst; "" for no leg to share
 }
 
@@ -153,7 +154,7 @@ func (r *Runner) execute(jobs []job) error {
 			for j := range work {
 				o := j.o
 				r.setAssignment(slot, describeOptions(o))
-				_, err := r.runWith(j.cacheKey, o, func(engine.Options) (engine.Result, error) {
+				err := r.runWith(j, func() (engine.Result, error) {
 					return r.execOnBackend(backend, slot, j, ckpts)
 				})
 				r.setAssignment(slot, "")
@@ -210,18 +211,19 @@ func (r *Runner) execOnBackend(backend ExecBackend, slot int, j job, ckpts *ckpt
 // pendingJobs keys every entry of opts (keys[i] is OptionsHash(opts[i]),
 // taken from the Runner's key memo, keyOf) and returns the jobs still to
 // run: the entries deduplicated by key, in first-appearance order, less
-// those either cache already satisfies. Probing the disk cache here (not
-// just per-job in runWith) matters for warmup sharing: a fully disk-cached
-// rerun must schedule nothing, so prepareCheckpoints never pays a warmup
-// leg for a group with no real work left.
+// those either cache already satisfies. This is the one disk probe of a
+// job: execute runs only what it returns, and runWith only stores. Probing
+// before anything executes matters for warmup sharing too: a fully
+// disk-cached rerun must schedule nothing, so prepareCheckpoints never
+// pays a warmup leg for a group with no real work left.
 //
 // The disk probes run while keying goes on: the first key missing from
 // memory starts a fixed pool of loaders, and each such key is handed to it
-// as soon as it is known — the key itself travels through the channel, so
-// no loader reads the job list this loop is still appending to. Hits are
-// applied in input order once the pool drains, promoted into the in-memory
-// cache exactly as runWith would, so log lines and the job list do not
-// depend on which loader finished first.
+// as soon as it is known — the key and the options bytes a record must
+// store travel through the channel, so no loader reads the job list this
+// loop is still appending to. Hits are applied in input order once the
+// pool drains, so log lines and the job list do not depend on which loader
+// finished first.
 func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) {
 	keys = make([]string, len(opts))
 	seen := make(map[string]bool, len(opts))
@@ -233,7 +235,7 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 	)
 	r.mu.Lock()
 	for i, o := range opts {
-		k := r.keyOf(o)
+		k, kopts := r.keyOf(o)
 		keys[i] = k
 		if seen[k] {
 			continue
@@ -256,14 +258,14 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 						defer wg.Done()
 						var buf bytes.Buffer
 						for p := range probes {
-							results[p.job], hit[p.job] = (diskCache{r.CacheDir}).loadInto(&buf, p.key)
+							results[p.job], hit[p.job] = (diskCache{r.CacheDir}).loadInto(&buf, p.key, p.opts)
 						}
 					}()
 				}
 			}
-			probes <- diskProbe{len(jobs), k}
+			probes <- diskProbe{len(jobs), k, kopts}
 		}
-		jobs = append(jobs, job{o: o, cacheKey: k})
+		jobs = append(jobs, job{o: o, cacheKey: k, opts: kopts})
 	}
 	r.mu.Unlock()
 	if probes == nil {
@@ -286,17 +288,19 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 }
 
 // diskProbe asks a pendingJobs loader for the entry of jobs[job], whose
-// cache key is key.
+// cache key is key and whose options encode as opts.
 type diskProbe struct {
-	job int
-	key string
+	job  int
+	key  string
+	opts []byte
 }
 
 // keyedCell is one key memo entry: a private deep copy of a cell's options
-// (cloneOptions) and their OptionsHash.
+// (cloneOptions), their OptionsHash and the JSON runKey hashed it from.
 type keyedCell struct {
-	o   engine.Options
-	key string
+	o    engine.Options
+	key  string
+	opts []byte
 }
 
 // cellPrint buckets the key memo: a comparable digest of the option fields
@@ -342,27 +346,28 @@ func printCell(o engine.Options) cellPrint {
 	return p
 }
 
-// keyOf returns OptionsHash(o), hashing o only the first time this Runner
-// sees options DeepEqual to it: a render of Figures 6, 11 and 12 asks for
-// 144 distinct cells 384 times. The memo keeps its own deep copy of each
-// cell, so a caller that later mutates a spec's Params map in place cannot
-// change an entry behind its key. Options naming a trace file are always
-// hashed, since their key follows the file's content. r.mu must be held.
-func (r *Runner) keyOf(o engine.Options) string {
+// keyOf returns runKey(o), the key and the options bytes its record
+// stores, hashing o only the first time this Runner sees options DeepEqual
+// to it: a render of Figures 6, 11 and 12 asks for 144 distinct cells 384
+// times. The memo keeps its own deep copy of each cell, so a caller that
+// later mutates a spec's Params map in place cannot change an entry behind
+// its key. Options naming a trace file are always hashed, since their key
+// follows the file's content. r.mu must be held.
+func (r *Runner) keyOf(o engine.Options) (key string, opts []byte) {
 	for _, w := range o.Workloads {
 		if w.Name == "file" {
-			return OptionsHash(o)
+			return runKey(o)
 		}
 	}
 	p := printCell(o)
 	for _, c := range r.keys[p] {
 		if reflect.DeepEqual(c.o, o) {
-			return c.key
+			return c.key, c.opts
 		}
 	}
-	k := OptionsHash(o)
-	r.keys[p] = append(r.keys[p], keyedCell{cloneOptions(o), k})
-	return k
+	key, opts = runKey(o)
+	r.keys[p] = append(r.keys[p], keyedCell{cloneOptions(o), key, opts})
+	return key, opts
 }
 
 // cloneOptions returns o with its own Workloads slice and parameter maps.
@@ -376,42 +381,26 @@ func cloneOptions(o engine.Options) engine.Options {
 	return o
 }
 
-// runWith executes one simulation, whose OptionsHash is key, via exec
-// unless a cache satisfies it: in-memory first, then the on-disk cache
-// (when CacheDir is set). Fresh results are written through to both, so a
-// result computed by a remote worker lands in the shared disk cache in the
-// same entry format a local run produces. Safe for concurrent use.
-func (r *Runner) runWith(key string, o engine.Options, exec func(engine.Options) (engine.Result, error)) (engine.Result, error) {
-	r.mu.Lock()
-	res, ok := r.cache[key]
-	r.mu.Unlock()
-	if ok {
-		return res, nil
-	}
-	if r.CacheDir != "" {
-		if res, ok := (diskCache{r.CacheDir}).load(key); ok {
-			r.mu.Lock()
-			r.cache[key] = res
-			r.mu.Unlock()
-			r.logResult("load", o, res.IPC)
-			return res, nil
-		}
-	}
-	res, err := exec(o)
+// runWith executes j, which pendingJobs found in neither cache, via exec
+// and writes the result through to both caches, so a result computed by a
+// remote worker lands in the shared disk cache as the same record a local
+// run stores. Safe for concurrent use.
+func (r *Runner) runWith(j job, exec func() (engine.Result, error)) error {
+	res, err := exec()
 	if err != nil {
-		return engine.Result{}, err
+		return err
 	}
 	r.executed.Add(1)
-	r.logResult("ran", o, res.IPC)
+	r.logResult("ran", j.o, res.IPC)
 	r.mu.Lock()
-	r.cache[key] = res
+	r.cache[j.cacheKey] = res
 	r.mu.Unlock()
 	if r.CacheDir != "" {
-		if err := (diskCache{r.CacheDir}).store(key, o, res); err != nil {
+		if err := (diskCache{r.CacheDir}).store(j.cacheKey, j.opts, res); err != nil {
 			r.logf("  cache write failed: %v\n", err)
 		}
 	}
-	return res, nil
+	return nil
 }
 
 // Executed returns how many simulations this Runner actually executed —

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"maps"
 	"os"
 	"path/filepath"
@@ -155,7 +154,7 @@ func TestDiskCachePersists(t *testing.T) {
 	if r1.Executed() == 0 {
 		t.Fatal("first runner executed nothing")
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if err != nil || len(files) != int(r1.Executed()) {
 		t.Fatalf("%d cache files for %d executions (err %v)", len(files), r1.Executed(), err)
 	}
@@ -180,20 +179,19 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 		name    string
 		corrupt func(path string) error
 	}{
-		{"truncated", func(path string) error { return os.WriteFile(path, []byte("{not json"), 0o644) }},
+		{"truncated", func(path string) error {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(path, b[:len(b)/2], 0o644)
+		}},
 		{"wrong version", func(path string) error {
 			b, err := os.ReadFile(path)
 			if err != nil {
 				return err
 			}
-			var e CacheEntry
-			if err := json.Unmarshal(b, &e); err != nil {
-				return err
-			}
-			e.Version++
-			if b, err = json.Marshal(e); err != nil {
-				return err
-			}
+			b[len(entryMagic)]++ // the version, one uvarint byte
 			return os.WriteFile(path, b, 0o644)
 		}},
 		{"empty", func(path string) error { return os.WriteFile(path, nil, 0o644) }},
@@ -209,7 +207,7 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 			r1 := tinyRunner()
 			r1.CacheDir = dir
 			want := r1.Fig2().String()
-			files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+			files := entryFiles(t, dir)
 			if len(files) == 0 {
 				t.Fatal("no cache files written")
 			}
@@ -672,13 +670,13 @@ func TestPartialCacheRerun(t *testing.T) {
 
 	dir := t.TempDir()
 	cold, want, coldLogs := render(dir, 1)
-	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	files := entryFiles(t, dir)
 	if len(files) != int(cold.Executed()) || len(files) < 14 {
 		t.Fatalf("%d cache entries for %d runs, want at least 14 and one each", len(files), cold.Executed())
 	}
 	deleted := map[string]bool{} // describeOptions of each deleted cell
 	for i := 0; i < len(files); i += 7 {
-		key := strings.TrimSuffix(filepath.Base(files[i]), ".json")
+		key := strings.TrimSuffix(filepath.Base(files[i]), entryExt)
 		for _, cells := range cold.keys {
 			for _, c := range cells {
 				if c.key == key {

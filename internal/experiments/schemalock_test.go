@@ -6,11 +6,13 @@ import (
 	"bopsim/internal/schemalock"
 )
 
-// TestSchemaLock pins the result-cache entry — the stored Options, the
-// Result and every stats struct inside it — to resultCacheVersion: load
-// serves an entry by version alone, so a Result field that moves without
-// the constant is read out of old files as zero. After a reviewed change,
-// bump the constant, then `make schema-lock`.
+// TestSchemaLock pins what a result carries — CacheEntry, the wire form,
+// with its Options, its Result and every stats struct inside them — to
+// resultCacheVersion. It is the gate for any Result change: a disk record
+// (entry.go) is positional and names no field, so a record written before
+// a Result field moved would decode into the wrong fields if the version
+// stayed; only the version refuses it. After a reviewed change, extend the
+// record codec, bump the constant, then `make schema-lock`.
 func TestSchemaLock(t *testing.T) {
 	if err := schemalock.Check("testdata/schema.lock", "result-cache-version", resultCacheVersion, CacheEntry{}); err != nil {
 		t.Fatal(err)

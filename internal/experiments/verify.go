@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -32,15 +33,16 @@ type VerifyReport struct {
 	// the stored one (a re-execution error counts as a mismatch: the
 	// stored entry claims a result the simulator can no longer produce).
 	Mismatched int
-	// Skipped counts files that were corrupt or on a different schema
-	// version (a loader would re-execute these anyway, so they are not
-	// trust failures).
+	// Skipped counts files that were corrupt, on a different schema
+	// version or .json entries of an older build (a loader would
+	// re-execute these anyway, so they are not trust failures).
 	Skipped int
 	// Orphaned counts entries whose filename no longer matches the hash
 	// of their stored options — e.g. a trace edited in place moved its
-	// runs to a new key, leaving the old entry unreachable. No lookup
-	// can ever return them, so they are dead weight for EvictCache, not
-	// trust failures.
+	// runs to a new key, leaving the old entry unreachable — or whose
+	// stored options are not the bytes that key is computed from. No
+	// lookup can ever return them, so they are dead weight for
+	// EvictCache, not trust failures.
 	Orphaned int
 }
 
@@ -56,14 +58,22 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 		log = io.Discard
 	}
 	var rep VerifyReport
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	// An older build's .json entries are never read, so they are skipped
+	// like any other entry a loader would not serve.
+	old, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		return rep, err
+	}
+	rep.Skipped = len(old)
+	files, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if err != nil {
 		return rep, err
 	}
 	sort.Strings(files)
 	type loaded struct {
-		path  string
-		entry CacheEntry
+		path    string
+		options engine.Options
+		result  engine.Result
 	}
 	var entries []loaded
 	for _, f := range files {
@@ -72,22 +82,24 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 			rep.Skipped++
 			continue
 		}
-		var e CacheEntry
-		if err := json.Unmarshal(b, &e); err != nil || e.Version != resultCacheVersion {
+		stored, res, ok := decodeEntry(b)
+		var o engine.Options
+		if !ok || json.Unmarshal(stored, &o) != nil {
 			rep.Skipped++
 			continue
 		}
-		// An entry only vouches for the key it is filed under. If the
-		// stored options no longer hash to the filename (trace edited in
-		// place, unreadable trace on this machine), no lookup can reach
-		// it — re-executing would compare against a run nobody asked for.
-		name := strings.TrimSuffix(filepath.Base(f), ".json")
-		if OptionsHash(e.Options) != name {
+		// An entry only vouches for the key it is filed under, and a
+		// loader serves it only when its options are the bytes that key
+		// is computed from. If either fails (trace edited in place,
+		// unreadable trace on this machine), no lookup can reach it —
+		// re-executing would compare against a run nobody asked for.
+		name := strings.TrimSuffix(filepath.Base(f), entryExt)
+		if key, want := runKey(o); key != name || !bytes.Equal(want, stored) {
 			rep.Orphaned++
 			fmt.Fprintf(log, "orphaned %s: stored options hash elsewhere (trace changed or missing?)\n", filepath.Base(f))
 			continue
 		}
-		entries = append(entries, loaded{path: f, entry: e})
+		entries = append(entries, loaded{path: f, options: o, result: res})
 	}
 	rep.Entries = len(entries)
 	if sample > 0 && sample < len(entries) {
@@ -100,18 +112,18 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 	for _, l := range entries {
 		rep.Checked++
 		name := filepath.Base(l.path)
-		fresh, err := engine.Run(context.Background(), l.entry.Options)
+		fresh, err := engine.Run(context.Background(), l.options)
 		if err != nil {
 			rep.Mismatched++
 			fmt.Fprintf(log, "MISMATCH %s: stored result exists but re-execution failed: %v\n", name, err)
 			continue
 		}
-		if diff := resultDiff(l.entry.Result, fresh); diff != "" {
+		if diff := resultDiff(l.result, fresh); diff != "" {
 			rep.Mismatched++
-			fmt.Fprintf(log, "MISMATCH %s (%s): %s\n", name, describeOptions(l.entry.Options), diff)
+			fmt.Fprintf(log, "MISMATCH %s (%s): %s\n", name, describeOptions(l.options), diff)
 			continue
 		}
-		fmt.Fprintf(log, "ok       %s (%s) IPC=%.3f\n", name, describeOptions(l.entry.Options), fresh.IPC)
+		fmt.Fprintf(log, "ok       %s (%s) IPC=%.3f\n", name, describeOptions(l.options), fresh.IPC)
 	}
 	return rep, nil
 }

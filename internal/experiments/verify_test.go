@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -29,26 +28,13 @@ func TestVerifyCacheCleanAndTampered(t *testing.T) {
 
 	// Tamper with one stored result (keeping the schema version valid):
 	// verification must flag exactly that entry.
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no cache files (err %v)", err)
+	files := entryFiles(t, dir)
+	if len(files) == 0 {
+		t.Fatal("no cache files")
 	}
-	b, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e CacheEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		t.Fatal(err)
-	}
-	e.Result.IPC += 0.25
-	tampered, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(files[0], tampered, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	opts, res := readEntry(t, files[0])
+	res.IPC += 0.25
+	writeEntry(t, files[0], resultCacheVersion, opts, res)
 
 	rep, err = VerifyCache(dir, 0, 1, io.Discard)
 	if err != nil {
@@ -59,7 +45,7 @@ func TestVerifyCacheCleanAndTampered(t *testing.T) {
 	}
 
 	// A corrupt file is skipped, not a mismatch.
-	if err := os.WriteFile(filepath.Join(dir, "bogus.json"), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "bogus"+entryExt), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = VerifyCache(dir, 0, 1, io.Discard)
@@ -73,7 +59,7 @@ func TestVerifyCacheCleanAndTampered(t *testing.T) {
 	// An entry filed under a key its options no longer hash to (e.g. a
 	// trace edited in place) is unreachable by any lookup: orphaned, not
 	// a trust failure.
-	if err := os.Rename(files[1], filepath.Join(dir, strings.Repeat("f", 64)+".json")); err != nil {
+	if err := os.Rename(files[1], filepath.Join(dir, strings.Repeat("f", 64)+entryExt)); err != nil {
 		t.Fatal(err)
 	}
 	rep, err = VerifyCache(dir, 0, 1, io.Discard)
