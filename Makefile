@@ -16,7 +16,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's six fuzz targets at CI's fixed budgets.
+# fuzz runs CI's seven fuzz targets at CI's fixed budgets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
@@ -24,6 +24,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBOAgainstReference$$' -fuzztime 20000x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMTiming$$' -fuzztime 20000x ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 20000x ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzSameOptions$$' -fuzztime 20000x ./internal/experiments
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
 # (internal/analysis): nondeterm, statecodec, hotalloc, deadallow — see

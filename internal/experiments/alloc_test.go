@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -90,5 +91,59 @@ func TestOptionsHashAllocs(t *testing.T) {
 		}
 	}); avg > 10 {
 		t.Errorf("OptionsHash allocates %.0f objects per call, want <= 10", avg)
+	}
+}
+
+// TestKeyMemoHitAllocs guards what the key memo costs a cell it has seen:
+// a cached render of Figures 6, 11 and 12 asks for 144 distinct cells 384
+// times, and every repeat is a hit. The hit digests the cell, looks up its
+// bucket and compares it with sameOptions, which allocates nothing;
+// reflect.DeepEqual, which it replaced, allocated 8 objects per hit. The
+// cell asked for is a separately built equal copy, as a figure builder
+// builds one, so every parameter map is compared pair by pair.
+func TestKeyMemoHitAllocs(t *testing.T) {
+	r := tinyRunner()
+	o := r.options(r.Benchmarks[0], r.Configs[0])
+	o.L2PF = prefetch.MustSpec("bo:badscore=5")
+	o.L1PF = prefetch.MustSpec("stride:dist=8")
+	same := cloneOptions(o)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	want, _ := r.keyOf(o)
+	if avg := testing.AllocsPerRun(200, func() {
+		if key, _ := r.keyOf(same); key != want {
+			t.Fatal("the key memo answered an equal cell with another key")
+		}
+	}); avg != 0 {
+		t.Errorf("a key memo hit allocates %.0f objects, want 0", avg)
+	}
+}
+
+// TestLoadIntoAllocs bounds what one disk probe of a cached render costs a
+// loader with its buffer already grown: the record's path (two, as
+// filepath.Join builds and cleans it), the path handed to the open call,
+// and the result decodeEntry returns (its workload name, PerCoreReads and
+// BO stats) — 6 objects. Through an os.File it was 8.
+func TestLoadIntoAllocs(t *testing.T) {
+	r := tinyRunner()
+	r.CacheDir = t.TempDir()
+	o := r.options(r.Benchmarks[0], r.Configs[0])
+	o.Instructions = 5_000
+	o.L2PF = prefetch.MustSpec("bo")
+	if err := r.RunJobs([]engine.Options{o}); err != nil {
+		t.Fatal(err)
+	}
+	key, opts := runKey(o)
+	c := diskCache{r.CacheDir}
+	var buf bytes.Buffer
+	if _, ok := c.loadInto(&buf, key, opts); !ok {
+		t.Fatal("the stored record does not load")
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, ok := c.loadInto(&buf, key, opts); !ok {
+			t.Fatal("the stored record does not load")
+		}
+	}); avg > 6 {
+		t.Errorf("loading one record allocates %.0f objects, want <= 6", avg)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -54,10 +53,11 @@ var enumerationResult = engine.Result{IPC: 1, DRAMAccessesPerKI: 1}
 // enumerate every simulation the figure needs, then — after the
 // deduplicated job set has run on the backend — against the warm cache to
 // assemble the real table. The assembly pass replays the enumeration: its
-// i-th run call must ask for options DeepEqual to the i-th recorded ones,
-// and is answered from the key pendingJobs computed for them, so each cell
-// is keyed once. A pass that diverges, or stops short, is a builder bug
-// and aborts the figure with a buildError naming the first such cell.
+// i-th run call must ask for options equal (sameOptions) to the i-th
+// recorded ones, and is answered from the key pendingJobs computed for
+// them, so each cell is keyed once. A pass that diverges, or stops short,
+// is a builder bug and aborts the figure with a buildError naming the first
+// such cell.
 func (r *Runner) materialize(build func(run runFunc) *stats.Table) *stats.Table {
 	var opts []engine.Options
 	build(func(o engine.Options) engine.Result {
@@ -76,7 +76,7 @@ func (r *Runner) materialize(build func(run runFunc) *stats.Table) *stats.Table 
 	r.mu.Unlock()
 	next := 0
 	tb := build(func(o engine.Options) engine.Result {
-		if next == len(opts) || !reflect.DeepEqual(o, opts[next]) {
+		if next == len(opts) || !sameOptions(o, opts[next]) {
 			panic(buildError{fmt.Errorf("experiments: assembly pass diverged from its enumeration at cell %d: asked for %s", next, describeOptions(o))})
 		}
 		next++
@@ -306,7 +306,7 @@ type keyedCell struct {
 // cellPrint buckets the key memo: a comparable digest of the option fields
 // the figures vary between cells — the core-0 workload, both prefetcher
 // specs, the L3 policy (Figure 3), cores, page and warmup. Cells that share
-// a print are told apart by reflect.DeepEqual on the whole options.
+// a print are told apart by sameOptions on the whole options.
 type cellPrint struct {
 	wl0, l2, l1 specPrint
 	l3          string
@@ -347,12 +347,12 @@ func printCell(o engine.Options) cellPrint {
 }
 
 // keyOf returns runKey(o), the key and the options bytes its record
-// stores, hashing o only the first time this Runner sees options DeepEqual
-// to it: a render of Figures 6, 11 and 12 asks for 144 distinct cells 384
-// times. The memo keeps its own deep copy of each cell, so a caller that
-// later mutates a spec's Params map in place cannot change an entry behind
-// its key. Options naming a trace file are always hashed, since their key
-// follows the file's content. r.mu must be held.
+// stores, hashing o only the first time this Runner sees options equal
+// (sameOptions) to it: a render of Figures 6, 11 and 12 asks for 144
+// distinct cells 384 times. The memo keeps its own deep copy of each cell,
+// so a caller that later mutates a spec's Params map in place cannot change
+// an entry behind its key. Options naming a trace file are always hashed,
+// since their key follows the file's content. r.mu must be held.
 func (r *Runner) keyOf(o engine.Options) (key string, opts []byte) {
 	for _, w := range o.Workloads {
 		if w.Name == "file" {
@@ -361,13 +361,33 @@ func (r *Runner) keyOf(o engine.Options) (key string, opts []byte) {
 	}
 	p := printCell(o)
 	for _, c := range r.keys[p] {
-		if reflect.DeepEqual(c.o, o) {
+		if sameOptions(c.o, o) {
 			return c.key, c.opts
 		}
 	}
 	key, opts = runKey(o)
 	r.keys[p] = append(r.keys[p], keyedCell{cloneOptions(o), key, opts})
 	return key, opts
+}
+
+// sameOptions reports whether a and b are equal exactly as reflect.DeepEqual
+// judges engine.Options, field by field and without reflection: a nil
+// Workloads slice or Params map differs from an empty one, maps are equal
+// when they hold the same pairs whatever their insertion order, and the CPU
+// config is a comparable struct. TestOptionsReachHashAndSignature fails if
+// a new Options field is missing here; TestSameOptionsIsDeepEqual and
+// FuzzSameOptions hold it to DeepEqual.
+func sameOptions(a, b engine.Options) bool {
+	return a.Cores == b.Cores && a.Page == b.Page && a.L3Policy == b.L3Policy &&
+		a.LatePromote == b.LatePromote && a.Instructions == b.Instructions &&
+		a.Seed == b.Seed && a.CPU == b.CPU && a.MaxCycles == b.MaxCycles &&
+		a.Warmup == b.Warmup && sameSpec(a.L2PF, b.L2PF) && sameSpec(a.L1PF, b.L1PF) &&
+		(a.Workloads == nil) == (b.Workloads == nil) && slices.EqualFunc(a.Workloads, b.Workloads, sameSpec)
+}
+
+// sameSpec is sameOptions for one workload or prefetcher spec.
+func sameSpec(a, b spec.Spec) bool {
+	return a.Name == b.Name && (a.Params == nil) == (b.Params == nil) && maps.Equal(a.Params, b.Params)
 }
 
 // cloneOptions returns o with its own Workloads slice and parameter maps.

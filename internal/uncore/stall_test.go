@@ -573,15 +573,29 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	m.auditInFlight(t, now)
 }
 
-// auditInFlight checks that the L3 fill queue is the one record of an
-// in-flight DRAM read: it holds each line at most once, so the uncore never
-// sends DRAM a second read of a line already on its way (DRAM would serve
-// it as a request of its own), and its entries whose future is unresolved
-// are exactly the reads DRAM has queued and not yet issued — each L3 miss
-// enqueued one read, and a read's future resolves when it issues.
+// auditInFlight checks two records of in-flight requests.
+//
+// The L3 fill queue is the one record of an in-flight DRAM read: it holds
+// each line at most once, so the uncore never sends DRAM a second read of a
+// line already on its way (DRAM would serve it as a request of its own),
+// and its entries whose future is unresolved are exactly the reads DRAM has
+// queued and not yet issued — each L3 miss enqueued one read, and a read's
+// future resolves when it issues.
+//
+// A DL1 MSHR does not leak: each line in a core's MSHRs has a request on
+// its way to that core's DL1 (mshrInFlight), so every register is released
+// by a fill that is still to come.
 func (m *machine) auditInFlight(t *testing.T, now uint64) {
 	t.Helper()
 	h := m.h
+	for c := range h.outstanding {
+		for _, line := range h.outstanding[c].lines {
+			if !mshrInFlight(h, c, line) {
+				t.Fatalf("cycle %d core %d: line %#x holds a DL1 MSHR, but no request for it is in the core's L2 demand queue, L2 fill queue or pending DL1 fills: nothing will release it",
+					now, c, line)
+			}
+		}
+	}
 	var unresolved uint64
 	for i, e := range h.l3fq.entries {
 		for _, o := range h.l3fq.entries[:i] {
@@ -597,6 +611,29 @@ func (m *machine) auditInFlight(t *testing.T, now uint64) {
 		t.Fatalf("cycle %d: %d L3 fill-queue entries wait on DRAM, but L3Misses %d - DRAM.Reads %d = %d reads are queued",
 			now, unresolved, misses, reads, misses-reads)
 	}
+}
+
+// mshrInFlight reports whether core has a request for line on its way to
+// the DL1, in one of the three places that can hold one: its L2 demand queue
+// (not yet at the L2), its L2 fill queue (an L2 miss, or a demand merged
+// onto an in-flight fill; its drain releases the MSHR) or its pending DL1
+// fills (an L2 hit, whose insertDL1 releases it).
+func mshrInFlight(h *Hierarchy, core int, line mem.LineAddr) bool {
+	q := &h.demandQ[core]
+	for _, r := range q.reqs[q.head:] {
+		if r.line == line {
+			return true
+		}
+	}
+	if h.l2fq[core].find(line) != nil {
+		return true
+	}
+	for _, f := range h.dl1Fills[core] {
+		if f.line == line {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStallPredicateLockStep holds the stall predicate and the refusal memos
