@@ -11,14 +11,74 @@ import (
 	"bopsim/internal/mem"
 )
 
-// Line is the metadata of one cache line (the simulator stores no data).
-type Line struct {
-	Addr     mem.LineAddr // full line address (used as the tag)
-	Valid    bool
-	Dirty    bool
-	Prefetch bool  // set when inserted by a prefetch, cleared on demand use
-	Core     uint8 // core that caused the insertion (for core-aware policies)
+// Line is the metadata of one cache line (the simulator stores no data),
+// packed into one word so that a cache's line array costs 8 bytes a line:
+//
+//	bits  0–33  line address (the tag): mem.Translator keeps physical
+//	            addresses below 1<<mem.PhysBits, so a physical line address
+//	            needs mem.PhysBits-mem.LineBits = 34 bits
+//	bits 34–41  owner core, the core that caused the insertion (for
+//	            core-aware policies and write-back routing)
+//	bit  61     prefetch: set when inserted by a prefetch, cleared on
+//	            demand use
+//	bit  62     dirty
+//	bit  63     valid
+//
+// The zero Line is an invalid line.
+type Line uint64
+
+const (
+	lineAddrBits  = mem.PhysBits - mem.LineBits
+	lineAddrMask  = 1<<lineAddrBits - 1
+	lineCoreShift = lineAddrBits
+	lineCoreMask  = 0xff
+	linePrefetch  = 1 << 61
+	lineDirty     = 1 << 62
+	lineValid     = 1 << 63
+	// lineMatch selects what a probe compares: a way holds line l exactly
+	// when its word masked by lineMatch equals lineValid|l. A line address
+	// at or above 1<<lineAddrBits (never a physical one) sets a bit the
+	// masked word lacks, so it misses rather than aliasing a stored line.
+	lineMatch = lineValid | lineAddrMask
+)
+
+// makeLine packs a valid line. An address that does not fit the word
+// panics: truncating it would alias another line.
+func makeLine(l mem.LineAddr, core int, prefetch, dirty bool) Line {
+	if uint64(l) > lineAddrMask {
+		panic("cache: line address beyond the physical address space")
+	}
+	ln := lineValid | Line(l) | Line(uint8(core))<<lineCoreShift
+	if prefetch {
+		ln |= linePrefetch
+	}
+	if dirty {
+		ln |= lineDirty
+	}
+	return ln
 }
+
+// Addr returns the line address.
+func (ln Line) Addr() mem.LineAddr { return mem.LineAddr(ln & lineAddrMask) }
+
+// Valid reports whether the way holds a line.
+func (ln Line) Valid() bool { return ln&lineValid != 0 }
+
+// Dirty reports whether the line must be written back on eviction.
+func (ln Line) Dirty() bool { return ln&lineDirty != 0 }
+
+// Prefetch reports whether the line was inserted by a prefetch and has not
+// been used by a demand since.
+func (ln Line) Prefetch() bool { return ln&linePrefetch != 0 }
+
+// Core returns the core that caused the insertion.
+func (ln Line) Core() int { return int(ln >> lineCoreShift & lineCoreMask) }
+
+// SetDirty marks the line dirty.
+func (ln *Line) SetDirty() { *ln |= lineDirty }
+
+// ClearPrefetch clears the prefetch bit, on the line's first demand use.
+func (ln *Line) ClearPrefetch() { *ln &^= linePrefetch }
 
 // InsertInfo describes the block being inserted, for policy decisions.
 type InsertInfo struct {
@@ -104,9 +164,10 @@ func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 // same set.
 func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
+	key := lineValid | Line(l)
 	for w := 0; w < c.ways; w++ {
 		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
+		if *ln&lineMatch == key {
 			c.policy.OnHit(set, w)
 			return ln
 		}
@@ -119,9 +180,10 @@ func (c *Cache) Lookup(l mem.LineAddr) *Line {
 // and by tests.
 func (c *Cache) Peek(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
+	key := lineValid | Line(l)
 	for w := 0; w < c.ways; w++ {
 		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
+		if *ln&lineMatch == key {
 			return ln
 		}
 	}
@@ -129,7 +191,7 @@ func (c *Cache) Peek(l mem.LineAddr) *Line {
 }
 
 // Insert writes line l into the cache, evicting a victim if the set is
-// full. It returns the evicted line (Valid=false if an invalid way was
+// full. It returns the evicted line (not Valid if an invalid way was
 // used). The caller must ensure l is not already present (see Peek); double
 // insertion would duplicate the block, which the paper calls out as a
 // correctness requirement.
@@ -137,7 +199,7 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 	set := c.SetOf(l)
 	way := -1
 	for w := 0; w < c.ways; w++ {
-		if !c.line(set, w).Valid {
+		if !c.line(set, w).Valid() {
 			way = w
 			break
 		}
@@ -150,12 +212,7 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 		}
 		evicted = *c.line(set, way)
 	}
-	*c.line(set, way) = Line{
-		Addr:     l,
-		Valid:    true,
-		Prefetch: info.IsPrefetch,
-		Core:     uint8(info.Core),
-	}
+	*c.line(set, way) = makeLine(l, info.Core, info.IsPrefetch, false)
 	c.policy.OnInsert(set, way, info)
 	return evicted
 }
@@ -163,21 +220,18 @@ func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
 // Invalidate removes line l if present and returns its prior metadata.
 func (c *Cache) Invalidate(l mem.LineAddr) (old Line, ok bool) {
 	set := c.SetOf(l)
+	key := lineValid | Line(l)
 	for w := 0; w < c.ways; w++ {
 		ln := c.line(set, w)
-		if ln.Valid && ln.Addr == l {
+		if *ln&lineMatch == key {
 			old = *ln
-			ln.Valid = false
+			*ln = 0
 			return old, true
 		}
 	}
-	return Line{}, false
+	return 0, false
 }
 
 // Reset clears all lines (policy state is left as-is; use a fresh cache for
 // independent runs).
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
-}
+func (c *Cache) Reset() { clear(c.lines) }

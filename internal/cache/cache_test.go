@@ -17,7 +17,7 @@ func newSmallLRU(t *testing.T, sizeBytes, ways int) *Cache {
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
 	c.Insert(100, InsertInfo{})
-	if ln := c.Lookup(100); ln == nil || ln.Addr != 100 {
+	if ln := c.Lookup(100); ln == nil || ln.Addr() != 100 {
 		t.Fatalf("Lookup(100) after insert = %+v", ln)
 	}
 }
@@ -53,7 +53,7 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	c.Insert(b, InsertInfo{})
 	c.Lookup(a) // make A MRU
 	ev := c.Insert(d, InsertInfo{})
-	if !ev.Valid || ev.Addr != b {
+	if !ev.Valid() || ev.Addr() != b {
 		t.Errorf("evicted %+v, want line %d", ev, b)
 	}
 	if c.Peek(a) == nil || c.Peek(d) == nil {
@@ -65,12 +65,12 @@ func TestPrefetchBitLifecycle(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
 	c.Insert(7, InsertInfo{IsPrefetch: true})
 	ln := c.Lookup(7)
-	if ln == nil || !ln.Prefetch {
+	if ln == nil || !ln.Prefetch() {
 		t.Fatal("prefetch bit not set on prefetched insert")
 	}
 	// The L2 access path clears the bit on demand use.
-	ln.Prefetch = false
-	if ln2 := c.Lookup(7); ln2.Prefetch {
+	ln.ClearPrefetch()
+	if ln2 := c.Lookup(7); ln2.Prefetch() {
 		t.Error("prefetch bit set after demand clear")
 	}
 }
@@ -79,7 +79,7 @@ func TestInvalidate(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
 	c.Insert(9, InsertInfo{})
 	old, ok := c.Invalidate(9)
-	if !ok || old.Addr != 9 {
+	if !ok || old.Addr() != 9 {
 		t.Fatalf("Invalidate returned %v %v", old, ok)
 	}
 	if c.Peek(9) != nil {
@@ -96,11 +96,11 @@ func TestInsertUsesInvalidWaysFirst(t *testing.T) {
 	c := New("t", sets*ways*mem.LineSize, ways, NewLRU(sets, ways))
 	for i := 0; i < ways; i++ {
 		ev := c.Insert(mem.LineAddr(i*sets), InsertInfo{})
-		if ev.Valid {
+		if ev.Valid() {
 			t.Fatalf("eviction while invalid ways remain (insert %d)", i)
 		}
 	}
-	if ev := c.Insert(mem.LineAddr(ways*sets), InsertInfo{}); !ev.Valid {
+	if ev := c.Insert(mem.LineAddr(ways*sets), InsertInfo{}); !ev.Valid() {
 		t.Error("no eviction from a full set")
 	}
 }
@@ -127,8 +127,8 @@ func TestCacheNoDuplicatesProperty(t *testing.T) {
 			case 0:
 				if c.Peek(l) == nil {
 					ev := c.Insert(l, InsertInfo{})
-					if ev.Valid {
-						delete(live, ev.Addr)
+					if ev.Valid() {
+						delete(live, ev.Addr())
 					}
 					live[l] = true
 				}
@@ -143,7 +143,7 @@ func TestCacheNoDuplicatesProperty(t *testing.T) {
 			count := 0
 			for s := 0; s < sets; s++ {
 				for w := 0; w < ways; w++ {
-					if ln := c.line(s, w); ln.Valid && ln.Addr == l {
+					if ln := c.line(s, w); ln.Valid() && ln.Addr() == l {
 						count++
 					}
 				}

@@ -110,13 +110,13 @@ func TestFivePPrefetchLRUInsertionUnderIP3(t *testing.T) {
 	}
 	pf := mem.LineAddr(100*sets + followerSet)
 	ev := c.Insert(pf, InsertInfo{IsPrefetch: true})
-	if !ev.Valid {
+	if !ev.Valid() {
 		t.Fatal("no eviction from full set")
 	}
 	next := mem.LineAddr(101*sets + followerSet)
 	ev = c.Insert(next, InsertInfo{})
-	if ev.Addr != pf {
-		t.Errorf("IP3 did not insert prefetch at LRU: evicted %d, want %d", ev.Addr, pf)
+	if ev.Addr() != pf {
+		t.Errorf("IP3 did not insert prefetch at LRU: evicted %d, want %d", ev.Addr(), pf)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestFivePBimodalInsertionUnderIP2(t *testing.T) {
 	const scan, every = 1000, ways
 	var scanEvicts, workingEvicts, hits, refs int
 	for i := 0; i < scan; i++ {
-		if ev := c.Insert(mem.LineAddr((100+i)*sets+set), InsertInfo{}); ev.Valid {
-			if int(ev.Addr)/sets < 100 {
+		if ev := c.Insert(mem.LineAddr((100+i)*sets+set), InsertInfo{}); ev.Valid() {
+			if int(ev.Addr())/sets < 100 {
 				workingEvicts++
 			} else {
 				scanEvicts++

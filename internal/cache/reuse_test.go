@@ -50,7 +50,7 @@ func TestCloseHandsOnClearedArrays(t *testing.T) {
 				t.Error("two live caches share an array: a second Close released it twice")
 			}
 			for i, ln := range reused.lines {
-				if ln != (Line{}) {
+				if ln != 0 {
 					t.Fatalf("reused line %d is %+v, want the zero line", i, ln)
 				}
 			}

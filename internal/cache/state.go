@@ -22,7 +22,7 @@ import (
 //
 //	uvarint  index delta: index minus the previous record's index, the
 //	         first record counting from -1 (so a delta is never 0)
-//	uvarint  line address
+//	uvarint  line address, below 1<<34: it must fit a Line's address bits
 //	byte     flags: bit 0 dirty, bit 1 prefetch; other bits must be 0
 //	uvarint  owner core
 //
@@ -68,22 +68,21 @@ const (
 func (c *Cache) SaveState() State {
 	var packed []byte
 	prev := -1
-	for i := range c.lines {
-		ln := &c.lines[i]
-		if !ln.Valid {
+	for i, ln := range c.lines {
+		if !ln.Valid() {
 			continue
 		}
 		var flags byte
-		if ln.Dirty {
+		if ln.Dirty() {
 			flags |= lineFlagDirty
 		}
-		if ln.Prefetch {
+		if ln.Prefetch() {
 			flags |= lineFlagPrefetch
 		}
 		packed = binary.AppendUvarint(packed, uint64(i-prev))
-		packed = binary.AppendUvarint(packed, uint64(ln.Addr))
+		packed = binary.AppendUvarint(packed, uint64(ln.Addr()))
 		packed = append(packed, flags)
-		packed = binary.AppendUvarint(packed, uint64(ln.Core))
+		packed = binary.AppendUvarint(packed, uint64(ln.Core()))
 		prev = i
 	}
 	return State{
@@ -157,6 +156,11 @@ func (c *Cache) unpackLines(packed []byte, numCores int) error {
 		if err != nil {
 			return err
 		}
+		// Refused, never truncated: a truncated address would alias
+		// another line.
+		if addr > lineAddrMask {
+			return fmt.Errorf("line address %#x does not fit %d bits", addr, lineAddrBits)
+		}
 		if len(r.packed) == 0 {
 			return fmt.Errorf("truncated flags")
 		}
@@ -172,13 +176,7 @@ func (c *Cache) unpackLines(packed []byte, numCores int) error {
 		if core >= uint64(numCores) {
 			return fmt.Errorf("line owned by core %d, hierarchy has %d cores", core, numCores)
 		}
-		c.lines[idx] = Line{
-			Addr:     mem.LineAddr(addr),
-			Valid:    true,
-			Dirty:    flags&lineFlagDirty != 0,
-			Prefetch: flags&lineFlagPrefetch != 0,
-			Core:     uint8(core),
-		}
+		c.lines[idx] = makeLine(mem.LineAddr(addr), int(core), flags&lineFlagPrefetch != 0, flags&lineFlagDirty != 0)
 	}
 	return nil
 }

@@ -64,12 +64,12 @@ func TestCacheStateRoundTrip(t *testing.T) {
 							c.Insert(l, InsertInfo{Core: i % 2, IsPrefetch: i%5 == 0})
 						}
 						if i%7 == 0 {
-							c.Peek(l).Dirty = true
+							c.Peek(l).SetDirty()
 						}
 					}
 					valid := 0
 					for _, ln := range c.lines {
-						if ln.Valid {
+						if ln.Valid() {
 							valid++
 						}
 					}
@@ -176,14 +176,14 @@ func TestPackedStampsRoundTrip(t *testing.T) {
 			ls := lruStateOf(t, c.policy)
 			// The traffic refills the ways it invalidates; these stay invalid.
 			for i := 0; i < len(c.lines); i += 5 {
-				c.Invalidate(c.lines[i].Addr)
+				c.Invalidate(c.lines[i].Addr())
 			}
 			var zeroValid, liveInvalid int
 			for i, ln := range c.lines {
-				if ln.Valid && ls.stamps[i] == 0 {
+				if ln.Valid() && ls.stamps[i] == 0 {
 					zeroValid++
 				}
-				if !ln.Valid && ls.stamps[i] != 0 {
+				if !ln.Valid() && ls.stamps[i] != 0 {
 					liveInvalid++
 				}
 			}
@@ -314,6 +314,9 @@ func TestPackedLinesRejected(t *testing.T) {
 		{"flag byte 4", 8, rec(1, 300, 4, 0), false},
 		{"flag byte 0xff", 8, rec(1, 300, 0xff, 0), false},
 		{"owner core == numCores", 8, rec(1, 300, 0, 2), false},
+		{"largest physical line address", 8, rec(1, 1<<34-1, 3, 1), true},
+		{"line address past 34 bits", 8, rec(1, 1<<34, 0, 0), false},
+		{"line address in the flag bits", 8, rec(1, 1<<63|300, 0, 0), false},
 		{"truncated index delta", 8, cat(good[:len(good)-len(rec(5, 7, 1, 1))], []byte{0x80}), false},
 		{"truncated address", 8, rec(1, 300, 0, 0)[:2], false},
 		{"missing flags", 8, rec(1, 300, 0, 0)[:3], false},

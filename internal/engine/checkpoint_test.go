@@ -372,6 +372,19 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	// A line address that does not fit the 34 bits of a cache.Line: the
+	// top bit of the first five-byte address varint set, which keeps every
+	// length gob recorded. Restore must refuse it, never truncate it.
+	wide := append([]byte(nil), snap...)
+	if at := wideAddressByte(wide[lineOff : lineOff+lineN]); at < 0 {
+		f.Fatal("no five-byte line address among the snapshot's L3 records")
+	} else {
+		wide[lineOff+at] |= 0x40
+	}
+	if _, err := engine.Restore(wide, o); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		f.Fatalf("snapshot with a line address past 34 bits not refused by its width: %v", err)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := engine.Restore(data, o)
 		if err != nil && restored != nil {
@@ -389,3 +402,30 @@ func FuzzRestore(f *testing.F) {
 }
 
 const snapshotMagicForFuzz = "BOCKPT01"
+
+// wideAddressByte walks packed line records (cache.State.Lines: index
+// delta, address, flag byte, owner core) and returns the offset of the last
+// byte of the first address that takes five varint bytes, or -1.
+func wideAddressByte(packed []byte) int {
+	for off := 0; off < len(packed); {
+		_, n := binary.Uvarint(packed[off:])
+		if n <= 0 {
+			return -1
+		}
+		off += n
+		_, n = binary.Uvarint(packed[off:])
+		if n <= 0 {
+			return -1
+		}
+		if n == 5 {
+			return off + n - 1
+		}
+		off += n + 1 // the address and the flag byte
+		_, n = binary.Uvarint(packed[off:])
+		if n <= 0 {
+			return -1
+		}
+		off += n
+	}
+	return -1
+}

@@ -77,3 +77,22 @@ func resultDigest(t *testing.T, r engine.Result) string {
 	sum := sha256.Sum256(resultJSON(t, r))
 	return hex.EncodeToString(sum[:])
 }
+
+// TestSnapshotDigest pins the SHA-256 of one warmed 2-core snapshot, every
+// byte of it: both cores' DL1 and L2 lines and the shared L3's, with their
+// dirty flags and owner cores, the replacement stamps, the TLBs, DRAM and
+// the cores. (A warmup leg runs with no prefetcher, so no line carries a
+// prefetch bit; cache's TestCacheStateRoundTrip covers that flag.) A change
+// to how the machine holds its state in memory (a cache line packed into one
+// word, say) must leave it alone; a change that moves it on purpose bumps
+// engine.SnapshotVersion and re-pins it.
+func TestSnapshotDigest(t *testing.T) {
+	o := warmed("429.mcf")
+	o.Cores = 2
+	s, snap := warmupLeg(t, o)
+	s.Close()
+	sum := sha256.Sum256(snap)
+	if got, want := hex.EncodeToString(sum[:]), "d40494c7567b7d5095458af53b43080c3a20d4525342ea0971d74734524a1e3d"; got != want {
+		t.Errorf("snapshot digest %s (%d bytes), pinned %s", got, len(snap), want)
+	}
+}

@@ -60,8 +60,11 @@ type Options struct {
 	// L1PF selects the DL1 prefetcher the same way. The zero spec means
 	// the baseline stride prefetcher; "none" disables DL1 prefetching
 	// (Figure 4's ablation).
-	L1PF         prefetch.Spec
-	L3Policy     string // "5P" (default), "LRU", "DRRIP"
+	L1PF     prefetch.Spec
+	L3Policy string // "5P" (default), "LRU", "DRRIP"
+	// LatePromote promotes a late prefetch to demand priority (section 5.4;
+	// the default). false is an ablation that also charges head-of-line
+	// blocking in the L2 demand queue (uncore.Config.LatePromotion).
 	LatePromote  bool
 	Instructions uint64 // retired instructions on core 0
 	Seed         uint64

@@ -119,11 +119,22 @@ type CacheEntry struct {
 func SchemaVersion() int { return resultCacheVersion }
 
 // diskCache persists simulation results under one directory.
-type diskCache struct{ dir string }
-
-func (c diskCache) path(key string) string {
-	return filepath.Join(c.dir, key+entryExt)
+type diskCache struct {
+	dir string // cleaned and ending in a path separator
 }
+
+// newDiskCache returns the cache under dir. The directory is cleaned once
+// here, so naming a record is one concatenation: filepath.Join would clean
+// the whole path again on every probe.
+func newDiskCache(dir string) diskCache {
+	if dir = filepath.Clean(dir); !os.IsPathSeparator(dir[len(dir)-1]) {
+		dir += string(filepath.Separator)
+	}
+	return diskCache{dir}
+}
+
+// path names key's record.
+func (c diskCache) path(key string) string { return c.dir + key + entryExt }
 
 // loadInto returns the result stored for key when its record is whole, of
 // this resultCacheVersion, and stores exactly opts, the options the key was

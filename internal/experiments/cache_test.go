@@ -231,7 +231,7 @@ func TestLoaderRefusesInexactRecords(t *testing.T) {
 	r1 := tinyRunner()
 	r1.CacheDir = dir
 	r1.Fig2()
-	c := diskCache{dir}
+	c := newDiskCache(dir)
 	type stored struct {
 		key  string
 		opts []byte
@@ -313,7 +313,7 @@ func TestConcurrentStoreOfOneKey(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		res, ok := (diskCache{dir}).loadInto(new(bytes.Buffer), key, opts)
+		res, ok := newDiskCache(dir).loadInto(new(bytes.Buffer), key, opts)
 		if !ok || res.IPC == 99 || res.Instructions == 0 {
 			t.Fatalf("round %d: entry unreadable or taken from the leftover temp (ok=%v, %+v)", round, ok, res)
 		}

@@ -252,13 +252,14 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 				n := len(opts) - i
 				probes = make(chan diskProbe, n)
 				results, hit = make([]engine.Result, n), make([]bool, n)
+				c := newDiskCache(r.CacheDir)
 				for range min(runtime.GOMAXPROCS(0), n) {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
 						var buf bytes.Buffer
 						for p := range probes {
-							results[p.job], hit[p.job] = (diskCache{r.CacheDir}).loadInto(&buf, p.key, p.opts)
+							results[p.job], hit[p.job] = c.loadInto(&buf, p.key, p.opts)
 						}
 					}()
 				}
@@ -416,7 +417,7 @@ func (r *Runner) runWith(j job, exec func() (engine.Result, error)) error {
 	r.cache[j.cacheKey] = res
 	r.mu.Unlock()
 	if r.CacheDir != "" {
-		if err := (diskCache{r.CacheDir}).store(j.cacheKey, j.opts, res); err != nil {
+		if err := newDiskCache(r.CacheDir).store(j.cacheKey, j.opts, res); err != nil {
 			r.logf("  cache write failed: %v\n", err)
 		}
 	}

@@ -16,6 +16,9 @@ const (
 	LineBits = 6
 	// LineSize is the cache line size in bytes.
 	LineSize = 1 << LineBits
+	// PhysBits bounds physical addresses: Translator keeps every one below
+	// 1<<PhysBits, so a physical line address fits PhysBits-LineBits bits.
+	PhysBits = 40
 )
 
 // Addr is a byte address (virtual or physical depending on context).

@@ -26,9 +26,9 @@ func (t *Translator) Translate(va Addr) Addr {
 	bits := t.page.Bits()
 	vpn := uint64(va) >> bits
 	ppn := Mix64(vpn ^ t.seed)
-	// Keep physical addresses within a 40-bit physical space so that DRAM
-	// row numbers stay reasonable.
-	ppn &= (1 << (40 - bits)) - 1
+	// Keep physical addresses within the PhysBits-bit physical space so
+	// that DRAM row numbers stay reasonable.
+	ppn &= (1 << (PhysBits - bits)) - 1
 	return Addr(ppn<<bits | uint64(va)&((1<<bits)-1))
 }
 

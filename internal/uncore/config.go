@@ -35,7 +35,12 @@ type Config struct {
 	L3Policy string
 
 	// LatePromotion enables demand misses hitting fill-queue prefetch
-	// entries to be promoted (section 5.4). Disabling it is an ablation.
+	// entries to be promoted (section 5.4). Disabling it is an ablation,
+	// and it charges more than the lost promotion: a demand that finds an
+	// unpromoted prefetch of its line in the L2 fill queue is refused and
+	// replays at the head of its core's L2 demand queue, so every request
+	// behind it waits for that prefetch to fill (head-of-line blocking;
+	// DESIGN §7).
 	LatePromotion bool
 
 	// Seed makes policy randomization deterministic per run.

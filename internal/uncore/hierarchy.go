@@ -253,10 +253,10 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 
 	if ln := h.dl1[core].Lookup(line); ln != nil {
 		h.stats.DL1Hits++
-		pfHit := ln.Prefetch
-		ln.Prefetch = false
+		pfHit := ln.Prefetch()
+		ln.ClearPrefetch()
 		if isWrite {
-			ln.Dirty = true
+			ln.SetDirty()
 		}
 		if pfHit {
 			h.strideQuery(core, pc, va, t0)
@@ -494,8 +494,8 @@ func (h *Hierarchy) drainL3Fills(now uint64) {
 			if h.fivep != nil {
 				h.fivep.NoteFill(e.core)
 			}
-			if ev.Valid && ev.Dirty {
-				h.writebackToDRAM(ev.Addr, int(ev.Core))
+			if ev.Valid() && ev.Dirty() {
+				h.writebackToDRAM(ev.Addr(), ev.Core())
 			}
 		}
 		h.pool.put(e)
@@ -526,8 +526,8 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 		} else {
 			ev := h.l2[core].Insert(e.line, cache.InsertInfo{Core: core, IsPrefetch: stillPrefetch})
 			h.l2pf[core].OnFill(e.line, e.isPrefetch)
-			if ev.Valid && ev.Dirty {
-				h.writebackToL3(ev.Addr, core)
+			if ev.Valid() && ev.Dirty() {
+				h.writebackToL3(ev.Addr(), core)
 			}
 		}
 		if e.fillL1 {
@@ -568,23 +568,25 @@ func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 	h.retry[core].front++
 	h.outstanding[core].remove(line)
 	if ln := h.dl1[core].Peek(line); ln != nil {
-		ln.Dirty = ln.Dirty || dirty
+		if dirty {
+			ln.SetDirty()
+		}
 		return
 	}
 	ev := h.dl1[core].Insert(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit})
 	if ln := h.dl1[core].Peek(line); ln != nil && dirty {
-		ln.Dirty = true
+		ln.SetDirty()
 	}
-	if ev.Valid && ev.Dirty {
-		if l2ln := h.l2[core].Peek(ev.Addr); l2ln != nil {
-			l2ln.Dirty = true
+	if ev.Valid() && ev.Dirty() {
+		if l2ln := h.l2[core].Peek(ev.Addr()); l2ln != nil {
+			l2ln.SetDirty()
 		} else {
-			l2ev := h.l2[core].Insert(ev.Addr, cache.InsertInfo{Core: core})
-			if l2ln := h.l2[core].Peek(ev.Addr); l2ln != nil {
-				l2ln.Dirty = true
+			l2ev := h.l2[core].Insert(ev.Addr(), cache.InsertInfo{Core: core})
+			if l2ln := h.l2[core].Peek(ev.Addr()); l2ln != nil {
+				l2ln.SetDirty()
 			}
-			if l2ev.Valid && l2ev.Dirty {
-				h.writebackToL3(l2ev.Addr, core)
+			if l2ev.Valid() && l2ev.Dirty() {
+				h.writebackToL3(l2ev.Addr(), core)
 			}
 		}
 	}
@@ -595,18 +597,18 @@ func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 func (h *Hierarchy) writebackToL3(line mem.LineAddr, core int) {
 	h.shared++
 	if ln := h.l3.Peek(line); ln != nil {
-		ln.Dirty = true
+		ln.SetDirty()
 		return
 	}
 	ev := h.l3.Insert(line, cache.InsertInfo{Core: core})
 	if ln := h.l3.Peek(line); ln != nil {
-		ln.Dirty = true
+		ln.SetDirty()
 	}
 	if h.fivep != nil {
 		h.fivep.NoteFill(core)
 	}
-	if ev.Valid && ev.Dirty {
-		h.writebackToDRAM(ev.Addr, int(ev.Core))
+	if ev.Valid() && ev.Dirty() {
+		h.writebackToDRAM(ev.Addr(), ev.Core())
 	}
 }
 
@@ -663,11 +665,11 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 	if ln := l2.Lookup(req.line); ln != nil {
 		h.stats.L2DemandAccesses++
 		h.stats.L2Hits++
-		pfHit := ln.Prefetch
+		pfHit := ln.Prefetch()
 		if pfHit {
 			h.stats.L2PrefetchedHits++
 		}
-		ln.Prefetch = false // requested by the L1: reset the prefetch bit
+		ln.ClearPrefetch() // requested by the L1: reset the prefetch bit
 		done := now + h.cfg.L2Latency
 		req.fut.Resolve(done)
 		h.dl1Fills[core] = append(h.dl1Fills[core], dl1Fill{

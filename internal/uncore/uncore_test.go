@@ -147,7 +147,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 		h.Tick(now)
 	}
 	ln := h.l2[0].Peek(target)
-	if ln == nil || !ln.Prefetch {
+	if ln == nil || !ln.Prefetch() {
 		t.Fatal("prefetched line missing from L2 or prefetch bit clear")
 	}
 	// Demand access: must be counted as a prefetched hit and clear the bit.
@@ -156,7 +156,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 	if h.Stats().L2PrefetchedHits != 1 {
 		t.Errorf("L2PrefetchedHits = %d, want 1", h.Stats().L2PrefetchedHits)
 	}
-	if ln := h.l2[0].Peek(target); ln == nil || ln.Prefetch {
+	if ln := h.l2[0].Peek(target); ln == nil || ln.Prefetch() {
 		t.Error("prefetch bit not cleared by demand use")
 	}
 }
@@ -209,7 +209,7 @@ func TestWritebackPath(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		va := mem.Addr(0x100000 + i*h.dl1[0].Sets()*mem.LineSize)
 		line := h.translators[0].TranslateLine(mem.LineOf(va))
-		if ln := h.l2[0].Peek(line); ln != nil && ln.Dirty {
+		if ln := h.l2[0].Peek(line); ln != nil && ln.Dirty() {
 			dirtyL2++
 		}
 	}
