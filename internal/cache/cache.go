@@ -103,6 +103,9 @@ type Policy interface {
 	// rejecting state whose shape does not match this policy instance.
 	SaveState() PolicyState
 	RestoreState(PolicyState) error
+	// saveView is SaveState with Stamps nil and every other slice aliasing
+	// the policy's own (Cache.SaveView).
+	saveView() PolicyState
 }
 
 // Cache is a set-associative cache. It is not safe for concurrent use; the

@@ -67,11 +67,8 @@ func (c *Cache) Close() {
 	}
 	freeLines.put(c.lines)
 	c.lines = nil
-	switch p := c.policy.(type) {
-	case *LRU:
-		p.state.release()
-	case *FiveP:
-		p.state.release()
+	if st := c.stampState(); st != nil {
+		st.release()
 	}
 }
 

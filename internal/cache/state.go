@@ -8,10 +8,10 @@ import (
 )
 
 // Checkpoint state for caches and replacement policies. Every struct here
-// holds only exported, fixed-order fields (no maps), so a deterministic
-// encoder (gob, JSON) produces byte-stable output: encode -> decode ->
-// encode yields identical bytes, which is what lets snapshots be
-// content-addressed by SHA-256.
+// holds only exported, fixed-order fields (no maps), and engine's snapshot
+// codec writes them in declaration order, so encode -> decode -> encode
+// yields identical bytes, which is what lets snapshots be content-addressed
+// by SHA-256.
 
 // State is the full serialized state of one Cache: the line metadata and the
 // replacement policy's state. A cache keeps no counters; the hierarchy counts
@@ -27,14 +27,18 @@ import (
 //	uvarint  owner core
 //
 // A warmed hierarchy is mostly invalid lines (the 8MB L3 alone holds
-// 131072), and a generic encoder walks a []Line one reflected struct at a
-// time; the packed bytes cost one copy and nothing for an invalid line.
-// schemalock sees only a []byte here, so a change to the record layout
-// must bump engine.SnapshotVersion by hand.
+// 131072), and an invalid line costs nothing here. The snapshot codec
+// copies Lines into its record as opaque bytes, or from a view packs them
+// there directly, and schemalock sees a []byte: neither reads the records,
+// so a change to their layout must bump engine.SnapshotVersion by hand.
 type State struct {
 	NumLines int // sets*ways of the cache that wrote the state
 	Lines    []byte
 	Policy   PolicyState
+	// view is the cache a SaveView state reads through: Lines and
+	// Policy.Stamps are nil, and AppendLines and AppendStamps pack the
+	// cache's arrays on the spot.
+	view *Cache
 }
 
 // PolicyState is the union of every in-tree policy's replacement state; the
@@ -66,7 +70,53 @@ const (
 
 // SaveState serializes the cache's lines and policy state.
 func (c *Cache) SaveState() State {
-	var packed []byte
+	return State{NumLines: len(c.lines), Lines: c.appendLines(nil), Policy: c.policy.SaveState()}
+}
+
+// SaveView returns the cache's state without its packed sections: Lines and
+// Policy.Stamps are nil, and the policy's other slices alias the live
+// arrays. A snapshot writer reads the view field by field and packs the two
+// sections straight into its own buffer with AppendLines and AppendStamps,
+// so saving a cache copies nothing. A view is good until the cache next
+// changes, and RestoreState refuses one.
+func (c *Cache) SaveView() State {
+	return State{NumLines: len(c.lines), Policy: c.policy.saveView(), view: c}
+}
+
+// AppendLines appends s's packed line records to dst: s.Lines, or for a
+// view, the records of its cache's valid lines.
+func (s *State) AppendLines(dst []byte) []byte {
+	if s.view != nil {
+		return s.view.appendLines(dst)
+	}
+	return append(dst, s.Lines...)
+}
+
+// AppendStamps appends s's packed stamp records to dst: s.Policy.Stamps, or
+// for a view, the records of its cache's non-zero stamps.
+func (s *State) AppendStamps(dst []byte) []byte {
+	if s.view != nil {
+		if st := s.view.stampState(); st != nil {
+			return st.appendStamps(dst)
+		}
+		return dst
+	}
+	return append(dst, s.Policy.Stamps...)
+}
+
+// stampState returns the stamps of an LRU or 5P cache, nil for DRRIP.
+func (c *Cache) stampState() *lruState {
+	switch p := c.policy.(type) {
+	case *LRU:
+		return p.state
+	case *FiveP:
+		return p.state
+	}
+	return nil
+}
+
+// appendLines packs the valid lines (State.Lines) onto dst.
+func (c *Cache) appendLines(dst []byte) []byte {
 	prev := -1
 	for i, ln := range c.lines {
 		if !ln.Valid() {
@@ -79,17 +129,13 @@ func (c *Cache) SaveState() State {
 		if ln.Prefetch() {
 			flags |= lineFlagPrefetch
 		}
-		packed = binary.AppendUvarint(packed, uint64(i-prev))
-		packed = binary.AppendUvarint(packed, uint64(ln.Addr()))
-		packed = append(packed, flags)
-		packed = binary.AppendUvarint(packed, uint64(ln.Core()))
+		dst = binary.AppendUvarint(dst, uint64(i-prev))
+		dst = binary.AppendUvarint(dst, uint64(ln.Addr()))
+		dst = append(dst, flags)
+		dst = binary.AppendUvarint(dst, uint64(ln.Core()))
 		prev = i
 	}
-	return State{
-		NumLines: len(c.lines),
-		Lines:    packed,
-		Policy:   c.policy.SaveState(),
-	}
+	return dst
 }
 
 // RestoreState replaces the cache's contents with a previously saved state.
@@ -97,16 +143,21 @@ func (c *Cache) SaveState() State {
 // every line's owner core must be below numCores: the owner is used as an
 // index downstream (write-back routing, the DRAM per-core queues, 5P's
 // per-core counters), so a decodable but corrupt state is refused here
-// rather than left to panic mid-run. After an error the cache holds a
-// partial restore and must be discarded.
+// rather than left to panic mid-run. Like every component's RestoreState,
+// it replaces a freshly built cache's contents: a new cache's arrays are
+// zero (the free list clears a reused one), so only the records are
+// written. After an error the cache holds a partial restore and must be
+// discarded.
 func (c *Cache) RestoreState(s State, numCores int) error {
+	if s.view != nil {
+		return fmt.Errorf("cache %s: a view is written out, never restored", c.name)
+	}
 	if s.NumLines != len(c.lines) {
 		return fmt.Errorf("cache %s: state has %d lines, cache holds %d", c.name, s.NumLines, len(c.lines))
 	}
 	if err := c.policy.RestoreState(s.Policy); err != nil {
 		return fmt.Errorf("cache %s: %w", c.name, err)
 	}
-	c.Reset()
 	if err := c.unpackLines(s.Lines, numCores); err != nil {
 		return fmt.Errorf("cache %s: packed lines: %w", c.name, err)
 	}
@@ -120,8 +171,14 @@ type recordReader struct {
 	idx, n int
 }
 
-// uvarint reads one field of the record at the head of packed.
+// uvarint reads one field of the record at the head of packed. A one-byte
+// varint (most index deltas and owner cores) skips binary.Uvarint's loop.
 func (r *recordReader) uvarint(field string) (uint64, error) {
+	if len(r.packed) > 0 && r.packed[0] < 0x80 {
+		v := r.packed[0]
+		r.packed = r.packed[1:]
+		return uint64(v), nil
+	}
 	v, n := binary.Uvarint(r.packed)
 	if n <= 0 {
 		return 0, fmt.Errorf("truncated or overlong %s", field)
@@ -144,7 +201,7 @@ func (r *recordReader) next() (int, error) {
 	return r.idx, nil
 }
 
-// unpackLines decodes State.Lines records into the (cleared) cache.
+// unpackLines decodes State.Lines records into the (empty) cache.
 func (c *Cache) unpackLines(packed []byte, numCores int) error {
 	r := recordReader{packed: packed, idx: -1, n: len(c.lines)}
 	for len(r.packed) > 0 {
@@ -181,19 +238,24 @@ func (c *Cache) unpackLines(packed []byte, numCores int) error {
 	return nil
 }
 
-// save/restore serialize the stamp machinery shared by LRU and 5P.
-func (s *lruState) save(name string) PolicyState {
-	var packed []byte
+// view, appendStamps and restore serialize the stamp machinery shared by
+// LRU and 5P.
+func (s *lruState) view(name string) PolicyState {
+	return PolicyState{Name: name, NumStamps: len(s.stamps), Clock: s.clock}
+}
+
+// appendStamps packs the non-zero stamps (PolicyState.Stamps) onto dst.
+func (s *lruState) appendStamps(dst []byte) []byte {
 	prev := -1
 	for i, stamp := range s.stamps {
 		if stamp == 0 {
 			continue
 		}
-		packed = binary.AppendUvarint(packed, uint64(i-prev))
-		packed = binary.AppendUvarint(packed, stamp)
+		dst = binary.AppendUvarint(dst, uint64(i-prev))
+		dst = binary.AppendUvarint(dst, stamp)
 		prev = i
 	}
-	return PolicyState{Name: name, NumStamps: len(s.stamps), Stamps: packed, Clock: s.clock}
+	return dst
 }
 
 // restore replaces the stamps and clock with a saved state's. After an
@@ -209,9 +271,8 @@ func (s *lruState) restore(st PolicyState) error {
 	return nil
 }
 
-// unpackStamps decodes PolicyState.Stamps records over the stamps.
+// unpackStamps decodes PolicyState.Stamps records into the (zero) stamps.
 func unpackStamps(stamps []uint64, packed []byte) error {
-	clear(stamps)
 	r := recordReader{packed: packed, idx: -1, n: len(stamps)}
 	for len(r.packed) > 0 {
 		idx, err := r.next()
@@ -240,7 +301,13 @@ func checkPolicyName(st PolicyState, want string) error {
 }
 
 // SaveState implements Policy.
-func (p *LRU) SaveState() PolicyState { return p.state.save("LRU") }
+func (p *LRU) SaveState() PolicyState {
+	st := p.saveView()
+	st.Stamps = p.state.appendStamps(nil)
+	return st
+}
+
+func (p *LRU) saveView() PolicyState { return p.state.view("LRU") }
 
 // RestoreState implements Policy.
 func (p *LRU) RestoreState(st PolicyState) error {
@@ -252,12 +319,13 @@ func (p *LRU) RestoreState(st PolicyState) error {
 
 // SaveState implements Policy.
 func (d *DRRIP) SaveState() PolicyState {
-	return PolicyState{
-		Name: "DRRIP",
-		RRPV: append([]uint8(nil), d.rrpv...),
-		PSel: d.psel,
-		Rand: d.rand.State(),
-	}
+	st := d.saveView()
+	st.RRPV = append([]uint8(nil), d.rrpv...)
+	return st
+}
+
+func (d *DRRIP) saveView() PolicyState {
+	return PolicyState{Name: "DRRIP", RRPV: d.rrpv, PSel: d.psel, Rand: d.rand.State()}
 }
 
 // RestoreState implements Policy.
@@ -279,10 +347,18 @@ func (d *DRRIP) RestoreState(st PolicyState) error {
 
 // SaveState implements Policy.
 func (p *FiveP) SaveState() PolicyState {
-	st := p.state.save("5P")
-	st.Rand = p.rand.State()
+	st := p.saveView()
+	st.Stamps = p.state.appendStamps(nil)
 	st.PolicySel = p.policySel.SaveState()
 	st.CoreMiss = p.coreMiss.SaveState()
+	return st
+}
+
+func (p *FiveP) saveView() PolicyState {
+	st := p.state.view("5P")
+	st.Rand = p.rand.State()
+	st.PolicySel = p.policySel.counters
+	st.CoreMiss = p.coreMiss.counters
 	return st
 }
 

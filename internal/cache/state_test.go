@@ -216,12 +216,22 @@ func TestPackedStampsRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(fresh.SaveState(), c.SaveState()) {
 				t.Fatal("restored cache diverged from original under identical traffic")
 			}
-			// Restoring over used state clears the stamps no record names.
-			if err := c.RestoreState(decoded, 2); err != nil {
+			// RestoreState writes only the records, into a freshly built
+			// cache. Built on the used cache's released stamps, one reads
+			// back exactly the saved stamps: the free list's clear is the
+			// one clear a restored array gets.
+			used := &ls.stamps[0]
+			c.Close()
+			reused := New("t", sets*ways*mem.LineSize, ways, mk())
+			rs := lruStateOf(t, reused.policy)
+			if &rs.stamps[0] != used {
+				t.Fatal("the next cache of the same geometry did not take the used cache's stamps")
+			}
+			if err := reused.RestoreState(decoded, 2); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ls.stamps, want) {
-				t.Fatal("restore into a used cache left stale stamps behind")
+			if !reflect.DeepEqual(rs.stamps, want) {
+				t.Fatal("restore into a cache built on released stamps left stale stamps behind")
 			}
 		})
 	}

@@ -9,11 +9,43 @@
 // barrier defines. Prefetchers are not part of it: the warmup runs without
 // them and the barrier installs them cold.
 //
-// Snapshot layout:
+// A snapshot is one positional record, written and read by hand
+// (snapshot.go), the snapshot struct's fields in declaration order:
 //
-//	magic    [8]byte  "BOCKPT01"
-//	version  uint32   big endian, SnapshotVersion
-//	payload  gob      one snapshot struct
+//	8 bytes  magic "BOCKPT01"
+//	4 bytes  SnapshotVersion, big endian
+//	uvarint  length of the warmup signature, then its bytes
+//	uvarint  barrier cycle
+//	uvarint  number of cores, then per core (cpu.State): the retired count;
+//	         a byte 1 and the pending instruction (op, PC, VA as uvarints, a
+//	         dependence byte) or a byte 0; the generator cursor (kind, random
+//	         stream, ALU PC, each component's fields, cursor, wraps, then
+//	         its mix sub-cursors the same way, at most maxGenDepth deep)
+//	uvarint  every uncore.Stats counter, in declaration order
+//	caches   the DL1s and the L2s, each list led by its uvarint length, then
+//	         the L3. Per cache: NumLines; 4 bytes (big endian) of length and
+//	         the packed line records (cache.State.Lines); the policy name,
+//	         NumStamps; 4 bytes of length and the packed stamp records;
+//	         clock, random stream, RRPVs as bytes, PSEL, the two 5P counter
+//	         banks
+//	uvarint  number of TLB hierarchies, then per core both levels (VPNs and
+//	         stamps, each list led by its length, then the clock) and the
+//	         walk count
+//	uvarint  the prefetch queues' cancellation counts, led by their number
+//	uvarint  number of DRAM channels, then per channel its banks (open row,
+//	         row-open and precharge-ready cycles), fairness counters, served
+//	         core, bus-free cycle, writes in batch, sequence number and
+//	         dram.Stats (the counters, then PerCoreReads)
+//
+// An int is a zig-zag varint, a bool one byte 0 or 1, a string or []byte a
+// uvarint length and the bytes, and every other list its uvarint length and
+// its elements. Every varint is minimal and nothing follows the last field,
+// so a record decodes in exactly one way: Restore accepts data only when
+// Checkpoint would write data back. The packed sections are four-byte
+// lengths because a writer packs a cache's records straight into the record
+// and fills the length in after them; a reader uses them in place, and every
+// count and length is checked against the bytes left before anything is
+// allocated for it.
 //
 // Snapshots are addressed by the SHA-256 of their full bytes (the same
 // identity scheme as trace files; see trace.ContentSHA), and every snapshot
@@ -23,9 +55,6 @@
 package engine
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -77,17 +106,21 @@ import (
 //
 // v11: cpu.State loses its MSHR dispatch-stall count: nothing read it, and no
 // Result byte moved.
-const SnapshotVersion = 11
+//
+// v12: the payload is a positional record written and read by hand instead
+// of gob: Checkpoint packs the caches straight into the record and Restore
+// reads it in place. The state types are unchanged.
+const SnapshotVersion = 12
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
 
 // maxSnapshotBytes bounds what Restore will even look at. A real snapshot
-// is a few hundred KB (the valid lines and their replacement stamps);
-// anything beyond this is malformed or hostile.
+// is a few hundred KB to a few MB (the valid lines and their replacement
+// stamps); anything beyond this is malformed or hostile.
 const maxSnapshotBytes = 1 << 28
 
-// snapshot is the gob payload.
+// snapshot is what a record carries, in the order it carries it.
 type snapshot struct {
 	// Sig is the producing run's warmup signature (WarmupSignature).
 	Sig string
@@ -154,73 +187,6 @@ func (o Options) WarmupSignature() (string, error) {
 	return string(b), nil
 }
 
-// Checkpoint serializes the simulation's state at the warmup barrier. It is
-// only valid when AtBarrier reports true (after RunWarmup, before any
-// measured cycle); any other point has in-flight state the format cannot
-// carry, and Checkpoint reports an error rather than guessing.
-func (s *Simulation) Checkpoint() ([]byte, error) {
-	if s.err == errClosed {
-		return nil, errClosed
-	}
-	if !s.AtBarrier() {
-		return nil, fmt.Errorf("engine: Checkpoint is only valid at the warmup barrier (call RunWarmup first)")
-	}
-	sig, err := s.opts.WarmupSignature()
-	if err != nil {
-		return nil, err
-	}
-	snap := snapshot{Sig: sig, Cycles: s.now}
-	for _, c := range s.cores {
-		cs, err := c.SaveState()
-		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
-		}
-		snap.Cores = append(snap.Cores, cs)
-	}
-	if snap.Uncore, err = s.hier.SaveState(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagic)
-	if err := binary.Write(&buf, binary.BigEndian, uint32(SnapshotVersion)); err != nil {
-		return nil, err
-	}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("engine: encoding snapshot: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeSnapshot validates the container and decodes the payload. It never
-// panics: structural damage gob might trip over is converted to an error,
-// which is what lets corrupted or truncated snapshots fail safely (see
-// FuzzRestore).
-func decodeSnapshot(data []byte) (snap snapshot, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: malformed snapshot: %v", r)
-		}
-	}()
-	if len(data) > maxSnapshotBytes {
-		return snapshot{}, fmt.Errorf("engine: snapshot of %d bytes exceeds the %d-byte limit", len(data), maxSnapshotBytes)
-	}
-	if len(data) < len(snapshotMagic)+4 {
-		return snapshot{}, fmt.Errorf("engine: snapshot truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return snapshot{}, fmt.Errorf("engine: not a snapshot (bad magic %q)", data[:len(snapshotMagic)])
-	}
-	version := binary.BigEndian.Uint32(data[len(snapshotMagic):])
-	if version != SnapshotVersion {
-		return snapshot{}, fmt.Errorf("engine: snapshot version %d, this binary speaks %d", version, SnapshotVersion)
-	}
-	dec := gob.NewDecoder(bytes.NewReader(data[len(snapshotMagic)+4:]))
-	if err := dec.Decode(&snap); err != nil {
-		return snapshot{}, fmt.Errorf("engine: decoding snapshot: %v", err)
-	}
-	return snap, nil
-}
-
 // Restore builds a Simulation for o positioned exactly at the warmup
 // barrier recorded in the snapshot, so running it to completion produces
 // byte-identical results to running o from scratch (warmup included). The
@@ -228,7 +194,9 @@ func decodeSnapshot(data []byte) (snap snapshot, err error) {
 // content, core count, page size, seed and warmup length; the configured
 // prefetchers are installed cold, as the barrier of a straight run does.
 // Corrupted, truncated or version-skewed snapshots are rejected with an
-// error; partial state is never installed.
+// error; partial state is never installed. Restore reads data in place and
+// the machine keeps none of it, so the caller may reuse data as soon as
+// Restore returns.
 func Restore(data []byte, o Options) (*Simulation, error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {

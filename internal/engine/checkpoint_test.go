@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -263,6 +264,36 @@ func TestCheckpointByteStable(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsNoReferenceToData checks Restore reads the record in place
+// and keeps nothing of it: the buffer it restored from is overwritten before
+// the run, and the run must still equal the straight one. The DRRIP row
+// covers the RRPVs, which the decoder hands RestoreState as a window of the
+// record as it does the packed lines and stamps.
+func TestRestoreKeepsNoReferenceToData(t *testing.T) {
+	for _, l3 := range []string{"5P", "DRRIP"} {
+		o := warmed("429.mcf")
+		o.Cores = 2
+		o.L3Policy = l3
+		o.L2PF = prefetch.MustSpec("bo")
+		straight := resultJSON(t, runStraight(t, o))
+		_, snap := warmupLeg(t, o)
+		restored, err := engine.Restore(snap, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range snap {
+			snap[i] = 0xff
+		}
+		r, err := restored.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultJSON(t, r); !bytes.Equal(got, straight) {
+			t.Errorf("%s: a run restored from a buffer overwritten after Restore diverged\nstraight: %s\nrestored: %s", l3, straight, got)
+		}
+	}
+}
+
 // TestCheckpointOnlyAtBarrier checks a mid-run machine refuses to
 // checkpoint instead of serializing in-flight state.
 func TestCheckpointOnlyAtBarrier(t *testing.T) {
@@ -340,17 +371,17 @@ func FuzzRestore(f *testing.F) {
 	skew := append([]byte(nil), snap...)
 	skew[8]++
 	f.Add(skew)
-	// A v6 snapshot (every way's stamp in a []uint64) is refused by its
-	// version field, whatever follows it.
-	v6 := append([]byte(nil), snap...)
-	binary.BigEndian.PutUint32(v6[len(snapshotMagicForFuzz):], 6)
-	if _, err := engine.Restore(v6, o); err == nil || !strings.Contains(err.Error(), "snapshot version 6") {
-		f.Fatalf("v6 snapshot not refused by version: %v", err)
+	// A v11 snapshot (a gob payload) is refused by its version field,
+	// whatever follows it.
+	v11 := append([]byte(nil), snap...)
+	binary.BigEndian.PutUint32(v11[len(snapshotMagicForFuzz):], 11)
+	if _, err := engine.Restore(v11, o); err == nil || !strings.Contains(err.Error(), "snapshot version 11") {
+		f.Fatalf("v11 snapshot not refused by version: %v", err)
 	}
-	f.Add(v6)
-	// Damage inside the L3's packed line and stamp records, which gob
-	// carries as opaque bytes and only cache.RestoreState parses: a zero
-	// index delta, a stray continuation bit mid-stream, an owner core no
+	f.Add(v11)
+	// Damage inside the L3's packed line and stamp records, which the
+	// record carries as opaque bytes and only cache.RestoreState parses: a
+	// zero index delta, a stray continuation bit mid-stream, an owner core no
 	// machine has; a zero index delta and a stamp cut short.
 	lineOff, lineN, stampOff, stampN, err := engine.PackedSpans(snap)
 	if err != nil || lineOff < 0 || lineN == 0 || stampOff < 0 || stampN == 0 {
@@ -374,7 +405,7 @@ func FuzzRestore(f *testing.F) {
 	}
 	// A line address that does not fit the 34 bits of a cache.Line: the
 	// top bit of the first five-byte address varint set, which keeps every
-	// length gob recorded. Restore must refuse it, never truncate it.
+	// length the record holds. Restore must refuse it, never truncate it.
 	wide := append([]byte(nil), snap...)
 	if at := wideAddressByte(wide[lineOff : lineOff+lineN]); at < 0 {
 		f.Fatal("no five-byte line address among the snapshot's L3 records")
@@ -385,7 +416,39 @@ func FuzzRestore(f *testing.F) {
 		f.Fatalf("snapshot with a line address past 34 bits not refused by its width: %v", err)
 	}
 	f.Add(wide)
+	// Lengths larger than the bytes left: the L3's packed lines claiming
+	// 4 GB, and the core count claiming 2^20 cores (a third of a gigabyte of
+	// decoded state). Both must be refused before anything of the claimed
+	// size is allocated.
+	long := append([]byte(nil), snap...)
+	binary.BigEndian.PutUint32(long[lineOff-4:], 1<<32-1)
+	cores := len(snapshotMagicForFuzz) + 4
+	sigLen, n := binary.Uvarint(snap[cores:])
+	cores += n + int(sigLen)
+	_, n = binary.Uvarint(snap[cores:]) // the barrier cycle
+	cores += n
+	if snap[cores] != 1 {
+		f.Fatalf("byte %d holds %d, not the core count 1: the record's layout moved", cores, snap[cores])
+	}
+	many := append(append(append([]byte(nil), snap[:cores]...), 0x80, 0x80, 0x40), snap[cores+1:]...)
+	for _, claim := range [][]byte{long, many} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := engine.Restore(claim, o)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "malformed snapshot") {
+			f.Fatalf("a length past the bytes left not refused by the decoder: %v", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			f.Fatalf("refusing a length past the bytes left allocated %d bytes", grew)
+		}
+		f.Add(claim)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A record the decoder accepts is the one record of what it read.
+		if again, err := engine.ReencodeSnapshot(data); err == nil && !bytes.Equal(again, data) {
+			t.Fatal("a record the decoder accepts re-encodes to other bytes")
+		}
 		restored, err := engine.Restore(data, o)
 		if err != nil && restored != nil {
 			t.Fatal("Restore returned both a simulation and an error")

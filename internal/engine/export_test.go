@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"unsafe"
@@ -17,15 +16,34 @@ import (
 
 // PackedSpans locates the L3's packed line records (cache.State.Lines) and
 // packed stamp records (cache.PolicyState.Stamps) inside snapshot bytes, so
-// FuzzRestore can seed mutations there: gob moves a []byte verbatim, so the
-// records sit in data as they sit in the state.
+// FuzzRestore can seed mutations there: the decoder reads both sections in
+// place, so each is a window of data, and the four bytes before it are its
+// length.
 func PackedSpans(data []byte) (lineOff, lineN, stampOff, stampN int, err error) {
 	snap, err := decodeSnapshot(data)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	lines, stamps := snap.Uncore.L3.Lines, snap.Uncore.L3.Policy.Stamps
-	return bytes.Index(data, lines), len(lines), bytes.Index(data, stamps), len(stamps), nil
+	if len(lines) == 0 || len(stamps) == 0 {
+		return -1, 0, -1, 0, nil
+	}
+	return offsetIn(data, lines), len(lines), offsetIn(data, stamps), len(stamps), nil
+}
+
+// offsetIn returns where the window w of data begins.
+func offsetIn(data, w []byte) int {
+	return int(uintptr(unsafe.Pointer(unsafe.SliceData(w))) - uintptr(unsafe.Pointer(unsafe.SliceData(data))))
+}
+
+// ReencodeSnapshot decodes data and encodes what it read: a record the
+// decoder accepts must come back byte for byte.
+func ReencodeSnapshot(data []byte) ([]byte, error) {
+	snap, err := decodeSnapshot(data)
+	if err != nil {
+		return nil, err
+	}
+	return appendSnapshot(nil, &snap), nil
 }
 
 // NextEventCycle exposes the skip-ahead horizon so the equivalence suite can

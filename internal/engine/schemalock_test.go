@@ -6,7 +6,7 @@ import (
 	"bopsim/internal/schemalock"
 )
 
-// TestSchemaLock pins what a checkpoint is made of — the gob payload and
+// TestSchemaLock pins what a checkpoint is made of — the record's fields and
 // the warmup signature it is shared by — to SnapshotVersion: a Restore
 // refuses by version, so a layout that moves without the constant decodes
 // an older snapshot into garbage instead. After a reviewed change, bump the

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 
 	"bopsim/internal/engine"
@@ -76,13 +78,17 @@ func (localBackend) RunFrom(_ int, o engine.Options, checkpointPath, _ string) (
 // it did. Any problem with the snapshot — none given, unreadable, corrupt,
 // version-skewed, signed for a different warmup — falls back to the full
 // run, which the engine's determinism guarantee makes byte-identical. The
-// machine is closed when the run ends, so the next one reuses its memory.
+// snapshot is read into a recycled buffer (snapshotBufs), handed back as
+// soon as Restore returns, and the machine is closed when the run ends, so
+// the next run reuses the memory of both.
 func RunFromCheckpoint(ctx context.Context, o engine.Options, checkpointPath string) (res engine.Result, forked bool, err error) {
 	var s *engine.Simulation
 	if checkpointPath != "" {
-		if data, err := os.ReadFile(checkpointPath); err == nil {
-			s, _ = engine.Restore(data, o)
+		buf, err := readFileInto(snapshotBufs.get(), checkpointPath)
+		if err == nil {
+			s, _ = engine.Restore(buf, o)
 		}
+		snapshotBufs.put(buf)
 	}
 	forked = s != nil
 	if !forked {
@@ -93,6 +99,23 @@ func RunFromCheckpoint(ctx context.Context, o engine.Options, checkpointPath str
 	defer s.Close()
 	res, err = s.Run(ctx)
 	return res, forked, err
+}
+
+// readFileInto reads the file at path into buf, reusing its capacity, and
+// returns the bytes read.
+func readFileInto(buf []byte, path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
+	n, err := io.ReadFull(f, buf)
+	return buf[:n], err
 }
 
 // backend resolves the Runner's execution backend: the configured one, or

@@ -75,35 +75,76 @@ func (c checkpointStore) ensure(ctx context.Context, key string, o engine.Option
 	if sha := trace.ContentSHA(path); sha != "" {
 		return checkpointRef{path: path, sha: sha}, nil, nil
 	}
-	s, data, err := runWarmupLeg(ctx, o)
+	buf := snapshotBufs.get()
+	defer func() { snapshotBufs.put(buf) }()
+	s, buf, err := runWarmupLeg(ctx, o, buf)
 	if err != nil {
 		return checkpointRef{}, nil, err
 	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return checkpointRef{}, nil, err
 	}
-	if err := engine.WriteFileAtomic(path, data); err != nil {
+	if err := engine.WriteFileAtomic(path, buf); err != nil {
 		return checkpointRef{}, nil, err
 	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(buf)
 	return checkpointRef{path: path, sha: hex.EncodeToString(sum[:])}, s, nil
 }
 
-// runWarmupLeg executes o's warmup region to its barrier and serializes the
-// machine. The leg is built from the group leader's options: the warmup runs
-// without prefetchers and the snapshot carries none, so the bytes are the
-// same under every spec variant of the group, and the machine can run on
-// into the leader's measured region.
-func runWarmupLeg(ctx context.Context, o engine.Options) (*engine.Simulation, []byte, error) {
+// runWarmupLeg executes o's warmup region to its barrier and appends the
+// machine's snapshot to buf. The leg is built from the group leader's
+// options: the warmup runs without prefetchers and the snapshot carries
+// none, so the bytes are the same under every spec variant of the group,
+// and the machine can run on into the leader's measured region.
+func runWarmupLeg(ctx context.Context, o engine.Options, buf []byte) (*engine.Simulation, []byte, error) {
 	s, err := engine.New(o)
 	if err != nil {
-		return nil, nil, err
+		return nil, buf, err
 	}
 	if err := s.RunWarmup(ctx); err != nil {
-		return nil, nil, err
+		return nil, buf, err
 	}
-	data, err := s.Checkpoint()
-	return s, data, err
+	buf, err = s.AppendCheckpoint(buf)
+	return s, buf, err
+}
+
+// snapshotBufs recycles the buffers snapshots are written from and read
+// into. Every variant of a shared-warmup sweep forks from a snapshot, and a
+// buffer per fork is a record of garbage each time. Nothing holds a buffer
+// past the write or the Restore that used it, so the list keeps at most one
+// per processor: what was in use at once. Like cache's free list, and for
+// the same reason, it is not a sync.Pool.
+var snapshotBufs bufList
+
+type bufList struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns an empty buffer, a released one if any is free.
+func (l *bufList) get() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	b := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return b[:0]
+}
+
+// put releases b, which its owner must no longer reference.
+func (l *bufList) put(b []byte) {
+	if cap(b) == 0 {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, b)
+	}
 }
 
 // checkpointSubdir is where snapshots live inside a result cache directory;

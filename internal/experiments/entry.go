@@ -5,9 +5,7 @@ import (
 	"math"
 
 	"bopsim/internal/core"
-	"bopsim/internal/dram"
 	"bopsim/internal/engine"
-	"bopsim/internal/uncore"
 )
 
 // A result-cache entry is one record, <dir>/<OptionsHash>.entry, written and
@@ -20,8 +18,8 @@ import (
 //	uvarint  length of Result.Workload, then its bytes
 //	8 bytes  Result.IPC, IEEE 754 bits, little-endian
 //	uvarint  Cycles, Instructions
-//	uvarint  every uncore.Stats field, in declaration order (hierCounters)
-//	uvarint  every dram.Stats counter, in declaration order (dramCounters),
+//	uvarint  every uncore.Stats field, in declaration order (engine.HierCounters)
+//	uvarint  every dram.Stats counter, in declaration order (engine.DRAMCounters),
 //	         then the length of PerCoreReads and each of its elements
 //	8 bytes  DRAMAccessesPerKI, as IPC
 //	byte     1 when BO is set, then every core.Stats field as a uvarint
@@ -42,23 +40,6 @@ const entryMagic = "bopR"
 // .json entries of older builds; no loader reads them.
 const entryExt = ".entry"
 
-// hierCounters lists the fields of s in declaration order.
-func hierCounters(s *uncore.Stats) [21]*uint64 {
-	return [...]*uint64{
-		&s.DL1Hits, &s.DL1Misses, &s.L2DemandAccesses, &s.L2Hits, &s.L2Misses,
-		&s.L2PrefetchedHits, &s.L3Hits, &s.L3Misses, &s.PrefIssued,
-		&s.PrefDroppedDup, &s.PrefDroppedTagCheck, &s.PrefLatePromotions,
-		&s.PrefCancelled, &s.StridePrefIssued, &s.StridePrefDroppedTLB,
-		&s.TLBWalks, &s.TickSamples, &s.L2FQOccupancySum, &s.L3FQOccupancySum,
-		&s.MSHROccupancySum, &s.PrefQOccupancySum,
-	}
-}
-
-// dramCounters lists the scalar fields of s in declaration order.
-func dramCounters(s *dram.Stats) [6]*uint64 {
-	return [...]*uint64{&s.Reads, &s.Writes, &s.RowHits, &s.RowClosed, &s.RowConflicts, &s.UrgentReads}
-}
-
 // boCounters lists the fields of s in declaration order.
 func boCounters(s *core.Stats) [5]*uint64 {
 	return [...]*uint64{&s.Phases, &s.PhasesOff, &s.Issued, &s.RRInsertions, &s.ScoreMaxEnds}
@@ -74,10 +55,10 @@ func appendEntry(b, opts []byte, res engine.Result) []byte {
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.IPC))
 	b = binary.AppendUvarint(b, res.Cycles)
 	b = binary.AppendUvarint(b, res.Instructions)
-	for _, p := range hierCounters(&res.Hier) {
+	for _, p := range engine.HierCounters(&res.Hier) {
 		b = binary.AppendUvarint(b, *p)
 	}
-	for _, p := range dramCounters(&res.DRAM) {
+	for _, p := range engine.DRAMCounters(&res.DRAM) {
 		b = binary.AppendUvarint(b, *p)
 	}
 	b = binary.AppendUvarint(b, uint64(len(res.DRAM.PerCoreReads)))
@@ -117,10 +98,10 @@ func decodeEntry(b []byte) (opts []byte, res engine.Result, ok bool) {
 	res.IPC = r.float()
 	res.Cycles = r.uvarint()
 	res.Instructions = r.uvarint()
-	for _, p := range hierCounters(&res.Hier) {
+	for _, p := range engine.HierCounters(&res.Hier) {
 		*p = r.uvarint()
 	}
-	for _, p := range dramCounters(&res.DRAM) {
+	for _, p := range engine.DRAMCounters(&res.DRAM) {
 		*p = r.uvarint()
 	}
 	// Each element takes at least one byte, so a length past what is left

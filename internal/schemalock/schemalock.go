@@ -17,7 +17,8 @@ type closure map[string]string // "pkgpath.Type" -> field lines
 
 // Render returns one "[pkgpath.Type]" section per named struct of this
 // module reachable from the types of roots, sorted by key: its exported
-// fields (what gob and encoding/json see) as "Name type `tag`" lines.
+// fields (what encoding/json sees, and what a hand-written codec must write)
+// as "Name type `tag`" lines.
 func Render(roots ...any) string {
 	c := closure{}
 	for _, r := range roots {

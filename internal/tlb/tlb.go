@@ -11,7 +11,9 @@
 package tlb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bopsim/internal/mem"
@@ -204,6 +206,9 @@ func (t *tlbLevel) saveState() LevelState {
 	return st
 }
 
+// restoreState replaces the level's contents with st's, refilling the map
+// it has rather than making one. After an error the level must be
+// discarded.
 func (t *tlbLevel) restoreState(st LevelState) error {
 	if len(st.VPNs) != len(st.Stamps) {
 		return fmt.Errorf("tlb: %d VPNs but %d stamps", len(st.VPNs), len(st.Stamps))
@@ -211,12 +216,12 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 	if len(st.VPNs) > t.entries {
 		return fmt.Errorf("tlb: state has %d entries, level holds %d", len(st.VPNs), t.entries)
 	}
-	slot := make(map[uint64]int, t.entries)
+	clear(t.slot)
 	for i, v := range st.VPNs {
-		if _, dup := slot[v]; dup {
+		if _, dup := t.slot[v]; dup {
 			return fmt.Errorf("tlb: duplicate VPN %#x in state", v)
 		}
-		slot[v] = i
+		t.slot[v] = i
 	}
 	// Recency is the stamp order; a level only ever writes each clock value
 	// once, so equal stamps (or one from the future) are not a state a level
@@ -225,13 +230,12 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(a, b int) bool { return st.Stamps[order[a]] < st.Stamps[order[b]] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(st.Stamps[a], st.Stamps[b]) })
 	for k, i := range order {
 		if st.Stamps[i] > st.Clock || k > 0 && st.Stamps[i] == st.Stamps[order[k-1]] {
 			return fmt.Errorf("tlb: stamp %d of VPN %#x is repeated or ahead of clock %d", st.Stamps[i], st.VPNs[i], st.Clock)
 		}
 	}
-	t.slot = slot
 	t.vpns = append(t.vpns[:0], st.VPNs...)
 	t.stamps = append(t.stamps[:0], st.Stamps...)
 	t.prev, t.next, t.mru, t.lru = t.prev[:len(order)], t.next[:len(order)], -1, -1

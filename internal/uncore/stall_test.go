@@ -573,7 +573,7 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	m.auditInFlight(t, now)
 }
 
-// auditInFlight checks two records of in-flight requests.
+// auditInFlight checks three records of in-flight requests.
 //
 // The L3 fill queue is the one record of an in-flight DRAM read: it holds
 // each line at most once, so the uncore never sends DRAM a second read of a
@@ -585,9 +585,22 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // A DL1 MSHR does not leak: each line in a core's MSHRs has a request on
 // its way to that core's DL1 (mshrInFlight), so every register is released
 // by a fill that is still to come.
+//
+// A core's prefetch queue holds each line at most once: footnote 13's
+// associative search (triggerL2Prefetcher) drops a target already queued,
+// so one line is never prefetched twice from one queue.
 func (m *machine) auditInFlight(t *testing.T, now uint64) {
 	t.Helper()
 	h := m.h
+	for c, q := range h.pq {
+		for i := 0; i < q.n; i++ {
+			for j := 0; j < i; j++ {
+				if line := q.lines[q.slot(i)]; q.lines[q.slot(j)] == line {
+					t.Fatalf("cycle %d core %d: line %#x is queued twice in the prefetch queue", now, c, line)
+				}
+			}
+		}
+	}
 	for c := range h.outstanding {
 		for _, line := range h.outstanding[c].lines {
 			if !mshrInFlight(h, c, line) {
@@ -710,6 +723,12 @@ func stallRows() []stallRow {
 			cfg:       func(c *Config) { c.L2Size, c.L3Size, c.L3FillQueueLen = 32<<10, 64<<10, 4 },
 			wantPaths: []string{"l3fq-full", "prefetch-blocked"}, wantMemos: []string{"head", "pref"}},
 	}
+	// multi on the common multiples of a 2-line stride asks for one line
+	// from several accesses (offset 12 of one, offset 6 of the access 6
+	// lines on), so a target is often queued already: footnote 13's search
+	// drops it, and auditInFlight fails the row if a line is queued twice.
+	rows = append(rows, stallRow{name: "multi-duplicate-targets", workloads: []string{"stream:stride=128,memper1000=20,footprint=64mb"},
+		l2pf: "multi:offsets=6+12+18+24", l1pf: "none", cycles: 60_000})
 	for _, policy := range []string{"LRU", "DRRIP", "5P"} { // an L3 small enough for the policy to matter
 		rows = append(rows, stallRow{name: "L3-" + policy, workloads: []string{"470.lbm", "microthrash"},
 			l2pf: "bo", l1pf: "stride", cycles: 40_000,

@@ -28,7 +28,15 @@ type State struct {
 
 // SaveState serializes the hierarchy. It reports an error when any queue
 // still holds in-flight work; the engine drains the machine first.
-func (h *Hierarchy) SaveState() (State, error) {
+func (h *Hierarchy) SaveState() (State, error) { return h.save((*cache.Cache).SaveState) }
+
+// SaveView is SaveState with every cache saved as a view
+// (cache.Cache.SaveView): what a snapshot writer reads to pack the caches
+// straight into its own buffer. It is good until the hierarchy next runs.
+func (h *Hierarchy) SaveView() (State, error) { return h.save((*cache.Cache).SaveView) }
+
+// save serializes the hierarchy, each cache through saveCache.
+func (h *Hierarchy) save(saveCache func(*cache.Cache) cache.State) (State, error) {
 	if !h.Drained() {
 		return State{}, fmt.Errorf("uncore: cannot checkpoint with requests in flight")
 	}
@@ -36,12 +44,21 @@ func (h *Hierarchy) SaveState() (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	st := State{Stats: h.stats, L3: h.l3.SaveState(), DRAM: dramState}
+	n := len(h.dl1)
+	st := State{
+		Stats:       h.stats,
+		DL1:         make([]cache.State, n),
+		L2:          make([]cache.State, n),
+		L3:          saveCache(h.l3),
+		TLBs:        make([]tlb.State, n),
+		PQCancelled: make([]uint64, n),
+		DRAM:        dramState,
+	}
 	for c := range h.dl1 {
-		st.DL1 = append(st.DL1, h.dl1[c].SaveState())
-		st.L2 = append(st.L2, h.l2[c].SaveState())
-		st.TLBs = append(st.TLBs, h.tlbs[c].SaveState())
-		st.PQCancelled = append(st.PQCancelled, h.pq[c].Cancelled)
+		st.DL1[c] = saveCache(h.dl1[c])
+		st.L2[c] = saveCache(h.l2[c])
+		st.TLBs[c] = h.tlbs[c].SaveState()
+		st.PQCancelled[c] = h.pq[c].Cancelled
 	}
 	return st, nil
 }
