@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz lint fmt bovet schema-lock bench-smoke
+.PHONY: all build test race fuzz lint fmt bovet schema-lock bench-smoke best-offset
 
 all: build lint test
 
@@ -54,6 +54,15 @@ schema-lock:
 # job runs it on base and head and compares (benchmarks/README.md).
 bench-smoke:
 	$(GO) run ./benchmarks/bopbench -smoke
+
+# best-offset renders Figure 8 per workload, BO against its oracle (the
+# best fixed offset for each workload): the quick 16 at 4KB and 4MB pages,
+# 1 core, the figure default run length. BEST_OFFSET_WORKLOADS (a
+# -workloads list) and BEST_OFFSET_N override the rows and the length.
+BEST_OFFSET_WORKLOADS ?=
+BEST_OFFSET_N ?= 300000
+best-offset:
+	$(GO) run ./cmd/experiments -best-offset -quick -workloads "$(BEST_OFFSET_WORKLOADS)" -n $(BEST_OFFSET_N)
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

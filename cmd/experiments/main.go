@@ -11,6 +11,7 @@
 //	experiments -all -j 8 -cache .simcache     # parallel + persistent cache
 //	experiments -fig6 -n 500000 -json out/     # full six configs for Figure 6
 //	experiments -fig12 -workloads "433.milc;470.lbm"   # rows follow -workloads
+//	experiments -best-offset -workloads "429.mcf;470.lbm"   # BO against every fixed offset
 //	experiments -zoo -quick                    # every registered prefetcher
 //	experiments -all -cache .simcache -cache-max-mb 256
 //	experiments -all -workers 10.0.0.7:9123,10.0.0.8:9123 -cache .simcache

@@ -2,7 +2,7 @@ package cache
 
 // This file's name sorts ahead of cache.go on purpose. The linker lays a
 // package out file by file in name order, and what this file links ahead of
-// cache.go puts the hot Cache.Lookup and Cache.Insert at 0 mod 64 in the
+// cache.go puts the hot Cache.Lookup and Cache.Place at 0 mod 64 in the
 // bopbench binary, as CI's layout table reads them. Renamed to sort after
 // cache.go, the file leaves both at 32 mod 64 (checked when Line became one
 // word).

@@ -80,10 +80,13 @@ func (ln *Line) SetDirty() { *ln |= lineDirty }
 // ClearPrefetch clears the prefetch bit, on the line's first demand use.
 func (ln *Line) ClearPrefetch() { *ln &^= linePrefetch }
 
-// InsertInfo describes the block being inserted, for policy decisions.
+// InsertInfo describes a block being placed (Place). Core and IsPrefetch
+// are stored in the line and read by the policy's OnInsert; Dirty is the
+// block's dirty bit, set on a placed line and merged into a present one.
 type InsertInfo struct {
 	Core       int
 	IsPrefetch bool // block was fetched by a prefetch request
+	Dirty      bool // block is newer than the level below (written, or a write-back)
 }
 
 // Policy decides victim selection and insertion/promotion ordering for one
@@ -93,7 +96,7 @@ type Policy interface {
 	Name() string
 	// OnHit is called when way in set hits on a demand or prefetch access.
 	OnHit(set, way int)
-	// OnInsert is called after the cache writes a new line into way.
+	// OnInsert is called after Place writes a new line into way.
 	OnInsert(set, way int, info InsertInfo)
 	// Victim returns the way to evict in set; all ways are valid when it is
 	// called (the cache fills invalid ways itself).
@@ -163,7 +166,7 @@ func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 
 // Lookup probes the cache. On a hit it applies the policy's hit update and
 // returns a pointer to the line metadata; on a miss it returns nil and changes
-// nothing. The returned pointer is only valid until the next Insert on the
+// nothing. The returned pointer is only valid until the next Place on the
 // same set.
 func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
@@ -178,9 +181,9 @@ func (c *Cache) Lookup(l mem.LineAddr) *Line {
 	return nil
 }
 
-// Peek probes the cache without updating replacement state. Used for the
-// mandatory tag check before filling a prefetched block (paper section 5.4)
-// and by tests.
+// Peek probes the cache without updating replacement state, for checks
+// that place nothing: a prefetch's tag check before it is issued, the
+// hierarchy's stall predicates and tests. Place makes its own check.
 func (c *Cache) Peek(l mem.LineAddr) *Line {
 	set := c.SetOf(l)
 	key := lineValid | Line(l)
@@ -193,31 +196,48 @@ func (c *Cache) Peek(l mem.LineAddr) *Line {
 	return nil
 }
 
-// Insert writes line l into the cache, evicting a victim if the set is
-// full. It returns the evicted line (not Valid if an invalid way was
-// used). The caller must ensure l is not already present (see Peek); double
-// insertion would duplicate the block, which the paper calls out as a
-// correctness requirement.
-func (c *Cache) Insert(l mem.LineAddr, info InsertInfo) (evicted Line) {
+// Place is the one way a line enters the cache. If l is already present it
+// only merges info.Dirty into that line, leaving replacement state alone,
+// and reports placed false: the mandatory tag check of paper section 5.4,
+// which keeps a block from being held twice. Otherwise it writes l, dirty
+// bit included, into the set's first invalid way or else the policy's
+// victim, and returns the line it displaced (the zero Line if the way was
+// free).
+func (c *Cache) Place(l mem.LineAddr, info InsertInfo) (evicted Line, placed bool) {
 	set := c.SetOf(l)
+	ways := c.lines[set*c.ways : (set+1)*c.ways]
+	key := lineValid | Line(l)
 	way := -1
-	for w := 0; w < c.ways; w++ {
-		if !c.line(set, w).Valid() {
+	for w, ln := range ways {
+		if ln&lineMatch == key {
+			if info.Dirty {
+				ways[w].SetDirty()
+			}
+			return 0, false
+		}
+		if way < 0 && !ln.Valid() {
 			way = w
-			break
 		}
 	}
 	if way < 0 {
-		way = c.policy.Victim(set)
-		if way < 0 || way >= c.ways {
-			//bovet:allow hotalloc panic path for a broken replacement policy; never taken in a correct run
-			panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d", c.name, c.policy.Name(), way))
-		}
-		evicted = *c.line(set, way)
+		way = c.victim(set)
+		evicted = ways[way]
 	}
-	*c.line(set, way) = makeLine(l, info.Core, info.IsPrefetch, false)
+	ways[way] = makeLine(l, info.Core, info.IsPrefetch, info.Dirty)
 	c.policy.OnInsert(set, way, info)
-	return evicted
+	return evicted, true
+}
+
+// victim asks the policy which way of a full set to evict. It is Place's
+// cold half: the check of a broken policy's answer stays out of the hot
+// placement code.
+func (c *Cache) victim(set int) int {
+	way := c.policy.Victim(set)
+	if way < 0 || way >= c.ways {
+		//bovet:allow hotalloc panic path for a broken replacement policy; never taken in a correct run
+		panic(fmt.Sprintf("cache %s: policy %s returned bad victim %d", c.name, c.policy.Name(), way))
+	}
+	return way
 }
 
 // Invalidate removes line l if present and returns its prior metadata.

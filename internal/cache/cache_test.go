@@ -16,9 +16,9 @@ func newSmallLRU(t *testing.T, sizeBytes, ways int) *Cache {
 
 func TestCacheHitAfterInsert(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
-	c.Insert(100, InsertInfo{})
+	c.Place(100, InsertInfo{})
 	if ln := c.Lookup(100); ln == nil || ln.Addr() != 100 {
-		t.Fatalf("Lookup(100) after insert = %+v", ln)
+		t.Fatalf("Lookup(100) after Place = %+v", ln)
 	}
 }
 
@@ -28,7 +28,7 @@ func TestCacheHitAfterInsert(t *testing.T) {
 func TestCacheMissChangesNothing(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
 	for l := mem.LineAddr(0); l < 20; l++ {
-		c.Insert(l*3, InsertInfo{IsPrefetch: l%2 == 0})
+		c.Place(l*3, InsertInfo{IsPrefetch: l%2 == 0})
 	}
 	before := c.SaveState()
 	for l := mem.LineAddr(1); l < 60; l += 3 {
@@ -49,10 +49,10 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 	a := mem.LineAddr(0)        // set 0
 	b := mem.LineAddr(sets)     // set 0
 	d := mem.LineAddr(2 * sets) // set 0
-	c.Insert(a, InsertInfo{})
-	c.Insert(b, InsertInfo{})
+	c.Place(a, InsertInfo{})
+	c.Place(b, InsertInfo{})
 	c.Lookup(a) // make A MRU
-	ev := c.Insert(d, InsertInfo{})
+	ev, _ := c.Place(d, InsertInfo{})
 	if !ev.Valid() || ev.Addr() != b {
 		t.Errorf("evicted %+v, want line %d", ev, b)
 	}
@@ -63,7 +63,7 @@ func TestLRUEvictsLeastRecent(t *testing.T) {
 
 func TestPrefetchBitLifecycle(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
-	c.Insert(7, InsertInfo{IsPrefetch: true})
+	c.Place(7, InsertInfo{IsPrefetch: true})
 	ln := c.Lookup(7)
 	if ln == nil || !ln.Prefetch() {
 		t.Fatal("prefetch bit not set on prefetched insert")
@@ -77,7 +77,7 @@ func TestPrefetchBitLifecycle(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
-	c.Insert(9, InsertInfo{})
+	c.Place(9, InsertInfo{})
 	old, ok := c.Invalidate(9)
 	if !ok || old.Addr() != 9 {
 		t.Fatalf("Invalidate returned %v %v", old, ok)
@@ -95,12 +95,12 @@ func TestInsertUsesInvalidWaysFirst(t *testing.T) {
 	sets := 2
 	c := New("t", sets*ways*mem.LineSize, ways, NewLRU(sets, ways))
 	for i := 0; i < ways; i++ {
-		ev := c.Insert(mem.LineAddr(i*sets), InsertInfo{})
+		ev, _ := c.Place(mem.LineAddr(i*sets), InsertInfo{})
 		if ev.Valid() {
 			t.Fatalf("eviction while invalid ways remain (insert %d)", i)
 		}
 	}
-	if ev := c.Insert(mem.LineAddr(ways*sets), InsertInfo{}); !ev.Valid() {
+	if ev, _ := c.Place(mem.LineAddr(ways*sets), InsertInfo{}); !ev.Valid() {
 		t.Error("no eviction from a full set")
 	}
 }
@@ -125,13 +125,10 @@ func TestCacheNoDuplicatesProperty(t *testing.T) {
 			l := mem.LineAddr(op % 256)
 			switch op % 3 {
 			case 0:
-				if c.Peek(l) == nil {
-					ev := c.Insert(l, InsertInfo{})
-					if ev.Valid() {
-						delete(live, ev.Addr())
-					}
-					live[l] = true
+				if ev, _ := c.Place(l, InsertInfo{}); ev.Valid() {
+					delete(live, ev.Addr())
 				}
+				live[l] = true
 			case 1:
 				c.Lookup(l)
 			case 2:
@@ -161,7 +158,7 @@ func TestCacheNoDuplicatesProperty(t *testing.T) {
 
 func TestResetClearsEverything(t *testing.T) {
 	c := newSmallLRU(t, 4096, 4)
-	c.Insert(1, InsertInfo{})
+	c.Place(1, InsertInfo{})
 	c.Lookup(1)
 	c.Lookup(2)
 	c.Reset()

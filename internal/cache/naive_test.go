@@ -52,19 +52,28 @@ func (m *naiveCache) take(set, i int) naiveLine {
 // addresses.
 const fuzzAddrMask = 1<<34 - 1
 
-// FuzzCacheAgainstNaive drives Insert, Lookup, Peek, Invalidate, SetDirty
+// FuzzCacheAgainstNaive drives Place, Lookup, Peek, Invalidate, SetDirty
 // and ClearPrefetch under LRU and 5P with full-width line addresses and
 // cores 0–3, and checks every line a probe returns and every eviction —
-// address, valid, dirty, prefetch and core — against the naive model.
+// address, valid, dirty, prefetch and core — against the naive model. Place
+// is driven on present and absent lines alike: the model predicts whether it
+// places, what it evicts, and that a present line only takes the dirty bit
+// (under LRU a moved recency shows as a wrong victim later).
 //
 // Input: policy (even LRU, odd 5P), seed (the 16 addresses and 5P's random
 // stream) and ops, two bytes per operation: b0%6 the operation, b0>>3&3 the
-// core, b0>>5&1 the prefetch flag of an insertion; b1%16 the address.
+// core, b0>>5&1 the prefetch flag and b0>>6&1 the dirty flag of a placement;
+// b1%16 the address.
 func FuzzCacheAgainstNaive(f *testing.F) {
 	f.Add(uint8(0), uint64(1), []byte{0, 0, 0x28, 4, 0x30, 8, 1, 0, 3, 4, 4, 8, 0x38, 12, 2, 0, 5, 4, 0, 1, 1, 4, 3, 12})
 	f.Add(uint8(1), uint64(7), []byte{0x20, 0, 0x28, 4, 0x30, 8, 0x38, 12, 3, 0, 0, 1, 1, 4, 4, 8, 5, 12, 2, 4, 0x18, 5, 3, 5})
 	f.Add(uint8(0), uint64(0), []byte{0x20, 1, 3, 1, 0x08, 2, 0x10, 3, 4, 2, 0x18, 5, 0x20, 9, 0, 13, 1, 1, 2, 2, 5, 1})
 	f.Add(uint8(1), uint64(42), []byte{0, 0, 0, 4, 0, 8, 0, 12, 0x20, 1, 0x28, 5, 0x30, 9, 0x38, 13, 4, 0, 3, 4, 2, 8, 1, 12})
+	// Dirty placements, fresh and onto present lines, and a clean placement
+	// onto a dirty line; then, under LRU, placements into a full set whose
+	// victims depend on the re-placed line keeping its recency.
+	f.Add(uint8(0), uint64(3), []byte{0x42, 0, 0x48, 4, 0, 0, 0x60, 4, 2, 0, 2, 4, 0x78, 8, 0, 8, 0x72, 12, 1, 4, 0x42, 0, 0, 4, 0x48, 12, 2, 12, 1, 0, 1, 8})
+	f.Add(uint8(0), uint64(9), []byte{0x20, 0, 0, 4, 0x42, 0, 0x08, 8, 0x48, 4, 0x10, 12, 0x60, 1, 0x78, 5, 0, 9, 0x72, 13, 2, 4, 2, 12})
 	f.Fuzz(func(t *testing.T, policy uint8, seed uint64, ops []byte) {
 		const sets, ways = 4, 2
 		var p Policy = NewLRU(sets, ways)
@@ -112,30 +121,36 @@ func FuzzCacheAgainstNaive(f *testing.F) {
 			core := int(b0 >> 3 & 3)
 			set, i := m.find(l)
 			switch b0 % 6 {
-			case 0: // Insert, under the caller's contract that l is absent
-				if i >= 0 {
-					continue
+			case 0:
+				pf, dirty := b0>>5&1 == 1, b0>>6&1 == 1
+				ev, placed := c.Place(l, InsertInfo{Core: core, IsPrefetch: pf, Dirty: dirty})
+				if placed != (i < 0) {
+					t.Fatalf("Place(%#x) placed %t, model holds it: %t", l, placed, i >= 0)
 				}
-				pf := b0>>5&1 == 1
-				ev := c.Insert(l, InsertInfo{Core: core, IsPrefetch: pf})
 				switch {
+				case i >= 0:
+					if ev != 0 {
+						t.Fatalf("Place(%#x) of a present line evicted %#x", l, uint64(ev))
+					}
+					m.sets[set][i].dirty = m.sets[set][i].dirty || dirty
+					continue
 				case len(m.sets[set]) < ways:
 					if ev != 0 {
-						t.Fatalf("Insert(%#x) into a set with a free way evicted %#x", l, uint64(ev))
+						t.Fatalf("Place(%#x) into a set with a free way evicted %#x", l, uint64(ev))
 					}
 				case m.lru:
-					same("Insert's eviction", ev, m.take(set, 0))
+					same("Place's eviction", ev, m.take(set, 0))
 				default:
 					if !ev.Valid() {
-						t.Fatalf("Insert(%#x) into a full set evicted nothing", l)
+						t.Fatalf("Place(%#x) into a full set evicted nothing", l)
 					}
 					_, j := m.find(ev.Addr())
 					if j < 0 {
-						t.Fatalf("Insert(%#x) evicted %#x, which the set does not hold", l, ev.Addr())
+						t.Fatalf("Place(%#x) evicted %#x, which the set does not hold", l, ev.Addr())
 					}
-					same("Insert's eviction", ev, m.take(set, j))
+					same("Place's eviction", ev, m.take(set, j))
 				}
-				m.sets[set] = append(m.sets[set], naiveLine{addr: l, prefetch: pf, core: core})
+				m.sets[set] = append(m.sets[set], naiveLine{addr: l, dirty: dirty, prefetch: pf, core: core})
 			case 1:
 				probe("Lookup", c.Lookup(l), l)
 				if i >= 0 && m.lru {

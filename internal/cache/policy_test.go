@@ -11,7 +11,7 @@ func fillSet(c *Cache, start int) []mem.LineAddr {
 	var lines []mem.LineAddr
 	for i := 0; i < c.Ways(); i++ {
 		l := mem.LineAddr((start + i) * c.Sets())
-		c.Insert(l, InsertInfo{})
+		c.Place(l, InsertInfo{})
 		lines = append(lines, l)
 	}
 	return lines
@@ -27,9 +27,7 @@ func TestDRRIPHitPromotion(t *testing.T) {
 	c.Lookup(lines[0])
 	for i := 100; i < 140; i++ {
 		l := mem.LineAddr(i * sets)
-		if c.Peek(l) == nil {
-			c.Insert(l, InsertInfo{})
-		}
+		c.Place(l, InsertInfo{})
 		if c.Peek(lines[0]) != nil {
 			c.Lookup(lines[0])
 		}
@@ -102,19 +100,19 @@ func TestFivePPrefetchLRUInsertionUnderIP3(t *testing.T) {
 	var lines []mem.LineAddr
 	for i := 0; i < ways; i++ {
 		l := mem.LineAddr(i*sets + followerSet)
-		c.Insert(l, InsertInfo{})
+		c.Place(l, InsertInfo{})
 		lines = append(lines, l)
 	}
 	for _, l := range lines {
 		c.Lookup(l)
 	}
 	pf := mem.LineAddr(100*sets + followerSet)
-	ev := c.Insert(pf, InsertInfo{IsPrefetch: true})
+	ev, _ := c.Place(pf, InsertInfo{IsPrefetch: true})
 	if !ev.Valid() {
 		t.Fatal("no eviction from full set")
 	}
 	next := mem.LineAddr(101*sets + followerSet)
-	ev = c.Insert(next, InsertInfo{})
+	ev, _ = c.Place(next, InsertInfo{})
 	if ev.Addr() != pf {
 		t.Errorf("IP3 did not insert prefetch at LRU: evicted %d, want %d", ev.Addr(), pf)
 	}
@@ -142,12 +140,12 @@ func TestFivePBimodalInsertionUnderIP2(t *testing.T) {
 	working := make([]mem.LineAddr, ways/2)
 	for i := range working {
 		working[i] = mem.LineAddr(i*sets + set)
-		c.Insert(working[i], InsertInfo{})
+		c.Place(working[i], InsertInfo{})
 	}
 	const scan, every = 1000, ways
 	var scanEvicts, workingEvicts, hits, refs int
 	for i := 0; i < scan; i++ {
-		if ev := c.Insert(mem.LineAddr((100+i)*sets+set), InsertInfo{}); ev.Valid() {
+		if ev, _ := c.Place(mem.LineAddr((100+i)*sets+set), InsertInfo{}); ev.Valid() {
 			if int(ev.Addr())/sets < 100 {
 				workingEvicts++
 			} else {
@@ -162,7 +160,7 @@ func TestFivePBimodalInsertionUnderIP2(t *testing.T) {
 			if c.Lookup(w) != nil {
 				hits++
 			} else {
-				c.Insert(w, InsertInfo{})
+				c.Place(w, InsertInfo{})
 			}
 		}
 	}

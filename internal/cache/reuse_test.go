@@ -23,9 +23,7 @@ func TestCloseHandsOnClearedArrays(t *testing.T) {
 			build := func() *Cache { return New("t", sets*ways*mem.LineSize, ways, policy()) }
 			c := build()
 			for l := mem.LineAddr(0); l < 4*sets*ways; l++ {
-				if c.Peek(l) == nil {
-					c.Insert(l, InsertInfo{Core: 1, IsPrefetch: l%2 == 0})
-				}
+				c.Place(l, InsertInfo{Core: 1, IsPrefetch: l%2 == 0})
 			}
 			lines, stamps := &c.lines[0], stampsOf(t, c)
 			c.Close()

@@ -61,7 +61,7 @@ func TestCacheStateRoundTrip(t *testing.T) {
 					for i := 0; i < fill.accesses; i++ {
 						l := mem.LineAddr(i * 3)
 						if c.Lookup(l) == nil {
-							c.Insert(l, InsertInfo{Core: i % 2, IsPrefetch: i%5 == 0})
+							c.Place(l, InsertInfo{Core: i % 2, IsPrefetch: i%5 == 0})
 						}
 						if i%7 == 0 {
 							c.Peek(l).SetDirty()
@@ -99,8 +99,8 @@ func TestCacheStateRoundTrip(t *testing.T) {
 							t.Fatalf("lookup %d diverged after restore", i)
 						}
 						if a == nil {
-							c.Insert(l, InsertInfo{Core: i % 2})
-							fresh.Insert(l, InsertInfo{Core: i % 2})
+							c.Place(l, InsertInfo{Core: i % 2})
+							fresh.Place(l, InsertInfo{Core: i % 2})
 						}
 					}
 					if !reflect.DeepEqual(fresh.SaveState(), c.SaveState()) {
@@ -161,7 +161,7 @@ func TestPackedStampsRoundTrip(t *testing.T) {
 		for i := from; i < to; i++ {
 			l := mem.LineAddr(i * 7 % 160)
 			if c.Lookup(l) == nil {
-				c.Insert(l, InsertInfo{Core: i % 2, IsPrefetch: i%3 == 0})
+				c.Place(l, InsertInfo{Core: i % 2, IsPrefetch: i%3 == 0})
 			}
 			if i%11 == 0 {
 				c.Invalidate(mem.LineAddr((i + 35) * 7 % 160))

@@ -16,8 +16,9 @@ import (
 // figures read, and every uncore.Stats and dram.Stats counter and BO statistic
 // next to them, which only this test and bopbench's sim_digest see. The rows
 // cover the DL1 stride prefetcher on and off; 1, 2 and 4 cores; 4KB and 4MB
-// pages; the nextline, bo and sbp L2 prefetchers; and a warmed run restored
-// from its own snapshot. A change that means to leave the model alone must
+// pages; the nextline, bo and sbp L2 prefetchers; a store stream whose dirty
+// victims reach DRAM, so the write-back path is pinned too; and a warmed run
+// restored from its own snapshot. A change that means to leave the model alone must
 // leave every digest alone; one that moves a counter on purpose re-pins the
 // rows it moves and says why.
 func TestResultDigests(t *testing.T) {
@@ -25,6 +26,9 @@ func TestResultDigests(t *testing.T) {
 		name string
 		opts func(o *engine.Options)
 		want string
+		// writesBack marks the row that must keep writing lines back to
+		// DRAM, the one path no other row or golden result reaches.
+		writesBack bool
 	}{
 		{name: "mcf-stride-nextline-1core-4KB", opts: func(*engine.Options) {},
 			want: "3f1a129413127f5c62de357db78260d9c070986b0ea4bc41c6211a7882b14334"},
@@ -50,13 +54,21 @@ func TestResultDigests(t *testing.T) {
 			o.Instructions = 10_000
 			o.L1PF = prefetch.MustSpec("none")
 		}, want: "e4667b34ec198730019050a1bdab19ff38e83b918b1393df1266ef33b934a882"},
+		{name: "stores-writeback-1core-4KB", opts: func(o *engine.Options) {
+			o.Workloads = []trace.Spec{trace.MustSpec("stream:storepct=100,memper1000=900,footprint=64mb")}
+			o.Instructions = 200_000
+		}, want: "43a31635d0e81edb691c6ed95ae168d1fb7d88adc0823308e5f22e69f220e476", writesBack: true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			o := engine.DefaultOptions("429.mcf")
 			o.Instructions = 20_000
 			row.opts(&o)
-			if got := resultDigest(t, runStraight(t, o)); got != row.want {
+			r := runStraight(t, o)
+			if row.writesBack && r.DRAM.Writes == 0 {
+				t.Errorf("no line written back to DRAM (%d reads)", r.DRAM.Reads)
+			}
+			if got := resultDigest(t, r); got != row.want {
 				t.Errorf("Result digest %s, pinned %s", got, row.want)
 			}
 		})

@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -122,6 +123,7 @@ type Runner struct {
 
 	statusMu sync.Mutex
 	status   ProgressStatus
+	running  []slotJob // each status slot's job, formatted by Status
 	setStart time.Time
 }
 
@@ -341,6 +343,46 @@ func (r *Runner) Fig8(offsets []int) *stats.Table {
 	return r.grid("Figure 8: fixed-offset sweep, 4MB pages, 1 core (speedup vs next-line)",
 		rows, labels(benchmarks, trace.Spec.String), false,
 		func(run runFunc, i, j int) float64 { return speedup(run, r.options(benchmarks[j], cc), l2(specs[i])) })
+}
+
+// BestOffset is Figure 8 per workload: BO against its oracle, the best
+// fixed offset for each workload of r.Benchmarks. It renders one table per
+// page size of r.Configs, 1 core, a row per workload and a GM row; the
+// columns sweep none and Table 2's 52 offsets (speedups vs next-line), then
+// give BO's speedup, the best of the fixed ones and BO over best.
+func (r *Runner) BestOffset() []*stats.Table {
+	cols := []string{"none"}
+	variants := []variant{l2(prefetch.Spec{Name: "none"})}
+	for _, d := range prefetch.DefaultOffsetList() {
+		cols = append(cols, fmt.Sprintf("D=%d", d))
+		variants = append(variants, l2(prefetch.Spec{Name: "offset"}.With("d", fmt.Sprint(d))))
+	}
+	fixed := len(variants)
+	cols = append(cols, "BO", "best", "BO/best")
+	variants = append(variants, l2(prefetch.Spec{Name: "bo"}))
+	var tables []*stats.Table
+	var pages []mem.PageSize
+	for _, c := range r.Configs {
+		if slices.Contains(pages, c.Page) {
+			continue
+		}
+		pages = append(pages, c.Page)
+		cc := CoreConfig{Cores: 1, Page: c.Page}
+		sp := make([]float64, len(variants)) // the row's speedups so far: grid asks in column order
+		tables = append(tables, r.grid(fmt.Sprintf("Figure 8 per workload: BO vs every fixed offset, %s (speedup vs next-line)", cc.Label()),
+			labels(r.Benchmarks, trace.Spec.String), cols, true, func(run runFunc, i, j int) float64 {
+				if j < len(variants) {
+					sp[j] = speedup(run, r.options(r.Benchmarks[i], cc), variants[j])
+					return sp[j]
+				}
+				best := slices.Max(sp[:fixed])
+				if j == len(variants) {
+					return best
+				}
+				return sp[fixed] / best
+			}))
+	}
+	return tables
 }
 
 // Fig9 sweeps the BADSCORE throttling threshold (GM speedups).

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
+	"bopsim/internal/prefetch"
 	"bopsim/internal/trace"
 )
 
@@ -146,6 +148,40 @@ func TestFig8OffsetsSampled(t *testing.T) {
 	}
 	if !seen[32] || !seen[160] {
 		t.Error("key sweep points missing")
+	}
+}
+
+// TestBestOffset checks Figure 8 per workload: a table per page size of
+// the Runner's configurations, a row per workload plus GM, every fixed
+// offset of Table 2 and none as columns, and the last three columns
+// derived from the row: best is the largest fixed speedup, BO/best is BO
+// over it.
+func TestBestOffset(t *testing.T) {
+	r := NewRunner(5_000, []CoreConfig{{Cores: 1, Page: mem.Page4K}, {Cores: 2, Page: mem.Page4K}, {Cores: 1, Page: mem.Page4M}})
+	r.Benchmarks = []trace.Spec{{Name: "470.lbm"}, {Name: "433.milc"}}
+	tables := r.BestOffset()
+	if len(tables) != 2 {
+		t.Fatalf("%d tables, want one per page size (2)", len(tables))
+	}
+	for _, tb := range tables {
+		if got, want := tb.Rows(), []string{"470.lbm", "433.milc", "GM"}; !slices.Equal(got, want) {
+			t.Errorf("%s: rows %v, want %v", tb.Title, got, want)
+		}
+		fixed := 1 + len(prefetch.DefaultOffsetList())
+		if got, want := tb.Columns[fixed:], []string{"BO", "best", "BO/best"}; len(tb.Columns) != fixed+3 || tb.Columns[0] != "none" || !slices.Equal(got, want) {
+			t.Fatalf("%s: columns %v", tb.Title, tb.Columns)
+		}
+		for _, row := range tb.Rows()[:2] {
+			vals := make([]float64, len(tb.Columns))
+			for j := range vals {
+				vals[j], _ = tb.Value(row, j)
+			}
+			best := slices.Max(vals[:fixed])
+			if vals[fixed+1] != best || vals[fixed+2] != vals[fixed]/best {
+				t.Errorf("%s, %s: BO %.4f, best %.4f, BO/best %.4f; the fixed columns' largest is %.4f",
+					tb.Title, row, vals[fixed], vals[fixed+1], vals[fixed+2], best)
+			}
+		}
 	}
 }
 

@@ -153,11 +153,11 @@ func (r *Runner) execute(jobs []job) error {
 			defer wg.Done()
 			for j := range work {
 				o := j.o
-				r.setAssignment(slot, describeOptions(o))
+				r.setAssignment(slot, &o)
 				err := r.runWith(j, func() (engine.Result, error) {
 					return r.execOnBackend(backend, slot, j, ckpts)
 				})
-				r.setAssignment(slot, "")
+				r.setAssignment(slot, nil)
 				if err != nil {
 					errMu.Lock()
 					errs = append(errs, fmt.Errorf("%s: %w", describeOptions(o), err))

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"time"
+
+	"bopsim/internal/engine"
 )
 
 // This file is the Runner's observability surface: execute maintains a
@@ -46,11 +48,18 @@ type ProgressStatus struct {
 // concurrent use; cmd/experiments serves it over HTTP via StatusHandler.
 func (r *Runner) Status() ProgressStatus {
 	r.statusMu.Lock()
-	defer r.statusMu.Unlock()
 	s := r.status
 	s.Slots = append([]SlotStatus(nil), r.status.Slots...)
+	running := append([]slotJob(nil), r.running...)
 	if s.Active && !r.setStart.IsZero() {
 		s.ElapsedSeconds = time.Since(r.setStart).Seconds()
+	}
+	r.statusMu.Unlock()
+	// Formatting happens outside the lock, which workers take twice a job.
+	for i, job := range running {
+		if job.busy {
+			s.Slots[i].Job = describeOptions(job.o)
+		}
 	}
 	if s.ElapsedSeconds > 0 {
 		s.SimsPerSec = float64(s.Done) / s.ElapsedSeconds
@@ -69,6 +78,7 @@ func (r *Runner) beginJobSet(backend ExecBackend, slots, total int) {
 	defer r.statusMu.Unlock()
 	r.setStart = time.Now()
 	r.status = ProgressStatus{Active: true, Total: total, Slots: labels}
+	r.running = make([]slotJob, slots)
 }
 
 // endJobSet freezes the snapshot when execute returns: elapsed time stops
@@ -80,17 +90,26 @@ func (r *Runner) endJobSet() {
 	if !r.setStart.IsZero() {
 		r.status.ElapsedSeconds = time.Since(r.setStart).Seconds()
 	}
-	for i := range r.status.Slots {
-		r.status.Slots[i].Job = ""
-	}
+	clear(r.running)
 }
 
-// setAssignment records what slot is executing (""= idle).
-func (r *Runner) setAssignment(slot int, job string) {
+// slotJob is what one slot is executing. Status formats it into the slot's
+// Job string; the scheduler only copies the options in.
+type slotJob struct {
+	o    engine.Options
+	busy bool
+}
+
+// setAssignment records the job slot is executing (nil: idle).
+func (r *Runner) setAssignment(slot int, o *engine.Options) {
 	r.statusMu.Lock()
 	defer r.statusMu.Unlock()
-	if slot < len(r.status.Slots) {
-		r.status.Slots[slot].Job = job
+	if slot < len(r.running) {
+		if o == nil {
+			r.running[slot] = slotJob{}
+		} else {
+			r.running[slot] = slotJob{o: *o, busy: true}
+		}
 	}
 }
 

@@ -100,3 +100,26 @@ func TestStatusHandlerServesJSON(t *testing.T) {
 		t.Errorf("POST got %s, want 405", post.Status)
 	}
 }
+
+// TestAssignmentAllocatesNothing pins what marking a slot busy and idle
+// costs the scheduler per job: the options are copied in, and only Status
+// formats them into the slot's Job string.
+func TestAssignmentAllocatesNothing(t *testing.T) {
+	r := tinyRunner()
+	r.beginJobSet(r.backend(), 1, 1)
+	o := r.options(r.Benchmarks[0], r.Configs[0])
+	if n := testing.AllocsPerRun(100, func() {
+		r.setAssignment(0, &o)
+		r.setAssignment(0, nil)
+	}); n != 0 {
+		t.Errorf("a slot assignment allocates %.0f times, want 0", n)
+	}
+	r.setAssignment(0, &o)
+	if got, want := r.Status().Slots[0].Job, describeOptions(o); got != want {
+		t.Errorf("busy slot reads %q, want %q", got, want)
+	}
+	r.endJobSet()
+	if got := r.Status().Slots[0].Job; got != "" {
+		t.Errorf("slot reads %q after the job set ended", got)
+	}
+}

@@ -63,11 +63,14 @@ var targets = func() []Target {
 		// byte-identical to the pre-spec table set.
 		{Name: "wzoo", Usage: "run every registered workload generator (the workload-axis registry sweep)",
 			tables: one((*Runner).WorkloadZoo)},
+		// Not part of -all either: 55 runs per workload and page size.
+		{Name: "best-offset", Usage: "Figure 8 per workload: BO against every fixed offset of Table 2, a row per workload, a table per page size, 1 core",
+			tables: func(r *Runner, _ bool) []*stats.Table { return r.BestOffset() }},
 	}
 }()
 
 // TargetNames lists every renderable target in canonical output order
-// ("wzoo" last, excluded from -all).
+// ("wzoo" and "best-offset" last, excluded from -all).
 func TargetNames() []string {
 	return labels(targets, func(t Target) string { return t.Name })
 }

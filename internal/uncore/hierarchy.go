@@ -481,23 +481,13 @@ func (h *Hierarchy) l3Blocked(line mem.LineAddr, core int) bool {
 	return h.l3fq.full() || h.mem.ReadBlocked(line, core)
 }
 
-// drainL3Fills inserts memory data into the L3.
+// drainL3Fills places memory data into the L3.
 func (h *Hierarchy) drainL3Fills(now uint64) {
 	if h.l3fq.len() == 0 {
 		return
 	}
 	for _, e := range h.l3fq.popReady(now, h.futEpoch) {
-		h.shared++
-		if h.l3.Peek(e.line) == nil {
-			isPf := e.isPrefetch && !e.promoted
-			ev := h.l3.Insert(e.line, cache.InsertInfo{Core: e.core, IsPrefetch: isPf})
-			if h.fivep != nil {
-				h.fivep.NoteFill(e.core)
-			}
-			if ev.Valid() && ev.Dirty() {
-				h.writebackToDRAM(ev.Addr(), ev.Core())
-			}
-		}
+		h.placeL3(e.line, cache.InsertInfo{Core: e.core, IsPrefetch: e.isPrefetch && !e.promoted})
 		h.pool.put(e)
 	}
 }
@@ -517,18 +507,16 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 		// RR insertion happens at prefetch completion whether the prefetch
 		// turned out late or not; lateness is what the learning measures.
 		stillPrefetch := e.isPrefetch && !e.promoted
-		if h.l2[core].Peek(e.line) != nil {
-			// The block arrived but is already cached: mandatory tag check
-			// drops the fill (blocks must not be duplicated).
-			if stillPrefetch {
-				h.stats.PrefDroppedTagCheck++
-			}
-		} else {
-			ev := h.l2[core].Insert(e.line, cache.InsertInfo{Core: core, IsPrefetch: stillPrefetch})
+		ev, placed := h.l2[core].Place(e.line, cache.InsertInfo{Core: core, IsPrefetch: stillPrefetch})
+		if placed {
 			h.l2pf[core].OnFill(e.line, e.isPrefetch)
-			if ev.Valid() && ev.Dirty() {
-				h.writebackToL3(ev.Addr(), core)
+			if ev.Dirty() {
+				h.placeL3(ev.Addr(), cache.InsertInfo{Core: core, Dirty: true})
 			}
+		} else if stillPrefetch {
+			// The block arrived but is already cached: the mandatory tag
+			// check dropped the fill (blocks must not be duplicated).
+			h.stats.PrefDroppedTagCheck++
 		}
 		if e.fillL1 {
 			dirty := e.isWrite
@@ -562,52 +550,33 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 	h.dl1Fills[core] = kept
 }
 
-// insertDL1 places line into core's DL1, handling dirty writeback of the
-// victim into the L2 (write-back hierarchy).
+// insertDL1 places line into core's DL1 and writes a dirty victim back
+// into the L2 (write-back hierarchy), and a dirty L2 victim on to the L3.
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 	h.retry[core].front++
 	h.outstanding[core].remove(line)
-	if ln := h.dl1[core].Peek(line); ln != nil {
-		if dirty {
-			ln.SetDirty()
-		}
+	ev, _ := h.dl1[core].Place(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit, Dirty: dirty})
+	if !ev.Dirty() {
 		return
 	}
-	ev := h.dl1[core].Insert(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit})
-	if ln := h.dl1[core].Peek(line); ln != nil && dirty {
-		ln.SetDirty()
-	}
-	if ev.Valid() && ev.Dirty() {
-		if l2ln := h.l2[core].Peek(ev.Addr()); l2ln != nil {
-			l2ln.SetDirty()
-		} else {
-			l2ev := h.l2[core].Insert(ev.Addr(), cache.InsertInfo{Core: core})
-			if l2ln := h.l2[core].Peek(ev.Addr()); l2ln != nil {
-				l2ln.SetDirty()
-			}
-			if l2ev.Valid() && l2ev.Dirty() {
-				h.writebackToL3(l2ev.Addr(), core)
-			}
-		}
+	if l2ev, _ := h.l2[core].Place(ev.Addr(), cache.InsertInfo{Core: core, Dirty: true}); l2ev.Dirty() {
+		h.placeL3(l2ev.Addr(), cache.InsertInfo{Core: core, Dirty: true})
 	}
 }
 
-// writebackToL3 sends a dirty L2 victim down to the L3 (non-inclusive:
-// allocate if absent).
-func (h *Hierarchy) writebackToL3(line mem.LineAddr, core int) {
+// placeL3 places line into the shared L3: a memory fill, or a dirty L2
+// victim written back (non-inclusive: it allocates if absent). A dirty L3
+// victim goes on to DRAM.
+func (h *Hierarchy) placeL3(line mem.LineAddr, info cache.InsertInfo) {
 	h.shared++
-	if ln := h.l3.Peek(line); ln != nil {
-		ln.SetDirty()
+	ev, placed := h.l3.Place(line, info)
+	if !placed {
 		return
 	}
-	ev := h.l3.Insert(line, cache.InsertInfo{Core: core})
-	if ln := h.l3.Peek(line); ln != nil {
-		ln.SetDirty()
-	}
 	if h.fivep != nil {
-		h.fivep.NoteFill(core)
+		h.fivep.NoteFill(info.Core)
 	}
-	if ev.Valid() && ev.Dirty() {
+	if ev.Dirty() {
 		h.writebackToDRAM(ev.Addr(), ev.Core())
 	}
 }
