@@ -16,11 +16,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's eight fuzz targets at CI's fixed budgets.
+# fuzz runs CI's nine fuzz targets at CI's fixed budgets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 20000x ./internal/engine
+	$(GO) test -run '^$$' -fuzz '^FuzzOptions$$' -fuzztime 300x ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzBOAgainstReference$$' -fuzztime 20000x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMTiming$$' -fuzztime 20000x ./internal/dram
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 20000x ./internal/experiments
@@ -39,15 +40,17 @@ lint: fmt
 bovet:
 	$(GO) run ./cmd/bovet ./...
 
-# schema-lock regenerates the three testdata/schema.lock files the
-# TestSchemaLock tests check (internal/schemalock) after a reviewed layout
-# change. A lock is not rewritten while the constant that governs it
-# (engine.SnapshotVersion, the result-cache version, distrib.ProtocolVersion)
-# is the one it already records — bump, regenerate, commit both. A struct
-# that a cached result and a snapshot both carry is in every lock that
-# reaches it, and moves every one of their constants.
+# schema-lock regenerates the two locks after a reviewed change: engine's
+# testdata/model.lock (engine.ModelVersion: the layouts of everything a run
+# stores and the digests of the pinned runs) and distrib's
+# testdata/schema.lock (distrib.ProtocolVersion: the wire envelope). A change
+# that moves a byte of a Result or a snapshot, or a layout either stores,
+# bumps ModelVersion once; one that moves the envelope bumps ProtocolVersion.
+# A lock is not rewritten at the version it already records: bump,
+# regenerate, commit both. This is the only writer of a lock; CI fails a
+# lock whose body changed while its version line did not.
 schema-lock:
-	$(GO) test -run '^TestSchemaLock$$' ./internal/engine ./internal/experiments ./internal/distrib -write-schema-lock
+	$(GO) test -run '^TestSchemaLock$$' ./internal/engine ./internal/distrib -write-schema-lock
 
 # bench-smoke runs every bopbench workload at 1/100 size, both passes (a few
 # seconds). The full instrument is `go run ./benchmarks/bopbench`; CI's bench

@@ -37,7 +37,7 @@ import (
 	"time"
 
 	"bopsim/internal/distrib"
-	"bopsim/internal/experiments"
+	"bopsim/internal/engine"
 )
 
 func main() {
@@ -99,8 +99,8 @@ func main() {
 		_ = srv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "boworkerd: listening on %s (capacity %d, protocol v%d, cache schema v%d)\n",
-		*listen, cap, distrib.ProtocolVersion, experiments.SchemaVersion())
+	fmt.Fprintf(os.Stderr, "boworkerd: listening on %s (capacity %d, protocol v%d, model v%d)\n",
+		*listen, cap, distrib.ProtocolVersion, engine.ModelVersion)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "boworkerd: %v\n", err)
 		os.Exit(1)

@@ -30,7 +30,7 @@ import (
 // 131072), and an invalid line costs nothing here. The snapshot codec
 // copies Lines into its record as opaque bytes, or from a view packs them
 // there directly, and schemalock sees a []byte: neither reads the records,
-// so a change to their layout must bump engine.SnapshotVersion by hand.
+// so a change to their layout must bump engine.ModelVersion by hand.
 type State struct {
 	NumLines int // sets*ways of the cache that wrote the state
 	Lines    []byte
@@ -49,7 +49,7 @@ type State struct {
 // Stamps packs the non-zero stamps only, whether or not their way is valid
 // (minStamp reads invalid ways too), as State.Lines packs the valid lines:
 // per stamp a uvarint index delta and the uvarint stamp. As there, a change
-// to the record layout must bump engine.SnapshotVersion by hand.
+// to the record layout must bump engine.ModelVersion by hand.
 type PolicyState struct {
 	Name      string
 	NumStamps int // sets*ways of the policy that wrote the state

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 )
 
@@ -19,28 +21,32 @@ import (
 type lie int
 
 const (
-	// truncate sends the first half of the body, then ends the response.
+	// truncate sends the first half of the record, then ends the response.
 	truncate lie = iota
-	// replay answers with an earlier job's whole response.
+	// replay answers with an earlier job's whole record.
 	replay
-	// reassign answers with this job's result under an earlier job's
-	// options.
+	// reassign answers with a well-formed record whose stored options are
+	// an earlier job's, holding this job's result.
 	reassign
+	// stale answers with this job's own record stamped one model version
+	// back.
+	stale
 )
 
-func (l lie) String() string { return [...]string{"truncate", "replay", "reassign"}[l] }
+func (l lie) String() string { return [...]string{"truncate", "replay", "reassign", "stale"}[l] }
 
 // chaosHandler sits in front of a real worker and lies on the wire. Every
 // /v1/run response is delayed, and every 200 is falsified by the current
-// lie. The first 200 the worker produces is kept as the earlier job that
-// replay and reassign draw on.
+// lie. The first 200 the worker produces is kept, with its job's options,
+// as the earlier job that replay and reassign draw on.
 type chaosHandler struct {
 	h     http.Handler
 	delay time.Duration
 
-	mu    sync.Mutex
-	lie   lie
-	stale []byte // the first honest 200 body seen
+	mu      sync.Mutex
+	lie     lie
+	earlier []byte         // the first honest 200 body seen
+	options engine.Options // the options of its job
 }
 
 func (c *chaosHandler) setLie(l lie) {
@@ -54,6 +60,15 @@ func (c *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		c.h.ServeHTTP(w, r)
 		return
 	}
+	req, err := io.ReadAll(r.Body)
+	if err != nil {
+		panic(err)
+	}
+	var job Job
+	if err := json.Unmarshal(req, &job); err != nil {
+		panic(err)
+	}
+	r.Body = io.NopCloser(bytes.NewReader(req))
 	rec := httptest.NewRecorder()
 	c.h.ServeHTTP(rec, r)
 	time.Sleep(c.delay)
@@ -64,28 +79,28 @@ func (c *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	if c.stale == nil {
-		c.stale = append([]byte(nil), body...)
+	if c.earlier == nil {
+		c.earlier, c.options = append([]byte(nil), body...), job.Options
 	}
-	l, stale := c.lie, c.stale
+	l, earlier, options := c.lie, c.earlier, c.options
 	c.mu.Unlock()
+	res, ok := experiments.EntryResult(body, job.Options)
+	if !ok {
+		panic("the worker answered something that is not its job's record")
+	}
+	w.WriteHeader(http.StatusOK)
 	switch l {
 	case truncate:
-		w.WriteHeader(http.StatusOK)
 		w.Write(body[:len(body)/2])
 	case replay:
-		w.WriteHeader(http.StatusOK)
-		w.Write(stale)
+		w.Write(earlier)
 	case reassign:
-		var entry, earlier experiments.CacheEntry
-		if err := json.Unmarshal(body, &entry); err != nil {
-			panic(err)
-		}
-		if err := json.Unmarshal(stale, &earlier); err != nil {
-			panic(err)
-		}
-		entry.Options = earlier.Options
-		writeJSON(w, http.StatusOK, entry)
+		w.Write(experiments.AppendEntry(nil, options, res))
+	case stale:
+		// The version is one uvarint byte after the four-byte magic.
+		forged := append([]byte(nil), body...)
+		forged[4]--
+		w.Write(forged)
 	}
 }
 
@@ -95,11 +110,12 @@ func (c *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // bytes of a local run. The coordinator's result cache holds exactly the
 // entries a local run writes, so no lying answer reaches it.
 //
-// What the coordinator checks in-band is that a 200 decodes, is in this
-// binary's cache schema, and carries options that hash to the job's key. A
-// worker that returns a forged Result under the right options passes all
-// three: only re-executing the job can catch it, which is what
-// `bosim -verify` does to a sample of the cache.
+// What the coordinator checks in-band is the rule a loader serves a record
+// by: the 200 is one whole record (truncate), of this engine.ModelVersion
+// (stale), storing exactly the job's options (replay, reassign). A worker
+// that returns a forged Result under the right options passes all three:
+// only re-executing the job can catch it, which is what `bosim -verify`
+// does to a sample of the cache.
 func TestLyingWorkerIsWrittenOff(t *testing.T) {
 	liar := &chaosHandler{h: (&Server{Capacity: 1}).Handler(), delay: 20 * time.Millisecond}
 	liarSrv := httptest.NewServer(liar)
@@ -114,7 +130,7 @@ func TestLyingWorkerIsWrittenOff(t *testing.T) {
 		}
 		return buf.String()
 	}
-	for _, l := range []lie{truncate, replay, reassign} {
+	for _, l := range []lie{truncate, replay, reassign, stale} {
 		t.Run(l.String(), func(t *testing.T) {
 			// A fresh seed per lie: the earlier job replay and reassign
 			// draw on belongs to the first sweep, so its key is never one

@@ -272,7 +272,7 @@ func TestDrainingWorker(t *testing.T) {
 }
 
 // TestServerRejectsBadPayloads covers the worker's input validation:
-// malformed JSON, oversized bodies, schema skew and key mismatches are
+// malformed JSON, oversized bodies, version skew and key mismatches are
 // all refused with the right status and error code.
 func TestServerRejectsBadPayloads(t *testing.T) {
 	srv, _ := startWorker(t, 1)
@@ -306,10 +306,10 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 	}
 
 	skewed := good
-	skewed.Schema = good.Schema + 1
+	skewed.Model = good.Model + 1
 	b, _ := json.Marshal(skewed)
 	if code, eb := post(b); code != http.StatusConflict || eb.Code != CodeSchemaMismatch {
-		t.Errorf("schema skew: %d/%s, want 409/%s", code, eb.Code, CodeSchemaMismatch)
+		t.Errorf("model skew: %d/%s, want 409/%s", code, eb.Code, CodeSchemaMismatch)
 	}
 
 	wrongKey := good
@@ -323,7 +323,7 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 	// binaries disagree about the Job schema itself: refused, not
 	// silently dropped.
 	b, _ = json.Marshal(map[string]any{
-		"protocol": ProtocolVersion, "schema": experiments.SchemaVersion(), "surprise": true})
+		"protocol": ProtocolVersion, "model": engine.ModelVersion, "surprise": true})
 	if code, eb := post(b); code != http.StatusBadRequest || eb.Code != CodeMalformed {
 		t.Errorf("unknown field: %d/%s, want 400/%s", code, eb.Code, CodeMalformed)
 	}
@@ -395,7 +395,7 @@ func TestWorkerRejectsPathFileSpec(t *testing.T) {
 	o := engine.DefaultOptions("").Normalized()
 	o.Workloads = []trace.Spec{trace.FileSpec("/etc/hostname")}
 	o.Cores = 1
-	job := Job{Protocol: ProtocolVersion, Schema: experiments.SchemaVersion(), Options: o}
+	job := Job{Protocol: ProtocolVersion, Model: engine.ModelVersion, Options: o}
 	b, _ := json.Marshal(job)
 	resp, err := http.Post(w.URL+"/v1/run", "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -528,13 +528,13 @@ func TestDialRejectsBadFleet(t *testing.T) {
 	if _, err := Dial([]string{"127.0.0.1:1"}, RetryPolicy{}); err == nil {
 		t.Error("Dial to a closed port succeeded")
 	}
-	// A server speaking a different schema is refused at dial time.
+	// A server of a different model version is refused at dial time.
 	skew := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Info{Protocol: ProtocolVersion, Schema: experiments.SchemaVersion() + 1, Capacity: 1})
+		writeJSON(w, http.StatusOK, Info{Protocol: ProtocolVersion, Model: engine.ModelVersion + 1, Capacity: 1})
 	}))
 	defer skew.Close()
 	if _, err := Dial([]string{skew.URL}, RetryPolicy{}); err == nil {
-		t.Error("Dial to a schema-skewed worker succeeded")
+		t.Error("Dial to a model-skewed worker succeeded")
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // response, 5xx) or comes back with a 200 that does not answer it is
 // requeued on another live worker, sleeping Backoff first, until
 // maxAttempts attempts have been lost. Job-level failures (the simulation
-// itself errors, schema skew) are deterministic and never retried.
+// itself errors, version skew) are deterministic and never retried.
 type RetryPolicy struct {
 	// Backoff after a worker loss; < 0 means none, 0 means 100ms.
 	Backoff time.Duration
@@ -87,7 +87,7 @@ type Pool struct {
 // are unaffected, and the pool remains usable.
 func (p *Pool) Close() { p.client.CloseIdleConnections() }
 
-// Dial contacts every worker's /v1/info, verifies protocol and schema
+// Dial contacts every worker's /v1/info, verifies protocol and model
 // agreement, and builds a Pool with one slot per advertised capacity
 // unit. Any unreachable or incompatible worker fails the whole call: the
 // operator listed it, so silently running without it would be a
@@ -160,9 +160,9 @@ func dialWorker(client *http.Client, addr string) (*worker, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return nil, fmt.Errorf("distrib: worker %s: bad /v1/info response: %v", addr, err)
 	}
-	if info.Protocol != ProtocolVersion || info.Schema != experiments.SchemaVersion() {
-		return nil, fmt.Errorf("distrib: worker %s speaks protocol %d / schema %d, coordinator wants %d / %d",
-			addr, info.Protocol, info.Schema, ProtocolVersion, experiments.SchemaVersion())
+	if info.Protocol != ProtocolVersion || info.Model != engine.ModelVersion {
+		return nil, fmt.Errorf("distrib: worker %s speaks protocol %d / model %d, coordinator wants %d / %d",
+			addr, info.Protocol, info.Model, ProtocolVersion, engine.ModelVersion)
 	}
 	if info.Capacity < 1 || info.Capacity > maxWorkerCapacity {
 		return nil, fmt.Errorf("distrib: worker %s advertises capacity %d (want 1..%d)",
@@ -277,7 +277,7 @@ func makeJob(o engine.Options) (Job, error) {
 	}
 	return Job{
 		Protocol: ProtocolVersion,
-		Schema:   experiments.SchemaVersion(),
+		Model:    engine.ModelVersion,
 		Key:      experiments.OptionsHash(n),
 		Options:  n,
 	}, nil
@@ -322,7 +322,7 @@ type verdict int
 
 const (
 	verdictOK verdict = iota
-	// verdictPermanent: the job itself is bad (sim error, schema or key
+	// verdictPermanent: the job itself is bad (sim error, version or key
 	// skew); retrying elsewhere would fail identically.
 	verdictPermanent
 	// verdictNoTrace: this worker lacks the job's trace; another may
@@ -348,28 +348,25 @@ func (p *Pool) post(w *worker, job Job) (engine.Result, verdict, error) {
 	}
 	defer drainAndClose(resp)
 	if resp.StatusCode == http.StatusOK {
-		var entry experiments.CacheEntry
-		if err := json.NewDecoder(resp.Body).Decode(&entry); err != nil {
-			// A truncated 200 means the worker died mid-response.
+		// End-to-end integrity: the body must be the job's record, by the
+		// rule a loader serves a record by — whole, of this model version,
+		// and storing exactly the job's options. The worker stores them in
+		// wire form (file specs by sha, the resolved local path never
+		// echoed), as the job carries them, so trace jobs are checked like
+		// any other. Dial already agreed protocol and model with this
+		// worker, so a body failing the rule says the worker is broken (or
+		// died mid-response), not the job: write the worker off and
+		// requeue, like any other lost worker.
+		body, err := io.ReadAll(io.LimitReader(resp.Body, MaxJobBytes))
+		if err != nil {
 			return engine.Result{}, verdictWorkerLost, fmt.Errorf("worker %s: truncated response: %v", w.addr, err)
 		}
-		// End-to-end integrity: the entry must be in this binary's schema
-		// and its options must describe the job we sent. The worker answers
-		// in wire form (file specs by sha, the resolved local path never
-		// echoed), which hashes identically to the coordinator's key, so
-		// trace jobs are checked like any other. Dial already agreed
-		// protocol and schema with this worker, so an entry failing either
-		// check says the worker is broken, not the job: write the worker
-		// off and requeue, like any other lost worker.
-		if entry.Version != experiments.SchemaVersion() {
+		res, ok := experiments.EntryResult(body, job.Options)
+		if !ok {
 			return engine.Result{}, verdictWorkerLost,
-				fmt.Errorf("worker %s returned cache schema v%d, want v%d", w.addr, entry.Version, experiments.SchemaVersion())
+				fmt.Errorf("worker %s answered %d bytes that are not a record of job %.12s", w.addr, len(body), job.Key)
 		}
-		if got := experiments.OptionsHash(entry.Options); got != job.Key {
-			return engine.Result{}, verdictWorkerLost,
-				fmt.Errorf("worker %s returned result for key %.12s, job was %.12s", w.addr, got, job.Key)
-		}
-		return entry.Result, verdictOK, nil
+		return res, verdictOK, nil
 	}
 	var eb ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&eb)

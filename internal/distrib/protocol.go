@@ -9,10 +9,12 @@
 // canonical strings, so serializing one is just JSON — no code or state
 // moves. Second, results are content-addressed: the coordinator's
 // OptionsHash keys a job, the worker recomputes the same hash from the
-// payload as an integrity check, and the response is the result with the
-// options it answers (experiments.CacheEntry, JSON), which the coordinator
-// checks against the job's key before its write-through stores the result
-// in the shared cache, as the same record a local run writes.
+// payload as an integrity check, and the response is the run's result-cache
+// record (experiments.AppendEntry), the bytes a local run stores. The
+// coordinator accepts it by the rule a loader serves a record by — it
+// decodes exactly, is of this engine.ModelVersion, and stores exactly the
+// job's options — before its write-through stores the result in the shared
+// cache.
 //
 // Trace replays are the one job kind with a file dependency. The
 // coordinator never ships trace bytes; it sends the trace's content
@@ -30,33 +32,11 @@ import (
 	"bopsim/internal/engine"
 )
 
-// ProtocolVersion is bumped on incompatible changes to the endpoints or
-// payload schemas below. A worker refuses jobs from a different protocol.
-//
-// v2: Job gained CheckpointSHA (warmup snapshots shipped by content hash,
-// like traces) and Options gained the Warmup field.
-//
-// v3: Options carries per-core workload specs (Options.Workloads) instead
-// of the Workload/TracePath pair; trace replays travel as "file" specs in
-// hash form ("file:sha=HEX", resolved against the worker's trace
-// directories), so the Job-level TraceSHA field is gone.
-//
-// v4: workers accepted artifact uploads, so a coordinator holding a trace
-// or checkpoint could seed a worker that 412s instead of excluding it; the
-// 412 ErrorBody named the missing hash in a structured SHA field; /healthz
-// and /v1/run answer 503 with the "draining" code while the worker drains
-// for a graceful shutdown.
-//
-// v5: the artifact upload endpoint and the 412 ErrorBody's SHA field are
-// gone; a worker that 412s is excluded for that job, and the job retries
-// on another worker.
-//
-// v6: the Result a worker returns carries no write-burst count in
-// dram.Stats, and its uncore.Stats counts each request once.
-//
-// v7: the Result a worker returns carries no merged-read count in
-// dram.Stats.
-const ProtocolVersion = 7
+// ProtocolVersion is bumped on incompatible changes to the endpoints or to
+// the envelope: Job, Info and ErrorBody. What a job computes and the record
+// it answers with are engine.ModelVersion's, which Job and Info carry too. A
+// worker refuses jobs from a different protocol or model.
+const ProtocolVersion = 8
 
 // MaxJobBytes bounds a /v1/run request body. A legitimate job is a few
 // hundred bytes of JSON (options are value types; traces travel by hash),
@@ -67,13 +47,12 @@ const MaxJobBytes = 1 << 20
 // Job is the /v1/run request payload: one simulation for the worker to
 // execute.
 type Job struct {
-	// Protocol and Schema pin the wire protocol and the result-cache
-	// schema (experiments.SchemaVersion) the coordinator was built
-	// against. The worker refuses mismatches: a schema skew means the two
-	// binaries' simulators can disagree, which would poison the shared
-	// cache.
+	// Protocol and Model pin the wire protocol and the engine.ModelVersion
+	// the coordinator was built against. The worker refuses mismatches: a
+	// model skew means the two binaries' simulators can disagree, which
+	// would poison the shared cache.
 	Protocol int `json:"protocol"`
-	Schema   int `json:"schema"`
+	Model    int `json:"model"`
 	// Key is the coordinator's OptionsHash for this job. The worker
 	// recomputes it from Options (after resolving file specs to local
 	// paths) and refuses the job on mismatch — the cheap end-to-end check
@@ -98,7 +77,7 @@ type Job struct {
 // Info is the /v1/info response: the worker's advertisement.
 type Info struct {
 	Protocol int `json:"protocol"`
-	Schema   int `json:"schema"`
+	Model    int `json:"model"`
 	// Capacity is how many simulations the worker executes concurrently;
 	// the coordinator contributes this many slots to the pool.
 	Capacity int `json:"capacity"`
@@ -110,7 +89,7 @@ type Info struct {
 const (
 	// CodeMalformed: the body was not a parseable Job (HTTP 400).
 	CodeMalformed = "malformed"
-	// CodeSchemaMismatch: protocol or cache-schema skew (HTTP 409).
+	// CodeSchemaMismatch: protocol or model-version skew (HTTP 409).
 	CodeSchemaMismatch = "schema_mismatch"
 	// CodeKeyMismatch: the worker's OptionsHash of the payload differs
 	// from Job.Key (HTTP 409).

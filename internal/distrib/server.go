@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 	"bopsim/internal/trace"
 )
@@ -84,8 +85,8 @@ func (s *Server) InFlight() int { return int(s.inflight.Load()) }
 // Handler returns the worker's HTTP API:
 //
 //	GET  /healthz   liveness probe: "ok", or 503 while draining
-//	GET  /v1/info   capacity + protocol/schema advertisement (Info)
-//	POST /v1/run    execute one Job, respond with experiments.CacheEntry
+//	GET  /v1/info   capacity + protocol/model advertisement (Info)
+//	POST /v1/run    execute one Job, respond with its result-cache record
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +99,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, Info{
 			Protocol: ProtocolVersion,
-			Schema:   experiments.SchemaVersion(),
+			Model:    engine.ModelVersion,
 			Capacity: s.capacity(),
 		})
 	})
@@ -132,23 +133,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
 		return
 	}
-	// Check protocol/schema agreement from a lenient pre-decode before the
+	// Check protocol/model agreement from a lenient pre-decode before the
 	// strict one: protocol bumps may remove Options fields (v3 dropped
 	// Workload/TracePath), and DisallowUnknownFields would turn every
 	// old-coordinator job into a generic 400 instead of the purpose-built
 	// version-skew diagnostic.
 	var versions struct {
 		Protocol int `json:"protocol"`
-		Schema   int `json:"schema"`
+		Model    int `json:"model"`
 	}
 	if err := json.Unmarshal(b, &versions); err != nil {
 		writeError(w, http.StatusBadRequest, CodeMalformed, fmt.Sprintf("decoding job: %v", err))
 		return
 	}
-	if versions.Protocol != ProtocolVersion || versions.Schema != experiments.SchemaVersion() {
+	if versions.Protocol != ProtocolVersion || versions.Model != engine.ModelVersion {
 		writeError(w, http.StatusConflict, CodeSchemaMismatch,
-			fmt.Sprintf("worker speaks protocol %d / schema %d, job is protocol %d / schema %d",
-				ProtocolVersion, experiments.SchemaVersion(), versions.Protocol, versions.Schema))
+			fmt.Sprintf("worker speaks protocol %d / model %d, job is protocol %d / model %d",
+				ProtocolVersion, engine.ModelVersion, versions.Protocol, versions.Model))
 		return
 	}
 	var job Job
@@ -234,11 +235,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.logf("done %s IPC=%.3f\n", label, res.IPC)
 	}
-	writeJSON(w, http.StatusOK, experiments.CacheEntry{
-		Version: experiments.SchemaVersion(),
-		Options: job.Options.Normalized(), // coordinator-side spelling: file specs stay in wire (sha) form
-		Result:  res,
-	})
+	// The record stores the coordinator-side spelling: file specs stay in
+	// wire (sha) form.
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(experiments.AppendEntry(nil, job.Options, res))
 }
 
 // traceRescanInterval bounds how often a lookup miss may rebuild the

@@ -13,7 +13,7 @@
 // (snapshot.go), the snapshot struct's fields in declaration order:
 //
 //	8 bytes  magic "BOCKPT01"
-//	4 bytes  SnapshotVersion, big endian
+//	4 bytes  ModelVersion, big endian
 //	uvarint  length of the warmup signature, then its bytes
 //	uvarint  barrier cycle
 //	uvarint  number of cores, then per core (cpu.State): the retired count;
@@ -65,52 +65,6 @@ import (
 	"bopsim/internal/trace"
 	"bopsim/internal/uncore"
 )
-
-// SnapshotVersion is bumped whenever the snapshot payload schema or any
-// serialized component's state layout changes incompatibly. Restore refuses
-// other versions: a version skew means the two binaries disagree about what
-// the bytes mean.
-//
-// v2: the warmup signature identifies workloads by per-core spec (file
-// replays by content hash) instead of the Workload/TracePath pair, and
-// generator cursors may carry mix sub-states.
-//
-// v3: the bo and multi prefetcher states carry their retunable parameters
-// (offsets/degree/badscore, offsets/minscore) so prefetch.Retunable
-// round-trips, and meta-prefetcher states (duel, adapt) frame nested child
-// state.
-//
-// v4: cache.State carries its valid lines as packed bytes (NumLines plus
-// one varint record per valid line) instead of a []Line of every line.
-//
-// v5: a snapshot is the drained machine and nothing else — the per-core
-// prefetcher state frames (L2PF/L1PF) and the signature's prefetcher fields
-// are gone.
-//
-// v6: Options lost its run-the-prefetchers-through-the-warmup switch (a
-// warmup never runs them), and its spec fields are the one spec.Spec type.
-//
-// v7: cache.PolicyState carries its non-zero replacement stamps as packed
-// bytes (NumStamps plus one varint record per stamp) instead of a []uint64 of
-// every way's.
-//
-// v8: cache.State and tlb.LevelState lose their hit, miss, eviction and
-// prefetched-hit counters: nothing read them, and no Result byte moved.
-//
-// v9: dram.Stats loses its write-burst count (it always equalled Writes),
-// and a TLB level's clock no longer ticks when an access or probe touches
-// the entry that is already most recent, so its clock and stamps read lower.
-//
-// v10: dram.Stats loses its merged-read count (the L3 fill queue is the one
-// place in-flight reads are deduplicated, so it always read 0).
-//
-// v11: cpu.State loses its MSHR dispatch-stall count: nothing read it, and no
-// Result byte moved.
-//
-// v12: the payload is a positional record written and read by hand instead
-// of gob: Checkpoint packs the caches straight into the record and Restore
-// reads it in place. The state types are unchanged.
-const SnapshotVersion = 12
 
 // snapshotMagic begins every snapshot.
 const snapshotMagic = "BOCKPT01"
@@ -164,7 +118,7 @@ type warmupSig struct {
 func (o Options) WarmupSignature() (string, error) {
 	o = o.Normalized()
 	sig := warmupSig{
-		Version:     SnapshotVersion,
+		Version:     ModelVersion,
 		Cores:       o.Cores,
 		Page:        o.Page,
 		L3Policy:    o.L3Policy,

@@ -170,6 +170,19 @@ func (o Options) Normalized() Options {
 	return o
 }
 
+// ModelVersion names the simulated machine's behaviour and the layout of
+// everything a run stores: a result's cache key and record
+// (experiments.OptionsHash, the .entry header), a snapshot's header and its
+// warmup signature, and the version a distrib job and worker advertise. Any
+// change that moves a byte of a Result or a snapshot — a timing fix, a new
+// counter, a field of a serialized struct — bumps it once, and every record
+// and snapshot of an older version is then a miss. TestSchemaLock ties it
+// to testdata/model.lock, which records the layouts and the digests of the
+// TestResultDigests runs and of TestSnapshotDigest: a moved digest or
+// layout fails until the constant is bumped and `make schema-lock` rewrites
+// the lock, which it refuses to do at the version the lock already records.
+const ModelVersion = 13
+
 // Result carries the measurements of one run.
 type Result struct {
 	Workload     string

@@ -14,6 +14,10 @@ import (
 	"bopsim/internal/uncore"
 )
 
+// LockRoots are what testdata/model.lock renders the layouts of: everything
+// a run stores.
+var LockRoots = []any{snapshot{}, warmupSig{}, Options{}, Result{}}
+
 // PackedSpans locates the L3's packed line records (cache.State.Lines) and
 // packed stamp records (cache.PolicyState.Stamps) inside snapshot bytes, so
 // FuzzRestore can seed mutations there: the decoder reads both sections in

@@ -161,7 +161,7 @@ func (e *encoder) varints(s []int64) {
 
 func (e *encoder) snapshot(snap *snapshot) {
 	e.b = append(e.b, snapshotMagic...)
-	e.b = binary.BigEndian.AppendUint32(e.b, SnapshotVersion)
+	e.b = binary.BigEndian.AppendUint32(e.b, ModelVersion)
 	e.string(snap.Sig)
 	e.uvarint(snap.Cycles)
 	e.uvarint(uint64(len(snap.Cores)))
@@ -309,8 +309,8 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 		return snapshot{}, fmt.Errorf("engine: not a snapshot (bad magic %q)", data[:len(snapshotMagic)])
 	}
 	version := binary.BigEndian.Uint32(data[len(snapshotMagic):])
-	if version != SnapshotVersion {
-		return snapshot{}, fmt.Errorf("engine: snapshot version %d, this binary speaks %d", version, SnapshotVersion)
+	if version != ModelVersion {
+		return snapshot{}, fmt.Errorf("engine: snapshot version %d, this binary speaks %d", version, ModelVersion)
 	}
 	r := decoder{b: data[len(snapshotMagic)+4:], size: len(data)}
 	var snap snapshot

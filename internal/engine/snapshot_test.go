@@ -166,7 +166,7 @@ func TestDecodeRefusesAnotherSpelling(t *testing.T) {
 	// A version other than this binary's is refused by its field, whatever
 	// follows it.
 	skew := append([]byte(nil), good...)
-	binary.BigEndian.PutUint32(skew[len(snapshotMagic):], SnapshotVersion-1)
+	binary.BigEndian.PutUint32(skew[len(snapshotMagic):], ModelVersion-1)
 	if _, err := decodeSnapshot(skew); err == nil || !strings.Contains(err.Error(), "snapshot version") {
 		t.Errorf("version skew: %v", err)
 	}

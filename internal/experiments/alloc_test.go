@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
@@ -156,7 +155,7 @@ func TestLoadIntoAllocs(t *testing.T) {
 	}
 	key, opts := runKey(o)
 	c := newDiskCache(r.CacheDir)
-	var buf bytes.Buffer
+	var buf []byte
 	if _, ok := c.loadInto(&buf, key, opts); !ok {
 		t.Fatal("the stored record does not load")
 	}

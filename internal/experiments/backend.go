@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -84,8 +83,16 @@ func (localBackend) RunFrom(_ int, o engine.Options, checkpointPath, _ string) (
 func RunFromCheckpoint(ctx context.Context, o engine.Options, checkpointPath string) (res engine.Result, forked bool, err error) {
 	var s *engine.Simulation
 	if checkpointPath != "" {
-		buf, err := readFileInto(snapshotBufs.get(), checkpointPath)
-		if err == nil {
+		// Sized from the file first, one byte over for the read that finds
+		// its end: a recycled buffer then grows at most once, to what this
+		// snapshot needs, and never by readFile's doubling, which would
+		// leave the list holding buffers up to twice a snapshot.
+		buf := snapshotBufs.get()
+		if fi, err := os.Stat(checkpointPath); err == nil {
+			buf = slices.Grow(buf, int(fi.Size())+1)
+		}
+		buf, ok := readFile(buf, checkpointPath)
+		if ok {
 			s, _ = engine.Restore(buf, o)
 		}
 		snapshotBufs.put(buf)
@@ -99,23 +106,6 @@ func RunFromCheckpoint(ctx context.Context, o engine.Options, checkpointPath str
 	defer s.Close()
 	res, err = s.Run(ctx)
 	return res, forked, err
-}
-
-// readFileInto reads the file at path into buf, reusing its capacity, and
-// returns the bytes read.
-func readFileInto(buf []byte, path string) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return buf, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return buf, err
-	}
-	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
-	n, err := io.ReadFull(f, buf)
-	return buf[:n], err
 }
 
 // backend resolves the Runner's execution backend: the configured one, or

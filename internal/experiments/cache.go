@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"syscall"
@@ -16,38 +17,13 @@ import (
 	"bopsim/internal/trace"
 )
 
-// resultCacheVersion is bumped whenever the simulator's behaviour or the
-// Options/Result schema changes in a way that invalidates stored results.
-//
-// v2: Options moved from the closed PrefetcherKind enum (+ FixedOffset/
-// BOParams/SBPParams/StridePF escape hatches) to prefetch.Spec fields, and
-// TracePath is keyed by trace *content* rather than path.
-//
-// v3: Options moved from the Workload/TracePath pair to per-core workload
-// specs (Options.Workloads); file replays are keyed inside the spec by
-// content hash (trace.HashSpec).
-//
-// v4: uncore.Stats counts each request once, when the path accepts it, so
-// DL1Misses, L2DemandAccesses and L2Misses no longer count refused retries;
-// dram.Stats loses its write-burst count.
-//
-// v5: dram.Stats loses its merged-read count, which always read 0.
-//
-// A bump simply invalidates: an older entry is never loaded (loadInto
-// rejects the version), VerifyCache counts it skipped, and EvictCache
-// removes it first because it is the oldest thing in the directory. The
-// .json entries of builds before the record format (entry.go) are never
-// read at all; VerifyCache counts them skipped and EvictCache removes them
-// ahead of everything else.
-const resultCacheVersion = 5
-
 // OptionsHash returns the canonical cache key of one simulation run: a
-// SHA-256 over the JSON encoding of the *normalized* options plus the cache
-// schema version. Every option that can change the outcome participates
-// (including Seed, the prefetcher specs, MaxCycles and the CPU config), and
-// equivalent spellings of the same run — zero values versus explicit
-// defaults, specs with spelled-out default parameters — hash identically
-// because normalization resolves them first.
+// SHA-256 over the JSON encoding of the *normalized* options plus
+// engine.ModelVersion, so a bump orphans every stored result. Every option
+// that can change the outcome participates (including Seed, the prefetcher
+// specs, MaxCycles and the CPU config), and equivalent spellings of the same
+// run — zero values versus explicit defaults, specs with spelled-out default
+// parameters — hash identically because normalization resolves them first.
 //
 // Trace replays are keyed by the SHA-256 of the trace file's content, not
 // its path: each "file" workload spec is rewritten to its hash form
@@ -61,7 +37,7 @@ func OptionsHash(o engine.Options) string {
 
 // keyPrefix opens what OptionsHash hashes, the JSON encoding of
 // {Version, Options}: keyPrefix, the options' own encoding, then "}".
-var keyPrefix = `{"Version":` + strconv.Itoa(resultCacheVersion) + `,"Options":`
+var keyPrefix = `{"Version":` + strconv.Itoa(engine.ModelVersion) + `,"Options":`
 
 // runKey returns OptionsHash(o) and the JSON encoding of o's normalized
 // options: the bytes a record of the run stores and a loader compares
@@ -73,7 +49,7 @@ func runKey(o engine.Options) (key string, opts []byte) {
 	keyed := struct {
 		Version int
 		Options engine.Options
-	}{Version: resultCacheVersion, Options: o.Normalized()}
+	}{Version: engine.ModelVersion, Options: o.Normalized()}
 	b := mustMarshal(keyed)
 	opts = b[len(keyPrefix) : len(b)-1 : len(b)-1]
 	// Normalized always reallocates the spec slice, so rewriting entries
@@ -100,24 +76,6 @@ func mustMarshal(v any) []byte {
 	return b
 }
 
-// CacheEntry is the wire form of a finished job: what a distrib worker
-// answers /v1/run with, JSON, self-describing via the stored options so the
-// coordinator can check that they hash to the job's key. The coordinator's
-// write-through stores the result as a record (entry.go), like any other;
-// the disk cache holds no CacheEntry. TestSchemaLock pins it, and with it
-// every struct a record carries.
-type CacheEntry struct {
-	Version int            `json:"version"`
-	Options engine.Options `json:"options"`
-	Result  engine.Result  `json:"result"`
-}
-
-// SchemaVersion reports the current result-cache schema version. Remote
-// workers refuse jobs from a coordinator on a different schema, since a
-// version mismatch means the simulator's behaviour (or the options
-// encoding) differs.
-func SchemaVersion() int { return resultCacheVersion }
-
 // diskCache persists simulation results under one directory.
 type diskCache struct {
 	dir string // cleaned and ending in a path separator
@@ -137,32 +95,35 @@ func newDiskCache(dir string) diskCache {
 func (c diskCache) path(key string) string { return c.dir + key + entryExt }
 
 // loadInto returns the result stored for key when its record is whole, of
-// this resultCacheVersion, and stores exactly opts, the options the key was
+// this engine.ModelVersion, and stores exactly opts, the options the key was
 // computed from (runKey): an entry filed under another run's key is a miss.
-// It reads the record through buf, which it empties first and leaves grown
+// It reads the record into *buf, which it empties first and leaves grown
 // for the next call, so a loader keeps one buffer for every entry it reads.
-// decodeEntry copies what the result keeps, so it never aliases buf.
-func (c diskCache) loadInto(buf *bytes.Buffer, key string, opts []byte) (engine.Result, bool) {
-	buf.Reset()
-	if !readFile(buf, c.path(key), syscall.Open, syscall.Read, syscall.Close) {
+// decodeEntry copies what the result keeps, so it never aliases *buf.
+func (c diskCache) loadInto(buf *[]byte, key string, opts []byte) (engine.Result, bool) {
+	b, ok := readFile((*buf)[:0], c.path(key))
+	*buf = b
+	if !ok {
 		return engine.Result{}, false
 	}
-	stored, res, ok := decodeEntry(buf.Bytes())
-	if !ok || !bytes.Equal(stored, opts) {
-		return engine.Result{}, false
-	}
-	return res, true
+	return acceptEntry(b, opts)
 }
 
-// readFile appends the content of the file at path to buf with bare system
-// calls, open, read until end of file and close, and reports whether all of
-// them succeeded. os.Open costs about twice the calls on a regular file: it
-// also tries to register the descriptor with the runtime's poller and sets
-// a finalizer, which is most of what reading a small record costs. open is
-// syscall.Open, whose arity differs on Plan 9, and FD is the descriptor
-// type read and close take (a Handle on Windows), so one body builds on
-// every platform.
-func readFile[FD any](buf *bytes.Buffer, path string, open any, read func(FD, []byte) (int, error), closeFD func(FD) error) bool {
+// readFile appends the content of the file at path to b, growing it only
+// when it is full, and reports whether the file was read whole: what every
+// record and snapshot is read through.
+func readFile(b []byte, path string) ([]byte, bool) {
+	return readFileWith(b, path, syscall.Open, syscall.Read, syscall.Close)
+}
+
+// readFileWith is readFile over the given system calls: open, read until end
+// of file and close, each called bare. os.Open costs about twice the calls on
+// a regular file: it also tries to register the descriptor with the
+// runtime's poller and sets a finalizer, which is most of what reading a
+// small record costs. open is syscall.Open, whose arity differs on Plan 9,
+// and FD is the descriptor type read and close take (a Handle on Windows),
+// so one body builds on every platform.
+func readFileWith[FD any](b []byte, path string, open any, read func(FD, []byte) (int, error), closeFD func(FD) error) ([]byte, bool) {
 	const mode = syscall.O_RDONLY | syscall.O_CLOEXEC
 	var fd FD
 	var err error
@@ -175,21 +136,22 @@ func readFile[FD any](buf *bytes.Buffer, path string, open any, read func(FD, []
 		panic(fmt.Sprintf("experiments: syscall.Open is a %T", open))
 	}
 	if err != nil {
-		return false
+		return b, false
 	}
 	defer closeFD(fd)
 	for {
-		buf.Grow(bytes.MinRead)
-		b := buf.AvailableBuffer()
-		n, err := read(fd, b[:cap(b)])
+		if len(b) == cap(b) {
+			b = slices.Grow(b, max(bytes.MinRead, len(b)))
+		}
+		n, err := read(fd, b[len(b):cap(b)])
 		switch {
 		case err == syscall.EINTR:
 		case err != nil:
-			return false
+			return b, false
 		case n == 0:
-			return true
+			return b, true
 		default:
-			buf.Write(b[:n])
+			b = b[:len(b)+n]
 		}
 	}
 }
@@ -212,8 +174,8 @@ func (c diskCache) store(key string, opts []byte, res engine.Result) error {
 // the .json entries older builds left, which no loader reads, then the
 // oldest files by modification time (least recently written). One budget
 // covers entries and snapshots because a snapshot is larger than any
-// result entry, and a SnapshotVersion bump orphans every older one under a
-// WarmupKey no run will look up again. It returns how many files were
+// result entry, and an engine.ModelVersion bump orphans every older one under
+// a WarmupKey no run will look up again. It returns how many files were
 // removed and how many bytes were freed. A maxBytes <= 0 budget disables
 // eviction.
 func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error) {

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"os"
@@ -52,10 +56,12 @@ func writeEntry(t *testing.T, path string, version int, opts []byte, res engine.
 	}
 }
 
-// TestSchemaBumpInvalidates pins what a resultCacheVersion bump costs: an
+// TestSchemaBumpInvalidates pins what an engine.ModelVersion bump costs: an
 // entry stamped with an older version is never served — even filed under
 // the key a current run computes — is counted skipped by VerifyCache, and
 // is what EvictCache removes first, being older than every current entry.
+// A snapshot stamped with an older version is refused, and a run of this
+// version never looks it up: its WarmupKey hashes the model version.
 func TestSchemaBumpInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	r1 := tinyRunner()
@@ -73,7 +79,7 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	unreachable := filepath.Join(dir, strings.Repeat("0", 64)+entryExt)
 	past := time.Now().Add(-time.Hour)
 	for _, path := range []string{files[0], unreachable} {
-		writeEntry(t, path, resultCacheVersion-1, opts, res)
+		writeEntry(t, path, engine.ModelVersion-1, opts, res)
 		if err := os.Chtimes(path, past, past); err != nil {
 			t.Fatal(err)
 		}
@@ -112,6 +118,40 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	if _, err := os.Stat(unreachable); removed != 1 || !os.IsNotExist(err) {
 		t.Errorf("evicted %d entries, old-version entry gone=%v; want exactly that one", removed, os.IsNotExist(err))
 	}
+
+	o := engine.DefaultOptions("416.gamess")
+	o.Instructions, o.Warmup = 5_000, 5_000
+	s, err := engine.New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunWarmup(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Checkpoint()
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version is four bytes, big endian, after the eight-byte magic.
+	binary.BigEndian.PutUint32(snap[8:], engine.ModelVersion-1)
+	ckpt := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(ckpt, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, forked, err := RunFromCheckpoint(context.Background(), o, ckpt); err != nil || forked {
+		t.Errorf("an old-version snapshot was restored (forked=%v, err %v)", forked, err)
+	}
+	sig, err := o.WarmupSignature()
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := func(v int) string { return `"Version":` + strconv.Itoa(v) + `,` }
+	old := strings.Replace(sig, version(engine.ModelVersion), version(engine.ModelVersion-1), 1)
+	sum := sha256.Sum256([]byte(old))
+	if key, _ := WarmupKey(o); old == sig || key == hex.EncodeToString(sum[:]) {
+		t.Errorf("WarmupKey %s is the key of the previous model version's signature %s", key, old)
+	}
 }
 
 // TestOlderBuildsJSONEntries covers the .json entries that builds before
@@ -130,11 +170,15 @@ func TestOlderBuildsJSONEntries(t *testing.T) {
 	}
 	// The JSON an older build stored for files[0]'s run, under its key.
 	opts, res := readEntry(t, files[0])
-	var e CacheEntry
+	var e struct {
+		Version int            `json:"version"`
+		Options engine.Options `json:"options"`
+		Result  engine.Result  `json:"result"`
+	}
 	if err := json.Unmarshal(opts, &e.Options); err != nil {
 		t.Fatal(err)
 	}
-	e.Version, e.Result = resultCacheVersion, res
+	e.Version, e.Result = engine.ModelVersion, res
 	old, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +291,7 @@ func TestLoaderRefusesInexactRecords(t *testing.T) {
 	if short := appendEntry(nil, runs[1].opts, runs[1].res); len(short) > len(long) {
 		runs[0], runs[1] = runs[1], runs[0]
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for _, s := range runs {
 		if res, ok := c.loadInto(&buf, s.key, s.opts); !ok || !reflect.DeepEqual(res, s.res) {
 			t.Errorf("record read through a reused buffer: ok=%v, result %+v, want %+v", ok, res, s.res)
@@ -290,7 +334,7 @@ func TestConcurrentStoreOfOneKey(t *testing.T) {
 	key := OptionsHash(o)
 	_, opts := runKey(o)
 	leftover := filepath.Join(dir, key+entryExt+".tmp")
-	writeEntry(t, leftover, resultCacheVersion, opts, engine.Result{IPC: 99})
+	writeEntry(t, leftover, engine.ModelVersion, opts, engine.Result{IPC: 99})
 
 	const rounds = 8
 	for round := 0; round < rounds; round++ {
@@ -313,7 +357,7 @@ func TestConcurrentStoreOfOneKey(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		res, ok := newDiskCache(dir).loadInto(new(bytes.Buffer), key, opts)
+		res, ok := newDiskCache(dir).loadInto(new([]byte), key, opts)
 		if !ok || res.IPC == 99 || res.Instructions == 0 {
 			t.Fatalf("round %d: entry unreadable or taken from the leftover temp (ok=%v, %+v)", round, ok, res)
 		}

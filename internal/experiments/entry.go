@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // A result-cache entry is one record, <dir>/<OptionsHash>.entry, written and
-// read by hand:
+// read by hand; a distrib worker answers /v1/run with the same bytes:
 //
 //	4 bytes  magic "bopR"
-//	uvarint  resultCacheVersion
+//	uvarint  engine.ModelVersion
 //	uvarint  length of the options, then the options: the JSON encoding of
 //	         the run's normalized engine.Options (runKey's second result)
 //	uvarint  length of Result.Workload, then its bytes
@@ -32,8 +33,8 @@ import (
 // still read what produced an entry; a loader never decodes them, it
 // compares them with the bytes its own key came from. The record is
 // positional: a Result field added, removed or reordered without codec
-// support fails TestEntryRoundTrip, and without a resultCacheVersion bump
-// fails TestSchemaLock.
+// support fails TestEntryRoundTrip, and without an engine.ModelVersion bump
+// fails engine's TestSchemaLock.
 const entryMagic = "bopR"
 
 // entryExt names a record on disk. A cache directory may still hold the
@@ -49,7 +50,7 @@ func boCounters(s *core.Stats) [5]*uint64 {
 // whose result is res.
 func appendEntry(b, opts []byte, res engine.Result) []byte {
 	b = append(b, entryMagic...)
-	b = binary.AppendUvarint(b, resultCacheVersion)
+	b = binary.AppendUvarint(b, engine.ModelVersion)
 	b = appendBytes(b, opts)
 	b = appendBytes(b, []byte(res.Workload))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(res.IPC))
@@ -77,20 +78,46 @@ func appendEntry(b, opts []byte, res engine.Result) []byte {
 	return binary.AppendVarint(b, int64(res.FinalBOOffset))
 }
 
+// AppendEntry appends the record of a run of o whose result is res: the
+// bytes a local run stores under OptionsHash(o), and what a distrib worker
+// answers a job with.
+func AppendEntry(b []byte, o engine.Options, res engine.Result) []byte {
+	_, opts := runKey(o)
+	return appendEntry(b, opts, res)
+}
+
+// EntryResult returns the result of the record b when b is a record of a run
+// of o, by the rule a loader serves a record by (acceptEntry).
+func EntryResult(b []byte, o engine.Options) (engine.Result, bool) {
+	_, opts := runKey(o)
+	return acceptEntry(b, opts)
+}
+
+// acceptEntry returns the result of the record b when b is one whole record
+// of this engine.ModelVersion that stores exactly opts: a record of another
+// run, or of another version, is a miss.
+func acceptEntry(b, opts []byte) (engine.Result, bool) {
+	stored, res, ok := decodeEntry(b)
+	if !ok || !bytes.Equal(stored, opts) {
+		return engine.Result{}, false
+	}
+	return res, true
+}
+
 func appendBytes(b, s []byte) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // decodeEntry reads the record b: the options it stores, which alias b, and
 // its result. ok is false unless b is exactly one record of this
-// resultCacheVersion. A loader serves the result only when the options also
-// equal the bytes its key was computed from (diskCache.loadInto).
+// engine.ModelVersion. A loader serves the result only when the options
+// also equal the bytes its key was computed from (acceptEntry).
 func decodeEntry(b []byte) (opts []byte, res engine.Result, ok bool) {
 	if len(b) < len(entryMagic) || string(b[:len(entryMagic)]) != entryMagic {
 		return nil, engine.Result{}, false
 	}
 	r := entryReader{b: b[len(entryMagic):]}
-	if r.uvarint() != resultCacheVersion {
+	if r.uvarint() != engine.ModelVersion {
 		return nil, engine.Result{}, false
 	}
 	opts = r.bytes()

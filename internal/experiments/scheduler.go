@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -257,7 +256,7 @@ func (r *Runner) pendingJobs(opts []engine.Options) (keys []string, jobs []job) 
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						var buf bytes.Buffer
+						var buf []byte
 						for p := range probes {
 							results[p.job], hit[p.job] = c.loadInto(&buf, p.key, p.opts)
 						}

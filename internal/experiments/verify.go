@@ -19,7 +19,7 @@ import (
 // of stored entries and diffs the fresh result against the stored one.
 // Simulations are deterministic, so any divergence means the cache is
 // stale relative to the current simulator (a behavioural change shipped
-// without a resultCacheVersion bump) — or, for entries that arrived over
+// without an engine.ModelVersion bump) — or, for entries that arrived over
 // the distrib wire, that a worker computed something this binary would
 // not. `bosim -verify` is the CLI face.
 

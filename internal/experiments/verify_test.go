@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bopsim/internal/engine"
 )
 
 // TestVerifyCacheCleanAndTampered is the -verify contract: a freshly
@@ -34,7 +36,7 @@ func TestVerifyCacheCleanAndTampered(t *testing.T) {
 	}
 	opts, res := readEntry(t, files[0])
 	res.IPC += 0.25
-	writeEntry(t, files[0], resultCacheVersion, opts, res)
+	writeEntry(t, files[0], engine.ModelVersion, opts, res)
 
 	rep, err = VerifyCache(dir, 0, 1, io.Discard)
 	if err != nil {

@@ -1,5 +1,6 @@
-// Package schemalock pins serialized layouts to the version constants governing
-// them: a test beside each constant checks a golden lock of what its roots reach.
+// Package schemalock pins what a version constant governs — serialized
+// layouts, and for the model version the digests of pinned runs — to that
+// constant: a test beside each constant checks a golden lock of it.
 package schemalock
 
 import (
@@ -11,7 +12,7 @@ import (
 	"strings"
 )
 
-var write = flag.Bool("write-schema-lock", false, "regenerate testdata/schema.lock (what `make schema-lock` passes)")
+var write = flag.Bool("write-schema-lock", false, "regenerate the package's testdata lock (what `make schema-lock` passes)")
 
 type closure map[string]string // "pkgpath.Type" -> field lines
 
@@ -80,12 +81,13 @@ func (c closure) spell(t reflect.Type, home string) string {
 	return name + t.Kind().String()
 }
 
-// Check compares the lock at path with "<key> <version>" and Render(roots...): drift, a
-// stale or missing section, a header disagreeing with the constant are errors. Under
-// -write-schema-lock it rewrites the file instead, unless the old one records the same version.
-func Check(path, key string, version int, roots ...any) error {
-	header := fmt.Sprintf("# Serialized layouts governed by %s; `make schema-lock` regenerates.\n%[1]s %d\n", key, version)
-	want := header + Render(roots...)
+// Check compares the lock at path with "<key> <version>" and body (Render's sections,
+// and whatever else the constant governs): drift, a stale or missing line, a header
+// disagreeing with the constant are errors. Under -write-schema-lock it rewrites the
+// file instead, unless the old one records the same version.
+func Check(path, key string, version int, body string) error {
+	header := fmt.Sprintf("# Governed by %s; `make schema-lock` regenerates.\n%[1]s %d\n", key, version)
+	want := header + body
 	old, _ := os.ReadFile(path) // a missing lock reads as an empty one
 	if string(old) == want {
 		return nil
@@ -97,5 +99,5 @@ func Check(path, key string, version int, roots ...any) error {
 	for i < len(o)-1 && i < len(w)-1 && o[i] == w[i] {
 		i++
 	}
-	return fmt.Errorf("%s differs from the source layouts at line %d (lock %q, source %q): bump %s, then run `make schema-lock`, which refuses to write over a lock that already records version %d", path, i+1, o[i], w[i], key, version)
+	return fmt.Errorf("%s differs from the source at line %d (lock %q, source %q): bump %s, then run `make schema-lock`, which refuses to write over a lock that already records version %d", path, i+1, o[i], w[i], key, version)
 }

@@ -107,7 +107,7 @@ func setWrite(t *testing.T, on bool) {
 // and none of them touches the file.
 func TestCheck(t *testing.T) {
 	setWrite(t, false)
-	good := "# Serialized layouts governed by snapshot-version; `make schema-lock` regenerates.\nsnapshot-version 3\n" + Render(v1{})
+	good := "# Governed by snapshot-version; `make schema-lock` regenerates.\nsnapshot-version 3\n" + Render(v1{})
 	cases := []struct {
 		name, lock, wantErr string
 	}{
@@ -122,7 +122,7 @@ func TestCheck(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path := lockFile(t, c.lock)
-			err := Check(path, "snapshot-version", 3, v1{})
+			err := Check(path, "snapshot-version", 3, Render(v1{}))
 			if c.wantErr == "" {
 				if err != nil {
 					t.Fatal(err)
@@ -145,15 +145,15 @@ func TestCheck(t *testing.T) {
 func TestCheckRefusesUnbumpedRegen(t *testing.T) {
 	setWrite(t, true)
 	path := lockFile(t, "")
-	if err := Check(path, "snapshot-version", 3, v1{}); err != nil {
+	if err := Check(path, "snapshot-version", 3, Render(v1{})); err != nil {
 		t.Fatalf("first generation refused: %v", err)
 	}
 	first, _ := os.ReadFile(path)
-	if err := Check(path, "snapshot-version", 3, v1{}); err != nil {
+	if err := Check(path, "snapshot-version", 3, Render(v1{})); err != nil {
 		t.Errorf("identical regeneration refused: %v", err)
 	}
 
-	err := Check(path, "snapshot-version", 3, v2{})
+	err := Check(path, "snapshot-version", 3, Render(v2{}))
 	if err == nil || !strings.Contains(err.Error(), "bump snapshot-version") || !strings.Contains(err.Error(), "refuses") {
 		t.Errorf("regeneration accepted without a version bump: %v", err)
 	}
@@ -161,11 +161,11 @@ func TestCheckRefusesUnbumpedRegen(t *testing.T) {
 		t.Errorf("a refused regeneration rewrote the lock:\n%s", now)
 	}
 
-	if err := Check(path, "snapshot-version", 4, v2{}); err != nil {
+	if err := Check(path, "snapshot-version", 4, Render(v2{})); err != nil {
 		t.Fatalf("regeneration refused after the bump: %v", err)
 	}
 	setWrite(t, false)
-	if err := Check(path, "snapshot-version", 4, v2{}); err != nil {
+	if err := Check(path, "snapshot-version", 4, Render(v2{})); err != nil {
 		t.Errorf("the regenerated lock does not check: %v", err)
 	}
 }

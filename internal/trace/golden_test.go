@@ -14,8 +14,8 @@ import (
 // figures. The 29 SPEC stand-ins' hashes were captured from the
 // pre-registry benchmark table, proving the registry migration
 // byte-exact; if a hash change is intentional, it is a simulator behaviour
-// change and must come with a resultCacheVersion bump (see
-// internal/experiments/cache.go) and a re-pin here.
+// change and must come with an engine.ModelVersion bump (see
+// internal/engine/engine.go) and a re-pin here.
 
 // goldenStreamHashes pins name -> SHA-256 of the first 10k instructions at
 // seed 1 with default parameters.
