@@ -24,7 +24,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOptions$$' -fuzztime 300x ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzBOAgainstReference$$' -fuzztime 20000x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMTiming$$' -fuzztime 20000x ./internal/dram
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 20000x ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime 20000x ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzSameOptions$$' -fuzztime 20000x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheAgainstNaive$$' -fuzztime 20000x ./internal/cache
 

@@ -173,6 +173,8 @@ type recordReader struct {
 
 // uvarint reads one field of the record at the head of packed. A one-byte
 // varint (most index deltas and owner cores) skips binary.Uvarint's loop.
+// Like every varint of a snapshot, it must be minimal: a longer one whose
+// last byte is 0 spells a value another way, and is refused.
 func (r *recordReader) uvarint(field string) (uint64, error) {
 	if len(r.packed) > 0 && r.packed[0] < 0x80 {
 		v := r.packed[0]
@@ -180,7 +182,7 @@ func (r *recordReader) uvarint(field string) (uint64, error) {
 		return uint64(v), nil
 	}
 	v, n := binary.Uvarint(r.packed)
-	if n <= 0 {
+	if n <= 0 || r.packed[n-1] == 0 {
 		return 0, fmt.Errorf("truncated or overlong %s", field)
 	}
 	r.packed = r.packed[n:]

@@ -270,6 +270,8 @@ func TestPackedStampsRejected(t *testing.T) {
 		{"truncated stamp", 8, rec(1, 300)[:2], false},
 		{"overlong index delta", 8, cat(overlong, []byte{0x05}), false},
 		{"overlong stamp", 8, cat([]byte{0x01}, overlong), false},
+		{"stamp 2 in one byte", 8, []byte{0x03, 0x02}, true},
+		{"stamp 2 in two bytes", 8, []byte{0x03, 0x82, 0x00}, false},
 		{"trailing garbage", 8, cat(good, []byte{0x00}), false},
 	}
 	for _, tc := range cases {
@@ -333,6 +335,8 @@ func TestPackedLinesRejected(t *testing.T) {
 		{"missing owner core", 8, rec(1, 300, 0, 0)[:4], false},
 		{"truncated owner core", 8, append(rec(1, 300, 0, 0)[:4], 0x80), false},
 		{"overlong varint", 8, cat(bytes.Repeat([]byte{0x80}, 10), []byte{0x02}), false},
+		{"owner core 0 in one byte", 8, []byte{0x03, 0x05, 0x00, 0x00}, true},
+		{"owner core 0 in two bytes", 8, []byte{0x03, 0x05, 0x00, 0x80, 0x00}, false},
 		{"trailing garbage", 8, cat(good, []byte{0x00}), false},
 	}
 	for _, tc := range cases {

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -347,7 +348,9 @@ func TestRestoreRejectsMismatchedOptions(t *testing.T) {
 
 // FuzzRestore feeds arbitrary bytes to Restore: corrupted, truncated or
 // version-skewed snapshots must return an error — never panic, and never
-// hand back a simulation built from partial state.
+// hand back a simulation built from partial state. Restore is Checkpoint's
+// exact inverse: a machine it restores checkpoints back to the very bytes
+// it was restored from, so no second spelling of a record restores.
 func FuzzRestore(f *testing.F) {
 	o := engine.DefaultOptions("416.gamess")
 	o.Instructions = 2_000
@@ -403,19 +406,33 @@ func FuzzRestore(f *testing.F) {
 		}
 		f.Add(mut)
 	}
+	recs := packedLines(snap[lineOff : lineOff+lineN])
+	if len(recs) == 0 {
+		f.Fatal("the snapshot's packed L3 lines do not walk as records")
+	}
 	// A line address that does not fit the 34 bits of a cache.Line: the
 	// top bit of the first five-byte address varint set, which keeps every
 	// length the record holds. Restore must refuse it, never truncate it.
 	wide := append([]byte(nil), snap...)
-	if at := wideAddressByte(wide[lineOff : lineOff+lineN]); at < 0 {
+	i := slices.IndexFunc(recs, func(r packedLine) bool { return r.addrLen == 5 })
+	if i < 0 {
 		f.Fatal("no five-byte line address among the snapshot's L3 records")
-	} else {
-		wide[lineOff+at] |= 0x40
 	}
+	wide[lineOff+recs[i].addr+4] |= 0x40
 	if _, err := engine.Restore(wide, o); err == nil || !strings.Contains(err.Error(), "does not fit") {
 		f.Fatalf("snapshot with a line address past 34 bits not refused by its width: %v", err)
 	}
 	f.Add(wide)
+	// The first owner core respelled in two bytes (c|0x80, 0x00), the
+	// section's length one more: every field still decodes to the same
+	// machine, but a checkpoint of it writes the one-byte spelling.
+	at := lineOff + recs[0].core
+	respelled := slices.Concat(snap[:at], []byte{snap[at] | 0x80, 0}, snap[at+1:])
+	binary.BigEndian.PutUint32(respelled[lineOff-4:], uint32(lineN+1))
+	if _, err := engine.Restore(respelled, o); err == nil || !strings.Contains(err.Error(), "overlong owner core") {
+		f.Fatalf("snapshot with an owner core in two bytes not refused by its spelling: %v", err)
+	}
+	f.Add(respelled)
 	// Lengths larger than the bytes left: the L3's packed lines claiming
 	// 4 GB, and the core count claiming 2^20 cores (a third of a gigabyte of
 	// decoded state). Both must be refused before anything of the claimed
@@ -456,6 +473,9 @@ func FuzzRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if again, err := restored.Checkpoint(); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("a restored machine checkpoints to other bytes (err %v)", err)
+		}
 		// A successful restore must be a fully valid barrier-state machine:
 		// a few measured steps must not panic either.
 		if _, err := restored.Step(64); err != nil {
@@ -466,29 +486,34 @@ func FuzzRestore(f *testing.F) {
 
 const snapshotMagicForFuzz = "BOCKPT01"
 
-// wideAddressByte walks packed line records (cache.State.Lines: index
-// delta, address, flag byte, owner core) and returns the offset of the last
-// byte of the first address that takes five varint bytes, or -1.
-func wideAddressByte(packed []byte) int {
-	for off := 0; off < len(packed); {
+// packedLine locates the fields of one packed line record
+// (cache.State.Lines: index delta, address, flag byte, owner core) by their
+// offsets in the section.
+type packedLine struct {
+	addr, addrLen, core int
+}
+
+// packedLines walks packed line records, or returns nil when they do not
+// walk.
+func packedLines(packed []byte) []packedLine {
+	varint := func(off int) int { // the length of the varint at off, 0 if none
 		_, n := binary.Uvarint(packed[off:])
-		if n <= 0 {
-			return -1
-		}
-		off += n
-		_, n = binary.Uvarint(packed[off:])
-		if n <= 0 {
-			return -1
-		}
-		if n == 5 {
-			return off + n - 1
-		}
-		off += n + 1 // the address and the flag byte
-		_, n = binary.Uvarint(packed[off:])
-		if n <= 0 {
-			return -1
-		}
-		off += n
+		return max(n, 0)
 	}
-	return -1
+	var recs []packedLine
+	for off := 0; off < len(packed); {
+		delta := varint(off)
+		if delta == 0 {
+			return nil
+		}
+		r := packedLine{addr: off + delta}
+		r.addrLen = varint(r.addr)
+		r.core = r.addr + r.addrLen + 1 // after the flag byte
+		if r.addrLen == 0 || r.core >= len(packed) || varint(r.core) == 0 {
+			return nil
+		}
+		recs = append(recs, r)
+		off = r.core + varint(r.core)
+	}
+	return recs
 }

@@ -48,7 +48,8 @@ func fuzzRun(workload, second, cores, policy, l2 uint8, hugePages, stride, late 
 // FuzzOptions requires one Result byte string from four ways of running the
 // same options: straight; with skip-ahead off, the per-cycle oracle; with
 // the hierarchy's refusal memos off, the memo oracle; and, when the run has
-// a warmup region, restored from its own barrier snapshot. Each input runs
+// a warmup region, restored from its own barrier snapshot, which the
+// restored machine must checkpoint back to byte for byte. Each input runs
 // four simulations, so CI gives it a smaller exec count than the other
 // targets.
 func FuzzOptions(f *testing.F) {
@@ -97,6 +98,9 @@ func FuzzOptions(f *testing.F) {
 		s, err := engine.Restore(snap, o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if again, err := s.Checkpoint(); err != nil || !bytes.Equal(again, snap) {
+			t.Errorf("%s %s: the restored machine checkpoints to other bytes than its snapshot (err %v)", o.WorkloadsLabel(), o.ConfigLabel(), err)
 		}
 		if got := run("restored", s); !bytes.Equal(got, want) {
 			t.Errorf("%s %s, restored from its snapshot:\n%s\nstraight:\n%s", o.WorkloadsLabel(), o.ConfigLabel(), got, want)

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"bopsim/internal/cache"
@@ -14,9 +15,9 @@ import (
 	"bopsim/internal/uncore"
 )
 
-// The snapshot codec: one positional record, written and read by hand. The
-// layout is in the package comment of checkpoint.go; this file is its only
-// writer and reader.
+// The record codec: the snapshot and the result record (entry.go) are
+// positional records written by encoder and read by decoder, here. The
+// snapshot's layout is in the package comment of checkpoint.go.
 
 // Checkpoint serializes the simulation's state at the warmup barrier. It is
 // only valid when AtBarrier reports true (after RunWarmup, before any
@@ -86,10 +87,9 @@ func (s *Simulation) barrierState() (snapshot, error) {
 // record is refused past it, so a hostile one cannot recurse once per byte.
 const maxGenDepth = 16
 
-// HierCounters lists the fields of s in declaration order: what the snapshot
-// record here and the result-cache record of package experiments write for
-// a uncore.Stats, one uvarint each.
-func HierCounters(s *uncore.Stats) [21]*uint64 {
+// hierCounters lists the fields of s in declaration order: what a snapshot
+// and a result record write for a uncore.Stats, one uvarint each.
+func hierCounters(s *uncore.Stats) [21]*uint64 {
 	return [...]*uint64{
 		&s.DL1Hits, &s.DL1Misses, &s.L2DemandAccesses, &s.L2Hits, &s.L2Misses,
 		&s.L2PrefetchedHits, &s.L3Hits, &s.L3Misses, &s.PrefIssued,
@@ -100,13 +100,13 @@ func HierCounters(s *uncore.Stats) [21]*uint64 {
 	}
 }
 
-// DRAMCounters lists the scalar fields of s in declaration order, as
-// HierCounters does for a uncore.Stats.
-func DRAMCounters(s *dram.Stats) [6]*uint64 {
+// dramCounters lists the scalar fields of s in declaration order, as
+// hierCounters does for a uncore.Stats.
+func dramCounters(s *dram.Stats) [6]*uint64 {
 	return [...]*uint64{&s.Reads, &s.Writes, &s.RowHits, &s.RowClosed, &s.RowConflicts, &s.UrgentReads}
 }
 
-// encoder appends a snapshot record to b.
+// encoder appends a record to b.
 type encoder struct{ b []byte }
 
 // appendSnapshot appends the record of snap to b.
@@ -119,6 +119,9 @@ func appendSnapshot(b []byte, snap *snapshot) []byte {
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
 func (e *encoder) varint(v int64) { e.b = binary.AppendVarint(e.b, v) }
+
+// float writes the IEEE 754 bits of v, little-endian.
+func (e *encoder) float(v float64) { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
 
 func (e *encoder) bool(v bool) {
 	if v {
@@ -157,6 +160,21 @@ func (e *encoder) varints(s []int64) {
 	for _, v := range s {
 		e.varint(v)
 	}
+}
+
+// hierStats writes every counter of s.
+func (e *encoder) hierStats(s *uncore.Stats) {
+	for _, p := range hierCounters(s) {
+		e.uvarint(*p)
+	}
+}
+
+// dramStats writes the counters of s, then PerCoreReads.
+func (e *encoder) dramStats(s *dram.Stats) {
+	for _, p := range dramCounters(s) {
+		e.uvarint(*p)
+	}
+	e.uvarints(s.PerCoreReads)
 }
 
 func (e *encoder) snapshot(snap *snapshot) {
@@ -208,9 +226,7 @@ func (e *encoder) gen(g *trace.GenState) {
 }
 
 func (e *encoder) hierarchy(h *uncore.State) {
-	for _, p := range HierCounters(&h.Stats) {
-		e.uvarint(*p)
-	}
+	e.hierStats(&h.Stats)
 	e.uvarint(uint64(len(h.DL1)))
 	for i := range h.DL1 {
 		e.cache(&h.DL1[i])
@@ -285,10 +301,7 @@ func (e *encoder) channel(c *dram.ControllerState) {
 	e.uvarint(c.BusFreeAt)
 	e.varint(int64(c.WritesInBatch))
 	e.uvarint(c.Seq)
-	for _, p := range DRAMCounters(&c.Stats) {
-		e.uvarint(*p)
-	}
-	e.uvarints(c.Stats.PerCoreReads)
+	e.dramStats(&c.Stats)
 }
 
 // decodeSnapshot reads the record data. The packed sections and the RRPVs
@@ -312,7 +325,7 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	if version != ModelVersion {
 		return snapshot{}, fmt.Errorf("engine: snapshot version %d, this binary speaks %d", version, ModelVersion)
 	}
-	r := decoder{b: data[len(snapshotMagic)+4:], size: len(data)}
+	r := decoder{b: data[len(snapshotMagic)+4:], size: len(data), kind: "snapshot"}
 	var snap snapshot
 	snap.Sig = string(r.bytes("signature"))
 	snap.Cycles = r.uvarint("barrier cycle")
@@ -323,11 +336,8 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 		}
 	}
 	r.hierarchy(&snap.Uncore)
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("%d bytes after the last field", len(r.b))
-	}
-	if r.err != nil {
-		return snapshot{}, r.err
+	if err := r.end(); err != nil {
+		return snapshot{}, err
 	}
 	return snap, nil
 }
@@ -337,15 +347,25 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 // zero.
 type decoder struct {
 	b    []byte
-	size int // of the whole record, for offsets in errors
+	size int    // of the whole record, for offsets in errors
+	kind string // what the record is, for errors
 	err  error
 }
 
 func (r *decoder) fail(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("engine: malformed snapshot at byte %d: %s", r.size-len(r.b), fmt.Sprintf(format, args...))
+		r.err = fmt.Errorf("engine: malformed %s at byte %d: %s", r.kind, r.size-len(r.b), fmt.Sprintf(format, args...))
 	}
 	r.b = nil
+}
+
+// end returns the first error of the walk, or an error when bytes follow
+// the last field.
+func (r *decoder) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d bytes after the last field", len(r.b))
+	}
+	return r.err
 }
 
 func (r *decoder) uvarint(field string) uint64 {
@@ -372,6 +392,17 @@ func (r *decoder) int(field string) int {
 		return 0
 	}
 	return int(v)
+}
+
+// float reads the IEEE 754 bits of a float64, little-endian.
+func (r *decoder) float(field string) float64 {
+	if len(r.b) < 8 {
+		r.fail("truncated %s", field)
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	return v
 }
 
 func (r *decoder) bool(field string) bool {
@@ -468,6 +499,19 @@ func (r *decoder) varints(field string) []int64 {
 	return s
 }
 
+func (r *decoder) hierStats(s *uncore.Stats) {
+	for _, p := range hierCounters(s) {
+		*p = r.uvarint("hierarchy counter")
+	}
+}
+
+func (r *decoder) dramStats(s *dram.Stats) {
+	for _, p := range dramCounters(s) {
+		*p = r.uvarint("DRAM counter")
+	}
+	s.PerCoreReads = r.uvarints("per-core reads")
+}
+
 func (r *decoder) core(c *cpu.State) {
 	c.Retired = r.uvarint("retired count")
 	if r.bool("pending flag") {
@@ -515,9 +559,7 @@ func (r *decoder) gen(g *trace.GenState, depth int) {
 }
 
 func (r *decoder) hierarchy(h *uncore.State) {
-	for _, p := range HierCounters(&h.Stats) {
-		*p = r.uvarint("hierarchy counter")
-	}
+	r.hierStats(&h.Stats)
 	h.DL1 = r.caches("DL1 caches")
 	h.L2 = r.caches("L2 caches")
 	r.cache(&h.L3)
@@ -598,8 +640,5 @@ func (r *decoder) channel(c *dram.ControllerState) {
 	c.BusFreeAt = r.uvarint("bus-free cycle")
 	c.WritesInBatch = r.int("writes in batch")
 	c.Seq = r.uvarint("request sequence")
-	for _, p := range DRAMCounters(&c.Stats) {
-		*p = r.uvarint("DRAM counter")
-	}
-	c.Stats.PerCoreReads = r.uvarints("per-core reads")
+	r.dramStats(&c.Stats)
 }

@@ -16,7 +16,7 @@ import (
 // other leaf of its kind holds, and every slice to two elements, so a field
 // the codec drops or swaps with another cannot come back equal.
 type leafFiller struct {
-	t    *testing.T
+	t    testing.TB
 	n    uint64
 	open map[reflect.Type]bool // slice types being filled: a type nested in itself gets one level
 }
@@ -60,8 +60,10 @@ func (f *leafFiller) fill(v reflect.Value) {
 		} else {
 			v.SetInt(int64(n))
 		}
+	case reflect.Float64:
+		v.SetFloat(float64(n) + 0.25)
 	default:
-		f.t.Fatalf("a snapshot leaf of kind %s has no filler, and likely no codec", v.Kind())
+		f.t.Fatalf("a record leaf of kind %s has no filler, and likely no codec", v.Kind())
 	}
 }
 

@@ -141,7 +141,7 @@ func TestDiskCachePath(t *testing.T) {
 // TestLoadIntoAllocs bounds what one disk probe of a cached render costs a
 // loader with its buffer already grown: the record's path (one, see
 // TestDiskCachePath), the path handed to the open call, and the result
-// decodeEntry returns (its workload name, PerCoreReads and BO stats) — 5
+// engine.DecodeEntry returns (its workload name, PerCoreReads and BO stats) — 5
 // objects. Through an os.File it was 8, and 6 while filepath.Join named the
 // record.
 func TestLoadIntoAllocs(t *testing.T) {

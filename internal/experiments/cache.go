@@ -99,7 +99,7 @@ func (c diskCache) path(key string) string { return c.dir + key + entryExt }
 // computed from (runKey): an entry filed under another run's key is a miss.
 // It reads the record into *buf, which it empties first and leaves grown
 // for the next call, so a loader keeps one buffer for every entry it reads.
-// decodeEntry copies what the result keeps, so it never aliases *buf.
+// engine.DecodeEntry copies what the result keeps, so it never aliases *buf.
 func (c diskCache) loadInto(buf *[]byte, key string, opts []byte) (engine.Result, bool) {
 	b, ok := readFile((*buf)[:0], c.path(key))
 	*buf = b
@@ -165,14 +165,13 @@ func (c diskCache) store(key string, opts []byte, res engine.Result) error {
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	return engine.WriteFileAtomic(c.path(key), appendEntry(nil, opts, res))
+	return engine.WriteFileAtomic(c.path(key), engine.AppendEntry(nil, opts, res))
 }
 
 // EvictCache is the size-bounded eviction pass: when the cache directory's
 // entries and the warmup snapshots under its checkpoints subdirectory
-// together exceed maxBytes, files are deleted until the total fits — first
-// the .json entries older builds left, which no loader reads, then the
-// oldest files by modification time (least recently written). One budget
+// together exceed maxBytes, files are deleted until the total fits, the
+// oldest by modification time (least recently written) first. One budget
 // covers entries and snapshots because a snapshot is larger than any
 // result entry, and an engine.ModelVersion bump orphans every older one under
 // a WarmupKey no run will look up again. It returns how many files were
@@ -183,7 +182,7 @@ func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error
 		return 0, 0, nil
 	}
 	var files []string
-	for _, pattern := range []string{"*.json", "*" + entryExt, filepath.Join(checkpointSubdir, "*.ckpt")} {
+	for _, pattern := range []string{"*" + entryExt, filepath.Join(checkpointSubdir, "*.ckpt")} {
 		matched, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return 0, 0, err
@@ -194,7 +193,6 @@ func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error
 		path  string
 		size  int64
 		mtime int64
-		dead  bool // an older build's .json entry
 	}
 	var entries []entry
 	var total int64
@@ -203,15 +201,10 @@ func EvictCache(dir string, maxBytes int64) (removed int, freed int64, err error
 		if err != nil {
 			continue // raced with another process; skip
 		}
-		entries = append(entries, entry{path: f, size: st.Size(), mtime: st.ModTime().UnixNano(), dead: filepath.Ext(f) == ".json"})
+		entries = append(entries, entry{path: f, size: st.Size(), mtime: st.ModTime().UnixNano()})
 		total += st.Size()
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].dead != entries[j].dead {
-			return entries[i].dead
-		}
-		return entries[i].mtime < entries[j].mtime
-	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime < entries[j].mtime })
 	for _, e := range entries {
 		if total <= maxBytes {
 			break

@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,19 +37,20 @@ func readEntry(t *testing.T, path string) (opts []byte, res engine.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts, res, ok := decodeEntry(b)
-	if !ok {
-		t.Fatalf("%s: not a record of this version", filepath.Base(path))
+	opts, res, err = engine.DecodeEntry(b)
+	if err != nil {
+		t.Fatalf("%s: %v", filepath.Base(path), err)
 	}
 	return opts, res
 }
 
 // writeEntry writes the record of opts and res to path, stamped with
-// version. A version below 128 is the one uvarint byte after the magic.
+// version. A version below 128 is the one uvarint byte after the four-byte
+// magic.
 func writeEntry(t *testing.T, path string, version int, opts []byte, res engine.Result) {
 	t.Helper()
-	b := appendEntry(nil, opts, res)
-	b[len(entryMagic)] = byte(version)
+	b := engine.AppendEntry(nil, opts, res)
+	b[4] = byte(version)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -154,82 +154,6 @@ func TestSchemaBumpInvalidates(t *testing.T) {
 	}
 }
 
-// TestOlderBuildsJSONEntries covers the .json entries that builds before
-// the record format left in a cache directory: no loader reads them, so
-// a render executes as if they were absent, VerifyCache counts each
-// skipped, and EvictCache removes them before any record or snapshot, even
-// when they are the newest files there.
-func TestOlderBuildsJSONEntries(t *testing.T) {
-	dir := t.TempDir()
-	r1 := tinyRunner()
-	r1.CacheDir = dir
-	want := r1.Fig2().String()
-	files := entryFiles(t, dir)
-	if len(files) != 2 {
-		t.Fatalf("%d cache files, want 2", len(files))
-	}
-	// The JSON an older build stored for files[0]'s run, under its key.
-	opts, res := readEntry(t, files[0])
-	var e struct {
-		Version int            `json:"version"`
-		Options engine.Options `json:"options"`
-		Result  engine.Result  `json:"result"`
-	}
-	if err := json.Unmarshal(opts, &e.Options); err != nil {
-		t.Fatal(err)
-	}
-	e.Version, e.Result = engine.ModelVersion, res
-	old, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := strings.TrimSuffix(filepath.Base(files[0]), entryExt)
-	legacy := filepath.Join(dir, key+".json")
-	if err := os.WriteFile(legacy, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(files[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := tinyRunner()
-	r2.CacheDir = dir
-	if got := r2.Fig2().String(); got != want {
-		t.Errorf("table differs with a .json entry in place of a record:\n%s\n---\n%s", got, want)
-	}
-	if got := r2.Executed(); got != 1 {
-		t.Errorf("executed %d simulations with one run stored as .json only, want 1", got)
-	}
-	rep, err := VerifyCache(dir, 0, 1, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Skipped != 1 || rep.Entries != 2 || rep.Mismatched != 0 {
-		t.Errorf("verify: %+v, want the .json entry skipped and 2 records", rep)
-	}
-
-	// The .json file is the newest in the directory and still goes first.
-	future := time.Now().Add(time.Hour)
-	if err := os.Chtimes(legacy, future, future); err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, f := range append(entryFiles(t, dir), legacy) {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += st.Size()
-	}
-	removed, _, err := EvictCache(dir, total-1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(legacy); removed != 1 || !os.IsNotExist(err) {
-		t.Errorf("evicted %d files, .json entry gone=%v; want exactly that one", removed, os.IsNotExist(err))
-	}
-}
-
 // TestEntryUnderAnotherKeyIsAMiss files one run's whole, current record
 // under the key of another run. A loader serves a record only when its
 // options are the bytes its key came from, so that run is simulated again
@@ -287,8 +211,8 @@ func TestLoaderRefusesInexactRecords(t *testing.T) {
 		runs = append(runs, stored{strings.TrimSuffix(filepath.Base(f), entryExt), opts, res})
 	}
 	// The longer record first, so the buffer shrinks under the second.
-	long := appendEntry(nil, runs[0].opts, runs[0].res)
-	if short := appendEntry(nil, runs[1].opts, runs[1].res); len(short) > len(long) {
+	long := engine.AppendEntry(nil, runs[0].opts, runs[0].res)
+	if short := engine.AppendEntry(nil, runs[1].opts, runs[1].res); len(short) > len(long) {
 		runs[0], runs[1] = runs[1], runs[0]
 	}
 	var buf []byte
@@ -299,7 +223,7 @@ func TestLoaderRefusesInexactRecords(t *testing.T) {
 	}
 
 	s := runs[0]
-	whole := appendEntry(nil, s.opts, s.res)
+	whole := engine.AppendEntry(nil, s.opts, s.res)
 	at := bytes.Index(whole, s.opts)
 	damaged := map[string][]byte{
 		"truncated": whole[:len(whole)-1],

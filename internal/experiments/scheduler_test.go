@@ -191,7 +191,7 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			b[len(entryMagic)]++ // the version, one uvarint byte
+			b[4]++ // the version, one uvarint byte after the four-byte magic
 			return os.WriteFile(path, b, 0o644)
 		}},
 		{"empty", func(path string) error { return os.WriteFile(path, nil, 0o644) }},

@@ -33,9 +33,9 @@ type VerifyReport struct {
 	// the stored one (a re-execution error counts as a mismatch: the
 	// stored entry claims a result the simulator can no longer produce).
 	Mismatched int
-	// Skipped counts files that were corrupt, on a different schema
-	// version or .json entries of an older build (a loader would
-	// re-execute these anyway, so they are not trust failures).
+	// Skipped counts files that were corrupt or on a different schema
+	// version (a loader would re-execute these anyway, so they are not
+	// trust failures).
 	Skipped int
 	// Orphaned counts entries whose filename no longer matches the hash
 	// of their stored options — e.g. a trace edited in place moved its
@@ -58,13 +58,6 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 		log = io.Discard
 	}
 	var rep VerifyReport
-	// An older build's .json entries are never read, so they are skipped
-	// like any other entry a loader would not serve.
-	old, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
-		return rep, err
-	}
-	rep.Skipped = len(old)
 	files, err := filepath.Glob(filepath.Join(dir, "*"+entryExt))
 	if err != nil {
 		return rep, err
@@ -82,9 +75,9 @@ func VerifyCache(dir string, sample int, seed uint64, log io.Writer) (VerifyRepo
 			rep.Skipped++
 			continue
 		}
-		stored, res, ok := decodeEntry(b)
+		stored, res, err := engine.DecodeEntry(b)
 		var o engine.Options
-		if !ok || json.Unmarshal(stored, &o) != nil {
+		if err != nil || json.Unmarshal(stored, &o) != nil {
 			rep.Skipped++
 			continue
 		}

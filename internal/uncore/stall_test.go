@@ -227,6 +227,20 @@ type machine struct {
 	// confidentMidStall counts, on the audited machine, the retirements that
 	// made a refused access's stride query issue (frontEnd.retire).
 	confidentMidStall uint64
+	// prefFills are the prefetch entries each core's L2 fill queue held at
+	// the latest auditInFlight; prefEntered and prefLeft count the prefetch
+	// entries it has seen enter and leave those queues, and tagDrops is
+	// PrefDroppedTagCheck as it last read it.
+	prefFills             [][]prefFill
+	prefEntered, prefLeft uint64
+	tagDrops              uint64
+}
+
+// prefFill is a prefetch entry of an L2 fill queue. Entries are pooled, so
+// the line tells a reused entry from the one it was.
+type prefFill struct {
+	e    *fillEntry
+	line mem.LineAddr
 }
 
 const tlbAuditEvery = 53
@@ -589,6 +603,12 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // A core's prefetch queue holds each line at most once: footnote 13's
 // associative search (triggerL2Prefetcher) drops a target already queued,
 // so one line is never prefetched twice from one queue.
+//
+// A prefetch is never lost on its way: every prefetch queued and not
+// cancelled is still queued or has entered its core's L2 fill queue, and
+// every prefetch entry that leaves that queue has its line in the L2 —
+// placed there, or dropped by the fill-time tag check because it already
+// was. Each tag-check drop is an entry leaving.
 func (m *machine) auditInFlight(t *testing.T, now uint64) {
 	t.Helper()
 	h := m.h
@@ -623,6 +643,51 @@ func (m *machine) auditInFlight(t *testing.T, now uint64) {
 	if misses, reads := h.stats.L3Misses, h.mem.TotalStats().Reads; unresolved != misses-reads {
 		t.Fatalf("cycle %d: %d L3 fill-queue entries wait on DRAM, but L3Misses %d - DRAM.Reads %d = %d reads are queued",
 			now, unresolved, misses, reads, misses-reads)
+	}
+	m.auditPrefetchFills(t, now)
+}
+
+// auditPrefetchFills is auditInFlight's prefetch side.
+func (m *machine) auditPrefetchFills(t *testing.T, now uint64) {
+	t.Helper()
+	h := m.h
+	if m.prefFills == nil {
+		m.prefFills = make([][]prefFill, len(h.l2fq))
+	}
+	var left, queued uint64
+	for c, q := range h.l2fq {
+		var held []prefFill
+		for _, e := range q.entries {
+			if e.isPrefetch {
+				held = append(held, prefFill{e, e.line})
+			}
+		}
+		for _, p := range m.prefFills[c] {
+			if slices.Contains(held, p) {
+				continue
+			}
+			left++
+			if h.l2[c].Peek(p.line) == nil {
+				t.Fatalf("cycle %d core %d: the prefetch of line %#x left the L2 fill queue, but the line is not in the L2", now, c, p.line)
+			}
+		}
+		for _, p := range held {
+			if !slices.Contains(m.prefFills[c], p) {
+				m.prefEntered++
+			}
+		}
+		m.prefFills[c] = held
+		queued += uint64(h.pq[c].n)
+	}
+	m.prefLeft += left
+	st := h.Stats()
+	if drops := st.PrefDroppedTagCheck - m.tagDrops; drops > left {
+		t.Fatalf("cycle %d: the tag check dropped %d prefetch fills, but %d prefetch entries left the L2 fill queues", now, drops, left)
+	}
+	m.tagDrops = st.PrefDroppedTagCheck
+	if sent := st.PrefIssued - st.PrefCancelled - queued; sent != m.prefEntered {
+		t.Fatalf("cycle %d: PrefIssued %d - PrefCancelled %d - %d still queued = %d prefetches sent, but %d entered an L2 fill queue",
+			now, st.PrefIssued, st.PrefCancelled, queued, sent, m.prefEntered)
 	}
 }
 
@@ -847,32 +912,35 @@ func (m *machine) headDue(now uint64) bool {
 	return false
 }
 
-// TestRequestsCountedOnce holds Stats to one count per request on the
-// lock-step rows that refuse the most: run each to the end of its request
-// stream and then dry, every L2 access counted must be a request that entered
-// a demand queue, every DL1 miss an accepted Demand call that missed the
-// DL1 (an MSHR merge included), and every L3 miss one DRAM read. A refused attempt, however often replayed,
-// counts nothing; the rows must see refusals for that to mean anything.
+// TestRequestsCountedOnce holds Stats to one count per request on every
+// lock-step row: run each to the end of its request stream and then dry,
+// every L2 access counted must be a request that entered a demand queue,
+// every DL1 miss an accepted Demand call that missed the DL1 (an MSHR merge
+// included), every L3 miss one DRAM read, and every prefetch sent
+// (PrefIssued - PrefCancelled) one entry that entered and left an L2 fill
+// queue (auditInFlight, every cycle). A refused attempt, however often
+// replayed, counts nothing; the rows must see refusals for that to mean
+// anything.
 func TestRequestsCountedOnce(t *testing.T) {
 	for _, row := range stallRows() {
-		if !slices.Contains([]string{"4core-thrash", "no-promotion", "tiny-queues"}, row.name) {
-			continue
-		}
 		t.Run(row.name, func(t *testing.T) {
 			m := row.build(t, true)
 			now := uint64(0)
 			for ; now < row.cycles; now++ {
 				m.front(now)
 				m.h.Tick(now)
+				m.auditInFlight(t, now)
 			}
 			for ; !m.h.Drained(); now++ {
 				if now > 2*row.cycles {
 					t.Fatalf("not drained %d cycles after the last request", now-row.cycles)
 				}
 				m.h.Tick(now)
+				m.auditInFlight(t, now)
 			}
 			st, hits := m.h.Stats(), m.h.memoHits
-			t.Logf("%d requests entered a demand queue, %d accepted Demand calls missed the DL1; memo hits %+v", m.enqueued, m.dl1Misses, hits)
+			t.Logf("%d requests entered a demand queue, %d accepted Demand calls missed the DL1, %d prefetches filled or were dropped by the tag check; memo hits %+v",
+				m.enqueued, m.dl1Misses, m.prefLeft, hits)
 			if st.L2DemandAccesses != m.enqueued || st.L2Hits+st.L2Misses != st.L2DemandAccesses {
 				t.Errorf("L2DemandAccesses %d (L2Hits %d + L2Misses %d) for %d requests that entered a demand queue",
 					st.L2DemandAccesses, st.L2Hits, st.L2Misses, m.enqueued)
@@ -882,6 +950,10 @@ func TestRequestsCountedOnce(t *testing.T) {
 			}
 			if reads := m.h.mem.TotalStats().Reads; st.L3Misses != reads {
 				t.Errorf("L3Misses %d but DRAM served %d reads: each L3 miss is one DRAM read", st.L3Misses, reads)
+			}
+			if sent := st.PrefIssued - st.PrefCancelled; m.prefEntered != sent || m.prefLeft != sent {
+				t.Errorf("PrefIssued %d - PrefCancelled %d = %d prefetches sent, but %d entered an L2 fill queue and %d left one",
+					st.PrefIssued, st.PrefCancelled, sent, m.prefEntered, m.prefLeft)
 			}
 			for _, memo := range row.wantMemos {
 				if n := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}[memo]; n == 0 {
