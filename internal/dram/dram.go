@@ -25,9 +25,10 @@ func New(p Params) *Memory {
 // Params returns the memory parameters.
 func (m *Memory) Params() Params { return m.p }
 
-// EnqueueRead queues a read of line for core. It returns fut, which will
-// carry the completion cycle, or nil when the core's read queue on the
-// line's channel is full (caller retries later). Two reads of one line are
+// EnqueueRead queues a read of line for core. It returns fut, which the
+// Tick that issues the read resolves with the completion cycle, or nil when
+// the core's read queue on the line's channel is full (caller retries
+// later). fut must stay valid until then. Two reads of one line are
 // two requests: the uncore is the one place in-flight reads are
 // deduplicated, by searching its L3 fill queue before it calls here.
 func (m *Memory) EnqueueRead(line mem.LineAddr, core int, fut *Future) *Future {
@@ -47,7 +48,8 @@ func (m *Memory) ReadBlocked(line mem.LineAddr, core int) bool {
 }
 
 // ReadVersion moves whenever a read joins or leaves any read queue, so
-// while it stands every ReadBlocked answer stands too.
+// while it stands every ReadBlocked answer stands too, and a Tick across
+// which it moves has issued a read and resolved its future.
 func (m *Memory) ReadVersion() uint64 { return m.readVersion }
 
 // EnqueueWrite queues a write-back of line for core; false when full.
@@ -69,8 +71,9 @@ func (m *Memory) Tick(now uint64) {
 // NextEvent returns the earliest cycle at or after now at which the memory
 // system can do work: the next bus-cycle boundary while any request is
 // queued, or ^uint64(0) when every controller is idle. Issued requests need
-// no events — their completion cycles were computed at issue time and live
-// in resolved futures; only queued requests await scheduling decisions.
+// no events — their completion cycles were computed at issue time, in the
+// Tick that resolved their futures; only queued requests await scheduling
+// decisions.
 func (m *Memory) NextEvent(now uint64) uint64 {
 	if m.Idle() {
 		return ^uint64(0)

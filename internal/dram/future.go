@@ -1,9 +1,11 @@
 package dram
 
-// Future is the completion handle of an in-flight memory request. A request
-// whose service time is not yet known (queued behind other DRAM traffic)
-// carries a pending Future; the controller resolves it with the cycle at
-// which the data transfer completes. Cache hits resolve futures immediately.
+// Future is the completion handle of an in-flight memory request. A queued
+// DRAM read carries a pending Future, and the controller resolves it, with
+// the cycle at which the data transfer completes, in the Tick that issues
+// the read; the caller reads it once that Tick returns (Memory.ReadVersion
+// tells it a read was issued). The uncore also resolves the futures it
+// hands to cores, when their fills arrive.
 type Future struct {
 	cycle    uint64
 	resolved bool
@@ -32,10 +34,10 @@ const arenaSlab = 4096
 
 // Arena hands out Futures carved from slab allocations, so the steady-state
 // miss path costs one heap allocation per slab instead of one per request.
-// Individual futures are never recycled — the uncore, the one place requests
-// for a line in flight are deduplicated, aliases them through MSHR merges and
-// L3 fill-queue matches, so no single release point exists — but a slab is
-// collected as a unit once every future carved from it has been dropped.
+// Individual futures are never recycled — the uncore aliases the futures it
+// hands to cores through MSHR merges and fill-queue waiters, so no single
+// release point exists — but a slab is collected as a unit once every future
+// carved from it has been dropped.
 type Arena struct {
 	slab []Future
 }

@@ -58,6 +58,11 @@ func FuzzOptions(f *testing.F) {
 	f.Add(uint8(16), uint8(0), uint8(3), uint8(1), uint8(7), false, false, true, uint16(5_000), uint16(4_000), uint64(3))
 	f.Add(uint8(17), uint8(0), uint8(2), uint8(2), uint8(0), true, true, true, uint16(12_000), uint16(6_000), uint64(11))
 	f.Add(uint8(18), uint8(21), uint8(1), uint8(2), uint8(2), false, true, true, uint16(10_000), uint16(8_000), uint64(5))
+	// gups+456.hmmer, one core: gups's random accesses at PC 0x4000 break the
+	// stride of hmmer's stream at the same PC, so its stride entry regains
+	// confidence from retirements while the stream's next access waits for
+	// an MSHR. A retirement must lift the Demand memo (RetireMemOp).
+	f.Add(uint8(18), uint8(143), uint8(0), uint8(2), uint8(1), false, true, true, uint16(0), uint16(19_999), uint64(1))
 	f.Fuzz(func(t *testing.T, workload, second, cores, policy, l2 uint8, hugePages, stride, late bool, warmup, n uint16, seed uint64) {
 		o := fuzzRun(workload, second, cores, policy, l2, hugePages, stride, late, warmup, n, seed)
 		run := func(name string, s *engine.Simulation) []byte {

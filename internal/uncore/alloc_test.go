@@ -3,6 +3,7 @@ package uncore
 import (
 	"testing"
 
+	"bopsim/internal/dram"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 )
@@ -80,4 +81,58 @@ func TestHierarchyTickZeroAlloc(t *testing.T) {
 			t.Errorf("core 0 holds %d of %d MSHRs, L3 fill queue full = %v: the machine is not blocked", n, cfg.MSHRs, h.l3fq.full())
 		}
 	})
+}
+
+// TestDRAMReadsZeroAlloc pins what a DRAM read costs the uncore: nothing.
+// An L3 fill-queue entry hands DRAM the future it embeds, so no future is
+// carved per read. Prefetch targets go straight into core 0's prefetch
+// queue, each a line not seen before, with no core demand: every one is an
+// L3 miss and a DRAM read, and each measured run sends a slab's worth of
+// reads (4,096) through Tick, so a future per read would cost a slab per
+// run. (AllocsPerRun's per-run average, rounded down, forgives a stray
+// allocation of the runtime's, not one per run.) First every DRAM read queue
+// is filled once, so that the controllers' queues and request free lists
+// have grown to their largest before anything is measured.
+func TestDRAMReadsZeroAlloc(t *testing.T) {
+	const reads = 4096
+	h := New(DefaultConfig(1, mem.Page4K), nil, nil, nil)
+	var now uint64
+	for line := mem.LineAddr(0); line < 1024; line++ { // each channel takes the first 32 of its lines
+		h.mem.EnqueueRead(line, 0, dram.Pending())
+	}
+	if !h.mem.ReadBlocked(0, 0) || !h.mem.ReadBlocked(4, 0) { // lines 0 and 4 map to channels 0 and 1
+		t.Fatal("a DRAM read queue is not full")
+	}
+	for ; !h.mem.Idle(); now++ {
+		h.mem.Tick(now)
+	}
+	var line mem.LineAddr = 1 << 20
+	wedged := false
+	run := func() {
+		start := now
+		for pushed := 0; pushed < reads || !h.Drained(); now++ {
+			if now-start > 100*reads {
+				wedged = true
+				return
+			}
+			if pushed < reads && h.pq[0].n < len(h.pq[0].lines) {
+				h.pq[0].push(line)
+				line++
+				pushed++
+			}
+			h.Tick(now)
+		}
+	}
+	const runs = 4
+	avg := testing.AllocsPerRun(runs, run)
+	if wedged {
+		t.Fatalf("cycle %d: not drained %d cycles into a run", now, 100*reads)
+	}
+	if avg != 0 {
+		t.Errorf("%d DRAM reads allocate %.0f objects, want 0", reads, avg)
+	}
+	if st := h.Stats(); st.L3Misses != (runs+1)*reads || st.L3Hits != 0 || st.PrefCancelled != 0 {
+		t.Errorf("L3Misses %d, L3Hits %d, PrefCancelled %d: want %d misses, every prefetch a miss and none cancelled",
+			st.L3Misses, st.L3Hits, st.PrefCancelled, (runs+1)*reads)
+	}
 }

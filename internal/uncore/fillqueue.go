@@ -16,11 +16,15 @@ import (
 type fillEntry struct {
 	line mem.LineAddr
 	core int
-	// The block's data is available at this level when fut resolves, or —
-	// for sources whose timing is known up front (an L3 hit) — at the fixed
-	// cycle readyAt, with no Future allocated at all. fut != nil wins.
-	fut     *dram.Future
+	// readyAt is the cycle the block's data is available at this level:
+	// known up front for an L3 hit, and ^uint64(0) while the block waits on
+	// a DRAM read the controller has not issued yet. The Tick that issues the
+	// read copies its arrival into every entry of the line (readsIssued).
 	readyAt uint64
+	// read is the completion handle an L3 fill-queue entry that missed hands
+	// to DRAM with its read; the entry outlives the read, which is issued
+	// before the entry can pop.
+	read dram.Future
 	// isPrefetch records the original request type; promoted flips the
 	// effective type to demand without losing the information that the
 	// block started as a prefetch (a promoted prefetch is a late prefetch).
@@ -38,26 +42,6 @@ type fillEntry struct {
 	// waiters are the core-visible completion futures resolved when this
 	// entry fills its cache.
 	waiters []*dram.Future
-}
-
-// readyBy reports whether the block's data has arrived by now.
-func (e *fillEntry) readyBy(now uint64) bool {
-	if e.fut != nil {
-		return e.fut.DoneBy(now)
-	}
-	return e.readyAt <= now
-}
-
-// readyTime returns the cycle the data arrives when it is already known
-// (^uint64(0) while the future is unresolved — a DRAM event will set it).
-func (e *fillEntry) readyTime() uint64 {
-	if e.fut != nil {
-		if !e.fut.Resolved() {
-			return ^uint64(0)
-		}
-		return e.fut.Cycle()
-	}
-	return e.readyAt
 }
 
 // entryPool is a free list of fillEntry objects, reused so the steady-state
@@ -84,52 +68,25 @@ func (p *entryPool) put(e *fillEntry) {
 }
 
 // fillQueue is a bounded FIFO of fillEntry with CAM search by line address.
-//
-// To keep the per-cycle drain cheap, the queue maintains two summaries of
-// its entries: minKnown, the earliest arrival cycle among entries whose
-// timing is known, and unresolved, the count of entries still waiting on an
-// unresolved DRAM future. An entry's timing changes exactly once — when the
-// DRAM controller resolves its future — and that can only happen during a
-// bus-cycle tick, so the owning Hierarchy bumps a resolution epoch after
-// each such tick and the queue rescans its entries at most once per epoch
-// (and only while it actually holds unresolved futures). Between epochs,
-// `now < minKnown` proves no entry can be ready without touching any entry.
+// The CAM scans lines, kept beside entries (lines[i] is entries[i].line).
+// minKnown, the minimum readyAt over the entries, lets the per-cycle drain
+// prove that no entry is ready without touching one: an entry's readyAt
+// changes once at most, from unknown to known, and only through arrive.
 type fillQueue struct {
 	entries []*fillEntry
+	lines   []mem.LineAddr
 	cap     int
 	ready   []*fillEntry // scratch returned by popReady, reused across calls
 
-	minKnown   uint64 // earliest known arrival cycle (^uint64(0) if none)
-	unresolved int    // entries waiting on an unresolved future
-	epoch      uint64 // resolution epoch the summaries were computed at
+	minKnown uint64 // earliest known arrival cycle (^uint64(0) if none)
 }
 
 func newFillQueue(capacity int) *fillQueue {
-	return &fillQueue{cap: capacity, minKnown: ^uint64(0)}
-}
-
-// sync refreshes the summaries after futures may have resolved. Cheap when
-// nothing could have changed: same epoch, or no unresolved futures held.
-func (q *fillQueue) sync(epoch uint64) {
-	if q.epoch == epoch {
-		return
-	}
-	q.epoch = epoch
-	if q.unresolved == 0 {
-		return
-	}
-	q.recompute()
-}
-
-func (q *fillQueue) recompute() {
-	q.minKnown = ^uint64(0)
-	q.unresolved = 0
-	for _, e := range q.entries {
-		if t := e.readyTime(); t == ^uint64(0) {
-			q.unresolved++
-		} else if t < q.minKnown {
-			q.minKnown = t
-		}
+	return &fillQueue{
+		entries:  make([]*fillEntry, 0, capacity),
+		lines:    make([]mem.LineAddr, 0, capacity),
+		cap:      capacity,
+		minKnown: ^uint64(0),
 	}
 }
 
@@ -142,21 +99,29 @@ func (q *fillQueue) push(e *fillEntry) {
 		panic("uncore: fill queue overflow")
 	}
 	q.entries = append(q.entries, e)
-	if t := e.readyTime(); t == ^uint64(0) {
-		q.unresolved++
-	} else if t < q.minKnown {
-		q.minKnown = t
-	}
+	q.lines = append(q.lines, e.line)
+	q.minKnown = min(q.minKnown, e.readyAt)
 }
 
 // find returns the entry for line, or nil (the CAM search).
 func (q *fillQueue) find(line mem.LineAddr) *fillEntry {
-	for _, e := range q.entries {
-		if e.line == line {
-			return e
+	for i, l := range q.lines {
+		if l == line {
+			return q.entries[i]
 		}
 	}
 	return nil
+}
+
+// arrive sets the arrival cycle of every entry for line that still waits on
+// DRAM: the line's one read in flight has been issued and arrives at at.
+func (q *fillQueue) arrive(line mem.LineAddr, at uint64) {
+	for i, l := range q.lines {
+		if e := q.entries[i]; l == line && e.readyAt == ^uint64(0) {
+			e.readyAt = at
+			q.minKnown = min(q.minKnown, at)
+		}
+	}
 }
 
 // popReady removes and returns entries whose data has arrived by now, in
@@ -165,40 +130,25 @@ func (q *fillQueue) find(line mem.LineAddr) *fillEntry {
 // entries. The returned slice is scratch owned by the queue, valid until
 // the next popReady call; callers must release each entry to the pool when
 // done with it.
-func (q *fillQueue) popReady(now, epoch uint64) []*fillEntry {
-	q.sync(epoch)
+func (q *fillQueue) popReady(now uint64) []*fillEntry {
 	if now < q.minKnown {
 		return q.ready[:0] // nothing can be ready; skip the scan
 	}
 	ready := q.ready[:0]
-	kept := q.entries[:0]
+	n := 0
 	q.minKnown = ^uint64(0)
-	q.unresolved = 0
 	for _, e := range q.entries {
-		if e.readyBy(now) {
+		if e.readyAt <= now {
 			ready = append(ready, e)
-		} else {
-			kept = append(kept, e)
-			if t := e.readyTime(); t == ^uint64(0) {
-				q.unresolved++
-			} else if t < q.minKnown {
-				q.minKnown = t
-			}
+			continue
 		}
+		q.entries[n], q.lines[n] = e, e.line
+		n++
+		q.minKnown = min(q.minKnown, e.readyAt)
 	}
 	// Clear the tail so dropped entries do not linger past their release.
-	for i := len(kept); i < len(q.entries); i++ {
-		q.entries[i] = nil
-	}
-	q.entries = kept
+	clear(q.entries[n:])
+	q.entries, q.lines = q.entries[:n], q.lines[:n]
 	q.ready = ready
 	return ready
-}
-
-// nextReady returns the earliest known arrival cycle over all entries
-// (^uint64(0) when the queue is empty or every entry waits on DRAM — in the
-// latter case a pending DRAM read guarantees a memory event covers it).
-func (q *fillQueue) nextReady(epoch uint64) uint64 {
-	q.sync(epoch)
-	return q.minKnown
 }

@@ -129,14 +129,7 @@ type Hierarchy struct {
 	dl1Fills    [][]dl1Fill
 	pendingWB   []wbReq
 	pool        entryPool
-	futs        dram.Arena
-
-	// futEpoch counts DRAM bus-cycle ticks: the only moments at which the
-	// controller can resolve futures. Fill queues use it to rescan their
-	// entries at most once per bus tick (see fillQueue.sync).
-	//bovet:allow statecodec rescan memo, not architectural state: SaveState requires Drained (no futures in flight)
-	futEpoch uint64
-	busRatio uint64
+	futs        dram.Arena // the core-visible futures of Demand and strideQuery
 
 	// retry holds the per-core refusal memos and their versions. shared is
 	// the version every core reads: it moves when the L3 fill queue loses an
@@ -177,7 +170,6 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 		mem:  memory,
 		l3fq: newFillQueue(cfg.L3FillQueueLen),
 	}
-	h.busRatio = uint64(memory.Params().BusRatio)
 	if fp, ok := h.l3.Policy().(*cache.FiveP); ok {
 		h.fivep = fp
 	}
@@ -353,9 +345,27 @@ func (h *Hierarchy) Tick(now uint64) {
 		h.issueQueuedPrefetch(c, now)
 	}
 	h.retryWritebacks(now)
+	reads := h.mem.ReadVersion()
 	h.mem.Tick(now)
-	if now%h.busRatio == 0 {
-		h.futEpoch++ // the controllers may have resolved futures just now
+	if h.mem.ReadVersion() != reads {
+		h.readsIssued()
+	}
+}
+
+// readsIssued copies the arrival cycle of each read DRAM has just issued
+// into the fill entries of its line: the L3 fill-queue entry that sent it
+// and every L2 fill-queue entry waiting on that one. A line has one read in
+// flight at most, because the L3 fill queue deduplicates them (accessL3).
+func (h *Hierarchy) readsIssued() {
+	for _, e := range h.l3fq.entries {
+		if e.readyAt != ^uint64(0) || !e.read.Resolved() {
+			continue
+		}
+		at := e.read.Cycle()
+		h.l3fq.arrive(e.line, at)
+		for _, q := range h.l2fq {
+			q.arrive(e.line, at)
+		}
 	}
 }
 
@@ -424,18 +434,14 @@ func (h *Hierarchy) NextEvent(now uint64) uint64 {
 	if next <= now {
 		return now
 	}
-	if t := h.l3fq.nextReady(h.futEpoch); t < next {
-		next = t
-	}
+	next = min(next, h.l3fq.minKnown)
 	for c := range h.l2fq {
 		// A refused issueQueuedPrefetch changes nothing at all (the entry it
 		// takes from the pool goes straight back).
 		if line, ok := h.pq[c].front(); ok && !h.l2fq[c].full() && !h.prefetchRefused(c, line) && !h.l3Blocked(line, c) {
 			return now // a queued prefetch will issue this cycle
 		}
-		if t := h.l2fq[c].nextReady(h.futEpoch); t < next {
-			next = t
-		}
+		next = min(next, h.l2fq[c].minKnown)
 		if h.demandQ[c].len() > 0 {
 			switch req := h.demandQ[c].front(); {
 			case req.readyAt > now:
@@ -486,7 +492,7 @@ func (h *Hierarchy) drainL3Fills(now uint64) {
 	if h.l3fq.len() == 0 {
 		return
 	}
-	for _, e := range h.l3fq.popReady(now, h.futEpoch) {
+	for _, e := range h.l3fq.popReady(now) {
 		h.placeL3(e.line, cache.InsertInfo{Core: e.core, IsPrefetch: e.isPrefetch && !e.promoted})
 		h.pool.put(e)
 	}
@@ -498,7 +504,7 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 	if h.l2fq[core].len() == 0 {
 		return
 	}
-	for _, e := range h.l2fq[core].popReady(now, h.futEpoch) {
+	for _, e := range h.l2fq[core].popReady(now) {
 		h.retry[core].front++ // the MSHR is released below
 		h.retry[core].priv++
 		// The prefetch *bit* is only set when the block was not promoted to
@@ -692,25 +698,25 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 	if h.l3.Lookup(e.line) != nil { // a real access: the replacement update
 		h.stats.L3Hits++
-		e.fut, e.readyAt = nil, now+h.cfg.L3Latency
+		e.readyAt = now + h.cfg.L3Latency
 		return true
 	}
 	if l3e := h.l3fq.find(e.line); l3e != nil {
 		if !isPrefetch && l3e.isPrefetch {
 			l3e.promoted = true
 		}
-		e.fut = l3e.fut
+		e.readyAt = l3e.readyAt
 		return true
 	}
 	if h.l3fq.full() || h.mem.ReadBlocked(e.line, e.core) {
 		return false
 	}
-	fut := h.mem.EnqueueRead(e.line, e.core, h.futs.Pending())
-	h.stats.L3Misses++
 	l3e := h.pool.get()
-	l3e.line, l3e.core, l3e.isPrefetch, l3e.fut = e.line, e.core, isPrefetch, fut
+	l3e.line, l3e.core, l3e.isPrefetch, l3e.readyAt = e.line, e.core, isPrefetch, ^uint64(0)
+	h.mem.EnqueueRead(e.line, e.core, &l3e.read)
+	h.stats.L3Misses++
 	h.l3fq.push(l3e)
-	e.fut = fut
+	e.readyAt = ^uint64(0)
 	return true
 }
 

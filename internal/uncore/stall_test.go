@@ -580,21 +580,27 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 		}
 	}
 	h.retryWritebacks(now)
+	reads := h.mem.ReadVersion()
 	h.mem.Tick(now)
-	if now%h.busRatio == 0 {
-		h.futEpoch++
+	if h.mem.ReadVersion() != reads {
+		h.readsIssued()
 	}
 	m.auditInFlight(t, now)
 }
 
-// auditInFlight checks three records of in-flight requests.
+// auditInFlight checks four records of in-flight requests.
 //
 // The L3 fill queue is the one record of an in-flight DRAM read: it holds
 // each line at most once, so the uncore never sends DRAM a second read of a
 // line already on its way (DRAM would serve it as a request of its own),
-// and its entries whose future is unresolved are exactly the reads DRAM has
-// queued and not yet issued — each L3 miss enqueued one read, and a read's
-// future resolves when it issues.
+// and its entries whose arrival is unknown are exactly the reads DRAM has
+// queued and not yet issued — each L3 miss enqueued one read, and the Tick
+// that issues a read sets its entry's arrival, so after a Tick no entry
+// holds an issued read it has not taken the arrival of.
+//
+// An L2 fill-queue entry waits on DRAM only through the L3 fill queue: an
+// entry whose arrival is unknown has an L3 fill-queue entry of its line
+// that is waiting too, whose arrival it takes when DRAM issues the read.
 //
 // A DL1 MSHR does not leak: each line in a core's MSHRs has a request on
 // its way to that core's DL1 (mshrInFlight), so every register is released
@@ -636,13 +642,29 @@ func (m *machine) auditInFlight(t *testing.T, now uint64) {
 				t.Fatalf("cycle %d: line %#x has two L3 fill-queue entries", now, e.line)
 			}
 		}
-		if !e.fut.Resolved() {
-			unresolved++
+		if e.readyAt != never {
+			continue
 		}
+		if e.read.Resolved() {
+			t.Fatalf("cycle %d: DRAM issued the read of line %#x, arriving at cycle %d, but its L3 fill-queue entry still waits on DRAM",
+				now, e.line, e.read.Cycle())
+		}
+		unresolved++
 	}
 	if misses, reads := h.stats.L3Misses, h.mem.TotalStats().Reads; unresolved != misses-reads {
 		t.Fatalf("cycle %d: %d L3 fill-queue entries wait on DRAM, but L3Misses %d - DRAM.Reads %d = %d reads are queued",
 			now, unresolved, misses, reads, misses-reads)
+	}
+	for c, q := range h.l2fq {
+		for _, e := range q.entries {
+			if e.readyAt != never {
+				continue
+			}
+			if l3e := h.l3fq.find(e.line); l3e == nil || l3e.readyAt != never {
+				t.Fatalf("cycle %d core %d: line %#x waits on DRAM in the L2 fill queue, but no L3 fill-queue entry of it waits on DRAM (entry present: %v)",
+					now, c, e.line, l3e != nil)
+			}
+		}
 	}
 	m.auditPrefetchFills(t, now)
 }

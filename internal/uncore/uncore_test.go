@@ -333,7 +333,7 @@ func TestPrefetchQueueOldestCancelled(t *testing.T) {
 
 func TestFillQueueCAM(t *testing.T) {
 	q := newFillQueue(4)
-	e := &fillEntry{line: 42, fut: dram.Pending()}
+	e := &fillEntry{line: 42, readyAt: never}
 	q.push(e)
 	if q.find(42) != e {
 		t.Error("CAM search missed entry")
@@ -341,14 +341,25 @@ func TestFillQueueCAM(t *testing.T) {
 	if q.find(43) != nil {
 		t.Error("CAM search false positive")
 	}
-	e.fut.Resolve(10)
-	// A resolution implies a new DRAM bus-tick epoch; pass the bumped epoch
-	// as the hierarchy would.
-	ready := q.popReady(10, 1)
+	if ready := q.popReady(100); len(ready) != 0 || q.minKnown != never {
+		t.Errorf("an entry waiting on DRAM: popReady returned %d entries, minKnown %d", len(ready), q.minKnown)
+	}
+	q.arrive(43, 5)
+	if e.readyAt != never {
+		t.Error("arrive set another line's entry")
+	}
+	q.arrive(42, 10)
+	if e.readyAt != 10 || q.minKnown != 10 {
+		t.Errorf("after arrive: readyAt %d, minKnown %d, want 10 and 10", e.readyAt, q.minKnown)
+	}
+	if ready := q.popReady(9); len(ready) != 0 {
+		t.Errorf("popReady before the arrival returned %d entries", len(ready))
+	}
+	ready := q.popReady(10)
 	if len(ready) != 1 || ready[0] != e {
 		t.Errorf("popReady returned %d entries", len(ready))
 	}
-	if q.len() != 0 {
+	if q.len() != 0 || q.find(42) != nil {
 		t.Error("entry not removed by popReady")
 	}
 }
