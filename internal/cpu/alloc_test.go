@@ -10,13 +10,20 @@ import (
 	"bopsim/internal/uncore"
 )
 
+// guardRequests is how many core requests the measured run covers: twice
+// the 4,096 records a slab-carving allocator would hand out per allocation,
+// so that amortised allocation shows as a whole object, not as a fraction
+// that a per-cycle average rounds to 0.
+const guardRequests = 8192
+
 // TestCoreCycleZeroAlloc pins the steady-state cost of the core's hot loop:
 // once the ROB ring, request queues, fill-entry pool, DRAM request pool and
-// future arena have warmed up, a simulated cycle — Core.Cycle plus the
+// completion pool have warmed up, simulated cycles — Core.Cycle plus the
 // Hierarchy.Tick it drives, behind the two NextEvent calls the engine makes
-// before every cycle it ticks — must not allocate. A regression here silently
-// multiplies across hundreds of millions of simulated cycles, so it fails
-// the build instead of the profiler.
+// before every cycle it ticks — must not allocate, measured as one run of
+// guardRequests core requests. A regression here silently multiplies across
+// hundreds of millions of simulated cycles, so it fails the build instead of
+// the profiler.
 func TestCoreCycleZeroAlloc(t *testing.T) {
 	for _, wl := range []string{"stream", "microthrash", "gups"} {
 		t.Run(wl, func(t *testing.T) {
@@ -32,15 +39,25 @@ func TestCoreCycleZeroAlloc(t *testing.T) {
 				c.Cycle(now)
 				h.Tick(now)
 			}
-			avg := testing.AllocsPerRun(2000, func() {
-				c.NextEvent(now)
-				h.NextEvent(now)
-				c.Cycle(now)
-				h.Tick(now)
-				now++
+			wedged := false
+			allocs := testing.AllocsPerRun(1, func() {
+				start, first := h.Stats().L2DemandAccesses, now
+				for ; h.Stats().L2DemandAccesses-start < guardRequests; now++ {
+					if now-first == 100*guardRequests {
+						wedged = true
+						return
+					}
+					c.NextEvent(now)
+					h.NextEvent(now)
+					c.Cycle(now)
+					h.Tick(now)
+				}
 			})
-			if avg != 0 {
-				t.Errorf("%s: steady-state cycle allocates %.3f objects/cycle, want 0", wl, avg)
+			if wedged {
+				t.Fatalf("%s: fewer than %d core requests in %d cycles up to cycle %d", wl, guardRequests, 100*guardRequests, now)
+			}
+			if allocs != 0 {
+				t.Errorf("%s: %d core requests allocate %.0f objects, want 0", wl, guardRequests, allocs)
 			}
 		})
 	}

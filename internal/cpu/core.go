@@ -11,7 +11,6 @@ package cpu
 import (
 	"fmt"
 
-	"bopsim/internal/dram"
 	"bopsim/internal/mem"
 	"bopsim/internal/trace"
 	"bopsim/internal/uncore"
@@ -45,9 +44,9 @@ type robEntry struct {
 	pc      uint64
 	va      mem.Addr
 	seq     uint64
-	doneAt  uint64       // completion cycle when fut is nil (ALU, stores, cache-hit loads)
-	fut     *dram.Future // in-flight load completion (nil once known)
-	depSlot int32        // ring slot of the load this entry's address depends on (-1: none)
+	doneAt  uint64             // completion cycle when fut is nil (ALU, stores, cache-hit loads)
+	fut     *uncore.Completion // in-flight load completion, held until retirement
+	depSlot int32              // ring slot of the load this entry's address depends on (-1: none)
 	depSeq  uint64
 }
 
@@ -118,8 +117,8 @@ func (e *robEntry) done(now uint64) bool {
 }
 
 // readyTime returns the cycle the entry completes, when that is already
-// known. It is unknown for loads not yet issued and loads whose future has
-// not resolved; those complete via a hierarchy or DRAM event.
+// known. It is unknown for loads not yet issued and loads whose completion
+// has not resolved; those complete via a hierarchy or DRAM event.
 func (e *robEntry) readyTime() (uint64, bool) {
 	if e.isLoad {
 		if !e.issued {
@@ -157,7 +156,10 @@ func (c *Core) retire(now uint64) {
 		if head.isMem {
 			c.hier.RetireMemOp(c.ID, head.pc, head.va)
 		}
-		head.fut = nil // release the future; the seq tag stays for dep checks
+		if head.fut != nil {
+			c.hier.Release(head.fut)
+			head.fut = nil // the seq tag stays for dep checks
+		}
 		c.robHead++
 		if c.robHead == c.cfg.ROBSize {
 			c.robHead = 0
@@ -257,11 +259,14 @@ func (c *Core) dispatch(now uint64) {
 		case trace.OpStore:
 			// Stores retire through the store buffer without waiting for
 			// the fill, but still generate the write-allocate traffic.
-			_, _, ok := c.hier.Demand(c.ID, inst.PC, inst.VA, true, now)
+			_, fut, ok := c.hier.Demand(c.ID, inst.PC, inst.VA, true, now)
 			if !ok {
 				c.pending = inst
 				c.hasPending = true
 				return
+			}
+			if fut != nil {
+				c.hier.Release(fut)
 			}
 			c.push(robEntry{
 				isMem: true, pc: inst.PC, va: inst.VA, depSlot: -1,

@@ -44,6 +44,22 @@ func runCycles(c *Core, h *uncore.Hierarchy, n uint64) {
 	}
 }
 
+// runToRetired advances core+hierarchy from cycle 0 until the core has
+// retired n instructions, returning the cycle the last of them retired at.
+// A machine that has not got there after 100,000 cycles fails the test.
+func runToRetired(t *testing.T, c *Core, h *uncore.Hierarchy, n uint64) uint64 {
+	t.Helper()
+	for now := uint64(0); now < 100_000; now++ {
+		c.Cycle(now)
+		h.Tick(now)
+		if c.Retired >= n {
+			return now
+		}
+	}
+	t.Fatalf("%d of %d instructions retired after 100,000 cycles", c.Retired, n)
+	return 0
+}
+
 func TestALURetirementRate(t *testing.T) {
 	c, h := newTestSystem(nil)
 	runCycles(c, h, 1000)
@@ -78,30 +94,14 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 	// one miss latency, not two.
 	single := []trace.Inst{{Op: trace.OpLoad, PC: 0x20, VA: 0x100000}}
 	c1, h1 := newTestSystem(single)
-	var t1 uint64
-	for now := uint64(0); ; now++ {
-		c1.Cycle(now)
-		h1.Tick(now)
-		if c1.Retired >= 1 {
-			t1 = now
-			break
-		}
-	}
+	t1 := runToRetired(t, c1, h1, 1)
 
 	double := []trace.Inst{
 		{Op: trace.OpLoad, PC: 0x20, VA: 0x100000},
 		{Op: trace.OpLoad, PC: 0x24, VA: 0x900000},
 	}
 	c2, h2 := newTestSystem(double)
-	var t2 uint64
-	for now := uint64(0); ; now++ {
-		c2.Cycle(now)
-		h2.Tick(now)
-		if c2.Retired >= 2 {
-			t2 = now
-			break
-		}
-	}
+	t2 := runToRetired(t, c2, h2, 2)
 	if t2 > t1+t1/2 {
 		t.Errorf("two independent misses took %d cycles vs %d for one: no overlap", t2, t1)
 	}
@@ -118,13 +118,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	}
 	finish := func(insts []trace.Inst) uint64 {
 		c, h := newTestSystem(insts)
-		for now := uint64(0); ; now++ {
-			c.Cycle(now)
-			h.Tick(now)
-			if c.Retired >= 2 {
-				return now
-			}
-		}
+		return runToRetired(t, c, h, 2)
 	}
 	ti, td := finish(indep), finish(dep)
 	if td < ti+ti/2 {

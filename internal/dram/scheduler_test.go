@@ -68,7 +68,7 @@ func TestRowHitsPreferredWithinServedCore(t *testing.T) {
 	warm := Pending()
 	m.EnqueueRead(0, 0, warm)
 	var now uint64
-	for ; !warm.DoneBy(now); now++ {
+	for ; !doneBy(warm, now); now++ {
 		m.Tick(now)
 	}
 	base := MapAddress(0)

@@ -1,9 +1,9 @@
 // Checkpoint/restore for engine.Simulation.
 //
 // A checkpoint is taken at the warmup barrier, where the machine is drained
-// dry: no in-flight requests, no futures, no ROB entries — only persistent
-// state (cache contents and replacement state, TLB residency, DRAM bank
-// registers, generator cursors, random streams). That is what makes the
+// dry: no in-flight requests, no live completions, no ROB entries — only
+// persistent state (cache contents and replacement state, TLB residency, DRAM
+// bank registers, generator cursors, random streams). That is what makes the
 // format tractable and the restore provably exact: Restore rebuilds the
 // machine from the same options and overwrites precisely the state the
 // barrier defines. Prefetchers are not part of it: the warmup runs without

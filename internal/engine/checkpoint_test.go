@@ -50,7 +50,9 @@ func runStraight(t *testing.T, o engine.Options) engine.Result {
 }
 
 // warmupLeg runs o's warmup region and returns the machine at its barrier
-// with the snapshot taken there.
+// with the snapshot taken there. Every request has retired at the barrier, so
+// it also audits that no DL1-miss completion is still held: a holder that
+// never lets go leaks a record per request and moves no Result byte.
 func warmupLeg(t *testing.T, o engine.Options) (*engine.Simulation, []byte) {
 	t.Helper()
 	s, err := engine.New(o)
@@ -62,6 +64,9 @@ func warmupLeg(t *testing.T, o engine.Options) (*engine.Simulation, []byte) {
 	}
 	if !s.AtBarrier() {
 		t.Fatal("RunWarmup did not leave the simulation at the barrier")
+	}
+	if n := s.LiveCompletions(); n != 0 {
+		t.Fatalf("%d DL1-miss completions live at the warmup barrier: some holder never released one", n)
 	}
 	snap, err := s.Checkpoint()
 	if err != nil {

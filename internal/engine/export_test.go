@@ -129,8 +129,20 @@ func DigestMachine(now uint64, h *uncore.Hierarchy, cores []*cpu.Core) MachineDi
 }
 
 // StrayDemand sends core 0 a load straight into the hierarchy, past every
-// guard Simulation has: what a stray pointer to the machine would do.
-func (s *Simulation) StrayDemand() { s.hier.Demand(0, 0x400, 0x1000, false, s.now) }
+// guard Simulation has: what a stray pointer to the machine would do. It
+// releases the completion it is handed.
+func (s *Simulation) StrayDemand() {
+	if _, c, _ := s.hier.Demand(0, 0x400, 0x1000, false, s.now); c != nil {
+		s.hier.Release(c)
+	}
+}
+
+// LiveCompletions returns how many of the hierarchy's DL1-miss completions
+// some holder has not released yet. Every request has retired at the warmup
+// barrier, so there it must read 0.
+func (s *Simulation) LiveCompletions() int64 {
+	return reflect.ValueOf(s.hier).Elem().FieldByName("comps").FieldByName("live").Int()
+}
 
 // DeepDigest is the simulation's MachineDigest at the current cycle.
 func (s *Simulation) DeepDigest() MachineDigest {

@@ -27,23 +27,23 @@ const (
 )
 
 // tlbLevel is one fully-associative translation buffer with true LRU. The
-// resident set lives in dense vpn/stamp arrays with a map from VPN to slot.
+// resident set lives in dense vpn/stamp arrays with an index from VPN to slot.
 // Stamps are strictly increasing (every write is preceded by a clock
 // increment), so recency is a total order; an intrusive list over the slot
 // indices keeps it, and the victim is the tail instead of a scan for the
 // minimum stamp. The stamps are still written: they are what a snapshot
 // carries, and restoreState rebuilds the list from them.
 //
-// access checks the most recent entry before the map, since consecutive
+// access checks the most recent entry before the index, since consecutive
 // accesses mostly touch one page. The check is exact: VPNs are unique among
-// the slots and the map agrees with vpns, so when vpns[mru] is the VPN the
-// map would answer mru. Touching the entry that is already most recent
+// the slots and the index agrees with vpns, so when vpns[mru] is the VPN the
+// index would answer mru. Touching the entry that is already most recent
 // changes nothing — recency is an order, and that entry is already first —
 // so neither access nor probe ticks the clock or restamps it: a level's
 // state moves only when its order does.
 type tlbLevel struct {
 	entries int
-	slot    map[uint64]int // VPN -> index into vpns/stamps
+	slot    vpnIndex // VPN -> index into vpns/stamps
 	vpns    []uint64
 	stamps  []uint64
 	// Recency list over slot indices: prev points toward mru, next toward
@@ -56,7 +56,7 @@ type tlbLevel struct {
 func newTLBLevel(entries int) *tlbLevel {
 	return &tlbLevel{
 		entries: entries,
-		slot:    make(map[uint64]int, entries),
+		slot:    newVPNIndex(entries),
 		vpns:    make([]uint64, 0, entries),
 		stamps:  make([]uint64, 0, entries),
 		prev:    make([]int32, 0, entries),
@@ -99,8 +99,8 @@ func (t *tlbLevel) access(vpn uint64) (hit bool) {
 		return true
 	}
 	t.clock++
-	if i, ok := t.slot[vpn]; ok {
-		t.touch(int32(i))
+	if i := t.slot.get(vpn); i >= 0 {
+		t.touch(i)
 		return true
 	}
 	t.insert(vpn)
@@ -111,20 +111,20 @@ func (t *tlbLevel) access(vpn uint64) (hit bool) {
 // prefetcher's TLB2 check, which drops the prefetch on a miss rather than
 // walking the page table).
 func (t *tlbLevel) probe(vpn uint64) bool {
-	i, ok := t.slot[vpn]
-	if ok && int32(i) != t.mru {
+	i := t.slot.get(vpn)
+	if i >= 0 && i != t.mru {
 		t.clock++
-		t.touch(int32(i))
+		t.touch(i)
 	}
-	return ok
+	return i >= 0
 }
 
 func (t *tlbLevel) insert(vpn uint64) {
 	if len(t.vpns) >= t.entries {
 		victim := t.lru
-		delete(t.slot, t.vpns[victim])
+		t.slot.remove(t.vpns[victim])
 		t.vpns[victim] = vpn
-		t.slot[vpn] = int(victim)
+		t.slot.put(vpn, victim)
 		t.touch(victim)
 		return
 	}
@@ -133,8 +133,78 @@ func (t *tlbLevel) insert(vpn uint64) {
 	t.stamps = append(t.stamps, t.clock)
 	t.prev = append(t.prev, -1)
 	t.next = append(t.next, -1)
-	t.slot[vpn] = int(i)
+	t.slot.put(vpn, i)
 	t.pushFront(i)
+}
+
+// vpnIndex maps the VPNs resident in a level to their slots: an
+// open-addressing table with linear probing, sized at construction to at
+// least twice the level's entries. A removal shifts the entries of its probe
+// run back over the hole instead of leaving a tombstone, so however long a
+// level churns the table is never rebuilt, and no lookup, insertion or
+// removal allocates (a Go map under the same churn reallocates its table
+// from time to time).
+type vpnIndex struct {
+	vpns  []uint64
+	slots []int32 // -1: empty
+	shift uint    // 64 - log2(len(slots))
+}
+
+func newVPNIndex(entries int) vpnIndex {
+	size, shift := 8, uint(61)
+	for size < 2*entries {
+		size, shift = size*2, shift-1
+	}
+	x := vpnIndex{vpns: make([]uint64, size), slots: make([]int32, size), shift: shift}
+	x.clear()
+	return x
+}
+
+// home is vpn's first probe position (Fibonacci hashing: consecutive VPNs
+// land far apart).
+func (x *vpnIndex) home(vpn uint64) int { return int(vpn * 0x9e3779b97f4a7c15 >> x.shift) }
+
+// find returns the position holding vpn, or the empty position that ends its
+// probe run.
+func (x *vpnIndex) find(vpn uint64) int {
+	mask := len(x.slots) - 1
+	i := x.home(vpn)
+	for x.slots[i] >= 0 && x.vpns[i] != vpn {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns vpn's slot, or -1 when vpn is not resident.
+func (x *vpnIndex) get(vpn uint64) int32 { return x.slots[x.find(vpn)] }
+
+// put records vpn, which must not be resident, at slot.
+func (x *vpnIndex) put(vpn uint64, slot int32) {
+	i := x.find(vpn)
+	x.vpns[i], x.slots[i] = vpn, slot
+}
+
+// remove forgets vpn, which must be resident, and closes the hole: each later
+// entry of the probe run whose home is not between the hole and itself moves
+// back into the hole, which moves on to where that entry was.
+func (x *vpnIndex) remove(vpn uint64) {
+	mask := len(x.slots) - 1
+	hole := x.find(vpn)
+	x.slots[hole] = -1
+	for j := (hole + 1) & mask; x.slots[j] >= 0; j = (j + 1) & mask {
+		if (j-x.home(x.vpns[j]))&mask >= (j-hole)&mask {
+			x.vpns[hole], x.slots[hole] = x.vpns[j], x.slots[j]
+			x.slots[j] = -1
+			hole = j
+		}
+	}
+}
+
+// clear empties the index.
+func (x *vpnIndex) clear() {
+	for i := range x.slots {
+		x.slots[i] = -1
+	}
 }
 
 // Hierarchy is a per-core DTLB1 backed by a TLB2.
@@ -201,12 +271,12 @@ func (t *tlbLevel) saveState() LevelState {
 	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 	st := LevelState{VPNs: vpns, Stamps: make([]uint64, len(vpns)), Clock: t.clock}
 	for i, v := range vpns {
-		st.Stamps[i] = t.stamps[t.slot[v]]
+		st.Stamps[i] = t.stamps[t.slot.get(v)]
 	}
 	return st
 }
 
-// restoreState replaces the level's contents with st's, refilling the map
+// restoreState replaces the level's contents with st's, refilling the index
 // it has rather than making one. After an error the level must be
 // discarded.
 func (t *tlbLevel) restoreState(st LevelState) error {
@@ -216,12 +286,12 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 	if len(st.VPNs) > t.entries {
 		return fmt.Errorf("tlb: state has %d entries, level holds %d", len(st.VPNs), t.entries)
 	}
-	clear(t.slot)
+	t.slot.clear()
 	for i, v := range st.VPNs {
-		if _, dup := t.slot[v]; dup {
+		if t.slot.get(v) >= 0 {
 			return fmt.Errorf("tlb: duplicate VPN %#x in state", v)
 		}
-		t.slot[v] = i
+		t.slot.put(v, int32(i))
 	}
 	// Recency is the stamp order; a level only ever writes each clock value
 	// once, so equal stamps (or one from the future) are not a state a level

@@ -80,8 +80,12 @@ func (t *scanLevel) probe(vpn uint64) bool {
 
 // state renders the oracle as a LevelState (VPNs sorted, as saveState does).
 func (t *scanLevel) state() LevelState {
-	real := &tlbLevel{slot: t.slot, vpns: t.vpns, stamps: t.stamps, clock: t.clock}
-	return real.saveState()
+	st := LevelState{VPNs: slices.Clone(t.vpns), Clock: t.clock}
+	slices.Sort(st.VPNs)
+	for _, v := range st.VPNs {
+		st.Stamps = append(st.Stamps, t.stamps[t.slot[v]])
+	}
+	return st
 }
 
 func (t *scanLevel) restore(st LevelState) {
@@ -292,5 +296,54 @@ func TestTouchingMostRecentChangesNothing(t *testing.T) {
 	}
 	if after := h.SaveState(); !reflect.DeepEqual(after, before) {
 		t.Errorf("re-touching the most recent page moved the hierarchy\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// TestVPNIndexAgainstMap drives the VPN index and a map with one random
+// stream of the operations a level makes — put an absent VPN while the level
+// has room, remove a resident one, look one up — over VPNs that crowd few
+// home positions, so that probe runs wrap around the table and a removal
+// has entries to shift back. After every step get must agree with the map
+// for every VPN of the universe, and the table must have kept its size.
+func TestVPNIndexAgainstMap(t *testing.T) {
+	for _, entries := range []int{1, 4, 64} {
+		rng := rand.New(rand.NewSource(int64(entries)))
+		x := newVPNIndex(entries)
+		size := len(x.slots)
+		oracle := make(map[uint64]int32)
+		universe := make([]uint64, 3*entries+2)
+		for i := range universe {
+			// Half the universe is multiples of a large power of two, which
+			// Fibonacci hashing sends to few homes; half is consecutive.
+			universe[i] = uint64(i)
+			if i%2 == 0 {
+				universe[i] = uint64(i) << 40
+			}
+		}
+		for step := 0; step < 20000; step++ {
+			vpn := universe[rng.Intn(len(universe))]
+			_, resident := oracle[vpn]
+			switch {
+			case resident && rng.Intn(2) == 0:
+				x.remove(vpn)
+				delete(oracle, vpn)
+			case !resident && len(oracle) < entries:
+				slot := int32(rng.Intn(entries))
+				x.put(vpn, slot)
+				oracle[vpn] = slot
+			}
+			if len(x.slots) != size {
+				t.Fatalf("%d entries, step %d: the table grew from %d to %d positions", entries, step, size, len(x.slots))
+			}
+			for _, v := range universe {
+				want, ok := oracle[v]
+				if !ok {
+					want = -1
+				}
+				if got := x.get(v); got != want {
+					t.Fatalf("%d entries, step %d: get(%#x) = %d, the map holds %d", entries, step, v, got, want)
+				}
+			}
+		}
 	}
 }

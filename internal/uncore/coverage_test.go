@@ -92,21 +92,12 @@ func TestConfigLatenciesRespected(t *testing.T) {
 	// Warm the line into DL1+L2, then evict it from DL1 only by filling
 	// the DL1 set; simplest: access once, drain, invalidate the DL1 copy.
 	fut := access(h, 0, 0x400, 0x10000, false, 0)
-	var now uint64
-	for ; !fut.DoneBy(now); now++ {
-		h.Tick(now)
-	}
-	for ; !h.Drained(); now++ {
-		h.Tick(now)
-	}
+	now := drain(t, h, runUntil(t, h, fut, 0, 100000)+1, 100000)
 	line := h.translators[0].TranslateLine(mem.LineOf(0x10000))
 	h.dl1[0].Invalidate(line)
 	start := now + 10
 	fut2 := access(h, 0, 0x404, 0x10000, false, start)
-	for ; !fut2.Resolved(); now++ {
-		h.Tick(now)
-	}
-	lat := fut2.Cycle() - start
+	lat := runUntil(t, h, fut2, start, 1000) - start
 	want := h.cfg.DL1Latency + h.cfg.L2Latency
 	if lat > want+2 {
 		t.Errorf("L2-hit latency = %d cycles, want about %d", lat, want)

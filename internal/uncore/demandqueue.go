@@ -1,16 +1,13 @@
 package uncore
 
-import (
-	"bopsim/internal/dram"
-	"bopsim/internal/mem"
-)
+import "bopsim/internal/mem"
 
 // coreReq is a core-side request (demand load/store miss or DL1 stride
 // prefetch) waiting to access a private L2.
 type coreReq struct {
 	line    mem.LineAddr
 	readyAt uint64
-	fut     *dram.Future // completion future (also set for L1 prefetches)
+	done    *Completion // the request holds it (also set for L1 prefetches)
 	isWrite bool
 	l1pf    bool // DL1 stride prefetch rather than a demand request
 	pc      uint64
@@ -47,7 +44,7 @@ func (q *reqQueue) compact() {
 }
 
 func (q *reqQueue) pop() {
-	q.reqs[q.head] = coreReq{} // drop the future reference
+	q.reqs[q.head] = coreReq{} // drop the completion pointer
 	q.head++
 	if q.head == len(q.reqs) {
 		q.reqs = q.reqs[:0]

@@ -39,9 +39,9 @@ type fillEntry struct {
 	// l1pf marks a DL1 stride-prefetch request: the DL1 copy gets its
 	// prefetch bit set on fill.
 	l1pf bool
-	// waiters are the core-visible completion futures resolved when this
-	// entry fills its cache.
-	waiters []*dram.Future
+	// waiters are the requests waiting on this entry, by their completions:
+	// each waiter is one holder, released when the entry fills its cache.
+	waiters []*Completion
 }
 
 // entryPool is a free list of fillEntry objects, reused so the steady-state

@@ -129,7 +129,11 @@ type Hierarchy struct {
 	dl1Fills    [][]dl1Fill
 	pendingWB   []wbReq
 	pool        entryPool
-	futs        dram.Arena // the core-visible futures of Demand and strideQuery
+	// comps holds the completions of Demand and strideQuery. At a checkpoint
+	// every request has retired and none is live, so it is no state a
+	// snapshot needs.
+	//bovet:allow statecodec no completion is live at a checkpoint; the free list is not model state
+	comps completionPool
 
 	// retry holds the per-core refusal memos and their versions. shared is
 	// the version every core reads: it moves when the L3 fill queue loses an
@@ -225,9 +229,10 @@ func (h *Hierarchy) CanAccept(core int) bool {
 // allocating on the hit path. It returns, in order of precedence:
 //
 //	ok == false: the request cannot be accepted yet (MSHRs full); retry.
-//	fut != nil:  the request is in flight; fut carries the completion.
-//	fut == nil:  a DL1 hit; done is the completion cycle.
-func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, fut *dram.Future, ok bool) {
+//	c != nil:    the request is in flight; c carries the completion, and the
+//	             caller holds it until it gives it back through Release.
+//	c == nil:    a DL1 hit; done is the completion cycle.
+func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, c *Completion, ok bool) {
 	if h.DispatchStalled(core, pc, va) {
 		// The same access again, against the same DTLB1, DL1, MSHRs and DL1
 		// prefetcher table: a hit on the DTLB1's most recent entry, a DL1
@@ -264,19 +269,20 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		if isWrite {
 			info.markWrite = true
 		}
-		return 0, info.fut, true
+		info.done.retain() // the caller is one more holder
+		return 0, info.done, true
 	}
 	if !h.CanAccept(core) {
 		r.demand = demandMemo{ok: !h.memoOff, pc: pc, va: va, front: r.front}
 		return 0, nil, false
 	}
 	h.stats.DL1Misses++
-	fut = h.futs.Pending()
-	h.outstanding[core].add(line, outstandingInfo{fut: fut, markWrite: isWrite})
+	c = h.comps.get(3) // the MSHR, the request and the caller
+	h.outstanding[core].add(line, outstandingInfo{done: c, markWrite: isWrite})
 	h.demandQ[core].push(coreReq{
-		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, isWrite: isWrite, pc: pc,
+		line: line, readyAt: t0 + h.cfg.DL1Latency, done: c, isWrite: isWrite, pc: pc,
 	})
-	return 0, fut, true
+	return 0, c, true
 }
 
 // RetireMemOp updates the DL1 prefetcher table at retirement of a
@@ -314,10 +320,10 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 	if !h.CanAccept(core) {
 		return
 	}
-	fut := h.futs.Pending()
-	h.outstanding[core].add(line, outstandingInfo{fut: fut})
+	c := h.comps.get(2) // the MSHR and the request
+	h.outstanding[core].add(line, outstandingInfo{done: c})
 	h.demandQ[core].push(coreReq{
-		line: line, readyAt: t0 + h.cfg.DL1Latency, fut: fut, l1pf: true, pc: pc,
+		line: line, readyAt: t0 + h.cfg.DL1Latency, done: c, l1pf: true, pc: pc,
 	})
 	h.stats.StridePrefIssued++
 }
@@ -532,9 +538,10 @@ func (h *Hierarchy) drainL2Fills(core int, now uint64) {
 			h.insertDL1(core, e.line, dirty, e.l1pf)
 		}
 		for _, w := range e.waiters {
-			w.Resolve(now)
+			w.resolve(now)
+			h.comps.release(w)
 		}
-		h.outstanding[core].remove(e.line)
+		h.outstanding[core].remove(e.line, &h.comps)
 		h.pool.put(e)
 	}
 }
@@ -560,7 +567,7 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 // into the L2 (write-back hierarchy), and a dirty L2 victim on to the L3.
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 	h.retry[core].front++
-	h.outstanding[core].remove(line)
+	h.outstanding[core].remove(line, &h.comps)
 	ev, _ := h.dl1[core].Place(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit, Dirty: dirty})
 	if !ev.Dirty() {
 		return
@@ -646,7 +653,8 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 		}
 		ln.ClearPrefetch() // requested by the L1: reset the prefetch bit
 		done := now + h.cfg.L2Latency
-		req.fut.Resolve(done)
+		req.done.resolve(done)
+		h.comps.release(req.done) // the request is served
 		h.dl1Fills[core] = append(h.dl1Fills[core], dl1Fill{
 			line: req.line, at: done, dirty: req.isWrite, pf: req.l1pf,
 		})
@@ -670,7 +678,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 			e.isWrite = e.isWrite || req.isWrite
 			e.l1pf = false // a demand now depends on this block
 		}
-		e.waiters = append(e.waiters, req.fut)
+		e.waiters = append(e.waiters, req.done)
 	} else {
 		if h.l2fq[core].full() {
 			return false
@@ -678,7 +686,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 		e := h.pool.get()
 		e.line, e.core = req.line, core
 		e.fillL1, e.isWrite, e.l1pf = true, req.isWrite, req.l1pf
-		e.waiters = append(e.waiters, req.fut)
+		e.waiters = append(e.waiters, req.done)
 		if !h.accessL3(e, now, false) {
 			h.pool.put(e)
 			return false

@@ -1,13 +1,11 @@
 package uncore
 
-import (
-	"bopsim/internal/dram"
-	"bopsim/internal/mem"
-)
+import "bopsim/internal/mem"
 
-// outstandingInfo tracks one in-flight DL1 miss for MSHR-style merging.
+// outstandingInfo tracks one in-flight DL1 miss for MSHR-style merging. The
+// register is one holder of done.
 type outstandingInfo struct {
-	fut       *dram.Future
+	done      *Completion
 	markWrite bool
 }
 
@@ -42,15 +40,17 @@ func (m *mshrs) add(line mem.LineAddr, info outstandingInfo) {
 	m.infos = append(m.infos, info)
 }
 
-// remove releases line's register; a line without one is left alone.
-func (m *mshrs) remove(line mem.LineAddr) {
+// remove releases line's register and its hold on the completion; a line
+// without one is left alone.
+func (m *mshrs) remove(line mem.LineAddr, comps *completionPool) {
 	i := m.find(line)
 	if i < 0 {
 		return
 	}
+	comps.release(m.infos[i].done)
 	last := len(m.lines) - 1
 	m.lines[i], m.infos[i] = m.lines[last], m.infos[last]
-	m.infos[last] = outstandingInfo{} // no stale future behind the length
+	m.infos[last] = outstandingInfo{} // no stale completion behind the length
 	m.lines, m.infos = m.lines[:last], m.infos[:last]
 }
 

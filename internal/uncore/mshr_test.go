@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bopsim/internal/dram"
 	"bopsim/internal/mem"
 )
 
@@ -13,14 +12,15 @@ import (
 // register while one is free (Demand, strideQuery), merge a store onto a
 // found register (Demand), remove a line with or without one (drainL2Fills,
 // insertDL1). After every step find must agree with the map for every line
-// of the universe, len with the map's length, and the table must still fit
-// the capacity it was built with.
+// of the universe, len with the map's length and with the completions still
+// live (a register holds one, and remove lets it go), and the table must
+// still fit the capacity it was built with.
 func TestMSHRsAgainstMap(t *testing.T) {
 	for _, n := range []int{1, 2, 3, DefaultConfig(1, mem.Page4K).MSHRs} {
 		rng := rand.New(rand.NewSource(int64(n)))
 		m := newMSHRs(n)
 		oracle := make(map[mem.LineAddr]outstandingInfo)
-		futs := make([]dram.Future, 3*n)
+		var comps completionPool
 		universe := 2*n + 3
 		for step := 0; step < 3000+300*n; step++ {
 			line := mem.LineAddr(rng.Intn(universe))
@@ -34,16 +34,16 @@ func TestMSHRsAgainstMap(t *testing.T) {
 					info.markWrite = true
 					oracle[line] = info
 				} else if m.len() < n {
-					info := outstandingInfo{fut: &futs[rng.Intn(len(futs))], markWrite: rng.Intn(2) == 0}
+					info := outstandingInfo{done: comps.get(1), markWrite: rng.Intn(2) == 0}
 					m.add(line, info)
 					oracle[line] = info
 				}
 			case op < 7: // a fill releases the line, which may hold no register
-				m.remove(line)
+				m.remove(line, &comps)
 				delete(oracle, line)
 			}
-			if m.len() != len(oracle) {
-				t.Fatalf("%d registers, step %d: len = %d, the map holds %d", n, step, m.len(), len(oracle))
+			if m.len() != len(oracle) || comps.live != len(oracle) {
+				t.Fatalf("%d registers, step %d: len = %d with %d completions live, the map holds %d", n, step, m.len(), comps.live, len(oracle))
 			}
 			if cap(m.lines) > n || cap(m.infos) > n {
 				t.Fatalf("%d registers, step %d: the table grew to capacity %d/%d", n, step, cap(m.lines), cap(m.infos))

@@ -46,11 +46,13 @@ func (p *countingPF) PreIssueTagCheck() bool {
 // MSHRs) and retries a refused Demand every cycle, as cpu.Core does. Like
 // cpu.Core it reports no event while the retry is a stall (DispatchStalled);
 // a skipped retry moves nothing, so there is nothing to settle afterwards.
+// It holds each completion Demand hands it once for window and once for
+// retiring, and releases each hold as the entry leaves its list.
 type frontEnd struct {
 	gen     trace.Generator
 	inst    trace.Inst
 	readyAt uint64
-	window  []*dram.Future
+	window  []*Completion
 	// retiring, on a machine with retireLate set, holds the accepted accesses
 	// in program order until they retire: each at the first cycle at which it
 	// and every older one is done, before that cycle's dispatch, as a ROB
@@ -74,7 +76,7 @@ const (
 // retiring is an accepted access waiting to retire: fut is nil for a DL1 hit.
 type retiring struct {
 	inst trace.Inst
-	fut  *dram.Future
+	fut  *Completion
 }
 
 func newFrontEnd(gen, side trace.Generator) *frontEnd {
@@ -125,11 +127,12 @@ func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 	return max(t, now)
 }
 
-// demand sends inst to the hierarchy; the caller retires it once accepted. It
-// counts, from outside the hierarchy, what Stats must count once per request:
-// the requests the call put into the core's demand queue, and the accepted
-// calls that missed the DL1.
-func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Future, ok bool) {
+// demand sends inst to the hierarchy; the caller retires it once accepted,
+// and releases the completion it is handed. It counts, from outside the
+// hierarchy, what Stats must count once per request: the requests the call
+// put into the core's demand queue, and the accepted calls that missed the
+// DL1.
+func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *Completion, ok bool) {
 	h := m.h
 	if m.audit != nil && h.DispatchStalled(core, inst.PC, inst.VA) {
 		m.auditDemandMemo(core, inst.PC, inst.VA, now)
@@ -153,8 +156,11 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *dram.Futur
 func (f *frontEnd) retire(m *machine, core int, now uint64) {
 	h := m.h
 	for len(f.retiring) > 0 && (f.retiring[0].fut == nil || f.retiring[0].fut.DoneBy(now)) {
-		inst := f.retiring[0].inst
+		inst, fut := f.retiring[0].inst, f.retiring[0].fut
 		f.retiring = f.retiring[1:]
+		if fut != nil {
+			h.Release(fut)
+		}
 		refused := m.audit != nil && inst.PC == f.inst.PC && h.DispatchStalled(core, f.inst.PC, f.inst.VA)
 		h.RetireMemOp(core, inst.PC, inst.VA)
 		if refused && strideWouldIssue(h, core, f.inst.PC, f.inst.VA) {
@@ -178,11 +184,15 @@ func strideWouldIssue(h *Hierarchy, core int, pc uint64, va mem.Addr) bool {
 func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 	if f.side != nil && now%sidePeriod == 0 {
 		inst, _ := nextMemOp(f.side)
-		if _, ok := m.demand(core, inst, now); ok {
+		if fut, ok := m.demand(core, inst, now); ok {
+			if fut != nil {
+				m.h.Release(fut)
+			}
 			m.h.RetireMemOp(core, inst.PC, inst.VA)
 		}
 	}
 	for len(f.window) > 0 && f.window[0].DoneBy(now) {
+		m.h.Release(f.window[0])
 		f.window = f.window[1:]
 	}
 	f.retire(m, core, now)
@@ -198,6 +208,9 @@ func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 		f.window = append(f.window, fut)
 	}
 	if m.retireLate {
+		if fut != nil {
+			fut.retain() // retiring's hold, beside window's
+		}
 		f.retiring = append(f.retiring, retiring{f.inst, fut})
 	} else {
 		m.h.RetireMemOp(core, f.inst.PC, f.inst.VA)
@@ -278,6 +291,21 @@ func (m *machine) nextEvent(now uint64) uint64 {
 		ne = min(ne, f.nextEvent(m, c, now))
 	}
 	return ne
+}
+
+// releaseHeld gives back every completion the front ends still hold.
+func (m *machine) releaseHeld() {
+	for _, f := range m.fes {
+		for _, c := range f.window {
+			m.h.Release(c)
+		}
+		for _, r := range f.retiring {
+			if r.fut != nil {
+				m.h.Release(r.fut)
+			}
+		}
+		f.window, f.retiring = nil, nil
+	}
 }
 
 // front runs the core side of cycle now; the caller ticks the hierarchy.
@@ -395,8 +423,8 @@ func (a deepState) diff(b deepState) string {
 // fingerprint is everything the test can see of a machine short of cache and
 // TLB contents: every statistic, every TLB walk count, every queue
 // occupancy, the flags of every fill-queue entry, the prefetchers' call
-// counts and DRAM's counters. (Not the entry pool or the future arena: a
-// refused attempt borrows from both, and neither is model state.) v has
+// counts and DRAM's counters. (Not the entry pool, which a refused attempt
+// borrows from, nor the completion pool: neither is model state.) v has
 // perCoreWords words per core, then the shared ones.
 type fingerprint struct {
 	stats Stats
@@ -942,7 +970,8 @@ func (m *machine) headDue(now uint64) bool {
 // (PrefIssued - PrefCancelled) one entry that entered and left an L2 fill
 // queue (auditInFlight, every cycle). A refused attempt, however often
 // replayed, counts nothing; the rows must see refusals for that to mean
-// anything.
+// anything. Every request also lets go of its completion exactly once: once
+// the front ends release what they hold, no completion is live.
 func TestRequestsCountedOnce(t *testing.T) {
 	for _, row := range stallRows() {
 		t.Run(row.name, func(t *testing.T) {
@@ -959,6 +988,10 @@ func TestRequestsCountedOnce(t *testing.T) {
 				}
 				m.h.Tick(now)
 				m.auditInFlight(t, now)
+			}
+			m.releaseHeld()
+			if n := m.h.comps.live; n != 0 {
+				t.Errorf("%d completions live in the drained hierarchy after the front ends released all they held", n)
 			}
 			st, hits := m.h.Stats(), m.h.memoHits
 			t.Logf("%d requests entered a demand queue, %d accepted Demand calls missed the DL1, %d prefetches filled or were dropped by the tag check; memo hits %+v",
@@ -1067,6 +1100,9 @@ func TestDispatchStalled(t *testing.T) {
 	}
 
 	for now := uint64(0); h.outstanding[0].len() == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
+		if now == 100_000 {
+			t.Fatal("no MSHR released after 100,000 cycles")
+		}
 		h.Tick(now)
 	}
 	if h.DispatchStalled(0, stridePC, va) {

@@ -3,7 +3,6 @@ package uncore
 import (
 	"testing"
 
-	"bopsim/internal/dram"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
 	"bopsim/internal/stride"
@@ -20,28 +19,45 @@ func testHier(pf prefetch.L2Prefetcher) *Hierarchy {
 }
 
 // access performs a demand load or store through Demand. It returns nil
-// when the MSHRs refuse the request, and otherwise a future that carries
-// its completion; a DL1 hit's future is already resolved.
-func access(h *Hierarchy, core int, pc uint64, va mem.Addr, isWrite bool, now uint64) *dram.Future {
-	done, fut, ok := h.Demand(core, pc, va, isWrite, now)
-	if ok && fut == nil {
-		fut = dram.Pending()
-		fut.Resolve(done)
+// when the MSHRs refuse the request, and otherwise the completion the caller
+// holds; a DL1 hit's is a resolved record of its own, drawn from no pool, so
+// a test that releases what it holds calls Demand itself.
+func access(h *Hierarchy, core int, pc uint64, va mem.Addr, isWrite bool, now uint64) *Completion {
+	done, c, ok := h.Demand(core, pc, va, isWrite, now)
+	if ok && c == nil {
+		c = &Completion{cycle: done, resolved: true}
 	}
-	return fut
+	return c
 }
 
-// runUntil ticks the hierarchy until fut resolves, returning the cycle.
-func runUntil(t *testing.T, h *Hierarchy, fut *dram.Future, from, budget uint64) uint64 {
+// runUntil ticks the hierarchy from cycle from until c is done, returning
+// its cycle, the last one ticked. A request still unresolved after budget
+// cycles fails the test.
+func runUntil(t *testing.T, h *Hierarchy, c *Completion, from, budget uint64) uint64 {
 	t.Helper()
 	for now := from; now < from+budget; now++ {
 		h.Tick(now)
-		if fut.Resolved() && fut.Cycle() <= now {
-			return fut.Cycle()
+		if c.DoneBy(now) {
+			return c.Cycle()
 		}
 	}
 	t.Fatalf("request unresolved after %d cycles", budget)
 	return 0
+}
+
+// drain ticks the hierarchy from cycle from until every queue is empty,
+// returning the first cycle not ticked. A hierarchy not drained after budget
+// cycles fails the test.
+func drain(t *testing.T, h *Hierarchy, from, budget uint64) uint64 {
+	t.Helper()
+	now := from
+	for ; !h.Drained(); now++ {
+		if now-from == budget {
+			t.Fatalf("not drained %d cycles after cycle %d", budget, from)
+		}
+		h.Tick(now)
+	}
+	return now
 }
 
 func TestDemandMissGoesToDRAMAndFills(t *testing.T) {
@@ -55,9 +71,7 @@ func TestDemandMissGoesToDRAMAndFills(t *testing.T) {
 		t.Errorf("cold miss completed in %d cycles; too fast for DRAM", done)
 	}
 	// Drain remaining work, then the same address must hit the DL1.
-	for now := done; !h.Drained(); now++ {
-		h.Tick(now)
-	}
+	drain(t, h, done+1, 100000)
 	fut2 := access(h, 0, 0x400, 0x10000, false, done+1000)
 	if !fut2.Resolved() || fut2.Cycle() > done+1000+h.cfg.DL1Latency {
 		t.Error("second access did not hit the DL1")
@@ -72,7 +86,7 @@ func TestMSHRMerging(t *testing.T) {
 	f1 := access(h, 0, 0x400, 0x10000, false, 0)
 	f2 := access(h, 0, 0x404, 0x10008, false, 0) // same line
 	if f1 != f2 {
-		t.Error("two misses to one line did not merge onto one future")
+		t.Error("two misses to one line did not merge onto one completion")
 	}
 }
 
@@ -141,11 +155,7 @@ func TestPrefetchFillSetsPrefetchBitAndDemandClearsIt(t *testing.T) {
 	target := h.translators[0].TranslateLine(mem.LineOf(0x20000))
 	pf.targets = []mem.LineAddr{target}
 	futA := access(h, 0, 0x400, 0x10000, false, 0)
-	runUntil(t, h, futA, 0, 100000)
-	var now uint64 = futA.Cycle()
-	for ; !h.Drained(); now++ {
-		h.Tick(now)
-	}
+	now := drain(t, h, runUntil(t, h, futA, 0, 100000)+1, 100000)
 	ln := h.l2[0].Peek(target)
 	if ln == nil || !ln.Prefetch() {
 		t.Fatal("prefetched line missing from L2 or prefetch bit clear")
@@ -165,11 +175,7 @@ func TestPrefetcherSeesEligibleAccessesOnly(t *testing.T) {
 	pf := &scriptedPF{}
 	h := testHier(pf)
 	futA := access(h, 0, 0x400, 0x10000, false, 0)
-	runUntil(t, h, futA, 0, 100000)
-	var now uint64 = futA.Cycle()
-	for ; !h.Drained(); now++ {
-		h.Tick(now)
-	}
+	now := drain(t, h, runUntil(t, h, futA, 0, 100000)+1, 100000)
 	missAccesses := pf.accesses
 	if missAccesses == 0 {
 		t.Fatal("prefetcher saw no accesses for a demand miss")
@@ -188,21 +194,13 @@ func TestWritebackPath(t *testing.T) {
 	var now uint64
 	for i := 0; i < 40; i++ {
 		va := mem.Addr(0x100000 + i*h.dl1[0].Sets()*mem.LineSize)
-		var fut *dram.Future
-		for fut == nil {
-			fut = access(h, 0, 0x500, va, true, now)
-			h.Tick(now)
-			now++
+		fut := access(h, 0, 0x500, va, true, now)
+		for ; fut == nil; fut = access(h, 0, 0x500, va, true, now) {
+			now = drain(t, h, now, 100000) // a drained hierarchy has every MSHR free
 		}
-		for !fut.DoneBy(now) {
-			h.Tick(now)
-			now++
-		}
+		now = runUntil(t, h, fut, now, 100000) + 1
 	}
-	for !h.Drained() {
-		h.Tick(now)
-		now++
-	}
+	drain(t, h, now, 100000)
 	// All 40 lines were stored to; several must have been evicted dirty
 	// from the tiny DL1 set into the L2.
 	dirtyL2 := 0
@@ -229,10 +227,7 @@ func TestStridePrefetcherIssuesIntoHierarchy(t *testing.T) {
 		fut := access(h, 0, 0x600, va, false, now)
 		h.RetireMemOp(0, 0x600, va)
 		if fut != nil {
-			for !fut.DoneBy(now) {
-				h.Tick(now)
-				now++
-			}
+			now = runUntil(t, h, fut, now, 100000) + 1
 		}
 		va += 64
 		now += 10
@@ -251,10 +246,7 @@ func TestStridePrefetchTLB2Gate(t *testing.T) {
 		fut := access(h, 0, 0x600, va, false, now)
 		h.RetireMemOp(0, 0x600, va)
 		if fut != nil {
-			for !fut.DoneBy(now) {
-				h.Tick(now)
-				now++
-			}
+			now = runUntil(t, h, fut, now, 100000) + 1
 		}
 		va += mem.Addr(mem.Page4K) * 3
 		now += 10
@@ -285,31 +277,32 @@ func TestFillQueueCapacityRespected(t *testing.T) {
 
 func TestSystemDrains(t *testing.T) {
 	// Fire a burst of mixed traffic and verify the hierarchy reaches a
-	// quiescent state (no stuck entries, no leaked futures).
+	// quiescent state: no stuck entries, every completion resolved, and none
+	// live once the caller has released what it holds.
 	pf := prefetch.NewNextLine(mem.Page4K)
 	h := testHier(pf)
 	var now uint64
-	var futs []*dram.Future
+	var held []*Completion
 	va := mem.Addr(0x2000000)
 	for i := 0; i < 300; i++ {
-		if fut := access(h, 0, 0x800+uint64(i%8)*4, va, i%3 == 0, now); fut != nil {
-			futs = append(futs, fut)
+		if _, c, _ := h.Demand(0, 0x800+uint64(i%8)*4, va, i%3 == 0, now); c != nil {
+			held = append(held, c)
 		}
 		va += 64
 		h.Tick(now)
 		now++
 	}
-	for budget := 0; budget < 300000 && !h.Drained(); budget++ {
-		h.Tick(now)
-		now++
-	}
-	if !h.Drained() {
-		t.Fatal("hierarchy did not drain")
-	}
-	for i, f := range futs {
-		if !f.Resolved() {
-			t.Fatalf("future %d never resolved", i)
+	drain(t, h, now, 300000)
+	for i, c := range held {
+		if !c.Resolved() {
+			t.Fatalf("completion %d never resolved", i)
 		}
+	}
+	for _, c := range held {
+		h.Release(c)
+	}
+	if n := h.comps.live; n != 0 {
+		t.Errorf("%d completions live in a drained hierarchy whose caller released all %d it held", n, len(held))
 	}
 }
 
