@@ -41,15 +41,23 @@ bovet:
 	$(GO) run ./cmd/bovet ./...
 
 # schema-lock regenerates the two locks after a reviewed change: engine's
-# testdata/model.lock (engine.ModelVersion: the layouts of everything a run
-# stores and the digests of the pinned runs) and distrib's
-# testdata/schema.lock (distrib.ProtocolVersion: the wire envelope). A change
-# that moves a byte of a Result or a snapshot, or a layout either stores,
+# testdata/model.lock (engine.ModelVersion: everything a run stores and
+# everything the version moves — layouts, the pinned runs' digests,
+# result-cache keys, generator streams, a kernel reading and the golden
+# renders' SHA-256s) and distrib's testdata/schema.lock
+# (distrib.ProtocolVersion: the wire envelope). It first renders the three
+# golden sweeps into internal/experiments/testdata/golden (about 30 s on 2
+# vCPUs), which the model lock records. A change that moves any of those
 # bumps ModelVersion once; one that moves the envelope bumps ProtocolVersion.
 # A lock is not rewritten at the version it already records: bump,
-# regenerate, commit both. This is the only writer of a lock; CI fails a
-# lock whose body changed while its version line did not.
+# regenerate, commit the lock and the renders. This is the only writer of
+# either; CI fails a lock whose body changed while its version line did not,
+# and a golden file that differs from a render.
+GOLDEN = internal/experiments/testdata/golden
 schema-lock:
+	$(GO) run ./cmd/experiments -quick -n 40000 -all -zoo > $(GOLDEN)/all-zoo.txt
+	$(GO) run ./cmd/experiments -quick -n 40000 -all -zoo -warmup 20000 -checkpoint > $(GOLDEN)/all-zoo-warmup.txt
+	$(GO) run ./cmd/experiments -quick -n 40000 -wzoo > $(GOLDEN)/wzoo.txt
 	$(GO) test -run '^TestSchemaLock$$' ./internal/engine ./internal/distrib -write-schema-lock
 
 # bench-smoke runs every bopbench workload at 1/100 size, both passes (a few

@@ -174,14 +174,17 @@ func (o Options) Normalized() Options {
 // everything a run stores: a result's cache key and record
 // (experiments.OptionsHash, the .entry header), a snapshot's header and its
 // warmup signature, and the version a distrib job and worker advertise. Any
-// change that moves a byte of a Result or a snapshot — a timing fix, a new
-// counter, a field of a serialized struct — bumps it once, and every record
-// and snapshot of an older version is then a miss. TestSchemaLock ties it
-// to testdata/model.lock, which records the layouts and the digests of the
-// TestResultDigests runs and of TestSnapshotDigest: a moved digest or
-// layout fails until the constant is bumped and `make schema-lock` rewrites
-// the lock, which it refuses to do at the version the lock already records.
-const ModelVersion = 13
+// change that moves a byte of a Result, a snapshot or a golden render — a
+// timing fix, a new counter, a field of a serialized struct, a generator's
+// stream — bumps it once, and every record and snapshot of an older version
+// is then a miss. TestSchemaLock ties it to testdata/model.lock, which
+// records everything it governs: the layouts, the digests of the pinned runs
+// and snapshot, the result-cache keys, the generators' streams, a kernel
+// reading and the SHA-256 of each committed golden render. A moved value
+// fails until the constant is bumped and `make schema-lock` renders the
+// golden files and rewrites the lock, which it refuses to do at the version
+// the lock already records.
+const ModelVersion = 14
 
 // Result carries the measurements of one run.
 type Result struct {

@@ -83,8 +83,9 @@ func (c closure) spell(t reflect.Type, home string) string {
 
 // Check compares the lock at path with "<key> <version>" and body (Render's sections,
 // and whatever else the constant governs): drift, a stale or missing line, a header
-// disagreeing with the constant are errors. Under -write-schema-lock it rewrites the
-// file instead, unless the old one records the same version.
+// disagreeing with the constant are errors, which name every line the two do not
+// share. Under -write-schema-lock it rewrites the file instead, unless the old one
+// records the same version.
 func Check(path, key string, version int, body string) error {
 	header := fmt.Sprintf("# Governed by %s; `make schema-lock` regenerates.\n%[1]s %d\n", key, version)
 	want := header + body
@@ -95,9 +96,47 @@ func Check(path, key string, version int, body string) error {
 	if *write && !strings.HasPrefix(string(old), header) {
 		return os.WriteFile(path, []byte(want), 0o644)
 	}
-	i, o, w := 0, strings.Split(string(old), "\n"), strings.Split(want, "\n")
-	for i < len(o)-1 && i < len(w)-1 && o[i] == w[i] {
-		i++
+	return fmt.Errorf("%s differs from the source: bump %s, then run `make schema-lock`, which refuses to write over a lock that already records version %d%s", path, key, version, diff(string(old), want))
+}
+
+// diff lists, in file order, the lines of lock and source that a longest
+// common subsequence of the two leaves out: "lock line N" for one only the
+// lock has, "source line N" for one only the source has.
+func diff(lock, source string) string {
+	split := func(s string) []string {
+		if s == "" {
+			return nil
+		}
+		return strings.Split(strings.TrimSuffix(s, "\n"), "\n")
 	}
-	return fmt.Errorf("%s differs from the source at line %d (lock %q, source %q): bump %s, then run `make schema-lock`, which refuses to write over a lock that already records version %d", path, i+1, o[i], w[i], key, version)
+	o, w := split(lock), split(source)
+	// common[i][j] is the longest common subsequence of o[i:] and w[j:].
+	common := make([][]int, len(o)+1)
+	for i := range common {
+		common[i] = make([]int, len(w)+1)
+	}
+	for i := len(o) - 1; i >= 0; i-- {
+		for j := len(w) - 1; j >= 0; j-- {
+			if o[i] == w[j] {
+				common[i][j] = common[i+1][j+1] + 1
+			} else {
+				common[i][j] = max(common[i+1][j], common[i][j+1])
+			}
+		}
+	}
+	var b strings.Builder
+	i, j := 0, 0
+	for i < len(o) || j < len(w) {
+		switch {
+		case i < len(o) && j < len(w) && o[i] == w[j]:
+			i, j = i+1, j+1
+		case j == len(w) || i < len(o) && common[i+1][j] >= common[i][j+1]:
+			fmt.Fprintf(&b, "\n  lock line %d: %q", i+1, o[i])
+			i++
+		default:
+			fmt.Fprintf(&b, "\n  source line %d: %q", j+1, w[j])
+			j++
+		}
+	}
+	return b.String()
 }

@@ -103,34 +103,50 @@ func setWrite(t *testing.T, on bool) {
 }
 
 // TestCheck pits a lock cut from a slightly different tree against the
-// source: every way the two can disagree is an error that names the line,
-// and none of them touches the file.
+// source: every way the two can disagree is an error that names each line
+// only one side has, and none of them touches the file.
 func TestCheck(t *testing.T) {
 	setWrite(t, false)
 	good := "# Governed by snapshot-version; `make schema-lock` regenerates.\nsnapshot-version 3\n" + Render(v1{})
 	cases := []struct {
-		name, lock, wantErr string
+		name, lock string
+		want       []string // the lines the error names, in order
 	}{
-		{"match", good, ""},
-		{"drifted field", strings.Replace(good, "Cycles uint64", "Cycles uint32", 1), `line 6 (lock "Cycles uint32", source "Cycles uint64")`},
-		{"missing field", strings.Replace(good, "Cycles uint64\n", "", 1), `line 6 (lock "", source "Cycles uint64")`},
-		{"stale section", good + "\n[bopsim/internal/schemalock.gone]\nX int\n", `line 7 (lock "", source "")`},
-		{"missing section", strings.Replace(good, Render(v1{}), "", 1), `line 3 (lock "", source "")`},
-		{"header behind the constant", strings.Replace(good, "snapshot-version 3", "snapshot-version 2", 1), `line 2 (lock "snapshot-version 2", source "snapshot-version 3")`},
-		{"no lock", "", `line 1 (lock ""`},
+		{"match", good, nil},
+		{"drifted field", strings.Replace(good, "Cycles uint64", "Cycles uint32", 1),
+			[]string{`lock line 6: "Cycles uint32"`, `source line 6: "Cycles uint64"`}},
+		{"two drifted fields", strings.Replace(strings.Replace(good, "Version int", "Version int8", 1), "Cycles uint64", "Cycles uint32", 1),
+			[]string{`lock line 5: "Version int8"`, `lock line 6: "Cycles uint32"`, `source line 5: "Version int"`, `source line 6: "Cycles uint64"`}},
+		{"missing field", strings.Replace(good, "Cycles uint64\n", "", 1), []string{`source line 6: "Cycles uint64"`}},
+		{"stale section", good + "\n[bopsim/internal/schemalock.gone]\nX int\n",
+			[]string{`lock line 7: ""`, `lock line 8: "[bopsim/internal/schemalock.gone]"`, `lock line 9: "X int"`}},
+		{"missing section", strings.Replace(good, Render(v1{}), "", 1),
+			[]string{`source line 3: ""`, `source line 4: "[bopsim/internal/schemalock.v1]"`, `source line 5: "Version int"`, `source line 6: "Cycles uint64"`}},
+		{"header behind the constant", strings.Replace(good, "snapshot-version 3", "snapshot-version 2", 1),
+			[]string{`lock line 2: "snapshot-version 2"`, `source line 2: "snapshot-version 3"`}},
+		{"no lock", "", []string{`source line 1: "# Governed by snapshot-version; ` + "`make schema-lock`" + ` regenerates."`,
+			`source line 2: "snapshot-version 3"`, `source line 3: ""`, `source line 4: "[bopsim/internal/schemalock.v1]"`,
+			`source line 5: "Version int"`, `source line 6: "Cycles uint64"`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path := lockFile(t, c.lock)
 			err := Check(path, "snapshot-version", 3, Render(v1{}))
-			if c.wantErr == "" {
+			if c.want == nil {
 				if err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) || !strings.Contains(err.Error(), "make schema-lock") {
-				t.Errorf("got %v, want an error naming %s and the fix", err, c.wantErr)
+			if err == nil || !strings.Contains(err.Error(), "make schema-lock") {
+				t.Fatalf("got %v, want an error naming the fix", err)
+			}
+			got := strings.Split(err.Error(), "\n")[1:]
+			for i := range got {
+				got[i] = strings.TrimSpace(got[i])
+			}
+			if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+				t.Errorf("the error names\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(c.want, "\n"))
 			}
 			if now, _ := os.ReadFile(path); string(now) != c.lock {
 				t.Errorf("a failed check rewrote the lock:\n%s", now)

@@ -110,13 +110,12 @@ func regionBase(i int) mem.Addr { return mem.Addr(1)<<36 + mem.Addr(i)<<30 }
 
 // benchSpecs maps benchmark names to their generators. The memory
 // intensities are calibrated so DRAM accesses per kilo-instruction land
-// near the paper's Figure 13, and the pattern choices follow the behaviours
-// the paper reports: 433-like speedup peaks at offset multiples of 32
-// (16-word chunks with 2KB jumps), 459-like peaks near 29.3 lines, 470-like
-// peaks at multiples of 5 with 5k+3 secondaries, 462-like long sequential
-// streams where only large offsets are timely, 429-like pointer chasing
-// over a huge working set, and cache-resident compute for the benchmarks
-// Figures 5-6 show as insensitive to L2 prefetching.
+// near the paper's Figure 13, 429.mcf chases pointers over a huge working
+// set, and the benchmarks Figures 5-6 show as insensitive to L2 prefetching
+// compute in cache. The offset behaviour of Figure 8 that the 433.milc,
+// 459.GemsFDTD, 470.lbm and 462.libquantum patterns imitate is stated and
+// asserted by their cards, standInCards in internal/experiments: a retune
+// changes its card in the same diff.
 var benchSpecs = map[string]benchSpec{
 	"400.perlbench": {320, 1 * mb, func(s scaler) []weightedComp {
 		return []weightedComp{
