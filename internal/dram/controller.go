@@ -37,6 +37,9 @@ type Stats struct {
 	PerCoreReads []uint64
 }
 
+// FairnessBits is the width of a proportional fairness counter (Table 1).
+const FairnessBits = 7
+
 // controller is one memory channel: per-core read/write queues, bank and
 // bus availability, and the steady/urgent FR-FCFS scheduler of section 5.3.
 type controller struct {
@@ -44,8 +47,8 @@ type controller struct {
 	banks  []bankState
 	readQ  [][]*request // [core][...]
 	writeQ [][]*request
-	// fair holds one 7-bit proportional counter per core, incremented when
-	// a read from that core is selected for issue.
+	// fair holds one FairnessBits-wide proportional counter per core,
+	// incremented when a read from that core is selected for issue.
 	fair          *cache.PropCounters
 	served        int
 	busFreeAt     uint64
@@ -80,10 +83,10 @@ func newController(p Params, readVersion *uint64) *controller {
 	c := &controller{
 		p:           p,
 		readVersion: readVersion,
-		banks:       make([]bankState, p.Banks),
+		banks:       make([]bankState, Banks),
 		readQ:       make([][]*request, p.NumCores),
 		writeQ:      make([][]*request, p.NumCores),
-		fair:        cache.NewPropCounters(p.NumCores, 7),
+		fair:        cache.NewPropCounters(p.NumCores, FairnessBits),
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1

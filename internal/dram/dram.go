@@ -15,7 +15,7 @@ type Memory struct {
 
 // New builds a memory system with the given parameters.
 func New(p Params) *Memory {
-	m := &Memory{p: p, channels: make([]*controller, p.Channels)}
+	m := &Memory{p: p, channels: make([]*controller, Channels)}
 	for i := range m.channels {
 		m.channels[i] = newController(p, &m.readVersion)
 	}

@@ -29,30 +29,53 @@ func doneBy(f *Future, now uint64) bool { return f.Resolved() && f.Cycle() <= no
 func TestMapAddressInRange(t *testing.T) {
 	f := func(a uint64) bool {
 		loc := MapAddress(mem.LineAddr(a % (1 << 34)))
-		return loc.Channel >= 0 && loc.Channel < 2 && loc.Bank >= 0 && loc.Bank < 8
+		return loc.Channel >= 0 && loc.Channel < Channels && loc.Bank >= 0 && loc.Bank < Banks
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestMapAddressSpreadsChannels ties the exported geometry to the decoder.
+// Address bits a6–a16 are the 2,048 lines below the first row bit (a17):
+// they must reach exactly Channels channels and Banks banks, and each
+// channel's bank must hold one row of RowBytes, so every line of the span
+// lands in one of Channels × Banks rows of RowBytes / LineSize lines.
 func TestMapAddressSpreadsChannels(t *testing.T) {
-	// A long sequential stream must use both channels and several banks.
-	chans := map[int]int{}
-	banks := map[int]bool{}
-	for l := mem.LineAddr(0); l < 4096; l++ {
+	type rowKey struct {
+		channel, bank int
+		row           uint64
+	}
+	rows := map[rowKey]int{}
+	chans, banks := map[int]bool{}, map[int]bool{}
+	for l := mem.LineAddr(0); l < 1<<11; l++ {
 		loc := MapAddress(l)
-		chans[loc.Channel]++
-		banks[loc.Bank] = true
+		chans[loc.Channel], banks[loc.Bank] = true, true
+		rows[rowKey{loc.Channel, loc.Bank, loc.Row}]++
 	}
-	if len(chans) != 2 {
-		t.Fatalf("sequential stream used %d channels, want 2", len(chans))
+	for c := range Channels {
+		if !chans[c] {
+			t.Errorf("channel %d is never reached", c)
+		}
 	}
-	if ratio := float64(chans[0]) / float64(chans[1]); ratio < 0.5 || ratio > 2 {
-		t.Errorf("channel imbalance: %v", chans)
+	for b := range Banks {
+		if !banks[b] {
+			t.Errorf("bank %d is never reached", b)
+		}
 	}
-	if len(banks) < 4 {
-		t.Errorf("sequential stream used only %d banks", len(banks))
+	if len(chans) != Channels || len(banks) != Banks {
+		t.Errorf("lines reach %d channels and %d banks, the geometry says %d and %d", len(chans), len(banks), Channels, Banks)
+	}
+	if len(rows) != Channels*Banks {
+		t.Errorf("a6–a16 span %d rows, want one per channel and bank (%d)", len(rows), Channels*Banks)
+	}
+	for k, n := range rows {
+		if n*mem.LineSize != RowBytes {
+			t.Errorf("channel %d bank %d row %d holds %d lines (%d bytes), RowBytes is %d", k.channel, k.bank, k.row, n, n*mem.LineSize, RowBytes)
+		}
+	}
+	if loc := MapAddress(1 << 11); loc.Row == MapAddress(0).Row {
+		t.Errorf("a17 does not change the row")
 	}
 }
 
@@ -403,7 +426,7 @@ func TestStreamBandwidthBounded(t *testing.T) {
 			last = f.Cycle()
 		}
 	}
-	minCycles := uint64(n) * uint64(p.TBURST*p.BusRatio) / uint64(p.Channels)
+	minCycles := uint64(n) * uint64(p.TBURST*p.BusRatio) / Channels
 	if last < minCycles {
 		t.Errorf("stream of %d lines finished in %d cycles; bus bound is %d", n, last, minCycles)
 	}

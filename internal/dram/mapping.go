@@ -2,6 +2,20 @@ package dram
 
 import "bopsim/internal/mem"
 
+// The geometry MapAddress decodes (section 5.3): one channel bit, three
+// bank bits and seven row-offset bits of the line address.
+const (
+	channelBits   = 1
+	bankBits      = 3
+	rowOffsetBits = 7
+
+	Channels = 1 << channelBits // independent channels, one controller each
+	Banks    = 1 << bankBits    // banks per rank (one rank per channel)
+	// RowBytes is one bank's row buffer: the lines that share a channel,
+	// a bank and a row.
+	RowBytes = mem.LineSize << rowOffsetBits
+)
+
 // Location is the physical DRAM coordinates of a cache line.
 type Location struct {
 	Channel int

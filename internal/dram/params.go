@@ -5,6 +5,11 @@
 // write queues, an FR-FCFS read scheduler with steady/urgent modes and
 // proportional-counter fairness, and out-of-order write bursts of 16.
 //
+// The geometry is the address mapping's, not a parameter: MapAddress
+// decodes one channel bit, three bank bits and a row of seven line bits, and
+// exports them as Channels, Banks and RowBytes. Params holds the timing and
+// the queues.
+//
 // The scheduler does not distinguish demand from prefetch requests — they
 // are treated equally, exactly as in the paper.
 //
@@ -19,13 +24,11 @@
 // controller is a plain per-core queue.
 package dram
 
-// Params collects the DDR3-like timing and geometry parameters from
-// Table 1. All timing values are in bus cycles; BusRatio converts to core
-// cycles (bus cycle = 4 core cycles in the baseline).
+// Params collects the DDR3-like timing and queue parameters from Table 1.
+// All timing values are in bus cycles; BusRatio converts to core cycles
+// (bus cycle = 4 core cycles in the baseline). The geometry is not a
+// parameter: Channels, Banks and RowBytes are what MapAddress decodes.
 type Params struct {
-	Channels int // independent channels, one controller each
-	Banks    int // banks per rank (one rank per channel)
-
 	BusRatio int // core cycles per bus cycle
 
 	TCL    int // CAS latency
@@ -58,8 +61,6 @@ type Params struct {
 // DefaultParams returns the baseline memory system of Table 1.
 func DefaultParams(numCores int) Params {
 	return Params{
-		Channels:        2,
-		Banks:           8,
 		BusRatio:        4,
 		TCL:             11,
 		TRCD:            11,

@@ -40,9 +40,9 @@ type refBank struct {
 }
 
 func newTimingRef(p Params) *timingRef {
-	r := &timingRef{p: p, banks: make([][]refBank, p.Channels), bus: make([]uint64, p.Channels)}
+	r := &timingRef{p: p, banks: make([][]refBank, Channels), bus: make([]uint64, Channels)}
 	for i := range r.banks {
-		r.banks[i] = make([]refBank, p.Banks)
+		r.banks[i] = make([]refBank, Banks)
 	}
 	return r
 }

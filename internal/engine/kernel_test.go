@@ -180,7 +180,7 @@ func TestKernelTimeliness(t *testing.T) {
 // DRAM reads = 200,019: every entry allocated is one DRAM read.
 func TestKernelBandwidthBound(t *testing.T) {
 	p := dram.DefaultParams(1)
-	peak := float64(p.Channels) / float64(p.TBURST*p.BusRatio)
+	peak := float64(dram.Channels) / float64(p.TBURST*p.BusRatio)
 	// An open-row read with no queueing: tCL + tBURST on the bus, plus the
 	// fixed round trip. A loaded latency below it would be a counting bug.
 	floor := float64((p.TCL+p.TBURST)*p.BusRatio) + float64(p.ExtraLatency)

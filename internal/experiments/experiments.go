@@ -18,16 +18,23 @@ import (
 	"io"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bopsim/internal/core"
+	"bopsim/internal/cpu"
+	"bopsim/internal/dram"
 	"bopsim/internal/engine"
 	"bopsim/internal/mem"
 	"bopsim/internal/prefetch"
+	"bopsim/internal/spec"
 	"bopsim/internal/stats"
+	"bopsim/internal/stride"
+	"bopsim/internal/tlb"
 	"bopsim/internal/trace"
+	"bopsim/internal/uncore"
 )
 
 // CoreConfig is one baseline configuration: active core count x page size.
@@ -234,32 +241,71 @@ func offsetRows(ds []int) (rows []string, specs []prefetch.Spec) {
 	return rows, specs
 }
 
-// Table1 renders the baseline microarchitecture parameters.
+// Table1 renders the baseline microarchitecture from what the model builds:
+// the hierarchy, core and DRAM defaults, the engine's default prefetchers
+// and L3 policy, and the constants that fix the rest (the stride
+// prefetcher's table, the TLBs, the DRAM geometry and fairness counters).
+// Only the prose and the bus width, which no value carries, are literal.
 func Table1() string {
-	return `Table 1: baseline microarchitecture (as modelled)
-  cores                      1/2/4 active (core 0 measured; others run the
+	u := uncore.DefaultConfig(1, mem.Page4K)
+	c := cpu.DefaultConfig()
+	d := dram.DefaultParams(1)
+	o := engine.DefaultOptions("")
+	var cores, pages []string
+	for _, cfg := range AllConfigs() {
+		if n := fmt.Sprint(cfg.Cores); !slices.Contains(cores, n) {
+			cores = append(cores, n)
+		}
+		if p := cfg.Page.String(); !slices.Contains(pages, p) {
+			pages = append(pages, p)
+		}
+	}
+	size := func(n int) string { return strings.ToUpper(spec.FormatSize(mem.Addr(n))) }
+	width := fmt.Sprintf("%d-wide effective dispatch/retire", c.DispatchWidth)
+	if c.RetireWidth != c.DispatchWidth {
+		width = fmt.Sprintf("%d-wide dispatch, %d-wide retire", c.DispatchWidth, c.RetireWidth)
+	}
+	l2pf := o.L2PF.Name
+	if l2pf == "nextline" { // the registry's name for the paper's next-line
+		l2pf = "next-line"
+	}
+	return fmt.Sprintf(`Table 1: baseline microarchitecture (as modelled)
+  cores                      %s active (core 0 measured; others run the
                              cache-thrashing micro-benchmark)
-  core model                 256-entry ROB, 4-wide effective dispatch/retire,
+  core model                 %d-entry ROB, %s,
                              dependence-aware load issue, store buffer
-  cache line                 64 bytes
-  DL1                        32KB 8-way LRU, 3-cycle latency, 32 MSHRs
-  L2 (private)               512KB 8-way LRU, 11-cycle latency,
-                             16-entry fill queue
-  L3 (shared)                8MB 16-way 5P, 21-cycle latency,
-                             32-entry fill queue
-  TLBs                       DTLB1 64, TLB2 512 entries
-  DL1 prefetch               stride prefetcher, 64 entries, distance 16,
-                             16-entry filter, TLB2-gated
-  L2 prefetch                next-line (baseline), prefetch bits
-  memory                     2 channels, 64-bit bus at 1/4 core clock,
-                             8 banks/rank, 8KB row/rank
-  DDR3 (bus cycles)          tCL=11 tRCD=11 tRP=11 tRAS=33 tCWL=8 tRTP=6
-                             tWR=12 tWTR=6 tBURST=4
-  memory controller          32-entry read + 32-entry write queue per core,
-                             FR-FCFS, steady/urgent modes, 7-bit proportional
-                             counters, write bursts of 16
-  page size                  4KB / 4MB
-`
+  cache line                 %d bytes
+  DL1                        %s %d-way LRU, %d-cycle latency, %d MSHRs
+  L2 (private)               %s %d-way LRU, %d-cycle latency,
+                             %d-entry fill queue
+  L3 (shared)                %s %d-way %s, %d-cycle latency,
+                             %d-entry fill queue
+  TLBs                       DTLB1 %d, TLB2 %d entries
+  DL1 prefetch               %s prefetcher, %d entries, distance %d,
+                             %d-entry filter, TLB2-gated
+  L2 prefetch                %s (baseline), prefetch bits
+  memory                     %d channels, 64-bit bus at 1/%d core clock,
+                             %d banks/rank, %s row/rank
+  DDR3 (bus cycles)          tCL=%d tRCD=%d tRP=%d tRAS=%d tCWL=%d tRTP=%d
+                             tWR=%d tWTR=%d tBURST=%d
+  memory controller          %d-entry read + %d-entry write queue per core,
+                             FR-FCFS, steady/urgent modes, %d-bit proportional
+                             counters, write bursts of %d
+  page size                  %s
+`,
+		strings.Join(cores, "/"),
+		c.ROBSize, width,
+		mem.LineSize,
+		size(u.DL1Size), u.DL1Ways, u.DL1Latency, u.MSHRs,
+		size(u.L2Size), u.L2Ways, u.L2Latency, u.L2FillQueueLen,
+		size(u.L3Size), u.L3Ways, o.L3Policy, u.L3Latency, u.L3FillQueueLen,
+		tlb.DTLB1Entries, tlb.TLB2Entries,
+		o.L1PF.Name, stride.TableEntries, stride.DistanceFactor, stride.FilterEntries,
+		l2pf,
+		dram.Channels, d.BusRatio, dram.Banks, size(dram.RowBytes),
+		d.TCL, d.TRCD, d.TRP, d.TRAS, d.TCWL, d.TRTP, d.TWR, d.TWTR, d.TBURST,
+		d.ReadQueueLen, d.WriteQueueLen, dram.FairnessBits, d.WriteBatch,
+		strings.Join(pages, " / "))
 }
 
 // Table2 renders the BO prefetcher default parameters.

@@ -216,10 +216,16 @@ type Hierarchy struct {
 	Walks uint64
 }
 
+// The baseline entry counts (Table 1).
+const (
+	DTLB1Entries = 64
+	TLB2Entries  = 512
+)
+
 // New returns a TLB hierarchy for the given page size with the baseline
-// entry counts (DTLB1 64, TLB2 512).
+// entry counts.
 func New(page mem.PageSize) *Hierarchy {
-	return &Hierarchy{page: page, dtlb1: newTLBLevel(64), tlb2: newTLBLevel(512)}
+	return &Hierarchy{page: page, dtlb1: newTLBLevel(DTLB1Entries), tlb2: newTLBLevel(TLB2Entries)}
 }
 
 // NewWithSizes returns a TLB hierarchy with custom entry counts, for tests
