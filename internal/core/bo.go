@@ -185,9 +185,27 @@ func (p *Prefetcher) OnAccess(a prefetch.AccessInfo) []mem.LineAddr {
 
 // learn performs one learning step: test the next offset in the round-robin
 // order against the RR table and handle phase boundaries.
+//
+// The paper leaves two rules of this step to its code, and snippet 3 (a
+// learning loop "taken from Michaud's BO code", SNIPPETS.md) spells both:
+//   - Offset d scores on access X only when X-d lies in X's page, as
+//     snippet 3's SAMEPAGE test requires. A prefetch never crosses a page
+//     (OnAccess), so a base X-d in another page stands for a prefetch of X
+//     that BO could not have issued. Scoring it would credit, at 4 KB pages,
+//     offsets of 64 lines and more, which prefetch nothing.
+//   - A new best offset needs a strictly higher score, where snippet 3 takes
+//     an equal one (>=). On a tie the first offset in list order keeps the
+//     lead, and Table 2's list is ascending, so that is the smallest. With
+//     equal evidence of timeliness the smaller offset covers more of each
+//     page: an access prefetches only within its page, so the first D lines
+//     of a page are never prefetched. The paper says only "the offset with
+//     the highest score", and >= would move the final offset on 18 of the
+//     29 stand-ins with no paper result to judge it by.
+//
+// TestReferenceSnippetRules holds both decisions.
 func (p *Prefetcher) learn(x mem.LineAddr) {
 	prev := int64(x) - int64(p.params.Offsets[p.offIdx])
-	if prev >= 0 && p.rr.Hit(mem.LineAddr(prev)) {
+	if prev >= 0 && p.page.SamePage(x, mem.LineAddr(prev)) && p.rr.Hit(mem.LineAddr(prev)) {
 		p.scores[p.offIdx]++
 		if p.scores[p.offIdx] > p.bestScore {
 			p.bestScore = p.scores[p.offIdx]

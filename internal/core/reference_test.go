@@ -51,24 +51,20 @@ import (
 // ROUND_MAX but the paper's. Snippet 1's per-PC counters and credit-on-hit
 // map are not the paper's algorithm, and nothing here follows them.
 //
-// Prefetcher and snippet 3 disagree in two places, and the reference takes
-// Prefetcher's side unless snippetRules is set:
-//   - Prefetcher scores offset d on access X whenever X-d >= 0; snippet 3
-//     also requires X-d in X's page (SAMEPAGE).
-//   - Prefetcher takes a new best offset only on a strictly higher score, so
-//     the first offset in list order to reach a score keeps it; snippet 3
-//     uses >=, so the last one does.
-//
-// Prefetcher stays as it is: either fix moves rendered bytes (the SAMEPAGE
-// check changes the final offset on 3 of the 29 workload stand-ins, >= on
-// 18). TestReferenceSnippetRules measures how often the two rules change a
-// phase's outcome on the fuzz seeds.
+// Two rules of a learning step are left by the paper to its code, and the
+// reference follows Prefetcher's decision on each (Prefetcher.learn says
+// why) unless its refRules flip one:
+//   - Offset d scores on access X only when X-d is in X's page, as snippet
+//     3's SAMEPAGE test requires; crossPage scores X-d in any page.
+//   - A new best offset needs a strictly higher score, so the first offset in
+//     list order to reach a score keeps it; tiesToLater takes snippet 3's >=,
+//     so the last one does.
 type reference struct {
 	offsets      []int
 	badScore     int
 	degree       int
 	linesPerPage int64
-	snippetRules bool
+	rules        refRules
 
 	rr map[int]uint16
 
@@ -84,6 +80,13 @@ type reference struct {
 	phases int
 }
 
+// refRules flips the reference's learning rules away from Prefetcher's; the
+// zero value is Prefetcher's.
+type refRules struct {
+	crossPage   bool // score a base X-d outside X's page
+	tiesToLater bool // snippet 3's >=: an equal score takes the lead
+}
+
 const (
 	refScoreMax = 31
 	refRoundMax = 100
@@ -92,7 +95,7 @@ const (
 
 // newReference returns a reference learner for p, or an error naming the
 // setting it does not model.
-func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, error) {
+func newReference(p Params, page mem.PageSize, rules refRules) (*reference, error) {
 	switch {
 	case p.Degree == 2 && repeats(p.Offsets):
 		return nil, fmt.Errorf("degree=2 with a repeated offset: the second-best offset is ambiguous")
@@ -108,7 +111,7 @@ func newReference(p Params, page mem.PageSize, snippetRules bool) (*reference, e
 		badScore:     p.BadScore,
 		degree:       p.Degree,
 		linesPerPage: int64(page) / 64,
-		snippetRules: snippetRules,
+		rules:        rules,
 		rr:           map[int]uint16{},
 		score:        make([]uint8, len(p.Offsets)),
 		d:            1,
@@ -157,12 +160,12 @@ func (r *reference) OnAccess(a prefetch.AccessInfo) []mem.LineAddr {
 func (r *reference) learn(x int64) {
 	test := r.offsets[r.index]
 	base := x - int64(test)
-	if base >= 0 && (!r.snippetRules || r.samePage(x, base)) && r.hit(base) {
+	if base >= 0 && (r.rules.crossPage || r.samePage(x, base)) && r.hit(base) {
 		if r.score[r.index] < refScoreMax {
 			r.score[r.index]++
 		}
 		s := r.score[r.index]
-		if s > r.maxScore || r.snippetRules && s == r.maxScore {
+		if s > r.maxScore || r.rules.tiesToLater && s == r.maxScore {
 			r.maxScore, r.best = s, test
 		}
 	}
@@ -416,14 +419,14 @@ func (e phaseEnd) same(o phaseEnd) bool {
 }
 
 // build returns the Prefetcher the stream's spec names and its reference.
-func (s refStream) build(t testing.TB, snippetRules bool) (*Prefetcher, *reference) {
+func (s refStream) build(t testing.TB, rules refRules) (*Prefetcher, *reference) {
 	t.Helper()
 	pf, err := prefetch.NewL2(prefetch.MustSpec(s.spec), s.page)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := pf.(*Prefetcher)
-	ref, err := newReference(p.params, s.page, snippetRules)
+	ref, err := newReference(p.params, s.page, rules)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +440,7 @@ func (s refStream) build(t testing.TB, snippetRules bool) (*Prefetcher, *referen
 // of phase ends compared and what the run covered.
 func lockStep(t testing.TB, s refStream) (n int, c refCoverage) {
 	t.Helper()
-	p, ref := s.build(t, false)
+	p, ref := s.build(t, refRules{})
 	mp, mr := newL2Model(p), newL2Model(ref)
 	s.each(func(line mem.LineAddr, lag int) {
 		if n < 0 {
@@ -567,46 +570,66 @@ func TestReferenceCoversPhaseEnds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := newReference(pf.(*Prefetcher).params, mem.Page4K, false); err == nil {
+		if _, err := newReference(pf.(*Prefetcher).params, mem.Page4K, refRules{}); err == nil {
 			t.Errorf("the reference accepted %s", spec)
 		}
 	}
 }
 
-// TestReferenceSnippetRules runs the reference with snippet 3's two rules
-// (SAMEPAGE when scoring, ties to the later offset) beside Prefetcher, each
-// behind its own toy L2, and logs how many phase ends decide differently.
-// It fails on nothing: it measures the two disagreements Prefetcher keeps.
+// TestReferenceSnippetRules holds Prefetcher to its decision on each of the
+// two learning rules the paper leaves to its code (Prefetcher.learn): it
+// scores only a base in the access's page, as snippet 3 does, and keeps the
+// first offset to reach a score, where snippet 3 takes the last. Over the
+// fuzz seeds, run in Table 2's configuration and in snippet 3's, Prefetcher
+// must end every phase as the reference with its own rules does, and each
+// rule flipped must end some phase differently, so the seeds tell each
+// decision from its alternative.
 func TestReferenceSnippetRules(t *testing.T) {
 	for _, cfg := range []byte{0, 1} {
 		name := map[byte]string{0: "table2", 1: "snippet3"}[cfg]
 		t.Run(name, func(t *testing.T) {
-			var ends, differ int
-			for _, seed := range refSeeds {
-				seed = append([]byte{cfg}, seed[1:]...)
-				s := decodeStream(seed)
-				p, ref := s.build(t, true)
-				var pe, re []phaseEnd
-				mp, mr := newL2Model(p), newL2Model(ref)
-				s.each(func(line mem.LineAddr, lag int) {
-					mp.access(line, lag)
-					mr.access(line, lag)
-					if int(p.stats.Phases) > len(pe) {
-						pe = append(pe, phaseEnd{p.d, p.d2, p.on})
-					}
-					if ref.phases > len(re) {
-						re = append(re, phaseEnd{ref.d, ref.d2, ref.on})
-					}
-				})
-				ends += max(len(pe), len(re))
-				differ += max(len(pe), len(re)) - min(len(pe), len(re))
-				for i := range min(len(pe), len(re)) {
-					if !pe[i].same(re[i]) {
-						differ++
+			differ := func(rules refRules) (ends, differ int) {
+				for _, seed := range refSeeds {
+					s := decodeStream(append([]byte{cfg}, seed[1:]...))
+					p, ref := s.build(t, rules)
+					var pe, re []phaseEnd
+					mp, mr := newL2Model(p), newL2Model(ref)
+					s.each(func(line mem.LineAddr, lag int) {
+						mp.access(line, lag)
+						mr.access(line, lag)
+						if int(p.stats.Phases) > len(pe) {
+							pe = append(pe, phaseEnd{p.d, p.d2, p.on})
+						}
+						if ref.phases > len(re) {
+							re = append(re, phaseEnd{ref.d, ref.d2, ref.on})
+						}
+					})
+					ends += max(len(pe), len(re))
+					differ += max(len(pe), len(re)) - min(len(pe), len(re))
+					for i := range min(len(pe), len(re)) {
+						if !pe[i].same(re[i]) {
+							differ++
+						}
 					}
 				}
+				return ends, differ
 			}
-			t.Logf("%s: %d of %d phase ends decide differently under snippet 3's rules", name, differ, ends)
+			if ends, n := differ(refRules{}); n != 0 {
+				t.Errorf("%d of %d phase ends differ from the reference with Prefetcher's own rules", n, ends)
+			}
+			for _, c := range []struct {
+				name  string
+				rules refRules
+			}{
+				{"a base in another page scores", refRules{crossPage: true}},
+				{"ties go to the later offset (snippet 3's >=)", refRules{tiesToLater: true}},
+			} {
+				ends, n := differ(c.rules)
+				t.Logf("%s: %d of %d phase ends decide differently", c.name, n, ends)
+				if n == 0 {
+					t.Errorf("%s: no phase end of the seeds decides differently, so they cannot tell Prefetcher's rule from it", c.name)
+				}
+			}
 		})
 	}
 }

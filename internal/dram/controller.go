@@ -18,7 +18,8 @@ type request struct {
 // bankState tracks one DRAM bank's open row and command timing. Row-buffer
 // hits to an open row pipeline at the data-bus rate (CAS-to-CAS is bounded
 // by tBURST via the shared bus); row changes pay precharge + activate and
-// respect tRAS/tRTP/tWR before the precharge may start.
+// respect tRAS/tRTP/tWR before the precharge may start (tRTP from a read's
+// CAS, which a busy data bus can hold back).
 type bankState struct {
 	openRow    int64  // -1 = closed (precharged)
 	rowOpenAt  uint64 // cycle the open row's data becomes CAS-able (ACT+tRCD)
@@ -52,6 +53,7 @@ type controller struct {
 	fair          *cache.PropCounters
 	served        int
 	busFreeAt     uint64
+	readCASAt     uint64 // earliest read CAS: tWTR after the latest write's data
 	writesInBatch int
 	seq           uint64
 	queuedReads   int
@@ -325,17 +327,22 @@ func (c *controller) access(r *request, now uint64) uint64 {
 		cas = uint64(c.p.TCWL) * br
 	}
 	cmd := max64(now, bank.rowOpenAt)
+	if !r.write {
+		cmd = max64(cmd, c.readCASAt) // write-to-read turnaround
+	}
 	// CAS-to-CAS pipelining: consecutive column accesses to open rows are
 	// rate-limited only by the shared data bus (tBURST per transfer).
 	dataStart := max64(cmd+cas, c.busFreeAt)
 	dataEnd := dataStart + uint64(c.p.TBURST)*br
 	c.busFreeAt = dataEnd
 	if r.write {
-		// Write recovery delays any subsequent precharge of this bank.
+		// Write recovery delays any subsequent precharge of this bank, and
+		// the turnaround any read's CAS on this channel.
 		bank.preReadyAt = max64(bank.preReadyAt, dataEnd+uint64(c.p.TWR)*br)
+		c.readCASAt = dataEnd + uint64(c.p.TWTR)*br
 	} else {
-		// Read-to-precharge spacing.
-		bank.preReadyAt = max64(bank.preReadyAt, cmd+uint64(c.p.TRTP)*br)
+		// Read-to-precharge spacing, from the CAS the bus let out.
+		bank.preReadyAt = max64(bank.preReadyAt, dataStart-cas+uint64(c.p.TRTP)*br)
 	}
 	return dataEnd
 }

@@ -47,7 +47,9 @@ type Params struct {
 
 	// ExtraLatency is the fixed round-trip overhead in core cycles added to
 	// every read completion: controller pipeline, on-chip interconnect and
-	// off-chip link delays that the bank timing alone does not cover.
+	// off-chip link delays that the bank timing alone does not cover. A DRAM
+	// read pays no L2 or L3 lookup besides (uncore.Config charges them on
+	// hits only), so this and the DL1's latency are all it adds.
 	ExtraLatency uint64
 
 	NumCores int

@@ -4,9 +4,11 @@ import "fmt"
 
 // Checkpoint state. A memory system can only be checkpointed when it is
 // Idle(): the warmup barrier drains every queue first, so the serialized
-// state is just the banks' row/timing registers, the scheduler's mode
-// registers and the statistics — no in-flight requests, and therefore no
-// futures to serialize.
+// state is just the banks' row/timing registers, the channel's bus and
+// turnaround cycles and the scheduler's mode registers — no in-flight
+// requests, and therefore no futures and no request order to serialize. It
+// holds no statistics either: a snapshot is taken at the barrier, after
+// ResetStats, where every counter is zero.
 
 // BankState mirrors bankState with exported fields.
 type BankState struct {
@@ -21,9 +23,8 @@ type ControllerState struct {
 	Fair          []uint32
 	Served        int
 	BusFreeAt     uint64
+	ReadCASAt     uint64
 	WritesInBatch int
-	Seq           uint64
-	Stats         Stats
 }
 
 // State is the serialized state of the whole memory system.
@@ -44,11 +45,9 @@ func (m *Memory) SaveState() (State, error) {
 			Fair:          c.fair.SaveState(),
 			Served:        c.served,
 			BusFreeAt:     c.busFreeAt,
+			ReadCASAt:     c.readCASAt,
 			WritesInBatch: c.writesInBatch,
-			Seq:           c.seq,
-			Stats:         c.stats,
 		}
-		cs.Stats.PerCoreReads = append([]uint64(nil), c.stats.PerCoreReads...)
 		for b, bank := range c.banks {
 			cs.Banks[b] = BankState{OpenRow: bank.openRow, RowOpenAt: bank.rowOpenAt, PreReadyAt: bank.preReadyAt}
 		}
@@ -72,10 +71,6 @@ func (m *Memory) RestoreState(st State) error {
 		if len(cs.Banks) != len(c.banks) {
 			return fmt.Errorf("dram: channel %d state has %d banks, controller has %d", i, len(cs.Banks), len(c.banks))
 		}
-		if len(cs.Stats.PerCoreReads) != len(c.stats.PerCoreReads) {
-			return fmt.Errorf("dram: channel %d state covers %d cores, controller serves %d",
-				i, len(cs.Stats.PerCoreReads), len(c.stats.PerCoreReads))
-		}
 		if cs.Served < -1 || cs.Served >= len(c.readQ) {
 			return fmt.Errorf("dram: channel %d served core %d out of range", i, cs.Served)
 		}
@@ -87,12 +82,8 @@ func (m *Memory) RestoreState(st State) error {
 		}
 		c.served = cs.Served
 		c.busFreeAt = cs.BusFreeAt
+		c.readCASAt = cs.ReadCASAt
 		c.writesInBatch = cs.WritesInBatch
-		c.seq = cs.Seq
-		per := c.stats.PerCoreReads
-		c.stats = cs.Stats
-		c.stats.PerCoreReads = per
-		copy(c.stats.PerCoreReads, cs.Stats.PerCoreReads)
 	}
 	return nil
 }

@@ -9,26 +9,17 @@ import (
 
 // timingRef is a reference DRAM timing model written from Table 1 alone: an
 // open-page bank per (channel, bank), one data bus per channel, and the
-// minimum spacings tRCD, tRP, tRAS, tRTP, tWR, tCL/tCWL and tBURST. It is told
-// which request each controller issued at which bus tick, and places that
-// request's commands at their earliest legal cycles, never before the tick.
-// Every constraint is a minimum spacing from an earlier command, so this
-// schedule is a lower bound on any legal one with the same issue order and
-// ticks: no observed data transfer may start before the reference's.
-//
-// Two constraints are weaker than Table 1's, because the controller keeps
-// them weaker and the checker is to pass on it: any weakening keeps the
-// schedule a lower bound, it only lets those cases through.
-//   - tWTR (write-to-read turnaround) is left out: the controller does not
-//     apply it (TestWriteToReadTurnaround pins that).
-//   - tRTP runs from the earliest cycle the read's CAS could go out were the
-//     data bus free, not from its CAS: the controller counts it so, and a
-//     busy bus delays the CAS past it (TestReadToPrechargeIgnoresBus pins
-//     that).
+// minimum spacings tRCD, tRP, tRAS, tRTP, tWR, tWTR, tCL/tCWL and tBURST. It
+// is told which request each controller issued at which bus tick, and places
+// that request's commands at their earliest legal cycles, never before the
+// tick. Every constraint is a minimum spacing from an earlier command, so
+// this schedule is a lower bound on any legal one with the same issue order
+// and ticks: no observed data transfer may start before the reference's.
 type timingRef struct {
 	p     Params
 	banks [][]refBank // [channel][bank]
 	bus   []uint64    // [channel] first cycle the data bus is free
+	wtr   []uint64    // [channel] earliest read CAS: tWTR after the latest write's data
 }
 
 // refBank is the reference's record of one bank.
@@ -40,7 +31,7 @@ type refBank struct {
 }
 
 func newTimingRef(p Params) *timingRef {
-	r := &timingRef{p: p, banks: make([][]refBank, Channels), bus: make([]uint64, Channels)}
+	r := &timingRef{p: p, banks: make([][]refBank, Channels), bus: make([]uint64, Channels), wtr: make([]uint64, Channels)}
 	for i := range r.banks {
 		r.banks[i] = make([]refBank, Banks)
 	}
@@ -63,14 +54,18 @@ func (r *timingRef) place(loc Location, write bool, now uint64) uint64 {
 	if write {
 		latency = r.p.TCWL
 	}
-	casFree := max(now, b.act+bus(r.p.TRCD)) // the CAS, were the data bus free
-	start := max(casFree+bus(latency), r.bus[loc.Channel])
+	cas := max(now, b.act+bus(r.p.TRCD))
+	if !write {
+		cas = max(cas, r.wtr[loc.Channel])
+	}
+	start := max(cas+bus(latency), r.bus[loc.Channel])
 	end := start + bus(r.p.TBURST)
 	r.bus[loc.Channel] = end
 	if write {
 		b.preMin = max(b.preMin, end+bus(r.p.TWR))
+		r.wtr[loc.Channel] = end + bus(r.p.TWTR)
 	} else {
-		b.preMin = max(b.preMin, casFree+bus(r.p.TRTP))
+		b.preMin = max(b.preMin, start-bus(latency)+bus(r.p.TRTP)) // the CAS the bus let out
 	}
 	return start
 }
@@ -227,12 +222,12 @@ func FuzzDRAMTiming(f *testing.F) {
 	f.Fuzz(checkTiming)
 }
 
-// TestWriteToReadTurnaround pins a gap in the timing model: Table 1 lists
-// tWTR and Params carries it, but the controller never applies it. A write to
-// a closed bank at cycle 0 ends its data at cycle 92; a read of the same row,
-// enqueued next, starts its data at cycle 92, so its CAS went out at cycle 48,
-// where tWTR asks for cycle 116 or later. ROADMAP item 18 ("apply tWTR") owns
-// the fix, which changes these numbers and then turns this test into its check.
+// TestWriteToReadTurnaround holds a read to tWTR after a write on its
+// channel. A write to a closed bank at cycle 0 activates it at once, so its
+// CAS goes out at tRCD = 44 and its data runs from 44 + tCWL = 76 to
+// 76 + tBURST = 92. A read of the same row, enqueued next, finds the row open
+// and the bus free at 92, but tWTR holds its CAS until 92 + 24 = 116, so its
+// data starts at 116 + tCL = 160.
 func TestWriteToReadTurnaround(t *testing.T) {
 	p := DefaultParams(1)
 	m := New(p)
@@ -256,20 +251,20 @@ func TestWriteToReadTurnaround(t *testing.T) {
 	start := fut.Cycle() - p.ExtraLatency - uint64(p.TBURST)*br
 	cas := start - uint64(p.TCL)*br
 	tWTR := writeEnd + uint64(p.TWTR)*br
-	if start != 92 || cas != 48 || tWTR != 116 {
-		t.Errorf("the read's data starts at %d (CAS at %d, tWTR allows %d), want 92 (48, 116)", start, cas, tWTR)
+	if start != 160 || cas != 116 || tWTR != 116 {
+		t.Errorf("the read's data starts at %d (CAS at %d, tWTR allows %d), want 160 (116, 116)", start, cas, tWTR)
 	}
 }
 
-// TestReadToPrechargeIgnoresBus pins a second gap: the controller counts tRTP
-// from the cycle a read could send its CAS were the data bus free, not from
-// its CAS, so a read the bus holds back can have its row precharged before
-// its CAS goes out. On channel 0, bank 0 opens row 0 at cycle 0; at cycle 200
-// reads of banks 1-3 fill the bus, a row hit to bank 0 issues at 212 and a
-// read of bank 0's row 1 at 216. The row hit's data starts at 336, so its CAS
-// goes out at 292 and tRTP allows the precharge at 316 or later; but the
-// conflicting read's data starts at 368, tRP+tRCD+tCL after a precharge at
-// 236. ROADMAP item 19 ("count tRTP from the read's CAS") owns the fix.
+// TestReadToPrechargeIgnoresBus holds a precharge to tRTP after a read's
+// CAS, not after the cycle the CAS could have gone out were the data bus
+// free. On channel 0, bank 0 opens row 0 at cycle 0; at cycle 200 reads of
+// banks 1-3 fill the bus, a row hit to bank 0 issues at 212 and a read of
+// bank 0's row 1 at 216. The row hit's data starts at 336 when the bus frees,
+// so its CAS goes out at 336 - tCL = 292 and tRTP allows the precharge at
+// 292 + 24 = 316. The conflicting read's data then starts at
+// 316 + tRP + tRCD + tCL = 448. Counted from the bus-free CAS cycle (212),
+// the precharge would come at 236, before the row hit's CAS.
 func TestReadToPrechargeIgnoresBus(t *testing.T) {
 	p := DefaultParams(1)
 	m := New(p)
@@ -302,8 +297,8 @@ func TestReadToPrechargeIgnoresBus(t *testing.T) {
 	start := func(f *Future) uint64 { return f.Cycle() - p.ExtraLatency - uint64(p.TBURST)*br }
 	hitCAS := start(hit) - uint64(p.TCL)*br
 	pre := start(conflict) - uint64(p.TRP+p.TRCD+p.TCL)*br
-	if start(hit) != 336 || hitCAS != 292 || start(conflict) != 368 || pre != 236 {
-		t.Errorf("the row hit's data starts at %d (CAS at %d), the conflict's at %d (precharge at %d), want 336 (292), 368 (236)",
+	if start(hit) != 336 || hitCAS != 292 || start(conflict) != 448 || pre != 316 {
+		t.Errorf("the row hit's data starts at %d (CAS at %d), the conflict's at %d (precharge at %d), want 336 (292), 448 (316)",
 			start(hit), hitCAS, start(conflict), pre)
 	}
 }

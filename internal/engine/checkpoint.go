@@ -3,17 +3,19 @@
 // A checkpoint is taken at the warmup barrier, where the machine is drained
 // dry: no in-flight requests, no live completions, no ROB entries — only
 // persistent state (cache contents and replacement state, TLB residency, DRAM
-// bank registers, generator cursors, random streams). That is what makes the
-// format tractable and the restore provably exact: Restore rebuilds the
-// machine from the same options and overwrites precisely the state the
-// barrier defines. Prefetchers are not part of it: the warmup runs without
-// them and the barrier installs them cold.
+// bank and channel registers, generator cursors, random streams). That is
+// what makes the format tractable and the restore provably exact: Restore
+// rebuilds the machine from the same options and overwrites precisely the
+// state the barrier defines. Prefetchers are not part of it: the warmup runs
+// without them and the barrier installs them cold. Neither is any counter:
+// the barrier zeroes every one (Hierarchy.ResetStats) before a checkpoint
+// may be taken, and a freshly built machine holds the same zeros.
 //
 // A snapshot is one positional record, written and read by hand
 // (snapshot.go), the snapshot struct's fields in declaration order:
 //
-//	8 bytes  magic "BOCKPT01"
-//	4 bytes  ModelVersion, big endian
+//	4 bytes  magic "bopS"
+//	uvarint  ModelVersion (the header the result record shares, entry.go)
 //	uvarint  length of the warmup signature, then its bytes
 //	uvarint  barrier cycle
 //	uvarint  number of cores, then per core (cpu.State): the retired count;
@@ -21,7 +23,6 @@
 //	         dependence byte) or a byte 0; the generator cursor (kind, random
 //	         stream, ALU PC, each component's fields, cursor, wraps, then
 //	         its mix sub-cursors the same way, at most maxGenDepth deep)
-//	uvarint  every uncore.Stats counter, in declaration order
 //	caches   the DL1s and the L2s, each list led by its uvarint length, then
 //	         the L3. Per cache: NumLines; 4 bytes (big endian) of length and
 //	         the packed line records (cache.State.Lines); the policy name,
@@ -29,13 +30,10 @@
 //	         clock, random stream, RRPVs as bytes, PSEL, the two 5P counter
 //	         banks
 //	uvarint  number of TLB hierarchies, then per core both levels (VPNs and
-//	         stamps, each list led by its length, then the clock) and the
-//	         walk count
-//	uvarint  the prefetch queues' cancellation counts, led by their number
+//	         stamps, each list led by its length, then the clock)
 //	uvarint  number of DRAM channels, then per channel its banks (open row,
 //	         row-open and precharge-ready cycles), fairness counters, served
-//	         core, bus-free cycle, writes in batch, sequence number and
-//	         dram.Stats (the counters, then PerCoreReads)
+//	         core, bus-free cycle, read-CAS cycle (tWTR) and writes in batch
 //
 // An int is a zig-zag varint, a bool one byte 0 or 1, a string or []byte a
 // uvarint length and the bytes, and every other list its uvarint length and
@@ -67,7 +65,7 @@ import (
 )
 
 // snapshotMagic begins every snapshot.
-const snapshotMagic = "BOCKPT01"
+const snapshotMagic = "bopS"
 
 // maxSnapshotBytes bounds what Restore will even look at. A real snapshot
 // is a few hundred KB to a few MB (the valid lines and their replacement

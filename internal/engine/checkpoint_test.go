@@ -373,16 +373,20 @@ func FuzzRestore(f *testing.F) {
 	}
 	f.Add(snap)
 	f.Add([]byte{})
-	f.Add([]byte(snapshotMagicForFuzz))
+	f.Add([]byte(engine.SnapshotMagic))
 	f.Add(snap[:len(snap)/2])
-	// Version skew: flip the version field.
+	// Version skew: the header's one-byte version, one more.
+	header := len(engine.SnapshotMagic)
+	if snap[header] != engine.ModelVersion {
+		f.Fatalf("byte %d holds %d, not the version %d: the header moved", header, snap[header], engine.ModelVersion)
+	}
 	skew := append([]byte(nil), snap...)
-	skew[8]++
+	skew[header]++
 	f.Add(skew)
-	// A v11 snapshot (a gob payload) is refused by its version field,
+	// A snapshot of an older version is refused by its version field,
 	// whatever follows it.
 	v11 := append([]byte(nil), snap...)
-	binary.BigEndian.PutUint32(v11[len(snapshotMagicForFuzz):], 11)
+	v11[header] = 11
 	if _, err := engine.Restore(v11, o); err == nil || !strings.Contains(err.Error(), "snapshot version 11") {
 		f.Fatalf("v11 snapshot not refused by version: %v", err)
 	}
@@ -444,7 +448,7 @@ func FuzzRestore(f *testing.F) {
 	// size is allocated.
 	long := append([]byte(nil), snap...)
 	binary.BigEndian.PutUint32(long[lineOff-4:], 1<<32-1)
-	cores := len(snapshotMagicForFuzz) + 4
+	cores := header + 1
 	sigLen, n := binary.Uvarint(snap[cores:])
 	cores += n + int(sigLen)
 	_, n = binary.Uvarint(snap[cores:]) // the barrier cycle
@@ -488,8 +492,6 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
-
-const snapshotMagicForFuzz = "BOCKPT01"
 
 // packedLine locates the fields of one packed line record
 // (cache.State.Lines: index delta, address, flag byte, owner core) by their

@@ -1,15 +1,11 @@
 package engine
 
-import (
-	"fmt"
-
-	"bopsim/internal/core"
-)
+import "bopsim/internal/core"
 
 // A result record stores one run's Result beside the options it ran: the
 // result cache files it as <dir>/<key>.entry, and a distrib worker answers
 // a job with the same bytes. It is written and read by the snapshot's codec
-// (snapshot.go), so it shares the snapshot's primitives and its rule:
+// (snapshot.go), so it shares the snapshot's header, primitives and rule:
 //
 //	4 bytes  magic "bopR"
 //	uvarint  ModelVersion
@@ -34,8 +30,8 @@ const entryMagic = "bopR"
 // AppendEntry appends to b the record of a run whose options encode as opts
 // and whose result is res.
 func AppendEntry(b, opts []byte, res Result) []byte {
-	e := encoder{b: append(b, entryMagic...)}
-	e.uvarint(ModelVersion)
+	e := encoder{b: b}
+	e.header(entryMagic)
 	e.bytes(opts)
 	e.string(res.Workload)
 	e.float(res.IPC)
@@ -58,12 +54,9 @@ func AppendEntry(b, opts []byte, res Result) []byte {
 // its result, which does not. It accepts b only when AppendEntry would write
 // b back, and only from this ModelVersion.
 func DecodeEntry(b []byte) (opts []byte, res Result, err error) {
-	if len(b) < len(entryMagic) || string(b[:len(entryMagic)]) != entryMagic {
-		return nil, Result{}, fmt.Errorf("engine: not a result record")
-	}
-	r := decoder{b: b[len(entryMagic):], size: len(b), kind: "result record"}
-	if v := r.uvarint("version"); r.err == nil && v != ModelVersion {
-		return nil, Result{}, fmt.Errorf("engine: result record version %d, this binary speaks %d", v, ModelVersion)
+	r := decoder{b: b, size: len(b), kind: "result record"}
+	if err := r.header(entryMagic); err != nil {
+		return nil, Result{}, err
 	}
 	opts = r.bytes("options")
 	res.Workload = string(r.bytes("workload"))

@@ -14,6 +14,9 @@ import (
 	"bopsim/internal/uncore"
 )
 
+// SnapshotMagic is the magic a snapshot's header begins with.
+const SnapshotMagic = snapshotMagic
+
 // LockRoots are what testdata/model.lock renders the layouts of: everything
 // a run stores.
 var LockRoots = []any{snapshot{}, warmupSig{}, Options{}, Result{}}

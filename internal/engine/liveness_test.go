@@ -228,7 +228,6 @@ var perturbations = map[string]any{
 // inert is every parameter the matrix finds moving nothing, each with the
 // reason and the ROADMAP item that owns it.
 var inert = map[string]string{
-	"dram.TWTR": "nothing reads the write-to-read turnaround (item 18)",
 	"bo.minbad": "read only under adaptive=true (item 10)",
 	"bo.maxbad": "read only under adaptive=true (item 10)",
 }
@@ -367,6 +366,12 @@ func TestParametersLive(t *testing.T) {
 // goes on to the next level in the cycle it is looked up, so a DRAM read
 // pays neither).
 //
+// tWTR needs writes, which the chase never makes, so its row runs a store
+// stream whose write-backs reach DRAM. There the turnaround delays the first
+// read after a write on its channel, a count no counter keeps, and the
+// accesses overlap; so the row asks only for a rise of at most one bus
+// cycle per write.
+//
 // The tolerance. Latencies of whole bus cycles come back exactly (every
 // ratio reads 1.0000, seed 1), so those rows allow 1 %. ExtraLatency is
 // added in whole bus cycles for that reason: +10 core cycles reads as +12
@@ -408,5 +413,16 @@ func TestLatencyDirection(t *testing.T) {
 			t.Errorf("%s: cycles %d -> %d, a rise of %.0f, for %.0f cycles of latency added: want the rise within %.0f %% of it",
 				row.name, base.cycles, got.cycles, rise, added, 100*row.tol)
 		}
+	}
+	stores := newMachine("stream:storepct=100,memper1000=900,footprint=64mb", 1, mem.Page4K, "none", "none", 40_000)
+	stores.u.L3Size = 1 << 20 // write-backs from the first 30,000 instructions on
+	before := stores.run(t)
+	stores.d.TWTR++
+	got := stores.run(t)
+	rise, most := float64(got.cycles)-float64(before.cycles), float64(got.dram.Writes*bus)
+	t.Logf("%-12s %d -> %d cycles: +%.0f for at most %.0f added (%.4f)", "TWTR", before.cycles, got.cycles, rise, most, rise/most)
+	if rise <= 0 || rise > most {
+		t.Errorf("TWTR: cycles %d -> %d, a rise of %.0f, over %d writes: want a rise of at most one bus cycle per write, %.0f",
+			before.cycles, got.cycles, rise, got.dram.Writes, most)
 	}
 }

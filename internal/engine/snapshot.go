@@ -16,8 +16,9 @@ import (
 )
 
 // The record codec: the snapshot and the result record (entry.go) are
-// positional records written by encoder and read by decoder, here. The
-// snapshot's layout is in the package comment of checkpoint.go.
+// positional records, each after one header, written by encoder and read by
+// decoder, here. The snapshot's layout is in the package comment of
+// checkpoint.go.
 
 // Checkpoint serializes the simulation's state at the warmup barrier. It is
 // only valid when AtBarrier reports true (after RunWarmup, before any
@@ -87,8 +88,8 @@ func (s *Simulation) barrierState() (snapshot, error) {
 // record is refused past it, so a hostile one cannot recurse once per byte.
 const maxGenDepth = 16
 
-// hierCounters lists the fields of s in declaration order: what a snapshot
-// and a result record write for a uncore.Stats, one uvarint each.
+// hierCounters lists the fields of s in declaration order: what a result
+// record writes for a uncore.Stats, one uvarint each.
 func hierCounters(s *uncore.Stats) [21]*uint64 {
 	return [...]*uint64{
 		&s.DL1Hits, &s.DL1Misses, &s.L2DemandAccesses, &s.L2Hits, &s.L2Misses,
@@ -114,6 +115,13 @@ func appendSnapshot(b []byte, snap *snapshot) []byte {
 	e := encoder{b: b}
 	e.snapshot(snap)
 	return e.b
+}
+
+// header writes the header every record begins with: a 4-byte magic naming
+// the kind of record, then ModelVersion.
+func (e *encoder) header(magic string) {
+	e.b = append(e.b, magic...)
+	e.uvarint(ModelVersion)
 }
 
 func (e *encoder) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
@@ -178,8 +186,7 @@ func (e *encoder) dramStats(s *dram.Stats) {
 }
 
 func (e *encoder) snapshot(snap *snapshot) {
-	e.b = append(e.b, snapshotMagic...)
-	e.b = binary.BigEndian.AppendUint32(e.b, ModelVersion)
+	e.header(snapshotMagic)
 	e.string(snap.Sig)
 	e.uvarint(snap.Cycles)
 	e.uvarint(uint64(len(snap.Cores)))
@@ -226,7 +233,6 @@ func (e *encoder) gen(g *trace.GenState) {
 }
 
 func (e *encoder) hierarchy(h *uncore.State) {
-	e.hierStats(&h.Stats)
 	e.uvarint(uint64(len(h.DL1)))
 	for i := range h.DL1 {
 		e.cache(&h.DL1[i])
@@ -241,9 +247,7 @@ func (e *encoder) hierarchy(h *uncore.State) {
 		t := &h.TLBs[i]
 		e.tlbLevel(&t.DTLB1)
 		e.tlbLevel(&t.TLB2)
-		e.uvarint(t.Walks)
 	}
-	e.uvarints(h.PQCancelled)
 	e.uvarint(uint64(len(h.DRAM.Channels)))
 	for i := range h.DRAM.Channels {
 		e.channel(&h.DRAM.Channels[i])
@@ -299,9 +303,8 @@ func (e *encoder) channel(c *dram.ControllerState) {
 	e.uvarints32(c.Fair)
 	e.varint(int64(c.Served))
 	e.uvarint(c.BusFreeAt)
+	e.uvarint(c.ReadCASAt)
 	e.varint(int64(c.WritesInBatch))
-	e.uvarint(c.Seq)
-	e.dramStats(&c.Stats)
 }
 
 // decodeSnapshot reads the record data. The packed sections and the RRPVs
@@ -315,17 +318,10 @@ func decodeSnapshot(data []byte) (snapshot, error) {
 	if len(data) > maxSnapshotBytes {
 		return snapshot{}, fmt.Errorf("engine: snapshot of %d bytes exceeds the %d-byte limit", len(data), maxSnapshotBytes)
 	}
-	if len(data) < len(snapshotMagic)+4 {
-		return snapshot{}, fmt.Errorf("engine: snapshot truncated (%d bytes)", len(data))
+	r := decoder{b: data, size: len(data), kind: "snapshot"}
+	if err := r.header(snapshotMagic); err != nil {
+		return snapshot{}, err
 	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return snapshot{}, fmt.Errorf("engine: not a snapshot (bad magic %q)", data[:len(snapshotMagic)])
-	}
-	version := binary.BigEndian.Uint32(data[len(snapshotMagic):])
-	if version != ModelVersion {
-		return snapshot{}, fmt.Errorf("engine: snapshot version %d, this binary speaks %d", version, ModelVersion)
-	}
-	r := decoder{b: data[len(snapshotMagic)+4:], size: len(data), kind: "snapshot"}
 	var snap snapshot
 	snap.Sig = string(r.bytes("signature"))
 	snap.Cycles = r.uvarint("barrier cycle")
@@ -357,6 +353,21 @@ func (r *decoder) fail(format string, args ...any) {
 		r.err = fmt.Errorf("engine: malformed %s at byte %d: %s", r.kind, r.size-len(r.b), fmt.Sprintf(format, args...))
 	}
 	r.b = nil
+}
+
+// header checks a record's header: a record of another kind or another
+// ModelVersion is refused by it, whatever follows.
+func (r *decoder) header(magic string) error {
+	if len(r.b) < len(magic) || string(r.b[:len(magic)]) != magic {
+		return fmt.Errorf("engine: not a %s", r.kind)
+	}
+	r.b = r.b[len(magic):]
+	if v := r.uvarint("version"); r.err != nil {
+		return r.err
+	} else if v != ModelVersion {
+		return fmt.Errorf("engine: %s version %d, this binary speaks %d", r.kind, v, ModelVersion)
+	}
+	return nil
 }
 
 // end returns the first error of the walk, or an error when bytes follow
@@ -559,7 +570,6 @@ func (r *decoder) gen(g *trace.GenState, depth int) {
 }
 
 func (r *decoder) hierarchy(h *uncore.State) {
-	r.hierStats(&h.Stats)
 	h.DL1 = r.caches("DL1 caches")
 	h.L2 = r.caches("L2 caches")
 	r.cache(&h.L3)
@@ -569,10 +579,8 @@ func (r *decoder) hierarchy(h *uncore.State) {
 			t := &h.TLBs[i]
 			r.tlbLevel(&t.DTLB1)
 			r.tlbLevel(&t.TLB2)
-			t.Walks = r.uvarint("TLB walks")
 		}
 	}
-	h.PQCancelled = r.uvarints("prefetch queue cancellations")
 	if n := r.count("DRAM channels"); n > 0 {
 		h.DRAM.Channels = make([]dram.ControllerState, n)
 		for i := range h.DRAM.Channels {
@@ -638,7 +646,6 @@ func (r *decoder) channel(c *dram.ControllerState) {
 	c.Fair = r.uvarints32("fairness counters")
 	c.Served = r.int("served core")
 	c.BusFreeAt = r.uvarint("bus-free cycle")
+	c.ReadCASAt = r.uvarint("read CAS cycle")
 	c.WritesInBatch = r.int("writes in batch")
-	c.Seq = r.uvarint("request sequence")
-	r.dramStats(&c.Stats)
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"strings"
@@ -142,7 +141,7 @@ func TestDecodeRefusesAnotherSpelling(t *testing.T) {
 	if _, err := decodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
-	header := len(snapshotMagic) + 4
+	header := len(snapshotMagic) + 1     // the one-byte version
 	cycles := header + 1 + len(snap.Sig) // the one-byte varint 5
 	cores := cycles + 1
 	pending := cores + 2 // after the core count and the retired count
@@ -168,7 +167,7 @@ func TestDecodeRefusesAnotherSpelling(t *testing.T) {
 	// A version other than this binary's is refused by its field, whatever
 	// follows it.
 	skew := append([]byte(nil), good...)
-	binary.BigEndian.PutUint32(skew[len(snapshotMagic):], ModelVersion-1)
+	skew[len(snapshotMagic)] = ModelVersion - 1
 	if _, err := decodeSnapshot(skew); err == nil || !strings.Contains(err.Error(), "snapshot version") {
 		t.Errorf("version skew: %v", err)
 	}

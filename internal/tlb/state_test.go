@@ -44,7 +44,10 @@ func TestTLBStateRoundTrip(t *testing.T) {
 		t.Fatal("restored TLB state differs from saved state")
 	}
 	// Identical access streams must produce identical latencies (hits,
-	// misses and walk decisions all depend on the restored LRU state).
+	// misses and walk decisions all depend on the restored LRU state). The
+	// state carries no walk count: a barrier zeroes it before it is saved,
+	// so the original counts from zero too.
+	h.ResetStats()
 	for i := 0; i < 3000; i++ {
 		va := mem.Addr(i*13) << 12
 		if l1, l2 := h.Access(va), fresh.Access(va); l1 != l2 {

@@ -213,6 +213,7 @@ type Hierarchy struct {
 	dtlb1 *tlbLevel
 	tlb2  *tlbLevel
 	// Walks counts page-table walks (TLB2 misses on demand accesses).
+	//bovet:allow statecodec a counter: a snapshot is taken at the barrier, after ResetStats has zeroed it
 	Walks uint64
 }
 
@@ -265,11 +266,12 @@ type LevelState struct {
 	Clock  uint64
 }
 
-// State is the serialized state of one TLB hierarchy.
+// State is the serialized state of one TLB hierarchy: its resident
+// translations. Walks is not part of it: a snapshot is taken after the
+// barrier's ResetStats, where the count is zero.
 type State struct {
 	DTLB1 LevelState
 	TLB2  LevelState
-	Walks uint64
 }
 
 func (t *tlbLevel) saveState() LevelState {
@@ -322,9 +324,9 @@ func (t *tlbLevel) restoreState(st LevelState) error {
 	return nil
 }
 
-// SaveState serializes the hierarchy's resident translations and walk count.
+// SaveState serializes the hierarchy's resident translations.
 func (h *Hierarchy) SaveState() State {
-	return State{DTLB1: h.dtlb1.saveState(), TLB2: h.tlb2.saveState(), Walks: h.Walks}
+	return State{DTLB1: h.dtlb1.saveState(), TLB2: h.tlb2.saveState()}
 }
 
 // RestoreState replaces the hierarchy's state with a previously saved one.
@@ -335,7 +337,6 @@ func (h *Hierarchy) RestoreState(st State) error {
 	if err := h.tlb2.restoreState(st.TLB2); err != nil {
 		return fmt.Errorf("TLB2: %w", err)
 	}
-	h.Walks = st.Walks
 	return nil
 }
 

@@ -10,7 +10,7 @@ package uncore
 // A record has exactly these holders: the MSHR register (released in
 // mshrs.remove); the request, first a demand-queue entry and then a
 // fill-queue waiter (released when processL2Request resolves an L2 hit or
-// drainL2Fills resolves the waiter); and each caller Demand hands it to, an
+// fillL2 resolves the waiter); and each caller Demand hands it to, an
 // MSHR merge included, which gives it back through Hierarchy.Release. Once
 // the last holder lets go the record returns to the free list, so the
 // steady-state miss path allocates nothing; a holder must not read it again.

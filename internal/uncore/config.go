@@ -21,7 +21,12 @@ type Config struct {
 	L2Size, L2Ways   int
 	L3Size, L3Ways   int
 
-	DL1Latency uint64 // cycles
+	// Latencies in cycles, charged on hits only: a miss goes on to the next
+	// level in the cycle it is looked up. An L2 hit costs DL1Latency +
+	// L2Latency, an L3 hit DL1Latency + L3Latency (not the L2's too), and a
+	// DRAM read DL1Latency, the bank timing and dram.Params.ExtraLatency
+	// (ROADMAP item 31).
+	DL1Latency uint64
 	L2Latency  uint64
 	L3Latency  uint64
 

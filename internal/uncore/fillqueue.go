@@ -30,8 +30,9 @@ type fillEntry struct {
 	// block started as a prefetch (a promoted prefetch is a late prefetch).
 	isPrefetch bool
 	promoted   bool
-	// fillL1 forwards the block to the DL1 when it fills the L2 (demand
-	// data requests and promoted prefetches).
+	// fillL1 forwards the block to the DL1 when it fills the L2: a DL1 miss
+	// (a demand or a DL1 stride prefetch) waits on it, holding its MSHR
+	// until insertDL1.
 	fillL1 bool
 	// isWrite marks the originating demand as a store (the DL1 copy is
 	// dirtied on fill).

@@ -80,8 +80,9 @@ type pathMemo struct {
 // refused head refused.
 type retryState struct {
 	// front moves with everything that touches this core's DTLB1, DL1,
-	// MSHRs or DL1 prefetcher table: a full Demand, an L2 fill-queue pop,
-	// insertDL1, a retirement that updates the table, a new table.
+	// MSHRs or DL1 prefetcher table: a full Demand, insertDL1 (the one
+	// place an MSHR is released), a retirement that updates the table, a
+	// new table.
 	front uint64
 	// priv moves when this core's L2 fill queue loses an entry, which is
 	// also how its L2 gains a line: a fill-queue pop. (The other way in, a
@@ -152,6 +153,7 @@ type Hierarchy struct {
 
 	translators []*mem.Translator
 
+	//bovet:allow statecodec counters only: a snapshot is taken at the barrier, after ResetStats has zeroed them
 	stats Stats
 }
 
@@ -201,9 +203,6 @@ func New(cfg Config, newL2PF func(core int) prefetch.L2Prefetcher, newL1PF func(
 // Stats returns a snapshot of the hierarchy statistics.
 func (h *Hierarchy) Stats() Stats {
 	s := h.stats
-	for c := range h.pq {
-		s.PrefCancelled += h.pq[c].Cancelled
-	}
 	for _, t := range h.tlbs {
 		s.TLBWalks += t.Walks
 	}
@@ -340,8 +339,10 @@ func (h *Hierarchy) Tick(now uint64) {
 	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	h.drainL3Fills(now)
-	for c := range h.l2fq {
-		h.drainL2Fills(c, now)
+	for c, q := range h.l2fq {
+		for _, e := range q.popReady(now) {
+			h.fillL2(c, e, now)
+		}
 		h.drainDL1Fills(c, now)
 	}
 	for c := range h.demandQ {
@@ -495,55 +496,47 @@ func (h *Hierarchy) l3Blocked(line mem.LineAddr, core int) bool {
 
 // drainL3Fills places memory data into the L3.
 func (h *Hierarchy) drainL3Fills(now uint64) {
-	if h.l3fq.len() == 0 {
-		return
-	}
 	for _, e := range h.l3fq.popReady(now) {
 		h.placeL3(e.line, cache.InsertInfo{Core: e.core, IsPrefetch: e.isPrefetch && !e.promoted})
 		h.pool.put(e)
 	}
 }
 
-// drainL2Fills inserts arrived blocks into core's L2, applying the
-// mandatory tag check and forwarding demand data to the DL1 (section 5.4).
-func (h *Hierarchy) drainL2Fills(core int, now uint64) {
-	if h.l2fq[core].len() == 0 {
-		return
+// fillL2 inserts the block e, arrived from core's L2 fill queue, into the L2,
+// applying the mandatory tag check, and forwards it to the DL1 when a DL1
+// miss waits on it (section 5.4). Any other block leaves the MSHRs alone: a
+// demand still queued for the L2 holds its line's MSHR until its own fill.
+func (h *Hierarchy) fillL2(core int, e *fillEntry, now uint64) {
+	h.retry[core].priv++
+	// The prefetch *bit* is only set when the block was not promoted to a
+	// demand miss in the meantime, but the prefetcher's fill hook sees every
+	// block its requests brought in — the BO prefetcher's RR insertion
+	// happens at prefetch completion whether the prefetch turned out late or
+	// not; lateness is what the learning measures.
+	stillPrefetch := e.isPrefetch && !e.promoted
+	ev, placed := h.l2[core].Place(e.line, cache.InsertInfo{Core: core, IsPrefetch: stillPrefetch})
+	if placed {
+		h.l2pf[core].OnFill(e.line, e.isPrefetch)
+		if ev.Dirty() {
+			h.placeL3(ev.Addr(), cache.InsertInfo{Core: core, Dirty: true})
+		}
+	} else if stillPrefetch {
+		// The block arrived but is already cached: the mandatory tag check
+		// dropped the fill (blocks must not be duplicated).
+		h.stats.PrefDroppedTagCheck++
 	}
-	for _, e := range h.l2fq[core].popReady(now) {
-		h.retry[core].front++ // the MSHR is released below
-		h.retry[core].priv++
-		// The prefetch *bit* is only set when the block was not promoted to
-		// a demand miss in the meantime, but the prefetcher's fill hook
-		// sees every block its requests brought in — the BO prefetcher's
-		// RR insertion happens at prefetch completion whether the prefetch
-		// turned out late or not; lateness is what the learning measures.
-		stillPrefetch := e.isPrefetch && !e.promoted
-		ev, placed := h.l2[core].Place(e.line, cache.InsertInfo{Core: core, IsPrefetch: stillPrefetch})
-		if placed {
-			h.l2pf[core].OnFill(e.line, e.isPrefetch)
-			if ev.Dirty() {
-				h.placeL3(ev.Addr(), cache.InsertInfo{Core: core, Dirty: true})
-			}
-		} else if stillPrefetch {
-			// The block arrived but is already cached: the mandatory tag
-			// check dropped the fill (blocks must not be duplicated).
-			h.stats.PrefDroppedTagCheck++
+	if e.fillL1 {
+		dirty := e.isWrite
+		if i := h.outstanding[core].find(e.line); i >= 0 {
+			dirty = dirty || h.outstanding[core].infos[i].markWrite
 		}
-		if e.fillL1 {
-			dirty := e.isWrite
-			if i := h.outstanding[core].find(e.line); i >= 0 {
-				dirty = dirty || h.outstanding[core].infos[i].markWrite
-			}
-			h.insertDL1(core, e.line, dirty, e.l1pf)
-		}
-		for _, w := range e.waiters {
-			w.resolve(now)
-			h.comps.release(w)
-		}
-		h.outstanding[core].remove(e.line, &h.comps)
-		h.pool.put(e)
+		h.insertDL1(core, e.line, dirty, e.l1pf)
 	}
+	for _, w := range e.waiters {
+		w.resolve(now)
+		h.comps.release(w)
+	}
+	h.pool.put(e)
 }
 
 // drainDL1Fills inserts due blocks into core's DL1 (L2-hit data paths).
@@ -563,8 +556,10 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 	h.dl1Fills[core] = kept
 }
 
-// insertDL1 places line into core's DL1 and writes a dirty victim back
-// into the L2 (write-back hierarchy), and a dirty L2 victim on to the L3.
+// insertDL1 places line into core's DL1 and releases the line's MSHR: every
+// request that holds an MSHR ends here, and nothing else releases one. It
+// writes a dirty victim back into the L2 (write-back hierarchy), and a dirty
+// L2 victim on to the L3.
 func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
 	h.retry[core].front++
 	h.outstanding[core].remove(line, &h.comps)
@@ -673,11 +668,14 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 			e.promoted = true
 			h.stats.PrefLatePromotions++
 		}
+		// The block now goes on to the DL1, which releases req's MSHR.
 		if !req.l1pf {
-			e.fillL1 = true
 			e.isWrite = e.isWrite || req.isWrite
 			e.l1pf = false // a demand now depends on this block
+		} else if !e.fillL1 {
+			e.l1pf = true // a DL1 prefetch, and no demand waits on the block
 		}
+		e.fillL1 = true
 		e.waiters = append(e.waiters, req.done)
 	} else {
 		if h.l2fq[core].full() {
@@ -740,7 +738,9 @@ func (h *Hierarchy) triggerL2Prefetcher(core int, a prefetch.AccessInfo) {
 			h.stats.PrefDroppedDup++
 			continue
 		}
-		h.pq[core].push(target)
+		if h.pq[core].push(target) {
+			h.stats.PrefCancelled++
+		}
 		h.stats.PrefIssued++
 	}
 }

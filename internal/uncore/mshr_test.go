@@ -10,8 +10,8 @@ import (
 // TestMSHRsAgainstMap drives the MSHR table and the map it replaced with one
 // random stream of the operations Hierarchy makes: add a line without a
 // register while one is free (Demand, strideQuery), merge a store onto a
-// found register (Demand), remove a line with or without one (drainL2Fills,
-// insertDL1). After every step find must agree with the map for every line
+// found register (Demand), remove a line with or without one (insertDL1).
+// After every step find must agree with the map for every line
 // of the universe, len with the map's length and with the completions still
 // live (a register holds one, and remove lets it go), and the table must
 // still fit the capacity it was built with.

@@ -8,10 +8,9 @@ import "bopsim/internal/mem"
 // prefetches are the least likely to still be timely. The storage is a
 // fixed ring so pushes, pops and cancellations never allocate.
 type prefetchQueue struct {
-	lines     []mem.LineAddr // ring of cap slots
-	head      int
-	n         int
-	Cancelled uint64
+	lines []mem.LineAddr // ring of cap slots
+	head  int
+	n     int
 }
 
 func newPrefetchQueue(capacity int) *prefetchQueue {
@@ -26,15 +25,16 @@ func (q *prefetchQueue) slot(i int) int {
 	return s
 }
 
-// push inserts a prefetch target, cancelling the oldest if full.
-func (q *prefetchQueue) push(line mem.LineAddr) {
-	if q.n >= len(q.lines) {
+// push inserts a prefetch target, cancelling the oldest if full, and
+// reports whether it cancelled one.
+func (q *prefetchQueue) push(line mem.LineAddr) (cancelled bool) {
+	if cancelled = q.n >= len(q.lines); cancelled {
 		q.head = q.slot(1)
 		q.n--
-		q.Cancelled++
 	}
 	q.lines[q.slot(q.n)] = line
 	q.n++
+	return cancelled
 }
 
 // contains reports whether line is already queued (associative search used

@@ -431,10 +431,10 @@ type fingerprint struct {
 	v     []uint64
 }
 
-const perCoreWords = 11
+const perCoreWords = 10
 
 var perCoreLabels = [perCoreWords]string{
-	"tlb.Walks", "len(demandQ)", "demandQ head line", "len(l2fq)", "l2fq entry flags", "pq.n", "pq.Cancelled",
+	"tlb.Walks", "len(demandQ)", "demandQ head line", "len(l2fq)", "l2fq entry flags", "pq.n",
 	"len(outstanding)", "len(dl1Fills)", "l2pf OnAccess calls", "l2pf OnFill calls",
 }
 
@@ -470,7 +470,7 @@ func (m *machine) fingerprint(dst []uint64) fingerprint {
 		}
 		v = append(v,
 			h.tlbs[c].Walks, uint64(h.demandQ[c].len()), head, uint64(h.l2fq[c].len()), queueFlags(h.l2fq[c]),
-			uint64(h.pq[c].n), h.pq[c].Cancelled,
+			uint64(h.pq[c].n),
 			uint64(h.outstanding[c].len()), uint64(len(h.dl1Fills[c])), m.pfs[c].accesses, m.pfs[c].fills)
 	}
 	d := h.mem.TotalStats()
@@ -548,8 +548,15 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	h.drainL3Fills(now)
-	for c := range h.l2fq {
-		h.drainL2Fills(c, now)
+	for c, q := range h.l2fq {
+		for _, e := range q.popReady(now) {
+			// Each prefetch entry is checked as it leaves (auditInFlight).
+			line, prefetch := e.line, e.isPrefetch
+			h.fillL2(c, e, now)
+			if prefetch && h.l2[c].Peek(line) == nil {
+				t.Fatalf("cycle %d core %d: the prefetch of line %#x left the L2 fill queue, but the line is not in the L2", now, c, line)
+			}
+		}
 		h.drainDL1Fills(c, now)
 	}
 	var bufA, bufB []uint64
@@ -632,7 +639,10 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 //
 // A DL1 MSHR does not leak: each line in a core's MSHRs has a request on
 // its way to that core's DL1 (mshrInFlight), so every register is released
-// by a fill that is still to come.
+// by a fill that is still to come. Nor is one released early: every request
+// in a core's L2 demand queue holds its line's MSHR, so a second access to
+// the line merges onto it rather than sending the L2 a second request.
+// insertDL1 is the one place a register is released.
 //
 // A core's prefetch queue holds each line at most once: footnote 13's
 // associative search (triggerL2Prefetcher) drops a target already queued,
@@ -640,9 +650,12 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 //
 // A prefetch is never lost on its way: every prefetch queued and not
 // cancelled is still queued or has entered its core's L2 fill queue, and
-// every prefetch entry that leaves that queue has its line in the L2 —
-// placed there, or dropped by the fill-time tag check because it already
-// was. Each tag-check drop is an entry leaving.
+// every prefetch entry that leaves that queue has its line in the L2 as it
+// leaves — placed there, or dropped by the fill-time tag check because it
+// already was. (checkedTick checks each entry as fillL2 takes it: at the end
+// of the tick the line can be gone again, evicted by a dirty DL1 victim
+// that a later fill placed into the L2.) Each tag-check drop is an entry
+// leaving.
 func (m *machine) auditInFlight(t *testing.T, now uint64) {
 	t.Helper()
 	h := m.h
@@ -660,6 +673,13 @@ func (m *machine) auditInFlight(t *testing.T, now uint64) {
 			if !mshrInFlight(h, c, line) {
 				t.Fatalf("cycle %d core %d: line %#x holds a DL1 MSHR, but no request for it is in the core's L2 demand queue, L2 fill queue or pending DL1 fills: nothing will release it",
 					now, c, line)
+			}
+		}
+		q := &h.demandQ[c]
+		for _, r := range q.reqs[q.head:] {
+			if h.outstanding[c].find(r.line) < 0 {
+				t.Fatalf("cycle %d core %d: a request for line %#x waits in the L2 demand queue, but the line holds no DL1 MSHR: its next access sends the L2 a second request",
+					now, c, r.line)
 			}
 		}
 	}
@@ -713,12 +733,8 @@ func (m *machine) auditPrefetchFills(t *testing.T, now uint64) {
 			}
 		}
 		for _, p := range m.prefFills[c] {
-			if slices.Contains(held, p) {
-				continue
-			}
-			left++
-			if h.l2[c].Peek(p.line) == nil {
-				t.Fatalf("cycle %d core %d: the prefetch of line %#x left the L2 fill queue, but the line is not in the L2", now, c, p.line)
+			if !slices.Contains(held, p) {
+				left++
 			}
 		}
 		for _, p := range held {

@@ -10,20 +10,20 @@ import (
 )
 
 // State is the serialized state of a drained hierarchy: cache contents and
-// replacement state, TLB residency, DRAM bank/scheduler registers and every
-// statistic. Transient queue state (fill queues, demand queues, MSHRs,
-// prefetch queues, pending writebacks) is deliberately absent — SaveState
-// refuses a hierarchy that is not Drained, so there is never anything in
-// them to serialize. Prefetchers are not part of it: the barrier installs
-// them cold.
+// replacement state, TLB residency and DRAM bank/scheduler registers.
+// Transient queue state (fill queues, demand queues, MSHRs, prefetch queues,
+// pending writebacks) is deliberately absent — SaveState refuses a
+// hierarchy that is not Drained, so there is never anything in them to
+// serialize. So is every counter: a snapshot is taken at the warmup barrier,
+// after ResetStats, where each one is zero, and a restored hierarchy starts
+// from a fresh one's zeros. Prefetchers are not part of it: the barrier
+// installs them cold.
 type State struct {
-	Stats       Stats
-	DL1         []cache.State
-	L2          []cache.State
-	L3          cache.State
-	TLBs        []tlb.State
-	PQCancelled []uint64
-	DRAM        dram.State
+	DL1  []cache.State
+	L2   []cache.State
+	L3   cache.State
+	TLBs []tlb.State
+	DRAM dram.State
 }
 
 // SaveState serializes the hierarchy. It reports an error when any queue
@@ -46,19 +46,16 @@ func (h *Hierarchy) save(saveCache func(*cache.Cache) cache.State) (State, error
 	}
 	n := len(h.dl1)
 	st := State{
-		Stats:       h.stats,
-		DL1:         make([]cache.State, n),
-		L2:          make([]cache.State, n),
-		L3:          saveCache(h.l3),
-		TLBs:        make([]tlb.State, n),
-		PQCancelled: make([]uint64, n),
-		DRAM:        dramState,
+		DL1:  make([]cache.State, n),
+		L2:   make([]cache.State, n),
+		L3:   saveCache(h.l3),
+		TLBs: make([]tlb.State, n),
+		DRAM: dramState,
 	}
 	for c := range h.dl1 {
 		st.DL1[c] = saveCache(h.dl1[c])
 		st.L2[c] = saveCache(h.l2[c])
 		st.TLBs[c] = h.tlbs[c].SaveState()
-		st.PQCancelled[c] = h.pq[c].Cancelled
 	}
 	return st, nil
 }
@@ -70,8 +67,7 @@ func (h *Hierarchy) RestoreState(st State) error {
 	if !h.Drained() {
 		return fmt.Errorf("uncore: cannot restore with requests in flight")
 	}
-	if len(st.DL1) != len(h.dl1) || len(st.L2) != len(h.l2) ||
-		len(st.TLBs) != len(h.tlbs) || len(st.PQCancelled) != len(h.pq) {
+	if len(st.DL1) != len(h.dl1) || len(st.L2) != len(h.l2) || len(st.TLBs) != len(h.tlbs) {
 		return fmt.Errorf("uncore: state covers %d cores, hierarchy has %d", len(st.DL1), len(h.dl1))
 	}
 	if err := h.l3.RestoreState(st.L3, h.cfg.NumCores); err != nil {
@@ -87,12 +83,10 @@ func (h *Hierarchy) RestoreState(st State) error {
 		if err := h.tlbs[c].RestoreState(st.TLBs[c]); err != nil {
 			return fmt.Errorf("core %d TLB: %w", c, err)
 		}
-		h.pq[c].Cancelled = st.PQCancelled[c]
 	}
 	if err := h.mem.RestoreState(st.DRAM); err != nil {
 		return err
 	}
-	h.stats = st.Stats
 	// Restore only promises a drained hierarchy, not a fresh one: no attempt
 	// after it may be answered from a refusal remembered before it.
 	clear(h.retry)
@@ -100,7 +94,7 @@ func (h *Hierarchy) RestoreState(st State) error {
 }
 
 // ResetStats zeroes every event counter in the hierarchy — the hierarchy's
-// own, the TLBs' walk counts, the prefetch queues' and DRAM's — without
+// own, the TLBs' walk counts and DRAM's — without
 // touching any warmed state. The warmup barrier calls it so the measured
 // region's statistics start from zero in checkpointed and straight runs
 // alike.
@@ -109,7 +103,6 @@ func (h *Hierarchy) ResetStats() {
 	h.memoHits = memoCounts{}
 	for c := range h.dl1 {
 		h.tlbs[c].ResetStats()
-		h.pq[c].Cancelled = 0
 	}
 	h.mem.ResetStats()
 }

@@ -308,12 +308,13 @@ func TestSystemDrains(t *testing.T) {
 
 func TestPrefetchQueueOldestCancelled(t *testing.T) {
 	q := newPrefetchQueue(3)
-	q.push(1)
-	q.push(2)
-	q.push(3)
-	q.push(4) // cancels 1
-	if q.Cancelled != 1 {
-		t.Errorf("Cancelled = %d, want 1", q.Cancelled)
+	for line := mem.LineAddr(1); line <= 3; line++ {
+		if q.push(line) {
+			t.Fatalf("push %d into a queue with room cancelled an entry", line)
+		}
+	}
+	if !q.push(4) { // cancels 1
+		t.Error("push into a full queue cancelled nothing")
 	}
 	if q.contains(1) {
 		t.Error("cancelled entry still present")
