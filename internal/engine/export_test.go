@@ -83,12 +83,29 @@ func (s *Simulation) PendingStoreRefused(core int) bool {
 // or back on.
 func (s *Simulation) SetRefusalMemos(on bool) { *field[bool](s.hier, "memoOff") = !on }
 
-// RefusalMemoHits returns how many attempts each of the three retry loops
-// answered from its refusal memo: Demand calls, demand-queue heads and
-// prefetch-queue heads.
-func (s *Simulation) RefusalMemoHits() (demand, head, pref uint64) {
+// MemoHits counts the attempts each of the three retry loops answered from
+// its refusal memo — Demand calls, and demand-queue and prefetch-queue heads
+// summed over the causes their memos remember — and the queue-head refusals
+// each of the two queue loops evaluated in full.
+type MemoHits struct {
+	Demand, Head, Pref     uint64
+	HeadMisses, PrefMisses uint64
+}
+
+// RefusalMemoHits reads the uncore's memo counts.
+func (s *Simulation) RefusalMemoHits() MemoHits {
 	hits := reflect.ValueOf(s.hier).Elem().FieldByName("memoHits")
-	return hits.FieldByName("demand").Uint(), hits.FieldByName("head").Uint(), hits.FieldByName("pref").Uint()
+	sum := func(name string) (n uint64) {
+		byCause := hits.FieldByName(name)
+		for i := range byCause.Len() {
+			n += byCause.Index(i).Uint()
+		}
+		return n
+	}
+	return MemoHits{
+		Demand: hits.FieldByName("demand").Uint(), Head: sum("head"), Pref: sum("pref"),
+		HeadMisses: hits.FieldByName("headMisses").Uint(), PrefMisses: hits.FieldByName("prefMisses").Uint(),
+	}
 }
 
 // CoreDigest is one core's part of a MachineDigest.

@@ -104,9 +104,9 @@ func TestHierarchyTickZeroAlloc(t *testing.T) {
 		before := h.memoHits
 		send(measureRequests(t, h, now, cycle)) // the cores take every MSHR a fill freed
 		hits := h.memoHits
-		if hits.demand == before.demand || hits.head == before.head || hits.pref == before.pref {
+		if hits.demand == before.demand || total(hits.head) == total(before.head) || total(hits.pref) == total(before.pref) {
 			t.Errorf("the measured cycles took %d Demand, %d demand-head and %d prefetch-head memo hits: not the blocked path",
-				hits.demand-before.demand, hits.head-before.head, hits.pref-before.pref)
+				hits.demand-before.demand, total(hits.head)-total(before.head), total(hits.pref)-total(before.pref))
 		}
 		if n := h.outstanding[0].len(); n != cfg.MSHRs || !h.l3fq.full() {
 			t.Errorf("core 0 holds %d of %d MSHRs, L3 fill queue full = %v: the machine is not blocked", n, cfg.MSHRs, h.l3fq.full())

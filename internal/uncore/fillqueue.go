@@ -69,10 +69,12 @@ func (p *entryPool) put(e *fillEntry) {
 }
 
 // fillQueue is a bounded FIFO of fillEntry with CAM search by line address.
-// The CAM scans lines, kept beside entries (lines[i] is entries[i].line).
-// minKnown, the minimum readyAt over the entries, lets the per-cycle drain
-// prove that no entry is ready without touching one: an entry's readyAt
-// changes once at most, from unknown to known, and only through arrive.
+// The CAM scans lines, kept beside entries (lines[i] is entries[i].line),
+// and only when filter does not prove the line absent: almost every search
+// misses. minKnown, the minimum readyAt over the entries, lets the per-cycle
+// drain prove that no entry is ready without touching one: an entry's
+// readyAt changes once at most, from unknown to known, and only through
+// arrive.
 type fillQueue struct {
 	entries []*fillEntry
 	lines   []mem.LineAddr
@@ -80,6 +82,29 @@ type fillQueue struct {
 	ready   []*fillEntry // scratch returned by popReady, reused across calls
 
 	minKnown uint64 // earliest known arrival cycle (^uint64(0) if none)
+	// filter has the bit of every line in lines. Entries leave only through
+	// popReady's compaction, which rebuilds it, so an empty queue (every
+	// queue at a checkpoint) has a zero filter.
+	filter lineFilter
+}
+
+// lineFilter is a 256-bit summary of a set of lines: a line's bit is set
+// while the line is in the set, so a clear bit proves it absent. Lines that
+// share a bit make a set bit a maybe, never a clear one a mistake.
+type lineFilter [4]uint64
+
+// filterBit hashes a line to its bit (Fibonacci hashing: the top 8 bits of
+// the product, so neighbouring lines and page-aligned strides spread).
+func filterBit(l mem.LineAddr) uint { return uint(uint64(l) * 0x9e3779b97f4a7c15 >> 56) }
+
+func (f *lineFilter) add(l mem.LineAddr) {
+	b := filterBit(l)
+	f[b>>6] |= 1 << (b & 63)
+}
+
+func (f *lineFilter) has(l mem.LineAddr) bool {
+	b := filterBit(l)
+	return f[b>>6]&(1<<(b&63)) != 0
 }
 
 func newFillQueue(capacity int) *fillQueue {
@@ -101,11 +126,15 @@ func (q *fillQueue) push(e *fillEntry) {
 	}
 	q.entries = append(q.entries, e)
 	q.lines = append(q.lines, e.line)
+	q.filter.add(e.line)
 	q.minKnown = min(q.minKnown, e.readyAt)
 }
 
 // find returns the entry for line, or nil (the CAM search).
 func (q *fillQueue) find(line mem.LineAddr) *fillEntry {
+	if !q.filter.has(line) {
+		return nil
+	}
 	for i, l := range q.lines {
 		if l == line {
 			return q.entries[i]
@@ -117,6 +146,9 @@ func (q *fillQueue) find(line mem.LineAddr) *fillEntry {
 // arrive sets the arrival cycle of every entry for line that still waits on
 // DRAM: the line's one read in flight has been issued and arrives at at.
 func (q *fillQueue) arrive(line mem.LineAddr, at uint64) {
+	if !q.filter.has(line) {
+		return
+	}
 	for i, l := range q.lines {
 		if e := q.entries[i]; l == line && e.readyAt == ^uint64(0) {
 			e.readyAt = at
@@ -138,6 +170,7 @@ func (q *fillQueue) popReady(now uint64) []*fillEntry {
 	ready := q.ready[:0]
 	n := 0
 	q.minKnown = ^uint64(0)
+	q.filter = lineFilter{}
 	for _, e := range q.entries {
 		if e.readyAt <= now {
 			ready = append(ready, e)
@@ -146,6 +179,7 @@ func (q *fillQueue) popReady(now uint64) []*fillEntry {
 		q.entries[n], q.lines[n] = e, e.line
 		n++
 		q.minKnown = min(q.minKnown, e.readyAt)
+		q.filter.add(e.line)
 	}
 	// Clear the tail so dropped entries do not linger past their release.
 	clear(q.entries[n:])

@@ -59,13 +59,41 @@ type demandMemo struct {
 	front uint64
 }
 
-// pathMemo is a queue head the path below it refused, and the versions of
-// the state the refusal read (priv for demand-queue heads only: a prefetch
-// head refused by accessL3 read nothing private).
+// refusal is why the path below a queue head refused it: the first queue it
+// found without room. The cause decides which versions can lift the refusal,
+// each reading what the one before it reads and more.
+type refusal uint8
+
+const (
+	// refusedL2FQ: core's L2 fill queue is full, or holds the line as a late
+	// prefetch it may not promote. Only a pop of that queue (priv) frees a
+	// slot, takes the prefetch out or puts the line into the L2.
+	refusedL2FQ refusal = iota
+	// refusedL3FQ: the L3 fill queue is full. It takes no line while full,
+	// so only one of its pops, or the L3 gaining the line (shared), lifts
+	// it, besides what lifts refusedL2FQ. The DRAM read queue is never asked.
+	refusedL3FQ
+	// refusedReads: the DRAM read queue has no room (ReadVersion as well).
+	refusedReads
+	causes // the number of causes
+)
+
+// pathMemo is a queue head the path below it refused, why, and the versions
+// of the state the refusal read: priv for demand-queue heads only (a
+// prefetch head refused by accessL3 read nothing private), shared unless the
+// cause is refusedL2FQ, reads only for refusedReads.
 type pathMemo struct {
 	ok                  bool
+	why                 refusal
 	line                mem.LineAddr
 	priv, shared, reads uint64
+}
+
+// holds reports whether the memo remembers line and the versions its cause
+// reads of shared and the DRAM read queues still stand.
+func (m *pathMemo) holds(h *Hierarchy, line mem.LineAddr) bool {
+	return m.ok && m.line == line &&
+		(m.why == refusedL2FQ || m.shared == h.shared && (m.why == refusedL3FQ || m.reads == h.mem.ReadVersion()))
 }
 
 // retryState is one core's part of the refusal memos (DESIGN.md, "Refusal
@@ -95,9 +123,15 @@ type retryState struct {
 	pref   pathMemo   // prefetch-queue head -> L3 path (issueQueuedPrefetch)
 }
 
-// memoCounts tallies the attempts each retry loop answered from its memo.
-// Tests read it to prove the cheap paths are the ones being exercised.
-type memoCounts struct{ demand, head, pref uint64 }
+// memoCounts tallies the attempts each retry loop answered from its memo,
+// the queue heads by the cause their memo remembers, and the queue-head
+// refusals evaluated in full (the memo did not hold). Tests read it to prove
+// the cheap paths are the ones being exercised.
+type memoCounts struct {
+	demand                 uint64
+	head, pref             [causes]uint64
+	headMisses, prefMisses uint64
+}
 
 // Hierarchy is the full uncore shared by all cores of one simulation.
 type Hierarchy struct {
@@ -407,17 +441,15 @@ func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused
-// by the L2 path and nothing the refusal read has changed since.
+// by the L2 path and nothing its refusal's cause read has changed since.
 func (h *Hierarchy) headRefused(core int, line mem.LineAddr) bool {
 	r := &h.retry[core]
-	m := &r.head
-	return m.ok && m.line == line && m.priv == r.priv && m.shared == h.shared && m.reads == h.mem.ReadVersion()
+	return r.head.priv == r.priv && r.head.holds(h, line)
 }
 
 // prefetchRefused is headRefused for core's prefetch-queue head and accessL3.
 func (h *Hierarchy) prefetchRefused(core int, line mem.LineAddr) bool {
-	m := &h.retry[core].pref
-	return m.ok && m.line == line && m.shared == h.shared && m.reads == h.mem.ReadVersion()
+	return h.retry[core].pref.holds(h, line)
 }
 
 // NextEvent returns the earliest cycle at or after now at which the uncore
@@ -619,14 +651,15 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 			return
 		}
 		req := q.front()
+		r := &h.retry[core]
 		if h.headRefused(core, req.line) {
-			h.memoHits.head++
+			h.memoHits.head[r.head.why]++
 			return
 		}
-		if !h.processL2Request(core, req, now) {
+		if why, ok := h.processL2Request(core, req, now); !ok {
 			// Blocked on a full queue downstream; retry next cycle.
-			r := &h.retry[core]
-			r.head = pathMemo{ok: !h.memoOff, line: req.line, priv: r.priv, shared: h.shared, reads: h.mem.ReadVersion()}
+			h.memoHits.headMisses++
+			r.head = pathMemo{ok: !h.memoOff, why: why, line: req.line, priv: r.priv, shared: h.shared, reads: h.mem.ReadVersion()}
 			return
 		}
 		q.pop()
@@ -634,10 +667,10 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 }
 
 // processL2Request performs the L2 access for a core request. It returns
-// false when the request must be retried (fill queue or read queue full, or
-// a late prefetch it may not promote); the access and its hit or miss are
-// counted only once it returns true.
-func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
+// false, and why, when the request must be retried (fill queue or read queue
+// full, or a late prefetch it may not promote); the access and its hit or
+// miss are counted only once it returns true.
+func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) (refusal, bool) {
 	l2 := h.l2[core]
 	if ln := l2.Lookup(req.line); ln != nil {
 		h.stats.L2DemandAccesses++
@@ -654,7 +687,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 			line: req.line, at: done, dirty: req.isWrite, pf: req.l1pf,
 		})
 		h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: true, PrefetchedHit: pfHit})
-		return true
+		return 0, true
 	}
 
 	// CAM search of the fill queue: merge onto an in-flight fill.
@@ -663,7 +696,7 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 			if !h.cfg.LatePromotion {
 				// Ablation: no promotion path; the request replays until
 				// the prefetch fills the L2.
-				return false
+				return refusedL2FQ, false
 			}
 			e.promoted = true
 			h.stats.PrefLatePromotions++
@@ -679,43 +712,47 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) bool {
 		e.waiters = append(e.waiters, req.done)
 	} else {
 		if h.l2fq[core].full() {
-			return false
+			return refusedL2FQ, false
 		}
 		e := h.pool.get()
 		e.line, e.core = req.line, core
 		e.fillL1, e.isWrite, e.l1pf = true, req.isWrite, req.l1pf
 		e.waiters = append(e.waiters, req.done)
-		if !h.accessL3(e, now, false) {
+		if why, ok := h.accessL3(e, now, false); !ok {
 			h.pool.put(e)
-			return false
+			return why, false
 		}
 		h.l2fq[core].push(e)
 	}
 	h.stats.L2DemandAccesses++
 	h.stats.L2Misses++
 	h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: false})
-	return true
+	return 0, true
 }
 
 // accessL3 resolves where entry e's data comes from: L3 hit, an in-flight
-// L3 fill, or a new DRAM read. It returns false if a required queue is full
-// (nothing is modified in that case). Its L3 fill-queue search is the one
-// place in-flight DRAM reads are deduplicated (the dram package doc says why).
-func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
+// L3 fill, or a new DRAM read. It returns false, and which queue had no room,
+// if a required queue is full (nothing is modified in that case). Its L3
+// fill-queue search is the one place in-flight DRAM reads are deduplicated
+// (the dram package doc says why).
+func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) (refusal, bool) {
 	if h.l3.Lookup(e.line) != nil { // a real access: the replacement update
 		h.stats.L3Hits++
 		e.readyAt = now + h.cfg.L3Latency
-		return true
+		return 0, true
 	}
 	if l3e := h.l3fq.find(e.line); l3e != nil {
 		if !isPrefetch && l3e.isPrefetch {
 			l3e.promoted = true
 		}
 		e.readyAt = l3e.readyAt
-		return true
+		return 0, true
 	}
-	if h.l3fq.full() || h.mem.ReadBlocked(e.line, e.core) {
-		return false
+	if h.l3fq.full() {
+		return refusedL3FQ, false
+	}
+	if h.mem.ReadBlocked(e.line, e.core) {
+		return refusedReads, false
 	}
 	l3e := h.pool.get()
 	l3e.line, l3e.core, l3e.isPrefetch, l3e.readyAt = e.line, e.core, isPrefetch, ^uint64(0)
@@ -723,7 +760,7 @@ func (h *Hierarchy) accessL3(e *fillEntry, now uint64, isPrefetch bool) bool {
 	h.stats.L3Misses++
 	h.l3fq.push(l3e)
 	e.readyAt = ^uint64(0)
-	return true
+	return 0, true
 }
 
 // triggerL2Prefetcher runs core's L2 prefetcher on an access and queues the
@@ -754,15 +791,17 @@ func (h *Hierarchy) issueQueuedPrefetch(core int, now uint64) {
 		return
 	}
 	line, _ := h.pq[core].front()
+	m := &h.retry[core].pref
 	if h.prefetchRefused(core, line) {
-		h.memoHits.pref++
+		h.memoHits.pref[m.why]++
 		return // a refused prefetch moves nothing
 	}
 	e := h.pool.get()
 	e.line, e.core, e.isPrefetch = line, core, true
-	if !h.accessL3(e, now, true) {
+	if why, ok := h.accessL3(e, now, true); !ok {
 		h.pool.put(e) // downstream full: leave the request queued
-		h.retry[core].pref = pathMemo{ok: !h.memoOff, line: line, shared: h.shared, reads: h.mem.ReadVersion()}
+		h.memoHits.prefMisses++
+		*m = pathMemo{ok: !h.memoOff, why: why, line: line, shared: h.shared, reads: h.mem.ReadVersion()}
 		return
 	}
 	h.pq[core].pop()

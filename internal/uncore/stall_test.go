@@ -330,9 +330,32 @@ type stallRow struct {
 	dram       func(*dram.Params)
 	// wantPaths are the refusal paths this row exists to exercise.
 	wantPaths []string
-	// wantMemos are the refusal memos ("demand", "head", "pref") this row
-	// exists to exercise.
+	// wantMemos are the refusal memos this row exists to exercise: "demand",
+	// and the queue-head memos by the cause they remember, "head:" or "pref:"
+	// and then "l2fq", "l3fq" or "readq" (memoCounts.fired).
 	wantMemos []string
+}
+
+// causeNames name the refusal causes in wantMemos.
+var causeNames = [causes]string{refusedL2FQ: "l2fq", refusedL3FQ: "l3fq", refusedReads: "readq"}
+
+// total is a queue-head memo's hits over every cause.
+func total(hits [causes]uint64) (n uint64) {
+	for _, h := range hits {
+		n += h
+	}
+	return n
+}
+
+// fired maps each memo, and each cause of the two queue-head memos, to the
+// attempts it answered.
+func (c memoCounts) fired() map[string]uint64 {
+	m := map[string]uint64{"demand": c.demand}
+	for why, name := range causeNames {
+		m["head:"+name] = c.head[why]
+		m["pref:"+name] = c.pref[why]
+	}
+	return m
 }
 
 // build returns a fresh machine of this row, with the refusal memos on or off.
@@ -804,23 +827,23 @@ func TestStallPredicateLockStep(t *testing.T) {
 func stallRows() []stallRow {
 	rows := []stallRow{
 		{name: "1core-mcf-bo", workloads: []string{"429.mcf"}, l2pf: "bo", l1pf: "stride", cycles: 150_000,
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"head"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"head:l2fq"}},
 		{name: "4core-thrash", workloads: []string{"429.mcf", "microthrash", "microthrash", "microthrash"},
 			l2pf: "bo:degree=2", l1pf: "stride", cycles: 60_000,
 			wantPaths: []string{"l2fq-full", "l3fq-full", "prefetch-blocked"},
-			wantMemos: []string{"demand", "head", "pref"}},
+			wantMemos: []string{"demand", "head:l2fq", "head:l3fq", "pref:l3fq"}},
 		{name: "no-promotion", workloads: []string{"462.libquantum"}, l2pf: "nextline", l1pf: "none", cycles: 60_000,
 			cfg:       func(c *Config) { c.LatePromotion = false },
-			wantPaths: []string{"no-promotion"}, wantMemos: []string{"head"}},
+			wantPaths: []string{"no-promotion"}, wantMemos: []string{"head:l2fq"}},
 		{name: "4MB-pages-sbp", workloads: []string{"433.milc", "microthrash"}, l2pf: "sbp", l1pf: "stride", cycles: 60_000,
 			cfg:       func(c *Config) { c.Page = mem.Page4M },
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}},
 		{name: "tiny-queues", workloads: []string{"429.mcf", "microthrash", "470.lbm", "microthrash"},
 			l2pf: "bo:degree=2", l1pf: "stride", cycles: 60_000,
 			cfg:       func(c *Config) { c.L2FillQueueLen, c.L3FillQueueLen, c.PrefetchQueueLen = 4, 12, 4 },
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 1 },
 			wantPaths: []string{"l2fq-full", "l3fq-full", "readq-full", "prefetch-blocked"},
-			wantMemos: []string{"demand", "head", "pref"}},
+			wantMemos: []string{"demand", "head:l2fq", "head:l3fq", "head:readq", "pref:l3fq", "pref:readq"}},
 		{name: "tiny-queues-no-promotion", workloads: []string{"462.libquantum", "microthrash"},
 			l2pf: "nextline", l1pf: "stride", cycles: 40_000,
 			cfg: func(c *Config) {
@@ -828,14 +851,14 @@ func stallRows() []stallRow {
 			},
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 2 },
 			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"},
-			wantMemos: []string{"demand", "head", "pref"}},
+			wantMemos: []string{"demand", "head:l2fq", "head:l3fq", "head:readq", "pref:l3fq", "pref:readq"}},
 		// The three rows below exist for version bumps nothing above depends on.
 		// Side streams touch each core's DTLB1, DL1 and MSHRs between two
 		// retries of a refused access, and L2 hits come back to the DL1 while
 		// the MSHRs are full: the front version has to move for all of it.
 		{name: "side-streams", workloads: []string{"462.libquantum", "470.lbm"}, side: "453.povray",
 			l2pf: "bo", l1pf: "stride", cycles: 60_000,
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}},
 		// The DL1 prefetcher's table moves while an access is refused: accesses
 		// retire late, so the older accesses of a refused one's PC keep
 		// retiring, and a stream that wraps every 32 accesses, one line per
@@ -845,14 +868,14 @@ func stallRows() []stallRow {
 		{name: "retire-mid-stall", workloads: []string{"stream:footprint=128kb,stride=4096,memper1000=300", "microthrash"},
 			retireLate: true, l2pf: "bo", l1pf: "stride", cycles: 60_000,
 			cfg:       func(c *Config) { c.MSHRs, c.L2FillQueueLen = 4, 3 },
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}},
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}},
 		// Dirty lines bounce between an L2 and an L3 a few times its size while
 		// next-line prefetches of those very lines wait on a 4-entry L3 fill
 		// queue: an L2 victim written back is a line the L3 gains.
 		{name: "L2-victims-reach-L3", workloads: []string{"gups:footprint=64kb,storepct=100", "microthrash"},
 			l2pf: "nextline", l1pf: "none", cycles: 80_000,
 			cfg:       func(c *Config) { c.L2Size, c.L3Size, c.L3FillQueueLen = 32<<10, 64<<10, 4 },
-			wantPaths: []string{"l3fq-full", "prefetch-blocked"}, wantMemos: []string{"head", "pref"}},
+			wantPaths: []string{"l3fq-full", "prefetch-blocked"}, wantMemos: []string{"head:l3fq", "pref:l3fq"}},
 	}
 	// multi on the common multiples of a 2-line stride asks for one line
 	// from several accesses (offset 12 of one, offset 6 of the access 6
@@ -864,7 +887,7 @@ func stallRows() []stallRow {
 		rows = append(rows, stallRow{name: "L3-" + policy, workloads: []string{"470.lbm", "microthrash"},
 			l2pf: "bo", l1pf: "stride", cycles: 40_000,
 			cfg:       func(c *Config) { c.L3Policy, c.L3Size = policy, 128<<10 },
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head"}})
+			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}})
 	}
 	return rows
 }
@@ -943,9 +966,9 @@ func (row stallRow) run(t *testing.T) {
 	}
 	t.Logf("%d cycles, %d skipped, %d of them with a stalled head, %d with a stalled Demand retry; refusals by path: %v",
 		row.cycles, skipped, headSkipped, demandSkipped, paths)
-	t.Logf("answered from a memo: %d Demand calls, %d demand-head attempts, %d prefetch-head attempts",
-		hits.demand, hits.head, hits.pref)
-	if n := plain.h.memoHits; n.demand+n.head+n.pref != 0 {
+	t.Logf("answered from a memo: %d Demand calls, demand-queue heads %v and prefetch-queue heads %v by cause %v; %d and %d refusals evaluated in full",
+		hits.demand, hits.head, hits.pref, causeNames, hits.headMisses, hits.prefMisses)
+	if n := plain.h.memoHits; n.demand+total(n.head)+total(n.pref) != 0 {
 		t.Errorf("the machine with memos off answered %+v attempts from a memo: it is no oracle", n)
 	}
 	for _, p := range row.wantPaths {
@@ -953,9 +976,11 @@ func (row stallRow) run(t *testing.T) {
 			t.Errorf("refusal path %q never fired: this row no longer tests it", p)
 		}
 	}
-	fired := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}
+	fired := hits.fired()
 	for _, m := range row.wantMemos {
-		if fired[m] == 0 {
+		if n, ok := fired[m]; !ok {
+			t.Fatalf("no memo is named %q", m)
+		} else if n == 0 {
 			t.Errorf("the %s memo never answered an attempt: this row no longer tests it", m)
 		}
 	}
@@ -1027,7 +1052,7 @@ func TestRequestsCountedOnce(t *testing.T) {
 					st.PrefIssued, st.PrefCancelled, sent, m.prefEntered, m.prefLeft)
 			}
 			for _, memo := range row.wantMemos {
-				if n := map[string]uint64{"demand": hits.demand, "head": hits.head, "pref": hits.pref}[memo]; n == 0 {
+				if n := hits.fired()[memo]; n == 0 {
 					t.Errorf("no %s attempt was refused twice: the row no longer refuses what it must not count", memo)
 				}
 			}

@@ -68,3 +68,46 @@ func TestRestoreDropsMemos(t *testing.T) {
 		t.Error("a refusal memo survived RestoreState")
 	}
 }
+
+// TestRestoreLeavesFiltersZero checks the fill queues' line filters across a
+// checkpoint, which does not serialize them: a queue drained by traffic has
+// a zero filter (popReady's rebuild clears what its entries set), so the
+// hierarchy a snapshot is taken from and the one it is restored onto both
+// search with no bit left set.
+func TestRestoreLeavesFiltersZero(t *testing.T) {
+	h := New(DefaultConfig(2, mem.Page4K), nil, nil, nil)
+	zero := func(when string) {
+		t.Helper()
+		for c, q := range append([]*fillQueue{h.l3fq}, h.l2fq...) {
+			if q.filter != (lineFilter{}) {
+				t.Errorf("%s: fill queue %d (0 is the L3's) is empty but its filter is %x", when, c, q.filter)
+			}
+		}
+	}
+	var peak int
+	now := uint64(0)
+	for ; now < 20_000; now++ {
+		for c := range 2 {
+			if _, done, ok := h.Demand(c, 0x400, mem.Addr(now*4160+uint64(c)<<30), false, now); ok && done != nil {
+				h.Release(done)
+			}
+		}
+		h.Tick(now)
+		peak = max(peak, h.l3fq.len())
+	}
+	for ; !h.Drained(); now++ {
+		h.Tick(now)
+	}
+	if peak < 2 {
+		t.Fatalf("the L3 fill queue held at most %d entries: the traffic no longer fills it", peak)
+	}
+	zero("drained")
+	saved, err := h.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RestoreState(saved); err != nil {
+		t.Fatal(err)
+	}
+	zero("restored")
+}
