@@ -16,7 +16,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's ten fuzz targets at CI's fixed budgets.
+# fuzz runs CI's eleven fuzz targets at CI's fixed budgets.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec
@@ -28,6 +28,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSameOptions$$' -fuzztime 20000x ./internal/experiments
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheAgainstNaive$$' -fuzztime 20000x ./internal/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzFillQueueAgainstNaive$$' -fuzztime 20000x ./internal/uncore
+	$(GO) test -run '^$$' -fuzz '^FuzzMSHRsAgainstMap$$' -fuzztime 20000x ./internal/uncore
 
 # lint runs the stock gates plus bovet, the repo's own analyzer suite
 # (internal/analysis): nondeterm, statecodec, hotalloc, deadallow — see

@@ -11,7 +11,8 @@
 // field's behavior under a checkpoint.
 //
 // "Mutable" means some method of the type assigns the field (or an element
-// of it, or takes its address); construction-time-only configuration is
+// of it, or takes its address, explicitly or by calling a pointer-receiver
+// method on it); construction-time-only configuration is
 // ignored. "Referenced" means the field is selected anywhere in SaveState,
 // RestoreState, or a same-package function/method they (transitively)
 // call. Func- and chan-typed fields are exempt — they are wiring, not
@@ -193,7 +194,9 @@ func indexFuncs(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
 }
 
 // mutableFields returns the receiver fields assigned (directly, through an
-// element, or by address-taking) in any method of the type. RestoreState's
+// element, or by address-taking) in any method of the type. A pointer-receiver
+// method selected on a field that is not a pointer (h.pool.put(e)) takes its
+// address implicitly, so it counts as address-taking. RestoreState's
 // own writes count too, but a field written there is by definition also
 // referenced, so it never reports.
 func mutableFields(pass *analysis.Pass, methods map[string]*ast.FuncDecl) map[string]bool {
@@ -224,6 +227,12 @@ func mutableFields(pass *analysis.Pass, methods map[string]*ast.FuncDecl) map[st
 						mutable[f] = true
 					}
 				}
+			case *ast.SelectorExpr:
+				if takesAddress(pass, n) {
+					if f := rootField(pass, recv, n.X); f != "" {
+						mutable[f] = true
+					}
+				}
 			case *ast.CallExpr:
 				// copy(p.f, ...) and append-into mutate through the slice.
 				if analysis.IsBuiltin(pass.TypesInfo, n, "copy") && len(n.Args) > 0 {
@@ -236,6 +245,20 @@ func mutableFields(pass *analysis.Pass, methods map[string]*ast.FuncDecl) map[st
 		})
 	}
 	return mutable
+}
+
+// takesAddress reports whether sel selects a pointer-receiver method on an
+// operand that is not a pointer, which Go calls through the operand's address.
+func takesAddress(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
+	s, ok := pass.TypesInfo.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return false
+	}
+	if _, ptrRecv := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); !ptrRecv {
+		return false
+	}
+	_, ptrOperand := s.Recv().Underlying().(*types.Pointer)
+	return !ptrOperand
 }
 
 func receiverObject(pass *analysis.Pass, decl *ast.FuncDecl) types.Object {

@@ -1,6 +1,7 @@
 // Package cache is a synthetic fixture for the statecodec analyzer covering
 // each classification: serialized state, forgotten state, immutable
-// configuration, exempt wiring, and an annotated exception.
+// configuration, exempt wiring, an annotated exception, and state mutated
+// only through a pointer-receiver method called on a value field.
 package cache
 
 // Counter checkpoints hits but forgets misses.
@@ -69,3 +70,39 @@ type Plain struct {
 
 // Bump mutates n.
 func (p *Plain) Bump() { p.n++ }
+
+// tally is a value-typed helper: add changes it through a pointer receiver,
+// total only reads it.
+type tally struct{ n int }
+
+func (t *tally) add()      { t.n++ }
+func (t tally) total() int { return t.n }
+
+// Window mutates its tallies only by calling add on them: on a value field
+// the call takes the field's address, so seen is mutable state the codec
+// forgets. A value-receiver call (limit) mutates nothing, and a call through
+// a pointer field (shared) changes the pointee, not the field.
+type Window struct {
+	seen   tally // want `Window\.seen is mutated by methods but never touched by SaveState/RestoreState`
+	kept   tally
+	limit  tally
+	shared *tally
+}
+
+// Observe mutates seen and kept, and what shared points to.
+func (w *Window) Observe() {
+	if w.seen.total() < w.limit.total() {
+		w.seen.add()
+	}
+	w.kept.add()
+	w.shared.add()
+}
+
+// SaveState serializes kept only.
+func (w *Window) SaveState() ([]byte, error) { return []byte{byte(w.kept.n)}, nil }
+
+// RestoreState restores kept only.
+func (w *Window) RestoreState(b []byte) error {
+	w.kept.n = int(b[0])
+	return nil
+}

@@ -48,8 +48,11 @@ func straight(opts func(o *engine.Options), writesBack bool) func(t *testing.T) 
 // statistic next to them, which only these runs and bopbench's sim_digest
 // see. They cover the DL1 stride prefetcher on and off; 1, 2 and 4 cores;
 // 4KB and 4MB pages; the nextline, bo and sbp L2 prefetchers; a store stream
-// whose dirty victims reach DRAM, so the write-back path is pinned too; and a
-// warmed run restored from its own snapshot.
+// whose dirty victims reach DRAM, so the write-back path is pinned too; a
+// load/store stream whose stores merge onto the MSHRs of loads the L2 serves,
+// whose DL1 copies those stores dirty (about 1 s; a shorter run of it moves
+// no byte when they are dropped); and a warmed run restored from its own
+// snapshot.
 var resultRuns = []pinnedRun{
 	{"mcf-stride-nextline-1core-4KB", straight(func(*engine.Options) {}, false)},
 	{"mcf-none-bo-1core-4KB", straight(func(o *engine.Options) {
@@ -77,6 +80,10 @@ var resultRuns = []pinnedRun{
 	{"stores-writeback-1core-4KB", straight(func(o *engine.Options) {
 		o.Workloads = []trace.Spec{trace.MustSpec("stream:storepct=100,memper1000=900,footprint=64mb")}
 		o.Instructions = 200_000
+	}, true)},
+	{"stores-merged-1core-4KB", straight(func(o *engine.Options) {
+		o.Workloads = []trace.Spec{trace.MustSpec("stream:storepct=50,memper1000=900,stride=32,footprint=12mb")}
+		o.Instructions = 1_000_000
 	}, true)},
 	{"milc-stride-bo-warmed-restored", func(t *testing.T) []byte {
 		o := warmed("433.milc")

@@ -468,6 +468,10 @@ func (r *Runner) Fig12() *stats.Table {
 		func(run runFunc, o engine.Options) float64 { return speedup(run, sbp(o), bo) })
 }
 
+// quietDRAMPerKI is the DRAM accesses per 1,000 instructions below which
+// Figure 13 omits a benchmark: it accesses DRAM too rarely to show.
+const quietDRAMPerKI = 2
+
 // Fig13 reports DRAM accesses per kilo-instruction (4KB pages, 1 core) for
 // no-prefetch, next-line, BO and SBP, on the memory-active benchmarks.
 func (r *Runner) Fig13() *stats.Table {
@@ -488,7 +492,7 @@ func (r *Runner) Fig13() *stats.Table {
 				row[i] = run(o).DRAMAccessesPerKI
 			}
 			// The paper omits benchmarks that access DRAM infrequently.
-			if row[1] >= 2 {
+			if row[1] >= quietDRAMPerKI {
 				entries = append(entries, entry{wl.String(), row})
 			}
 		}

@@ -3,17 +3,16 @@ package uncore
 // Completion is the core-visible completion of a DL1 miss: the request an
 // MSHR sends toward the L2 (a demand miss or a DL1 stride prefetch) and every
 // access merged onto it. It resolves with the cycle the data reaches the
-// core: at an L2 hit, or when the L2 fill queue entry the request waits on
-// drains.
+// core: at an L2 hit, through its MSHR register, or when the L2 fill-queue
+// entry the request waits on fills the DL1.
 //
 // Records come from a per-Hierarchy free list and are counted by reference.
-// A record has exactly these holders: the MSHR register (released in
-// mshrs.remove); the request, first a demand-queue entry and then a
-// fill-queue waiter (released when processL2Request resolves an L2 hit or
-// fillL2 resolves the waiter); and each caller Demand hands it to, an
-// MSHR merge included, which gives it back through Hierarchy.Release. Once
-// the last holder lets go the record returns to the free list, so the
-// steady-state miss path allocates nothing; a holder must not read it again.
+// A record has exactly two kinds of holder: the MSHR register (released by
+// insertDL1, which takes the register when the block fills the DL1), and
+// each caller Demand hands it to, an MSHR merge included, which gives it
+// back through Hierarchy.Release. Once the last holder lets go the record
+// returns to the free list, so the steady-state miss path allocates nothing;
+// a holder must not read it again.
 type Completion struct {
 	cycle    uint64
 	resolved bool

@@ -3,14 +3,11 @@ package uncore
 import "bopsim/internal/mem"
 
 // coreReq is a core-side request (demand load/store miss or DL1 stride
-// prefetch) waiting to access a private L2.
+// prefetch) waiting to access a private L2. Everything else about it is its
+// line's MSHR register, which it holds until insertDL1.
 type coreReq struct {
 	line    mem.LineAddr
 	readyAt uint64
-	done    *Completion // the request holds it (also set for L1 prefetches)
-	isWrite bool
-	l1pf    bool // DL1 stride prefetch rather than a demand request
-	pc      uint64
 }
 
 // reqQueue is a FIFO of coreReq values: pushes append and pops advance a head
@@ -44,7 +41,6 @@ func (q *reqQueue) compact() {
 }
 
 func (q *reqQueue) pop() {
-	q.reqs[q.head] = coreReq{} // drop the completion pointer
 	q.head++
 	if q.head == len(q.reqs) {
 		q.reqs = q.reqs[:0]

@@ -31,23 +31,14 @@ type fillEntry struct {
 	isPrefetch bool
 	promoted   bool
 	// fillL1 forwards the block to the DL1 when it fills the L2: a DL1 miss
-	// (a demand or a DL1 stride prefetch) waits on it, holding its MSHR
-	// until insertDL1.
+	// (a demand or a DL1 stride prefetch) waits on it, and its line's MSHR
+	// register, which insertDL1 takes, says how the DL1 copy is placed and
+	// holds the completion the fill resolves.
 	fillL1 bool
-	// isWrite marks the originating demand as a store (the DL1 copy is
-	// dirtied on fill).
-	isWrite bool
-	// l1pf marks a DL1 stride-prefetch request: the DL1 copy gets its
-	// prefetch bit set on fill.
-	l1pf bool
-	// waiters are the requests waiting on this entry, by their completions:
-	// each waiter is one holder, released when the entry fills its cache.
-	waiters []*Completion
 }
 
 // entryPool is a free list of fillEntry objects, reused so the steady-state
-// fill path allocates nothing (waiters keep their backing arrays across
-// reuses).
+// fill path allocates nothing.
 type entryPool struct {
 	free []*fillEntry
 }
@@ -63,8 +54,7 @@ func (p *entryPool) get() *fillEntry {
 }
 
 func (p *entryPool) put(e *fillEntry) {
-	w := e.waiters[:0]
-	*e = fillEntry{waiters: w}
+	*e = fillEntry{}
 	p.free = append(p.free, e)
 }
 

@@ -8,12 +8,11 @@ import (
 	"bopsim/internal/tlb"
 )
 
-// dl1Fill is a block scheduled for insertion into a DL1.
+// dl1Fill is a block an L2 hit schedules for insertion into a DL1; its
+// line's MSHR register says how it is placed.
 type dl1Fill struct {
-	line  mem.LineAddr
-	at    uint64
-	dirty bool
-	pf    bool // set the DL1 prefetch bit (DL1 stride prefetch fills)
+	line mem.LineAddr
+	at   uint64
 }
 
 // Stats aggregates hierarchy-wide event counts. One request is one count,
@@ -163,7 +162,11 @@ type Hierarchy struct {
 	outstanding []mshrs
 	dl1Fills    [][]dl1Fill
 	pendingWB   []wbReq
-	pool        entryPool
+	// pool is the free list of fill-queue entries. A drained hierarchy (every
+	// one at a checkpoint) has no entry in a queue, and which free entry a
+	// queue gets next is unobservable.
+	//bovet:allow statecodec no entry is in a queue at a checkpoint; the free list is not model state
+	pool entryPool
 	// comps holds the completions of Demand and strideQuery. At a checkpoint
 	// every request has retired and none is live, so it is no state a
 	// snapshot needs.
@@ -310,11 +313,9 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		return 0, nil, false
 	}
 	h.stats.DL1Misses++
-	c = h.comps.get(3) // the MSHR, the request and the caller
+	c = h.comps.get(2) // the MSHR and the caller
 	h.outstanding[core].add(line, outstandingInfo{done: c, markWrite: isWrite})
-	h.demandQ[core].push(coreReq{
-		line: line, readyAt: t0 + h.cfg.DL1Latency, done: c, isWrite: isWrite, pc: pc,
-	})
+	h.demandQ[core].push(coreReq{line: line, readyAt: t0 + h.cfg.DL1Latency})
 	return 0, c, true
 }
 
@@ -353,11 +354,8 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 	if !h.CanAccept(core) {
 		return
 	}
-	c := h.comps.get(2) // the MSHR and the request
-	h.outstanding[core].add(line, outstandingInfo{done: c})
-	h.demandQ[core].push(coreReq{
-		line: line, readyAt: t0 + h.cfg.DL1Latency, done: c, l1pf: true, pc: pc,
-	})
+	h.outstanding[core].add(line, outstandingInfo{done: h.comps.get(1), l1pf: true}) // the MSHR is its one holder
+	h.demandQ[core].push(coreReq{line: line, readyAt: t0 + h.cfg.DL1Latency})
 	h.stats.StridePrefIssued++
 }
 
@@ -558,15 +556,7 @@ func (h *Hierarchy) fillL2(core int, e *fillEntry, now uint64) {
 		h.stats.PrefDroppedTagCheck++
 	}
 	if e.fillL1 {
-		dirty := e.isWrite
-		if i := h.outstanding[core].find(e.line); i >= 0 {
-			dirty = dirty || h.outstanding[core].infos[i].markWrite
-		}
-		h.insertDL1(core, e.line, dirty, e.l1pf)
-	}
-	for _, w := range e.waiters {
-		w.resolve(now)
-		h.comps.release(w)
+		h.insertDL1(core, e.line, now)
 	}
 	h.pool.put(e)
 }
@@ -583,19 +573,26 @@ func (h *Hierarchy) drainDL1Fills(core int, now uint64) {
 			kept = append(kept, f)
 			continue
 		}
-		h.insertDL1(core, f.line, f.dirty, f.pf)
+		h.insertDL1(core, f.line, now)
 	}
 	h.dl1Fills[core] = kept
 }
 
-// insertDL1 places line into core's DL1 and releases the line's MSHR: every
-// request that holds an MSHR ends here, and nothing else releases one. It
-// writes a dirty victim back into the L2 (write-back hierarchy), and a dirty
-// L2 victim on to the L3.
-func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, dirty, pfBit bool) {
+// insertDL1 takes line's MSHR register and places line into core's DL1 as
+// the register says: dirty when a store missed on it, with the prefetch bit
+// when a DL1 stride prefetch took it. Every request that holds an MSHR ends
+// here, and nothing else releases one. An L2 hit resolved the completion
+// when it was looked up; an L2 miss's data reaches the core now. It writes a
+// dirty victim back into the L2 (write-back hierarchy), and a dirty L2 victim
+// on to the L3.
+func (h *Hierarchy) insertDL1(core int, line mem.LineAddr, now uint64) {
 	h.retry[core].front++
-	h.outstanding[core].remove(line, &h.comps)
-	ev, _ := h.dl1[core].Place(line, cache.InsertInfo{Core: core, IsPrefetch: pfBit, Dirty: dirty})
+	r := h.outstanding[core].take(line)
+	if !r.done.Resolved() {
+		r.done.resolve(now)
+	}
+	h.comps.release(r.done)
+	ev, _ := h.dl1[core].Place(line, cache.InsertInfo{Core: core, IsPrefetch: r.l1pf, Dirty: r.markWrite})
 	if !ev.Dirty() {
 		return
 	}
@@ -681,11 +678,8 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) (refusa
 		}
 		ln.ClearPrefetch() // requested by the L1: reset the prefetch bit
 		done := now + h.cfg.L2Latency
-		req.done.resolve(done)
-		h.comps.release(req.done) // the request is served
-		h.dl1Fills[core] = append(h.dl1Fills[core], dl1Fill{
-			line: req.line, at: done, dirty: req.isWrite, pf: req.l1pf,
-		})
+		h.outstanding[core].resolve(req.line, done)
+		h.dl1Fills[core] = append(h.dl1Fills[core], dl1Fill{line: req.line, at: done})
 		h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: true, PrefetchedHit: pfHit})
 		return 0, true
 	}
@@ -701,23 +695,13 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) (refusa
 			e.promoted = true
 			h.stats.PrefLatePromotions++
 		}
-		// The block now goes on to the DL1, which releases req's MSHR.
-		if !req.l1pf {
-			e.isWrite = e.isWrite || req.isWrite
-			e.l1pf = false // a demand now depends on this block
-		} else if !e.fillL1 {
-			e.l1pf = true // a DL1 prefetch, and no demand waits on the block
-		}
-		e.fillL1 = true
-		e.waiters = append(e.waiters, req.done)
+		e.fillL1 = true // the block now goes on to the DL1, which releases req's MSHR
 	} else {
 		if h.l2fq[core].full() {
 			return refusedL2FQ, false
 		}
 		e := h.pool.get()
-		e.line, e.core = req.line, core
-		e.fillL1, e.isWrite, e.l1pf = true, req.isWrite, req.l1pf
-		e.waiters = append(e.waiters, req.done)
+		e.line, e.core, e.fillL1 = req.line, core, true
 		if why, ok := h.accessL3(e, now, false); !ok {
 			h.pool.put(e)
 			return why, false

@@ -476,8 +476,7 @@ func queueFlags(q *fillQueue) uint64 {
 		return 0
 	}
 	for i, e := range q.entries {
-		w := uint64(e.line)<<8 | uint64(len(e.waiters))<<5 |
-			b(e.isPrefetch, 0) | b(e.promoted, 1) | b(e.fillL1, 2) | b(e.isWrite, 3) | b(e.l1pf, 4)
+		w := uint64(e.line)<<8 | b(e.isPrefetch, 0) | b(e.promoted, 1) | b(e.fillL1, 2)
 		sum += w * uint64(2*i+1)
 	}
 	return sum
@@ -663,9 +662,11 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 // A DL1 MSHR does not leak: each line in a core's MSHRs has a request on
 // its way to that core's DL1 (mshrInFlight), so every register is released
 // by a fill that is still to come. Nor is one released early: every request
-// in a core's L2 demand queue holds its line's MSHR, so a second access to
-// the line merges onto it rather than sending the L2 a second request.
-// insertDL1 is the one place a register is released.
+// in a core's L2 demand queue, every L2 fill-queue entry that goes on to the
+// DL1 and every pending DL1 fill holds its line's MSHR, so a second access
+// to the line merges onto it rather than sending the L2 a second request,
+// and the fill finds the register insertDL1 takes. insertDL1 is the one
+// place a register is released.
 //
 // A core's prefetch queue holds each line at most once: footnote 13's
 // associative search (triggerL2Prefetcher) drops a target already queued,
@@ -703,6 +704,18 @@ func (m *machine) auditInFlight(t *testing.T, now uint64) {
 			if h.outstanding[c].find(r.line) < 0 {
 				t.Fatalf("cycle %d core %d: a request for line %#x waits in the L2 demand queue, but the line holds no DL1 MSHR: its next access sends the L2 a second request",
 					now, c, r.line)
+			}
+		}
+		for _, e := range h.l2fq[c].entries {
+			if e.fillL1 && h.outstanding[c].find(e.line) < 0 {
+				t.Fatalf("cycle %d core %d: L2 fill-queue entry for line %#x goes on to the DL1, but the line holds no DL1 MSHR for insertDL1 to take",
+					now, c, e.line)
+			}
+		}
+		for _, f := range h.dl1Fills[c] {
+			if h.outstanding[c].find(f.line) < 0 {
+				t.Fatalf("cycle %d core %d: a DL1 fill of line %#x is pending, but the line holds no DL1 MSHR for insertDL1 to take",
+					now, c, f.line)
 			}
 		}
 	}
@@ -782,9 +795,11 @@ func (m *machine) auditPrefetchFills(t *testing.T, now uint64) {
 
 // mshrInFlight reports whether core has a request for line on its way to
 // the DL1, in one of the three places that can hold one: its L2 demand queue
-// (not yet at the L2), its L2 fill queue (an L2 miss, or a demand merged
-// onto an in-flight fill; its drain releases the MSHR) or its pending DL1
-// fills (an L2 hit, whose insertDL1 releases it).
+// (not yet at the L2), its L2 fill queue (an L2 miss, or a request merged
+// onto an in-flight fill, so an entry that goes on to the DL1; its drain
+// releases the MSHR) or its pending DL1 fills (an L2 hit, whose insertDL1
+// releases it). An entry that fills only the L2, a prefetch nothing merged
+// onto, releases nothing.
 func mshrInFlight(h *Hierarchy, core int, line mem.LineAddr) bool {
 	q := &h.demandQ[core]
 	for _, r := range q.reqs[q.head:] {
@@ -792,8 +807,10 @@ func mshrInFlight(h *Hierarchy, core int, line mem.LineAddr) bool {
 			return true
 		}
 	}
-	if h.l2fq[core].find(line) != nil {
-		return true
+	for _, e := range h.l2fq[core].entries {
+		if e.line == line && e.fillL1 {
+			return true
+		}
 	}
 	for _, f := range h.dl1Fills[core] {
 		if f.line == line {

@@ -95,9 +95,7 @@ func TestRestoreLeavesFiltersZero(t *testing.T) {
 		h.Tick(now)
 		peak = max(peak, h.l3fq.len())
 	}
-	for ; !h.Drained(); now++ {
-		h.Tick(now)
-	}
+	drain(t, h, now, 100_000)
 	if peak < 2 {
 		t.Fatalf("the L3 fill queue held at most %d entries: the traffic no longer fills it", peak)
 	}
