@@ -283,7 +283,7 @@ func (c *Core) dispatching() bool { return !c.paused && c.robLen < c.cfg.ROBSize
 // pending instruction's access and have it refused again, moving nothing in
 // the hierarchy (uncore.Hierarchy.DispatchStalled).
 func (c *Core) pendingRefused() bool {
-	return c.hasPending && c.hier.DispatchStalled(c.ID, c.pending.PC, c.pending.VA)
+	return c.hasPending && c.hier.DispatchStalled(c.ID, c.pending.VA)
 }
 
 // NextEvent returns the earliest cycle at or after now at which the core

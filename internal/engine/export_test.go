@@ -75,7 +75,7 @@ func (s *Simulation) PendingStoreRefused(core int) bool {
 		return false
 	}
 	inst := *field[trace.Inst](c, "pending")
-	return inst.Op == trace.OpStore && s.hier.DispatchStalled(core, inst.PC, inst.VA)
+	return inst.Op == trace.OpStore && s.hier.DispatchStalled(core, inst.VA)
 }
 
 // SetRefusalMemos turns the uncore's refusal memos off (every attempt is then

@@ -61,7 +61,9 @@ func FuzzOptions(f *testing.F) {
 	// gups+456.hmmer, one core: gups's random accesses at PC 0x4000 break the
 	// stride of hmmer's stream at the same PC, so its stride entry regains
 	// confidence from retirements while the stream's next access waits for
-	// an MSHR. A retirement must lift the Demand memo (RetireMemOp).
+	// an MSHR. The refused access asks the DL1 prefetcher nothing, so the
+	// Demand memo need not move with the table; a Demand that asked it
+	// before the MSHR check would fail this seed against the memo oracle.
 	f.Add(uint8(18), uint8(143), uint8(0), uint8(2), uint8(1), false, true, true, uint16(0), uint16(19_999), uint64(1))
 	f.Fuzz(func(t *testing.T, workload, second, cores, policy, l2 uint8, hugePages, stride, late bool, warmup, n uint16, seed uint64) {
 		o := fuzzRun(workload, second, cores, policy, l2, hugePages, stride, late, warmup, n, seed)

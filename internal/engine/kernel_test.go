@@ -177,7 +177,7 @@ func TestKernelTimeliness(t *testing.T) {
 //
 // Readings (seed 1, 200,000 instructions): IPC 0.0870 and 2,299,922 cycles
 // under none, next-line, BO and offset:d=8, a loaded latency of 184 cycles.
-// Each request is counted once, so under none L2DemandAccesses = L3Misses =
+// Each request is counted once, so under none L2Hits + L2Misses = L3Misses =
 // DRAM reads = 200,019: every entry allocated is one DRAM read.
 func TestKernelBandwidthBound(t *testing.T) {
 	p := dram.DefaultParams(1)
@@ -197,9 +197,9 @@ func TestKernelBandwidthBound(t *testing.T) {
 		r := runStraight(t, o)
 		h := r.Hier
 		if pf == "none" {
-			if h.L2DemandAccesses != h.L3Misses || h.L3Misses != r.DRAM.Reads {
-				t.Errorf("none: L2DemandAccesses %d, L3Misses %d, DRAM reads %d: a stream with no prefetcher must read each line once and count it once",
-					h.L2DemandAccesses, h.L3Misses, r.DRAM.Reads)
+			if h.L2Hits+h.L2Misses != h.L3Misses || h.L3Misses != r.DRAM.Reads {
+				t.Errorf("none: L2 accesses %d, L3Misses %d, DRAM reads %d: a stream with no prefetcher must read each line once and count it once",
+					h.L2Hits+h.L2Misses, h.L3Misses, r.DRAM.Reads)
 			}
 			latency = float64(h.L2FQOccupancySum) / float64(h.L2Misses)
 			bound = min(peak, entries/latency)
@@ -207,8 +207,8 @@ func TestKernelBandwidthBound(t *testing.T) {
 		ipc[pf] = r.IPC
 		throughput := float64(r.DRAM.Reads) / float64(r.Cycles)
 		t.Logf("%s: IPC %.4f, %d cycles, %.4f lines per cycle; fill queue %.2f of %.0f, MSHRs %.2f",
-			pf, r.IPC, r.Cycles, throughput, float64(h.L2FQOccupancySum)/float64(h.TickSamples), entries,
-			float64(h.MSHROccupancySum)/float64(h.TickSamples))
+			pf, r.IPC, r.Cycles, throughput, float64(h.L2FQOccupancySum)/float64(r.Cycles), entries,
+			float64(h.MSHROccupancySum)/float64(r.Cycles))
 		if throughput > bound*(1+1e-9) { // the margin is floating-point rounding only
 
 			t.Errorf("%s: %.4f lines per cycle, above min(DRAM peak %.3f, %.0f entries / %.0f cycles)", pf, throughput, peak, entries, latency)

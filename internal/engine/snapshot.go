@@ -90,13 +90,13 @@ const maxGenDepth = 16
 
 // hierCounters lists the fields of s in declaration order: what a result
 // record writes for a uncore.Stats, one uvarint each.
-func hierCounters(s *uncore.Stats) [21]*uint64 {
+func hierCounters(s *uncore.Stats) [19]*uint64 {
 	return [...]*uint64{
-		&s.DL1Hits, &s.DL1Misses, &s.L2DemandAccesses, &s.L2Hits, &s.L2Misses,
+		&s.DL1Hits, &s.DL1Misses, &s.L2Hits, &s.L2Misses,
 		&s.L2PrefetchedHits, &s.L3Hits, &s.L3Misses, &s.PrefIssued,
 		&s.PrefDroppedDup, &s.PrefDroppedTagCheck, &s.PrefLatePromotions,
 		&s.PrefCancelled, &s.StridePrefIssued, &s.StridePrefDroppedTLB,
-		&s.TLBWalks, &s.TickSamples, &s.L2FQOccupancySum, &s.L3FQOccupancySum,
+		&s.TLBWalks, &s.L2FQOccupancySum, &s.L3FQOccupancySum,
 		&s.MSHROccupancySum, &s.PrefQOccupancySum,
 	}
 }

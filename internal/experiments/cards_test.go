@@ -61,10 +61,11 @@ func topMultiples(k int) func(offsetRow) bool {
 // its card asserts what is measured instead, and says so. A PR that retunes a
 // stand-in changes its card in the same diff, citing the paper's figure.
 //
-// Readings (seed 1, speedup over next-line): 433.milc 256 / 192 / 96 / 128 /
-// 64 / 32, 1.621–1.527; 470.lbm 15 / 10 / 25 / 20 / 30, 1.588–1.455;
-// 462.libquantum 15 / 16 / 18 / 12 / 20, 1.409–1.406, and 1.398 or more
-// from 12 to 32; 459.GemsFDTD D=1 1.000, D=30 0.961.
+// Readings (seed 1, the six leading offsets and their speedups over
+// next-line): 433.milc 256 / 32 / 192 / 96 / 128 / 64, 1.610–1.522; 470.lbm
+// 15 / 10 / 25 / 20 / 30 / 50, 1.583–1.441; 462.libquantum 15 / 16 / 18 / 20
+// / 12 / 24, 1.409–1.402, and 1.398 or more from 12 to 32; 459.GemsFDTD
+// D=1 1.000, D=2 0.946, D=30 0.943. Each card fails on the other three rows.
 var standInCards = []struct {
 	workload, property string
 	holds              func(offsetRow) bool
@@ -88,7 +89,9 @@ var standInCards = []struct {
 }
 
 // TestStandInCards runs every card's stand-in through BestOffset and asserts
-// its card. It takes about 1.7 s on 2 vCPUs (18 s under -race).
+// its card, then that each card fails on the other stand-ins' rows: a card
+// that holds on a row it was not written for does not tell its stand-in
+// from the rest. It takes about 1.7 s on 2 vCPUs (18 s under -race).
 func TestStandInCards(t *testing.T) {
 	r := NewRunner(100_000, []CoreConfig{{Cores: 1, Page: mem.Page4M}})
 	r.Benchmarks = nil
@@ -96,6 +99,7 @@ func TestStandInCards(t *testing.T) {
 		r.Benchmarks = append(r.Benchmarks, trace.Spec{Name: c.workload})
 	}
 	tb := r.BestOffset()[0]
+	rows := map[string]offsetRow{}
 	for _, c := range standInCards {
 		row := offsetRow{speedup: map[int]float64{}}
 		for j, col := range tb.Columns {
@@ -107,8 +111,17 @@ func TestStandInCards(t *testing.T) {
 		}
 		slices.SortStableFunc(row.ranked, func(a, b int) int { return cmp.Compare(row.speedup[b], row.speedup[a]) })
 		t.Logf("%s: %s", c.workload, row)
-		if !c.holds(row) {
-			t.Errorf("%s: %q does not hold; %s", c.workload, c.property, row)
+		rows[c.workload] = row
+	}
+	for _, c := range standInCards {
+		if !c.holds(rows[c.workload]) {
+			t.Errorf("%s: %q does not hold; %s", c.workload, c.property, rows[c.workload])
+		}
+		for _, other := range standInCards {
+			if other.workload != c.workload && c.holds(rows[other.workload]) {
+				t.Errorf("%s's card %q also holds on %s's row, so it does not tell the stand-ins apart; %s",
+					c.workload, c.property, other.workload, rows[other.workload])
+			}
 		}
 	}
 }

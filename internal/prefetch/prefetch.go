@@ -62,12 +62,8 @@ type L1Prefetcher interface {
 	Name() string
 	// Query computes a prefetch virtual address for a load/store at pc
 	// accessing va, using state from *before* this access's table update.
-	// The caller invokes it only for DL1 misses and prefetched hits.
-	//
-	// Asked again with the same arguments and no Update and no other Query
-	// in between, Query returns no prefetch and changes nothing. The
-	// hierarchy relies on it whenever it replays a refused access without
-	// asking again.
+	// The caller invokes it only for accepted DL1 misses and prefetched
+	// hits, and only when a register is free for the prefetch.
 	Query(pc uint64, va mem.Addr) (prefVA mem.Addr, ok bool)
 	// Update records the retirement of a load/store at pc with address va
 	// (tables update at retirement, in program order).

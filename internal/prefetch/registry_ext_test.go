@@ -6,8 +6,6 @@ package prefetch_test
 // exactly as the engine sees it, with every prefetcher registered.
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"bopsim/internal/mem"
@@ -132,72 +130,5 @@ func TestBOParameterValidation(t *testing.T) {
 		if _, err := prefetch.NewL2(prefetch.MustSpec(good), mem.Page4K); err != nil {
 			t.Errorf("NewL2(%q): %v", good, err)
 		}
-	}
-}
-
-// TestRepeatedL1QueryChangesNothing holds every registered DL1 prefetcher to
-// the contract the uncore's demand memo relies on (prefetch.L1Prefetcher): a
-// Query asked again with no Update and no other Query in between returns no
-// prefetch and changes nothing. Over fuzzed Update/Query streams — ten PCs
-// with strides zero, sub-line, line, large and negative, broken now and then
-// — each prefetcher runs beside a twin built from the same spec and fed the
-// same stream. The first Query of an access goes to both and may issue; its
-// repeats go to one only, must issue nothing, and must leave the two
-// reflect.DeepEqual.
-func TestRepeatedL1QueryChangesNothing(t *testing.T) {
-	strides := []int64{0, 8, 64, 96, 4096, -64}
-	for _, name := range prefetch.L1Names() {
-		t.Run(name, func(t *testing.T) {
-			build := func() prefetch.L1Prefetcher {
-				p, err := prefetch.NewL1(prefetch.Spec{Name: name}, mem.Page4K)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
-			}
-			if build() == nil {
-				t.Skip("no DL1 prefetcher")
-			}
-			var issued, repeats int
-			for seed := int64(1); seed <= 10; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				p, twin := build(), build()
-				addr := map[uint64]int64{}
-				for step := 0; step < 3000; step++ {
-					pc := uint64(0x400 + 4*rng.Intn(10))
-					va, seen := addr[pc]
-					va += strides[int(pc/4)%len(strides)]
-					if !seen || va < 0 || rng.Intn(100) == 0 {
-						va = int64(rng.Intn(1 << 22)) // a stride break
-					}
-					if rng.Intn(3) > 0 {
-						addr[pc] = va // the access retires
-						p.Update(pc, mem.Addr(va))
-						twin.Update(pc, mem.Addr(va))
-						continue
-					}
-					got, ok := p.Query(pc, mem.Addr(va))
-					if tgot, tok := twin.Query(pc, mem.Addr(va)); tgot != got || tok != ok {
-						t.Fatalf("seed %d step %d: two prefetchers fed one stream answer %#x, %v and %#x, %v", seed, step, got, ok, tgot, tok)
-					}
-					if ok {
-						issued++
-					}
-					for i, n := 0, 1+rng.Intn(4); i < n; i++ {
-						repeats++
-						if got, ok := p.Query(pc, mem.Addr(va)); ok {
-							t.Fatalf("seed %d step %d: repeat %d of a query issued %#x", seed, step, i+1, got)
-						}
-						if !reflect.DeepEqual(p, twin) {
-							t.Fatalf("seed %d step %d: repeat %d of a query changed the prefetcher", seed, step, i+1)
-						}
-					}
-				}
-			}
-			t.Logf("%d first queries issued; %d repeats issued nothing and changed nothing", issued, repeats)
-			if issued == 0 {
-				t.Error("no first query ever issued: the stream no longer tests a repeat of one that did")
-			}
-		})
 	}
 }

@@ -82,8 +82,7 @@ func (p *Prefetcher) victim() *entry {
 // returns ok=false when the entry is absent, unconfident, has a zero
 // stride, the target would be a negative address, or the target was
 // recently prefetched; such a query changes nothing. A query that issues
-// notes its target's line in the filter, so asking it again issues nothing
-// (the prefetch.L1Prefetcher contract).
+// notes its target's line in the filter.
 //
 // The caller must only invoke Query for DL1 misses and prefetched hits, and
 // must drop the returned address if its page misses in the TLB2.

@@ -168,9 +168,7 @@ func outcome(p *Prefetcher, pc uint64, va mem.Addr) string {
 // underflowing, queries near address zero. A query that issues returns the
 // target D*stride ahead and its whole effect is to note that target's line
 // in the filter; every other query returns no prefetch and leaves the
-// prefetcher reflect.DeepEqual to its copy. (That a repeat of either issues
-// nothing is the prefetch.L1Prefetcher contract, held registry-wide by the
-// prefetch package's TestRepeatedL1QueryChangesNothing.)
+// prefetcher reflect.DeepEqual to its copy.
 func TestQueryOutcomes(t *testing.T) {
 	strides := []int64{0, 8, 64, 96, 4096, -64, -65536}
 	outcomes := map[string]int{}

@@ -22,8 +22,8 @@ func measureRequests(t *testing.T, h *Hierarchy, now uint64, cycle func(now uint
 	t.Helper()
 	wedged := false
 	allocs := testing.AllocsPerRun(1, func() {
-		start, first := h.Stats().L2DemandAccesses, now
-		for ; h.Stats().L2DemandAccesses-start < guardRequests; now++ {
+		start, first := l2Accesses(h), now
+		for ; l2Accesses(h)-start < guardRequests; now++ {
 			if now-first == 100*guardRequests {
 				wedged = true
 				return
@@ -38,6 +38,13 @@ func measureRequests(t *testing.T, h *Hierarchy, now uint64, cycle func(now uint
 		t.Errorf("%d core requests allocate %.0f objects, want 0", guardRequests, allocs)
 	}
 	return now
+}
+
+// l2Accesses is the number of requests that have left h's demand queues:
+// each is one L2 hit or one L2 miss.
+func l2Accesses(h *Hierarchy) uint64 {
+	s := h.Stats()
+	return s.L2Hits + s.L2Misses
 }
 
 // TestHierarchyTickZeroAlloc pins the steady-state cost of the uncore hot

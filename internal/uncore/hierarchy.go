@@ -18,15 +18,15 @@ type dl1Fill struct {
 // Stats aggregates hierarchy-wide event counts. One request is one count,
 // taken when the path accepts it. DL1Misses counts the accepted Demand calls
 // that missed the DL1, MSHR merges included (a merge waits on the fill
-// another miss started). L2DemandAccesses counts the requests that left a
-// demand queue — a core's access or a DL1 stride prefetch — and each of them
-// is one L2 hit or one L2 miss. A refused attempt counts nothing: not one
-// refused for full MSHRs, nor a queue head the L2 path refuses (fill queue or
-// DRAM read queue full, or a late prefetch it may not promote), however many
-// cycles it replays.
+// another miss started). Each request that leaves a demand queue — a core's
+// access or a DL1 stride prefetch — is one L2 hit or one L2 miss. A refused
+// attempt counts nothing: not one refused for full MSHRs, nor a queue head the
+// L2 path refuses (fill queue or DRAM read queue full, or a late prefetch it
+// may not promote), however many cycles it replays. The DL1 prefetcher is
+// asked only when a register is free for its prefetch, so
+// StridePrefDroppedTLB counts only targets that had one.
 type Stats struct {
 	DL1Hits, DL1Misses   uint64
-	L2DemandAccesses     uint64
 	L2Hits, L2Misses     uint64
 	L2PrefetchedHits     uint64
 	L3Hits, L3Misses     uint64
@@ -39,9 +39,9 @@ type Stats struct {
 	StridePrefDroppedTLB uint64
 	TLBWalks             uint64
 
-	// Occupancy telemetry (sampled each Tick, core 0 only) for diagnosing
-	// where requests queue up.
-	TickSamples       uint64
+	// Occupancy telemetry (sampled each cycle, core 0 only: a skipped span
+	// adds its length times the constant occupancy) for diagnosing where
+	// requests queue up. Divide by the simulated cycles for a mean.
 	L2FQOccupancySum  uint64
 	L3FQOccupancySum  uint64
 	MSHROccupancySum  uint64
@@ -49,11 +49,10 @@ type Stats struct {
 }
 
 // demandMemo is a Demand call refused for full MSHRs, and the front version
-// the refusal was computed at. (Load or store is not remembered: a refusal
-// never reads it.)
+// the refusal was computed at. (Neither the PC nor load or store is
+// remembered: a refusal reads neither.)
 type demandMemo struct {
 	ok    bool
-	pc    uint64
 	va    mem.Addr
 	front uint64
 }
@@ -106,10 +105,10 @@ func (m *pathMemo) holds(h *Hierarchy, line mem.LineAddr) bool {
 // line; what an accepted request or an issued prefetch adds keeps every
 // refused head refused.
 type retryState struct {
-	// front moves with everything that touches this core's DTLB1, DL1,
-	// MSHRs or DL1 prefetcher table: a full Demand, insertDL1 (the one
-	// place an MSHR is released), a retirement that updates the table, a
-	// new table.
+	// front moves with everything that touches this core's DTLB1, DL1 or
+	// MSHRs: a full Demand and insertDL1 (the one place an MSHR is
+	// released). A refused Demand never asks the DL1 prefetcher, so its
+	// table is no part of a refusal.
 	front uint64
 	// priv moves when this core's L2 fill queue loses an entry, which is
 	// also how its L2 gains a line: a fill-queue pop. (The other way in, a
@@ -269,12 +268,10 @@ func (h *Hierarchy) CanAccept(core int) bool {
 //	             caller holds it until it gives it back through Release.
 //	c == nil:    a DL1 hit; done is the completion cycle.
 func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now uint64) (done uint64, c *Completion, ok bool) {
-	if h.DispatchStalled(core, pc, va) {
-		// The same access again, against the same DTLB1, DL1, MSHRs and DL1
-		// prefetcher table: a hit on the DTLB1's most recent entry, a DL1
-		// miss, a repeated query (prefetch.L1Prefetcher: no prefetch, no
-		// change), no MSHR to merge onto and none free, all of which moves
-		// nothing.
+	if h.DispatchStalled(core, va) {
+		// The same access again, against the same DTLB1, DL1 and MSHRs: a
+		// hit on the DTLB1's most recent entry, a DL1 miss, no MSHR to merge
+		// onto and none free, all of which moves nothing.
 		h.memoHits.demand++
 		return 0, nil, false
 	}
@@ -296,7 +293,6 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		}
 		return t0 + h.cfg.DL1Latency, nil, true
 	}
-	h.strideQuery(core, pc, va, t0)
 
 	if i := h.outstanding[core].find(line); i >= 0 {
 		// MSHR merge: a request for this line is already in flight.
@@ -305,35 +301,38 @@ func (h *Hierarchy) Demand(core int, pc uint64, va mem.Addr, isWrite bool, now u
 		if isWrite {
 			info.markWrite = true
 		}
-		info.done.retain() // the caller is one more holder
-		return 0, info.done, true
+		c = info.done
+		c.retain() // the caller is one more holder
+		h.strideQuery(core, pc, va, t0)
+		return 0, c, true
 	}
 	if !h.CanAccept(core) {
-		r.demand = demandMemo{ok: !h.memoOff, pc: pc, va: va, front: r.front}
+		r.demand = demandMemo{ok: !h.memoOff, va: va, front: r.front}
 		return 0, nil, false
 	}
 	h.stats.DL1Misses++
 	c = h.comps.get(2) // the MSHR and the caller
 	h.outstanding[core].add(line, outstandingInfo{done: c, markWrite: isWrite})
 	h.demandQ[core].push(coreReq{line: line, readyAt: t0 + h.cfg.DL1Latency})
+	h.strideQuery(core, pc, va, t0)
 	return 0, c, true
 }
 
 // RetireMemOp updates the DL1 prefetcher table at retirement of a
 // load/store (section 5.5: the table is updated at retirement to see
-// accesses in program order). An updated table may answer a refused
-// access's query differently, so it moves the front version.
+// accesses in program order).
 func (h *Hierarchy) RetireMemOp(core int, pc uint64, va mem.Addr) {
 	if h.l1pf[core] != nil {
 		h.l1pf[core].Update(pc, va)
-		h.retry[core].front++
 	}
 }
 
-// strideQuery asks the DL1 prefetcher for a prefetch on a DL1 miss or
-// prefetched hit, applying the TLB2 gate of section 5.5.
+// strideQuery asks the DL1 prefetcher for a prefetch on an accepted DL1 miss
+// or a prefetched hit, applying the TLB2 gate of section 5.5. It asks only
+// when a register is free for the prefetch, so a target is dropped only by
+// the gate, a DL1 hit or a miss already in flight.
 func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
-	if h.l1pf[core] == nil {
+	if h.l1pf[core] == nil || !h.CanAccept(core) {
 		return
 	}
 	target, ok := h.l1pf[core].Query(pc, va)
@@ -351,9 +350,7 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 	if h.outstanding[core].find(line) >= 0 {
 		return
 	}
-	if !h.CanAccept(core) {
-		return
-	}
+	// A demand that merges onto this register takes its completion (Demand).
 	h.outstanding[core].add(line, outstandingInfo{done: h.comps.get(1), l1pf: true}) // the MSHR is its one holder
 	h.demandQ[core].push(coreReq{line: line, readyAt: t0 + h.cfg.DL1Latency})
 	h.stats.StridePrefIssued++
@@ -365,7 +362,6 @@ func (h *Hierarchy) strideQuery(core int, pc uint64, va mem.Addr, t0 uint64) {
 //
 //bovet:hotpath
 func (h *Hierarchy) Tick(now uint64) {
-	h.stats.TickSamples++
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
@@ -417,25 +413,23 @@ func (h *Hierarchy) readsIssued() {
 // head owes nothing: its refused replays count nothing. Snapshot bytes match
 // the per-cycle engine exactly.
 func (h *Hierarchy) AccountIdle(span uint64) {
-	h.stats.TickSamples += span
 	h.stats.L2FQOccupancySum += span * uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += span * uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += span * uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += span * uint64(h.pq[0].n)
 }
 
-// DispatchStalled reports whether core's latest Demand was this one, refused
-// for full MSHRs, and nothing has touched the core's DTLB1, DL1, MSHRs or DL1
-// prefetcher table since: Demand(core, pc, va) would then, now and on every
-// repeat until the front version moves, be refused from the demand memo and
-// move nothing. Such a retry is a stall, not an event, and skipping it owes
-// the hierarchy nothing.
+// DispatchStalled reports whether core's latest Demand was for va, refused
+// for full MSHRs, and nothing has touched the core's DTLB1, DL1 or MSHRs
+// since: a Demand for va would then, now and on every repeat until the front
+// version moves, be refused from the demand memo and move nothing. Such a
+// retry is a stall, not an event, and skipping it owes the hierarchy nothing.
 //
 //bovet:hotpath
-func (h *Hierarchy) DispatchStalled(core int, pc uint64, va mem.Addr) bool {
+func (h *Hierarchy) DispatchStalled(core int, va mem.Addr) bool {
 	r := &h.retry[core]
 	m := &r.demand
-	return m.ok && m.va == va && m.pc == pc && m.front == r.front
+	return m.ok && m.va == va && m.front == r.front
 }
 
 // headRefused reports whether core's demand-queue head, for line, was refused
@@ -670,7 +664,6 @@ func (h *Hierarchy) processDemand(core int, now uint64) {
 func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) (refusal, bool) {
 	l2 := h.l2[core]
 	if ln := l2.Lookup(req.line); ln != nil {
-		h.stats.L2DemandAccesses++
 		h.stats.L2Hits++
 		pfHit := ln.Prefetch()
 		if pfHit {
@@ -708,7 +701,6 @@ func (h *Hierarchy) processL2Request(core int, req *coreReq, now uint64) (refusa
 		}
 		h.l2fq[core].push(e)
 	}
-	h.stats.L2DemandAccesses++
 	h.stats.L2Misses++
 	h.triggerL2Prefetcher(core, prefetch.AccessInfo{Line: req.line, Hit: false})
 	return 0, true

@@ -46,20 +46,13 @@ func (p *countingPF) PreIssueTagCheck() bool {
 // MSHRs) and retries a refused Demand every cycle, as cpu.Core does. Like
 // cpu.Core it reports no event while the retry is a stall (DispatchStalled);
 // a skipped retry moves nothing, so there is nothing to settle afterwards.
-// It holds each completion Demand hands it once for window and once for
-// retiring, and releases each hold as the entry leaves its list.
+// An access retires as it is accepted; window holds the completion Demand
+// hands it until it is done.
 type frontEnd struct {
 	gen     trace.Generator
 	inst    trace.Inst
 	readyAt uint64
 	window  []*Completion
-	// retiring, on a machine with retireLate set, holds the accepted accesses
-	// in program order until they retire: each at the first cycle at which it
-	// and every older one is done, before that cycle's dispatch, as a ROB
-	// retires. The DL1 prefetcher's table then moves while a younger access,
-	// of the same PC too, is refused. Otherwise an access retires as it is
-	// accepted.
-	retiring []retiring
 	// side, when set, is a second stream that does not wait for the first:
 	// every sidePeriod cycles it sends its next memory access and forgets it
 	// whatever the answer, as a core's younger loads issue around a stalled
@@ -72,12 +65,6 @@ const (
 	feWindow   = 24
 	sidePeriod = 5
 )
-
-// retiring is an accepted access waiting to retire: fut is nil for a DL1 hit.
-type retiring struct {
-	inst trace.Inst
-	fut  *Completion
-}
 
 func newFrontEnd(gen, side trace.Generator) *frontEnd {
 	f := &frontEnd{gen: gen, side: side}
@@ -100,7 +87,7 @@ func (f *frontEnd) fetch(now uint64) {
 // stalled reports whether all the main stream does this cycle is retry an
 // access that is refused again and moves nothing.
 func (f *frontEnd) stalled(m *machine, core int, now uint64) bool {
-	return len(f.window) < feWindow && now >= f.readyAt && m.h.DispatchStalled(core, f.inst.PC, f.inst.VA)
+	return len(f.window) < feWindow && now >= f.readyAt && m.h.DispatchStalled(core, f.inst.VA)
 }
 
 func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
@@ -117,13 +104,6 @@ func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 	if f.side != nil {
 		t = min(t, (now+sidePeriod-1)/sidePeriod*sidePeriod)
 	}
-	if len(f.retiring) > 0 {
-		if fut := f.retiring[0].fut; fut == nil {
-			t = now
-		} else if fut.Resolved() {
-			t = min(t, fut.Cycle())
-		} // else an uncore event resolves it
-	}
 	return max(t, now)
 }
 
@@ -134,8 +114,8 @@ func (f *frontEnd) nextEvent(m *machine, core int, now uint64) uint64 {
 // DL1.
 func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *Completion, ok bool) {
 	h := m.h
-	if m.audit != nil && h.DispatchStalled(core, inst.PC, inst.VA) {
-		m.auditDemandMemo(core, inst.PC, inst.VA, now)
+	if m.audit != nil && h.DispatchStalled(core, inst.VA) {
+		m.auditDemandMemo(core, inst.VA, now)
 	}
 	line := h.translators[core].TranslateLine(mem.LineOf(inst.VA))
 	missed, queued := h.dl1[core].Peek(line) == nil, h.demandQ[core].len()
@@ -147,38 +127,6 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *Completion
 		}
 	}
 	return fut, ok
-}
-
-// retire retires the main stream's done accesses in order. On the audited
-// machine it counts each retirement that makes the stride query of the
-// core's refused access issue: a stride entry that became confident while
-// its own PC's access waited for an MSHR.
-func (f *frontEnd) retire(m *machine, core int, now uint64) {
-	h := m.h
-	for len(f.retiring) > 0 && (f.retiring[0].fut == nil || f.retiring[0].fut.DoneBy(now)) {
-		inst, fut := f.retiring[0].inst, f.retiring[0].fut
-		f.retiring = f.retiring[1:]
-		if fut != nil {
-			h.Release(fut)
-		}
-		refused := m.audit != nil && inst.PC == f.inst.PC && h.DispatchStalled(core, f.inst.PC, f.inst.VA)
-		h.RetireMemOp(core, inst.PC, inst.VA)
-		if refused && strideWouldIssue(h, core, f.inst.PC, f.inst.VA) {
-			m.confidentMidStall++
-		}
-	}
-}
-
-// strideWouldIssue reports whether core's stride prefetcher would issue a
-// prefetch for a query at pc for va, asking a copy of it.
-func strideWouldIssue(h *Hierarchy, core int, pc uint64, va mem.Addr) bool {
-	pf, ok := h.l1pf[core].(*stride.Prefetcher)
-	if !ok {
-		return false
-	}
-	cp := *pf
-	_, issue := cp.Query(pc, va)
-	return issue
 }
 
 func (f *frontEnd) cycle(m *machine, core int, now uint64) {
@@ -195,7 +143,6 @@ func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 		m.h.Release(f.window[0])
 		f.window = f.window[1:]
 	}
-	f.retire(m, core, now)
 	if len(f.window) == feWindow || now < f.readyAt {
 		return
 	}
@@ -207,14 +154,7 @@ func (f *frontEnd) cycle(m *machine, core int, now uint64) {
 	if fut != nil {
 		f.window = append(f.window, fut)
 	}
-	if m.retireLate {
-		if fut != nil {
-			fut.retain() // retiring's hold, beside window's
-		}
-		f.retiring = append(f.retiring, retiring{f.inst, fut})
-	} else {
-		m.h.RetireMemOp(core, f.inst.PC, f.inst.VA)
-	}
+	m.h.RetireMemOp(core, f.inst.PC, f.inst.VA)
 	f.fetch(now + 1)
 }
 
@@ -234,12 +174,6 @@ type machine struct {
 	// enqueued counts the requests that entered a demand queue, and
 	// dl1Misses the accepted Demand calls that missed the DL1 (see demand).
 	enqueued, dl1Misses uint64
-	// retireLate makes the front ends retire the main stream's accesses
-	// when they are done rather than when they are accepted.
-	retireLate bool
-	// confidentMidStall counts, on the audited machine, the retirements that
-	// made a refused access's stride query issue (frontEnd.retire).
-	confidentMidStall uint64
 	// prefFills are the prefetch entries each core's L2 fill queue held at
 	// the latest auditInFlight; prefEntered and prefLeft count the prefetch
 	// entries it has seen enter and leave those queues, and tagDrops is
@@ -259,10 +193,10 @@ type prefFill struct {
 const tlbAuditEvery = 53
 
 // auditDemandMemo checks what a Demand memo hit takes for granted: the access
-// misses the DL1, has no MSHR to merge onto and none free, its stride query
-// would issue nothing, and its page is the DTLB1's most recent entry (so the
-// DTLB1 access the hit skips would have moved nothing).
-func (m *machine) auditDemandMemo(core int, pc uint64, va mem.Addr, now uint64) {
+// misses the DL1, has no MSHR to merge onto and none free, and its page is
+// the DTLB1's most recent entry (so the DTLB1 access the hit skips would have
+// moved nothing).
+func (m *machine) auditDemandMemo(core int, va mem.Addr, now uint64) {
 	t, h := m.audit, m.h
 	t.Helper()
 	line := h.translators[core].TranslateLine(mem.LineOf(va))
@@ -270,9 +204,6 @@ func (m *machine) auditDemandMemo(core int, pc uint64, va mem.Addr, now uint64) 
 	if h.dl1[core].Peek(line) != nil || merging || h.CanAccept(core) {
 		t.Fatalf("cycle %d core %d: Demand memo holds for va %#x but DL1 present=%v, MSHR to merge onto=%v, MSHR free=%v",
 			now, core, va, h.dl1[core].Peek(line) != nil, merging, h.CanAccept(core))
-	}
-	if strideWouldIssue(h, core, pc, va) {
-		t.Fatalf("cycle %d core %d: Demand memo holds for pc %#x va %#x but its stride query would issue a prefetch", now, core, pc, va)
 	}
 	if m.demandAudits++; m.demandAudits%tlbAuditEvery != 0 {
 		return
@@ -299,12 +230,7 @@ func (m *machine) releaseHeld() {
 		for _, c := range f.window {
 			m.h.Release(c)
 		}
-		for _, r := range f.retiring {
-			if r.fut != nil {
-				m.h.Release(r.fut)
-			}
-		}
-		f.window, f.retiring = nil, nil
+		f.window = nil
 	}
 }
 
@@ -323,11 +249,8 @@ type stallRow struct {
 	l2pf      string
 	l1pf      string
 	cycles    uint64
-	// retireLate: the main streams retire late (frontEnd.retiring), and the
-	// row must see a stride entry become confident mid-stall.
-	retireLate bool
-	cfg        func(*Config)
-	dram       func(*dram.Params)
+	cfg       func(*Config)
+	dram      func(*dram.Params)
 	// wantPaths are the refusal paths this row exists to exercise.
 	wantPaths []string
 	// wantMemos are the refusal memos this row exists to exercise: "demand",
@@ -370,7 +293,7 @@ func (r stallRow) build(t *testing.T, memos bool) *machine {
 	if r.dram != nil {
 		r.dram(&p)
 	}
-	m := &machine{retireLate: r.retireLate}
+	m := &machine{}
 	m.h = New(cfg,
 		func(int) prefetch.L2Prefetcher {
 			pf, err := prefetch.NewL2(prefetch.MustSpec(r.l2pf), cfg.Page)
@@ -564,7 +487,6 @@ func (h *Hierarchy) refusalPath(core int, line mem.LineAddr) string {
 func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	t.Helper()
 	h := m.h
-	h.stats.TickSamples++
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
@@ -869,22 +791,12 @@ func stallRows() []stallRow {
 			dram:      func(p *dram.Params) { p.ReadQueueLen = 2 },
 			wantPaths: []string{"no-promotion", "l2fq-full", "readq-full"},
 			wantMemos: []string{"demand", "head:l2fq", "head:l3fq", "head:readq", "pref:l3fq", "pref:readq"}},
-		// The three rows below exist for version bumps nothing above depends on.
+		// The two rows below exist for version bumps nothing above depends on.
 		// Side streams touch each core's DTLB1, DL1 and MSHRs between two
 		// retries of a refused access, and L2 hits come back to the DL1 while
 		// the MSHRs are full: the front version has to move for all of it.
 		{name: "side-streams", workloads: []string{"462.libquantum", "470.lbm"}, side: "453.povray",
 			l2pf: "bo", l1pf: "stride", cycles: 60_000,
-			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}},
-		// The DL1 prefetcher's table moves while an access is refused: accesses
-		// retire late, so the older accesses of a refused one's PC keep
-		// retiring, and a stream that wraps every 32 accesses, one line per
-		// page (all in one DL1 set, so every access misses it), breaks its
-		// stride often enough for the entry to become confident mid-stall. The
-		// front version has to move for it (RetireMemOp).
-		{name: "retire-mid-stall", workloads: []string{"stream:footprint=128kb,stride=4096,memper1000=300", "microthrash"},
-			retireLate: true, l2pf: "bo", l1pf: "stride", cycles: 60_000,
-			cfg:       func(c *Config) { c.MSHRs, c.L2FillQueueLen = 4, 3 },
 			wantPaths: []string{"l2fq-full"}, wantMemos: []string{"demand", "head:l2fq"}},
 		// Dirty lines bounce between an L2 and an L3 a few times its size while
 		// next-line prefetches of those very lines wait on a 4-entry L3 fill
@@ -975,12 +887,6 @@ func (row stallRow) run(t *testing.T) {
 	deepCheck(plain, "memo-less")
 	deepCheck(skipper, "skipping")
 	hits := oracle.h.memoHits
-	if row.retireLate {
-		t.Logf("%d retirements made a refused access's stride query issue", oracle.confidentMidStall)
-		if oracle.confidentMidStall == 0 {
-			t.Error("no retirement made a refused access's stride query issue: the row no longer moves the DL1 prefetcher's table mid-stall")
-		}
-	}
 	t.Logf("%d cycles, %d skipped, %d of them with a stalled head, %d with a stalled Demand retry; refusals by path: %v",
 		row.cycles, skipped, headSkipped, demandSkipped, paths)
 	t.Logf("answered from a memo: %d Demand calls, demand-queue heads %v and prefetch-queue heads %v by cause %v; %d and %d refusals evaluated in full",
@@ -1054,9 +960,9 @@ func TestRequestsCountedOnce(t *testing.T) {
 			st, hits := m.h.Stats(), m.h.memoHits
 			t.Logf("%d requests entered a demand queue, %d accepted Demand calls missed the DL1, %d prefetches filled or were dropped by the tag check; memo hits %+v",
 				m.enqueued, m.dl1Misses, m.prefLeft, hits)
-			if st.L2DemandAccesses != m.enqueued || st.L2Hits+st.L2Misses != st.L2DemandAccesses {
-				t.Errorf("L2DemandAccesses %d (L2Hits %d + L2Misses %d) for %d requests that entered a demand queue",
-					st.L2DemandAccesses, st.L2Hits, st.L2Misses, m.enqueued)
+			if st.L2Hits+st.L2Misses != m.enqueued {
+				t.Errorf("L2Hits %d + L2Misses %d for %d requests that entered a demand queue",
+					st.L2Hits, st.L2Misses, m.enqueued)
 			}
 			if st.DL1Misses != m.dl1Misses {
 				t.Errorf("DL1Misses %d for %d accepted Demand calls that missed the DL1", st.DL1Misses, m.dl1Misses)
@@ -1077,84 +983,88 @@ func TestRequestsCountedOnce(t *testing.T) {
 	}
 }
 
-// opaqueL1 forwards the prefetch.L1Prefetcher methods and nothing else, as a
-// timing decorator does.
-type opaqueL1 struct{ prefetch.L1Prefetcher }
+// queryCounter forwards the prefetch.L1Prefetcher methods and nothing else,
+// as a timing decorator does, and counts the Query calls.
+type queryCounter struct {
+	prefetch.L1Prefetcher
+	queries *int
+}
 
-// TestDispatchStalled walks the predicate through each of its conditions on
-// one refused access: it holds only for the access the demand memo remembers,
-// and only while nothing has touched the core's front — a retirement that
-// updates the DL1 prefetcher's table, an MSHR released, a new set of
-// prefetchers. A retirement that makes the PC's stride confident lifts it;
-// the replay that follows is evaluated in full, issues its query (noting the
-// target in the filter and probing the TLB2) and sets it again. While the
-// predicate holds, a replay moves nothing: the TLBs, the stride prefetcher
-// and Stats stay as they were. Behind a decorator a stride prefetcher stalls
-// exactly as a bare one does.
+func (p queryCounter) Query(pc uint64, va mem.Addr) (mem.Addr, bool) {
+	*p.queries++
+	return p.L1Prefetcher.Query(pc, va)
+}
+
+// The stride machine: misses at fillPC take MSHRs, and strideRetirements
+// retirements at stridePC make its stride of one line confident, so an
+// access at stridePC that asks the stride prefetcher issues a prefetch
+// DistanceFactor lines ahead, in the same 4 KB page when va is page-aligned.
+const (
+	fillPC, stridePC   = 0x400, 0x800
+	strideVA           = mem.Addr(0x900000)
+	strideRetirements  = stride.ConfidenceMax + 2 // the first sets the address, the second the stride
+	strideTargetOffset = stride.DistanceFactor * mem.LineSize
+)
+
+// strideMachine returns a one-core hierarchy with l1 as its DL1 prefetcher,
+// stridePC's stride confident, and all but free MSHRs taken.
+func strideMachine(t *testing.T, l1 prefetch.L1Prefetcher, free int) *Hierarchy {
+	t.Helper()
+	h := New(DefaultConfig(1, mem.Page4K), nil, func(int) prefetch.L1Prefetcher { return l1 }, nil)
+	for i := 0; i < strideRetirements; i++ {
+		h.RetireMemOp(0, stridePC, mem.Addr(0x800000+i*mem.LineSize))
+	}
+	for i := 0; i < h.cfg.MSHRs-free; i++ {
+		if _, _, ok := h.Demand(0, fillPC, mem.Addr(0x100000+i*4096), false, 0); !ok {
+			t.Fatalf("access %d refused with %d MSHRs", i, h.cfg.MSHRs)
+		}
+	}
+	return h
+}
+
+// refuse sends the stride access, which full MSHRs must refuse.
+func refuse(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	if _, _, ok := h.Demand(0, stridePC, strideVA, false, 0); ok {
+		t.Fatal("an access past the last MSHR was accepted")
+	}
+}
+
+// TestDispatchStalled walks the predicate through its conditions on one
+// refused access: it holds only for the address the demand memo remembers,
+// and only until something touches the core's DTLB1, DL1 or MSHRs — an MSHR
+// released lifts it. The DL1 prefetcher is no part of it: a refusal asks it
+// nothing, so neither a retirement that updates its table nor a new set of
+// prefetchers lifts the predicate, and every prefetcher, none, bare or
+// decorated, stalls alike. While the predicate holds, a replay moves
+// nothing: the TLBs, the stride prefetcher and Stats stay as they were.
 func TestDispatchStalled(t *testing.T) {
-	const pc, stridePC = 0x400, 0x800
-	fill := func(h *Hierarchy) (va mem.Addr) {
-		t.Helper()
-		for i := 0; i < h.cfg.MSHRs; i++ {
-			if _, _, ok := h.Demand(0, pc, mem.Addr(0x100000+i*4096), false, 0); !ok {
-				t.Fatalf("access %d refused with %d MSHRs", i, h.cfg.MSHRs)
-			}
-		}
-		va = 0x900000
-		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
-			t.Fatal("an access past the last MSHR was accepted")
-		}
-		return va
-	}
-	replay := func(h *Hierarchy, va mem.Addr) {
-		t.Helper()
-		if _, _, ok := h.Demand(0, stridePC, va, false, 0); ok {
-			t.Fatal("a replay was accepted")
-		}
-	}
-
-	h := testHier(prefetch.None{})
-	for i := 0; i < confidenceShort; i++ { // one retirement short of a confident stride
-		h.RetireMemOp(0, stridePC, mem.Addr(0x800000+i*64))
-	}
-	va := fill(h)
-	if !h.DispatchStalled(0, stridePC, va) {
+	h := strideMachine(t, stride.New(), 0)
+	refuse(t, h)
+	if !h.DispatchStalled(0, strideVA) {
 		t.Fatal("a refused access is not a stall")
 	}
-	if h.DispatchStalled(0, stridePC, va+64) || h.DispatchStalled(0, pc, va) {
+	if h.DispatchStalled(0, strideVA+mem.LineSize) {
 		t.Error("stalled for an access the memo does not remember")
 	}
 
+	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+strideRetirements*mem.LineSize))
+	if !h.DispatchStalled(0, strideVA) {
+		t.Error("a retirement that updated the DL1 prefetcher's table lifted the stall")
+	}
 	before, stats := (&machine{h: h}).deep(), h.Stats()
 	const n = 7
 	for i := 0; i < n; i++ {
-		replay(h, va)
+		refuse(t, h)
 	}
 	if after := (&machine{h: h}).deep(); !reflect.DeepEqual(after, before) || h.Stats() != stats {
 		t.Errorf("%d refused replays moved the machine; before vs after:%s\n  Stats %+v vs %+v",
 			n, before.diff(after), stats, h.Stats())
 	}
 
-	h.RetireMemOp(0, stridePC, mem.Addr(0x800000+confidenceShort*64)) // the stride is confident now
-	if h.DispatchStalled(0, stridePC, va) {
-		t.Error("stalled after a retirement updated the DL1 prefetcher's table")
-	}
-	before = (&machine{h: h}).deep()
-	replay(h, va)
-	if after := (&machine{h: h}).deep(); reflect.DeepEqual(after, before) {
-		t.Error("the replay after the retirement did not issue its stride query")
-	}
-	if !h.DispatchStalled(0, stridePC, va) {
-		t.Error("not stalled after the replay that put the target into the filter")
-	}
-
 	h.SetPrefetchers(nil, func(int) prefetch.L1Prefetcher { return stride.New() })
-	if h.DispatchStalled(0, stridePC, va) {
-		t.Error("stalled although a new DL1 prefetcher has been installed since the refusal")
-	}
-	replay(h, va)
-	if !h.DispatchStalled(0, stridePC, va) {
-		t.Error("not stalled after a replay against the new prefetcher")
+	if !h.DispatchStalled(0, strideVA) {
+		t.Error("a new set of prefetchers lifted the stall")
 	}
 
 	for now := uint64(0); h.outstanding[0].len() == h.cfg.MSHRs; now++ { // until a fill releases an MSHR
@@ -1163,19 +1073,82 @@ func TestDispatchStalled(t *testing.T) {
 		}
 		h.Tick(now)
 	}
-	if h.DispatchStalled(0, stridePC, va) {
+	if h.DispatchStalled(0, strideVA) {
 		t.Error("stalled although an MSHR has been released since the refusal")
 	}
 
-	for _, l1 := range []prefetch.L1Prefetcher{nil, stride.New(), opaqueL1{stride.New()}} {
-		h := New(DefaultConfig(1, mem.Page4K), nil, func(int) prefetch.L1Prefetcher { return l1 }, nil)
-		if va := fill(h); !h.DispatchStalled(0, stridePC, va) {
+	queries := new(int)
+	for _, l1 := range []prefetch.L1Prefetcher{nil, stride.New(), queryCounter{stride.New(), queries}} {
+		h := strideMachine(t, l1, 0)
+		asked := *queries
+		refuse(t, h)
+		if !h.DispatchStalled(0, strideVA) {
 			t.Errorf("DL1 prefetcher %T: a refused access is not a stall", l1)
+		}
+		if *queries != asked {
+			t.Errorf("DL1 prefetcher %T: a refused access asked it %d times", l1, *queries-asked)
 		}
 	}
 }
 
-// confidenceShort is the number of constant-stride retirements that leaves a
-// stride entry one short of full confidence (the first sets the address, the
-// second the stride).
-const confidenceShort = stride.ConfidenceMax + 1
+// TestRefusedAccessAsksNoPrefetcher holds the DL1 prefetcher to the accesses
+// that leave a register free for its prefetch: a confident stride's access
+// refused for full MSHRs, or taking the last one, leaves the stride
+// prefetcher's table and filter as they were, so its replay is asked afresh.
+func TestRefusedAccessAsksNoPrefetcher(t *testing.T) {
+	for free := 0; free <= 1; free++ {
+		h := strideMachine(t, stride.New(), free)
+		before := *h.l1pf[0].(*stride.Prefetcher)
+		_, _, ok := h.Demand(0, stridePC, strideVA, false, 0)
+		if ok != (free == 1) {
+			t.Fatalf("with %d MSHRs free the access was accepted: %v", free, ok)
+		}
+		if after := *h.l1pf[0].(*stride.Prefetcher); !reflect.DeepEqual(after, before) {
+			t.Errorf("with %d MSHRs free the access moved the stride prefetcher:\n  %+v\nvs %+v", free, before, after)
+		}
+		if n := h.Stats().StridePrefIssued; n != 0 {
+			t.Errorf("with %d MSHRs free %d stride prefetches issued", free, n)
+		}
+	}
+}
+
+// TestReplayIssuesStridePrefetch replays a refused access once two MSHRs are
+// free, one for the access and one for its prefetch: the stride query the
+// refusal never asked issues now.
+func TestReplayIssuesStridePrefetch(t *testing.T) {
+	h := strideMachine(t, stride.New(), 0)
+	refuse(t, h)
+	now := uint64(0)
+	for ; h.outstanding[0].len() > h.cfg.MSHRs-2; now++ {
+		if now == 100_000 {
+			t.Fatal("two MSHRs not released after 100,000 cycles")
+		}
+		h.Tick(now)
+	}
+	if _, _, ok := h.Demand(0, stridePC, strideVA, false, now); !ok {
+		t.Fatal("the replay was refused with two MSHRs free")
+	}
+	target := h.translators[0].TranslateLine(mem.LineOf(strideVA + strideTargetOffset))
+	if i := h.outstanding[0].find(target); h.Stats().StridePrefIssued != 1 || i < 0 || !h.outstanding[0].infos[i].l1pf {
+		t.Errorf("the replay issued %d stride prefetches; its target line %#x holds a prefetch's MSHR: %v",
+			h.Stats().StridePrefIssued, target, i >= 0 && h.outstanding[0].infos[i].l1pf)
+	}
+}
+
+// TestDemandQueuedAheadOfItsStridePrefetch checks the order a miss and the
+// stride prefetch it triggers reach the L2 in: the demand first.
+func TestDemandQueuedAheadOfItsStridePrefetch(t *testing.T) {
+	h := strideMachine(t, stride.New(), DefaultConfig(1, mem.Page4K).MSHRs)
+	if _, _, ok := h.Demand(0, stridePC, strideVA, false, 0); !ok {
+		t.Fatal("a miss was refused with every MSHR free")
+	}
+	tr := h.translators[0]
+	want := []mem.LineAddr{tr.TranslateLine(mem.LineOf(strideVA)), tr.TranslateLine(mem.LineOf(strideVA + strideTargetOffset))}
+	var got []mem.LineAddr
+	for _, r := range h.demandQ[0].reqs[h.demandQ[0].head:] {
+		got = append(got, r.line)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("demand queue holds lines %#x, want the miss then its stride prefetch, %#x", got, want)
+	}
+}

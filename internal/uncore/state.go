@@ -121,7 +121,6 @@ func (h *Hierarchy) SetPrefetchers(newL2PF func(core int) prefetch.L2Prefetcher,
 			l1 = newL1PF(c)
 		}
 		h.l1pf[c] = l1
-		h.retry[c].front++ // a refusal's query was asked of the old table
 		var pf prefetch.L2Prefetcher = prefetch.None{}
 		if newL2PF != nil {
 			if p := newL2PF(c); p != nil {

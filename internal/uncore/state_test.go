@@ -55,16 +55,16 @@ func TestRestoreDropsMemos(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &h.retry[0]
-	r.demand = demandMemo{ok: true, pc: 0x400, va: 0x1000, front: r.front}
+	r.demand = demandMemo{ok: true, va: 0x1000, front: r.front}
 	r.head = pathMemo{ok: true, line: 7, priv: r.priv, shared: h.shared, reads: h.mem.ReadVersion()}
 	r.pref = pathMemo{ok: true, line: 9, shared: h.shared, reads: h.mem.ReadVersion()}
-	if !h.DispatchStalled(0, 0x400, 0x1000) || !h.headRefused(0, 7) || !h.prefetchRefused(0, 9) {
+	if !h.DispatchStalled(0, 0x1000) || !h.headRefused(0, 7) || !h.prefetchRefused(0, 9) {
 		t.Fatal("the planted memos do not hold: the test no longer plants what the hierarchy checks")
 	}
 	if err := h.RestoreState(saved); err != nil {
 		t.Fatal(err)
 	}
-	if h.DispatchStalled(0, 0x400, 0x1000) || h.headRefused(0, 7) || h.prefetchRefused(0, 9) {
+	if h.DispatchStalled(0, 0x1000) || h.headRefused(0, 7) || h.prefetchRefused(0, 9) {
 		t.Error("a refusal memo survived RestoreState")
 	}
 }
