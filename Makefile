@@ -42,25 +42,23 @@ lint: fmt
 bovet:
 	$(GO) run ./cmd/bovet ./...
 
-# schema-lock regenerates the two locks after a reviewed change: engine's
-# testdata/model.lock (engine.ModelVersion: everything a run stores and
-# everything the version moves — layouts, the pinned runs' digests,
-# result-cache keys, generator streams, a kernel reading and the golden
-# renders' SHA-256s) and distrib's testdata/schema.lock
-# (distrib.ProtocolVersion: the wire envelope). It first renders the three
-# golden sweeps into internal/experiments/testdata/golden (about 30 s on 2
-# vCPUs), which the model lock records. A change that moves any of those
-# bumps ModelVersion once; one that moves the envelope bumps ProtocolVersion.
-# A lock is not rewritten at the version it already records: bump,
-# regenerate, commit the lock and the renders. This is the only writer of
-# either; CI fails a lock whose body changed while its version line did not,
-# and a golden file that differs from a render.
+# schema-lock regenerates the one lock after a reviewed change: engine's
+# testdata/model.lock (engine.ModelVersion: everything a run stores or
+# distrib sends and everything the version moves — layouts, the pinned runs'
+# digests, result-cache keys, generator streams, a kernel reading and the
+# golden renders' SHA-256s). It first renders the three golden sweeps into
+# internal/experiments/testdata/golden (about 30 s on 2 vCPUs), which the
+# lock records. A change that moves any of those bumps ModelVersion once. The
+# lock is not rewritten at the version it already records: bump, regenerate,
+# commit the lock and the renders. This is the only writer of either; CI
+# fails a lock whose body changed while its version line did not, and a
+# golden file that differs from a render.
 GOLDEN = internal/experiments/testdata/golden
 schema-lock:
 	$(GO) run ./cmd/experiments -quick -n 40000 -all -zoo > $(GOLDEN)/all-zoo.txt
 	$(GO) run ./cmd/experiments -quick -n 40000 -all -zoo -warmup 20000 -checkpoint > $(GOLDEN)/all-zoo-warmup.txt
 	$(GO) run ./cmd/experiments -quick -n 40000 -wzoo > $(GOLDEN)/wzoo.txt
-	$(GO) test -run '^TestSchemaLock$$' ./internal/engine ./internal/distrib -write-schema-lock
+	$(GO) test -run '^TestSchemaLock$$' ./internal/engine -write-schema-lock
 
 # bench-smoke runs every bopbench workload at 1/100 size, both passes (a few
 # seconds). The full instrument is `go run ./benchmarks/bopbench`; CI's bench

@@ -99,8 +99,7 @@ func main() {
 		_ = srv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "boworkerd: listening on %s (capacity %d, protocol v%d, model v%d)\n",
-		*listen, cap, distrib.ProtocolVersion, engine.ModelVersion)
+	fmt.Fprintf(os.Stderr, "boworkerd: listening on %s (capacity %d, model v%d)\n", *listen, cap, engine.ModelVersion)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "boworkerd: %v\n", err)
 		os.Exit(1)

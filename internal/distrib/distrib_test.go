@@ -323,21 +323,21 @@ func TestServerRejectsBadPayloads(t *testing.T) {
 	// binaries disagree about the Job schema itself: refused, not
 	// silently dropped.
 	b, _ = json.Marshal(map[string]any{
-		"protocol": ProtocolVersion, "model": engine.ModelVersion, "surprise": true})
+		"model": engine.ModelVersion, "surprise": true})
 	if code, eb := post(b); code != http.StatusBadRequest || eb.Code != CodeMalformed {
 		t.Errorf("unknown field: %d/%s, want 400/%s", code, eb.Code, CodeMalformed)
 	}
 
-	// A protocol-v2 era payload — old version numbers AND since-removed
-	// Options fields — gets the purpose-built version-skew diagnostic, not
-	// a generic unknown-field 400: the version check reads a lenient
+	// An older model's payload — since-removed Job and Options fields
+	// included — gets the purpose-built version-skew diagnostic, not a
+	// generic unknown-field 400: the version check reads a lenient
 	// pre-decode precisely so field removals can't mask it.
 	b, _ = json.Marshal(map[string]any{
-		"protocol": 2, "schema": 2, "key": "abc",
+		"protocol": 8, "model": engine.ModelVersion - 1, "key": "abc",
 		"options": map[string]any{"Workload": "456.hmmer", "TracePath": "", "Cores": 1},
 	})
 	if code, eb := post(b); code != http.StatusConflict || eb.Code != CodeSchemaMismatch {
-		t.Errorf("v2-era payload: %d/%s, want 409/%s", code, eb.Code, CodeSchemaMismatch)
+		t.Errorf("older-model payload: %d/%s, want 409/%s", code, eb.Code, CodeSchemaMismatch)
 	}
 
 	// A bad simulation (unknown benchmark) is a deterministic job error.
@@ -395,7 +395,7 @@ func TestWorkerRejectsPathFileSpec(t *testing.T) {
 	o := engine.DefaultOptions("").Normalized()
 	o.Workloads = []trace.Spec{trace.FileSpec("/etc/hostname")}
 	o.Cores = 1
-	job := Job{Protocol: ProtocolVersion, Model: engine.ModelVersion, Options: o}
+	job := Job{Model: engine.ModelVersion, Options: o}
 	b, _ := json.Marshal(job)
 	resp, err := http.Post(w.URL+"/v1/run", "application/json", bytes.NewReader(b))
 	if err != nil {
@@ -530,7 +530,7 @@ func TestDialRejectsBadFleet(t *testing.T) {
 	}
 	// A server of a different model version is refused at dial time.
 	skew := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Info{Protocol: ProtocolVersion, Model: engine.ModelVersion + 1, Capacity: 1})
+		writeJSON(w, http.StatusOK, Info{Model: engine.ModelVersion + 1, Capacity: 1})
 	}))
 	defer skew.Close()
 	if _, err := Dial([]string{skew.URL}, RetryPolicy{}); err == nil {

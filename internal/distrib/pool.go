@@ -87,11 +87,11 @@ type Pool struct {
 // are unaffected, and the pool remains usable.
 func (p *Pool) Close() { p.client.CloseIdleConnections() }
 
-// Dial contacts every worker's /v1/info, verifies protocol and model
-// agreement, and builds a Pool with one slot per advertised capacity
-// unit. Any unreachable or incompatible worker fails the whole call: the
-// operator listed it, so silently running without it would be a
-// misconfiguration masked as a slow sweep.
+// Dial contacts every worker's /v1/info, verifies model agreement, and
+// builds a Pool with one slot per advertised capacity unit. Any unreachable
+// or incompatible worker fails the whole call: the operator listed it, so
+// silently running without it would be a misconfiguration masked as a slow
+// sweep.
 func Dial(addrs []string, retry RetryPolicy) (*Pool, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("distrib: no worker addresses")
@@ -160,9 +160,9 @@ func dialWorker(client *http.Client, addr string) (*worker, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return nil, fmt.Errorf("distrib: worker %s: bad /v1/info response: %v", addr, err)
 	}
-	if info.Protocol != ProtocolVersion || info.Model != engine.ModelVersion {
-		return nil, fmt.Errorf("distrib: worker %s speaks protocol %d / model %d, coordinator wants %d / %d",
-			addr, info.Protocol, info.Model, ProtocolVersion, engine.ModelVersion)
+	if info.Model != engine.ModelVersion {
+		return nil, fmt.Errorf("distrib: worker %s speaks model %d, coordinator wants %d",
+			addr, info.Model, engine.ModelVersion)
 	}
 	if info.Capacity < 1 || info.Capacity > maxWorkerCapacity {
 		return nil, fmt.Errorf("distrib: worker %s advertises capacity %d (want 1..%d)",
@@ -276,10 +276,9 @@ func makeJob(o engine.Options) (Job, error) {
 		n.Workloads[i] = wire
 	}
 	return Job{
-		Protocol: ProtocolVersion,
-		Model:    engine.ModelVersion,
-		Key:      experiments.OptionsHash(n),
-		Options:  n,
+		Model:   engine.ModelVersion,
+		Key:     experiments.OptionsHash(n),
+		Options: n,
 	}, nil
 }
 
@@ -353,10 +352,10 @@ func (p *Pool) post(w *worker, job Job) (engine.Result, verdict, error) {
 		// and storing exactly the job's options. The worker stores them in
 		// wire form (file specs by sha, the resolved local path never
 		// echoed), as the job carries them, so trace jobs are checked like
-		// any other. Dial already agreed protocol and model with this
-		// worker, so a body failing the rule says the worker is broken (or
-		// died mid-response), not the job: write the worker off and
-		// requeue, like any other lost worker.
+		// any other. Dial already agreed the model with this worker, so a
+		// body failing the rule says the worker is broken (or died
+		// mid-response), not the job: write the worker off and requeue,
+		// like any other lost worker.
 		body, err := io.ReadAll(io.LimitReader(resp.Body, MaxJobBytes))
 		if err != nil {
 			return engine.Result{}, verdictWorkerLost, fmt.Errorf("worker %s: truncated response: %v", w.addr, err)

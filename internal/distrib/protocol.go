@@ -32,12 +32,6 @@ import (
 	"bopsim/internal/engine"
 )
 
-// ProtocolVersion is bumped on incompatible changes to the endpoints or to
-// the envelope: Job, Info and ErrorBody. What a job computes and the record
-// it answers with are engine.ModelVersion's, which Job and Info carry too. A
-// worker refuses jobs from a different protocol or model.
-const ProtocolVersion = 8
-
 // MaxJobBytes bounds a /v1/run request body. A legitimate job is a few
 // hundred bytes of JSON (options are value types; traces travel by hash),
 // so anything near the megabyte is malformed or hostile and is rejected with
@@ -47,12 +41,11 @@ const MaxJobBytes = 1 << 20
 // Job is the /v1/run request payload: one simulation for the worker to
 // execute.
 type Job struct {
-	// Protocol and Model pin the wire protocol and the engine.ModelVersion
-	// the coordinator was built against. The worker refuses mismatches: a
-	// model skew means the two binaries' simulators can disagree, which
-	// would poison the shared cache.
-	Protocol int `json:"protocol"`
-	Model    int `json:"model"`
+	// Model is the engine.ModelVersion the coordinator was built against,
+	// which governs the envelope too (engine's model.lock pins Job, Info and
+	// ErrorBody). The worker refuses a mismatch: a model skew means the two
+	// binaries' simulators can disagree, which would poison the shared cache.
+	Model int `json:"model"`
 	// Key is the coordinator's OptionsHash for this job. The worker
 	// recomputes it from Options (after resolving file specs to local
 	// paths) and refuses the job on mismatch — the cheap end-to-end check
@@ -76,8 +69,7 @@ type Job struct {
 
 // Info is the /v1/info response: the worker's advertisement.
 type Info struct {
-	Protocol int `json:"protocol"`
-	Model    int `json:"model"`
+	Model int `json:"model"`
 	// Capacity is how many simulations the worker executes concurrently;
 	// the coordinator contributes this many slots to the pool.
 	Capacity int `json:"capacity"`
@@ -89,7 +81,7 @@ type Info struct {
 const (
 	// CodeMalformed: the body was not a parseable Job (HTTP 400).
 	CodeMalformed = "malformed"
-	// CodeSchemaMismatch: protocol or model-version skew (HTTP 409).
+	// CodeSchemaMismatch: model-version skew (HTTP 409).
 	CodeSchemaMismatch = "schema_mismatch"
 	// CodeKeyMismatch: the worker's OptionsHash of the payload differs
 	// from Job.Key (HTTP 409).

@@ -85,7 +85,7 @@ func (s *Server) InFlight() int { return int(s.inflight.Load()) }
 // Handler returns the worker's HTTP API:
 //
 //	GET  /healthz   liveness probe: "ok", or 503 while draining
-//	GET  /v1/info   capacity + protocol/model advertisement (Info)
+//	GET  /v1/info   capacity + model advertisement (Info)
 //	POST /v1/run    execute one Job, respond with its result-cache record
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -97,11 +97,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, Info{
-			Protocol: ProtocolVersion,
-			Model:    engine.ModelVersion,
-			Capacity: s.capacity(),
-		})
+		writeJSON(w, http.StatusOK, Info{Model: engine.ModelVersion, Capacity: s.capacity()})
 	})
 	mux.HandleFunc("/v1/run", s.handleRun)
 	return mux
@@ -133,23 +129,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeMalformed, err.Error())
 		return
 	}
-	// Check protocol/model agreement from a lenient pre-decode before the
-	// strict one: protocol bumps may remove Options fields (v3 dropped
-	// Workload/TracePath), and DisallowUnknownFields would turn every
-	// old-coordinator job into a generic 400 instead of the purpose-built
-	// version-skew diagnostic.
-	var versions struct {
-		Protocol int `json:"protocol"`
-		Model    int `json:"model"`
+	// Check model agreement from a lenient pre-decode before the strict one:
+	// a bump may remove a field of Job or Options, and DisallowUnknownFields
+	// would turn every old-coordinator job into a generic 400 instead of the
+	// purpose-built version-skew diagnostic.
+	var version struct {
+		Model int `json:"model"`
 	}
-	if err := json.Unmarshal(b, &versions); err != nil {
+	if err := json.Unmarshal(b, &version); err != nil {
 		writeError(w, http.StatusBadRequest, CodeMalformed, fmt.Sprintf("decoding job: %v", err))
 		return
 	}
-	if versions.Protocol != ProtocolVersion || versions.Model != engine.ModelVersion {
+	if version.Model != engine.ModelVersion {
 		writeError(w, http.StatusConflict, CodeSchemaMismatch,
-			fmt.Sprintf("worker speaks protocol %d / model %d, job is protocol %d / model %d",
-				ProtocolVersion, engine.ModelVersion, versions.Protocol, versions.Model))
+			fmt.Sprintf("worker speaks model %d, job is model %d", engine.ModelVersion, version.Model))
 		return
 	}
 	var job Job

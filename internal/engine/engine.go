@@ -85,10 +85,7 @@ type Options struct {
 	// warmup leg independent of the prefetcher specs, which is what lets a
 	// sweep share one warmup checkpoint across all its prefetcher variants
 	// (see experiments.Runner.Checkpoint).
-	//
-	// The JSON tag keeps the zero value out of the encoding so cache keys of
-	// warmupless runs are unchanged from before this field existed.
-	Warmup uint64 `json:",omitempty"`
+	Warmup uint64
 }
 
 // DefaultOptions returns a 1-core, 4KB-page run of the named workload with
@@ -184,7 +181,7 @@ func (o Options) Normalized() Options {
 // fails until the constant is bumped and `make schema-lock` renders the
 // golden files and rewrites the lock, which it refuses to do at the version
 // the lock already records.
-const ModelVersion = 17
+const ModelVersion = 18
 
 // Result carries the measurements of one run.
 type Result struct {

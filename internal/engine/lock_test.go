@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"bopsim/internal/distrib"
 	"bopsim/internal/engine"
 	"bopsim/internal/experiments"
 	"bopsim/internal/mem"
@@ -262,7 +263,8 @@ const goldenDir = "../experiments/testdata/golden"
 // TestSchemaLock checks testdata/model.lock, every value engine.ModelVersion
 // governs:
 //   - the layouts of what a run stores (a snapshot, its warmup signature,
-//     Options and Result, and every struct they reach);
+//     Options and Result) and of what distrib sends (Job, Info, ErrorBody),
+//     and every struct they reach;
 //   - the digest of every pinned run, and the result-cache key of every
 //     keyCases entry;
 //   - the first 10,000 instructions of every registered generator that builds
@@ -273,14 +275,14 @@ const goldenDir = "../experiments/testdata/golden"
 //   - the SHA-256 of each committed golden render, so the renders ride the
 //     lock.
 //
-// A snapshot and a result record are positional and a Restore or a loader
-// refuses by version alone, so a value that moves without the constant would
-// serve older bytes as current. After a reviewed change, bump the constant,
+// A snapshot and a result record are positional and a Restore, a loader or a
+// worker refuses by version alone, so a value that moves without the constant
+// would serve older bytes as current. After a reviewed change, bump the constant,
 // then `make schema-lock`, which renders the golden files and rewrites the
 // lock.
 func TestSchemaLock(t *testing.T) {
 	var b strings.Builder
-	b.WriteString(schemalock.Render(engine.LockRoots...))
+	b.WriteString(schemalock.Render(append([]any{distrib.Job{}, distrib.Info{}, distrib.ErrorBody{}}, engine.LockRoots...)...))
 	b.WriteString("\n[digests]\n")
 	for _, p := range resultRuns {
 		fmt.Fprintf(&b, "result %s %s\n", p.name, pinnedDigest(t, p))
@@ -313,7 +315,7 @@ func TestSchemaLock(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "render %s %s\n", f.Name(), digest(data))
 	}
-	if err := schemalock.Check(modelLock, "model-version", engine.ModelVersion, b.String()); err != nil {
+	if err := schemalock.Check(modelLock, engine.ModelVersion, b.String()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -217,7 +217,6 @@ func (e *encoder) gen(g *trace.GenState) {
 		c := &g.Comps[i]
 		e.uvarint(c.Pos)
 		e.varint(int64(c.WordIdx))
-		e.varint(int64(c.Idx))
 		e.uvarint(c.PCNext)
 		e.varints(c.Positions)
 		e.varints(c.Starts)
@@ -551,7 +550,6 @@ func (r *decoder) gen(g *trace.GenState, depth int) {
 			c := &g.Comps[i]
 			c.Pos = r.uvarint("component position")
 			c.WordIdx = r.int("component word index")
-			c.Idx = r.int("component index")
 			c.PCNext = r.uvarint("component next PC")
 			c.Positions = r.varints("component stripe positions")
 			c.Starts = r.varints("component stripe starts")

@@ -1,6 +1,6 @@
-// Package schemalock pins what a version constant governs — serialized
-// layouts, and for the model version the digests of pinned runs — to that
-// constant: a test beside each constant checks a golden lock of it.
+// Package schemalock pins what engine.ModelVersion governs — serialized
+// layouts, the digests of pinned runs and the rest — to that constant:
+// engine's TestSchemaLock checks its golden lock, testdata/model.lock.
 package schemalock
 
 import (
@@ -12,7 +12,7 @@ import (
 	"strings"
 )
 
-var write = flag.Bool("write-schema-lock", false, "regenerate the package's testdata lock (what `make schema-lock` passes)")
+var write = flag.Bool("write-schema-lock", false, "regenerate the lock (what `make schema-lock` passes)")
 
 type closure map[string]string // "pkgpath.Type" -> field lines
 
@@ -81,13 +81,13 @@ func (c closure) spell(t reflect.Type, home string) string {
 	return name + t.Kind().String()
 }
 
-// Check compares the lock at path with "<key> <version>" and body (Render's sections,
-// and whatever else the constant governs): drift, a stale or missing line, a header
-// disagreeing with the constant are errors, which name every line the two do not
-// share. Under -write-schema-lock it rewrites the file instead, unless the old one
-// records the same version.
-func Check(path, key string, version int, body string) error {
-	header := fmt.Sprintf("# Governed by %s; `make schema-lock` regenerates.\n%[1]s %d\n", key, version)
+// Check compares the lock at path with "model-version <version>" and body
+// (Render's sections, and whatever else the constant governs): drift, a stale or
+// missing line, a header disagreeing with the constant are errors, which name every
+// line the two do not share. Under -write-schema-lock it rewrites the file instead,
+// unless the old one records the same version.
+func Check(path string, version int, body string) error {
+	header := fmt.Sprintf("# Governed by model-version; `make schema-lock` regenerates.\nmodel-version %d\n", version)
 	want := header + body
 	old, _ := os.ReadFile(path) // a missing lock reads as an empty one
 	if string(old) == want {
@@ -96,7 +96,7 @@ func Check(path, key string, version int, body string) error {
 	if *write && !strings.HasPrefix(string(old), header) {
 		return os.WriteFile(path, []byte(want), 0o644)
 	}
-	return fmt.Errorf("%s differs from the source: bump %s, then run `make schema-lock`, which refuses to write over a lock that already records version %d%s", path, key, version, diff(string(old), want))
+	return fmt.Errorf("%s differs from the source: bump model-version, then run `make schema-lock`, which refuses to write over a lock that already records version %d%s", path, version, diff(string(old), want))
 }
 
 // diff lists, in file order, the lines of lock and source that a longest

@@ -86,7 +86,7 @@ type v2 struct {
 
 func lockFile(t *testing.T, content string) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "schema.lock")
+	path := filepath.Join(t.TempDir(), "model.lock")
 	if content != "" {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func setWrite(t *testing.T, on bool) {
 // only one side has, and none of them touches the file.
 func TestCheck(t *testing.T) {
 	setWrite(t, false)
-	good := "# Governed by snapshot-version; `make schema-lock` regenerates.\nsnapshot-version 3\n" + Render(v1{})
+	good := "# Governed by model-version; `make schema-lock` regenerates.\nmodel-version 3\n" + Render(v1{})
 	cases := []struct {
 		name, lock string
 		want       []string // the lines the error names, in order
@@ -122,16 +122,16 @@ func TestCheck(t *testing.T) {
 			[]string{`lock line 7: ""`, `lock line 8: "[bopsim/internal/schemalock.gone]"`, `lock line 9: "X int"`}},
 		{"missing section", strings.Replace(good, Render(v1{}), "", 1),
 			[]string{`source line 3: ""`, `source line 4: "[bopsim/internal/schemalock.v1]"`, `source line 5: "Version int"`, `source line 6: "Cycles uint64"`}},
-		{"header behind the constant", strings.Replace(good, "snapshot-version 3", "snapshot-version 2", 1),
-			[]string{`lock line 2: "snapshot-version 2"`, `source line 2: "snapshot-version 3"`}},
-		{"no lock", "", []string{`source line 1: "# Governed by snapshot-version; ` + "`make schema-lock`" + ` regenerates."`,
-			`source line 2: "snapshot-version 3"`, `source line 3: ""`, `source line 4: "[bopsim/internal/schemalock.v1]"`,
+		{"header behind the constant", strings.Replace(good, "model-version 3", "model-version 2", 1),
+			[]string{`lock line 2: "model-version 2"`, `source line 2: "model-version 3"`}},
+		{"no lock", "", []string{`source line 1: "# Governed by model-version; ` + "`make schema-lock`" + ` regenerates."`,
+			`source line 2: "model-version 3"`, `source line 3: ""`, `source line 4: "[bopsim/internal/schemalock.v1]"`,
 			`source line 5: "Version int"`, `source line 6: "Cycles uint64"`}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			path := lockFile(t, c.lock)
-			err := Check(path, "snapshot-version", 3, Render(v1{}))
+			err := Check(path, 3, Render(v1{}))
 			if c.want == nil {
 				if err != nil {
 					t.Fatal(err)
@@ -161,27 +161,27 @@ func TestCheck(t *testing.T) {
 func TestCheckRefusesUnbumpedRegen(t *testing.T) {
 	setWrite(t, true)
 	path := lockFile(t, "")
-	if err := Check(path, "snapshot-version", 3, Render(v1{})); err != nil {
+	if err := Check(path, 3, Render(v1{})); err != nil {
 		t.Fatalf("first generation refused: %v", err)
 	}
 	first, _ := os.ReadFile(path)
-	if err := Check(path, "snapshot-version", 3, Render(v1{})); err != nil {
+	if err := Check(path, 3, Render(v1{})); err != nil {
 		t.Errorf("identical regeneration refused: %v", err)
 	}
 
-	err := Check(path, "snapshot-version", 3, Render(v2{}))
-	if err == nil || !strings.Contains(err.Error(), "bump snapshot-version") || !strings.Contains(err.Error(), "refuses") {
+	err := Check(path, 3, Render(v2{}))
+	if err == nil || !strings.Contains(err.Error(), "bump model-version") || !strings.Contains(err.Error(), "refuses") {
 		t.Errorf("regeneration accepted without a version bump: %v", err)
 	}
 	if now, _ := os.ReadFile(path); string(now) != string(first) {
 		t.Errorf("a refused regeneration rewrote the lock:\n%s", now)
 	}
 
-	if err := Check(path, "snapshot-version", 4, Render(v2{})); err != nil {
+	if err := Check(path, 4, Render(v2{})); err != nil {
 		t.Fatalf("regeneration refused after the bump: %v", err)
 	}
 	setWrite(t, false)
-	if err := Check(path, "snapshot-version", 4, Render(v2{})); err != nil {
+	if err := Check(path, 4, Render(v2{})); err != nil {
 		t.Errorf("the regenerated lock does not check: %v", err)
 	}
 }

@@ -31,12 +31,9 @@ type GenState struct {
 
 // ComponentState is the cursor of one workload pattern component. It is the
 // union of every component type's fields; each type reads the ones it owns.
-// No component owns Idx; it stays so that the snapshot layout, which
-// engine's testdata/model.lock pins, does not move.
 type ComponentState struct {
 	Pos       uint64
 	WordIdx   int
-	Idx       int
 	PCNext    uint64
 	Positions []int64
 	Starts    []int64
