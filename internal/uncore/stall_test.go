@@ -125,6 +125,9 @@ func (m *machine) demand(core int, inst trace.Inst, now uint64) (fut *Completion
 		if missed {
 			m.dl1Misses++
 		}
+		if m.ledger != nil && inst.Op == trace.OpStore {
+			m.ledger.stored(m.audit, h, core, line, now)
+		}
 	}
 	return fut, ok
 }
@@ -168,6 +171,9 @@ type machine struct {
 	// predicate the memo stands in for, and every cycle ends with
 	// auditInFlight.
 	audit *testing.T
+	// ledger, when set (on the audited machine), follows every line a store
+	// makes dirty until DRAM writes it (see ledger).
+	ledger *ledger
 	// demandAudits counts auditDemandMemo calls; every tlbAuditEvery-th one
 	// also pays for a look inside the DTLB1.
 	demandAudits int
@@ -483,25 +489,40 @@ func (h *Hierarchy) refusalPath(core int, line mem.LineAddr) string {
 // processDemand. An attempt a refusal memo is about to answer must be one
 // the predicate calls blocked (and is then held to the same pure-refusal
 // check as any other). Its body must stay a copy of Tick's — the lock-step
-// comparison against a machine that runs the real Tick enforces that.
+// comparison against a machine that runs the real Tick enforces that. The
+// ledger, if any, settles after each step that can move dirty data.
 func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	t.Helper()
-	h := m.h
+	h, l := m.h, m.ledger
 	h.stats.L2FQOccupancySum += uint64(h.l2fq[0].len())
 	h.stats.L3FQOccupancySum += uint64(h.l3fq.len())
 	h.stats.MSHROccupancySum += uint64(h.outstanding[0].len())
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
+	for _, e := range h.l3fq.entries {
+		if e.readyAt <= now {
+			l.expect(fill{core: e.core, line: e.line})
+		}
+	}
 	h.drainL3Fills(now)
+	l.settle(t, h, now)
 	for c, q := range h.l2fq {
 		for _, e := range q.popReady(now) {
 			// Each prefetch entry is checked as it leaves (auditInFlight).
 			line, prefetch := e.line, e.isPrefetch
+			l.expect(fill{core: c, line: line, dl1: e.fillL1, l2: true})
 			h.fillL2(c, e, now)
+			l.settle(t, h, now)
 			if prefetch && h.l2[c].Peek(line) == nil {
 				t.Fatalf("cycle %d core %d: the prefetch of line %#x left the L2 fill queue, but the line is not in the L2", now, c, line)
 			}
 		}
+		for _, f := range h.dl1Fills[c] {
+			if f.at <= now {
+				l.expect(fill{core: c, line: f.line, dl1: true})
+			}
+		}
 		h.drainDL1Fills(c, now)
+		l.settle(t, h, now)
 	}
 	var bufA, bufB []uint64
 	for c := range h.demandQ {
@@ -558,7 +579,9 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 			t.Fatalf("cycle %d core %d: refused prefetch %#x had side effects; got vs want:%s", now, c, line, after.diff(before))
 		}
 	}
+	l.expectWB(h)
 	h.retryWritebacks(now)
+	l.settle(t, h, now)
 	reads := h.mem.ReadVersion()
 	h.mem.Tick(now)
 	if h.mem.ReadVersion() != reads {
@@ -824,7 +847,7 @@ func stallRows() []stallRow {
 // run replays the row on its three machines (see TestStallPredicateLockStep).
 func (row stallRow) run(t *testing.T) {
 	oracle, plain, skipper := row.build(t, true), row.build(t, false), row.build(t, true)
-	oracle.audit = t
+	oracle.audit, oracle.ledger = t, newLedger()
 	paths := map[string]int{}
 	var oracleNow, now, skipped, headSkipped, demandSkipped uint64
 	var bufA, bufB []uint64
@@ -913,6 +936,7 @@ func (row stallRow) run(t *testing.T) {
 	if slices.Contains(row.wantMemos, "demand") && demandSkipped == 0 {
 		t.Error("no cycle was skipped over a core retrying a refused Demand: the row does not skip dispatch stalls")
 	}
+	oracle.drain(t, oracleNow, 2*row.cycles)
 }
 
 // headDue reports whether some core's demand-queue head is due at now. At a
