@@ -1,5 +1,5 @@
-# Developer entry points. CI (.github/workflows/ci.yml) runs the same gates
-# split into legible jobs; keep the two in sync.
+# Developer entry points. CI (.github/workflows/ci.yml) runs the same gates,
+# split into legible jobs.
 
 GO ?= go
 
@@ -16,7 +16,35 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs CI's eleven fuzz targets at CI's fixed budgets.
+# fuzz runs the eleven fuzz targets at fixed budgets (CI's "Fuzz" step):
+#   - FuzzParse: the spec grammar, both forms.
+#   - FuzzNormalizeMemo: the memoised Normalize against a normalisation
+#     computed with an empty memo, quoted sub-specs included.
+#   - FuzzRestore: snapshot restore never panics on corrupt bytes.
+#   - FuzzOptions: each input is a small run executed straight, with
+#     skip-ahead off, with the refusal memos off and, when it has a warmup
+#     region, restored from its own snapshot; all four must give one Result
+#     byte string. Four simulations per input, so a small budget (about half
+#     a minute on 2 vCPUs, after its build).
+#   - FuzzBOAgainstReference: the BO prefetcher against a naive learner
+#     written from the paper's section 4, in lock step.
+#   - FuzzDRAMTiming: the DRAM controllers against a reference written from
+#     Table 1's timing, which places every command at its earliest legal
+#     cycle.
+#   - FuzzCacheEntry: the result-record decoder (engine, beside the
+#     snapshot's) never panics and accepts only the exact bytes its decoded
+#     record encodes back to.
+#   - FuzzSameOptions: the key memo's and the assembly pass's field-by-field
+#     equality against reflect.DeepEqual.
+#   - FuzzCacheAgainstNaive: a cache under LRU and 5P against a per-set
+#     model, with full-width line addresses and cores 0-3, so a packing bug
+#     in cache.Line shows as a wrong line.
+#   - FuzzFillQueueAgainstNaive: a fill queue, its CAM behind the line
+#     filter, against a plain slice, over lines some of which share a filter
+#     bit.
+#   - FuzzMSHRsAgainstMap: the DL1 MSHR table against a map, under merges,
+#     L2-hit resolves and the takes of DL1 fills; every register taken back
+#     must carry its merged stores and its prefetch bit.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 20000x ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalizeMemo$$' -fuzztime 20000x ./internal/spec

@@ -184,12 +184,13 @@ func (l *ledger) see(h *Hierarchy, line mem.LineAddr) place {
 	return w
 }
 
-// fill is a block a step placed: line, into core's DL1 (dl1), L2 (l2) or
-// the L3 (neither).
+// fill is a block a step placed into core's caches: line, into the L3,
+// into the L2, or into the L2 and on to the DL1 (or straight into the DL1,
+// an L2 hit: looking at its L2 set too costs a little and misses nothing).
 type fill struct {
-	core    int
-	line    mem.LineAddr
-	dl1, l2 bool
+	core int
+	line mem.LineAddr
+	into place // inL3, inL2 or inDL1
 }
 
 // expect notes a fill the next step places. A nil ledger (a machine that is
@@ -219,11 +220,11 @@ func (l *ledger) settle(t *testing.T, h *Hierarchy, now uint64) {
 	var v1, v2 []mem.LineAddr
 	for _, f := range l.fills {
 		l.see(h, f.line)
-		switch {
-		case f.dl1:
+		switch f.into {
+		case inDL1:
 			v1 = l.look(h, setOf(h, inDL1, f.core, f.line), v1)
 			fallthrough
-		case f.l2:
+		case inL2:
 			v2 = l.look(h, setOf(h, inL2, f.core, f.line), v2)
 		default:
 			l.look(h, setOf(h, inL3, 0, f.line), nil)

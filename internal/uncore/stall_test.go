@@ -500,7 +500,7 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 	h.stats.PrefQOccupancySum += uint64(h.pq[0].n)
 	for _, e := range h.l3fq.entries {
 		if e.readyAt <= now {
-			l.expect(fill{core: e.core, line: e.line})
+			l.expect(fill{core: e.core, line: e.line, into: inL3})
 		}
 	}
 	h.drainL3Fills(now)
@@ -509,7 +509,11 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 		for _, e := range q.popReady(now) {
 			// Each prefetch entry is checked as it leaves (auditInFlight).
 			line, prefetch := e.line, e.isPrefetch
-			l.expect(fill{core: c, line: line, dl1: e.fillL1, l2: true})
+			into := inL2
+			if e.fillL1 {
+				into = inDL1
+			}
+			l.expect(fill{core: c, line: line, into: into})
 			h.fillL2(c, e, now)
 			l.settle(t, h, now)
 			if prefetch && h.l2[c].Peek(line) == nil {
@@ -518,7 +522,7 @@ func (m *machine) checkedTick(t *testing.T, now uint64, paths map[string]int) {
 		}
 		for _, f := range h.dl1Fills[c] {
 			if f.at <= now {
-				l.expect(fill{core: c, line: f.line, dl1: true})
+				l.expect(fill{core: c, line: f.line, into: inDL1})
 			}
 		}
 		h.drainDL1Fills(c, now)
